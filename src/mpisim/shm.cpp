@@ -4,7 +4,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <set>
 #include <utility>
 
 #include <dirent.h>
@@ -14,38 +13,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include "common/thread_context.hpp"
-
 namespace mpisim::shm {
-
-namespace {
-
-// The calling thread's session key (0: none). Fits in a void* for the
-// ThreadContext slot; forked rank processes inherit it from the forking
-// thread automatically.
-constinit thread_local std::uint64_t t_session_id = 0;
-
-const std::size_t kSessionIdSlot = common::ThreadContext::register_slot(
-    [] { return reinterpret_cast<void*>(static_cast<std::uintptr_t>(t_session_id)); },
-    [](void* value) {
-      t_session_id = static_cast<std::uint64_t>(reinterpret_cast<std::uintptr_t>(value));
-    });
-
-}  // namespace
-
-std::uint64_t current_session_id() { return t_session_id; }
-
-ScopedSessionId::ScopedSessionId(std::uint64_t id) : previous_(t_session_id) {
-  t_session_id = id;
-  (void)kSessionIdSlot;
-}
-
-ScopedSessionId::~ScopedSessionId() { t_session_id = previous_; }
-
-std::string lease_name(pid_t owner, std::uint64_t session_id) {
-  return "/cusan." + boot_id() + "." + std::to_string(static_cast<long>(owner)) + ".s" +
-         std::to_string(session_id) + ".lease";
-}
 
 const std::string& boot_id() {
   static const std::string id = [] {
@@ -71,12 +39,7 @@ const std::string& boot_id() {
 }
 
 std::string segment_name(pid_t owner, const std::string& suffix) {
-  std::string name =
-      "/cusan." + boot_id() + "." + std::to_string(static_cast<long>(owner)) + ".";
-  if (t_session_id > 0) {
-    name += "s" + std::to_string(t_session_id) + ".";
-  }
-  return name + suffix;
+  return "/cusan." + boot_id() + "." + std::to_string(static_cast<long>(owner)) + "." + suffix;
 }
 
 Segment::Segment(Segment&& other) noexcept
@@ -179,13 +142,10 @@ Segment Segment::open(const std::string& name, std::string* error) {
 
 namespace {
 
-/// Parse `cusan.<boot8>.<pid>[.s<sid>].<suffix>` (no leading '/'); false if
-/// the name is not ours or malformed (malformed cusan.* names count as
-/// stale: nothing we ship produces them, so they are junk from a crashed
-/// writer). `*sid` is 0 for un-keyed (non-daemon) segments; `*is_lease` is
-/// true for a session's `.lease` marker itself.
-bool parse_name(const std::string& file, std::string* boot, long* pid, std::uint64_t* sid,
-                bool* is_lease) {
+/// Parse `cusan.<boot8>.<pid>.<suffix>` (no leading '/'); false if the name
+/// is not ours or malformed (malformed cusan.* names count as stale: nothing
+/// we ship produces them, so they are junk from a crashed writer).
+bool parse_name(const std::string& file, std::string* boot, long* pid) {
   constexpr const char kPrefix[] = "cusan.";
   if (file.rfind(kPrefix, 0) != 0) {
     return false;
@@ -207,24 +167,6 @@ bool parse_name(const std::string& file, std::string* boot, long* pid, std::uint
   }
   *boot = file.substr(boot_start, 8);
   *pid = parsed;
-  *sid = 0;
-  *is_lease = false;
-  // Optional session key: `s<digits>.` right after the pid, with a non-empty
-  // suffix behind it (a bare `s7` tail is a suffix named "s7", not a key).
-  const std::size_t tail_start = pid_end + 1;
-  if (tail_start < file.size() && file[tail_start] == 's') {
-    const std::size_t sid_end = file.find('.', tail_start);
-    if (sid_end != std::string::npos && sid_end > tail_start + 1) {
-      const std::string sid_str = file.substr(tail_start + 1, sid_end - tail_start - 1);
-      char* sid_parse_end = nullptr;
-      const unsigned long long sid_parsed =
-          std::strtoull(sid_str.c_str(), &sid_parse_end, 10);
-      if (sid_parse_end != nullptr && *sid_parse_end == '\0' && sid_parsed > 0) {
-        *sid = sid_parsed;
-        *is_lease = file.substr(sid_end + 1) == "lease";
-      }
-    }
-  }
   return true;
 }
 
@@ -244,39 +186,18 @@ GcStats gc_stale_segments(bool remove) {
     }
   }
   ::closedir(dir);
-  // First pass: live session leases. A session-keyed segment of a live
-  // daemon pid is alive only while its (pid, sid) lease exists — a resident
-  // daemon's finished sessions must not pin segments for the daemon's
-  // lifetime.
-  std::set<std::pair<long, std::uint64_t>> live_leases;
-  for (const std::string& file : names) {
-    std::string boot;
-    long pid = 0;
-    std::uint64_t sid = 0;
-    bool is_lease = false;
-    if (parse_name(file, &boot, &pid, &sid, &is_lease) && is_lease && boot == boot_id() &&
-        (::kill(static_cast<pid_t>(pid), 0) == 0 || errno != ESRCH)) {
-      live_leases.emplace(pid, sid);
-    }
-  }
   for (const std::string& file : names) {
     ++stats.scanned;
     std::string boot;
     long pid = 0;
-    std::uint64_t sid = 0;
-    bool is_lease = false;
     bool stale;
-    if (!parse_name(file, &boot, &pid, &sid, &is_lease)) {
+    if (!parse_name(file, &boot, &pid)) {
       stale = true;  // malformed cusan.* name: junk from a crashed writer
     } else if (boot != boot_id()) {
       stale = true;  // previous boot: the owner is definitionally gone
-    } else if (::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH) {
-      stale = true;  // dead owner. (EPERM means "exists but not ours" — alive.)
-    } else if (sid > 0) {
-      // Live owner, session-keyed: alive only while the session's lease is.
-      stale = live_leases.find({pid, sid}) == live_leases.end();
     } else {
-      stale = false;
+      // Dead owner. (EPERM means "exists but not ours" — alive.)
+      stale = ::kill(static_cast<pid_t>(pid), 0) != 0 && errno == ESRCH;
     }
     if (!stale) {
       ++stats.alive;

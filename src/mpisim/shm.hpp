@@ -4,19 +4,9 @@
 // is provably stale exactly when its boot id differs from the running
 // kernel's or its owner pid no longer exists. tools/shm_gc and the test
 // harnesses reap on that rule.
-//
-// Daemon extension (svc): a long-lived checker daemon's pid stays alive for
-// days, so pid liveness alone would keep finished sessions' segments
-// forever. While a ScopedSessionId is active, names gain a session key —
-// `/cusan.<boot8>.<pid>.s<sid>.<suffix>` — and the session holds a tiny
-// `.s<sid>.lease` segment for its lifetime. gc treats a same-boot live-pid
-// segment with a session key as stale exactly when its lease is gone:
-// live-daemon sessions are skipped (`shm_gc --check` stays quiet), ended or
-// crashed sessions' leftovers are reapable.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -29,32 +19,8 @@ namespace mpisim::shm {
 [[nodiscard]] const std::string& boot_id();
 
 /// `/cusan.<boot8>.<pid>.<suffix>` (the leading '/' is part of the POSIX
-/// name; the /dev/shm file is the same without it). While a ScopedSessionId
-/// is active on the calling thread the name becomes
-/// `/cusan.<boot8>.<pid>.s<sid>.<suffix>`.
+/// name; the /dev/shm file is the same without it).
 [[nodiscard]] std::string segment_name(pid_t owner, const std::string& suffix);
-
-/// The calling thread's session key (0: none). Propagated to spawned
-/// workers via common::ThreadContext, and into forked rank processes by
-/// fork itself.
-[[nodiscard]] std::uint64_t current_session_id();
-
-/// Key every segment_name() on this thread by session `id` (> 0) for the
-/// scope's lifetime. svc::Session wraps each session body in one.
-class ScopedSessionId {
- public:
-  explicit ScopedSessionId(std::uint64_t id);
-  ~ScopedSessionId();
-  ScopedSessionId(const ScopedSessionId&) = delete;
-  ScopedSessionId& operator=(const ScopedSessionId&) = delete;
-
- private:
-  std::uint64_t previous_;
-};
-
-/// `/cusan.<boot8>.<pid>.s<sid>.lease` — held by a svc session while it
-/// runs; its existence is what marks the session's segments as live to gc.
-[[nodiscard]] std::string lease_name(pid_t owner, std::uint64_t session_id);
 
 /// RAII mapping of a named POSIX shared-memory segment. Movable; the
 /// destructor unmaps but never unlinks — name lifetime is the owner's call.

@@ -29,33 +29,13 @@ constexpr std::uint64_t kDefaultSessionBytes = 64ull * 1024 * 1024;
 
 }  // namespace
 
-const char* to_string(SessionState state) {
-  switch (state) {
-    case SessionState::kQueued:
-      return "queued";
-    case SessionState::kRunning:
-      return "running";
-    case SessionState::kDone:
-      return "done";
-    case SessionState::kCancelled:
-      return "cancelled";
-  }
-  return "?";
-}
-
 void SessionHandle::wait() {
   std::unique_lock<std::mutex> lock(mutex_);
-  cv_.wait(lock, [this] {
-    const SessionState s = state_.load(std::memory_order_acquire);
-    return s == SessionState::kDone || s == SessionState::kCancelled;
-  });
+  cv_.wait(lock, [this] { return done(); });
 }
 
 Executor::Executor(const ExecutorOptions& options) {
   int workers = options.workers;
-  if (workers <= 0) {
-    workers = static_cast<int>(env_u64("CUSAN_SVC_WORKERS", 0));
-  }
   if (workers <= 0) {
     workers = static_cast<int>(std::thread::hardware_concurrency());
   }
@@ -90,24 +70,10 @@ Executor::~Executor() {
 }
 
 SessionHandlePtr Executor::submit(SessionSpec spec) {
-  return submit(std::move(spec), nullptr);
-}
-
-std::uint64_t Executor::reserve_id() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return next_id_++;
-}
-
-SessionHandlePtr Executor::submit(SessionSpec spec,
-                                  std::function<void(const SessionHandle&)> on_done,
-                                  std::uint64_t reserved_id) {
   auto handle = std::make_shared<SessionHandle>();
-  handle->label_ = spec.label;
-  handle->on_done_ = std::move(on_done);
+  handle->session_ = std::make_unique<Session>(std::move(spec));
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    handle->id_ = reserved_id != 0 ? reserved_id : next_id_++;
-    handle->session_ = std::make_unique<Session>(handle->id_, std::move(spec));
     ++stats_.submitted;
     const std::uint64_t estimate = estimate_locked(handle);
     // Admission: a session runs only when its estimated footprint fits the
@@ -116,12 +82,7 @@ SessionHandlePtr Executor::submit(SessionSpec spec,
     // in FIFO order and is admitted as completions free budget.
     if (budget_bytes_ == 0 || inflight_ == 0 ||
         reserved_bytes_ + estimate <= budget_bytes_) {
-      handle->memory_estimate = estimate;
-      reserved_bytes_ += estimate;
-      ++inflight_;
-      WorkerQueue& queue = *queues_[submit_cursor_++ % queues_.size()];
-      std::lock_guard<std::mutex> queue_lock(queue.mutex);
-      queue.deque.push_back(handle);
+      admit_locked(handle, estimate);
     } else {
       parked_.push_back(handle);
       ++stats_.parked;
@@ -139,63 +100,29 @@ std::uint64_t Executor::estimate_locked(const SessionHandlePtr& handle) const {
   return ema_peak_bytes_ > 0 ? ema_peak_bytes_ : kDefaultSessionBytes;
 }
 
+void Executor::admit_locked(SessionHandlePtr handle, std::uint64_t estimate) {
+  handle->memory_estimate = estimate;
+  reserved_bytes_ += estimate;
+  ++inflight_;
+  WorkerQueue& queue = *queues_[submit_cursor_++ % queues_.size()];
+  std::lock_guard<std::mutex> queue_lock(queue.mutex);
+  queue.deque.push_back(std::move(handle));
+}
+
 void Executor::drain_parked_locked() {
   bool admitted = false;
   while (!parked_.empty()) {
-    const SessionHandlePtr& head = parked_.front();
-    const std::uint64_t estimate = estimate_locked(head);
+    const std::uint64_t estimate = estimate_locked(parked_.front());
     if (inflight_ > 0 && reserved_bytes_ + estimate > budget_bytes_) {
       break;
     }
-    SessionHandlePtr handle = parked_.front();
+    admit_locked(std::move(parked_.front()), estimate);
     parked_.pop_front();
-    handle->memory_estimate = estimate;
-    reserved_bytes_ += estimate;
-    ++inflight_;
-    WorkerQueue& queue = *queues_[submit_cursor_++ % queues_.size()];
-    {
-      std::lock_guard<std::mutex> queue_lock(queue.mutex);
-      queue.deque.push_back(std::move(handle));
-    }
     admitted = true;
   }
   if (admitted) {
     work_cv_.notify_all();
   }
-}
-
-bool Executor::cancel(const SessionHandlePtr& handle) {
-  if (handle == nullptr) {
-    return false;
-  }
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = parked_.begin(); it != parked_.end(); ++it) {
-    if (*it == handle) {
-      parked_.erase(it);
-      ++stats_.cancelled;
-      handle->state_.store(SessionState::kCancelled, std::memory_order_release);
-      handle->cv_.notify_all();
-      idle_cv_.notify_all();
-      return true;
-    }
-  }
-  for (auto& queue : queues_) {
-    std::lock_guard<std::mutex> queue_lock(queue->mutex);
-    for (auto it = queue->deque.begin(); it != queue->deque.end(); ++it) {
-      if (*it == handle) {
-        queue->deque.erase(it);
-        ++stats_.cancelled;
-        reserved_bytes_ -= handle->memory_estimate;
-        --inflight_;
-        handle->state_.store(SessionState::kCancelled, std::memory_order_release);
-        handle->cv_.notify_all();
-        drain_parked_locked();
-        idle_cv_.notify_all();
-        return true;
-      }
-    }
-  }
-  return false;  // already running or finished
 }
 
 SessionHandlePtr Executor::next_session(std::size_t index, bool* stolen) {
@@ -242,17 +169,13 @@ void Executor::worker_main(std::size_t index) {
       std::lock_guard<std::mutex> lock(mutex_);
       ++stats_.steals;
     }
-    handle->state_.store(SessionState::kRunning, std::memory_order_release);
     SessionResult result = handle->session_->run();
     {
       std::lock_guard<std::mutex> handle_lock(handle->mutex_);
       handle->result_ = std::move(result);
-      handle->state_.store(SessionState::kDone, std::memory_order_release);
+      handle->done_.store(true, std::memory_order_release);
     }
     handle->cv_.notify_all();
-    if (handle->on_done_) {
-      handle->on_done_(*handle);
-    }
     finish(handle);
   }
 }
@@ -267,7 +190,6 @@ void Executor::finish(const SessionHandlePtr& handle) {
   // Light smoothing: reactive to phase changes (a sweep switching to bigger
   // worlds), stable across one-off outliers.
   ema_peak_bytes_ = ema_peak_bytes_ == 0 ? peak : (3 * ema_peak_bytes_ + peak) / 4;
-  stats_.ema_peak_bytes = ema_peak_bytes_;
   drain_parked_locked();
   idle_cv_.notify_all();
 }

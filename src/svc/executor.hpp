@@ -5,7 +5,7 @@
 // estimated resident session bytes under a budget — a saturated executor
 // degrades by queueing sessions, never by OOM.
 //
-//   svc::Executor executor;                      // CUSAN_SVC_WORKERS, _MAX_MB
+//   svc::Executor executor;                      // CUSAN_SVC_MAX_MB budget
 //   auto handle = executor.submit(spec);
 //   handle->wait();
 //   const svc::SessionResult& r = handle->result();
@@ -21,7 +21,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -31,44 +30,23 @@
 
 namespace svc {
 
-enum class SessionState : std::uint8_t {
-  kQueued,    ///< submitted, waiting for admission or a worker
-  kRunning,   ///< a worker is executing the body
-  kDone,      ///< result() is valid
-  kCancelled, ///< dequeued before running (cancel() on a queued session)
-};
-
-[[nodiscard]] const char* to_string(SessionState state);
-
 /// Shared handle to one submitted session. Thread-safe.
 class SessionHandle {
  public:
-  [[nodiscard]] SessionState state() const {
-    return state_.load(std::memory_order_acquire);
-  }
-  /// Block until the session is done or cancelled.
+  [[nodiscard]] bool done() const { return done_.load(std::memory_order_acquire); }
+  /// Block until the session is done.
   void wait();
-  /// Valid once state() == kDone.
+  /// Valid once done().
   [[nodiscard]] const SessionResult& result() const { return result_; }
-  [[nodiscard]] std::uint64_t id() const { return id_; }
-  [[nodiscard]] const std::string& label() const { return label_; }
-  /// The underlying session — alive for the handle's lifetime. Live-metrics
-  /// snapshots off it are safe mid-run (the registry locks internally).
-  [[nodiscard]] Session& session() { return *session_; }
 
  private:
   friend class Executor;
 
-  std::uint64_t id_{0};
-  std::string label_;
   std::uint64_t memory_estimate{0};
   std::unique_ptr<Session> session_;
   SessionResult result_;
-  /// Runs on the worker thread right after the result is stored (wire
-  /// streaming); keep it cheap.
-  std::function<void(const SessionHandle&)> on_done_;
 
-  std::atomic<SessionState> state_{SessionState::kQueued};
+  std::atomic<bool> done_{false};
   std::mutex mutex_;
   std::condition_variable cv_;
 };
@@ -76,8 +54,7 @@ class SessionHandle {
 using SessionHandlePtr = std::shared_ptr<SessionHandle>;
 
 struct ExecutorOptions {
-  /// Worker thread count; 0 reads CUSAN_SVC_WORKERS, falling back to
-  /// hardware_concurrency.
+  /// Worker thread count; 0: hardware_concurrency.
   int workers{0};
   /// Admission budget in MiB for the sum of concurrent sessions' estimated
   /// resident bytes; 0 reads CUSAN_SVC_MAX_MB, falling back to unbounded.
@@ -87,10 +64,8 @@ struct ExecutorOptions {
 struct ExecutorStats {
   std::uint64_t submitted{0};
   std::uint64_t completed{0};
-  std::uint64_t cancelled{0};
   std::uint64_t steals{0};       ///< sessions run by a worker that stole them
   std::uint64_t parked{0};       ///< admissions deferred by the memory budget
-  std::uint64_t ema_peak_bytes{0};  ///< current per-session footprint estimate
 };
 
 class Executor {
@@ -102,24 +77,10 @@ class Executor {
 
   /// Enqueue a session; returns immediately.
   SessionHandlePtr submit(SessionSpec spec);
-  /// submit() with a completion callback run on the worker thread, and an
-  /// optional pre-allocated id (0: assign one). The wire server reserves the
-  /// id first so streaming sinks baked into spec.sinks know it before the
-  /// session can start.
-  SessionHandlePtr submit(SessionSpec spec,
-                          std::function<void(const SessionHandle&)> on_done,
-                          std::uint64_t reserved_id = 0);
-  /// Pre-allocate a unique session id for a later submit().
-  [[nodiscard]] std::uint64_t reserve_id();
 
-  /// Dequeue a still-queued session (true). Running sessions are not
-  /// interrupted (false) — session bodies hold worlds and devices mid-flight.
-  bool cancel(const SessionHandlePtr& handle);
-
-  /// Block until every submitted session is done or cancelled.
+  /// Block until every submitted session is done.
   void wait_idle();
 
-  [[nodiscard]] int workers() const { return static_cast<int>(workers_.size()); }
   [[nodiscard]] ExecutorStats stats() const;
 
  private:
@@ -131,6 +92,8 @@ class Executor {
   void worker_main(std::size_t index);
   [[nodiscard]] SessionHandlePtr next_session(std::size_t index, bool* stolen);
   void finish(const SessionHandlePtr& handle);
+  /// Queue `handle` on the next worker's deque and reserve its estimate.
+  void admit_locked(SessionHandlePtr handle, std::uint64_t estimate);
   /// Admit as many parked sessions as the freed budget allows (locked).
   void drain_parked_locked();
   [[nodiscard]] std::uint64_t estimate_locked(const SessionHandlePtr& handle) const;
@@ -143,7 +106,6 @@ class Executor {
   std::condition_variable idle_cv_;   ///< wait_idle
   std::deque<SessionHandlePtr> parked_;  ///< over-budget FIFO
   bool stopping_{false};
-  std::uint64_t next_id_{1};
   std::uint64_t budget_bytes_{0};     ///< 0: unbounded
   std::uint64_t reserved_bytes_{0};
   std::uint64_t ema_peak_bytes_{0};

@@ -3,15 +3,12 @@
 #include <exception>
 #include <utility>
 
-#include <unistd.h>
-
 #include "common/clock.hpp"
 #include "faultsim/plan.hpp"
-#include "mpisim/shm.hpp"
 
 namespace svc {
 
-Session::Session(std::uint64_t id, SessionSpec spec) : id_(id), spec_(std::move(spec)) {
+Session::Session(SessionSpec spec) : spec_(std::move(spec)) {
   // The session registry mirrors the global one's riders: the injector's
   // ledger provider reports *this* session's fired/unsurfaced counts.
   injector_.register_ledger_provider(metrics_);
@@ -28,26 +25,6 @@ SessionResult Session::run() {
   const faultsim::Injector::Scope injector_scope(&injector_);
   const schedsim::Controller::Scope controller_scope(&controller_);
   const schedsim::GraphRecorder::Scope recorder_scope(&recorder_);
-  const mpisim::shm::ScopedSessionId shm_scope(id_);
-
-  for (const auto& sink : spec_.sinks) {
-    hub_.add_sink(sink.get());
-  }
-  struct SinkGuard {
-    Session* session;
-    ~SinkGuard() {
-      for (const auto& sink : session->spec_.sinks) {
-        session->hub_.remove_sink(sink.get());
-      }
-    }
-  } sink_guard{this};
-
-  // The lease marks this session's shm segments as live to shm_gc for
-  // exactly the run's duration — a resident daemon's pid alone no longer
-  // pins finished sessions' segments.
-  std::string lease_error;
-  mpisim::shm::Segment lease = mpisim::shm::Segment::create(
-      mpisim::shm::lease_name(::getpid(), id_), 64, &lease_error);
 
   if (!spec_.fault_plan.empty()) {
     faultsim::FaultPlan plan;
@@ -55,7 +32,6 @@ SessionResult Session::run() {
         faultsim::FaultPlan::parse(spec_.fault_plan, plan);
     if (!parsed.ok) {
       result.error = "fault plan: " + parsed.error;
-      lease.unlink();
       return result;
     }
     injector_.load(std::move(plan));
@@ -83,16 +59,12 @@ SessionResult Session::run() {
     result.sched_trace = controller_.trace_text();
   }
 
-  // Observed resident footprint: tool-stack bytes the session pinned plus
-  // its own arena — the executor's admission EMA feeds on this.
-  std::uint64_t peak = arena_.peak_bytes();
+  // Observed resident footprint: the shadow bytes the session pinned — the
+  // executor's admission EMA feeds on this.
   if (const auto it = result.metric_deltas.find("rsan.shadow_bytes");
       it != result.metric_deltas.end()) {
-    peak += it->second;
+    result.peak_session_bytes = it->second;
   }
-  result.peak_session_bytes = peak;
-
-  lease.unlink();
   return result;
 }
 

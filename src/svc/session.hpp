@@ -13,7 +13,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -23,7 +22,6 @@
 #include "obs/metrics.hpp"
 #include "schedsim/controller.hpp"
 #include "schedsim/execution_graph.hpp"
-#include "svc/arena.hpp"
 
 namespace svc {
 
@@ -31,17 +29,13 @@ namespace svc {
 /// session bound; its own closure state is the place to put outputs beyond
 /// the collected SessionResult (e.g. a scenario verdict struct).
 struct SessionSpec {
-  std::string label;                 ///< display / wire handle, e.g. the scenario name
+  std::string label;                 ///< display handle, e.g. the scenario name
   std::function<void()> body;
   std::string fault_plan;            ///< CUSAN_FAULT_PLAN grammar; empty: none
   schedsim::Config schedule;         ///< default: free (disarmed)
   /// Admission-control estimate of resident bytes while running; 0 lets the
   /// executor use its EMA of observed session peaks.
   std::uint64_t memory_estimate{0};
-  /// Sinks attached to the session's hub for the run (wire streaming).
-  /// shared_ptr: a disconnecting client must not yank a sink out from under
-  /// a running session — the last owner (spec or server) wins.
-  std::vector<std::shared_ptr<obs::DiagnosticSink>> sinks;
 };
 
 struct SessionResult {
@@ -60,9 +54,7 @@ struct SessionResult {
 
 class Session {
  public:
-  /// `id` keys the session's shm segments (proc backend) and must be unique
-  /// within the process; the executor hands out a monotonic sequence.
-  explicit Session(std::uint64_t id, SessionSpec spec);
+  explicit Session(SessionSpec spec);
 
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -72,24 +64,15 @@ class Session {
   /// captured into result.error).
   SessionResult run();
 
-  [[nodiscard]] std::uint64_t id() const { return id_; }
   [[nodiscard]] const SessionSpec& spec() const { return spec_; }
 
-  /// Live components, for sinks/streaming (the server attaches a streaming
-  /// DiagnosticSink to the hub before run()).
-  [[nodiscard]] obs::DiagnosticHub& hub() { return hub_; }
-  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
-  [[nodiscard]] Arena& arena() { return arena_; }
-
  private:
-  std::uint64_t id_;
   SessionSpec spec_;
   obs::MetricsRegistry metrics_;
   obs::DiagnosticHub hub_;
   faultsim::Injector injector_;
   schedsim::Controller controller_;
   schedsim::GraphRecorder recorder_;
-  Arena arena_;
 };
 
 }  // namespace svc

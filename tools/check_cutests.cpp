@@ -607,7 +607,7 @@ int main(int argc, char** argv) {
     executor.wait_idle();
     for (const auto& handle : handles) {
       if (!handle->result().ok) {
-        std::fprintf(stderr, "session %s failed: %s\n", handle->label().c_str(),
+        std::fprintf(stderr, "session %s failed: %s\n", handle->result().label.c_str(),
                      handle->result().error.c_str());
         return 2;
       }

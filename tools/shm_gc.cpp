@@ -4,14 +4,6 @@
 // owner is dead, or the segment is from a previous boot. Live owners'
 // segments are never touched.
 //
-// Sessions of a resident daemon (cusand, or any svc::Executor host) key
-// their segments as `/cusan.<boot8>.<pid>.s<sid>.<suffix>` and hold a
-// matching `.s<sid>.lease` segment for exactly the run's duration
-// (svc::Session::run). A session-keyed segment of a live pid is therefore
-// reapable the moment its lease is gone: a long-lived daemon's finished
-// sessions cannot pin /dev/shm for the daemon's lifetime, and --check
-// skips only sessions whose lease is still live.
-//
 // Modes:
 //   shm_gc           reap stale segments (default), print what was removed
 //   shm_gc --list    classify only, remove nothing
