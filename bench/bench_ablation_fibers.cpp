@@ -13,7 +13,8 @@
 namespace {
 
 void BM_HbPairVsFiberCount(benchmark::State& state) {
-  rsan::Runtime rt;
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt{metrics};
   const int fibers = static_cast<int>(state.range(0));
   for (int i = 0; i < fibers; ++i) {
     const auto f = rt.create_fiber(rsan::CtxKind::kMpiRequestFiber, "req");
@@ -37,7 +38,8 @@ void BM_PooledVsFreshFibers(benchmark::State& state) {
   // The MUST request pattern with (0) pooling reuse vs (1) a fresh fiber per
   // request. Fresh fibers grow the context space and therefore every clock.
   const bool fresh = state.range(0) == 1;
-  rsan::Runtime rt;
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt{metrics};
   std::vector<double> buf(512);
   rsan::CtxId pooled = rt.create_fiber(rsan::CtxKind::kMpiRequestFiber, "req");
   for (auto _ : state) {

@@ -24,11 +24,8 @@ struct Measurement {
 };
 
 std::uint64_t tracked_bytes(const std::vector<capi::RankResult>& results) {
-  std::uint64_t total = 0;
-  for (const auto& r : results) {
-    total += r.tsan_counters.read_range_bytes + r.tsan_counters.write_range_bytes;
-  }
-  return total;
+  return capi::sum_metric(results, "rsan.read_range_bytes") +
+         capi::sum_metric(results, "rsan.write_range_bytes");
 }
 
 Measurement measure(bool use_intervals, cusan::ProveElide prove_elide, int ranks,
@@ -43,17 +40,11 @@ Measurement measure(bool use_intervals, cusan::ProveElide prove_elide, int ranks
     session.device_profile = bench::bench_device_profile();
     const auto results = capi::run_session(session, rank_main);
     m.tracked_mb = static_cast<double>(tracked_bytes(results)) / (1024.0 * 1024.0);
-    m.interval_args = 0;
-    m.whole_range_args = 0;
-    m.elided_launches = 0;
-    std::uint64_t elided = 0;
-    for (const auto& r : results) {
-      m.interval_args += r.cusan_counters.interval_kernel_args;
-      m.whole_range_args += r.cusan_counters.whole_range_kernel_args;
-      m.elided_launches += r.cusan_counters.proof_elided_launches;
-      elided += r.cusan_counters.proof_elided_bytes;
-    }
-    m.elided_mb = static_cast<double>(elided) / (1024.0 * 1024.0);
+    m.interval_args = capi::sum_metric(results, "cusan.interval_kernel_args");
+    m.whole_range_args = capi::sum_metric(results, "cusan.whole_range_kernel_args");
+    m.elided_launches = capi::sum_metric(results, "cusan.proof_elided_launches");
+    m.elided_mb = static_cast<double>(capi::sum_metric(results, "cusan.proof_elided_bytes")) /
+                  (1024.0 * 1024.0);
   };
   m.seconds = bench::timed_average(run_once);
   return m;

@@ -34,22 +34,13 @@ Measurement measure(Mode mode, int ranks, const capi::RankMain& rank_main) {
     session.tools.rsan_config.use_shadow_fast_path = mode == Mode::kFastPath;
     session.device_profile = bench::bench_device_profile();
     const auto results = capi::run_session(session, rank_main);
-    m.kernel_launches = 0;
-    m.annotation_calls = 0;
-    m.range_hits = 0;
-    m.block_hits = 0;
-    m.block_misses = 0;
-    m.granules_elided = 0;
-    m.races = 0;
-    for (const auto& r : results) {
-      m.kernel_launches += r.cusan_counters.kernel_launches;
-      m.annotation_calls += r.cusan_counters.kernel_annotation_calls;
-      m.range_hits += r.tsan_counters.fastpath_range_hits;
-      m.block_hits += r.tsan_counters.fastpath_block_hits;
-      m.block_misses += r.tsan_counters.fastpath_block_misses;
-      m.granules_elided += r.tsan_counters.fastpath_granules_elided;
-      m.races += r.tsan_counters.races_detected;
-    }
+    m.kernel_launches = capi::sum_metric(results, "cusan.kernel_launches");
+    m.annotation_calls = capi::sum_metric(results, "cusan.kernel_annotation_calls");
+    m.range_hits = capi::sum_metric(results, "rsan.fastpath_range_hits");
+    m.block_hits = capi::sum_metric(results, "rsan.fastpath_block_hits");
+    m.block_misses = capi::sum_metric(results, "rsan.fastpath_block_misses");
+    m.granules_elided = capi::sum_metric(results, "rsan.fastpath_granules_elided");
+    m.races = capi::total_races(results);
   };
   m.seconds = bench::timed_average(run_once);
   return m;

@@ -60,12 +60,8 @@ int main(int argc, char** argv) {
           const auto run = bench::run_app(capi::Flavor::kCusan, 2, [&](capi::RankEnv& env) {
             (void)apps::run_jacobi_rank(env, config);
           });
-          read_bytes = 0;
-          write_bytes = 0;
-          for (const auto& result : run.results) {
-            read_bytes += result.tsan_counters.read_range_bytes;
-            write_bytes += result.tsan_counters.write_range_bytes;
-          }
+          read_bytes = capi::sum_metric(run.results, "rsan.read_range_bytes");
+          write_bytes = capi::sum_metric(run.results, "rsan.write_range_bytes");
         },
         2);
 

@@ -16,14 +16,15 @@ namespace {
 
 struct MustBenchState {
   typeart::TypeDB db;
-  rsan::Runtime tsan;
+  obs::MetricsRegistry metrics;
+  rsan::Runtime tsan{metrics};
   typeart::Runtime types{&db};
   std::vector<double> buf = std::vector<double>(4096);
 
   must::Runtime make(bool check_types = false) {
     must::Config config;
     config.check_types = check_types;
-    return must::Runtime(&tsan, &types, config);
+    return must::Runtime(&tsan, &types, metrics, config);
   }
 };
 

@@ -17,7 +17,8 @@ void BM_WriteRange(benchmark::State& state) {
   // full scan, not the recent-range cache.
   rsan::RuntimeConfig config;
   config.use_shadow_fast_path = false;
-  rsan::Runtime rt(config);
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt(metrics, config);
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   std::vector<double> buf(bytes / sizeof(double) + 1);
   for (auto _ : state) {
@@ -33,7 +34,8 @@ void BM_ReadRangeAfterWrite(benchmark::State& state) {
   // kernel read-after-write pattern), at reference per-granule cost.
   rsan::RuntimeConfig config;
   config.use_shadow_fast_path = false;
-  rsan::Runtime rt(config);
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt(metrics, config);
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   std::vector<double> buf(bytes / sizeof(double) + 1);
   rt.write_range(buf.data(), bytes, "prep");
@@ -52,7 +54,8 @@ void BM_WriteRangeBlockSummary(benchmark::State& state) {
   // one representative scan and a single-slot blast store.
   rsan::RuntimeConfig config;
   config.use_shadow_fast_path = true;
-  rsan::Runtime rt(config);
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt(metrics, config);
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   std::vector<double> buf(bytes / sizeof(double) + 1);
   int key{};
@@ -70,7 +73,8 @@ void BM_WriteRangeRecentRangeCache(benchmark::State& state) {
   // same context is O(1) via the per-context recent-range cache.
   rsan::RuntimeConfig config;
   config.use_shadow_fast_path = true;
-  rsan::Runtime rt(config);
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt(metrics, config);
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   std::vector<double> buf(bytes / sizeof(double) + 1);
   for (auto _ : state) {
@@ -84,7 +88,8 @@ BENCHMARK(BM_WriteRangeRecentRangeCache)->Range(64, 16 << 20);
 void BM_RangeCrossFiberHandoff(benchmark::State& state) {
   // The CuSan kernel-launch pattern: switch to a stream fiber, annotate a
   // range, release, switch back, acquire on the host.
-  rsan::Runtime rt;
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt{metrics};
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   std::vector<double> buf(bytes / sizeof(double) + 1);
   const auto fiber = rt.create_fiber(rsan::CtxKind::kStreamFiber, "stream");
@@ -102,7 +107,8 @@ void BM_RangeCrossFiberHandoff(benchmark::State& state) {
 BENCHMARK(BM_RangeCrossFiberHandoff)->Range(4096, 4 << 20);
 
 void BM_HappensBeforeAfterPair(benchmark::State& state) {
-  rsan::Runtime rt;
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt{metrics};
   int key{};
   for (auto _ : state) {
     rt.happens_before(&key);
@@ -112,7 +118,8 @@ void BM_HappensBeforeAfterPair(benchmark::State& state) {
 BENCHMARK(BM_HappensBeforeAfterPair);
 
 void BM_FiberSwitch(benchmark::State& state) {
-  rsan::Runtime rt;
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt{metrics};
   const auto fiber = rt.create_fiber(rsan::CtxKind::kStreamFiber, "stream");
   for (auto _ : state) {
     rt.switch_to_fiber(fiber);
@@ -122,7 +129,8 @@ void BM_FiberSwitch(benchmark::State& state) {
 BENCHMARK(BM_FiberSwitch);
 
 void BM_PlainAccess(benchmark::State& state) {
-  rsan::Runtime rt;
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt{metrics};
   double value = 0.0;
   for (auto _ : state) {
     rt.plain_write(&value, sizeof value);
@@ -132,7 +140,8 @@ void BM_PlainAccess(benchmark::State& state) {
 BENCHMARK(BM_PlainAccess);
 
 void BM_ShadowResetRange(benchmark::State& state) {
-  rsan::Runtime rt;
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt{metrics};
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   std::vector<double> buf(bytes / sizeof(double) + 1);
   for (auto _ : state) {
@@ -151,7 +160,8 @@ void BM_RaceDetectionInRange(benchmark::State& state) {
   // and capped; the per-granule checking cost is what is measured).
   rsan::RuntimeConfig config;
   config.report_limit = 1;
-  rsan::Runtime rt(config);
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt(metrics, config);
   const std::size_t bytes = static_cast<std::size_t>(state.range(0));
   std::vector<double> buf(bytes / sizeof(double) + 1);
   const auto fiber = rt.create_fiber(rsan::CtxKind::kStreamFiber, "stream");

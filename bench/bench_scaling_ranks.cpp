@@ -28,7 +28,6 @@
 #include "capi/cuda.hpp"
 #include "capi/mpi.hpp"
 #include "common/rng.hpp"
-#include "mpisim/counters.hpp"
 #include "mpisim/request.hpp"
 #include "mpisim/world.hpp"
 #include "obs_guard.hpp"
@@ -49,7 +48,7 @@ struct Workload {
 struct BenchResult {
   double seconds{};
   double ops{};  ///< one-way messages (p2p) or rank-operations (allreduce)
-  mpisim::ContentionSnapshot contention{};
+  obs::MetricsSnapshot contention;  ///< registry delta over the run (mpisim.*)
 };
 
 double* bench_buffer(std::size_t doubles) {
@@ -60,7 +59,7 @@ double* bench_buffer(std::size_t doubles) {
 
 /// Pairs (2i, 2i+1) bounce a message back and forth.
 BenchResult run_pingpong(capi::Flavor flavor, int ranks, const Workload& w) {
-  const auto before = mpisim::contention_snapshot();
+  const auto before = obs::MetricsRegistry::instance().snapshot();
   common::WallTimer timer;
   (void)capi::run_flavored(flavor, ranks, [&](capi::RankEnv& env) {
     const auto type = mpisim::Datatype::float64();
@@ -83,7 +82,7 @@ BenchResult run_pingpong(capi::Flavor flavor, int ranks, const Workload& w) {
   BenchResult r;
   r.seconds = timer.elapsed_seconds();
   r.ops = 2.0 * w.pingpong_roundtrips * (ranks / 2);
-  r.contention = mpisim::contention_delta(before, mpisim::contention_snapshot());
+  r.contention = obs::MetricsRegistry::diff(obs::MetricsRegistry::instance().snapshot(), before);
   return r;
 }
 
@@ -97,7 +96,7 @@ BenchResult run_exchange(capi::Flavor flavor, int ranks, const Workload& w) {
   for (auto& s : shifts) {
     s = 1 + static_cast<int>(rng.next_below(static_cast<std::uint64_t>(ranks > 1 ? ranks - 1 : 1)));
   }
-  const auto before = mpisim::contention_snapshot();
+  const auto before = obs::MetricsRegistry::instance().snapshot();
   common::WallTimer timer;
   (void)capi::run_flavored(flavor, ranks, [&](capi::RankEnv& env) {
     const auto type = mpisim::Datatype::float64();
@@ -118,12 +117,12 @@ BenchResult run_exchange(capi::Flavor flavor, int ranks, const Workload& w) {
   BenchResult r;
   r.seconds = timer.elapsed_seconds();
   r.ops = static_cast<double>(w.exchange_rounds) * ranks;
-  r.contention = mpisim::contention_delta(before, mpisim::contention_snapshot());
+  r.contention = obs::MetricsRegistry::diff(obs::MetricsRegistry::instance().snapshot(), before);
   return r;
 }
 
 BenchResult run_allreduce(capi::Flavor flavor, int ranks, const Workload& w) {
-  const auto before = mpisim::contention_snapshot();
+  const auto before = obs::MetricsRegistry::instance().snapshot();
   common::WallTimer timer;
   (void)capi::run_flavored(flavor, ranks, [&](capi::RankEnv& env) {
     double* in = bench_buffer(w.allreduce_doubles);
@@ -141,7 +140,7 @@ BenchResult run_allreduce(capi::Flavor flavor, int ranks, const Workload& w) {
   BenchResult r;
   r.seconds = timer.elapsed_seconds();
   r.ops = static_cast<double>(w.allreduce_iters) * ranks;
-  r.contention = mpisim::contention_delta(before, mpisim::contention_snapshot());
+  r.contention = obs::MetricsRegistry::diff(obs::MetricsRegistry::instance().snapshot(), before);
   return r;
 }
 
@@ -150,21 +149,22 @@ std::vector<std::vector<std::string>> g_json_rows;
 
 void print_row(const char* backend, const char* pattern, const char* flavor, int ranks,
                const BenchResult& r) {
-  const auto& c = r.contention;
+  const auto c = [&](const char* name) {
+    return static_cast<unsigned long long>(
+        obs::value_of(r.contention, std::string("mpisim.") + name));
+  };
   g_json_rows.push_back({backend, pattern, flavor, std::to_string(ranks),
                          common::fixed(r.ops / (r.seconds > 0 ? r.seconds : 1e-9), 0),
-                         std::to_string(c.mailbox_locks), std::to_string(c.wakeups_delivered),
-                         std::to_string(c.wakeups_spurious), std::to_string(c.wakeups_broadcast),
-                         std::to_string(c.any_source_scans)});
+                         std::to_string(c("mailbox_locks")), std::to_string(c("wakeups_delivered")),
+                         std::to_string(c("wakeups_spurious")),
+                         std::to_string(c("wakeups_broadcast")),
+                         std::to_string(c("any_source_scans"))});
   std::printf(
       "%-7s %-10s %-10s %5d | %10.0f ops/s | locks %10llu | wake %9llu (spur %8llu, bcast "
       "%6llu) | anysrc %8llu\n",
       backend, pattern, flavor, ranks, r.ops / (r.seconds > 0 ? r.seconds : 1e-9),
-      static_cast<unsigned long long>(c.mailbox_locks),
-      static_cast<unsigned long long>(c.wakeups_delivered),
-      static_cast<unsigned long long>(c.wakeups_spurious),
-      static_cast<unsigned long long>(c.wakeups_broadcast),
-      static_cast<unsigned long long>(c.any_source_scans));
+      c("mailbox_locks"), c("wakeups_delivered"), c("wakeups_spurious"), c("wakeups_broadcast"),
+      c("any_source_scans"));
 }
 
 }  // namespace

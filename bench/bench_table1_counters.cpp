@@ -45,10 +45,23 @@ int main(int argc, char** argv) {
     (void)apps::run_tealeaf_rank(env, tealeaf_config);
   });
 
-  const auto& jc = jacobi.results[0].cusan_counters;
-  const auto& jt = jacobi.results[0].tsan_counters;
-  const auto& tc = tealeaf.results[0].cusan_counters;
-  const auto& tt = tealeaf.results[0].tsan_counters;
+  // Rank 0's counts, as Table I reports one process.
+  const auto jacobi_value = [&](std::string_view name) {
+    return obs::value_of(jacobi.results[0].metrics, name);
+  };
+  const auto tealeaf_value = [&](std::string_view name) {
+    return obs::value_of(tealeaf.results[0].metrics, name);
+  };
+  const auto count = [](std::uint64_t n) { return std::to_string(n); };
+  const auto avg_kb = [&](const auto& value, const char* kind) {
+    return kb_avg(value(std::string("rsan.") + kind + "_range_bytes"),
+                  value(std::string("rsan.") + kind + "_range_calls"));
+  };
+  const auto row = [&](const char* metric, const char* name, const char* paper_jacobi,
+                       const char* paper_tealeaf) {
+    return Row{metric, count(jacobi_value(name)), count(tealeaf_value(name)), paper_jacobi,
+               paper_tealeaf};
+  };
 
   std::printf("Jacobi %zux%zu (%zu iters, blocking MPI), TeaLeaf %zux%zu (%zu steps, "
               "non-blocking MPI); rank 0 of 2\n\n",
@@ -56,40 +69,32 @@ int main(int argc, char** argv) {
               tealeaf_config.rows, tealeaf_config.cols, tealeaf_config.timesteps);
 
   const Row rows[] = {
-      {"CUDA Stream", std::to_string(jc.streams_created), std::to_string(tc.streams_created), "2",
-       "1"},
-      {"CUDA Memset", std::to_string(jc.memsets), std::to_string(tc.memsets), "2", "36"},
-      {"CUDA Memcpy", std::to_string(jc.memcpys), std::to_string(tc.memcpys), "602", "102"},
-      {"CUDA Synchronization calls", std::to_string(jc.sync_calls), std::to_string(tc.sync_calls),
-       "900", "530"},
-      {"CUDA Kernel calls", std::to_string(jc.kernel_launches),
-       std::to_string(tc.kernel_launches), "1,200", "767"},
-      {"TSan Switch To Fiber", std::to_string(jt.fiber_switches),
-       std::to_string(tt.fiber_switches), "3,622", "1,882"},
-      {"TSan AnnotateHappensBefore", std::to_string(jc.hb_before), std::to_string(tc.hb_before),
-       "1,804", "905"},
-      {"TSan AnnotateHappensAfter", std::to_string(jc.hb_after), std::to_string(tc.hb_after),
-       "1,515", "632"},
-      {"TSan Memory Read Range", std::to_string(jt.read_range_calls),
-       std::to_string(tt.read_range_calls), "2,102", "623"},
-      {"TSan Memory Write Range", std::to_string(jt.write_range_calls),
-       std::to_string(tt.write_range_calls), "2,403", "1,074"},
-      {"TSan Memory Read Size [avg KB]", kb_avg(jt.read_range_bytes, jt.read_range_calls),
-       kb_avg(tt.read_range_bytes, tt.read_range_calls), "19,705.62", "15.98"},
-      {"TSan Memory Write Size [avg KB]", kb_avg(jt.write_range_bytes, jt.write_range_calls),
-       kb_avg(tt.write_range_bytes, tt.write_range_calls), "16,421.35", "17.58"},
+      row("CUDA Stream", "cusan.streams_created", "2", "1"),
+      row("CUDA Memset", "cusan.memsets", "2", "36"),
+      row("CUDA Memcpy", "cusan.memcpys", "602", "102"),
+      row("CUDA Synchronization calls", "cusan.sync_calls", "900", "530"),
+      row("CUDA Kernel calls", "cusan.kernel_launches", "1,200", "767"),
+      row("TSan Switch To Fiber", "rsan.fiber_switches", "3,622", "1,882"),
+      row("TSan AnnotateHappensBefore", "cusan.hb_before", "1,804", "905"),
+      row("TSan AnnotateHappensAfter", "cusan.hb_after", "1,515", "632"),
+      row("TSan Memory Read Range", "rsan.read_range_calls", "2,102", "623"),
+      row("TSan Memory Write Range", "rsan.write_range_calls", "2,403", "1,074"),
+      {"TSan Memory Read Size [avg KB]", avg_kb(jacobi_value, "read"),
+       avg_kb(tealeaf_value, "read"), "19,705.62", "15.98"},
+      {"TSan Memory Write Size [avg KB]", avg_kb(jacobi_value, "write"),
+       avg_kb(tealeaf_value, "write"), "16,421.35", "17.58"},
   };
 
   bench::Table table(&report, "counters",
                      {"metric", "Jacobi", "TeaLeaf", "paper Jacobi", "paper TeaLeaf"});
-  for (const auto& row : rows) {
-    table.add_row({row.metric, row.jacobi, row.tealeaf, row.paper_jacobi, row.paper_tealeaf});
+  for (const auto& r : rows) {
+    table.add_row({r.metric, r.jacobi, r.tealeaf, r.paper_jacobi, r.paper_tealeaf});
   }
   std::printf("%s\n", table.render().c_str());
   std::printf("expected structural profile: Jacobi has >1 user stream and avg tracked KB\n");
   std::printf("orders of magnitude above TeaLeaf's; TeaLeaf has 1 stream, 3 memsets/step,\n");
   std::printf("and MUST request fibers (non-blocking MPI): %llu created, %llu reused.\n",
-              static_cast<unsigned long long>(tealeaf.results[0].must_counters.request_fibers_created),
-              static_cast<unsigned long long>(tealeaf.results[0].must_counters.request_fibers_reused));
+              static_cast<unsigned long long>(tealeaf_value("must.request_fibers_created")),
+              static_cast<unsigned long long>(tealeaf_value("must.request_fibers_reused")));
   return bench::finish_json(report, json_path);
 }

@@ -2,9 +2,10 @@
 // selectable tool flavor and prints solver results plus the tool's event
 // counters (the per-app view behind the paper's Table I).
 //
-// Usage: ./examples/jacobi_solver [flavor] [rows] [cols] [iters] [--racy] [--trace]
+// Usage: ./examples/jacobi_solver [flavor] [rows] [cols] [iters] [--racy]
 //   flavor: vanilla | tsan | must | cusan | must+cusan   (default: must+cusan)
-//   --trace: dump rank 0's CUDA interception trace as JSON lines (stderr)
+// Set CUSAN_TRACE=perfetto:<path> to record every intercepted CUDA call on
+// each rank's timeline (load the file in ui.perfetto.dev).
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -58,12 +59,9 @@ int main(int argc, char** argv) {
   if (argc > 4) {
     config.iterations = std::strtoul(argv[4], nullptr, 10);
   }
-  bool trace = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--racy") == 0) {
       config.skip_pre_mpi_sync = true;
-    } else if (std::strcmp(argv[i], "--trace") == 0) {
-      trace = true;
     }
   }
 
@@ -74,28 +72,30 @@ int main(int argc, char** argv) {
   capi::SessionConfig session;
   session.ranks = 2;
   session.tools = capi::make_tool_config(flavor);
-  session.tools.cusan_config.enable_trace = trace;
   std::vector<apps::JacobiResult> app_results(2);
   const auto results = capi::run_session(session, [&](capi::RankEnv& env) {
     app_results[static_cast<std::size_t>(env.rank())] = apps::run_jacobi_rank(env, config);
-    if (trace && env.rank() == 0 && env.tools.cusan_rt() != nullptr) {
-      std::fputs(env.tools.cusan_rt()->trace().to_jsonl().c_str(), stderr);
-    }
   });
 
   std::printf("final residual: %.6e (domain: %s per rank)\n", app_results[0].final_residual,
               common::format_bytes(app_results[0].domain_bytes_per_rank).c_str());
 
   const auto& r0 = results[0];
+  const auto count = [&](const char* name) {
+    return std::to_string(obs::value_of(r0.metrics, name));
+  };
+  const auto bytes = [&](const char* name) {
+    return common::format_bytes(obs::value_of(r0.metrics, name));
+  };
   common::TextTable table({"metric (rank 0)", "value"});
-  table.add_row({"CUDA streams", std::to_string(r0.cusan_counters.streams_created)});
-  table.add_row({"kernel launches", std::to_string(r0.cusan_counters.kernel_launches)});
-  table.add_row({"memcpys", std::to_string(r0.cusan_counters.memcpys)});
-  table.add_row({"memsets", std::to_string(r0.cusan_counters.memsets)});
-  table.add_row({"sync calls", std::to_string(r0.cusan_counters.sync_calls)});
-  table.add_row({"fiber switches", std::to_string(r0.tsan_counters.fiber_switches)});
-  table.add_row({"read-range tracked", common::format_bytes(r0.tsan_counters.read_range_bytes)});
-  table.add_row({"write-range tracked", common::format_bytes(r0.tsan_counters.write_range_bytes)});
+  table.add_row({"CUDA streams", count("cusan.streams_created")});
+  table.add_row({"kernel launches", count("cusan.kernel_launches")});
+  table.add_row({"memcpys", count("cusan.memcpys")});
+  table.add_row({"memsets", count("cusan.memsets")});
+  table.add_row({"sync calls", count("cusan.sync_calls")});
+  table.add_row({"fiber switches", count("rsan.fiber_switches")});
+  table.add_row({"read-range tracked", bytes("rsan.read_range_bytes")});
+  table.add_row({"write-range tracked", bytes("rsan.write_range_bytes")});
   table.add_row({"shadow memory", common::format_bytes(r0.shadow_bytes)});
   std::printf("\n%s\n", table.render().c_str());
 

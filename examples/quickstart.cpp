@@ -85,7 +85,7 @@ void report(const char* title, const std::vector<capi::RankResult>& results) {
     for (const auto& race : result.races) {
       std::printf("[rank %d]\n%s\n", result.rank, rsan::format_report(race).c_str());
     }
-    total += result.tsan_counters.races_detected;
+    total += obs::value_of(result.metrics, "rsan.races_detected");
   }
   std::printf("-> %zu race(s) detected\n\n", total);
 }

@@ -74,18 +74,23 @@ int main(int argc, char** argv) {
               app_results[0].temperature_sum);
 
   const auto& r0 = results[0];
+  const auto count = [&](const char* name) {
+    return std::to_string(obs::value_of(r0.metrics, name));
+  };
+  const auto bytes = [&](const char* name) {
+    return common::format_bytes(obs::value_of(r0.metrics, name));
+  };
   common::TextTable table({"metric (rank 0)", "value"});
-  table.add_row({"CUDA streams", std::to_string(r0.cusan_counters.streams_created)});
-  table.add_row({"kernel launches", std::to_string(r0.cusan_counters.kernel_launches)});
-  table.add_row({"memcpys", std::to_string(r0.cusan_counters.memcpys)});
-  table.add_row({"memsets", std::to_string(r0.cusan_counters.memsets)});
-  table.add_row({"sync calls", std::to_string(r0.cusan_counters.sync_calls)});
-  table.add_row({"MPI calls intercepted", std::to_string(r0.must_counters.calls_intercepted)});
+  table.add_row({"CUDA streams", count("cusan.streams_created")});
+  table.add_row({"kernel launches", count("cusan.kernel_launches")});
+  table.add_row({"memcpys", count("cusan.memcpys")});
+  table.add_row({"memsets", count("cusan.memsets")});
+  table.add_row({"sync calls", count("cusan.sync_calls")});
+  table.add_row({"MPI calls intercepted", count("must.calls_intercepted")});
   table.add_row({"request fibers (new/reused)",
-                 std::to_string(r0.must_counters.request_fibers_created) + "/" +
-                     std::to_string(r0.must_counters.request_fibers_reused)});
-  table.add_row({"read-range tracked", common::format_bytes(r0.tsan_counters.read_range_bytes)});
-  table.add_row({"write-range tracked", common::format_bytes(r0.tsan_counters.write_range_bytes)});
+                 count("must.request_fibers_created") + "/" + count("must.request_fibers_reused")});
+  table.add_row({"read-range tracked", bytes("rsan.read_range_bytes")});
+  table.add_row({"write-range tracked", bytes("rsan.write_range_bytes")});
   std::printf("\n%s\n", table.render().c_str());
 
   const std::size_t races = capi::total_races(results);

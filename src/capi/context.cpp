@@ -1,27 +1,13 @@
 #include "capi/context.hpp"
 
-#include <string>
-
 #include "common/assert.hpp"
 #include "common/memstats.hpp"
-#include "obs/metrics.hpp"
 #include "obs/ring.hpp"
 
 namespace capi {
 
 namespace {
 thread_local ToolContext* t_current = nullptr;
-
-/// Publish a per-rank counters struct into the central registry under
-/// `prefix` (counters accumulate across ranks; consumers diff snapshots).
-template <typename Counters>
-void publish_counters(const char* prefix, const Counters& counters) {
-  for_each_counter(counters, [&](const char* name, std::uint64_t value) {
-    if (value != 0) {
-      obs::metric(std::string(prefix) + name).add(value);
-    }
-  });
-}
 }  // namespace
 
 ToolContext::ToolContext(int rank, const ToolConfig& config, const cusim::DeviceProfile& profile,
@@ -43,13 +29,14 @@ ToolContext::ToolContext(int rank, const ToolConfig& config, const cusim::Device
   if (config.tsan) {
     rsan::RuntimeConfig rsan_config = config.rsan_config;
     rsan_config.rank = rank;  // execution-graph sync events land on this lane
-    tsan_ = std::make_unique<rsan::Runtime>(rsan_config);
+    tsan_ = std::make_unique<rsan::Runtime>(metrics_, rsan_config);
   }
   if (config.typeart) {
     types_ = std::make_unique<typeart::Runtime>(typedb);
   }
   if (config.cusan) {
-    cusan_ = std::make_unique<cusan::Runtime>(tsan_.get(), types_.get(), config.cusan_config);
+    cusan_ = std::make_unique<cusan::Runtime>(tsan_.get(), types_.get(), metrics_,
+                                              config.cusan_config);
     for (const auto& device : devices_) {
       cusan_->bind_device(device.get());
     }
@@ -60,7 +47,8 @@ ToolContext::ToolContext(int rank, const ToolConfig& config, const cusim::Device
     if (types_ == nullptr) {
       types_ = std::make_unique<typeart::Runtime>(typedb);
     }
-    must_ = std::make_unique<must::Runtime>(tsan_.get(), types_.get(), config.must_config);
+    must_ = std::make_unique<must::Runtime>(tsan_.get(), types_.get(), metrics_,
+                                            config.must_config);
   }
 }
 
@@ -74,18 +62,11 @@ RankResult ToolContext::finalize() {
   result.rank = rank_;
   if (tsan_) {
     result.races = tsan_->reports();
-    result.tsan_counters = tsan_->counters();
     result.shadow_bytes = tsan_->shadow_resident_bytes();
-  }
-  if (cusan_) {
-    result.cusan_counters = cusan_->counters();
+    metrics_.set_gauge("rsan.shadow_bytes", result.shadow_bytes);
   }
   if (must_) {
     result.must_reports = must_->reports();
-    result.must_counters = must_->counters();
-  }
-  if (types_) {
-    result.typeart_stats = types_->stats();
   }
   for (const auto& device : devices_) {
     result.device_live_bytes += device->memory().live_bytes();
@@ -94,18 +75,11 @@ RankResult ToolContext::finalize() {
     }
   }
   result.rss_peak_bytes = common::read_memstats().rss_peak_bytes;
-  // Feed the rank's tool counters into the one metrics registry (summed
-  // across ranks; bench/tools diff snapshots around a session).
-  if (tsan_) {
-    publish_counters("rsan.", result.tsan_counters);
-    obs::metric("rsan.shadow_bytes").add(result.shadow_bytes);
-  }
-  if (cusan_) {
-    publish_counters("cusan.", result.cusan_counters);
-  }
-  if (must_) {
-    publish_counters("must.", result.must_counters);
-  }
+  result.metrics = metrics_.snapshot();
+  std::erase_if(result.metrics, [](const auto& entry) { return entry.second == 0; });
+  // Ranks sum up in the calling thread's registry; bench and tools diff its
+  // snapshots around a session.
+  obs::MetricsRegistry::instance().add(result.metrics);
   return result;
 }
 

@@ -9,6 +9,7 @@
 
 #include "capi/tool_config.hpp"
 #include "cusim/device.hpp"
+#include "obs/metrics.hpp"
 #include "typeart/runtime.hpp"
 
 namespace capi {
@@ -19,10 +20,9 @@ struct RankResult {
   int rank{-1};
   std::vector<rsan::RaceReport> races;
   std::vector<must::MustReport> must_reports;
-  rsan::Counters tsan_counters{};
-  cusan::Counters cusan_counters{};
-  must::MustCounters must_counters{};
-  typeart::RuntimeStats typeart_stats{};
+  /// The rank's nonzero rsan.*, cusan.* and must.* counts (the paper's
+  /// per-process Table I statistics); read with obs::value_of.
+  obs::MetricsSnapshot metrics;
   std::size_t shadow_bytes{};        ///< rsan shadow memory resident at finalize
   std::size_t device_live_bytes{};   ///< simulated device memory still allocated
   std::size_t rss_peak_bytes{};      ///< process peak RSS at finalize (shared across ranks)
@@ -55,6 +55,9 @@ class ToolContext {
   /// cudaSetDevice analog; returns false for an invalid ordinal.
   bool set_device(int ordinal);
 
+  /// The registry this rank's tool runtimes count into.
+  [[nodiscard]] obs::MetricsRegistry& metrics() { return metrics_; }
+
   /// Enabled tool runtimes; nullptr when the flavor disables them.
   [[nodiscard]] rsan::Runtime* tsan() { return tsan_.get(); }
   [[nodiscard]] typeart::Runtime* types() { return types_.get(); }
@@ -63,6 +66,8 @@ class ToolContext {
 
   /// Run finalize-time checks (MUST request-leak detection) and snapshot all
   /// tool state into a RankResult — the MPI_Finalize hook of the tool stack.
+  /// The rank's counts are added once into the calling thread's registry
+  /// (the session's, or the global one).
   [[nodiscard]] RankResult finalize();
 
   /// The context bound to the calling thread (nullptr outside a rank).
@@ -86,6 +91,7 @@ class ToolContext {
   std::unique_ptr<typeart::TypeDB> owned_typedb_;  ///< when caller passed nullptr
   std::vector<std::unique_ptr<cusim::Device>> devices_;
   int current_device_{0};
+  obs::MetricsRegistry metrics_;  ///< declared before the runtimes holding handles on it
   std::unique_ptr<rsan::Runtime> tsan_;
   std::unique_ptr<typeart::Runtime> types_;
   std::unique_ptr<cusan::Runtime> cusan_;

@@ -79,6 +79,30 @@ class Reader {
   std::size_t pos_{0};
 };
 
+void write_metrics(Writer& w, const obs::MetricsSnapshot& metrics) {
+  w.u64(metrics.size());
+  for (const auto& [name, value] : metrics) {
+    w.str(name);
+    w.u64(value);
+  }
+}
+
+bool read_metrics(Reader& r, obs::MetricsSnapshot* out) {
+  std::uint64_t count = 0;
+  if (!r.u64(&count)) {
+    return false;
+  }
+  for (std::uint64_t i = 0; i < count; ++i) {
+    std::string name;
+    std::uint64_t value = 0;
+    if (!r.str(&name) || !r.u64(&value)) {
+      return false;
+    }
+    out->emplace(std::move(name), value);
+  }
+  return true;
+}
+
 void write_access(Writer& w, const rsan::RaceAccess& a) {
   w.u32(a.ctx);
   w.u8(static_cast<std::uint8_t>(a.kind));
@@ -118,20 +142,13 @@ std::vector<std::byte> encode(const RankPayload& payload) {
     w.str(report.mpi_call);
     w.str(report.detail);
   }
-  w.pod(res.tsan_counters);
-  w.pod(res.cusan_counters);
-  w.pod(res.must_counters);
-  w.pod(res.typeart_stats);
+  write_metrics(w, res.metrics);
   w.u64(res.shadow_bytes);
   w.u64(res.device_live_bytes);
   w.u64(res.rss_peak_bytes);
   w.u64(res.sticky_errors);
 
-  w.u64(payload.metric_deltas.size());
-  for (const auto& [name, value] : payload.metric_deltas) {
-    w.str(name);
-    w.u64(value);
-  }
+  write_metrics(w, payload.metric_deltas);
   w.u64(payload.diagnostics.size());
   for (const obs::Diagnostic& d : payload.diagnostics) {
     w.str(d.id);
@@ -191,9 +208,8 @@ bool decode(std::span<const std::byte> bytes, RankPayload* out) {
   std::uint64_t device_live = 0;
   std::uint64_t rss = 0;
   std::uint64_t sticky = 0;
-  if (!r.pod(&res.tsan_counters) || !r.pod(&res.cusan_counters) ||
-      !r.pod(&res.must_counters) || !r.pod(&res.typeart_stats) || !r.u64(&shadow) ||
-      !r.u64(&device_live) || !r.u64(&rss) || !r.u64(&sticky)) {
+  if (!read_metrics(r, &res.metrics) || !r.u64(&shadow) || !r.u64(&device_live) ||
+      !r.u64(&rss) || !r.u64(&sticky)) {
     return false;
   }
   res.shadow_bytes = static_cast<std::size_t>(shadow);
@@ -201,18 +217,7 @@ bool decode(std::span<const std::byte> bytes, RankPayload* out) {
   res.rss_peak_bytes = static_cast<std::size_t>(rss);
   res.sticky_errors = static_cast<std::size_t>(sticky);
 
-  if (!r.u64(&count)) {
-    return false;
-  }
-  for (std::uint64_t i = 0; i < count; ++i) {
-    std::string name;
-    std::uint64_t value = 0;
-    if (!r.str(&name) || !r.u64(&value)) {
-      return false;
-    }
-    out->metric_deltas.emplace(std::move(name), value);
-  }
-  if (!r.u64(&count)) {
+  if (!read_metrics(r, &out->metric_deltas) || !r.u64(&count)) {
     return false;
   }
   out->diagnostics.resize(count);

@@ -4,8 +4,8 @@
 // diagnostics it emitted, and its slice of the schedule-controller state —
 // into one blob published through mpisim::publish_result; the parent decodes
 // and merges after World::run. Parent and child are the same forked binary,
-// so fixed-layout counter structs travel as raw bytes (size-checked);
-// variable parts are length-prefixed.
+// so fixed-layout structs travel as raw bytes (size-checked); variable parts
+// are length-prefixed.
 #pragma once
 
 #include <cstddef>

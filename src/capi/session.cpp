@@ -175,9 +175,9 @@ std::vector<RankResult> run_session(const SessionConfig& config, const RankMain&
         results[static_cast<std::size_t>(r)].rank = r;
         continue;
       }
-      for (const auto& [name, delta] : payload.metric_deltas) {
-        obs::metric(name).add(delta);
-      }
+      // The child's finalize added its rank counts into these deltas; they
+      // are not added again from payload.result.metrics.
+      obs::MetricsRegistry::instance().add(payload.metric_deltas);
       for (obs::Diagnostic& diagnostic : payload.diagnostics) {
         obs::reemit_imported_diagnostic(std::move(diagnostic));
       }
@@ -215,12 +215,16 @@ std::vector<RankResult> run_flavored(Flavor flavor, int ranks, const RankMain& r
   return run_session(config, rank_main);
 }
 
-std::size_t total_races(const std::vector<RankResult>& results) {
-  std::size_t total = 0;
+std::uint64_t sum_metric(const std::vector<RankResult>& results, std::string_view name) {
+  std::uint64_t total = 0;
   for (const auto& result : results) {
-    total += result.tsan_counters.races_detected;
+    total += obs::value_of(result.metrics, name);
   }
   return total;
+}
+
+std::size_t total_races(const std::vector<RankResult>& results) {
+  return sum_metric(results, "rsan.races_detected");
 }
 
 }  // namespace capi

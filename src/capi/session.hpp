@@ -5,6 +5,7 @@
 #pragma once
 
 #include <functional>
+#include <string_view>
 #include <vector>
 
 #include "capi/context.hpp"
@@ -53,6 +54,10 @@ using RankMain = std::function<void(RankEnv&)>;
 /// Convenience for the common "flavor + ranks" case.
 [[nodiscard]] std::vector<RankResult> run_flavored(Flavor flavor, int ranks,
                                                    const RankMain& rank_main);
+
+/// Sum of `name` over the ranks' RankResult::metrics.
+[[nodiscard]] std::uint64_t sum_metric(const std::vector<RankResult>& results,
+                                       std::string_view name);
 
 /// Sum of races across ranks (the harness's pass/fail signal).
 [[nodiscard]] std::size_t total_races(const std::vector<RankResult>& results);

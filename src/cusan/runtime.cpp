@@ -59,8 +59,9 @@ constexpr std::size_t kMaxInflightPerAlloc = 64;
 
 }  // namespace
 
-Runtime::Runtime(rsan::Runtime* tsan, typeart::Runtime* types, Config config)
-    : tsan_(tsan), types_(types), config_(config) {
+Runtime::Runtime(rsan::Runtime* tsan, typeart::Runtime* types, obs::MetricsRegistry& metrics,
+                 Config config)
+    : tsan_(tsan), types_(types), config_(config), metrics_(metrics) {
   CUSAN_ASSERT(tsan != nullptr && types != nullptr);
 }
 
@@ -80,7 +81,7 @@ Runtime::StreamState& Runtime::stream_state(const cusim::Stream* stream) {
                                ? std::string("default stream")
                                : common::format("stream {}", stream->id());
   state.fiber = tsan_->create_fiber(rsan::CtxKind::kStreamFiber, name);
-  ++counters_.streams_created;
+  metrics_.streams_created.increment();
   auto [pos, inserted] = streams_.emplace(stream, state);
   CUSAN_ASSERT(inserted);
   if (state.is_default) {
@@ -95,19 +96,19 @@ Runtime::EventState& Runtime::event_state(const cusim::Event* event) {
 }
 
 void Runtime::on_stream_create(const cusim::Stream* stream) {
-  trace_record(TraceKind::kStreamCreate, stream);
+  trace_record(TraceKind::kStreamCreate);
   (void)stream_state(stream);
 }
 
 void Runtime::on_stream_destroy(const cusim::Stream* stream) {
-  trace_record(TraceKind::kStreamDestroy, stream);
+  trace_record(TraceKind::kStreamDestroy);
   const auto it = streams_.find(stream);
   if (it == streams_.end()) {
     return;
   }
   // cudaStreamDestroy waits for the stream's work: terminate its arc.
   tsan_->happens_after(&it->second.complete_key);
-  ++counters_.hb_after;
+  metrics_.hb_after.increment();
   tsan_->release_sync_object(&it->second.complete_key);
   tsan_->release_sync_object(&it->second.submit_key);
   tsan_->destroy_fiber(it->second.fiber);
@@ -118,13 +119,13 @@ void Runtime::on_stream_destroy(const cusim::Stream* stream) {
 }
 
 void Runtime::on_event_create(const cusim::Event* event) {
-  trace_record(TraceKind::kEventCreate, nullptr, event);
+  trace_record(TraceKind::kEventCreate);
   (void)event_state(event);
-  ++counters_.events_created;
+  metrics_.events_created.increment();
 }
 
 void Runtime::on_event_destroy(const cusim::Event* event) {
-  trace_record(TraceKind::kEventDestroy, nullptr, event);
+  trace_record(TraceKind::kEventDestroy);
   const auto it = events_.find(event);
   if (it == events_.end()) {
     return;
@@ -159,20 +160,20 @@ void Runtime::begin_op(StreamState& ss) {
       if (other.ops_issued > other.acquired_by_default) {
         tsan_->happens_after(&other.complete_key);
         other.acquired_by_default = other.ops_issued;
-        ++counters_.hb_after;
+        metrics_.hb_after.increment();
       }
     }
   } else if (!ss.non_blocking && default_state != nullptr && !default_state->non_blocking &&
              default_state->ops_issued > ss.default_ops_acquired) {
     tsan_->happens_after(&default_state->complete_key);
     ss.default_ops_acquired = default_state->ops_issued;
-    ++counters_.hb_after;
+    metrics_.hb_after.increment();
   }
 }
 
 void Runtime::finish_op(StreamState& ss) {
   tsan_->happens_before(&ss.complete_key);
-  ++counters_.hb_before;
+  metrics_.hb_before.increment();
   ++ss.ops_issued;
   if (ss.is_default && !ss.non_blocking) {
     // Fan the arc out to every blocking stream of the same device (paper
@@ -183,7 +184,7 @@ void Runtime::finish_op(StreamState& ss) {
         continue;
       }
       tsan_->happens_before(&other.complete_key);
-      ++counters_.hb_before;
+      metrics_.hb_before.increment();
     }
   }
   tsan_->switch_to_fiber(tsan_->host_ctx());
@@ -216,15 +217,15 @@ void Runtime::annotate_access(const void* ptr, std::size_t fallback_size, bool r
     base = reinterpret_cast<const void*>(info->base);
     size = info->extent;
   } else if (fallback_size == 0) {
-    ++counters_.unknown_kernel_args;
+    metrics_.unknown_kernel_args.increment();
     return;
   }
   if (read) {
-    ++counters_.kernel_annotation_calls;
+    metrics_.kernel_annotation_calls.increment();
     tsan_->read_range(base, size, label);
   }
   if (write) {
-    ++counters_.kernel_annotation_calls;
+    metrics_.kernel_annotation_calls.increment();
     tsan_->write_range(base, size, label);
   }
 }
@@ -239,11 +240,11 @@ void Runtime::annotate_kernel_arg(const KernelArgAccess& arg, const char* label)
   if (!read_bounded && !write_bounded) {
     // ⊤ (or unknown) summary in every active direction: paper behaviour,
     // annotate the whole allocation.
-    ++counters_.whole_range_kernel_args;
+    metrics_.whole_range_kernel_args.increment();
     annotate_access(arg.ptr, 0, read, write, label);
     return;
   }
-  ++counters_.interval_kernel_args;
+  metrics_.interval_kernel_args.increment();
   // Resolve the allocation so intervals can be clamped to its extent.
   // Untracked pointers keep the bounded sub-ranges relative to the raw
   // pointer — strictly more information than the unknown-arg drop.
@@ -258,7 +259,7 @@ void Runtime::annotate_kernel_arg(const KernelArgAccess& arg, const char* label)
   }
   const bool delegates = (read && !read_bounded) || (write && !write_bounded);
   if (!tracked && !delegates) {
-    ++counters_.unknown_kernel_args;  // annotate_access would have counted it
+    metrics_.unknown_kernel_args.increment();  // annotate_access would have counted it
   }
   const auto annotate_set = [&](const kir::IntervalSet& set, bool is_write) {
     std::uint64_t covered = 0;
@@ -274,17 +275,17 @@ void Runtime::annotate_kernel_arg(const KernelArgAccess& arg, const char* label)
       }
       const auto bytes = static_cast<std::size_t>(hi - lo);
       covered += bytes;
-      ++counters_.kernel_annotation_calls;
+      metrics_.kernel_annotation_calls.increment();
       if (is_write) {
         tsan_->write_range(lo, bytes, label);
       } else {
         tsan_->read_range(lo, bytes, label);
       }
     }
-    counters_.interval_bytes_annotated += covered;
+    metrics_.interval_bytes_annotated.add(covered);
     if (tracked) {
       const auto extent = static_cast<std::uint64_t>(alloc_hi - alloc_lo);
-      counters_.interval_bytes_elided += extent > covered ? extent - covered : 0;
+      metrics_.interval_bytes_elided.add(extent > covered ? extent - covered : 0);
     }
   };
   if (read) {
@@ -305,17 +306,17 @@ void Runtime::annotate_kernel_arg(const KernelArgAccess& arg, const char* label)
 
 void Runtime::on_kernel_launch(const cusim::Stream* stream, const char* kernel_name,
                                std::span<const KernelArgAccess> args) {
-  ++counters_.kernel_launches;
-  trace_record(TraceKind::kKernelLaunch, stream, nullptr, 0, kernel_name);
+  metrics_.kernel_launches.increment();
+  trace_record(TraceKind::kKernelLaunch, 0, kernel_name);
   StreamState& ss = stream_state(stream);
   begin_op(ss);
   if (config_.track_memory_accesses) {
-    launch_args(ss, stream, kernel_name, args);
+    launch_args(ss, kernel_name, args);
   }
   finish_op(ss);
 }
 
-void Runtime::launch_args(StreamState& ss, const cusim::Stream* stream, const char* kernel_name,
+void Runtime::launch_args(StreamState& ss, const char* kernel_name,
                           std::span<const KernelArgAccess> args) {
   // Elision derives its footprints from the byte-precise affine summaries, so
   // it is only consistent with interval-precision annotations: under the
@@ -399,7 +400,7 @@ void Runtime::launch_args(StreamState& ss, const cusim::Stream* stream, const ch
         const AllocUse& use = uses[plan.base];
         if (use.arg_count > 1 && use.any_write) {
           plan.elide = false;
-          ++counters_.proof_alias_rejects;
+          metrics_.proof_alias_rejects.increment();
         }
       }
       all_elided &= plan.elide;
@@ -420,7 +421,7 @@ void Runtime::launch_args(StreamState& ss, const cusim::Stream* stream, const ch
     }
     if (match &&
         tsan_->shadow_generation() - ss.memo.shadow_gen ==
-            tsan_->counters().proven_range_calls - ss.memo.proven_calls) {
+            tsan_->proven_range_calls() - ss.memo.proven_calls) {
       memo_skip = true;
       for (std::size_t i = 0; memo_skip && i < plans.size(); ++i) {
         const ArgPlan& plan = plans[i];
@@ -441,7 +442,7 @@ void Runtime::launch_args(StreamState& ss, const cusim::Stream* stream, const ch
               granule_overlaps(plan.write_iv, fp.read_iv) ||
               granule_overlaps(plan.read_iv, fp.write_iv)) {
             memo_skip = false;
-            ++counters_.proof_cross_stream_overlaps;
+            metrics_.proof_cross_stream_overlaps.increment();
             break;
           }
         }
@@ -464,7 +465,7 @@ void Runtime::launch_args(StreamState& ss, const cusim::Stream* stream, const ch
     }
     const ArgPlan& plan = plans[i];
     any_elided = true;
-    ++counters_.proof_elided_args;
+    metrics_.proof_elided_args.increment();
     for (const kir::Interval& iv : plan.read_iv) {
       elided_bytes += static_cast<std::uint64_t>(iv.hi - iv.lo);
       all_clean &= tsan_->proven_range(plan.base + iv.lo, static_cast<std::size_t>(iv.hi - iv.lo),
@@ -494,15 +495,16 @@ void Runtime::launch_args(StreamState& ss, const cusim::Stream* stream, const ch
   }
 
   if (any_elided) {
-    ++counters_.proof_elided_launches;
-    counters_.proof_elided_bytes += elided_bytes;
+    metrics_.proof_elided_launches.increment();
+    metrics_.proof_elided_bytes.add(elided_bytes);
     if (memo_skip) {
-      ++counters_.proof_fast_launches;
+      metrics_.proof_fast_launches.increment();
     }
-    trace_record(TraceKind::kProofElided, stream, nullptr, elided_bytes, kernel_name);
+    trace_record(TraceKind::kProofElided, elided_bytes, kernel_name);
     obs::Counter*& metric = elide_metrics_[kernel_name];
     if (metric == nullptr) {
-      metric = &obs::metric(common::format("cusan.prove_elide.{}.launches", kernel_name));
+      metric = &metrics_.registry.counter(
+          common::format("cusan.prove_elide.{}.launches", kernel_name));
     }
     metric->add(1);
   }
@@ -515,7 +517,7 @@ void Runtime::launch_args(StreamState& ss, const cusim::Stream* stream, const ch
         ss.memo.ptrs[i] = args[i].ptr;
       }
       ss.memo.shadow_gen = tsan_->shadow_generation();
-      ss.memo.proven_calls = tsan_->counters().proven_range_calls;
+      ss.memo.proven_calls = tsan_->proven_range_calls();
     }
   }
 }
@@ -523,12 +525,12 @@ void Runtime::launch_args(StreamState& ss, const cusim::Stream* stream, const ch
 // -- Explicit synchronization ---------------------------------------------------------------
 
 void Runtime::on_stream_synchronize(const cusim::Stream* stream) {
-  ++counters_.sync_calls;
-  trace_record(TraceKind::kStreamSync, stream);
+  metrics_.sync_calls.increment();
+  trace_record(TraceKind::kStreamSync);
   clear_inflight();
   StreamState& ss = stream_state(stream);
   tsan_->happens_after(&ss.complete_key);
-  ++counters_.hb_after;
+  metrics_.hb_after.increment();
   if (ss.is_default && !ss.non_blocking) {
     // Host sync on the legacy default stream also covers all blocking
     // streams of its device (paper §IV-A-e).
@@ -537,24 +539,24 @@ void Runtime::on_stream_synchronize(const cusim::Stream* stream) {
         continue;
       }
       tsan_->happens_after(&other.complete_key);
-      ++counters_.hb_after;
+      metrics_.hb_after.increment();
     }
   }
 }
 
 void Runtime::on_device_synchronize() {
-  ++counters_.sync_calls;
+  metrics_.sync_calls.increment();
   trace_record(TraceKind::kDeviceSync);
   clear_inflight();
   // Terminate the arc of every stream, including non-blocking ones.
   for (auto& [stream, state] : streams_) {
     tsan_->happens_after(&state.complete_key);
-    ++counters_.hb_after;
+    metrics_.hb_after.increment();
   }
 }
 
 void Runtime::on_device_synchronize(const cusim::Device* device) {
-  ++counters_.sync_calls;
+  metrics_.sync_calls.increment();
   trace_record(TraceKind::kDeviceSync);
   clear_inflight();
   // Only the given device's streams are covered (multi-GPU ranks).
@@ -563,13 +565,13 @@ void Runtime::on_device_synchronize(const cusim::Device* device) {
       continue;
     }
     tsan_->happens_after(&state.complete_key);
-    ++counters_.hb_after;
+    metrics_.hb_after.increment();
   }
 }
 
 void Runtime::on_event_record(const cusim::Event* event, const cusim::Stream* stream) {
-  ++counters_.event_records;
-  trace_record(TraceKind::kEventRecord, stream, event);
+  metrics_.event_records.increment();
+  trace_record(TraceKind::kEventRecord);
   StreamState& ss = stream_state(stream);
   EventState& es = event_state(event);
   es.stream = stream;
@@ -577,25 +579,25 @@ void Runtime::on_event_record(const cusim::Event* event, const cusim::Stream* st
   // clock on the event's sync object.
   tsan_->switch_to_fiber(ss.fiber);
   tsan_->happens_before(&es.key);
-  ++counters_.hb_before;
+  metrics_.hb_before.increment();
   tsan_->switch_to_fiber(tsan_->host_ctx());
 }
 
 void Runtime::on_event_synchronize(const cusim::Event* event) {
-  ++counters_.sync_calls;
-  trace_record(TraceKind::kEventSync, nullptr, event);
+  metrics_.sync_calls.increment();
+  trace_record(TraceKind::kEventSync);
   clear_inflight();
   EventState& es = event_state(event);
   if (es.stream == nullptr) {
     return;  // never recorded
   }
   tsan_->happens_after(&es.key);
-  ++counters_.hb_after;
+  metrics_.hb_after.increment();
 }
 
 void Runtime::on_stream_wait_event(const cusim::Stream* stream, const cusim::Event* event) {
-  ++counters_.sync_calls;
-  trace_record(TraceKind::kStreamWaitEvent, stream, event);
+  metrics_.sync_calls.increment();
+  trace_record(TraceKind::kStreamWaitEvent);
   EventState& es = event_state(event);
   if (es.stream == nullptr) {
     return;
@@ -604,31 +606,31 @@ void Runtime::on_stream_wait_event(const cusim::Stream* stream, const cusim::Eve
   // The waiting stream's future work is ordered after the event.
   tsan_->switch_to_fiber(ss.fiber);
   tsan_->happens_after(&es.key);
-  ++counters_.hb_after;
+  metrics_.hb_after.increment();
   tsan_->switch_to_fiber(tsan_->host_ctx());
 }
 
 void Runtime::on_stream_query_success(const cusim::Stream* stream) {
   // A successful query can be used as a busy-wait: treat it as
   // synchronization (paper §III-B1).
-  ++counters_.sync_calls;
-  trace_record(TraceKind::kQuerySuccess, stream);
+  metrics_.sync_calls.increment();
+  trace_record(TraceKind::kQuerySuccess);
   clear_inflight();
   StreamState& ss = stream_state(stream);
   tsan_->happens_after(&ss.complete_key);
-  ++counters_.hb_after;
+  metrics_.hb_after.increment();
 }
 
 void Runtime::on_event_query_success(const cusim::Event* event) {
-  ++counters_.sync_calls;
-  trace_record(TraceKind::kQuerySuccess, nullptr, event);
+  metrics_.sync_calls.increment();
+  trace_record(TraceKind::kQuerySuccess);
   clear_inflight();
   EventState& es = event_state(event);
   if (es.stream == nullptr) {
     return;
   }
   tsan_->happens_after(&es.key);
-  ++counters_.hb_after;
+  metrics_.hb_after.increment();
 }
 
 // -- Memory operations --------------------------------------------------------------------------
@@ -647,8 +649,8 @@ cusim::MemKind Runtime::kind_of(const void* ptr) const {
 }
 
 void Runtime::on_memcpy(void* dst, const void* src, std::size_t bytes, cusim::MemcpyDir dir) {
-  ++counters_.memcpys;
-  trace_record(TraceKind::kMemcpy, nullptr, dst, bytes, "cudaMemcpy");
+  metrics_.memcpys.increment();
+  trace_record(TraceKind::kMemcpy, bytes, "cudaMemcpy");
   CUSAN_ASSERT(!devices_.empty());
   StreamState& ss = stream_state(devices_.front()->default_stream());
   begin_op(ss);
@@ -659,14 +661,14 @@ void Runtime::on_memcpy(void* dst, const void* src, std::size_t bytes, cusim::Me
   finish_op(ss);
   if (model_host_sync(cusim::MemOpClass::kMemcpy, dir, kind_of(src), kind_of(dst))) {
     tsan_->happens_after(&ss.complete_key);
-    ++counters_.hb_after;
+    metrics_.hb_after.increment();
   }
 }
 
 void Runtime::on_memcpy_async(void* dst, const void* src, std::size_t bytes, cusim::MemcpyDir dir,
                               const cusim::Stream* stream) {
-  ++counters_.memcpys;
-  trace_record(TraceKind::kMemcpy, stream, dst, bytes, "cudaMemcpyAsync");
+  metrics_.memcpys.increment();
+  trace_record(TraceKind::kMemcpy, bytes, "cudaMemcpyAsync");
   StreamState& ss = stream_state(stream);
   begin_op(ss);
   if (config_.track_memory_accesses) {
@@ -676,13 +678,13 @@ void Runtime::on_memcpy_async(void* dst, const void* src, std::size_t bytes, cus
   finish_op(ss);
   if (model_host_sync(cusim::MemOpClass::kMemcpyAsync, dir, kind_of(src), kind_of(dst))) {
     tsan_->happens_after(&ss.complete_key);
-    ++counters_.hb_after;
+    metrics_.hb_after.increment();
   }
 }
 
 void Runtime::on_memset(void* dst, std::size_t bytes) {
-  ++counters_.memsets;
-  trace_record(TraceKind::kMemset, nullptr, dst, bytes, "cudaMemset");
+  metrics_.memsets.increment();
+  trace_record(TraceKind::kMemset, bytes, "cudaMemset");
   CUSAN_ASSERT(!devices_.empty());
   StreamState& ss = stream_state(devices_.front()->default_stream());
   begin_op(ss);
@@ -693,13 +695,13 @@ void Runtime::on_memset(void* dst, std::size_t bytes) {
   if (model_host_sync(cusim::MemOpClass::kMemset, cusim::MemcpyDir::kHostToDevice,
                       cusim::MemKind::kPageableHost, kind_of(dst))) {
     tsan_->happens_after(&ss.complete_key);
-    ++counters_.hb_after;
+    metrics_.hb_after.increment();
   }
 }
 
 void Runtime::on_memset_async(void* dst, std::size_t bytes, const cusim::Stream* stream) {
-  ++counters_.memsets;
-  trace_record(TraceKind::kMemset, stream, dst, bytes, "cudaMemsetAsync");
+  metrics_.memsets.increment();
+  trace_record(TraceKind::kMemset, bytes, "cudaMemsetAsync");
   StreamState& ss = stream_state(stream);
   begin_op(ss);
   if (config_.track_memory_accesses) {
@@ -711,8 +713,8 @@ void Runtime::on_memset_async(void* dst, std::size_t bytes, const cusim::Stream*
 void Runtime::on_memcpy_2d(void* dst, std::size_t dpitch, const void* src, std::size_t spitch,
                            std::size_t width, std::size_t height, cusim::MemcpyDir dir,
                            const cusim::Stream* stream, bool async) {
-  ++counters_.memcpys;
-  trace_record(TraceKind::kMemcpy, stream, dst, width * height, "cudaMemcpy2D");
+  metrics_.memcpys.increment();
+  trace_record(TraceKind::kMemcpy, width * height, "cudaMemcpy2D");
   CUSAN_ASSERT(!devices_.empty());
   StreamState& ss =
       stream_state(stream != nullptr ? stream : devices_.front()->default_stream());
@@ -731,21 +733,21 @@ void Runtime::on_memcpy_2d(void* dst, std::size_t dpitch, const void* src, std::
   const auto op_class = async ? cusim::MemOpClass::kMemcpyAsync : cusim::MemOpClass::kMemcpy;
   if (model_host_sync(op_class, dir, kind_of(src), kind_of(dst))) {
     tsan_->happens_after(&ss.complete_key);
-    ++counters_.hb_after;
+    metrics_.hb_after.increment();
   }
 }
 
 void Runtime::on_mem_prefetch(const cusim::Stream* stream) {
-  ++counters_.prefetches;
-  trace_record(TraceKind::kPrefetch, stream);
+  metrics_.prefetches.increment();
+  trace_record(TraceKind::kPrefetch);
   StreamState& ss = stream_state(stream);
   begin_op(ss);
   finish_op(ss);
 }
 
 void Runtime::on_host_func(const cusim::Stream* stream) {
-  ++counters_.host_funcs;
-  trace_record(TraceKind::kHostFunc, stream);
+  metrics_.host_funcs.increment();
+  trace_record(TraceKind::kHostFunc);
   StreamState& ss = stream_state(stream);
   begin_op(ss);
   finish_op(ss);
@@ -754,7 +756,7 @@ void Runtime::on_host_func(const cusim::Stream* stream) {
 // -- Allocation lifecycle --------------------------------------------------------------------------
 
 void Runtime::on_free(const void* ptr) {
-  trace_record(TraceKind::kFree, nullptr, ptr);
+  trace_record(TraceKind::kFree);
   if (const auto info = types_->find(ptr); info.has_value()) {
     tsan_->reset_shadow_range(reinterpret_cast<const void*>(info->base), info->extent);
     // The reused address must not inherit stale proven footprints.

@@ -17,7 +17,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "cusan/counters.hpp"
 #include "cusan/sync_model.hpp"
 #include "cusan/trace.hpp"
 #include "cusim/device.hpp"
@@ -51,9 +50,6 @@ struct Config {
   /// ranges are not annotated, but fibers and synchronization modelling stay
   /// active. The paper reports near-vanilla overhead in this mode.
   bool track_memory_accesses = true;
-  /// Record every intercepted CUDA call into an in-memory trace
-  /// (Runtime::trace()), exportable as JSONL for diagnosis.
-  bool enable_trace = false;
   /// When true (default), kernel arguments whose kir interval summary bounds
   /// the touched byte sub-range are annotated only over those sub-ranges
   /// (clamped to the TypeART allocation); ⊤ summaries fall back to the whole
@@ -81,8 +77,11 @@ struct KernelArgAccess {
 
 class Runtime {
  public:
-  /// `tsan` and `types` must outlive the Runtime. One Runtime per rank.
-  Runtime(rsan::Runtime* tsan, typeart::Runtime* types, Config config = {});
+  /// `tsan`, `types` and `metrics` must outlive the Runtime. One Runtime per
+  /// rank. CUDA-level event counts (the "CUDA" block of the paper's Table I)
+  /// go to `metrics` as cusan.<name>.
+  Runtime(rsan::Runtime* tsan, typeart::Runtime* types, obs::MetricsRegistry& metrics,
+          Config config = {});
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -140,8 +139,6 @@ class Runtime {
   /// produce stale-epoch false races.
   void on_free(const void* ptr);
 
-  [[nodiscard]] const Counters& counters() const { return counters_; }
-  [[nodiscard]] const Trace& trace() const { return trace_; }
   [[nodiscard]] rsan::Runtime& tsan() { return *tsan_; }
   [[nodiscard]] typeart::Runtime& typeart_rt() { return *types_; }
   /// Register a device with this runtime ("context per CUDA device",
@@ -152,12 +149,64 @@ class Runtime {
   [[nodiscard]] std::size_t device_count() const { return devices_.size(); }
 
  private:
+  /// Handles on the cusan.* counters of the registry passed at construction.
+  struct Metrics {
+    explicit Metrics(obs::MetricsRegistry& r) : registry(r) {}
+    obs::MetricsRegistry& registry;
+    /// User streams + default stream on first use.
+    obs::Counter& streams_created = registry.counter("cusan.streams_created");
+    obs::Counter& events_created = registry.counter("cusan.events_created");
+    obs::Counter& event_records = registry.counter("cusan.event_records");
+    /// Memset + memsetAsync.
+    obs::Counter& memsets = registry.counter("cusan.memsets");
+    /// Memcpy + memcpyAsync.
+    obs::Counter& memcpys = registry.counter("cusan.memcpys");
+    /// Device/stream/event synchronize + successful queries + streamWaitEvent.
+    obs::Counter& sync_calls = registry.counter("cusan.sync_calls");
+    obs::Counter& kernel_launches = registry.counter("cusan.kernel_launches");
+    /// cudaMemPrefetchAsync hints.
+    obs::Counter& prefetches = registry.counter("cusan.prefetches");
+    /// cudaLaunchHostFunc callbacks.
+    obs::Counter& host_funcs = registry.counter("cusan.host_funcs");
+    /// Semantic happens-before arcs started by CuSan.
+    obs::Counter& hb_before = registry.counter("cusan.hb_before");
+    /// Semantic happens-before arcs terminated by CuSan.
+    obs::Counter& hb_after = registry.counter("cusan.hb_after");
+    /// Pointer args with no TypeART allocation info.
+    obs::Counter& unknown_kernel_args = registry.counter("cusan.unknown_kernel_args");
+    /// Args annotated via bounded byte intervals.
+    obs::Counter& interval_kernel_args = registry.counter("cusan.interval_kernel_args");
+    /// Args annotated whole-allocation (⊤ fallback).
+    obs::Counter& whole_range_kernel_args = registry.counter("cusan.whole_range_kernel_args");
+    /// Bytes covered by interval annotations.
+    obs::Counter& interval_bytes_annotated = registry.counter("cusan.interval_bytes_annotated");
+    /// Allocation bytes skipped thanks to intervals.
+    obs::Counter& interval_bytes_elided = registry.counter("cusan.interval_bytes_elided");
+    /// rsan range calls issued for kernel arguments.
+    obs::Counter& kernel_annotation_calls = registry.counter("cusan.kernel_annotation_calls");
+    // Prove-and-elide (CUSAN_PROVE_ELIDE; all zero when off).
+    /// Launches with at least one elided argument.
+    obs::Counter& proof_elided_launches = registry.counter("cusan.proof_elided_launches");
+    /// Arguments elided via an affine proof.
+    obs::Counter& proof_elided_args = registry.counter("cusan.proof_elided_args");
+    /// Bytes covered by elided annotations.
+    obs::Counter& proof_elided_bytes = registry.counter("cusan.proof_elided_bytes");
+    /// Launches fully skipped via the generation memo.
+    obs::Counter& proof_fast_launches = registry.counter("cusan.proof_fast_launches");
+    /// Proofs voided by aliasing pointer arguments.
+    obs::Counter& proof_alias_rejects = registry.counter("cusan.proof_alias_rejects");
+    /// Memo skips denied by theorem-2 overlap.
+    obs::Counter& proof_cross_stream_overlaps =
+        registry.counter("cusan.proof_cross_stream_overlaps");
+  };
+
   /// Full-mode launch memo (theorem 2 + generation accounting): remembers the
   /// last fully-elided, race-free launch on the stream. A repeat with the
   /// same kernel and argument pointers may skip even the check-only scan iff
   /// every shadow-generation tick since was a proven-region publish (checked
-  /// against rsan's proven_range_calls counter) and every publish from
-  /// another stream is theorem-2 disjoint from this launch's footprint.
+  /// against this rank's rsan::Runtime::proven_range_calls(), never a shared
+  /// metric) and every publish from another stream is theorem-2 disjoint
+  /// from this launch's footprint.
   struct LaunchMemo {
     const char* kernel{nullptr};
     std::vector<const void*> ptrs;
@@ -233,7 +282,7 @@ class Runtime {
   /// Kernel-argument annotation for one launch: decides per-arg elision
   /// (alias guard + bounded affine resolution), applies the full-mode memo,
   /// and routes each argument to the proven or the tracked path.
-  void launch_args(StreamState& ss, const cusim::Stream* stream, const char* kernel_name,
+  void launch_args(StreamState& ss, const char* kernel_name,
                    std::span<const KernelArgAccess> args);
 
   /// Host-ordering synchronization observed: in-flight proven footprints are
@@ -248,24 +297,19 @@ class Runtime {
                                              kir::AccessMode mode);
   [[nodiscard]] cusim::MemKind kind_of(const void* ptr) const;
 
-  void trace_record(TraceKind kind, const void* stream = nullptr, const void* object = nullptr,
-                    std::uint64_t bytes = 0, const char* detail = nullptr) {
+  static void trace_record(TraceKind kind, std::uint64_t bytes = 0,
+                           const char* detail = nullptr) {
     // Every observed CUDA call is an instant on the rank's host track
-    // (emit_instant is one relaxed load when CUSAN_TRACE is off); the legacy
-    // JSONL trace remains a separately-gated view of the same stream.
+    // (emit_instant is one relaxed load when CUSAN_TRACE is off).
     obs::emit_instant(to_obs_kind(kind), obs::kHostTrack,
                       detail != nullptr ? detail : to_string(kind), bytes);
-    if (config_.enable_trace) {
-      trace_.record(kind, stream, object, bytes, detail);
-    }
   }
 
   rsan::Runtime* tsan_;
   typeart::Runtime* types_;
   std::vector<const cusim::Device*> devices_;
   Config config_;
-  Counters counters_;
-  Trace trace_;
+  Metrics metrics_;
   std::unordered_map<const cusim::Stream*, StreamState> streams_;
   std::unordered_map<const cusim::Event*, EventState> events_;
   std::unordered_map<const cusim::Device*, StreamState*> default_states_;
@@ -274,7 +318,8 @@ class Runtime {
   /// until the next host-ordering sync.
   std::unordered_map<const void*, std::vector<InflightProof>> inflight_;
   bool inflight_saturated_{false};
-  /// Per-kernel elision metrics (obs MetricsRegistry), cached by kernel name.
+  /// Per-kernel elision metrics (cusan.prove_elide.<kernel>.launches),
+  /// cached by kernel name.
   std::unordered_map<const void*, obs::Counter*> elide_metrics_;
 };
 

@@ -1,11 +1,10 @@
-// Optional interception trace: records every CUDA event CuSan observes, in
+// The kinds of CUDA call CuSan observes. Each observed call becomes an
+// instant on the rank's host track in the obs event ring (CUSAN_TRACE), in
 // order, for diagnosing race reports ("what did the tool see before the
-// conflict?"). Exportable as JSON lines for external tooling.
+// conflict?").
 #pragma once
 
 #include <cstdint>
-#include <string>
-#include <vector>
 
 #include "obs/events.hpp"
 
@@ -71,9 +70,7 @@ enum class TraceKind : std::uint8_t {
   return "?";
 }
 
-/// Category under which a TraceKind lands in the obs event ring (the Trace
-/// class is a view layered over the ring: runtime hooks emit each observed
-/// call as an obs instant and, when the JSONL trace is on, a TraceEvent).
+/// Category under which a TraceKind lands in the obs event ring.
 [[nodiscard]] constexpr obs::EventKind to_obs_kind(TraceKind kind) {
   switch (kind) {
     case TraceKind::kKernelLaunch:
@@ -105,33 +102,5 @@ enum class TraceKind : std::uint8_t {
   }
   return obs::EventKind::kTrace;
 }
-
-struct TraceEvent {
-  std::uint64_t seq{};          ///< per-runtime monotonically increasing
-  TraceKind kind{};
-  const void* stream{nullptr};  ///< involved stream handle (if any)
-  const void* object{nullptr};  ///< event handle / buffer pointer (if any)
-  std::uint64_t bytes{};        ///< transfer/annotation size (if any)
-  const char* detail{nullptr};  ///< e.g. the kernel name (static storage)
-};
-
-class Trace {
- public:
-  void record(TraceKind kind, const void* stream = nullptr, const void* object = nullptr,
-              std::uint64_t bytes = 0, const char* detail = nullptr) {
-    events_.push_back(TraceEvent{next_seq_++, kind, stream, object, bytes, detail});
-  }
-
-  [[nodiscard]] const std::vector<TraceEvent>& events() const { return events_; }
-  [[nodiscard]] std::size_t size() const { return events_.size(); }
-  void clear() { events_.clear(); }
-
-  /// One JSON object per line (JSONL), stable field order.
-  [[nodiscard]] std::string to_jsonl() const;
-
- private:
-  std::vector<TraceEvent> events_;
-  std::uint64_t next_seq_{0};
-};
 
 }  // namespace cusan

@@ -11,8 +11,8 @@
 // per thread, never a map lookup per event), which is noise next to the
 // mutex operation it sits beside. The cache re-resolves when the calling
 // thread's current registry changes (svc session scoping), so concurrent
-// sessions never bleed counts into each other. Snapshot/reset are
-// racy-by-design (monitoring, not invariants).
+// sessions never bleed counts into each other. Read them like any metric:
+// diff two registry snapshots.
 #pragma once
 
 #include <cstdint>
@@ -21,27 +21,18 @@
 
 namespace mpisim {
 
-struct ContentionSnapshot {
-  std::uint64_t mailbox_locks{};       ///< mailbox (channel) lock acquisitions
-  std::uint64_t wakeups_delivered{};   ///< targeted per-rank slot signals
-  std::uint64_t wakeups_broadcast{};   ///< ranks woken by broadcasts (deadlock declaration)
-  std::uint64_t wakeups_spurious{};    ///< signalled wakes that found the predicate still false
-  std::uint64_t any_source_scans{};    ///< MPI_ANY_SOURCE slow-path scans over all src channels
-  std::uint64_t collective_messages{}; ///< internal p2p messages sent by collective trees
-};
-
 namespace detail {
 
 /// Registry handles, cached per thread and re-resolved whenever the calling
 /// thread's current registry changes (session scoping).
 struct ContentionCounters {
   obs::MetricsRegistry* owner{nullptr};
-  obs::Counter* mailbox_locks{nullptr};
-  obs::Counter* wakeups_delivered{nullptr};
-  obs::Counter* wakeups_broadcast{nullptr};
-  obs::Counter* wakeups_spurious{nullptr};
-  obs::Counter* any_source_scans{nullptr};
-  obs::Counter* collective_messages{nullptr};
+  obs::Counter* mailbox_locks{nullptr};        ///< mailbox (channel) lock acquisitions
+  obs::Counter* wakeups_delivered{nullptr};    ///< targeted per-rank slot signals
+  obs::Counter* wakeups_broadcast{nullptr};    ///< ranks woken by broadcasts (deadlock)
+  obs::Counter* wakeups_spurious{nullptr};     ///< signalled wakes, predicate still false
+  obs::Counter* any_source_scans{nullptr};     ///< MPI_ANY_SOURCE slow-path scans
+  obs::Counter* collective_messages{nullptr};  ///< internal p2p messages of collectives
 };
 
 [[nodiscard]] inline ContentionCounters& contention_counters() {
@@ -62,40 +53,5 @@ struct ContentionCounters {
 inline void bump(obs::Counter& counter, std::uint64_t n = 1) { counter.add(n); }
 
 }  // namespace detail
-
-[[nodiscard]] inline ContentionSnapshot contention_snapshot() {
-  const auto& c = detail::contention_counters();
-  ContentionSnapshot s;
-  s.mailbox_locks = c.mailbox_locks->value();
-  s.wakeups_delivered = c.wakeups_delivered->value();
-  s.wakeups_broadcast = c.wakeups_broadcast->value();
-  s.wakeups_spurious = c.wakeups_spurious->value();
-  s.any_source_scans = c.any_source_scans->value();
-  s.collective_messages = c.collective_messages->value();
-  return s;
-}
-
-inline void reset_contention_counters() {
-  const auto& c = detail::contention_counters();
-  c.mailbox_locks->set(0);
-  c.wakeups_delivered->set(0);
-  c.wakeups_broadcast->set(0);
-  c.wakeups_spurious->set(0);
-  c.any_source_scans->set(0);
-  c.collective_messages->set(0);
-}
-
-/// Difference of two snapshots (end - begin), for bracketing one benchmark.
-[[nodiscard]] inline ContentionSnapshot contention_delta(const ContentionSnapshot& begin,
-                                                         const ContentionSnapshot& end) {
-  ContentionSnapshot d;
-  d.mailbox_locks = end.mailbox_locks - begin.mailbox_locks;
-  d.wakeups_delivered = end.wakeups_delivered - begin.wakeups_delivered;
-  d.wakeups_broadcast = end.wakeups_broadcast - begin.wakeups_broadcast;
-  d.wakeups_spurious = end.wakeups_spurious - begin.wakeups_spurious;
-  d.any_source_scans = end.any_source_scans - begin.any_source_scans;
-  d.collective_messages = end.collective_messages - begin.collective_messages;
-  return d;
-}
 
 }  // namespace mpisim

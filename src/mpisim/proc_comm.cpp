@@ -1018,10 +1018,6 @@ std::chrono::milliseconds default_heartbeat_interval() {
 }
 
 std::uint32_t default_ring_bytes(int world_size) {
-  const std::uint64_t kb = env_u64("CUSAN_SHM_RING_KB", 0);
-  if (kb != 0) {
-    return shmring::align_up(std::clamp<std::uint64_t>(kb * 1024, 16 * 1024, 1024 * 1024), 64);
-  }
   // Scale so the N×N grid stays within ~64 MiB total.
   const std::uint64_t n = static_cast<std::uint64_t>(world_size);
   const std::uint64_t budget = 64ULL * 1024 * 1024 / (n * n);
@@ -1029,11 +1025,6 @@ std::uint32_t default_ring_bytes(int world_size) {
 }
 
 std::uint32_t default_eager_max(std::uint32_t ring_bytes) {
-  const std::uint64_t kb = env_u64("CUSAN_SHM_EAGER_KB", 0);
-  if (kb != 0) {
-    return static_cast<std::uint32_t>(
-        std::clamp<std::uint64_t>(kb * 1024, 1024, ring_bytes / 4));
-  }
   return std::min<std::uint32_t>(ring_bytes / 8, 32 * 1024);
 }
 

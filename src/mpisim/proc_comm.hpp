@@ -61,12 +61,12 @@ namespace proc {
 /// Per-rank heartbeat stamping interval: CUSAN_HEARTBEAT_MS, default 50 ms.
 [[nodiscard]] std::chrono::milliseconds default_heartbeat_interval();
 
-/// Per-ring data bytes: CUSAN_SHM_RING_KB override, else scaled so the
-/// N×N grid stays within ~64 MiB (min 16 KiB, max 256 KiB per ring).
+/// Per-ring data bytes, scaled so the N×N grid stays within ~64 MiB
+/// (min 16 KiB, max 256 KiB per ring).
 [[nodiscard]] std::uint32_t default_ring_bytes(int world_size);
 
-/// Largest eager record (header+signature+payload); bigger payloads take
-/// the rendezvous path. CUSAN_SHM_EAGER_KB override, clamped to ring/8.
+/// Largest eager record (header+signature+payload): ring/8, at most
+/// 32 KiB; bigger payloads take the rendezvous path.
 [[nodiscard]] std::uint32_t default_eager_max(std::uint32_t ring_bytes);
 
 /// Child-side bootstrap, called once right after fork. `seg_prefix` is the

@@ -50,8 +50,9 @@ void emit_report_diagnostic(const MustReport& report) {
 
 }  // namespace
 
-Runtime::Runtime(rsan::Runtime* tsan, typeart::Runtime* types, Config config)
-    : tsan_(tsan), types_(types), config_(config) {
+Runtime::Runtime(rsan::Runtime* tsan, typeart::Runtime* types, obs::MetricsRegistry& metrics,
+                 Config config)
+    : tsan_(tsan), types_(types), config_(config), metrics_(metrics) {
   CUSAN_ASSERT(tsan != nullptr && types != nullptr);
 }
 
@@ -93,7 +94,7 @@ void Runtime::run_type_check(const char* mpi_call, const void* buf, std::size_t 
   if (!config_.check_types || buf == nullptr || count == 0) {
     return;
   }
-  ++counters_.type_checks;
+  metrics_.type_checks.increment();
   TypeCheckOutcome outcome = check_buffer(*types_, buf, count, type);
   if (outcome.result == TypeCheckResult::kOk) {
     return;
@@ -101,7 +102,7 @@ void Runtime::run_type_check(const char* mpi_call, const void* buf, std::size_t 
   if (outcome.result == TypeCheckResult::kUntrackedBuffer && !config_.report_untracked) {
     return;
   }
-  ++counters_.type_errors;
+  metrics_.type_errors.increment();
   ReportKind kind = ReportKind::kUntrackedBuffer;
   if (outcome.result == TypeCheckResult::kTypeMismatch) {
     kind = ReportKind::kTypeMismatch;
@@ -116,25 +117,24 @@ rsan::CtxId Runtime::acquire_fiber() {
   if (!fiber_pool_.empty()) {
     const rsan::CtxId id = fiber_pool_.back();
     fiber_pool_.pop_back();
-    ++counters_.request_fibers_reused;
+    metrics_.request_fibers_reused.increment();
     return id;
   }
-  ++counters_.request_fibers_created;
+  metrics_.request_fibers_created.increment();
   return tsan_->create_fiber(rsan::CtxKind::kMpiRequestFiber,
-                             common::format("MPI request fiber {}",
-                                            counters_.request_fibers_created));
+                             common::format("MPI request fiber {}", ++request_fibers_));
 }
 
 // -- blocking p2p ------------------------------------------------------------------
 
 void Runtime::on_send(const void* buf, std::size_t count, const mpisim::Datatype& type) {
-  ++counters_.calls_intercepted;
+  metrics_.calls_intercepted.increment();
   run_type_check("MPI_Send", buf, count, type);
   annotate_datatype_range(buf, count, type, /*is_write=*/false, "MPI_Send buffer (read)");
 }
 
 void Runtime::on_recv(void* buf, std::size_t count, const mpisim::Datatype& type) {
-  ++counters_.calls_intercepted;
+  metrics_.calls_intercepted.increment();
   run_type_check("MPI_Recv", buf, count, type);
   annotate_datatype_range(buf, count, type, /*is_write=*/true, "MPI_Recv buffer (write)");
 }
@@ -143,7 +143,7 @@ void Runtime::on_recv(void* buf, std::size_t count, const mpisim::Datatype& type
 
 void Runtime::on_isend(const void* buf, std::size_t count, const mpisim::Datatype& type,
                        const mpisim::Request* request) {
-  ++counters_.calls_intercepted;
+  metrics_.calls_intercepted.increment();
   run_type_check("MPI_Isend", buf, count, type);
   if (!config_.check_races || request == nullptr) {
     return;
@@ -152,6 +152,7 @@ void Runtime::on_isend(const void* buf, std::size_t count, const mpisim::Datatyp
   CUSAN_ASSERT_MSG(inserted, "request already tracked");
   PendingRequest& pr = it->second;
   pr.fiber = acquire_fiber();
+  pr.call = "MPI_Isend";
   if (obs::tracing_enabled()) {
     pr.track = obs::request_track(static_cast<std::uint32_t>(next_request_ordinal_++));
     pr.start_ns = obs::trace_now_ns();
@@ -169,7 +170,7 @@ void Runtime::on_isend(const void* buf, std::size_t count, const mpisim::Datatyp
 
 void Runtime::on_irecv(void* buf, std::size_t count, const mpisim::Datatype& type,
                        const mpisim::Request* request) {
-  ++counters_.calls_intercepted;
+  metrics_.calls_intercepted.increment();
   run_type_check("MPI_Irecv", buf, count, type);
   if (!config_.check_races || request == nullptr) {
     return;
@@ -178,6 +179,7 @@ void Runtime::on_irecv(void* buf, std::size_t count, const mpisim::Datatype& typ
   CUSAN_ASSERT_MSG(inserted, "request already tracked");
   PendingRequest& pr = it->second;
   pr.fiber = acquire_fiber();
+  pr.call = "MPI_Irecv";
   if (obs::tracing_enabled()) {
     pr.track = obs::request_track(static_cast<std::uint32_t>(next_request_ordinal_++));
     pr.start_ns = obs::trace_now_ns();
@@ -191,7 +193,7 @@ void Runtime::on_irecv(void* buf, std::size_t count, const mpisim::Datatype& typ
 }
 
 void Runtime::on_complete(const mpisim::Request* request) {
-  ++counters_.calls_intercepted;
+  metrics_.calls_intercepted.increment();
   const auto it = pending_.find(request);
   if (it == pending_.end()) {
     return;  // races unchecked, or request not tracked
@@ -206,8 +208,7 @@ void Runtime::on_complete(const mpisim::Request* request) {
     event.rank = obs::bound_rank();
     event.track = it->second.track;
     event.kind = obs::EventKind::kRequest;
-    std::snprintf(event.name, sizeof(event.name), "%s",
-                  request->kind() == mpisim::Request::Kind::kSend ? "MPI_Isend" : "MPI_Irecv");
+    std::snprintf(event.name, sizeof(event.name), "%s", it->second.call);
     obs::emit_event(event);
   }
   // MPI_Wait: the request's concurrent region ends; synchronize fiber -> host.
@@ -219,7 +220,7 @@ void Runtime::on_complete(const mpisim::Request* request) {
 
 void Runtime::on_gather(const void* sendbuf, std::size_t count, const mpisim::Datatype& type,
                         void* recvbuf, bool is_root, int comm_size) {
-  ++counters_.calls_intercepted;
+  metrics_.calls_intercepted.increment();
   run_type_check("MPI_Gather", sendbuf, count, type);
   annotate_datatype_range(sendbuf, count, type, /*is_write=*/false,
                           "MPI_Gather send buffer (read)");
@@ -231,7 +232,7 @@ void Runtime::on_gather(const void* sendbuf, std::size_t count, const mpisim::Da
 
 void Runtime::on_scatter(const void* sendbuf, std::size_t count, const mpisim::Datatype& type,
                          void* recvbuf, bool is_root, int comm_size) {
-  ++counters_.calls_intercepted;
+  metrics_.calls_intercepted.increment();
   run_type_check("MPI_Scatter", recvbuf, count, type);
   if (is_root) {
     annotate_datatype_range(sendbuf, count * static_cast<std::size_t>(comm_size), type,
@@ -245,7 +246,7 @@ void Runtime::on_receive_status(const char* mpi_call, const mpisim::Status& stat
   if (!status.signature_mismatch) {
     return;
   }
-  ++counters_.signature_mismatches;
+  metrics_.signature_mismatches.increment();
   reports_.push_back(MustReport{
       ReportKind::kSignatureMismatch, mpi_call,
       common::format("message from rank {} (tag {}) was sent with a type signature "
@@ -259,7 +260,7 @@ void Runtime::on_deadlock(int rank, const mpisim::DeadlockReport& report) {
     return;
   }
   deadlock_reported_ = true;
-  ++counters_.deadlocks_reported;
+  metrics_.deadlocks_reported.increment();
   const mpisim::BlockedOp* own = report.for_rank(rank);
   reports_.push_back(MustReport{ReportKind::kDeadlock,
                                 own != nullptr ? own->op : std::string("MPI (blocked)"),
@@ -273,7 +274,7 @@ void Runtime::on_rank_failure(int rank, const std::string& detail) {
     return;
   }
   rank_failure_reported_ = true;
-  ++counters_.rank_failures_reported;
+  metrics_.rank_failures_reported.increment();
   reports_.push_back(MustReport{ReportKind::kRankFailure, "MPI (poisoned)",
                                 detail.empty() ? "a peer rank process died" : detail});
   emit_report_diagnostic(reports_.back());
@@ -281,10 +282,9 @@ void Runtime::on_rank_failure(int rank, const std::string& detail) {
 
 void Runtime::on_finalize() {
   for (const auto& [request, pr] : pending_) {
-    ++counters_.request_leaks;
+    metrics_.request_leaks.increment();
     reports_.push_back(MustReport{
-        ReportKind::kRequestLeak, request->kind() == mpisim::Request::Kind::kSend ? "MPI_Isend"
-                                                                                  : "MPI_Irecv",
+        ReportKind::kRequestLeak, pr.call,
         common::format("request {} was never completed (missing MPI_Wait/MPI_Test); its "
                        "concurrent region extends to MPI_Finalize",
                        static_cast<const void*>(request))});
@@ -294,10 +294,10 @@ void Runtime::on_finalize() {
 
 // -- collectives ---------------------------------------------------------------------
 
-void Runtime::on_barrier() { ++counters_.calls_intercepted; }
+void Runtime::on_barrier() { metrics_.calls_intercepted.increment(); }
 
 void Runtime::on_bcast(void* buf, std::size_t count, const mpisim::Datatype& type, bool is_root) {
-  ++counters_.calls_intercepted;
+  metrics_.calls_intercepted.increment();
   run_type_check("MPI_Bcast", buf, count, type);
   if (is_root) {
     annotate_datatype_range(buf, count, type, /*is_write=*/false, "MPI_Bcast buffer (read)");
@@ -308,7 +308,7 @@ void Runtime::on_bcast(void* buf, std::size_t count, const mpisim::Datatype& typ
 
 void Runtime::on_reduce(const void* sendbuf, void* recvbuf, std::size_t count,
                         const mpisim::Datatype& type, bool is_root) {
-  ++counters_.calls_intercepted;
+  metrics_.calls_intercepted.increment();
   run_type_check("MPI_Reduce", sendbuf, count, type);
   annotate_datatype_range(sendbuf, count, type, /*is_write=*/false, "MPI_Reduce send buffer (read)");
   if (is_root && recvbuf != sendbuf) {
@@ -319,7 +319,7 @@ void Runtime::on_reduce(const void* sendbuf, void* recvbuf, std::size_t count,
 
 void Runtime::on_allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                            const mpisim::Datatype& type) {
-  ++counters_.calls_intercepted;
+  metrics_.calls_intercepted.increment();
   run_type_check("MPI_Allreduce", sendbuf, count, type);
   if (sendbuf != recvbuf) {
     annotate_datatype_range(sendbuf, count, type, /*is_write=*/false,
@@ -331,7 +331,7 @@ void Runtime::on_allreduce(const void* sendbuf, void* recvbuf, std::size_t count
 
 void Runtime::on_allgather(const void* sendbuf, std::size_t count, const mpisim::Datatype& type,
                            void* recvbuf, int comm_size) {
-  ++counters_.calls_intercepted;
+  metrics_.calls_intercepted.increment();
   run_type_check("MPI_Allgather", sendbuf, count, type);
   annotate_datatype_range(sendbuf, count, type, /*is_write=*/false,
                           "MPI_Allgather send buffer (read)");

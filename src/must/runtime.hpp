@@ -18,6 +18,7 @@
 #include "mpisim/comm.hpp"
 #include "mpisim/request.hpp"
 #include "must/typecheck.hpp"
+#include "obs/metrics.hpp"
 #include "rsan/runtime.hpp"
 #include "typeart/runtime.hpp"
 
@@ -72,36 +73,12 @@ struct MustReport {
   std::string detail;
 };
 
-struct MustCounters {
-  std::uint64_t calls_intercepted{};
-  std::uint64_t request_fibers_created{};
-  std::uint64_t request_fibers_reused{};
-  std::uint64_t type_checks{};
-  std::uint64_t type_errors{};
-  std::uint64_t request_leaks{};
-  std::uint64_t signature_mismatches{};
-  std::uint64_t deadlocks_reported{};
-  std::uint64_t rank_failures_reported{};
-};
-
-/// Visit every counter as (name, value) — the one enumeration the obs
-/// metrics publication, JSON dumps and registry-equality tests all share.
-template <typename Fn>
-void for_each_counter(const MustCounters& c, Fn&& fn) {
-  fn("calls_intercepted", c.calls_intercepted);
-  fn("request_fibers_created", c.request_fibers_created);
-  fn("request_fibers_reused", c.request_fibers_reused);
-  fn("type_checks", c.type_checks);
-  fn("type_errors", c.type_errors);
-  fn("request_leaks", c.request_leaks);
-  fn("signature_mismatches", c.signature_mismatches);
-  fn("deadlocks_reported", c.deadlocks_reported);
-  fn("rank_failures_reported", c.rank_failures_reported);
-}
-
 class Runtime {
  public:
-  Runtime(rsan::Runtime* tsan, typeart::Runtime* types, Config config = {});
+  /// `tsan`, `types` and `metrics` must outlive the Runtime; event counts go
+  /// to `metrics` as must.<name>.
+  Runtime(rsan::Runtime* tsan, typeart::Runtime* types, obs::MetricsRegistry& metrics,
+          Config config = {});
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -119,12 +96,13 @@ class Runtime {
                 const mpisim::Request* request);
   void on_irecv(void* buf, std::size_t count, const mpisim::Datatype& type,
                 const mpisim::Request* request);
-  /// Called on MPI_Wait / successful MPI_Test *before* mpisim frees the
-  /// request: terminates the request fiber's arc on the host.
+  /// Called on MPI_Wait / successful MPI_Test: terminates the request
+  /// fiber's arc on the host. mpisim may already have freed the request;
+  /// the pointer is only a lookup key, never dereferenced.
   void on_complete(const mpisim::Request* request);
 
   /// MPI_Probe / MPI_Iprobe: envelope-only, no buffer semantics.
-  void on_probe() { ++counters_.calls_intercepted; }
+  void on_probe() { metrics_.calls_intercepted.increment(); }
 
   /// The mpisim progress watchdog declared a deadlock and a blocking call on
   /// this rank returned MPI_ERR_DEADLOCK. Emits one structured report per
@@ -159,16 +137,31 @@ class Runtime {
   void on_finalize();
 
   [[nodiscard]] const std::vector<MustReport>& reports() const { return reports_; }
-  [[nodiscard]] const MustCounters& counters() const { return counters_; }
   [[nodiscard]] std::size_t pending_requests() const { return pending_.size(); }
   void clear_reports() { reports_.clear(); }
 
  private:
+  /// Handles on the must.* counters of the registry passed at construction.
+  struct Metrics {
+    explicit Metrics(obs::MetricsRegistry& r) : registry(r) {}
+    obs::MetricsRegistry& registry;
+    obs::Counter& calls_intercepted = registry.counter("must.calls_intercepted");
+    obs::Counter& request_fibers_created = registry.counter("must.request_fibers_created");
+    obs::Counter& request_fibers_reused = registry.counter("must.request_fibers_reused");
+    obs::Counter& type_checks = registry.counter("must.type_checks");
+    obs::Counter& type_errors = registry.counter("must.type_errors");
+    obs::Counter& request_leaks = registry.counter("must.request_leaks");
+    obs::Counter& signature_mismatches = registry.counter("must.signature_mismatches");
+    obs::Counter& deadlocks_reported = registry.counter("must.deadlocks_reported");
+    obs::Counter& rank_failures_reported = registry.counter("must.rank_failures_reported");
+  };
+
   struct PendingRequest {
     rsan::CtxId fiber{rsan::kInvalidCtx};
     char key{};  ///< request's HB sync object... address-stable via node map
     std::uint32_t track{0};     ///< obs request track (0 when tracing is off)
     std::uint64_t start_ns{0};  ///< issue timestamp for the request span
+    const char* call{""};       ///< "MPI_Isend" / "MPI_Irecv", names the span
   };
 
   void annotate_datatype_range(const void* buf, std::size_t count, const mpisim::Datatype& type,
@@ -180,10 +173,13 @@ class Runtime {
   rsan::Runtime* tsan_;
   typeart::Runtime* types_;
   Config config_;
-  MustCounters counters_;
+  Metrics metrics_;
   std::vector<MustReport> reports_;
   std::unordered_map<const mpisim::Request*, PendingRequest> pending_;
   std::vector<rsan::CtxId> fiber_pool_;
+  /// Request fibers created so far; names them in race reports ("MPI request
+  /// fiber <n>"), so it is program state, not read back from a metric.
+  std::uint64_t request_fibers_{0};
   std::uint64_t next_request_ordinal_{0};  ///< obs request-track assignment
   bool deadlock_reported_{false};
   bool rank_failure_reported_{false};

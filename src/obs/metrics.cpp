@@ -21,6 +21,11 @@ const std::size_t kRegistrySlot = common::ThreadContext::register_slot(
 
 }  // namespace
 
+std::uint64_t value_of(const MetricsSnapshot& snapshot, std::string_view name) {
+  const auto it = snapshot.find(name);
+  return it != snapshot.end() ? it->second : 0;
+}
+
 MetricsRegistry& MetricsRegistry::instance() {
   MetricsRegistry* current = t_current_registry;
   return current != nullptr ? *current : global();
@@ -28,6 +33,8 @@ MetricsRegistry& MetricsRegistry::instance() {
 
 MetricsRegistry& MetricsRegistry::global() {
   static MetricsRegistry registry;
+  static const bool process_stats = (registry.add_process_stats(), true);
+  (void)process_stats;
   return registry;
 }
 
@@ -40,29 +47,39 @@ MetricsRegistry::Scope::Scope(MetricsRegistry* registry) : previous_(t_current_r
 
 MetricsRegistry::Scope::~Scope() { t_current_registry = previous_; }
 
-MetricsRegistry::MetricsRegistry() {
-  // Peak RSS rides along in every snapshot so memory tables (EXPERIMENTS.md)
-  // come out of the registry instead of being hand-copied.
-  providers_["process.memstats"] = [](MetricsSnapshot& snapshot) {
+MetricsRegistry::MetricsRegistry() = default;
+
+void MetricsRegistry::add_process_stats() {
+  register_provider("process.memstats", [](MetricsSnapshot& snapshot) {
     const auto stats = common::read_memstats();
     snapshot["process.rss_bytes"] = stats.rss_bytes;
     snapshot["process.rss_peak_bytes"] = stats.rss_peak_bytes;
-  };
+  });
 }
 
 Counter& MetricsRegistry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
-    it = counters_.emplace(std::piecewise_construct,
-                           std::forward_as_tuple(std::string(name)), std::forward_as_tuple())
-             .first;
+    it = counters_.emplace(name, &values_.emplace_back()).first;
   }
-  return it->second;
+  return *it->second;
+}
+
+std::uint64_t MetricsRegistry::value(std::string_view name) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = counters_.find(name);
+  return it != counters_.end() ? it->second->value() : 0;
 }
 
 void MetricsRegistry::set_gauge(std::string_view name, std::uint64_t value) {
   counter(name).set(value);
+}
+
+void MetricsRegistry::add(const MetricsSnapshot& snapshot) {
+  for (const auto& [name, value] : snapshot) {
+    counter(name).add(value);
+  }
 }
 
 void MetricsRegistry::register_provider(const std::string& name, Provider provider) {
@@ -76,7 +93,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [name, value] : counters_) {
-      out[name] = value.value();
+      out.emplace_hint(out.end(), name, value->value());
     }
     providers.reserve(providers_.size());
     for (const auto& [name, provider] : providers_) {
@@ -100,13 +117,6 @@ MetricsSnapshot MetricsRegistry::diff(const MetricsSnapshot& later,
     out[name] = value >= before ? value - before : 0;
   }
   return out;
-}
-
-void MetricsRegistry::reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto& [name, value] : counters_) {
-    value.set(0);
-  }
 }
 
 std::string MetricsRegistry::to_json(const MetricsSnapshot& snapshot) {

@@ -1,15 +1,19 @@
 // Central metrics registry: one namespace of named monotonic counters and
-// gauges replacing the per-subsystem counters structs (cusan, rsan, mpisim,
-// faultsim). Hot paths hold a `Counter&` handle (stable address, relaxed
-// atomic add — never a map lookup); consumers take snapshots, diff them
-// across a region of interest, and export JSON. Providers let subsystems
-// contribute computed values (peak RSS, fault-ledger state) at snapshot time.
+// gauges, the repo's only counter system. Hot paths hold a `Counter&` handle
+// (stable address, relaxed atomic add — never a map lookup); consumers take
+// snapshots, diff them across a region of interest, and export JSON.
+// Providers let subsystems contribute computed values (peak RSS,
+// fault-ledger state) at snapshot time. Each rank's tool stack counts into a
+// registry of its own (capi::ToolContext) that is added into the session's
+// registry once, at finalize.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
+#include <memory_resource>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -28,12 +32,15 @@ class Counter {
 };
 
 /// Name -> value at one point in time (sorted, so JSON export is stable).
-using MetricsSnapshot = std::map<std::string, std::uint64_t>;
+using MetricsSnapshot = std::map<std::string, std::uint64_t, std::less<>>;
+
+/// `name`'s value in `snapshot`, 0 when absent.
+[[nodiscard]] std::uint64_t value_of(const MetricsSnapshot& snapshot, std::string_view name);
 
 class MetricsRegistry {
  public:
-  /// A fresh, empty registry (session-scoped use). The process.memstats
-  /// provider is pre-registered like on the global registry.
+  /// A fresh, empty registry without providers (a rank's tool counters, or
+  /// a session's with add_process_stats()).
   MetricsRegistry();
 
   /// The calling thread's current registry: the session-scoped one installed
@@ -63,11 +70,23 @@ class MetricsRegistry {
   };
 
   /// Find-or-create a counter. The returned reference stays valid for the
-  /// process lifetime — cache it; never call this on a hot path.
+  /// registry's lifetime — cache it; never call this on a hot path.
   [[nodiscard]] Counter& counter(std::string_view name);
+
+  /// Current value of `name`, 0 when no such counter exists (never creates
+  /// one).
+  [[nodiscard]] std::uint64_t value(std::string_view name) const;
 
   /// Convenience: overwrite a gauge-style value.
   void set_gauge(std::string_view name, std::uint64_t value);
+
+  /// Add every entry of `snapshot` onto the counter of the same name (a
+  /// rank's finalize-time counts, a proc child's deltas).
+  void add(const MetricsSnapshot& snapshot);
+
+  /// Register the process.memstats provider: peak RSS rides along in every
+  /// snapshot, so memory tables (EXPERIMENTS.md) come out of the registry.
+  void add_process_stats();
 
   /// Providers run at snapshot time and may add/overwrite entries.
   /// Re-registering under the same name replaces the previous provider.
@@ -82,15 +101,18 @@ class MetricsRegistry {
   [[nodiscard]] static MetricsSnapshot diff(const MetricsSnapshot& later,
                                             const MetricsSnapshot& earlier);
 
-  /// Zero every registered counter (providers are unaffected).
-  void reset();
-
   [[nodiscard]] static std::string to_json(const MetricsSnapshot& snapshot);
 
  private:
   mutable std::mutex mutex_;
-  // std::map: node-based, so Counter addresses are stable across inserts.
-  std::map<std::string, Counter, std::less<>> counters_;
+  // Counters are never removed, so they and their names live in one arena: a
+  // rank's registry costs a few allocations, not two per counter. The values
+  // sit side by side in creation order (a deque never moves its elements), so
+  // one runtime's hot counters share a few cache lines instead of one line
+  // per map node.
+  std::pmr::monotonic_buffer_resource arena_{4096};
+  std::pmr::deque<Counter> values_{&arena_};
+  std::pmr::map<std::pmr::string, Counter*, std::less<>> counters_{&arena_};
   std::map<std::string, Provider> providers_;
 };
 

@@ -58,7 +58,8 @@ std::size_t default_shadow_max_bytes() {
   return static_cast<std::size_t>(mb) * 1024 * 1024;
 }
 
-Runtime::Runtime(RuntimeConfig config) : config_(config) {
+Runtime::Runtime(obs::MetricsRegistry& metrics, RuntimeConfig config)
+    : config_(config), metrics_(metrics) {
   if (config_.shadow_max_bytes != 0) {
     // At least one block so a capped runtime still tracks something.
     shadow_.set_block_budget(std::max<std::size_t>(1, config_.shadow_max_bytes / sizeof(ShadowBlock)));
@@ -95,7 +96,7 @@ void Runtime::switch_to_fiber(CtxId id) {
   CUSAN_ASSERT(id < contexts_.size());
   CUSAN_ASSERT_MSG(contexts_[id]->info.alive, "switch to destroyed fiber");
   if (id != current_) {
-    ++counters_.fiber_switches;
+    metrics_.fiber_switches.increment();
     current_ = id;
   }
 }
@@ -106,7 +107,7 @@ const ContextInfo& Runtime::context(CtxId id) const {
 }
 
 void Runtime::happens_before(const void* key) {
-  ++counters_.hb_before;
+  metrics_.hb_before.increment();
   Context& cur = *contexts_[current_];
   auto& clock = sync_objects_[reinterpret_cast<std::uintptr_t>(key)];
   clock.join(cur.clock);
@@ -118,7 +119,7 @@ void Runtime::happens_before(const void* key) {
 }
 
 void Runtime::happens_after(const void* key) {
-  ++counters_.hb_after;
+  metrics_.hb_after.increment();
   const auto it = sync_objects_.find(reinterpret_cast<std::uintptr_t>(key));
   if (it == sync_objects_.end()) {
     return;  // acquiring a never-released object is a no-op (TSan semantics)
@@ -145,24 +146,24 @@ void Runtime::release_sync_object(const void* key) {
 }
 
 void Runtime::read_range(const void* addr, std::size_t size, const char* label) {
-  ++counters_.read_range_calls;
-  counters_.read_range_bytes += size;
+  metrics_.read_range_calls.increment();
+  metrics_.read_range_bytes.add(size);
   access_range(addr, size, /*is_write=*/false, label);
 }
 
 void Runtime::write_range(const void* addr, std::size_t size, const char* label) {
-  ++counters_.write_range_calls;
-  counters_.write_range_bytes += size;
+  metrics_.write_range_calls.increment();
+  metrics_.write_range_bytes.add(size);
   access_range(addr, size, /*is_write=*/true, label);
 }
 
 void Runtime::plain_read(const void* addr, std::size_t size) {
-  ++counters_.plain_reads;
+  metrics_.plain_reads.increment();
   access_range(addr, size, /*is_write=*/false, nullptr);
 }
 
 void Runtime::plain_write(const void* addr, std::size_t size) {
-  ++counters_.plain_writes;
+  metrics_.plain_writes.increment();
   access_range(addr, size, /*is_write=*/true, nullptr);
 }
 
@@ -187,11 +188,12 @@ bool Runtime::proven_range(const void* addr, std::size_t size, bool is_write, co
   }
   Context& cur = *contexts_[current_];
   if (cur.ignore_depth > 0) {
-    ++counters_.ignored_accesses;
+    metrics_.ignored_accesses.increment();
     return false;
   }
-  ++counters_.proven_range_calls;
-  counters_.proven_bytes += size;
+  ++proven_calls_;
+  metrics_.proven_range_calls.increment();
+  metrics_.proven_bytes.add(size);
   const std::uint64_t cur_clock = cur.clock.get(current_);
   const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(addr);
   record_history(cur, base, size, is_write, label, cur_clock);
@@ -211,11 +213,11 @@ bool Runtime::proven_range(const void* addr, std::size_t size, bool is_write, co
       const std::size_t g_lo = static_cast<std::size_t>(g - key * kGranulesPerBlock);
       const std::size_t g_hi = static_cast<std::size_t>(seg_last - key * kGranulesPerBlock);
       if (const ShadowBlock* blk = shadow_.block_if_present(g * kGranuleBytes); blk != nullptr) {
-        ++counters_.proven_scan_blocks;
+        ++tally_.proven_scan_blocks;
         check_only_block(*blk, key, g_lo, g_hi, base, size, is_write, label, cur, cur_clock,
                          reported_this_call, call_race_free);
       } else {
-        ++counters_.proven_block_skips;
+        ++tally_.proven_block_skips;
       }
       if (seg_last == last) {
         break;
@@ -228,7 +230,7 @@ bool Runtime::proven_range(const void* addr, std::size_t size, bool is_write, co
     // Generation-memo refresh: the caller proved nothing shadow-observable
     // happened since its last *checked* race-free publish of this exact
     // region, so re-scanning would detect nothing.
-    ++counters_.proven_refreshes;
+    metrics_.proven_refreshes.increment();
   }
 
   // Publish (or refresh) the region: it stands in for the cells a tracked
@@ -247,6 +249,7 @@ bool Runtime::proven_range(const void* addr, std::size_t size, bool is_write, co
     regions_.push_back(ProvenRegion{base, size, current_, cur_clock, is_write});
   }
   ++shadow_gen_;  // region epochs are shadow-observable: invalidate caches/memos
+  flush_tally();
   return call_race_free;
 }
 
@@ -319,7 +322,7 @@ void Runtime::check_regions(std::uintptr_t base, std::size_t size, bool is_write
     if (r_hi <= a_lo || a_hi <= r_lo) {
       continue;
     }
-    ++counters_.region_checks;
+    ++tally_.region_checks;
     if (r.clock > cur.clock.get(r.ctx)) {
       call_race_free = false;
       if (!reported_this_call) {
@@ -358,7 +361,7 @@ void Runtime::access_range(const void* addr, std::size_t size, bool is_write, co
   }
   Context& cur = *contexts_[current_];
   if (cur.ignore_depth > 0) {
-    ++counters_.ignored_accesses;
+    metrics_.ignored_accesses.increment();
     return;
   }
   const std::uint64_t cur_clock = cur.clock.get(current_);
@@ -382,8 +385,8 @@ void Runtime::access_range(const void* addr, std::size_t size, bool is_write, co
     // this context and no shadow mutation by anyone since: re-running the
     // scan would find the cells this context just stored, pick the same
     // slots, store identical values and detect nothing — a provable no-op.
-    ++counters_.fastpath_range_hits;
-    counters_.fastpath_granules_elided += last - first + 1;
+    metrics_.fastpath_range_hits.increment();
+    metrics_.fastpath_granules_elided.add(last - first + 1);
     return;
   }
 
@@ -402,13 +405,13 @@ void Runtime::access_range(const void* addr, std::size_t size, bool is_write, co
       // Block budget exhausted (CUSAN_SHADOW_MAX_MB): this segment is not
       // tracked. Count the degradation and keep going — soundness of the
       // tracked part is preserved, the process stays alive.
-      ++counters_.degraded_blocks;
+      ++tally_.degraded_blocks;
       degraded = true;
     } else if (!fast ||
                !try_fast_block(*blkp, key, g_lo, g_hi, base, size, is_write, label, cur, cur_clock,
                                fresh, reported_this_call, call_race_free)) {
       if (fast) {
-        ++counters_.fastpath_block_misses;
+        ++tally_.fastpath_block_misses;
       }
       slow_block(*blkp, key, g_lo, g_hi, base, size, is_write, label, cur, cur_clock, fresh,
                  reported_this_call, call_race_free, /*update_summary=*/true);
@@ -424,8 +427,9 @@ void Runtime::access_range(const void* addr, std::size_t size, bool is_write, co
   check_regions(base, size, is_write, label, cur, cur_clock, reported_this_call, call_race_free);
 
   if (degraded) {
-    ++counters_.degraded_accesses;
+    metrics_.degraded_accesses.increment();
   }
+  flush_tally();
   if (fast) {
     // A degraded call must not seed the recent-range cache: the untracked
     // segments stored nothing, so a repeat is not a provable no-op.
@@ -489,10 +493,10 @@ bool Runtime::try_fast_block(ShadowBlock& blk, std::uintptr_t block_key, std::si
     // for every granule of the uniform span — and identical to the choice
     // the reference scan makes per granule.
     store_slot = evict_victim(sum.cells.data());
-    counters_.slot_evictions += fast_hi - fast_lo + 1;
+    tally_.slot_evictions += fast_hi - fast_lo + 1;
   }
-  ++counters_.fastpath_block_hits;
-  counters_.fastpath_granules_elided += fast_hi - fast_lo + 1;
+  ++tally_.fastpath_block_hits;
+  tally_.fastpath_granules_elided += fast_hi - fast_lo + 1;
   // Edge granules are processed in the reference order (front, middle, back)
   // so race reports keep their first-racing-granule attribution. The edges
   // lie outside [sum.lo, sum.hi], so their stores never touch the summarized
@@ -574,7 +578,7 @@ void Runtime::slow_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_t
       // pure function of the granule's cells, so granules with identical
       // state evolve identically — a property the block summaries rely on.
       store_slot = evict_victim(cells);
-      ++counters_.slot_evictions;
+      ++tally_.slot_evictions;
     }
     cells[store_slot] = fresh;
     if (fast && uniform && g != g_lo && !cells_equal(cells, rep)) {
@@ -620,6 +624,23 @@ void Runtime::slow_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_t
     blk.summary.lo = static_cast<std::uint16_t>(frag_lo);
     blk.summary.hi = static_cast<std::uint16_t>(frag_hi);
   }
+}
+
+void Runtime::flush_tally() {
+  const auto flush = [](std::uint64_t& n, obs::Counter& counter) {
+    if (n != 0) {
+      counter.add(n);
+      n = 0;
+    }
+  };
+  flush(tally_.fastpath_block_hits, metrics_.fastpath_block_hits);
+  flush(tally_.fastpath_block_misses, metrics_.fastpath_block_misses);
+  flush(tally_.fastpath_granules_elided, metrics_.fastpath_granules_elided);
+  flush(tally_.degraded_blocks, metrics_.degraded_blocks);
+  flush(tally_.proven_scan_blocks, metrics_.proven_scan_blocks);
+  flush(tally_.proven_block_skips, metrics_.proven_block_skips);
+  flush(tally_.region_checks, metrics_.region_checks);
+  flush(tally_.slot_evictions, metrics_.slot_evictions);
 }
 
 void Runtime::record_history(Context& ctx, std::uintptr_t base, std::size_t size, bool is_write,
@@ -670,10 +691,10 @@ void Runtime::report_race(std::uintptr_t addr, std::size_t access_size, bool cur
   }
 
   if (!suppressions_.empty() && suppressions_.matches(report)) {
-    ++counters_.races_suppressed;
+    metrics_.races_suppressed.increment();
     return;
   }
-  ++counters_.races_detected;
+  metrics_.races_detected.increment();
 
   // Dedupe by (unordered context pair, page) so one bad kernel/MPI pairing
   // produces a single report per buffer region rather than millions per

@@ -19,8 +19,8 @@
 #include <unordered_set>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "rsan/clock.hpp"
-#include "rsan/counters.hpp"
 #include "rsan/report.hpp"
 #include "rsan/shadow.hpp"
 #include "rsan/suppressions.hpp"
@@ -54,8 +54,8 @@ struct RuntimeConfig {
   bool use_shadow_fast_path = default_shadow_fast_path();
   /// Upper bound on resident shadow memory (0 = unlimited). At the cap,
   /// tracking degrades for untracked blocks — counted in
-  /// Counters::degraded_blocks/degraded_accesses — instead of aborting the
-  /// run (robustness under substrate memory pressure).
+  /// rsan.degraded_blocks/degraded_accesses — instead of aborting the run
+  /// (robustness under substrate memory pressure).
   std::size_t shadow_max_bytes = default_shadow_max_bytes();
   /// Owning rank, for the execution-graph recorder (schedsim): sync events
   /// this runtime records land on the rank's host lane. -1 = unattributed
@@ -72,7 +72,10 @@ struct ContextInfo {
 
 class Runtime {
  public:
-  explicit Runtime(RuntimeConfig config = {});
+  /// Event counts go to `metrics` as rsan.<name> (together with cusan's CUDA
+  /// counters they regenerate the paper's Table I); it must outlive the
+  /// Runtime.
+  explicit Runtime(obs::MetricsRegistry& metrics, RuntimeConfig config = {});
 
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
@@ -145,6 +148,11 @@ class Runtime {
   /// compares this across launches to justify check-free refreshes.
   [[nodiscard]] std::uint64_t shadow_generation() const { return shadow_gen_; }
 
+  /// proven_range calls that reached the check/refresh (this runtime only).
+  /// The cusan launch memo pairs it with shadow_generation(): program logic,
+  /// so a plain member rather than a metric another runtime could also bump.
+  [[nodiscard]] std::uint64_t proven_range_calls() const { return proven_calls_; }
+
   /// Live proven regions (tests / diagnostics).
   [[nodiscard]] std::size_t proven_region_count() const { return regions_.size(); }
 
@@ -162,7 +170,6 @@ class Runtime {
 
   [[nodiscard]] const std::vector<RaceReport>& reports() const { return reports_; }
   void clear_reports();
-  [[nodiscard]] const Counters& counters() const { return counters_; }
   [[nodiscard]] std::size_t shadow_resident_bytes() const { return shadow_.resident_bytes(); }
   /// Read-only view of the shadow table (differential oracle / tests).
   [[nodiscard]] const ShadowMemory& shadow() const { return shadow_; }
@@ -172,11 +179,78 @@ class Runtime {
   const char* intern(std::string label);
 
   /// Suppression patterns (TSan suppression-file style); matched reports are
-  /// counted in counters().races_suppressed instead of being reported.
+  /// counted in rsan.races_suppressed instead of being reported.
   [[nodiscard]] SuppressionList& suppressions() { return suppressions_; }
   [[nodiscard]] const SuppressionList& suppressions() const { return suppressions_; }
 
  private:
+  /// Handles on the rsan.* counters of the registry passed at construction.
+  struct Metrics {
+    explicit Metrics(obs::MetricsRegistry& r) : registry(r) {}
+    obs::MetricsRegistry& registry;
+    obs::Counter& fiber_switches = registry.counter("rsan.fiber_switches");
+    /// AnnotateHappensBefore (release) calls.
+    obs::Counter& hb_before = registry.counter("rsan.hb_before");
+    /// AnnotateHappensAfter (acquire) calls.
+    obs::Counter& hb_after = registry.counter("rsan.hb_after");
+    obs::Counter& read_range_calls = registry.counter("rsan.read_range_calls");
+    obs::Counter& write_range_calls = registry.counter("rsan.write_range_calls");
+    obs::Counter& read_range_bytes = registry.counter("rsan.read_range_bytes");
+    obs::Counter& write_range_bytes = registry.counter("rsan.write_range_bytes");
+    /// Single-access instrumentation (TSan pass analog).
+    obs::Counter& plain_reads = registry.counter("rsan.plain_reads");
+    obs::Counter& plain_writes = registry.counter("rsan.plain_writes");
+    /// Race events (at most one per range call).
+    obs::Counter& races_detected = registry.counter("rsan.races_detected");
+    /// Race events silenced by a suppression.
+    obs::Counter& races_suppressed = registry.counter("rsan.races_suppressed");
+    /// Accesses skipped inside ignore scopes.
+    obs::Counter& ignored_accesses = registry.counter("rsan.ignored_accesses");
+    // Shadow fast path (all zero when use_shadow_fast_path is false).
+    /// Whole calls skipped via the recent-range cache.
+    obs::Counter& fastpath_range_hits = registry.counter("rsan.fastpath_range_hits");
+    /// Block segments stored via the uniform-summary scan.
+    obs::Counter& fastpath_block_hits = registry.counter("rsan.fastpath_block_hits");
+    /// Block segments that took the per-granule scan.
+    obs::Counter& fastpath_block_misses = registry.counter("rsan.fastpath_block_misses");
+    /// Granule scans skipped by either fast-path layer.
+    obs::Counter& fastpath_granules_elided = registry.counter("rsan.fastpath_granules_elided");
+    // Degradation under shadow_max_bytes (zero when no cap is hit).
+    /// Block segments untracked (budget denied allocation).
+    obs::Counter& degraded_blocks = registry.counter("rsan.degraded_blocks");
+    /// Range calls with at least one untracked segment.
+    obs::Counter& degraded_accesses = registry.counter("rsan.degraded_accesses");
+    // Prove-and-elide (all zero when CUSAN_PROVE_ELIDE is off).
+    obs::Counter& proven_range_calls = registry.counter("rsan.proven_range_calls");
+    obs::Counter& proven_bytes = registry.counter("rsan.proven_bytes");
+    /// Check-free epoch refreshes (generation memo hit).
+    obs::Counter& proven_refreshes = registry.counter("rsan.proven_refreshes");
+    /// Resident blocks scanned check-only.
+    obs::Counter& proven_scan_blocks = registry.counter("rsan.proven_scan_blocks");
+    /// Never-touched blocks skipped in O(1).
+    obs::Counter& proven_block_skips = registry.counter("rsan.proven_block_skips");
+    /// Access-vs-proven-region overlap checks.
+    obs::Counter& region_checks = registry.counter("rsan.region_checks");
+    /// Granules whose stalest epoch was dropped to make room for a new store
+    /// (all four slots valid, none subsumable). Nonzero means the cell array
+    /// may have forgotten a conflicting epoch, which is why the prove-elide
+    /// differential oracle keys its strictness on it.
+    obs::Counter& slot_evictions = registry.counter("rsan.slot_evictions");
+  };
+
+  /// Per-block and per-granule events of one range call, summed here and
+  /// added to the metrics once when the call ends (flush_tally).
+  struct Tally {
+    std::uint64_t fastpath_block_hits{};
+    std::uint64_t fastpath_block_misses{};
+    std::uint64_t fastpath_granules_elided{};
+    std::uint64_t degraded_blocks{};
+    std::uint64_t proven_scan_blocks{};
+    std::uint64_t proven_block_skips{};
+    std::uint64_t region_checks{};
+    std::uint64_t slot_evictions{};
+  };
+
   struct AccessRecord {
     std::uintptr_t base{};
     std::size_t size{};
@@ -238,6 +312,7 @@ class Runtime {
                   std::uintptr_t base, std::size_t size, bool is_write, const char* label,
                   const Context& cur, std::uint64_t cur_clock, ShadowCell fresh,
                   bool& reported_this_call, bool& call_race_free, bool update_summary);
+  void flush_tally();
   void record_history(Context& ctx, std::uintptr_t base, std::size_t size, bool is_write,
                       const char* label, std::uint64_t clock);
   [[nodiscard]] const AccessRecord* find_history(const Context& ctx, std::uintptr_t addr,
@@ -251,7 +326,9 @@ class Runtime {
   CtxId current_{kInvalidCtx};
   ShadowMemory shadow_;
   std::unordered_map<std::uintptr_t, VectorClock> sync_objects_;
-  Counters counters_;
+  Metrics metrics_;
+  Tally tally_;
+  std::uint64_t proven_calls_{0};
   SuppressionList suppressions_;
   std::vector<RaceReport> reports_;
   std::unordered_set<std::uint64_t> report_dedup_;

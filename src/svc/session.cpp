@@ -9,8 +9,10 @@
 namespace svc {
 
 Session::Session(SessionSpec spec) : spec_(std::move(spec)) {
-  // The session registry mirrors the global one's riders: the injector's
-  // ledger provider reports *this* session's fired/unsurfaced counts.
+  // The session registry mirrors the global one's riders: process memstats,
+  // and the injector's ledger provider reports *this* session's
+  // fired/unsurfaced counts.
+  metrics_.add_process_stats();
   injector_.register_ledger_provider(metrics_);
 }
 

@@ -1,6 +1,7 @@
 #include "testsuite/scenarios.hpp"
 
 #include <memory>
+#include <string_view>
 
 #include "capi/cuda.hpp"
 #include "capi/mpi.hpp"
@@ -467,15 +468,12 @@ ScenarioOutcome run_scenario_outcome(const Scenario& scenario, bool use_shadow_f
       config, [&](capi::RankEnv& env) { scenario_rank_main(env, scenario); });
   ScenarioOutcome outcome;
   outcome.races = capi::total_races(results);
-  for (const auto& result : results) {
-    outcome.tracked_bytes +=
-        result.tsan_counters.read_range_bytes + result.tsan_counters.write_range_bytes;
-    outcome.fastpath_hits +=
-        result.tsan_counters.fastpath_range_hits + result.tsan_counters.fastpath_block_hits;
-    outcome.fastpath_granules_elided += result.tsan_counters.fastpath_granules_elided;
-    outcome.elided_launches += result.cusan_counters.proof_elided_launches;
-    outcome.elided_bytes += result.cusan_counters.proof_elided_bytes;
-  }
+  const auto sum = [&](std::string_view name) { return capi::sum_metric(results, name); };
+  outcome.tracked_bytes = sum("rsan.read_range_bytes") + sum("rsan.write_range_bytes");
+  outcome.fastpath_hits = sum("rsan.fastpath_range_hits") + sum("rsan.fastpath_block_hits");
+  outcome.fastpath_granules_elided = sum("rsan.fastpath_granules_elided");
+  outcome.elided_launches = sum("cusan.proof_elided_launches");
+  outcome.elided_bytes = sum("cusan.proof_elided_bytes");
   return outcome;
 }
 

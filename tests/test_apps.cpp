@@ -107,25 +107,24 @@ TEST(JacobiAppTest, SeededRaceInvisibleWithoutCusan) {
 
 TEST(JacobiAppTest, CountersPopulatedUnderCusan) {
   const auto run = run_jacobi(Flavor::kMustCusan, small_jacobi());
-  const auto& c = run.results[0].cusan_counters;
+  const auto c = [&](std::string_view name) { return obs::value_of(run.results[0].metrics, name); };
   const auto config = small_jacobi();
   // 2 kernels per norm iteration + 2 init kernels.
-  EXPECT_EQ(c.kernel_launches, 2 * config.iterations + 2);
-  EXPECT_EQ(c.memcpys, config.iterations);          // 1 norm D2H per iteration
-  EXPECT_EQ(c.memsets, 2u);                          // initial clears
-  EXPECT_EQ(c.streams_created, 3u);                  // default + 2 user streams
-  EXPECT_GE(c.sync_calls, config.iterations);        // stream sync + wait-event
-  const auto& t = run.results[0].tsan_counters;
-  EXPECT_GT(t.read_range_bytes, 0u);
-  EXPECT_GT(t.write_range_bytes, 0u);
-  EXPECT_GT(t.fiber_switches, 0u);
+  EXPECT_EQ(c("cusan.kernel_launches"), 2 * config.iterations + 2);
+  EXPECT_EQ(c("cusan.memcpys"), config.iterations);    // 1 norm D2H per iteration
+  EXPECT_EQ(c("cusan.memsets"), 2u);                    // initial clears
+  EXPECT_EQ(c("cusan.streams_created"), 3u);            // default + 2 user streams
+  EXPECT_GE(c("cusan.sync_calls"), config.iterations);  // stream sync + wait-event
+  EXPECT_GT(c("rsan.read_range_bytes"), 0u);
+  EXPECT_GT(c("rsan.write_range_bytes"), 0u);
+  EXPECT_GT(c("rsan.fiber_switches"), 0u);
 }
 
 TEST(JacobiAppTest, NormIntervalReducesMemcpys) {
   auto config = small_jacobi();
   config.norm_interval = 5;
   const auto run = run_jacobi(Flavor::kCusan, config);
-  EXPECT_EQ(run.results[0].cusan_counters.memcpys, config.iterations / 5);
+  EXPECT_EQ(obs::value_of(run.results[0].metrics, "cusan.memcpys"), config.iterations / 5);
 }
 
 // -- TeaLeaf --------------------------------------------------------------------
@@ -180,17 +179,17 @@ TEST(TeaLeafAppTest, SeededRaceNeedsBothMustAndCusan) {
 
 TEST(TeaLeafAppTest, CountersShowDefaultStreamOnlyProfile) {
   const auto run = run_tealeaf(Flavor::kMustCusan, small_tealeaf());
-  const auto& c = run.results[0].cusan_counters;
-  EXPECT_EQ(c.streams_created, 1u);  // default stream only (paper Table I)
-  EXPECT_EQ(c.memsets, 3 * small_tealeaf().timesteps);
-  EXPECT_GT(c.kernel_launches, 0u);
-  EXPECT_GT(run.results[0].must_counters.request_fibers_created, 0u);
+  const auto c = [&](std::string_view name) { return obs::value_of(run.results[0].metrics, name); };
+  EXPECT_EQ(c("cusan.streams_created"), 1u);  // default stream only (paper Table I)
+  EXPECT_EQ(c("cusan.memsets"), 3 * small_tealeaf().timesteps);
+  EXPECT_GT(c("cusan.kernel_launches"), 0u);
+  EXPECT_GT(c("must.request_fibers_created"), 0u);
 }
 
 TEST(TeaLeafAppTest, SingleRankHasNoExchanges) {
   const auto run = run_tealeaf(Flavor::kMustCusan, small_tealeaf(), 1);
   EXPECT_EQ(capi::total_races(run.results), 0u);
-  EXPECT_EQ(run.results[0].must_counters.request_fibers_created, 0u);
+  EXPECT_EQ(obs::value_of(run.results[0].metrics, "must.request_fibers_created"), 0u);
 }
 
 // -- Stencil2D (2D decomposition, vector datatypes, dup'ed communicator) ---------
@@ -261,7 +260,7 @@ TEST(Stencil2DAppTest, VectorDatatypeHalosDoNotFalsePositive) {
   const auto run = run_stencil(Flavor::kMustCusan, small_stencil(2, 1));
   EXPECT_EQ(capi::total_races(run.results), 0u);
   // Non-blocking requests were modelled as fibers.
-  EXPECT_GT(run.results[0].must_counters.request_fibers_created, 0u);
+  EXPECT_GT(obs::value_of(run.results[0].metrics, "must.request_fibers_created"), 0u);
 }
 
 }  // namespace

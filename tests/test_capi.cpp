@@ -173,8 +173,8 @@ TEST(CapiMpiTest, WrappersInterceptWithMust) {
     }
     ASSERT_EQ(capi::mpi::barrier(env.comm), mpisim::MpiError::kSuccess);
   });
-  EXPECT_GE(results[0].must_counters.calls_intercepted, 2u);  // send + barrier
-  EXPECT_GE(results[1].must_counters.calls_intercepted, 2u);  // recv + barrier
+  EXPECT_GE(obs::value_of(results[0].metrics, "must.calls_intercepted"), 2u);  // send + barrier
+  EXPECT_GE(obs::value_of(results[1].metrics, "must.calls_intercepted"), 2u);  // recv + barrier
   EXPECT_EQ(capi::total_races(results), 0u);
 }
 
@@ -196,8 +196,8 @@ TEST(CapiMpiTest, IrecvComputeWaitRaceDetected) {
     }
     capi::cuda::unregister_host_buffer(buf.data());
   });
-  EXPECT_EQ(results[1].tsan_counters.races_detected, 1u);
-  EXPECT_EQ(results[0].tsan_counters.races_detected, 0u);
+  EXPECT_EQ(obs::value_of(results[1].metrics, "rsan.races_detected"), 1u);
+  EXPECT_EQ(obs::value_of(results[0].metrics, "rsan.races_detected"), 0u);
 }
 
 TEST(CapiMpiTest, TestLoopCompletesRequestCleanly) {
@@ -261,7 +261,7 @@ TEST(CapiMpiTest, SignatureMismatchReportedAtReceiver) {
   EXPECT_TRUE(results[0].must_reports.empty());
   ASSERT_EQ(results[1].must_reports.size(), 1u);
   EXPECT_EQ(results[1].must_reports[0].kind, must::ReportKind::kSignatureMismatch);
-  EXPECT_EQ(results[1].must_counters.signature_mismatches, 1u);
+  EXPECT_EQ(obs::value_of(results[1].metrics, "must.signature_mismatches"), 1u);
 }
 
 TEST(CapiMpiTest, SignatureMismatchThroughIrecvWait) {
@@ -318,8 +318,8 @@ TEST(CapiMemaccessTest, CheckedAccessorsWork) {
     double value = 1.0;
     capi::checked_store(&value, 2.0);
     EXPECT_EQ(capi::checked_load(&value), 2.0);
-    EXPECT_EQ(env.tools.tsan()->counters().plain_writes, 1u);
-    EXPECT_EQ(env.tools.tsan()->counters().plain_reads, 1u);
+    EXPECT_EQ(env.tools.metrics().value("rsan.plain_writes"), 1u);
+    EXPECT_EQ(env.tools.metrics().value("rsan.plain_reads"), 1u);
   });
 }
 
@@ -360,7 +360,7 @@ TEST(CapiMpiTest, GatherScatterWrappersAnnotate) {
     EXPECT_EQ(mine[0], static_cast<double>(env.rank()));  // round-tripped
   });
   EXPECT_EQ(capi::total_races(results), 0u);
-  EXPECT_GE(results[0].must_counters.calls_intercepted, 2u);
+  EXPECT_GE(obs::value_of(results[0].metrics, "must.calls_intercepted"), 2u);
 }
 
 TEST(CapiMpiTest, GatherOfUnsyncedDeviceBufferRaces) {
@@ -420,7 +420,7 @@ TEST(CapiMpiTest, ProbeWrapperCountsInterception) {
       EXPECT_EQ(v, 3);
     }
   });
-  EXPECT_GE(results[1].must_counters.calls_intercepted, 2u);  // probe + recv
+  EXPECT_GE(obs::value_of(results[1].metrics, "must.calls_intercepted"), 2u);  // probe + recv
 }
 
 TEST(CapiSessionTest, SuppressionsViaToolContext) {
@@ -435,7 +435,7 @@ TEST(CapiSessionTest, SuppressionsViaToolContext) {
     (void)capi::cuda::free(d);
   });
   EXPECT_EQ(capi::total_races(results), 0u);
-  EXPECT_EQ(results[0].tsan_counters.races_suppressed, 1u);
+  EXPECT_EQ(obs::value_of(results[0].metrics, "rsan.races_suppressed"), 1u);
 }
 
 TEST(CapiCudaTest, EventChainAcrossStreamsIsClean) {

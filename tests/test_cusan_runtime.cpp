@@ -15,7 +15,7 @@ using kir::AccessMode;
 
 class CusanRuntimeTest : public ::testing::Test {
  protected:
-  CusanRuntimeTest() : types(&db), cusan_rt(&tsan, &types) {
+  CusanRuntimeTest() : types(&db), cusan_rt(&tsan, &types, metrics) {
     cusan_rt.bind_device(&device);
     // A tracked device allocation used as the kernel buffer.
     (void)device.malloc_device(&d_buf, kBytes);
@@ -34,13 +34,14 @@ class CusanRuntimeTest : public ::testing::Test {
   void host_write() { tsan.write_range(d_buf, kBytes, "host write"); }
   void host_read() { tsan.read_range(d_buf, kBytes, "host read"); }
 
-  [[nodiscard]] std::uint64_t races() const { return tsan.counters().races_detected; }
+  [[nodiscard]] std::uint64_t races() const { return metrics.value("rsan.races_detected"); }
 
   static constexpr std::size_t kCount = 512;
   static constexpr std::size_t kBytes = kCount * sizeof(double);
 
   typeart::TypeDB db;
-  rsan::Runtime tsan;
+  obs::MetricsRegistry metrics;
+  rsan::Runtime tsan{metrics};
   typeart::Runtime types;
   cusim::Device device;
   cusan::Runtime cusan_rt;
@@ -253,7 +254,7 @@ TEST_F(CusanRuntimeTest, MemsetIsAsyncWriteOnDefaultStream) {
   cusan_rt.on_memset(d_buf, kBytes);
   host_read();  // no sync in between
   EXPECT_EQ(races(), 1u);
-  EXPECT_EQ(cusan_rt.counters().memsets, 1u);
+  EXPECT_EQ(metrics.value("cusan.memsets"), 1u);
 }
 
 TEST_F(CusanRuntimeTest, FreeResetsShadowState) {
@@ -267,21 +268,22 @@ TEST_F(CusanRuntimeTest, FreeResetsShadowState) {
 TEST_F(CusanRuntimeTest, AblationDisablesMemoryTrackingOnly) {
   cusan::Config config;
   config.track_memory_accesses = false;
-  cusan::Runtime quiet(&tsan, &types, config);
+  obs::MetricsRegistry quiet_metrics;
+  cusan::Runtime quiet(&tsan, &types, quiet_metrics, config);
   quiet.bind_device(&device);
   const KernelArgAccess arg{d_buf, AccessMode::kWrite};
   quiet.on_kernel_launch(device.default_stream(), "k", std::span(&arg, 1));
   host_read();
   EXPECT_EQ(races(), 0u);  // no annotations -> no detection (paper §V-B)
-  EXPECT_EQ(quiet.counters().kernel_launches, 1u);
-  EXPECT_GT(quiet.counters().hb_before, 0u);  // sync modelling still active
+  EXPECT_EQ(quiet_metrics.value("cusan.kernel_launches"), 1u);
+  EXPECT_GT(quiet_metrics.value("cusan.hb_before"), 0u);  // sync modelling still active
 }
 
 TEST_F(CusanRuntimeTest, UntrackedKernelArgCounted) {
   double untracked[4];
   const KernelArgAccess arg{untracked, AccessMode::kWrite};
   cusan_rt.on_kernel_launch(device.default_stream(), "k", std::span(&arg, 1));
-  EXPECT_EQ(cusan_rt.counters().unknown_kernel_args, 1u);
+  EXPECT_EQ(metrics.value("cusan.unknown_kernel_args"), 1u);
   EXPECT_EQ(races(), 0u);
 }
 
@@ -294,7 +296,7 @@ TEST_F(CusanRuntimeTest, WholeAllocationAnnotatedFromInteriorPointer) {
   cusan_rt.on_kernel_launch(device.default_stream(), "k", std::span(&arg, 1));
   tsan.read_range(d_buf, sizeof(double), "host reads allocation start");
   EXPECT_EQ(races(), 1u);
-  EXPECT_EQ(tsan.counters().write_range_bytes, kBytes);  // full extent
+  EXPECT_EQ(metrics.value("rsan.write_range_bytes"), kBytes);  // full extent
 }
 
 TEST_F(CusanRuntimeTest, CountersMatchCallStream) {
@@ -306,14 +308,14 @@ TEST_F(CusanRuntimeTest, CountersMatchCallStream) {
   cusan_rt.on_device_synchronize();
   std::array<double, kCount> h{};
   cusan_rt.on_memcpy(h.data(), d_buf, kBytes, cusim::MemcpyDir::kDeviceToHost);
-  const auto& c = cusan_rt.counters();
-  EXPECT_EQ(c.streams_created, 2u);  // user stream + default (lazy, via memcpy)
-  EXPECT_EQ(c.kernel_launches, 1u);
-  EXPECT_EQ(c.sync_calls, 2u);
-  EXPECT_EQ(c.memcpys, 1u);
+  // User stream + default (lazy, via memcpy).
+  EXPECT_EQ(metrics.value("cusan.streams_created"), 2u);
+  EXPECT_EQ(metrics.value("cusan.kernel_launches"), 1u);
+  EXPECT_EQ(metrics.value("cusan.sync_calls"), 2u);
+  EXPECT_EQ(metrics.value("cusan.memcpys"), 1u);
   // Kernel read+write annotations both happened.
-  EXPECT_EQ(tsan.counters().write_range_calls, 2u);  // kernel write + memcpy dst
-  EXPECT_EQ(tsan.counters().read_range_calls, 2u);   // kernel read + memcpy src
+  EXPECT_EQ(metrics.value("rsan.write_range_calls"), 2u);  // kernel write + memcpy dst
+  EXPECT_EQ(metrics.value("rsan.read_range_calls"), 2u);   // kernel read + memcpy src
 }
 
 TEST_F(CusanRuntimeTest, StreamDestroySynchronizesAndForgets) {

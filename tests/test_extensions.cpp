@@ -8,12 +8,15 @@
 #include <array>
 #include <atomic>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "capi/cuda.hpp"
 #include "capi/memaccess.hpp"
 #include "capi/mpi.hpp"
 #include "capi/session.hpp"
 #include "kir/registry.hpp"
+#include "obs/ring.hpp"
 #include "rsan/suppressions.hpp"
 
 namespace {
@@ -165,7 +168,8 @@ TEST(SuppressionTest, ParseTsanStyleFile) {
 }
 
 TEST(SuppressionTest, SuppressedRacesAreCountedSeparately) {
-  rsan::Runtime rt;
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt{metrics};
   rt.suppressions().add("kernel 'noisy'*");
   std::array<double, 64> buf{};
   const auto fiber = rt.create_fiber(rsan::CtxKind::kStreamFiber, "stream 1");
@@ -173,13 +177,14 @@ TEST(SuppressionTest, SuppressedRacesAreCountedSeparately) {
   rt.write_range(buf.data(), sizeof buf, "kernel 'noisy' arg 0 [write]");
   rt.switch_to_fiber(rt.host_ctx());
   rt.write_range(buf.data(), sizeof buf, "host write");
-  EXPECT_EQ(rt.counters().races_detected, 0u);
-  EXPECT_EQ(rt.counters().races_suppressed, 1u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metrics.value("rsan.races_suppressed"), 1u);
   EXPECT_TRUE(rt.reports().empty());
 }
 
 TEST(SuppressionTest, UnmatchedRacesStillReported) {
-  rsan::Runtime rt;
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt{metrics};
   rt.suppressions().add("totally-unrelated-*");
   std::array<double, 64> buf{};
   const auto fiber = rt.create_fiber(rsan::CtxKind::kStreamFiber, "stream 1");
@@ -187,12 +192,13 @@ TEST(SuppressionTest, UnmatchedRacesStillReported) {
   rt.write_range(buf.data(), sizeof buf, "kernel 'k' arg 0 [write]");
   rt.switch_to_fiber(rt.host_ctx());
   rt.write_range(buf.data(), sizeof buf, "host write");
-  EXPECT_EQ(rt.counters().races_detected, 1u);
-  EXPECT_EQ(rt.counters().races_suppressed, 0u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
+  EXPECT_EQ(metrics.value("rsan.races_suppressed"), 0u);
 }
 
 TEST(SuppressionTest, MatchesContextNameToo) {
-  rsan::Runtime rt;
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt{metrics};
   rt.suppressions().add("MPI request fiber*");
   std::array<double, 64> buf{};
   const auto fiber = rt.create_fiber(rsan::CtxKind::kMpiRequestFiber, "MPI request fiber 7");
@@ -200,7 +206,7 @@ TEST(SuppressionTest, MatchesContextNameToo) {
   rt.write_range(buf.data(), sizeof buf);
   rt.switch_to_fiber(rt.host_ctx());
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(rt.counters().races_suppressed, 1u);
+  EXPECT_EQ(metrics.value("rsan.races_suppressed"), 1u);
 }
 
 // -- cudaHostRegister / cudaHostUnregister -----------------------------------------
@@ -299,12 +305,12 @@ TEST(Memcpy2DTest, PitchHolesAreNotAnnotated) {
     // Host touches the second half of a device row (the pitch hole): no race
     // with the copy's read annotation.
     capi::annotate_host_writes(d + 4, 4 * sizeof(double), "hole write");
-    EXPECT_EQ(env.tools.tsan()->counters().races_detected, 0u);
+    EXPECT_EQ(env.tools.metrics().value("rsan.races_detected"), 0u);
     // Touching the copied block region does conflict... but the copy was
     // host-synchronous (D2H to pageable), so it is ordered. Verify the model
     // credited the sync: no race either.
     capi::annotate_host_writes(d, 4 * sizeof(double), "block write");
-    EXPECT_EQ(env.tools.tsan()->counters().races_detected, 0u);
+    EXPECT_EQ(env.tools.metrics().value("rsan.races_detected"), 0u);
     capi::cuda::unregister_host_buffer(host.data());
     (void)capi::cuda::free(d);
   });
@@ -375,7 +381,7 @@ TEST(HostFuncTest, ParticipatesInStreamOrderingForDetection) {
     capi::annotate_host_reads(d, 128 * sizeof(double), "host read");
     (void)capi::cuda::device_synchronize();
     (void)capi::cuda::free(d);
-    EXPECT_EQ(env.tools.cusan_rt()->counters().host_funcs, 1u);
+    EXPECT_EQ(env.tools.metrics().value("cusan.host_funcs"), 1u);
   });
   EXPECT_GE(capi::total_races(results), 1u);
 }
@@ -519,10 +525,10 @@ TEST(MallocAsyncTest, FreeAsyncOrdersAfterKernel) {
 // -- CuSan interception trace -----------------------------------------------------------------
 
 TEST(TraceTest, RecordsInterceptedCallsInOrder) {
-  capi::SessionConfig config = session_with(Flavor::kCusan);
-  config.tools.cusan_config.enable_trace = true;
-  std::vector<cusan::TraceEvent> events;
-  (void)capi::run_session(config, [&](RankEnv& env) {
+  // Every intercepted CUDA call is an instant on the rank's host track.
+  obs::reset_rings();
+  obs::set_tracing_enabled(true);
+  (void)capi::run_session(session_with(Flavor::kCusan), [&](RankEnv&) {
     double* d = nullptr;
     (void)capi::cuda::malloc_device(&d, 64);
     cusim::Stream* s = nullptr;
@@ -533,54 +539,18 @@ TEST(TraceTest, RecordsInterceptedCallsInOrder) {
     (void)capi::cuda::memcpy(d, d, 0, cusim::MemcpyDir::kDeviceToDevice);
     (void)capi::cuda::stream_destroy(s);
     (void)capi::cuda::free(d);
-    events = env.tools.cusan_rt()->trace().events();
   });
-  ASSERT_GE(events.size(), 6u);
-  EXPECT_EQ(events[0].kind, cusan::TraceKind::kStreamCreate);
-  EXPECT_EQ(events[1].kind, cusan::TraceKind::kKernelLaunch);
-  EXPECT_STREQ(events[1].detail, "ext_writer");
-  EXPECT_EQ(events[2].kind, cusan::TraceKind::kStreamSync);
-  EXPECT_EQ(events[3].kind, cusan::TraceKind::kMemcpy);
-  EXPECT_EQ(events[4].kind, cusan::TraceKind::kStreamDestroy);
-  EXPECT_EQ(events[5].kind, cusan::TraceKind::kFree);
-  // Sequence numbers are strictly increasing.
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_GT(events[i].seq, events[i - 1].seq);
+  obs::set_tracing_enabled(false);
+  std::vector<std::string> calls;
+  for (const obs::Event& event : obs::ring_for_rank(0).snapshot()) {
+    if (event.track == obs::kHostTrack && event.dur_ns == 0) {
+      calls.emplace_back(event.name);
+    }
   }
-}
-
-TEST(TraceTest, DisabledByDefault) {
-  (void)capi::run_session(session_with(Flavor::kCusan), [](RankEnv& env) {
-    double* d = nullptr;
-    (void)capi::cuda::malloc_device(&d, 64);
-    (void)capi::cuda::free(d);
-    EXPECT_EQ(env.tools.cusan_rt()->trace().size(), 0u);
-  });
-}
-
-TEST(TraceTest, JsonlExportIsWellFormedPerLine) {
-  cusan::Trace trace;
-  trace.record(cusan::TraceKind::kKernelLaunch, reinterpret_cast<void*>(0x10), nullptr, 0,
-               "jacobi_kernel");
-  trace.record(cusan::TraceKind::kMemcpy, nullptr, reinterpret_cast<void*>(0x20), 4096,
-               "cudaMemcpy");
-  trace.record(cusan::TraceKind::kDeviceSync);
-  const std::string jsonl = trace.to_jsonl();
-  // Three lines, each a braced object with the expected fields.
-  std::size_t lines = 0;
-  std::size_t pos = 0;
-  while ((pos = jsonl.find('\n', pos)) != std::string::npos) {
-    ++lines;
-    ++pos;
-  }
-  EXPECT_EQ(lines, 3u);
-  EXPECT_NE(jsonl.find(R"("kind":"kernel_launch")"), std::string::npos);
-  EXPECT_NE(jsonl.find(R"("detail":"jacobi_kernel")"), std::string::npos);
-  EXPECT_NE(jsonl.find(R"("bytes":4096)"), std::string::npos);
-  EXPECT_NE(jsonl.find(R"("stream":"0x10")"), std::string::npos);
-  EXPECT_NE(jsonl.find(R"("kind":"device_synchronize")"), std::string::npos);
-  EXPECT_NE(jsonl.find(R"("seq":0)"), std::string::npos);
-  EXPECT_NE(jsonl.find(R"("seq":2)"), std::string::npos);
+  obs::reset_rings();
+  const std::vector<std::string> expected{"stream_create", "ext_writer",     "stream_synchronize",
+                                          "cudaMemcpy",    "stream_destroy", "free"};
+  EXPECT_EQ(calls, expected);
 }
 
 // -- capi comm_dup wrapper ----------------------------------------------------------------------
@@ -601,7 +571,7 @@ TEST(CommDupWrapperTest, DupCommunicatorWorksUnderMust) {
               mpisim::MpiError::kSuccess);
   });
   EXPECT_EQ(capi::total_races(results), 0u);
-  EXPECT_GE(results[0].must_counters.calls_intercepted, 3u);
+  EXPECT_GE(obs::value_of(results[0].metrics, "must.calls_intercepted"), 3u);
 }
 
 // -- misc extension edges ------------------------------------------------------------------------
@@ -647,7 +617,7 @@ TEST(RequestLeakTest, LeakedRequestReportedAtFinalize) {
     ASSERT_EQ(result.must_reports.size(), 1u);
     EXPECT_EQ(result.must_reports[0].kind, must::ReportKind::kRequestLeak);
     EXPECT_EQ(result.must_reports[0].mpi_call, "MPI_Irecv");
-    EXPECT_EQ(result.must_counters.request_leaks, 1u);
+    EXPECT_EQ(obs::value_of(result.metrics, "must.request_leaks"), 1u);
   }
 }
 
@@ -662,7 +632,7 @@ TEST(RequestLeakTest, CompletedRequestsDoNotReport) {
   });
   for (const auto& result : results) {
     EXPECT_TRUE(result.must_reports.empty());
-    EXPECT_EQ(result.must_counters.request_leaks, 0u);
+    EXPECT_EQ(obs::value_of(result.metrics, "must.request_leaks"), 0u);
   }
 }
 

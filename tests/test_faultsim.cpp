@@ -258,7 +258,7 @@ TEST_F(FaultsimTest, AbortedKernelPublishesNoAnnotations) {
     (void)capi::cuda::device_synchronize();
     (void)capi::cuda::free(d);
   });
-  EXPECT_EQ(clean[0].cusan_counters.kernel_launches, 1u);
+  EXPECT_EQ(obs::value_of(clean[0].metrics, "cusan.kernel_launches"), 1u);
 
   Injector::instance().load(parse_ok("kernel#1=abort"));
   const auto faulted = capi::run_flavored(capi::Flavor::kMustCusan, 1, [](capi::RankEnv&) {
@@ -278,8 +278,8 @@ TEST_F(FaultsimTest, AbortedKernelPublishesNoAnnotations) {
   });
   // Soundness: no kernel annotations / HB edges were published for the
   // aborted launch.
-  EXPECT_EQ(faulted[0].cusan_counters.kernel_launches, 0u);
-  EXPECT_EQ(faulted[0].cusan_counters.kernel_annotation_calls, 0u);
+  EXPECT_EQ(obs::value_of(faulted[0].metrics, "cusan.kernel_launches"), 0u);
+  EXPECT_EQ(obs::value_of(faulted[0].metrics, "cusan.kernel_annotation_calls"), 0u);
   EXPECT_EQ(faulted[0].sticky_errors, 0u);  // the app drained the latch itself
   EXPECT_EQ(Injector::instance().unsurfaced_count(), 0u);
 }
@@ -312,8 +312,8 @@ TEST_F(FaultsimTest, ShadowCapDegradesInsteadOfAborting) {
     capi::annotate_host_writes(a.data(), sizeof a, "a");
     capi::annotate_host_writes(b.data(), sizeof b, "b");
   });
-  EXPECT_GT(results[0].tsan_counters.degraded_blocks, 0u);
-  EXPECT_GT(results[0].tsan_counters.degraded_accesses, 0u);
+  EXPECT_GT(obs::value_of(results[0].metrics, "rsan.degraded_blocks"), 0u);
+  EXPECT_GT(obs::value_of(results[0].metrics, "rsan.degraded_accesses"), 0u);
   EXPECT_EQ(results[0].races.size(), 0u);
 }
 

@@ -19,7 +19,7 @@ class MustRuntimeTest : public ::testing::Test {
  protected:
   MustRuntimeTest() : types(&db) {}
 
-  Runtime make(Config config = {}) { return Runtime(&tsan, &types, config); }
+  Runtime make(Config config = {}) { return Runtime(&tsan, &types, metrics, config); }
 
   // A fake request handle: MUST only uses the pointer as a key.
   [[nodiscard]] const mpisim::Request* fake_request(int i) const {
@@ -27,7 +27,8 @@ class MustRuntimeTest : public ::testing::Test {
   }
 
   typeart::TypeDB db;
-  rsan::Runtime tsan;
+  obs::MetricsRegistry metrics;
+  rsan::Runtime tsan{metrics};
   typeart::Runtime types;
   std::array<double, 256> buf{};
 };
@@ -37,7 +38,7 @@ TEST_F(MustRuntimeTest, IrecvWithoutWaitRacesWithHostAccess) {
   must.on_irecv(buf.data(), buf.size(), Datatype::float64(), fake_request(1));
   // Host touches the buffer before completing the request (paper Fig. 1).
   tsan.write_range(buf.data(), sizeof buf, "compute(buf)");
-  EXPECT_EQ(tsan.counters().races_detected, 1u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
 }
 
 TEST_F(MustRuntimeTest, WaitEndsTheConcurrentRegion) {
@@ -45,28 +46,28 @@ TEST_F(MustRuntimeTest, WaitEndsTheConcurrentRegion) {
   must.on_irecv(buf.data(), buf.size(), Datatype::float64(), fake_request(1));
   must.on_complete(fake_request(1));
   tsan.write_range(buf.data(), sizeof buf, "compute(buf)");
-  EXPECT_EQ(tsan.counters().races_detected, 0u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
 }
 
 TEST_F(MustRuntimeTest, IsendReadRacesWithHostWrite) {
   Runtime must = make();
   must.on_isend(buf.data(), buf.size(), Datatype::float64(), fake_request(1));
   tsan.write_range(buf.data(), sizeof buf, "overwrite send buffer");
-  EXPECT_EQ(tsan.counters().races_detected, 1u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
 }
 
 TEST_F(MustRuntimeTest, IsendReadDoesNotRaceWithHostRead) {
   Runtime must = make();
   must.on_isend(buf.data(), buf.size(), Datatype::float64(), fake_request(1));
   tsan.read_range(buf.data(), sizeof buf, "host read");
-  EXPECT_EQ(tsan.counters().races_detected, 0u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
 }
 
 TEST_F(MustRuntimeTest, HostWritesBeforeIsendAreOrdered) {
   Runtime must = make();
   tsan.write_range(buf.data(), sizeof buf, "prepare buffer");
   must.on_isend(buf.data(), buf.size(), Datatype::float64(), fake_request(1));
-  EXPECT_EQ(tsan.counters().races_detected, 0u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
 }
 
 TEST_F(MustRuntimeTest, TwoConcurrentRequestsOnDisjointBuffersDoNotRace) {
@@ -76,8 +77,8 @@ TEST_F(MustRuntimeTest, TwoConcurrentRequestsOnDisjointBuffersDoNotRace) {
   must.on_complete(fake_request(1));
   must.on_complete(fake_request(2));
   tsan.write_range(buf.data(), sizeof buf, "after both");
-  EXPECT_EQ(tsan.counters().races_detected, 0u);
-  EXPECT_EQ(must.counters().request_fibers_created, 2u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metrics.value("must.request_fibers_created"), 2u);
 }
 
 TEST_F(MustRuntimeTest, OverlappingConcurrentRequestsRace) {
@@ -86,7 +87,7 @@ TEST_F(MustRuntimeTest, OverlappingConcurrentRequestsRace) {
   Runtime must = make();
   must.on_irecv(buf.data(), buf.size(), Datatype::float64(), fake_request(1));
   must.on_irecv(buf.data(), buf.size(), Datatype::float64(), fake_request(2));
-  EXPECT_EQ(tsan.counters().races_detected, 1u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
 }
 
 TEST_F(MustRuntimeTest, FibersArePooledAfterCompletion) {
@@ -95,9 +96,9 @@ TEST_F(MustRuntimeTest, FibersArePooledAfterCompletion) {
     must.on_irecv(buf.data(), buf.size(), Datatype::float64(), fake_request(i));
     must.on_complete(fake_request(i));
   }
-  EXPECT_EQ(must.counters().request_fibers_created, 1u);
-  EXPECT_EQ(must.counters().request_fibers_reused, 9u);
-  EXPECT_EQ(tsan.counters().races_detected, 0u);  // sequentialized via wait
+  EXPECT_EQ(metrics.value("must.request_fibers_created"), 1u);
+  EXPECT_EQ(metrics.value("must.request_fibers_reused"), 9u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);  // sequentialized via wait
 }
 
 TEST_F(MustRuntimeTest, BlockingCallsAnnotateOnHost) {
@@ -105,10 +106,10 @@ TEST_F(MustRuntimeTest, BlockingCallsAnnotateOnHost) {
   must.on_send(buf.data(), buf.size(), Datatype::float64());
   must.on_recv(buf.data(), buf.size(), Datatype::float64());
   // Host-context annotations: no fibers involved.
-  EXPECT_EQ(must.counters().request_fibers_created, 0u);
-  EXPECT_EQ(tsan.counters().read_range_calls, 1u);
-  EXPECT_EQ(tsan.counters().write_range_calls, 1u);
-  EXPECT_EQ(tsan.counters().races_detected, 0u);
+  EXPECT_EQ(metrics.value("must.request_fibers_created"), 0u);
+  EXPECT_EQ(metrics.value("rsan.read_range_calls"), 1u);
+  EXPECT_EQ(metrics.value("rsan.write_range_calls"), 1u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
 }
 
 TEST_F(MustRuntimeTest, NonContiguousTypeAnnotatesOnlyTouchedBytes) {
@@ -118,10 +119,10 @@ TEST_F(MustRuntimeTest, NonContiguousTypeAnnotatesOnlyTouchedBytes) {
   must.on_irecv(buf.data(), 1, col, fake_request(1));
   // Host writes a hole: must NOT race.
   tsan.write_range(&buf[1], sizeof(double), "hole access");
-  EXPECT_EQ(tsan.counters().races_detected, 0u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
   // Host writes a touched block: races.
   tsan.write_range(&buf[2], sizeof(double), "block access");
-  EXPECT_EQ(tsan.counters().races_detected, 1u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
   must.on_complete(fake_request(1));
 }
 
@@ -131,7 +132,7 @@ TEST_F(MustRuntimeTest, RaceCheckDisabledByConfig) {
   Runtime must = make(config);
   must.on_irecv(buf.data(), buf.size(), Datatype::float64(), fake_request(1));
   tsan.write_range(buf.data(), sizeof buf, "host");
-  EXPECT_EQ(tsan.counters().races_detected, 0u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
   must.on_complete(fake_request(1));  // harmless without tracking
 }
 
@@ -145,8 +146,8 @@ TEST_F(MustRuntimeTest, CollectiveAnnotations) {
   must.on_allreduce(send.data(), recv.data(), 16, Datatype::float64());
   must.on_allgather(send.data(), 16, Datatype::float64(), recv.data(), 4);
   must.on_barrier();
-  EXPECT_EQ(must.counters().calls_intercepted, 6u);
-  EXPECT_EQ(tsan.counters().races_detected, 0u);
+  EXPECT_EQ(metrics.value("must.calls_intercepted"), 6u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
 }
 
 // -- TypeART-backed datatype checks -----------------------------------------------
@@ -167,8 +168,8 @@ class MustTypeCheckTest : public MustRuntimeTest {
 TEST_F(MustTypeCheckTest, MatchingTypePasses) {
   Runtime must = make(type_config());
   must.on_send(buf.data(), buf.size(), Datatype::float64());
-  EXPECT_EQ(must.counters().type_checks, 1u);
-  EXPECT_EQ(must.counters().type_errors, 0u);
+  EXPECT_EQ(metrics.value("must.type_checks"), 1u);
+  EXPECT_EQ(metrics.value("must.type_errors"), 0u);
   EXPECT_TRUE(must.reports().empty());
 }
 
@@ -184,7 +185,7 @@ TEST_F(MustTypeCheckTest, TypeMismatchReported) {
 TEST_F(MustTypeCheckTest, MpiByteMatchesAnything) {
   Runtime must = make(type_config());
   must.on_send(buf.data(), sizeof buf, Datatype::byte());
-  EXPECT_EQ(must.counters().type_errors, 0u);
+  EXPECT_EQ(metrics.value("must.type_errors"), 0u);
 }
 
 TEST_F(MustTypeCheckTest, CountOverflowReported) {
@@ -245,7 +246,7 @@ TEST_F(MustTypeCheckTest, StructLayoutCompatibility) {
 TEST_F(MustTypeCheckTest, ZeroCountSkipsChecks) {
   Runtime must = make(type_config());
   must.on_send(buf.data(), 0, Datatype::float64());
-  EXPECT_EQ(must.counters().type_checks, 0u);
+  EXPECT_EQ(metrics.value("must.type_checks"), 0u);
 }
 
 // -- Deadlock report relay --------------------------------------------------------
@@ -268,21 +269,21 @@ TEST_F(MustRuntimeTest, DeadlockReportRelayedOnce) {
   // per-rank table in the detail text.
   EXPECT_EQ(must.reports()[0].mpi_call, "MPI_Recv");
   EXPECT_NE(must.reports()[0].detail.find("rank 0"), std::string::npos);
-  EXPECT_EQ(must.counters().deadlocks_reported, 1u);
+  EXPECT_EQ(metrics.value("must.deadlocks_reported"), 1u);
 
   // A poisoned communicator returns kDeadlock from every further call; the
   // relay must not multiply reports.
   must.on_deadlock(0, report);
   must.on_deadlock(0, report);
   EXPECT_EQ(must.reports().size(), 1u);
-  EXPECT_EQ(must.counters().deadlocks_reported, 1u);
+  EXPECT_EQ(metrics.value("must.deadlocks_reported"), 1u);
 }
 
 TEST_F(MustRuntimeTest, DeadlockRelayIgnoresEmptyReports) {
   Runtime must = make();
   must.on_deadlock(0, mpisim::DeadlockReport{});
   EXPECT_TRUE(must.reports().empty());
-  EXPECT_EQ(must.counters().deadlocks_reported, 0u);
+  EXPECT_EQ(metrics.value("must.deadlocks_reported"), 0u);
 }
 
 TEST_F(MustRuntimeTest, DeadlockOfAnotherRankStillReported) {

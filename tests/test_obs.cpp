@@ -1,6 +1,6 @@
 // Tests for the observability substrate: event rings (seqlock discipline,
 // wraparound drop accounting), the metrics registry (snapshot/diff/JSON,
-// equality with the legacy per-subsystem counters structs), the diagnostics
+// rank counts added exactly once on both MPI backends), the diagnostics
 // hub, the JSON linter, and the Perfetto exporter — including a byte-stable
 // golden-file render under the virtual clock and an end-to-end schema check
 // of a real traced session.
@@ -10,7 +10,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <string>
 
@@ -18,8 +17,8 @@
 #include "capi/mpi.hpp"
 #include "capi/session.hpp"
 #include "faultsim/injector.hpp"
-#include "mpisim/counters.hpp"
 #include "mpisim/request.hpp"
+#include "mpisim/world.hpp"
 #include "obs/diagnostics.hpp"
 #include "obs/jsonlint.hpp"
 #include "obs/metrics.hpp"
@@ -384,44 +383,46 @@ TEST_F(ObsSessionTest, TracedSessionExportsSchemaValidChromeTrace) {
   EXPECT_NE(rendered.find("\"MPI_Irecv\""), std::string::npos);
 }
 
-TEST_F(ObsSessionTest, RegistryDeltaMatchesLegacyCounterStructs) {
+/// Each rank's tool counts reach the calling thread's registry exactly once:
+/// for every rsan.*, cusan.* and must.* name the registry delta is the sum
+/// over ranks of RankResult::metrics. On the proc backend the counts travel
+/// inside the child's metric deltas, so the parent must not add them twice.
+void expect_rank_counts_added_once(mpisim::Backend backend) {
+  const mpisim::ScopedBackend scoped(backend);
   const auto before = obs::MetricsRegistry::instance().snapshot();
-  const auto contention_before = mpisim::contention_snapshot();
   const auto results = capi::run_flavored(capi::Flavor::kMustCusan, 2, session_body);
   const auto delta =
       obs::MetricsRegistry::diff(obs::MetricsRegistry::instance().snapshot(), before);
-  const auto contention =
-      mpisim::contention_delta(contention_before, mpisim::contention_snapshot());
 
-  // Sum the per-rank legacy structs through the same enumeration that feeds
-  // the registry; the registry delta must agree exactly.
-  std::map<std::string, std::uint64_t> expected;
+  obs::MetricsSnapshot expected;
   for (const auto& result : results) {
-    cusan::for_each_counter(result.cusan_counters, [&](const char* name, std::uint64_t value) {
-      expected[std::string("cusan.") + name] += value;
-    });
-    rsan::for_each_counter(result.tsan_counters, [&](const char* name, std::uint64_t value) {
-      expected[std::string("rsan.") + name] += value;
-    });
-    must::for_each_counter(result.must_counters, [&](const char* name, std::uint64_t value) {
-      expected[std::string("must.") + name] += value;
-    });
-  }
-  ASSERT_GT(expected["cusan.memcpys"], 0u);
-  ASSERT_GT(expected["must.calls_intercepted"], 0u);
-  for (const auto& [name, value] : expected) {
-    if (value == 0) {
-      continue;
+    for (const auto& [name, value] : result.metrics) {
+      expected[name] += value;
     }
-    const auto it = delta.find(name);
-    ASSERT_NE(it, delta.end()) << name;
-    EXPECT_EQ(it->second, value) << name;
   }
+  ASSERT_GT(obs::value_of(expected, "cusan.memcpys"), 0u);
+  ASSERT_GT(obs::value_of(expected, "must.calls_intercepted"), 0u);
+  ASSERT_GT(obs::value_of(expected, "rsan.write_range_bytes"), 0u);
+  const auto is_tool_metric = [](const std::string& name) {
+    return name.starts_with("rsan.") || name.starts_with("cusan.") || name.starts_with("must.");
+  };
+  for (const auto& [name, value] : expected) {
+    EXPECT_TRUE(is_tool_metric(name)) << name;
+    EXPECT_EQ(obs::value_of(delta, name), value) << name;
+  }
+  for (const auto& [name, value] : delta) {
+    if (is_tool_metric(name)) {
+      EXPECT_EQ(value, obs::value_of(expected, name)) << name;
+    }
+  }
+}
 
-  // The mpisim contention surface reads through the same registry counters.
-  EXPECT_EQ(delta.at("mpisim.mailbox_locks"), contention.mailbox_locks);
-  EXPECT_EQ(delta.at("mpisim.wakeups_delivered"), contention.wakeups_delivered);
-  EXPECT_GT(contention.mailbox_locks, 0u);
+TEST_F(ObsSessionTest, RankCountsAddedOnceOnThreadBackend) {
+  expect_rank_counts_added_once(mpisim::Backend::kThread);
+}
+
+TEST_F(ObsSessionTest, RankCountsAddedOnceOnProcBackend) {
+  expect_rank_counts_added_once(mpisim::Backend::kProc);
 }
 
 TEST_F(ObsSessionTest, FaultLedgerProviderAppearsInSnapshots) {

@@ -20,10 +20,12 @@
 #include <vector>
 
 #include "capi/result_serde.hpp"
+#include "capi/session.hpp"
 #include "faultsim/injector.hpp"
 #include "faultsim/plan.hpp"
 #include "mpisim/datatype.hpp"
 #include "mpisim/failure.hpp"
+#include "mpisim/proc_comm.hpp"
 #include "mpisim/shm.hpp"
 #include "mpisim/shm_ring.hpp"
 #include "mpisim/world.hpp"
@@ -221,6 +223,41 @@ TEST(ProcWorldTest, PingPongAndAllreduce) {
   expect_no_stale_segments("after clean proc world");
 }
 
+TEST(ProcWorldTest, MessageAboveEagerLimitTakesRendezvousBitExact) {
+  // One payload past the eager limit of a 2-rank world must take the
+  // rendezvous path and arrive bit-exact. The ranks are processes, so the
+  // receiver reports a match through a metric that travels home in the
+  // session's metric deltas.
+  const ScopedBackend scoped(Backend::kProc);
+  const std::size_t bytes =
+      mpisim::proc::default_eager_max(mpisim::proc::default_ring_bytes(2)) + 4096;
+  const std::size_t count = bytes / sizeof(std::uint64_t);
+  const auto pattern = [](std::size_t i) { return i * 0x9e3779b97f4a7c15ULL; };
+  const auto before = obs::MetricsRegistry::instance().snapshot();
+  (void)capi::run_flavored(capi::Flavor::kVanilla, 2, [&](capi::RankEnv& env) {
+    std::vector<std::uint64_t> buf(count);
+    if (env.rank() == 0) {
+      for (std::size_t i = 0; i < count; ++i) {
+        buf[i] = pattern(i);
+      }
+      (void)env.comm.send(buf.data(), count, Datatype::uint64(), 1, 4);
+    } else {
+      Status st;
+      bool same = env.comm.recv(buf.data(), count, Datatype::uint64(), 0, 4, &st) ==
+                  MpiError::kSuccess;
+      for (std::size_t i = 0; same && i < count; ++i) {
+        same = buf[i] == pattern(i);
+      }
+      obs::metric("test_procsim.rendezvous_bit_exact").add(same ? 1 : 0);
+    }
+  });
+  const auto delta =
+      obs::MetricsRegistry::diff(obs::MetricsRegistry::instance().snapshot(), before);
+  EXPECT_EQ(obs::value_of(delta, "mpisim.proc.rendezvous_msgs"), 1u);
+  EXPECT_EQ(obs::value_of(delta, "test_procsim.rendezvous_bit_exact"), 1u);
+  expect_no_stale_segments("after rendezvous message");
+}
+
 // ---------------------------------------------------------------------------
 // Crash containment: rank_kill x {sigkill, sigabrt, hang}
 // ---------------------------------------------------------------------------
@@ -376,6 +413,7 @@ TEST(ResultSerdeTest, RoundTripsAllPayloadFields) {
   in.result.races.push_back(race);
   in.result.must_reports.push_back(
       must::MustReport{must::ReportKind::kRankFailure, "MPI (poisoned)", "rank 1 died"});
+  in.result.metrics["rsan.races_detected"] = 1;
   in.result.shadow_bytes = 4096;
   in.result.sticky_errors = 2;
   in.metric_deltas["mpisim.proc.eager_msgs"] = 17;
@@ -396,6 +434,7 @@ TEST(ResultSerdeTest, RoundTripsAllPayloadFields) {
   ASSERT_EQ(out.result.must_reports.size(), 1u);
   EXPECT_EQ(out.result.must_reports[0].kind, must::ReportKind::kRankFailure);
   EXPECT_EQ(out.result.must_reports[0].detail, "rank 1 died");
+  EXPECT_EQ(out.result.metrics, in.result.metrics);
   EXPECT_EQ(out.result.shadow_bytes, 4096u);
   EXPECT_EQ(out.result.sticky_errors, 2u);
   EXPECT_EQ(out.metric_deltas.at("mpisim.proc.eager_msgs"), 17u);

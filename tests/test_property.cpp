@@ -75,7 +75,8 @@ TEST_P(RsanOracleP, DetectorMatchesReachabilityOracle) {
 
   rsan::RuntimeConfig config;
   config.report_limit = 4096;
-  rsan::Runtime rt(config);
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt(metrics, config);
 
   // Context 0 is the host; create the fibers.
   std::vector<rsan::CtxId> ctx_ids{rt.host_ctx()};

@@ -195,11 +195,16 @@ TEST(IntervalCapTest, OverlapsSweepAndTop) {
 // ============================ 3. launch-time elision ============================
 
 /// One rank's tool stack driven directly (no session), mirroring
-/// CusanRuntimeTest but with full kernel-registry argument attributes.
+/// CusanRuntimeTest but with full kernel-registry argument attributes. It
+/// counts into its own registry unless given one to share.
 class ProveElideRuntime {
  public:
-  explicit ProveElideRuntime(cusan::Config config, bool fast_shadow = true)
-      : tsan(make_rsan(fast_shadow)), types(&db), cusan_rt(&tsan, &types, config) {
+  explicit ProveElideRuntime(cusan::Config config, bool fast_shadow = true,
+                             obs::MetricsRegistry* shared_metrics = nullptr)
+      : metrics(shared_metrics != nullptr ? *shared_metrics : own_metrics),
+        tsan(metrics, make_rsan(fast_shadow)),
+        types(&db),
+        cusan_rt(&tsan, &types, metrics, config) {
     cusan_rt.bind_device(&device);
   }
 
@@ -223,7 +228,7 @@ class ProveElideRuntime {
     cusan_rt.on_kernel_launch(stream, info.fn->name().c_str(), args);
   }
 
-  [[nodiscard]] std::uint64_t races() const { return tsan.counters().races_detected; }
+  [[nodiscard]] std::uint64_t races() const { return metrics.value("rsan.races_detected"); }
 
   static rsan::RuntimeConfig make_rsan(bool fast) {
     rsan::RuntimeConfig c;
@@ -231,6 +236,8 @@ class ProveElideRuntime {
     return c;
   }
 
+  obs::MetricsRegistry own_metrics;
+  obs::MetricsRegistry& metrics;
   typeart::TypeDB db;
   rsan::Runtime tsan;
   typeart::Runtime types;
@@ -275,9 +282,9 @@ TEST(ProveElideRuntimeTest, ProvenKernelWritesNoShadow) {
 
   const std::array<const void*, 1> ptrs{buf};
   rt.launch(*k.info, rt.device.default_stream(), ptrs);
-  EXPECT_EQ(rt.cusan_rt.counters().proof_elided_launches, 1u);
-  EXPECT_EQ(rt.cusan_rt.counters().proof_elided_args, 1u);
-  EXPECT_EQ(rt.cusan_rt.counters().proof_elided_bytes, kBytes);
+  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_launches"), 1u);
+  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_args"), 1u);
+  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_bytes"), kBytes);
   // The elided argument never materializes shadow cells.
   EXPECT_EQ(rt.tsan.shadow_resident_bytes(), 0u);
   EXPECT_EQ(rt.tsan.proven_region_count(), 1u);
@@ -290,7 +297,7 @@ TEST(ProveElideRuntimeTest, OffModeKeepsTrackedPath) {
   ProvenKernel k(kCount);
   const std::array<const void*, 1> ptrs{buf};
   rt.launch(*k.info, rt.device.default_stream(), ptrs);
-  EXPECT_EQ(rt.cusan_rt.counters().proof_elided_launches, 0u);
+  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_launches"), 0u);
   EXPECT_GT(rt.tsan.shadow_resident_bytes(), 0u);
 }
 
@@ -305,7 +312,7 @@ TEST(ProveElideRuntimeTest, WholeRangeModeDisablesElision) {
   ProvenKernel k(kCount);
   const std::array<const void*, 1> ptrs{buf};
   rt.launch(*k.info, rt.device.default_stream(), ptrs);
-  EXPECT_EQ(rt.cusan_rt.counters().proof_elided_args, 0u);
+  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_args"), 0u);
   EXPECT_GT(rt.tsan.shadow_resident_bytes(), 0u);
 }
 
@@ -322,8 +329,8 @@ TEST(ProveElideRuntimeTest, RacyKernelIsNeverElided) {
 
   const std::array<const void*, 1> ptrs{buf};
   rt.launch(*info, rt.device.default_stream(), ptrs);
-  EXPECT_EQ(rt.cusan_rt.counters().proof_elided_args, 0u);
-  EXPECT_EQ(rt.cusan_rt.counters().proof_elided_launches, 0u);
+  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_args"), 0u);
+  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_launches"), 0u);
 }
 
 TEST(ProveElideRuntimeTest, AliasedArgumentsVoidTheProof) {
@@ -343,8 +350,8 @@ TEST(ProveElideRuntimeTest, AliasedArgumentsVoidTheProof) {
 
   const std::array<const void*, 2> ptrs{buf, buf};
   rt.launch(*info, rt.device.default_stream(), ptrs);
-  EXPECT_GE(rt.cusan_rt.counters().proof_alias_rejects, 1u);
-  EXPECT_EQ(rt.cusan_rt.counters().proof_elided_args, 0u);
+  EXPECT_GE(rt.metrics.value("cusan.proof_alias_rejects"), 1u);
+  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_args"), 0u);
 }
 
 TEST(ProveElideRuntimeTest, ElidedLaunchStillDetectsHostRace) {
@@ -385,16 +392,16 @@ TEST(ProveElideRuntimeTest, MemoSkipsRepeatLaunchesWithZeroShadowWork) {
   const std::array<const void*, 1> ptrs{buf};
   rt.launch(*k.info, rt.device.default_stream(), ptrs);
 
-  const std::uint64_t scans_after_first = rt.tsan.counters().proven_scan_blocks;
+  const std::uint64_t scans_after_first = rt.metrics.value("rsan.proven_scan_blocks");
   constexpr std::uint64_t kRepeats = 50;
   for (std::uint64_t i = 0; i < kRepeats; ++i) {
     rt.launch(*k.info, rt.device.default_stream(), ptrs);
   }
-  EXPECT_EQ(rt.cusan_rt.counters().proof_fast_launches, kRepeats);
-  EXPECT_EQ(rt.cusan_rt.counters().proof_elided_launches, kRepeats + 1);
+  EXPECT_EQ(rt.metrics.value("cusan.proof_fast_launches"), kRepeats);
+  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_launches"), kRepeats + 1);
   // Zero shadow-table loads on the memo path: the check-only scan counter is
   // flat and no shadow blocks were ever materialized for the buffer.
-  EXPECT_EQ(rt.tsan.counters().proven_scan_blocks, scans_after_first);
+  EXPECT_EQ(rt.metrics.value("rsan.proven_scan_blocks"), scans_after_first);
   EXPECT_EQ(rt.tsan.shadow_resident_bytes(), 0u);
   EXPECT_EQ(rt.races(), 0u);
 }
@@ -411,8 +418,8 @@ TEST(ProveElideRuntimeTest, HostActivityDeniesTheMemo) {
   rt.cusan_rt.on_device_synchronize();
   rt.tsan.write_range(buf, kBytes, "host write");  // ordered, but bumps gen
   rt.launch(*k.info, rt.device.default_stream(), ptrs);
-  EXPECT_EQ(rt.cusan_rt.counters().proof_fast_launches, 0u);
-  EXPECT_EQ(rt.cusan_rt.counters().proof_elided_launches, 2u);
+  EXPECT_EQ(rt.metrics.value("cusan.proof_fast_launches"), 0u);
+  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_launches"), 2u);
   EXPECT_EQ(rt.races(), 0u);
 }
 
@@ -433,8 +440,46 @@ TEST(ProveElideRuntimeTest, CrossStreamOverlapDeniesTheMemo) {
   rt.launch(*k.info, sa, ptrs);  // checked; memo armed for stream A
   rt.launch(*k.info, sb, ptrs);  // checked; in-flight entry for fiber B
   rt.launch(*k.info, sa, ptrs);  // memo denied: B's write footprint overlaps
-  EXPECT_GE(rt.cusan_rt.counters().proof_cross_stream_overlaps, 1u);
-  EXPECT_EQ(rt.cusan_rt.counters().proof_fast_launches, 0u);
+  EXPECT_GE(rt.metrics.value("cusan.proof_cross_stream_overlaps"), 1u);
+  EXPECT_EQ(rt.metrics.value("cusan.proof_fast_launches"), 0u);
+}
+
+TEST(ProveElideRuntimeTest, AnotherStacksProvenLaunchesNeverApproveTheMemo) {
+  // Two ranks' stacks count into one registry. Stack B's proven launch bumps
+  // the shared rsan.proven_range_calls metric by one, exactly balancing the
+  // shadow tick of stack A's own tracked store. A memo that read the metric
+  // would skip A's next check and miss the seeded race; A's memo reads its
+  // own runtime's proven_range_calls() instead.
+  obs::MetricsRegistry shared;
+  ProveElideRuntime a(elide_config(cusan::ProveElide::kFull), true, &shared);
+  ProveElideRuntime b(elide_config(cusan::ProveElide::kFull), true, &shared);
+  void* buf_a = a.alloc(kCount);
+  void* buf_b = b.alloc(kCount);
+  ProvenKernel k(kCount);
+  cusim::Stream* sa = nullptr;
+  cusim::Stream* sb = nullptr;
+  cusim::Event* done = nullptr;
+  (void)a.device.stream_create(&sa, cusim::StreamFlags::kNonBlocking);
+  (void)a.device.stream_create(&sb, cusim::StreamFlags::kNonBlocking);
+  (void)a.device.event_create(&done);
+  a.cusan_rt.on_stream_create(sa);
+  a.cusan_rt.on_stream_create(sb);
+  a.cusan_rt.on_event_create(done);
+  const std::array<const void*, 1> ptrs_a{buf_a};
+  a.launch(*k.info, sa, ptrs_a);  // checked; memo armed for stream A
+  // Stream B writes the buffer after the kernel (event wait), so the store
+  // itself is clean, but stream A's next launch is unordered with it.
+  a.cusan_rt.on_event_record(done, sa);
+  a.cusan_rt.on_stream_wait_event(sb, done);
+  a.cusan_rt.on_memset_async(buf_a, kBytes, sb);
+  ASSERT_TRUE(a.tsan.reports().empty());
+
+  const std::array<const void*, 1> ptrs_b{buf_b};
+  b.launch(*k.info, b.device.default_stream(), ptrs_b);  // one proven publish
+  a.launch(*k.info, sa, ptrs_a);  // must re-check and find the race
+  EXPECT_EQ(shared.value("cusan.proof_fast_launches"), 0u);
+  EXPECT_EQ(a.tsan.reports().size(), 1u);
+  EXPECT_TRUE(b.tsan.reports().empty());
 }
 
 // ====================== 4. differential property (oracle) ======================
@@ -556,8 +601,8 @@ ReplayResult replay_schedule(std::uint64_t seed, cusan::ProveElide mode, bool fa
         break;
     }
   }
-  return ReplayResult{rt.races(), rt.cusan_rt.counters().proof_elided_args,
-                      rt.tsan.counters().slot_evictions};
+  return ReplayResult{rt.races(), rt.metrics.value("cusan.proof_elided_args"),
+                      rt.metrics.value("rsan.slot_evictions")};
 }
 
 class ProveElideDifferentialP : public ::testing::TestWithParam<std::uint64_t> {};

@@ -193,8 +193,10 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided) {
   fast_config.report_limit = kReportLimit;
   rsan::RuntimeConfig slow_config = fast_config;
   slow_config.use_shadow_fast_path = false;
-  rsan::Runtime fast(fast_config);
-  rsan::Runtime slow(slow_config);
+  obs::MetricsRegistry fast_metrics;
+  rsan::Runtime fast(fast_metrics, fast_config);
+  obs::MetricsRegistry slow_metrics;
+  rsan::Runtime slow(slow_metrics, slow_config);
   NaiveDetector naive(contexts);
 
   std::vector<CtxId> fast_ids{fast.host_ctx()};
@@ -217,8 +219,8 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided) {
     fast.switch_to_fiber(fast_ids[static_cast<std::size_t>(ctx)]);
     slow.switch_to_fiber(slow_ids[static_cast<std::size_t>(ctx)]);
     naive.switch_to(static_cast<CtxId>(ctx));
-    const std::uint64_t fast_before = fast.counters().races_detected;
-    const std::uint64_t slow_before = slow.counters().races_detected;
+    const std::uint64_t fast_before = fast_metrics.value("rsan.races_detected");
+    const std::uint64_t slow_before = slow_metrics.value("rsan.races_detected");
     const auto* ptr = reinterpret_cast<const void*>(addr);
     if (is_write) {
       fast.write_range(ptr, size, "w");
@@ -228,8 +230,8 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided) {
       slow.read_range(ptr, size, "r");
     }
     const bool naive_raced = naive.access(addr, size, is_write);
-    const bool fast_raced = fast.counters().races_detected != fast_before;
-    const bool slow_raced = slow.counters().races_detected != slow_before;
+    const bool fast_raced = fast_metrics.value("rsan.races_detected") != fast_before;
+    const bool slow_raced = slow_metrics.value("rsan.races_detected") != slow_before;
     ASSERT_EQ(fast_raced, slow_raced)
         << "fast/slow verdict diverged: seed " << seed << " addr " << (addr - base) << " size "
         << size << (is_write ? " write" : " read");
@@ -288,8 +290,9 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided) {
   }
 
   // Final race totals and report lists: fast == slow == naive.
-  EXPECT_EQ(fast.counters().races_detected, slow.counters().races_detected) << "seed " << seed;
-  EXPECT_EQ(fast.counters().races_detected, naive.races()) << "seed " << seed;
+  EXPECT_EQ(fast_metrics.value("rsan.races_detected"), slow_metrics.value("rsan.races_detected"))
+      << "seed " << seed;
+  EXPECT_EQ(fast_metrics.value("rsan.races_detected"), naive.races()) << "seed " << seed;
   ASSERT_EQ(fast.reports().size(), slow.reports().size()) << "seed " << seed;
   ASSERT_EQ(fast.reports().size(), naive.reports().size()) << "seed " << seed;
   for (std::size_t i = 0; i < fast.reports().size(); ++i) {
@@ -332,10 +335,10 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided) {
 
   // The slow runtime must never take a fast path; the fast runtime's
   // engagement is accumulated and asserted per test case.
-  EXPECT_EQ(slow.counters().fastpath_range_hits, 0u);
-  EXPECT_EQ(slow.counters().fastpath_block_hits, 0u);
-  EXPECT_EQ(slow.counters().fastpath_granules_elided, 0u);
-  fastpath_elided += fast.counters().fastpath_granules_elided;
+  EXPECT_EQ(slow_metrics.value("rsan.fastpath_range_hits"), 0u);
+  EXPECT_EQ(slow_metrics.value("rsan.fastpath_block_hits"), 0u);
+  EXPECT_EQ(slow_metrics.value("rsan.fastpath_granules_elided"), 0u);
+  fastpath_elided += fast_metrics.value("rsan.fastpath_granules_elided");
 }
 
 TEST_P(ShadowDifferentialP, FastAndReferenceShadowsAgreeOnRandomTraces) {

@@ -14,7 +14,8 @@ using rsan::RuntimeConfig;
 
 class RsanRuntimeTest : public ::testing::Test {
  protected:
-  Runtime rt;
+  obs::MetricsRegistry metrics;
+  Runtime rt{metrics};
   std::array<double, 1024> buf{};
   int sync_key{};
 };
@@ -31,7 +32,7 @@ TEST_F(RsanRuntimeTest, WriteWriteRaceBetweenUnsyncedContexts) {
   rt.write_range(buf.data(), sizeof buf, "fiber write");
   rt.switch_to_fiber(rt.host_ctx());
   rt.write_range(buf.data(), sizeof buf, "host write");
-  EXPECT_EQ(rt.counters().races_detected, 1u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
   ASSERT_EQ(rt.reports().size(), 1u);
   EXPECT_EQ(rt.reports()[0].previous.ctx, fiber);
   EXPECT_TRUE(rt.reports()[0].current.is_write);
@@ -44,7 +45,7 @@ TEST_F(RsanRuntimeTest, ReadWriteRaceDetected) {
   rt.write_range(buf.data(), sizeof buf, "fiber write");
   rt.switch_to_fiber(rt.host_ctx());
   rt.read_range(buf.data(), sizeof buf, "host read");
-  EXPECT_EQ(rt.counters().races_detected, 1u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
   EXPECT_FALSE(rt.reports()[0].current.is_write);
 }
 
@@ -54,7 +55,7 @@ TEST_F(RsanRuntimeTest, ReadReadIsNotARace) {
   rt.read_range(buf.data(), sizeof buf);
   rt.switch_to_fiber(rt.host_ctx());
   rt.read_range(buf.data(), sizeof buf);
-  EXPECT_EQ(rt.counters().races_detected, 0u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, HappensBeforeOrdersAccesses) {
@@ -65,7 +66,7 @@ TEST_F(RsanRuntimeTest, HappensBeforeOrdersAccesses) {
   rt.switch_to_fiber(rt.host_ctx());
   rt.happens_after(&sync_key);  // host acquires
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(rt.counters().races_detected, 0u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, ReleaseAfterAccessDoesNotOrderLaterAccesses) {
@@ -76,7 +77,7 @@ TEST_F(RsanRuntimeTest, ReleaseAfterAccessDoesNotOrderLaterAccesses) {
   rt.switch_to_fiber(rt.host_ctx());
   rt.happens_after(&sync_key);
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(rt.counters().races_detected, 1u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, FiberSwitchCarriesNoSynchronization) {
@@ -86,7 +87,7 @@ TEST_F(RsanRuntimeTest, FiberSwitchCarriesNoSynchronization) {
   rt.write_range(buf.data(), sizeof buf);
   rt.switch_to_fiber(fiber);
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(rt.counters().races_detected, 1u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, FiberCreationInheritsCreatorClock) {
@@ -94,7 +95,7 @@ TEST_F(RsanRuntimeTest, FiberCreationInheritsCreatorClock) {
   const auto fiber = rt.create_fiber(CtxKind::kUserFiber, "f");
   rt.switch_to_fiber(fiber);
   rt.write_range(buf.data(), sizeof buf);  // ordered after host write
-  EXPECT_EQ(rt.counters().races_detected, 0u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, TransitiveHappensBefore) {
@@ -111,12 +112,12 @@ TEST_F(RsanRuntimeTest, TransitiveHappensBefore) {
   rt.switch_to_fiber(rt.host_ctx());
   rt.happens_after(&key2h);
   rt.write_range(buf.data(), sizeof buf);  // ordered after f1 via f2
-  EXPECT_EQ(rt.counters().races_detected, 0u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, AcquireOfUnreleasedKeyIsNoop) {
   rt.happens_after(&sync_key);
-  EXPECT_EQ(rt.counters().hb_after, 1u);
+  EXPECT_EQ(metrics.value("rsan.hb_after"), 1u);
   EXPECT_FALSE(rt.has_sync_object(&sync_key));
   rt.happens_before(&sync_key);
   EXPECT_TRUE(rt.has_sync_object(&sync_key));
@@ -131,7 +132,7 @@ TEST_F(RsanRuntimeTest, ReleaseSyncObjectForgetsClock) {
   rt.switch_to_fiber(rt.host_ctx());
   rt.happens_after(&sync_key);  // no-op now
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(rt.counters().races_detected, 1u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, PartialOverlapRaces) {
@@ -141,10 +142,10 @@ TEST_F(RsanRuntimeTest, PartialOverlapRaces) {
   rt.switch_to_fiber(rt.host_ctx());
   // Host touches the second half only: no overlap, no race.
   rt.write_range(buf.data() + 512, 512 * sizeof(double), "second half");
-  EXPECT_EQ(rt.counters().races_detected, 0u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
   // Now host touches a range straddling the boundary.
   rt.write_range(buf.data() + 500, 24 * sizeof(double), "straddle");
-  EXPECT_EQ(rt.counters().races_detected, 1u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, DisjointAddressesNeverRace) {
@@ -154,14 +155,14 @@ TEST_F(RsanRuntimeTest, DisjointAddressesNeverRace) {
   rt.write_range(buf.data(), sizeof buf);
   rt.switch_to_fiber(rt.host_ctx());
   rt.write_range(other.data(), sizeof other);
-  EXPECT_EQ(rt.counters().races_detected, 0u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, SameContextNeverRaces) {
   rt.write_range(buf.data(), sizeof buf);
   rt.read_range(buf.data(), sizeof buf);
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(rt.counters().races_detected, 0u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, RaceCountedOncePerRangeCall) {
@@ -170,7 +171,7 @@ TEST_F(RsanRuntimeTest, RaceCountedOncePerRangeCall) {
   rt.write_range(buf.data(), sizeof buf);  // thousands of granules
   rt.switch_to_fiber(rt.host_ctx());
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(rt.counters().races_detected, 1u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
   EXPECT_EQ(rt.reports().size(), 1u);
 }
 
@@ -182,7 +183,7 @@ TEST_F(RsanRuntimeTest, DuplicateReportsAreDeduped) {
     rt.switch_to_fiber(rt.host_ctx());
     rt.write_range(buf.data(), 64);
   }
-  EXPECT_GE(rt.counters().races_detected, 5u);
+  EXPECT_GE(metrics.value("rsan.races_detected"), 5u);
   EXPECT_EQ(rt.reports().size(), 1u);  // same ctx pair + page
 }
 
@@ -207,22 +208,23 @@ TEST_F(RsanRuntimeTest, ResetShadowRangeForgetsAccesses) {
   rt.switch_to_fiber(rt.host_ctx());
   rt.reset_shadow_range(buf.data(), sizeof buf);  // e.g. the memory was freed
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(rt.counters().races_detected, 0u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, TrackMemoryOffDisablesDetection) {
   RuntimeConfig config;
   config.track_memory = false;
-  Runtime quiet(config);
+  obs::MetricsRegistry quiet_metrics;
+  Runtime quiet(quiet_metrics, config);
   const auto fiber = quiet.create_fiber(CtxKind::kStreamFiber, "s1");
   quiet.switch_to_fiber(fiber);
   quiet.write_range(buf.data(), sizeof buf);
   quiet.switch_to_fiber(quiet.host_ctx());
   quiet.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(quiet.counters().races_detected, 0u);
+  EXPECT_EQ(quiet_metrics.value("rsan.races_detected"), 0u);
   EXPECT_EQ(quiet.shadow_resident_bytes(), 0u);
   // Counters still tally the calls (needed for Table I even in ablation).
-  EXPECT_EQ(quiet.counters().write_range_calls, 2u);
+  EXPECT_EQ(quiet_metrics.value("rsan.write_range_calls"), 2u);
 }
 
 TEST_F(RsanRuntimeTest, CountersTallyCallsAndBytes) {
@@ -231,13 +233,12 @@ TEST_F(RsanRuntimeTest, CountersTallyCallsAndBytes) {
   rt.write_range(buf.data(), 50);
   rt.plain_read(buf.data(), 8);
   rt.plain_write(buf.data(), 8);
-  const auto& c = rt.counters();
-  EXPECT_EQ(c.read_range_calls, 1u);
-  EXPECT_EQ(c.write_range_calls, 2u);
-  EXPECT_EQ(c.read_range_bytes, 100u);
-  EXPECT_EQ(c.write_range_bytes, 250u);
-  EXPECT_EQ(c.plain_reads, 1u);
-  EXPECT_EQ(c.plain_writes, 1u);
+  EXPECT_EQ(metrics.value("rsan.read_range_calls"), 1u);
+  EXPECT_EQ(metrics.value("rsan.write_range_calls"), 2u);
+  EXPECT_EQ(metrics.value("rsan.read_range_bytes"), 100u);
+  EXPECT_EQ(metrics.value("rsan.write_range_bytes"), 250u);
+  EXPECT_EQ(metrics.value("rsan.plain_reads"), 1u);
+  EXPECT_EQ(metrics.value("rsan.plain_writes"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, FiberSwitchCounter) {
@@ -245,13 +246,14 @@ TEST_F(RsanRuntimeTest, FiberSwitchCounter) {
   rt.switch_to_fiber(fiber);
   rt.switch_to_fiber(fiber);  // no-op switch not counted
   rt.switch_to_fiber(rt.host_ctx());
-  EXPECT_EQ(rt.counters().fiber_switches, 2u);
+  EXPECT_EQ(metrics.value("rsan.fiber_switches"), 2u);
 }
 
 TEST_F(RsanRuntimeTest, ReportLimitCapsStorageNotCounting) {
   RuntimeConfig config;
   config.report_limit = 2;
-  Runtime limited(config);
+  obs::MetricsRegistry limited_metrics;
+  Runtime limited(limited_metrics, config);
   const auto fiber = limited.create_fiber(CtxKind::kStreamFiber, "s1");
   // Different pages → different dedup keys.
   static std::array<std::array<double, 1024>, 5> bufs{};
@@ -261,7 +263,7 @@ TEST_F(RsanRuntimeTest, ReportLimitCapsStorageNotCounting) {
     limited.switch_to_fiber(limited.host_ctx());
     limited.write_range(b.data(), sizeof b);
   }
-  EXPECT_EQ(limited.counters().races_detected, 5u);
+  EXPECT_EQ(limited_metrics.value("rsan.races_detected"), 5u);
   EXPECT_EQ(limited.reports().size(), 2u);
 }
 
@@ -278,7 +280,7 @@ TEST_F(RsanRuntimeTest, ShadowEvictionStillDetectsConflicts) {
   }
   rt.switch_to_fiber(rt.host_ctx());
   rt.write_range(buf.data(), 64);
-  EXPECT_GE(rt.counters().races_detected, 1u);
+  EXPECT_GE(metrics.value("rsan.races_detected"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, InternedLabelSurvives) {
@@ -300,7 +302,7 @@ TEST_F(RsanRuntimeTest, DestroyedFiberStillNamedInReports) {
 TEST_F(RsanRuntimeTest, ZeroSizeAccessIsNoop) {
   rt.write_range(buf.data(), 0);
   EXPECT_EQ(rt.shadow_resident_bytes(), 0u);
-  EXPECT_EQ(rt.counters().races_detected, 0u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, IgnoreScopeSkipsTrackingAndChecking) {
@@ -313,11 +315,11 @@ TEST_F(RsanRuntimeTest, IgnoreScopeSkipsTrackingAndChecking) {
   rt.write_range(buf.data(), sizeof buf, "ignored host write");  // no race, not tracked
   rt.ignore_end();
   EXPECT_FALSE(rt.ignoring());
-  EXPECT_EQ(rt.counters().races_detected, 0u);
-  EXPECT_EQ(rt.counters().ignored_accesses, 1u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metrics.value("rsan.ignored_accesses"), 1u);
   // After the scope ends, accesses race again.
   rt.write_range(buf.data(), sizeof buf, "host write");
-  EXPECT_EQ(rt.counters().races_detected, 1u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, ReportsExportAsJsonl) {
@@ -356,7 +358,7 @@ TEST_F(RsanRuntimeTest, IgnoreIsPerContext) {
   EXPECT_TRUE(rt.ignoring());
   rt.ignore_end();
   rt.write_range(buf.data(), sizeof buf, "host write");
-  EXPECT_EQ(rt.counters().races_detected, 1u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, IgnoreDoesNotAffectSynchronization) {
@@ -369,7 +371,7 @@ TEST_F(RsanRuntimeTest, IgnoreDoesNotAffectSynchronization) {
   rt.switch_to_fiber(rt.host_ctx());
   rt.happens_after(&sync_key);
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(rt.counters().races_detected, 0u);
+  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
 }
 
 // Golden report test for the attribution fix: the report names the racing
@@ -407,62 +409,67 @@ TEST_F(RsanRuntimeTest, RaceAttributionPointsAtMiddleGranule) {
 TEST_F(RsanRuntimeTest, RepeatedSameEpochRangeHitsRecentRangeCache) {
   RuntimeConfig config;
   config.use_shadow_fast_path = true;
-  Runtime fast(config);
+  obs::MetricsRegistry fast_metrics;
+  Runtime fast(fast_metrics, config);
   fast.write_range(buf.data(), sizeof buf, "first");
-  EXPECT_EQ(fast.counters().fastpath_range_hits, 0u);
+  EXPECT_EQ(fast_metrics.value("rsan.fastpath_range_hits"), 0u);
   fast.write_range(buf.data(), sizeof buf, "repeat");
-  EXPECT_EQ(fast.counters().fastpath_range_hits, 1u);
-  EXPECT_EQ(fast.counters().fastpath_granules_elided, sizeof buf / rsan::kGranuleBytes);
+  EXPECT_EQ(fast_metrics.value("rsan.fastpath_range_hits"), 1u);
+  EXPECT_EQ(fast_metrics.value("rsan.fastpath_granules_elided"), sizeof buf / rsan::kGranuleBytes);
   // A covered sub-range is also a provable no-op.
   fast.write_range(&buf[10], 64, "subrange");
-  EXPECT_EQ(fast.counters().fastpath_range_hits, 2u);
-  EXPECT_EQ(fast.counters().races_detected, 0u);
+  EXPECT_EQ(fast_metrics.value("rsan.fastpath_range_hits"), 2u);
+  EXPECT_EQ(fast_metrics.value("rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, RecentRangeCacheRequiresSameAccessKind) {
   RuntimeConfig config;
   config.use_shadow_fast_path = true;
-  Runtime fast(config);
+  obs::MetricsRegistry fast_metrics;
+  Runtime fast(fast_metrics, config);
   fast.write_range(buf.data(), sizeof buf);
   // A read after a write stores fresh read cells in the reference semantics,
   // so it must not be skipped (kind equality, not subsumption).
   fast.read_range(buf.data(), sizeof buf);
-  EXPECT_EQ(fast.counters().fastpath_range_hits, 0u);
+  EXPECT_EQ(fast_metrics.value("rsan.fastpath_range_hits"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, ClockTickInvalidatesRecentRangeCache) {
   RuntimeConfig config;
   config.use_shadow_fast_path = true;
-  Runtime fast(config);
+  obs::MetricsRegistry fast_metrics;
+  Runtime fast(fast_metrics, config);
   fast.write_range(buf.data(), sizeof buf);
   fast.happens_before(&sync_key);  // ticks the epoch
   fast.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(fast.counters().fastpath_range_hits, 0u);
+  EXPECT_EQ(fast_metrics.value("rsan.fastpath_range_hits"), 0u);
   // The re-scan still runs O(blocks), not O(granules): every block summary is
   // uniform after the first pass, so the second pass hits the summary layer.
-  EXPECT_GT(fast.counters().fastpath_block_hits, 0u);
+  EXPECT_GT(fast_metrics.value("rsan.fastpath_block_hits"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, AcquireInvalidatesRecentRangeCache) {
   RuntimeConfig config;
   config.use_shadow_fast_path = true;
-  Runtime fast(config);
+  obs::MetricsRegistry fast_metrics;
+  Runtime fast(fast_metrics, config);
   int key{};
   fast.happens_before(&key);
   fast.write_range(buf.data(), sizeof buf);
   fast.happens_after(&key);  // acquire does not tick, but still invalidates
   fast.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(fast.counters().fastpath_range_hits, 0u);
+  EXPECT_EQ(fast_metrics.value("rsan.fastpath_range_hits"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, ResetRangeInvalidatesFastPathState) {
   RuntimeConfig config;
   config.use_shadow_fast_path = true;
-  Runtime fast(config);
+  obs::MetricsRegistry fast_metrics;
+  Runtime fast(fast_metrics, config);
   fast.write_range(buf.data(), sizeof buf);
   fast.reset_shadow_range(buf.data(), sizeof buf);
   fast.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(fast.counters().fastpath_range_hits, 0u);
+  EXPECT_EQ(fast_metrics.value("rsan.fastpath_range_hits"), 0u);
   // The repeat after the reset really stored: the shadow holds valid cells.
   const auto* cells = fast.shadow().granule_if_present(
       reinterpret_cast<std::uintptr_t>(buf.data()));
@@ -473,28 +480,30 @@ TEST_F(RsanRuntimeTest, ResetRangeInvalidatesFastPathState) {
 TEST_F(RsanRuntimeTest, FastPathStillDetectsRacesAfterHits) {
   RuntimeConfig config;
   config.use_shadow_fast_path = true;
-  Runtime fast(config);
+  obs::MetricsRegistry fast_metrics;
+  Runtime fast(fast_metrics, config);
   const auto fiber = fast.create_fiber(CtxKind::kStreamFiber, "s1");
   fast.switch_to_fiber(fiber);
   fast.write_range(buf.data(), sizeof buf, "fiber write");
   fast.write_range(buf.data(), sizeof buf, "fiber write");  // range-cache hit
-  EXPECT_EQ(fast.counters().fastpath_range_hits, 1u);
+  EXPECT_EQ(fast_metrics.value("rsan.fastpath_range_hits"), 1u);
   fast.switch_to_fiber(fast.host_ctx());
   fast.write_range(buf.data(), sizeof buf, "host write");
-  EXPECT_EQ(fast.counters().races_detected, 1u);
+  EXPECT_EQ(fast_metrics.value("rsan.races_detected"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, FastPathDisabledKeepsCountersZero) {
   RuntimeConfig config;
   config.use_shadow_fast_path = false;
-  Runtime slow(config);
+  obs::MetricsRegistry slow_metrics;
+  Runtime slow(slow_metrics, config);
   for (int i = 0; i < 4; ++i) {
     slow.write_range(buf.data(), sizeof buf);
   }
-  EXPECT_EQ(slow.counters().fastpath_range_hits, 0u);
-  EXPECT_EQ(slow.counters().fastpath_block_hits, 0u);
-  EXPECT_EQ(slow.counters().fastpath_block_misses, 0u);
-  EXPECT_EQ(slow.counters().fastpath_granules_elided, 0u);
+  EXPECT_EQ(slow_metrics.value("rsan.fastpath_range_hits"), 0u);
+  EXPECT_EQ(slow_metrics.value("rsan.fastpath_block_hits"), 0u);
+  EXPECT_EQ(slow_metrics.value("rsan.fastpath_block_misses"), 0u);
+  EXPECT_EQ(slow_metrics.value("rsan.fastpath_granules_elided"), 0u);
 }
 
 }  // namespace

@@ -129,7 +129,7 @@ TEST(TestsuiteSpecial, MemcpyAsyncToSendPessimisticallyRacy) {
     capi::cuda::unregister_host_buffer(h.data());
     (void)capi::cuda::free(d);
   });
-  EXPECT_GE(results[0].tsan_counters.races_detected, 1u);
+  EXPECT_GE(obs::value_of(results[0].metrics, "rsan.races_detected"), 1u);
 }
 
 TEST(TestsuiteSpecial, StreamWaitEventChainsProducerToConsumerToMpi) {
@@ -199,7 +199,7 @@ TEST(TestsuiteSpecial, IsendBufferOverwrittenByKernel) {
     (void)capi::cuda::device_synchronize();
     (void)capi::cuda::free(buf);
   });
-  EXPECT_GE(results[0].tsan_counters.races_detected, 1u);
+  EXPECT_GE(obs::value_of(results[0].metrics, "rsan.races_detected"), 1u);
 }
 
 TEST(TestsuiteSpecial, MultipleRequestsWaitallClean) {
@@ -290,7 +290,7 @@ TEST(TestsuiteSpecial, CollectiveOnUnsyncedDeviceBufferRaces) {
     (void)capi::cuda::device_synchronize();
     (void)capi::cuda::free(buf);
   });
-  EXPECT_GE(results[0].tsan_counters.races_detected, 1u);
+  EXPECT_GE(obs::value_of(results[0].metrics, "rsan.races_detected"), 1u);
 }
 
 TEST(TestsuiteSpecial, AllreduceAfterSyncClean) {
