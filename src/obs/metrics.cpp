@@ -61,15 +61,9 @@ Counter& MetricsRegistry::counter(std::string_view name) {
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = counters_.find(name);
   if (it == counters_.end()) {
-    it = counters_.emplace(name, &values_.emplace_back()).first;
+    it = counters_.try_emplace(std::string(name)).first;
   }
-  return *it->second;
-}
-
-std::uint64_t MetricsRegistry::value(std::string_view name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = counters_.find(name);
-  return it != counters_.end() ? it->second->value() : 0;
+  return it->second;
 }
 
 void MetricsRegistry::set_gauge(std::string_view name, std::uint64_t value) {
@@ -93,7 +87,7 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
   {
     std::lock_guard<std::mutex> lock(mutex_);
     for (const auto& [name, value] : counters_) {
-      out.emplace_hint(out.end(), name, value->value());
+      out.emplace_hint(out.end(), name, value.value());
     }
     providers.reserve(providers_.size());
     for (const auto& [name, provider] : providers_) {

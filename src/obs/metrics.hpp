@@ -10,10 +10,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <map>
-#include <memory_resource>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -73,10 +71,6 @@ class MetricsRegistry {
   /// registry's lifetime — cache it; never call this on a hot path.
   [[nodiscard]] Counter& counter(std::string_view name);
 
-  /// Current value of `name`, 0 when no such counter exists (never creates
-  /// one).
-  [[nodiscard]] std::uint64_t value(std::string_view name) const;
-
   /// Convenience: overwrite a gauge-style value.
   void set_gauge(std::string_view name, std::uint64_t value);
 
@@ -105,14 +99,7 @@ class MetricsRegistry {
 
  private:
   mutable std::mutex mutex_;
-  // Counters are never removed, so they and their names live in one arena: a
-  // rank's registry costs a few allocations, not two per counter. The values
-  // sit side by side in creation order (a deque never moves its elements), so
-  // one runtime's hot counters share a few cache lines instead of one line
-  // per map node.
-  std::pmr::monotonic_buffer_resource arena_{4096};
-  std::pmr::deque<Counter> values_{&arena_};
-  std::pmr::map<std::pmr::string, Counter*, std::less<>> counters_{&arena_};
+  std::map<std::string, Counter, std::less<>> counters_;  // node-stable handles
   std::map<std::string, Provider> providers_;
 };
 

@@ -12,6 +12,7 @@
 #include "capi/mpi.hpp"
 #include "capi/session.hpp"
 #include "kir/registry.hpp"
+#include "metric_value.hpp"
 
 namespace {
 
@@ -318,8 +319,8 @@ TEST(CapiMemaccessTest, CheckedAccessorsWork) {
     double value = 1.0;
     capi::checked_store(&value, 2.0);
     EXPECT_EQ(capi::checked_load(&value), 2.0);
-    EXPECT_EQ(env.tools.metrics().value("rsan.plain_writes"), 1u);
-    EXPECT_EQ(env.tools.metrics().value("rsan.plain_reads"), 1u);
+    EXPECT_EQ(metric_value(env.tools.metrics(), "rsan.plain_writes"), 1u);
+    EXPECT_EQ(metric_value(env.tools.metrics(), "rsan.plain_reads"), 1u);
   });
 }
 

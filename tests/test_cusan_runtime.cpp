@@ -7,6 +7,7 @@
 #include <array>
 
 #include "cusan/runtime.hpp"
+#include "metric_value.hpp"
 
 namespace {
 
@@ -34,7 +35,7 @@ class CusanRuntimeTest : public ::testing::Test {
   void host_write() { tsan.write_range(d_buf, kBytes, "host write"); }
   void host_read() { tsan.read_range(d_buf, kBytes, "host read"); }
 
-  [[nodiscard]] std::uint64_t races() const { return metrics.value("rsan.races_detected"); }
+  [[nodiscard]] std::uint64_t races() const { return metric_value(metrics, "rsan.races_detected"); }
 
   static constexpr std::size_t kCount = 512;
   static constexpr std::size_t kBytes = kCount * sizeof(double);
@@ -254,7 +255,7 @@ TEST_F(CusanRuntimeTest, MemsetIsAsyncWriteOnDefaultStream) {
   cusan_rt.on_memset(d_buf, kBytes);
   host_read();  // no sync in between
   EXPECT_EQ(races(), 1u);
-  EXPECT_EQ(metrics.value("cusan.memsets"), 1u);
+  EXPECT_EQ(metric_value(metrics, "cusan.memsets"), 1u);
 }
 
 TEST_F(CusanRuntimeTest, FreeResetsShadowState) {
@@ -275,15 +276,15 @@ TEST_F(CusanRuntimeTest, AblationDisablesMemoryTrackingOnly) {
   quiet.on_kernel_launch(device.default_stream(), "k", std::span(&arg, 1));
   host_read();
   EXPECT_EQ(races(), 0u);  // no annotations -> no detection (paper §V-B)
-  EXPECT_EQ(quiet_metrics.value("cusan.kernel_launches"), 1u);
-  EXPECT_GT(quiet_metrics.value("cusan.hb_before"), 0u);  // sync modelling still active
+  EXPECT_EQ(metric_value(quiet_metrics, "cusan.kernel_launches"), 1u);
+  EXPECT_GT(metric_value(quiet_metrics, "cusan.hb_before"), 0u);  // sync modelling still active
 }
 
 TEST_F(CusanRuntimeTest, UntrackedKernelArgCounted) {
   double untracked[4];
   const KernelArgAccess arg{untracked, AccessMode::kWrite};
   cusan_rt.on_kernel_launch(device.default_stream(), "k", std::span(&arg, 1));
-  EXPECT_EQ(metrics.value("cusan.unknown_kernel_args"), 1u);
+  EXPECT_EQ(metric_value(metrics, "cusan.unknown_kernel_args"), 1u);
   EXPECT_EQ(races(), 0u);
 }
 
@@ -296,7 +297,7 @@ TEST_F(CusanRuntimeTest, WholeAllocationAnnotatedFromInteriorPointer) {
   cusan_rt.on_kernel_launch(device.default_stream(), "k", std::span(&arg, 1));
   tsan.read_range(d_buf, sizeof(double), "host reads allocation start");
   EXPECT_EQ(races(), 1u);
-  EXPECT_EQ(metrics.value("rsan.write_range_bytes"), kBytes);  // full extent
+  EXPECT_EQ(metric_value(metrics, "rsan.write_range_bytes"), kBytes);  // full extent
 }
 
 TEST_F(CusanRuntimeTest, CountersMatchCallStream) {
@@ -309,13 +310,13 @@ TEST_F(CusanRuntimeTest, CountersMatchCallStream) {
   std::array<double, kCount> h{};
   cusan_rt.on_memcpy(h.data(), d_buf, kBytes, cusim::MemcpyDir::kDeviceToHost);
   // User stream + default (lazy, via memcpy).
-  EXPECT_EQ(metrics.value("cusan.streams_created"), 2u);
-  EXPECT_EQ(metrics.value("cusan.kernel_launches"), 1u);
-  EXPECT_EQ(metrics.value("cusan.sync_calls"), 2u);
-  EXPECT_EQ(metrics.value("cusan.memcpys"), 1u);
+  EXPECT_EQ(metric_value(metrics, "cusan.streams_created"), 2u);
+  EXPECT_EQ(metric_value(metrics, "cusan.kernel_launches"), 1u);
+  EXPECT_EQ(metric_value(metrics, "cusan.sync_calls"), 2u);
+  EXPECT_EQ(metric_value(metrics, "cusan.memcpys"), 1u);
   // Kernel read+write annotations both happened.
-  EXPECT_EQ(metrics.value("rsan.write_range_calls"), 2u);  // kernel write + memcpy dst
-  EXPECT_EQ(metrics.value("rsan.read_range_calls"), 2u);   // kernel read + memcpy src
+  EXPECT_EQ(metric_value(metrics, "rsan.write_range_calls"), 2u);  // kernel write + memcpy dst
+  EXPECT_EQ(metric_value(metrics, "rsan.read_range_calls"), 2u);   // kernel read + memcpy src
 }
 
 TEST_F(CusanRuntimeTest, StreamDestroySynchronizesAndForgets) {

@@ -18,6 +18,7 @@
 #include "kir/registry.hpp"
 #include "obs/ring.hpp"
 #include "rsan/suppressions.hpp"
+#include "metric_value.hpp"
 
 namespace {
 
@@ -177,8 +178,8 @@ TEST(SuppressionTest, SuppressedRacesAreCountedSeparately) {
   rt.write_range(buf.data(), sizeof buf, "kernel 'noisy' arg 0 [write]");
   rt.switch_to_fiber(rt.host_ctx());
   rt.write_range(buf.data(), sizeof buf, "host write");
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
-  EXPECT_EQ(metrics.value("rsan.races_suppressed"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_suppressed"), 1u);
   EXPECT_TRUE(rt.reports().empty());
 }
 
@@ -192,8 +193,8 @@ TEST(SuppressionTest, UnmatchedRacesStillReported) {
   rt.write_range(buf.data(), sizeof buf, "kernel 'k' arg 0 [write]");
   rt.switch_to_fiber(rt.host_ctx());
   rt.write_range(buf.data(), sizeof buf, "host write");
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
-  EXPECT_EQ(metrics.value("rsan.races_suppressed"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_suppressed"), 0u);
 }
 
 TEST(SuppressionTest, MatchesContextNameToo) {
@@ -206,7 +207,7 @@ TEST(SuppressionTest, MatchesContextNameToo) {
   rt.write_range(buf.data(), sizeof buf);
   rt.switch_to_fiber(rt.host_ctx());
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(metrics.value("rsan.races_suppressed"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_suppressed"), 1u);
 }
 
 // -- cudaHostRegister / cudaHostUnregister -----------------------------------------
@@ -305,12 +306,12 @@ TEST(Memcpy2DTest, PitchHolesAreNotAnnotated) {
     // Host touches the second half of a device row (the pitch hole): no race
     // with the copy's read annotation.
     capi::annotate_host_writes(d + 4, 4 * sizeof(double), "hole write");
-    EXPECT_EQ(env.tools.metrics().value("rsan.races_detected"), 0u);
+    EXPECT_EQ(metric_value(env.tools.metrics(), "rsan.races_detected"), 0u);
     // Touching the copied block region does conflict... but the copy was
     // host-synchronous (D2H to pageable), so it is ordered. Verify the model
     // credited the sync: no race either.
     capi::annotate_host_writes(d, 4 * sizeof(double), "block write");
-    EXPECT_EQ(env.tools.metrics().value("rsan.races_detected"), 0u);
+    EXPECT_EQ(metric_value(env.tools.metrics(), "rsan.races_detected"), 0u);
     capi::cuda::unregister_host_buffer(host.data());
     (void)capi::cuda::free(d);
   });
@@ -381,7 +382,7 @@ TEST(HostFuncTest, ParticipatesInStreamOrderingForDetection) {
     capi::annotate_host_reads(d, 128 * sizeof(double), "host read");
     (void)capi::cuda::device_synchronize();
     (void)capi::cuda::free(d);
-    EXPECT_EQ(env.tools.metrics().value("cusan.host_funcs"), 1u);
+    EXPECT_EQ(metric_value(env.tools.metrics(), "cusan.host_funcs"), 1u);
   });
   EXPECT_GE(capi::total_races(results), 1u);
 }

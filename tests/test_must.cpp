@@ -6,6 +6,7 @@
 #include <array>
 
 #include "must/runtime.hpp"
+#include "metric_value.hpp"
 
 namespace {
 
@@ -38,7 +39,7 @@ TEST_F(MustRuntimeTest, IrecvWithoutWaitRacesWithHostAccess) {
   must.on_irecv(buf.data(), buf.size(), Datatype::float64(), fake_request(1));
   // Host touches the buffer before completing the request (paper Fig. 1).
   tsan.write_range(buf.data(), sizeof buf, "compute(buf)");
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 1u);
 }
 
 TEST_F(MustRuntimeTest, WaitEndsTheConcurrentRegion) {
@@ -46,28 +47,28 @@ TEST_F(MustRuntimeTest, WaitEndsTheConcurrentRegion) {
   must.on_irecv(buf.data(), buf.size(), Datatype::float64(), fake_request(1));
   must.on_complete(fake_request(1));
   tsan.write_range(buf.data(), sizeof buf, "compute(buf)");
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
 }
 
 TEST_F(MustRuntimeTest, IsendReadRacesWithHostWrite) {
   Runtime must = make();
   must.on_isend(buf.data(), buf.size(), Datatype::float64(), fake_request(1));
   tsan.write_range(buf.data(), sizeof buf, "overwrite send buffer");
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 1u);
 }
 
 TEST_F(MustRuntimeTest, IsendReadDoesNotRaceWithHostRead) {
   Runtime must = make();
   must.on_isend(buf.data(), buf.size(), Datatype::float64(), fake_request(1));
   tsan.read_range(buf.data(), sizeof buf, "host read");
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
 }
 
 TEST_F(MustRuntimeTest, HostWritesBeforeIsendAreOrdered) {
   Runtime must = make();
   tsan.write_range(buf.data(), sizeof buf, "prepare buffer");
   must.on_isend(buf.data(), buf.size(), Datatype::float64(), fake_request(1));
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
 }
 
 TEST_F(MustRuntimeTest, TwoConcurrentRequestsOnDisjointBuffersDoNotRace) {
@@ -77,8 +78,8 @@ TEST_F(MustRuntimeTest, TwoConcurrentRequestsOnDisjointBuffersDoNotRace) {
   must.on_complete(fake_request(1));
   must.on_complete(fake_request(2));
   tsan.write_range(buf.data(), sizeof buf, "after both");
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
-  EXPECT_EQ(metrics.value("must.request_fibers_created"), 2u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "must.request_fibers_created"), 2u);
 }
 
 TEST_F(MustRuntimeTest, OverlappingConcurrentRequestsRace) {
@@ -87,7 +88,7 @@ TEST_F(MustRuntimeTest, OverlappingConcurrentRequestsRace) {
   Runtime must = make();
   must.on_irecv(buf.data(), buf.size(), Datatype::float64(), fake_request(1));
   must.on_irecv(buf.data(), buf.size(), Datatype::float64(), fake_request(2));
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 1u);
 }
 
 TEST_F(MustRuntimeTest, FibersArePooledAfterCompletion) {
@@ -96,9 +97,9 @@ TEST_F(MustRuntimeTest, FibersArePooledAfterCompletion) {
     must.on_irecv(buf.data(), buf.size(), Datatype::float64(), fake_request(i));
     must.on_complete(fake_request(i));
   }
-  EXPECT_EQ(metrics.value("must.request_fibers_created"), 1u);
-  EXPECT_EQ(metrics.value("must.request_fibers_reused"), 9u);
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);  // sequentialized via wait
+  EXPECT_EQ(metric_value(metrics, "must.request_fibers_created"), 1u);
+  EXPECT_EQ(metric_value(metrics, "must.request_fibers_reused"), 9u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);  // sequentialized via wait
 }
 
 TEST_F(MustRuntimeTest, BlockingCallsAnnotateOnHost) {
@@ -106,10 +107,10 @@ TEST_F(MustRuntimeTest, BlockingCallsAnnotateOnHost) {
   must.on_send(buf.data(), buf.size(), Datatype::float64());
   must.on_recv(buf.data(), buf.size(), Datatype::float64());
   // Host-context annotations: no fibers involved.
-  EXPECT_EQ(metrics.value("must.request_fibers_created"), 0u);
-  EXPECT_EQ(metrics.value("rsan.read_range_calls"), 1u);
-  EXPECT_EQ(metrics.value("rsan.write_range_calls"), 1u);
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "must.request_fibers_created"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.read_range_calls"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.write_range_calls"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
 }
 
 TEST_F(MustRuntimeTest, NonContiguousTypeAnnotatesOnlyTouchedBytes) {
@@ -119,10 +120,10 @@ TEST_F(MustRuntimeTest, NonContiguousTypeAnnotatesOnlyTouchedBytes) {
   must.on_irecv(buf.data(), 1, col, fake_request(1));
   // Host writes a hole: must NOT race.
   tsan.write_range(&buf[1], sizeof(double), "hole access");
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
   // Host writes a touched block: races.
   tsan.write_range(&buf[2], sizeof(double), "block access");
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 1u);
   must.on_complete(fake_request(1));
 }
 
@@ -132,7 +133,7 @@ TEST_F(MustRuntimeTest, RaceCheckDisabledByConfig) {
   Runtime must = make(config);
   must.on_irecv(buf.data(), buf.size(), Datatype::float64(), fake_request(1));
   tsan.write_range(buf.data(), sizeof buf, "host");
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
   must.on_complete(fake_request(1));  // harmless without tracking
 }
 
@@ -146,8 +147,8 @@ TEST_F(MustRuntimeTest, CollectiveAnnotations) {
   must.on_allreduce(send.data(), recv.data(), 16, Datatype::float64());
   must.on_allgather(send.data(), 16, Datatype::float64(), recv.data(), 4);
   must.on_barrier();
-  EXPECT_EQ(metrics.value("must.calls_intercepted"), 6u);
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "must.calls_intercepted"), 6u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
 }
 
 // -- TypeART-backed datatype checks -----------------------------------------------
@@ -168,8 +169,8 @@ class MustTypeCheckTest : public MustRuntimeTest {
 TEST_F(MustTypeCheckTest, MatchingTypePasses) {
   Runtime must = make(type_config());
   must.on_send(buf.data(), buf.size(), Datatype::float64());
-  EXPECT_EQ(metrics.value("must.type_checks"), 1u);
-  EXPECT_EQ(metrics.value("must.type_errors"), 0u);
+  EXPECT_EQ(metric_value(metrics, "must.type_checks"), 1u);
+  EXPECT_EQ(metric_value(metrics, "must.type_errors"), 0u);
   EXPECT_TRUE(must.reports().empty());
 }
 
@@ -185,7 +186,7 @@ TEST_F(MustTypeCheckTest, TypeMismatchReported) {
 TEST_F(MustTypeCheckTest, MpiByteMatchesAnything) {
   Runtime must = make(type_config());
   must.on_send(buf.data(), sizeof buf, Datatype::byte());
-  EXPECT_EQ(metrics.value("must.type_errors"), 0u);
+  EXPECT_EQ(metric_value(metrics, "must.type_errors"), 0u);
 }
 
 TEST_F(MustTypeCheckTest, CountOverflowReported) {
@@ -246,7 +247,7 @@ TEST_F(MustTypeCheckTest, StructLayoutCompatibility) {
 TEST_F(MustTypeCheckTest, ZeroCountSkipsChecks) {
   Runtime must = make(type_config());
   must.on_send(buf.data(), 0, Datatype::float64());
-  EXPECT_EQ(metrics.value("must.type_checks"), 0u);
+  EXPECT_EQ(metric_value(metrics, "must.type_checks"), 0u);
 }
 
 // -- Deadlock report relay --------------------------------------------------------
@@ -269,21 +270,21 @@ TEST_F(MustRuntimeTest, DeadlockReportRelayedOnce) {
   // per-rank table in the detail text.
   EXPECT_EQ(must.reports()[0].mpi_call, "MPI_Recv");
   EXPECT_NE(must.reports()[0].detail.find("rank 0"), std::string::npos);
-  EXPECT_EQ(metrics.value("must.deadlocks_reported"), 1u);
+  EXPECT_EQ(metric_value(metrics, "must.deadlocks_reported"), 1u);
 
   // A poisoned communicator returns kDeadlock from every further call; the
   // relay must not multiply reports.
   must.on_deadlock(0, report);
   must.on_deadlock(0, report);
   EXPECT_EQ(must.reports().size(), 1u);
-  EXPECT_EQ(metrics.value("must.deadlocks_reported"), 1u);
+  EXPECT_EQ(metric_value(metrics, "must.deadlocks_reported"), 1u);
 }
 
 TEST_F(MustRuntimeTest, DeadlockRelayIgnoresEmptyReports) {
   Runtime must = make();
   must.on_deadlock(0, mpisim::DeadlockReport{});
   EXPECT_TRUE(must.reports().empty());
-  EXPECT_EQ(metrics.value("must.deadlocks_reported"), 0u);
+  EXPECT_EQ(metric_value(metrics, "must.deadlocks_reported"), 0u);
 }
 
 TEST_F(MustRuntimeTest, DeadlockOfAnotherRankStillReported) {

@@ -7,11 +7,13 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 #include "capi/cuda.hpp"
 #include "capi/mpi.hpp"
@@ -423,6 +425,29 @@ TEST_F(ObsSessionTest, RankCountsAddedOnceOnThreadBackend) {
 
 TEST_F(ObsSessionTest, RankCountsAddedOnceOnProcBackend) {
   expect_rank_counts_added_once(mpisim::Backend::kProc);
+}
+
+/// The thread backend's contention counters count straight into the calling
+/// thread's registry. Rank 0 sends only after rank 1 has had ample time to
+/// park in its receive, so the send delivers a targeted wakeup.
+TEST_F(ObsSessionTest, ContentionCountersReachTheRegistry) {
+  const mpisim::ScopedBackend scoped(mpisim::Backend::kThread);
+  const auto before = obs::MetricsRegistry::instance().snapshot();
+  (void)capi::run_flavored(capi::Flavor::kVanilla, 2, [](capi::RankEnv& env) {
+    int value = 42;
+    if (env.rank() == 0) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(200));
+      ASSERT_EQ(capi::mpi::send(env.comm, &value, 1, mpisim::Datatype::int32(), 1, 0),
+                mpisim::MpiError::kSuccess);
+    } else {
+      ASSERT_EQ(capi::mpi::recv(env.comm, &value, 1, mpisim::Datatype::int32(), 0, 0),
+                mpisim::MpiError::kSuccess);
+    }
+  });
+  const auto delta =
+      obs::MetricsRegistry::diff(obs::MetricsRegistry::instance().snapshot(), before);
+  EXPECT_GT(obs::value_of(delta, "mpisim.mailbox_locks"), 0u);
+  EXPECT_GE(obs::value_of(delta, "mpisim.wakeups_delivered"), 1u);
 }
 
 TEST_F(ObsSessionTest, FaultLedgerProviderAppearsInSnapshots) {

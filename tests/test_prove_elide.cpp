@@ -31,6 +31,7 @@
 #include "kir/verifier.hpp"
 #include "rsan/runtime.hpp"
 #include "testsuite/scenarios.hpp"
+#include "metric_value.hpp"
 
 namespace {
 
@@ -228,7 +229,7 @@ class ProveElideRuntime {
     cusan_rt.on_kernel_launch(stream, info.fn->name().c_str(), args);
   }
 
-  [[nodiscard]] std::uint64_t races() const { return metrics.value("rsan.races_detected"); }
+  [[nodiscard]] std::uint64_t races() const { return metric_value(metrics, "rsan.races_detected"); }
 
   static rsan::RuntimeConfig make_rsan(bool fast) {
     rsan::RuntimeConfig c;
@@ -282,9 +283,9 @@ TEST(ProveElideRuntimeTest, ProvenKernelWritesNoShadow) {
 
   const std::array<const void*, 1> ptrs{buf};
   rt.launch(*k.info, rt.device.default_stream(), ptrs);
-  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_launches"), 1u);
-  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_args"), 1u);
-  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_bytes"), kBytes);
+  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_elided_launches"), 1u);
+  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_elided_args"), 1u);
+  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_elided_bytes"), kBytes);
   // The elided argument never materializes shadow cells.
   EXPECT_EQ(rt.tsan.shadow_resident_bytes(), 0u);
   EXPECT_EQ(rt.tsan.proven_region_count(), 1u);
@@ -297,7 +298,7 @@ TEST(ProveElideRuntimeTest, OffModeKeepsTrackedPath) {
   ProvenKernel k(kCount);
   const std::array<const void*, 1> ptrs{buf};
   rt.launch(*k.info, rt.device.default_stream(), ptrs);
-  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_launches"), 0u);
+  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_elided_launches"), 0u);
   EXPECT_GT(rt.tsan.shadow_resident_bytes(), 0u);
 }
 
@@ -312,7 +313,7 @@ TEST(ProveElideRuntimeTest, WholeRangeModeDisablesElision) {
   ProvenKernel k(kCount);
   const std::array<const void*, 1> ptrs{buf};
   rt.launch(*k.info, rt.device.default_stream(), ptrs);
-  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_args"), 0u);
+  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_elided_args"), 0u);
   EXPECT_GT(rt.tsan.shadow_resident_bytes(), 0u);
 }
 
@@ -329,8 +330,8 @@ TEST(ProveElideRuntimeTest, RacyKernelIsNeverElided) {
 
   const std::array<const void*, 1> ptrs{buf};
   rt.launch(*info, rt.device.default_stream(), ptrs);
-  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_args"), 0u);
-  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_launches"), 0u);
+  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_elided_args"), 0u);
+  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_elided_launches"), 0u);
 }
 
 TEST(ProveElideRuntimeTest, AliasedArgumentsVoidTheProof) {
@@ -350,8 +351,8 @@ TEST(ProveElideRuntimeTest, AliasedArgumentsVoidTheProof) {
 
   const std::array<const void*, 2> ptrs{buf, buf};
   rt.launch(*info, rt.device.default_stream(), ptrs);
-  EXPECT_GE(rt.metrics.value("cusan.proof_alias_rejects"), 1u);
-  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_args"), 0u);
+  EXPECT_GE(metric_value(rt.metrics, "cusan.proof_alias_rejects"), 1u);
+  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_elided_args"), 0u);
 }
 
 TEST(ProveElideRuntimeTest, ElidedLaunchStillDetectsHostRace) {
@@ -392,16 +393,16 @@ TEST(ProveElideRuntimeTest, MemoSkipsRepeatLaunchesWithZeroShadowWork) {
   const std::array<const void*, 1> ptrs{buf};
   rt.launch(*k.info, rt.device.default_stream(), ptrs);
 
-  const std::uint64_t scans_after_first = rt.metrics.value("rsan.proven_scan_blocks");
+  const std::uint64_t scans_after_first = metric_value(rt.metrics, "rsan.proven_scan_blocks");
   constexpr std::uint64_t kRepeats = 50;
   for (std::uint64_t i = 0; i < kRepeats; ++i) {
     rt.launch(*k.info, rt.device.default_stream(), ptrs);
   }
-  EXPECT_EQ(rt.metrics.value("cusan.proof_fast_launches"), kRepeats);
-  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_launches"), kRepeats + 1);
+  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_fast_launches"), kRepeats);
+  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_elided_launches"), kRepeats + 1);
   // Zero shadow-table loads on the memo path: the check-only scan counter is
   // flat and no shadow blocks were ever materialized for the buffer.
-  EXPECT_EQ(rt.metrics.value("rsan.proven_scan_blocks"), scans_after_first);
+  EXPECT_EQ(metric_value(rt.metrics, "rsan.proven_scan_blocks"), scans_after_first);
   EXPECT_EQ(rt.tsan.shadow_resident_bytes(), 0u);
   EXPECT_EQ(rt.races(), 0u);
 }
@@ -418,8 +419,8 @@ TEST(ProveElideRuntimeTest, HostActivityDeniesTheMemo) {
   rt.cusan_rt.on_device_synchronize();
   rt.tsan.write_range(buf, kBytes, "host write");  // ordered, but bumps gen
   rt.launch(*k.info, rt.device.default_stream(), ptrs);
-  EXPECT_EQ(rt.metrics.value("cusan.proof_fast_launches"), 0u);
-  EXPECT_EQ(rt.metrics.value("cusan.proof_elided_launches"), 2u);
+  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_fast_launches"), 0u);
+  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_elided_launches"), 2u);
   EXPECT_EQ(rt.races(), 0u);
 }
 
@@ -440,8 +441,8 @@ TEST(ProveElideRuntimeTest, CrossStreamOverlapDeniesTheMemo) {
   rt.launch(*k.info, sa, ptrs);  // checked; memo armed for stream A
   rt.launch(*k.info, sb, ptrs);  // checked; in-flight entry for fiber B
   rt.launch(*k.info, sa, ptrs);  // memo denied: B's write footprint overlaps
-  EXPECT_GE(rt.metrics.value("cusan.proof_cross_stream_overlaps"), 1u);
-  EXPECT_EQ(rt.metrics.value("cusan.proof_fast_launches"), 0u);
+  EXPECT_GE(metric_value(rt.metrics, "cusan.proof_cross_stream_overlaps"), 1u);
+  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_fast_launches"), 0u);
 }
 
 TEST(ProveElideRuntimeTest, AnotherStacksProvenLaunchesNeverApproveTheMemo) {
@@ -477,7 +478,7 @@ TEST(ProveElideRuntimeTest, AnotherStacksProvenLaunchesNeverApproveTheMemo) {
   const std::array<const void*, 1> ptrs_b{buf_b};
   b.launch(*k.info, b.device.default_stream(), ptrs_b);  // one proven publish
   a.launch(*k.info, sa, ptrs_a);  // must re-check and find the race
-  EXPECT_EQ(shared.value("cusan.proof_fast_launches"), 0u);
+  EXPECT_EQ(metric_value(shared, "cusan.proof_fast_launches"), 0u);
   EXPECT_EQ(a.tsan.reports().size(), 1u);
   EXPECT_TRUE(b.tsan.reports().empty());
 }
@@ -601,8 +602,8 @@ ReplayResult replay_schedule(std::uint64_t seed, cusan::ProveElide mode, bool fa
         break;
     }
   }
-  return ReplayResult{rt.races(), rt.metrics.value("cusan.proof_elided_args"),
-                      rt.metrics.value("rsan.slot_evictions")};
+  return ReplayResult{rt.races(), metric_value(rt.metrics, "cusan.proof_elided_args"),
+                      metric_value(rt.metrics, "rsan.slot_evictions")};
 }
 
 class ProveElideDifferentialP : public ::testing::TestWithParam<std::uint64_t> {};

@@ -23,6 +23,7 @@
 
 #include "common/rng.hpp"
 #include "rsan/runtime.hpp"
+#include "metric_value.hpp"
 
 namespace {
 
@@ -215,12 +216,14 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided) {
   };
   LastAccess last;
 
+  const obs::Counter& fast_races = fast_metrics.counter("rsan.races_detected");
+  const obs::Counter& slow_races = slow_metrics.counter("rsan.races_detected");
   const auto do_access = [&](int ctx, std::uintptr_t addr, std::size_t size, bool is_write) {
     fast.switch_to_fiber(fast_ids[static_cast<std::size_t>(ctx)]);
     slow.switch_to_fiber(slow_ids[static_cast<std::size_t>(ctx)]);
     naive.switch_to(static_cast<CtxId>(ctx));
-    const std::uint64_t fast_before = fast_metrics.value("rsan.races_detected");
-    const std::uint64_t slow_before = slow_metrics.value("rsan.races_detected");
+    const std::uint64_t fast_before = fast_races.value();
+    const std::uint64_t slow_before = slow_races.value();
     const auto* ptr = reinterpret_cast<const void*>(addr);
     if (is_write) {
       fast.write_range(ptr, size, "w");
@@ -230,8 +233,8 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided) {
       slow.read_range(ptr, size, "r");
     }
     const bool naive_raced = naive.access(addr, size, is_write);
-    const bool fast_raced = fast_metrics.value("rsan.races_detected") != fast_before;
-    const bool slow_raced = slow_metrics.value("rsan.races_detected") != slow_before;
+    const bool fast_raced = fast_races.value() != fast_before;
+    const bool slow_raced = slow_races.value() != slow_before;
     ASSERT_EQ(fast_raced, slow_raced)
         << "fast/slow verdict diverged: seed " << seed << " addr " << (addr - base) << " size "
         << size << (is_write ? " write" : " read");
@@ -290,9 +293,8 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided) {
   }
 
   // Final race totals and report lists: fast == slow == naive.
-  EXPECT_EQ(fast_metrics.value("rsan.races_detected"), slow_metrics.value("rsan.races_detected"))
-      << "seed " << seed;
-  EXPECT_EQ(fast_metrics.value("rsan.races_detected"), naive.races()) << "seed " << seed;
+  EXPECT_EQ(fast_races.value(), slow_races.value()) << "seed " << seed;
+  EXPECT_EQ(fast_races.value(), naive.races()) << "seed " << seed;
   ASSERT_EQ(fast.reports().size(), slow.reports().size()) << "seed " << seed;
   ASSERT_EQ(fast.reports().size(), naive.reports().size()) << "seed " << seed;
   for (std::size_t i = 0; i < fast.reports().size(); ++i) {
@@ -335,10 +337,10 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided) {
 
   // The slow runtime must never take a fast path; the fast runtime's
   // engagement is accumulated and asserted per test case.
-  EXPECT_EQ(slow_metrics.value("rsan.fastpath_range_hits"), 0u);
-  EXPECT_EQ(slow_metrics.value("rsan.fastpath_block_hits"), 0u);
-  EXPECT_EQ(slow_metrics.value("rsan.fastpath_granules_elided"), 0u);
-  fastpath_elided += fast_metrics.value("rsan.fastpath_granules_elided");
+  EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_range_hits"), 0u);
+  EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_block_hits"), 0u);
+  EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_granules_elided"), 0u);
+  fastpath_elided += metric_value(fast_metrics, "rsan.fastpath_granules_elided");
 }
 
 TEST_P(ShadowDifferentialP, FastAndReferenceShadowsAgreeOnRandomTraces) {

@@ -5,6 +5,7 @@
 #include <array>
 
 #include "rsan/runtime.hpp"
+#include "metric_value.hpp"
 
 namespace {
 
@@ -32,7 +33,7 @@ TEST_F(RsanRuntimeTest, WriteWriteRaceBetweenUnsyncedContexts) {
   rt.write_range(buf.data(), sizeof buf, "fiber write");
   rt.switch_to_fiber(rt.host_ctx());
   rt.write_range(buf.data(), sizeof buf, "host write");
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 1u);
   ASSERT_EQ(rt.reports().size(), 1u);
   EXPECT_EQ(rt.reports()[0].previous.ctx, fiber);
   EXPECT_TRUE(rt.reports()[0].current.is_write);
@@ -45,7 +46,7 @@ TEST_F(RsanRuntimeTest, ReadWriteRaceDetected) {
   rt.write_range(buf.data(), sizeof buf, "fiber write");
   rt.switch_to_fiber(rt.host_ctx());
   rt.read_range(buf.data(), sizeof buf, "host read");
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 1u);
   EXPECT_FALSE(rt.reports()[0].current.is_write);
 }
 
@@ -55,7 +56,7 @@ TEST_F(RsanRuntimeTest, ReadReadIsNotARace) {
   rt.read_range(buf.data(), sizeof buf);
   rt.switch_to_fiber(rt.host_ctx());
   rt.read_range(buf.data(), sizeof buf);
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, HappensBeforeOrdersAccesses) {
@@ -66,7 +67,7 @@ TEST_F(RsanRuntimeTest, HappensBeforeOrdersAccesses) {
   rt.switch_to_fiber(rt.host_ctx());
   rt.happens_after(&sync_key);  // host acquires
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, ReleaseAfterAccessDoesNotOrderLaterAccesses) {
@@ -77,7 +78,7 @@ TEST_F(RsanRuntimeTest, ReleaseAfterAccessDoesNotOrderLaterAccesses) {
   rt.switch_to_fiber(rt.host_ctx());
   rt.happens_after(&sync_key);
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, FiberSwitchCarriesNoSynchronization) {
@@ -87,7 +88,7 @@ TEST_F(RsanRuntimeTest, FiberSwitchCarriesNoSynchronization) {
   rt.write_range(buf.data(), sizeof buf);
   rt.switch_to_fiber(fiber);
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, FiberCreationInheritsCreatorClock) {
@@ -95,7 +96,7 @@ TEST_F(RsanRuntimeTest, FiberCreationInheritsCreatorClock) {
   const auto fiber = rt.create_fiber(CtxKind::kUserFiber, "f");
   rt.switch_to_fiber(fiber);
   rt.write_range(buf.data(), sizeof buf);  // ordered after host write
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, TransitiveHappensBefore) {
@@ -112,12 +113,12 @@ TEST_F(RsanRuntimeTest, TransitiveHappensBefore) {
   rt.switch_to_fiber(rt.host_ctx());
   rt.happens_after(&key2h);
   rt.write_range(buf.data(), sizeof buf);  // ordered after f1 via f2
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, AcquireOfUnreleasedKeyIsNoop) {
   rt.happens_after(&sync_key);
-  EXPECT_EQ(metrics.value("rsan.hb_after"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.hb_after"), 1u);
   EXPECT_FALSE(rt.has_sync_object(&sync_key));
   rt.happens_before(&sync_key);
   EXPECT_TRUE(rt.has_sync_object(&sync_key));
@@ -132,7 +133,7 @@ TEST_F(RsanRuntimeTest, ReleaseSyncObjectForgetsClock) {
   rt.switch_to_fiber(rt.host_ctx());
   rt.happens_after(&sync_key);  // no-op now
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, PartialOverlapRaces) {
@@ -142,10 +143,10 @@ TEST_F(RsanRuntimeTest, PartialOverlapRaces) {
   rt.switch_to_fiber(rt.host_ctx());
   // Host touches the second half only: no overlap, no race.
   rt.write_range(buf.data() + 512, 512 * sizeof(double), "second half");
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
   // Now host touches a range straddling the boundary.
   rt.write_range(buf.data() + 500, 24 * sizeof(double), "straddle");
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, DisjointAddressesNeverRace) {
@@ -155,14 +156,14 @@ TEST_F(RsanRuntimeTest, DisjointAddressesNeverRace) {
   rt.write_range(buf.data(), sizeof buf);
   rt.switch_to_fiber(rt.host_ctx());
   rt.write_range(other.data(), sizeof other);
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, SameContextNeverRaces) {
   rt.write_range(buf.data(), sizeof buf);
   rt.read_range(buf.data(), sizeof buf);
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, RaceCountedOncePerRangeCall) {
@@ -171,7 +172,7 @@ TEST_F(RsanRuntimeTest, RaceCountedOncePerRangeCall) {
   rt.write_range(buf.data(), sizeof buf);  // thousands of granules
   rt.switch_to_fiber(rt.host_ctx());
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 1u);
   EXPECT_EQ(rt.reports().size(), 1u);
 }
 
@@ -183,7 +184,7 @@ TEST_F(RsanRuntimeTest, DuplicateReportsAreDeduped) {
     rt.switch_to_fiber(rt.host_ctx());
     rt.write_range(buf.data(), 64);
   }
-  EXPECT_GE(metrics.value("rsan.races_detected"), 5u);
+  EXPECT_GE(metric_value(metrics, "rsan.races_detected"), 5u);
   EXPECT_EQ(rt.reports().size(), 1u);  // same ctx pair + page
 }
 
@@ -208,7 +209,7 @@ TEST_F(RsanRuntimeTest, ResetShadowRangeForgetsAccesses) {
   rt.switch_to_fiber(rt.host_ctx());
   rt.reset_shadow_range(buf.data(), sizeof buf);  // e.g. the memory was freed
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, TrackMemoryOffDisablesDetection) {
@@ -221,10 +222,10 @@ TEST_F(RsanRuntimeTest, TrackMemoryOffDisablesDetection) {
   quiet.write_range(buf.data(), sizeof buf);
   quiet.switch_to_fiber(quiet.host_ctx());
   quiet.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(quiet_metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(quiet_metrics, "rsan.races_detected"), 0u);
   EXPECT_EQ(quiet.shadow_resident_bytes(), 0u);
   // Counters still tally the calls (needed for Table I even in ablation).
-  EXPECT_EQ(quiet_metrics.value("rsan.write_range_calls"), 2u);
+  EXPECT_EQ(metric_value(quiet_metrics, "rsan.write_range_calls"), 2u);
 }
 
 TEST_F(RsanRuntimeTest, CountersTallyCallsAndBytes) {
@@ -233,12 +234,12 @@ TEST_F(RsanRuntimeTest, CountersTallyCallsAndBytes) {
   rt.write_range(buf.data(), 50);
   rt.plain_read(buf.data(), 8);
   rt.plain_write(buf.data(), 8);
-  EXPECT_EQ(metrics.value("rsan.read_range_calls"), 1u);
-  EXPECT_EQ(metrics.value("rsan.write_range_calls"), 2u);
-  EXPECT_EQ(metrics.value("rsan.read_range_bytes"), 100u);
-  EXPECT_EQ(metrics.value("rsan.write_range_bytes"), 250u);
-  EXPECT_EQ(metrics.value("rsan.plain_reads"), 1u);
-  EXPECT_EQ(metrics.value("rsan.plain_writes"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.read_range_calls"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.write_range_calls"), 2u);
+  EXPECT_EQ(metric_value(metrics, "rsan.read_range_bytes"), 100u);
+  EXPECT_EQ(metric_value(metrics, "rsan.write_range_bytes"), 250u);
+  EXPECT_EQ(metric_value(metrics, "rsan.plain_reads"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.plain_writes"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, FiberSwitchCounter) {
@@ -246,7 +247,7 @@ TEST_F(RsanRuntimeTest, FiberSwitchCounter) {
   rt.switch_to_fiber(fiber);
   rt.switch_to_fiber(fiber);  // no-op switch not counted
   rt.switch_to_fiber(rt.host_ctx());
-  EXPECT_EQ(metrics.value("rsan.fiber_switches"), 2u);
+  EXPECT_EQ(metric_value(metrics, "rsan.fiber_switches"), 2u);
 }
 
 TEST_F(RsanRuntimeTest, ReportLimitCapsStorageNotCounting) {
@@ -263,7 +264,7 @@ TEST_F(RsanRuntimeTest, ReportLimitCapsStorageNotCounting) {
     limited.switch_to_fiber(limited.host_ctx());
     limited.write_range(b.data(), sizeof b);
   }
-  EXPECT_EQ(limited_metrics.value("rsan.races_detected"), 5u);
+  EXPECT_EQ(metric_value(limited_metrics, "rsan.races_detected"), 5u);
   EXPECT_EQ(limited.reports().size(), 2u);
 }
 
@@ -280,7 +281,7 @@ TEST_F(RsanRuntimeTest, ShadowEvictionStillDetectsConflicts) {
   }
   rt.switch_to_fiber(rt.host_ctx());
   rt.write_range(buf.data(), 64);
-  EXPECT_GE(metrics.value("rsan.races_detected"), 1u);
+  EXPECT_GE(metric_value(metrics, "rsan.races_detected"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, InternedLabelSurvives) {
@@ -302,7 +303,7 @@ TEST_F(RsanRuntimeTest, DestroyedFiberStillNamedInReports) {
 TEST_F(RsanRuntimeTest, ZeroSizeAccessIsNoop) {
   rt.write_range(buf.data(), 0);
   EXPECT_EQ(rt.shadow_resident_bytes(), 0u);
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, IgnoreScopeSkipsTrackingAndChecking) {
@@ -315,11 +316,11 @@ TEST_F(RsanRuntimeTest, IgnoreScopeSkipsTrackingAndChecking) {
   rt.write_range(buf.data(), sizeof buf, "ignored host write");  // no race, not tracked
   rt.ignore_end();
   EXPECT_FALSE(rt.ignoring());
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
-  EXPECT_EQ(metrics.value("rsan.ignored_accesses"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.ignored_accesses"), 1u);
   // After the scope ends, accesses race again.
   rt.write_range(buf.data(), sizeof buf, "host write");
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, ReportsExportAsJsonl) {
@@ -358,7 +359,7 @@ TEST_F(RsanRuntimeTest, IgnoreIsPerContext) {
   EXPECT_TRUE(rt.ignoring());
   rt.ignore_end();
   rt.write_range(buf.data(), sizeof buf, "host write");
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 1u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, IgnoreDoesNotAffectSynchronization) {
@@ -371,7 +372,7 @@ TEST_F(RsanRuntimeTest, IgnoreDoesNotAffectSynchronization) {
   rt.switch_to_fiber(rt.host_ctx());
   rt.happens_after(&sync_key);
   rt.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 0u);
 }
 
 // Golden report test for the attribution fix: the report names the racing
@@ -412,14 +413,14 @@ TEST_F(RsanRuntimeTest, RepeatedSameEpochRangeHitsRecentRangeCache) {
   obs::MetricsRegistry fast_metrics;
   Runtime fast(fast_metrics, config);
   fast.write_range(buf.data(), sizeof buf, "first");
-  EXPECT_EQ(fast_metrics.value("rsan.fastpath_range_hits"), 0u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 0u);
   fast.write_range(buf.data(), sizeof buf, "repeat");
-  EXPECT_EQ(fast_metrics.value("rsan.fastpath_range_hits"), 1u);
-  EXPECT_EQ(fast_metrics.value("rsan.fastpath_granules_elided"), sizeof buf / rsan::kGranuleBytes);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 1u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_granules_elided"), sizeof buf / rsan::kGranuleBytes);
   // A covered sub-range is also a provable no-op.
   fast.write_range(&buf[10], 64, "subrange");
-  EXPECT_EQ(fast_metrics.value("rsan.fastpath_range_hits"), 2u);
-  EXPECT_EQ(fast_metrics.value("rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 2u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.races_detected"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, RecentRangeCacheRequiresSameAccessKind) {
@@ -431,7 +432,7 @@ TEST_F(RsanRuntimeTest, RecentRangeCacheRequiresSameAccessKind) {
   // A read after a write stores fresh read cells in the reference semantics,
   // so it must not be skipped (kind equality, not subsumption).
   fast.read_range(buf.data(), sizeof buf);
-  EXPECT_EQ(fast_metrics.value("rsan.fastpath_range_hits"), 0u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, ClockTickInvalidatesRecentRangeCache) {
@@ -442,10 +443,10 @@ TEST_F(RsanRuntimeTest, ClockTickInvalidatesRecentRangeCache) {
   fast.write_range(buf.data(), sizeof buf);
   fast.happens_before(&sync_key);  // ticks the epoch
   fast.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(fast_metrics.value("rsan.fastpath_range_hits"), 0u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 0u);
   // The re-scan still runs O(blocks), not O(granules): every block summary is
   // uniform after the first pass, so the second pass hits the summary layer.
-  EXPECT_GT(fast_metrics.value("rsan.fastpath_block_hits"), 0u);
+  EXPECT_GT(metric_value(fast_metrics, "rsan.fastpath_block_hits"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, AcquireInvalidatesRecentRangeCache) {
@@ -458,7 +459,7 @@ TEST_F(RsanRuntimeTest, AcquireInvalidatesRecentRangeCache) {
   fast.write_range(buf.data(), sizeof buf);
   fast.happens_after(&key);  // acquire does not tick, but still invalidates
   fast.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(fast_metrics.value("rsan.fastpath_range_hits"), 0u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 0u);
 }
 
 TEST_F(RsanRuntimeTest, ResetRangeInvalidatesFastPathState) {
@@ -469,7 +470,7 @@ TEST_F(RsanRuntimeTest, ResetRangeInvalidatesFastPathState) {
   fast.write_range(buf.data(), sizeof buf);
   fast.reset_shadow_range(buf.data(), sizeof buf);
   fast.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(fast_metrics.value("rsan.fastpath_range_hits"), 0u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 0u);
   // The repeat after the reset really stored: the shadow holds valid cells.
   const auto* cells = fast.shadow().granule_if_present(
       reinterpret_cast<std::uintptr_t>(buf.data()));
@@ -486,10 +487,10 @@ TEST_F(RsanRuntimeTest, FastPathStillDetectsRacesAfterHits) {
   fast.switch_to_fiber(fiber);
   fast.write_range(buf.data(), sizeof buf, "fiber write");
   fast.write_range(buf.data(), sizeof buf, "fiber write");  // range-cache hit
-  EXPECT_EQ(fast_metrics.value("rsan.fastpath_range_hits"), 1u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 1u);
   fast.switch_to_fiber(fast.host_ctx());
   fast.write_range(buf.data(), sizeof buf, "host write");
-  EXPECT_EQ(fast_metrics.value("rsan.races_detected"), 1u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.races_detected"), 1u);
 }
 
 TEST_F(RsanRuntimeTest, FastPathDisabledKeepsCountersZero) {
@@ -500,10 +501,10 @@ TEST_F(RsanRuntimeTest, FastPathDisabledKeepsCountersZero) {
   for (int i = 0; i < 4; ++i) {
     slow.write_range(buf.data(), sizeof buf);
   }
-  EXPECT_EQ(slow_metrics.value("rsan.fastpath_range_hits"), 0u);
-  EXPECT_EQ(slow_metrics.value("rsan.fastpath_block_hits"), 0u);
-  EXPECT_EQ(slow_metrics.value("rsan.fastpath_block_misses"), 0u);
-  EXPECT_EQ(slow_metrics.value("rsan.fastpath_granules_elided"), 0u);
+  EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_range_hits"), 0u);
+  EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_block_hits"), 0u);
+  EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_block_misses"), 0u);
+  EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_granules_elided"), 0u);
 }
 
 }  // namespace
