@@ -71,7 +71,8 @@ class ThreadCommImpl final : public CommImpl {
  public:
   ThreadCommImpl(int size, std::shared_ptr<ProgressTracker> tracker, int comm_id,
                  std::shared_ptr<WaiterHub> hub)
-      : size_(size),
+      : CommImpl(size),
+        size_(size),
         tracker_(std::move(tracker)),
         comm_id_(comm_id),
         hub_(std::move(hub)),
@@ -861,7 +862,7 @@ MpiError Comm::isend(const void* buf, std::size_t count, const Datatype& type, i
       err != MpiError::kSuccess) {
     return err;
   }
-  Request* req = impl_->make_request(Request::Kind::kSend, buf, count, type, dest, tag);
+  Request* req = impl_->make_request(rank_, Request::Kind::kSend, buf, count, type, dest, tag);
   const MpiError err = impl_->post_send(rank_, dest, tag, buf, count, type);
   if (err != MpiError::kSuccess) {
     delete req;
@@ -891,7 +892,7 @@ MpiError Comm::irecv(void* buf, std::size_t count, const Datatype& type, int sou
       err != MpiError::kSuccess) {
     return err;
   }
-  Request* req = impl_->make_request(Request::Kind::kRecv, buf, count, type, source, tag);
+  Request* req = impl_->make_request(rank_, Request::Kind::kRecv, buf, count, type, source, tag);
   const MpiError err = impl_->post_recv(rank_, source, tag, buf, count, type, req);
   if (err != MpiError::kSuccess) {
     delete req;

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "mpisim/comm.hpp"
 #include "mpisim/request.hpp"
@@ -25,7 +26,16 @@ class CommImpl {
  public:
   CommImpl(const CommImpl&) = delete;
   CommImpl& operator=(const CommImpl&) = delete;
-  virtual ~CommImpl() = default;
+  /// Reclaims the requests the ranks never completed (MPI_Finalize
+  /// semantics). Runs once every rank handle is gone, after the tools'
+  /// finalize hooks have read their outstanding requests.
+  virtual ~CommImpl() {
+    for (Request*& head : live_) {
+      while (head != nullptr) {
+        delete head;  // unlinks itself, advancing head
+      }
+    }
+  }
 
   [[nodiscard]] virtual int size() const = 0;
   [[nodiscard]] virtual int comm_id() const = 0;
@@ -61,14 +71,24 @@ class CommImpl {
                          std::uint64_t fault_id) = 0;
 
   /// Requests are constructed through the base so the Request friendship
-  /// stays with this one class.
-  [[nodiscard]] Request* make_request(Request::Kind kind, const void* buf, std::size_t count,
-                                      const Datatype& type, int peer, int tag) {
-    return new Request(kind, buf, count, type, peer, tag);
+  /// stays with this one class. The request joins `owner`'s list of
+  /// outstanding requests until it is deleted.
+  [[nodiscard]] Request* make_request(int owner, Request::Kind kind, const void* buf,
+                                      std::size_t count, const Datatype& type, int peer,
+                                      int tag) {
+    auto* req = new Request(kind, buf, count, type, peer, tag);
+    Request*& head = live_[static_cast<std::size_t>(owner)];
+    req->live_head_ = &head;
+    req->live_next_ = head;
+    if (head != nullptr) {
+      head->live_prev_ = req;
+    }
+    head = req;
+    return req;
   }
 
  protected:
-  CommImpl() = default;
+  explicit CommImpl(int size) : live_(static_cast<std::size_t>(size), nullptr) {}
 
   // Derived backends complete requests and read their envelopes through
   // these helpers (same reason as make_request).
@@ -80,6 +100,10 @@ class CommImpl {
   [[nodiscard]] static bool request_complete(const Request* req) { return req->complete(); }
   [[nodiscard]] static int request_peer(const Request* req) { return req->peer_; }
   [[nodiscard]] static int request_tag(const Request* req) { return req->tag_; }
+
+ private:
+  /// Per-rank head of the outstanding-request list.
+  std::vector<Request*> live_;
 };
 
 }  // namespace mpisim

@@ -941,7 +941,7 @@ class ProcTransport {
 // -- ProcCommImpl -----------------------------------------------------------
 
 ProcCommImpl::ProcCommImpl(std::shared_ptr<ProcTransport> transport, int comm_id)
-    : transport_(std::move(transport)), comm_id_(comm_id) {}
+    : CommImpl(transport->world()), transport_(std::move(transport)), comm_id_(comm_id) {}
 
 int ProcCommImpl::size() const { return transport_->world(); }
 

@@ -1,6 +1,8 @@
 // Non-blocking communication requests. Requests are heap-allocated by
 // isend/irecv and destroyed by wait/test-success; the pointer value serves
-// as MUST's stable key for its request-fiber mapping.
+// as MUST's stable key for its request-fiber mapping. A request the program
+// never completes is reclaimed when its communicator is torn down, as
+// MPI_Finalize would.
 #pragma once
 
 #include <atomic>
@@ -22,6 +24,17 @@ class Request {
   /// by the deadlock watchdog's blocked-op diagnostics.
   [[nodiscard]] int peer() const { return peer_; }
   [[nodiscard]] int tag() const { return tag_; }
+
+  ~Request() {
+    if (live_prev_ != nullptr) {
+      live_prev_->live_next_ = live_next_;
+    } else if (live_head_ != nullptr) {
+      *live_head_ = live_next_;
+    }
+    if (live_next_ != nullptr) {
+      live_next_->live_prev_ = live_prev_;
+    }
+  }
 
  private:
   friend class CommImpl;
@@ -45,6 +58,11 @@ class Request {
   int tag_{-1};
   std::atomic<bool> complete_{false};
   Status status_{};  ///< published by the release-store on complete_
+  /// Links in the owning rank's list of outstanding requests (CommImpl);
+  /// only that rank links or unlinks, so no lock is needed.
+  Request** live_head_{nullptr};
+  Request* live_prev_{nullptr};
+  Request* live_next_{nullptr};
 };
 
 }  // namespace mpisim

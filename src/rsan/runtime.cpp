@@ -59,7 +59,7 @@ std::size_t default_shadow_max_bytes() {
 }
 
 Runtime::Runtime(obs::MetricsRegistry& metrics, RuntimeConfig config)
-    : config_(config), metrics_(metrics) {
+    : config_(config), shadow_(config_.use_shadow_fast_path), metrics_(metrics) {
   if (config_.shadow_max_bytes != 0) {
     // At least one block so a capped runtime still tracks something.
     shadow_.set_block_budget(std::max<std::size_t>(1, config_.shadow_max_bytes / sizeof(ShadowBlock)));
@@ -506,19 +506,24 @@ bool Runtime::try_fast_block(ShadowBlock& blk, std::uintptr_t block_key, std::si
                fresh, reported_this_call, call_race_free, /*update_summary=*/false);
   }
   if (sum.cells[static_cast<std::size_t>(store_slot)].raw != fresh.raw) {
-    ShadowCell* const cells = blk.cells.data();
-    for (std::size_t g = fast_lo; g <= fast_hi; ++g) {
-      cells[g * kShadowSlots + static_cast<std::size_t>(store_slot)] = fresh;
+    // The summary is the state of [sum.lo, sum.hi], so storing `fresh` is one
+    // summary slot, not a slot in each granule. The span's granules outside
+    // [fast_lo, fast_hi] keep the old cells: materialize them, then shrink
+    // the summary to the span just stored.
+    if (sum.lo < fast_lo) {
+      blk.materialize(sum.lo, fast_lo - 1);
     }
-    // Granules of the old summary span outside [fast_lo, fast_hi] did not
-    // receive `fresh`, so the summary shrinks to the span just stored.
+    if (fast_hi < sum.hi) {
+      blk.materialize(fast_hi + 1, sum.hi);
+    }
     blk.summary.cells[static_cast<std::size_t>(store_slot)] = fresh;
     blk.summary.lo = static_cast<std::uint16_t>(fast_lo);
     blk.summary.hi = static_cast<std::uint16_t>(fast_hi);
+    blk.summary.deferred = true;
   }
   // else: the chosen slot already holds `fresh` (same ctx/epoch/kind repeat
   // over a different base range) — the store would be a bit-exact no-op, so
-  // the cells and the full summary span stay valid untouched.
+  // the full summary span stays valid untouched.
   if (fast_hi < g_hi) {
     slow_block(blk, block_key, fast_hi + 1, g_hi, base, size, is_write, label, cur, cur_clock,
                fresh, reported_this_call, call_race_free, /*update_summary=*/false);
@@ -532,6 +537,12 @@ void Runtime::slow_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_t
                          ShadowCell fresh, bool& reported_this_call, bool& call_race_free,
                          bool update_summary) {
   const bool fast = config_.use_shadow_fast_path && update_summary;
+  if (fast && blk.summary.overlaps(g_lo, g_hi)) {
+    // A racing segment overlapping the summary span: the scan below reads
+    // raw cells, so give the overlap its summarized state first.
+    blk.materialize(std::max<std::size_t>(g_lo, blk.summary.lo),
+                    std::min<std::size_t>(g_hi, blk.summary.hi));
+  }
   ShadowCell* const block_cells = blk.cells.data();
   const ShadowCell* const rep = block_cells + g_lo * kShadowSlots;
   bool uniform = true;
@@ -592,7 +603,8 @@ void Runtime::slow_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_t
   // came out uniform) and the fragments of the previous summary this span did
   // not touch (still uniform with the old cells). Keeping the widest one
   // stops narrow annotations — a halo-row exchange, a host plain access —
-  // from clobbering a full-block summary.
+  // from clobbering a full-block summary. A fragment that loses leaves the
+  // summary, so it is materialized from the old cells.
   const BlockSummary prev_sum = blk.summary;
   const auto width = [](std::size_t lo, std::size_t hi) { return lo <= hi ? hi - lo + 1 : 0; };
   std::size_t left_lo = 1;
@@ -610,17 +622,27 @@ void Runtime::slow_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_t
     }
   }
   const std::size_t new_width = uniform ? g_hi - g_lo + 1 : 0;
-  const std::size_t frag_lo = width(left_lo, left_hi) >= width(right_lo, right_hi) ? left_lo : right_lo;
-  const std::size_t frag_hi = width(left_lo, left_hi) >= width(right_lo, right_hi) ? left_hi : right_hi;
+  const bool left_wins = width(left_lo, left_hi) >= width(right_lo, right_hi);
+  const std::size_t frag_lo = left_wins ? left_lo : right_lo;
+  const std::size_t frag_hi = left_wins ? left_hi : right_hi;
+  // (materialize() of an empty lo > hi fragment stores nothing.)
   if (new_width >= width(frag_lo, frag_hi)) {
+    blk.materialize(left_lo, left_hi);
+    blk.materialize(right_lo, right_hi);
     if (uniform) {
       std::copy(rep, rep + kShadowSlots, blk.summary.cells.begin());
       blk.summary.lo = static_cast<std::uint16_t>(g_lo);
       blk.summary.hi = static_cast<std::uint16_t>(g_hi);
+      blk.summary.deferred = false;  // the scan just stored these raw cells
     } else {
       blk.summary.invalidate();
     }
   } else {
+    if (left_wins) {
+      blk.materialize(right_lo, right_hi);
+    } else {
+      blk.materialize(left_lo, left_hi);
+    }
     blk.summary.lo = static_cast<std::uint16_t>(frag_lo);
     blk.summary.hi = static_cast<std::uint16_t>(frag_hi);
   }

@@ -36,11 +36,19 @@ ShadowBlock* ShadowMemory::allocate_block() {
   }
   ShadowBlock* blk = slabs_.back() + slab_used_;
   ++slab_used_;
-  // Mapped-zero cells are exactly the value-initialized state, but a zero
-  // BlockSummary reads as lo=0,hi=0 ("covers granule 0"); the empty summary
-  // is lo>hi.
-  blk->summary.invalidate();
+  init_summary(*blk);
   return blk;
+}
+
+void ShadowMemory::init_summary(ShadowBlock& blk) const {
+  // Mapped-zero cells are exactly the value-initialized state, but a zero
+  // BlockSummary reads as lo=0,hi=0 ("covers granule 0"): set it explicitly.
+  if (summaries_) {
+    blk.summary.reset_whole_block();
+    blk.summary.deferred = false;  // the raw cells are empty already
+  } else {
+    blk.summary.invalidate();
+  }
 }
 
 ShadowBlock* ShadowMemory::lookup_or_create(std::uintptr_t key) {
@@ -84,6 +92,7 @@ ShadowBlock* ShadowMemory::lookup_or_create(std::uintptr_t key) {
   std::unique_ptr<ShadowBlock>& slot = overflow_[key];
   if (!slot) {
     slot = std::make_unique<ShadowBlock>();
+    init_summary(*slot);
     ++block_count_;
   }
   return slot.get();
@@ -123,10 +132,23 @@ void ShadowMemory::reset_range(std::uintptr_t base, std::size_t extent) {
     if (blk != nullptr) {
       const std::size_t lo = static_cast<std::size_t>(g - key * kGranulesPerBlock);
       const std::size_t hi = static_cast<std::size_t>(seg_last - key * kGranulesPerBlock);
-      std::fill(blk->cells.begin() + static_cast<std::ptrdiff_t>(lo * kShadowSlots),
-                blk->cells.begin() + static_cast<std::ptrdiff_t>((hi + 1) * kShadowSlots),
-                ShadowCell{});
-      blk->summary.invalidate();
+      BlockSummary& sum = blk->summary;
+      if (summaries_ && lo == 0 && hi == kGranulesPerBlock - 1) {
+        sum.reset_whole_block();  // the raw cells become don't-care: no 16 KiB fill
+      } else {
+        if (sum.overlaps(lo, hi)) {
+          // The span's granules outside the segment keep the summary's
+          // state; a summary disjoint from the segment stays as it is.
+          if (sum.lo < lo) {
+            blk->materialize(sum.lo, std::min<std::size_t>(sum.hi, lo - 1));
+          }
+          if (hi < sum.hi) {
+            blk->materialize(std::max<std::size_t>(sum.lo, hi + 1), sum.hi);
+          }
+          sum.invalidate();
+        }
+        blk->store_cells(lo, hi, {});
+      }
     }
     if (seg_last == last_granule) {
       break;

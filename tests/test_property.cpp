@@ -47,10 +47,10 @@ class RsanOracleP : public ::testing::TestWithParam<ScheduleParams> {};
 // and release->acquire edges per key define happens-before; races are
 // conflicting accesses with no path either way.
 struct OracleEvent {
-  enum class Kind { kAccess, kRelease, kAcquire } kind;
-  int ctx;
-  int slot;      // access slot or sync key index
-  bool is_write;
+  enum class Kind { kAccess, kRelease, kAcquire } kind{Kind::kAccess};
+  int ctx{0};
+  int slot{0};          // access slot or sync key index
+  bool is_write{false};  // accesses only
   std::vector<std::uint64_t> ancestors;  // bitset words over event ids
 };
 

@@ -11,8 +11,11 @@
 //
 // After every access the per-call race verdicts must agree across all three;
 // after every trace the race totals, report lists and the final shadow
-// contents must be identical. 51 parameter cases x 20 traces each = 1020
-// seeded traces per run.
+// contents (read through ShadowMemory::load, which sees block summaries) must
+// be identical. 51 parameter cases x 20 traces each = 1020 seeded traces per
+// run, plus 20 x 20 widened traces that also aim at block summaries:
+// block-aligned whole-block ranges, partial resets inside a summarized span,
+// and writes by another context that start inside one.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -183,7 +186,20 @@ std::uintptr_t arena_base() {
   return (raw + 4095) & ~std::uintptr_t{4095};
 }
 
-void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided) {
+/// Block summary span of the fast runtime's block `block` (arena-relative),
+/// or false when the block has none.
+bool summary_span(const rsan::Runtime& fast, std::uintptr_t base, std::size_t block,
+                  std::size_t& lo, std::size_t& hi) {
+  const rsan::ShadowBlock* blk = fast.shadow().block_if_present(base + block * 4096);
+  if (blk == nullptr || blk->summary.lo > blk->summary.hi) {
+    return false;
+  }
+  lo = blk->summary.lo;
+  hi = blk->summary.hi;
+  return true;
+}
+
+void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided, bool widened) {
   common::SplitMix64 rng(seed);
   const int contexts = 2 + static_cast<int>(rng.next_below(3));
   const int events = 120 + static_cast<int>(rng.next_below(80));
@@ -246,8 +262,46 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided) {
 
   for (int e = 0; e < events; ++e) {
     const int ctx = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(contexts)));
-    const auto choice = rng.next_below(100);
-    if (choice < 40) {  // fresh random access
+    const auto choice = rng.next_below(widened ? 130 : 100);
+    if (choice >= 100) {  // widened generator only: aim at block summaries
+      const std::size_t block = rng.next_below(kArenaPages);
+      std::size_t lo = 0;
+      std::size_t hi = 0;
+      const std::size_t blocks = 1 + rng.next_below(std::min<std::size_t>(3, kArenaPages - block));
+      if (choice >= 110 && choice < 115) {
+        // Whole-block reset: only the summaries change.
+        const auto* ptr = reinterpret_cast<const void*>(base + block * 4096);
+        fast.reset_shadow_range(ptr, blocks * 4096);
+        slow.reset_shadow_range(ptr, blocks * 4096);
+        naive.reset(base + block * 4096, blocks * 4096);
+      } else if (choice < 110 || !summary_span(fast, base, block, lo, hi)) {
+        // Block-aligned whole-block range of one to three blocks.
+        do_access(ctx, base + block * 4096, blocks * 4096, rng.next_below(2) == 0);
+      } else if (choice < 120) {
+        // Partial reset inside the summarized span.
+        const std::size_t g_lo = lo + rng.next_below(hi - lo + 1);
+        const std::size_t g_hi = g_lo + rng.next_below(hi - g_lo + 1);
+        const std::uintptr_t addr = base + block * 4096 + g_lo * kGranuleBytes;
+        const std::size_t size = (g_hi - g_lo + 1) * kGranuleBytes;
+        fast.reset_shadow_range(reinterpret_cast<const void*>(addr), size);
+        slow.reset_shadow_range(reinterpret_cast<const void*>(addr), size);
+        naive.reset(addr, size);
+      } else {
+        // A write that starts inside the summarized span, by the context
+        // after the one whose cell the span holds: a race unless ordered.
+        const ShadowCell held =
+            fast.shadow().block_if_present(base + block * 4096)->summary.cells[0];
+        const int owner = held.valid() ? static_cast<int>(held.ctx()) : 0;
+        const std::size_t g = lo + rng.next_below(hi - lo + 1);
+        const std::uintptr_t addr =
+            base + block * 4096 + g * kGranuleBytes + rng.next_below(kGranuleBytes);
+        const std::size_t max_size = std::min<std::size_t>(base + kArenaBytes - addr, 2 * 4096);
+        do_access((owner + 1) % contexts, addr, 1 + rng.next_below(max_size), true);
+      }
+      if (testing::Test::HasFatalFailure()) {
+        return;
+      }
+    } else if (choice < 40) {  // fresh random access
       const std::size_t size = rng.next_below(10) < 9
                                    ? 1 + rng.next_below(128)
                                    : 129 + rng.next_below(2 * 4096);
@@ -319,15 +373,16 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided) {
   }
 
   // Final shadow contents over the whole arena: cell-for-cell identical.
-  // (Summaries are acceleration state, not semantics; cells are compared.)
+  // load() reads a summarized span from its block summary, which is the
+  // authority there (the raw cells under it are don't-care).
   EXPECT_EQ(fast.shadow().resident_blocks(), slow.shadow().resident_blocks()) << "seed " << seed;
   for (std::uintptr_t addr = base; addr < base + kArenaBytes; addr += kGranuleBytes) {
-    const ShadowCell* fast_cells = fast.shadow().granule_if_present(addr);
-    const ShadowCell* slow_cells = slow.shadow().granule_if_present(addr);
+    const std::array<ShadowCell, kShadowSlots> fast_cells = fast.shadow().load(addr);
+    const std::array<ShadowCell, kShadowSlots> slow_cells = slow.shadow().load(addr);
     const std::array<ShadowCell, kShadowSlots> naive_cells = naive.granule(addr);
     for (std::size_t s = 0; s < kShadowSlots; ++s) {
-      const std::uint64_t f = fast_cells != nullptr ? fast_cells[s].raw : 0;
-      const std::uint64_t sl = slow_cells != nullptr ? slow_cells[s].raw : 0;
+      const std::uint64_t f = fast_cells[s].raw;
+      const std::uint64_t sl = slow_cells[s].raw;
       ASSERT_EQ(f, sl) << "fast/slow shadow diverged: seed " << seed << " offset "
                        << (addr - base) << " slot " << s;
       ASSERT_EQ(f, naive_cells[s].raw) << "fast/naive shadow diverged: seed " << seed
@@ -343,11 +398,10 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided) {
   fastpath_elided += metric_value(fast_metrics, "rsan.fastpath_granules_elided");
 }
 
-TEST_P(ShadowDifferentialP, FastAndReferenceShadowsAgreeOnRandomTraces) {
-  const std::uint64_t case_seed = GetParam();
+void run_case(std::uint64_t case_seed, bool widened) {
   std::uint64_t fastpath_elided = 0;
   for (std::uint64_t t = 0; t < 20; ++t) {
-    run_trace(case_seed * 7919 + t * 104729 + 1, fastpath_elided);
+    run_trace(case_seed * 7919 + t * 104729 + 1, fastpath_elided, widened);
     if (testing::Test::HasFatalFailure()) {
       return;
     }
@@ -357,6 +411,19 @@ TEST_P(ShadowDifferentialP, FastAndReferenceShadowsAgreeOnRandomTraces) {
   EXPECT_GT(fastpath_elided, 0u) << "fast path never engaged for case seed " << case_seed;
 }
 
+TEST_P(ShadowDifferentialP, FastAndReferenceShadowsAgreeOnRandomTraces) {
+  run_case(GetParam(), /*widened=*/false);
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomTraces, ShadowDifferentialP, ::testing::Range<std::uint64_t>(1, 52));
+
+class ShadowDifferentialWidenedP : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ShadowDifferentialWidenedP, FastAndReferenceShadowsAgreeOnSummaryAimedTraces) {
+  run_case(GetParam(), /*widened=*/true);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomTraces, ShadowDifferentialWidenedP,
+                         ::testing::Range<std::uint64_t>(1, 21));
 
 }  // namespace

@@ -414,9 +414,13 @@ TEST_F(RsanRuntimeTest, RepeatedSameEpochRangeHitsRecentRangeCache) {
   Runtime fast(fast_metrics, config);
   fast.write_range(buf.data(), sizeof buf, "first");
   EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 0u);
+  // The first pass already elides through the fresh blocks' summaries; the
+  // repeat elides every granule of the range on top of that.
+  const std::uint64_t elided_first = metric_value(fast_metrics, "rsan.fastpath_granules_elided");
   fast.write_range(buf.data(), sizeof buf, "repeat");
   EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 1u);
-  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_granules_elided"), sizeof buf / rsan::kGranuleBytes);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_granules_elided") - elided_first,
+            sizeof buf / rsan::kGranuleBytes);
   // A covered sub-range is also a provable no-op.
   fast.write_range(&buf[10], 64, "subrange");
   EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 2u);
@@ -472,10 +476,7 @@ TEST_F(RsanRuntimeTest, ResetRangeInvalidatesFastPathState) {
   fast.write_range(buf.data(), sizeof buf);
   EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 0u);
   // The repeat after the reset really stored: the shadow holds valid cells.
-  const auto* cells = fast.shadow().granule_if_present(
-      reinterpret_cast<std::uintptr_t>(buf.data()));
-  ASSERT_NE(cells, nullptr);
-  EXPECT_TRUE(cells[0].valid());
+  EXPECT_TRUE(fast.shadow().load(reinterpret_cast<std::uintptr_t>(buf.data()))[0].valid());
 }
 
 TEST_F(RsanRuntimeTest, FastPathStillDetectsRacesAfterHits) {
@@ -491,6 +492,147 @@ TEST_F(RsanRuntimeTest, FastPathStillDetectsRacesAfterHits) {
   fast.switch_to_fiber(fast.host_ctx());
   fast.write_range(buf.data(), sizeof buf, "host write");
   EXPECT_EQ(metric_value(fast_metrics, "rsan.races_detected"), 1u);
+}
+
+// -- Deferred shadow stores: the block summary is the state of its span -----
+
+/// One shadow block's worth of block-aligned bytes, so a whole-block range
+/// maps onto exactly one shadow block.
+std::byte* block_aligned_page() {
+  alignas(rsan::kBlockAppBytes) static std::array<std::byte, rsan::kBlockAppBytes> page{};
+  return page.data();
+}
+
+std::uintptr_t granule_addr(const std::byte* page, std::size_t g) {
+  return reinterpret_cast<std::uintptr_t>(page) + g * rsan::kGranuleBytes;
+}
+
+bool raw_cells_zero(const rsan::ShadowBlock& blk, std::size_t g_lo, std::size_t g_hi) {
+  for (std::size_t i = g_lo * rsan::kShadowSlots; i < (g_hi + 1) * rsan::kShadowSlots; ++i) {
+    if (blk.cells[i].raw != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Every granule of `page`'s block reads the same through load() in both
+/// runtimes.
+void expect_same_block_state(const Runtime& fast, const Runtime& reference,
+                             const std::byte* page) {
+  for (std::size_t g = 0; g < rsan::kGranulesPerBlock; ++g) {
+    const auto f = fast.shadow().load(granule_addr(page, g));
+    const auto r = reference.shadow().load(granule_addr(page, g));
+    for (std::size_t s = 0; s < rsan::kShadowSlots; ++s) {
+      ASSERT_EQ(f[s].raw, r[s].raw) << "granule " << g << " slot " << s;
+    }
+  }
+}
+
+class DeferredStoreTest : public ::testing::Test {
+ protected:
+  static RuntimeConfig config(bool fast_path) {
+    RuntimeConfig c;
+    c.use_shadow_fast_path = fast_path;
+    return c;
+  }
+  /// The same annotation on the fast-path runtime and the reference one.
+  void write(std::size_t offset, std::size_t size) {
+    fast.write_range(page + offset, size);
+    reference.write_range(page + offset, size);
+  }
+  void tick() {
+    fast.happens_before(&key);
+    reference.happens_before(&key);
+  }
+
+  obs::MetricsRegistry fast_metrics;
+  Runtime fast{fast_metrics, config(true)};
+  obs::MetricsRegistry reference_metrics;
+  Runtime reference{reference_metrics, config(false)};
+  std::byte* page = block_aligned_page();
+  int key{};
+};
+
+TEST_F(DeferredStoreTest, FirstWholeBlockTouchIsABlockHit) {
+  write(0, rsan::kBlockAppBytes);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_hits"), 1u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_misses"), 0u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_granules_elided"),
+            rsan::kGranulesPerBlock);
+  expect_same_block_state(fast, reference, page);
+}
+
+TEST_F(DeferredStoreTest, WholeBlockStoreAtNewEpochWritesNoRawCell) {
+  write(0, rsan::kBlockAppBytes);
+  tick();
+  write(0, rsan::kBlockAppBytes);
+  const rsan::ShadowBlock* blk = fast.shadow().block_if_present(granule_addr(page, 0));
+  ASSERT_NE(blk, nullptr);
+  EXPECT_TRUE(raw_cells_zero(*blk, 0, rsan::kGranulesPerBlock - 1));
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_hits"), 2u);
+  const rsan::ShadowCell cell = fast.shadow().load(granule_addr(page, 7))[0];
+  EXPECT_TRUE(cell.valid());
+  EXPECT_TRUE(cell.is_write());
+  EXPECT_EQ(cell.ctx(), fast.host_ctx());
+  expect_same_block_state(fast, reference, page);
+}
+
+TEST_F(DeferredStoreTest, PartialAccessMaterializesExactlyTheDroppedFragments) {
+  write(0, rsan::kBlockAppBytes);
+  tick();
+  write(100 * rsan::kGranuleBytes, 100 * rsan::kGranuleBytes);  // granules 100..199
+  const rsan::ShadowBlock* blk = fast.shadow().block_if_present(granule_addr(page, 0));
+  ASSERT_NE(blk, nullptr);
+  EXPECT_EQ(blk->summary.lo, 100u);
+  EXPECT_EQ(blk->summary.hi, 199u);
+  // The accessed span stays deferred; both dropped fragments hold the first
+  // write's cell.
+  EXPECT_TRUE(raw_cells_zero(*blk, 100, 199));
+  const rsan::ShadowCell first = reference.shadow().load(granule_addr(page, 0))[0];
+  for (const std::size_t g : {std::size_t{0}, std::size_t{99}, std::size_t{200},
+                              rsan::kGranulesPerBlock - 1}) {
+    EXPECT_EQ(blk->cells[g * rsan::kShadowSlots].raw, first.raw) << "granule " << g;
+  }
+  expect_same_block_state(fast, reference, page);
+}
+
+TEST_F(DeferredStoreTest, RacingSegmentInsideSummaryMatchesReference) {
+  // Created before the host write, so the fiber's write is unordered with it.
+  const auto fiber_fast = fast.create_fiber(CtxKind::kStreamFiber, "s");
+  const auto fiber_ref = reference.create_fiber(CtxKind::kStreamFiber, "s");
+  write(0, rsan::kBlockAppBytes);
+  fast.switch_to_fiber(fiber_fast);
+  reference.switch_to_fiber(fiber_ref);
+  fast.write_range(page + 64 * rsan::kGranuleBytes, 32 * rsan::kGranuleBytes);
+  reference.write_range(page + 64 * rsan::kGranuleBytes, 32 * rsan::kGranuleBytes);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.races_detected"), 1u);
+  EXPECT_EQ(metric_value(reference_metrics, "rsan.races_detected"), 1u);
+  ASSERT_EQ(fast.reports().size(), 1u);
+  EXPECT_EQ(fast.reports()[0].addr, reference.reports()[0].addr);
+  expect_same_block_state(fast, reference, page);
+}
+
+TEST_F(DeferredStoreTest, PartialResetKeepsTheRestOfTheSpan) {
+  write(0, rsan::kBlockAppBytes);
+  fast.reset_shadow_range(page + 16 * rsan::kGranuleBytes, 8 * rsan::kGranuleBytes);
+  reference.reset_shadow_range(page + 16 * rsan::kGranuleBytes, 8 * rsan::kGranuleBytes);
+  EXPECT_FALSE(fast.shadow().load(granule_addr(page, 20))[0].valid());
+  EXPECT_TRUE(fast.shadow().load(granule_addr(page, 15))[0].valid());
+  EXPECT_TRUE(fast.shadow().load(granule_addr(page, 24))[0].valid());
+  expect_same_block_state(fast, reference, page);
+}
+
+TEST_F(DeferredStoreTest, WholeBlockResetReadsAllInvalidAndHitsAgain) {
+  write(0, rsan::kBlockAppBytes);
+  fast.reset_shadow_range(page, rsan::kBlockAppBytes);
+  reference.reset_shadow_range(page, rsan::kBlockAppBytes);
+  expect_same_block_state(fast, reference, page);
+  EXPECT_FALSE(fast.shadow().load(granule_addr(page, 0))[0].valid());
+  write(0, rsan::kBlockAppBytes);  // a freed block is a fresh block again
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_hits"), 2u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_misses"), 0u);
+  expect_same_block_state(fast, reference, page);
 }
 
 TEST_F(RsanRuntimeTest, FastPathDisabledKeepsCountersZero) {

@@ -44,12 +44,13 @@ TEST(ShadowMemoryTest, SameGranuleForAllBytesWithin) {
   EXPECT_NE(shadow.granule(0x3000 + kGranuleBytes), base);
 }
 
-TEST(ShadowMemoryTest, GranuleIfPresentDoesNotAllocate) {
+TEST(ShadowMemoryTest, LoadDoesNotAllocate) {
   ShadowMemory shadow;
-  EXPECT_EQ(shadow.granule_if_present(0x4000), nullptr);
+  EXPECT_FALSE(shadow.load(0x4000)[0].valid());
   EXPECT_EQ(shadow.resident_blocks(), 0u);
-  (void)shadow.granule(0x4000);
-  EXPECT_NE(shadow.granule_if_present(0x4000), nullptr);
+  shadow.granule(0x4000)[0] = ShadowCell::make(1, 2, true);
+  EXPECT_EQ(shadow.load(0x4000)[0].clock(), 2u);
+  EXPECT_EQ(shadow.resident_blocks(), 1u);
 }
 
 TEST(ShadowMemoryTest, ResetRangeClearsCells) {
@@ -59,12 +60,11 @@ TEST(ShadowMemoryTest, ResetRangeClearsCells) {
   }
   shadow.reset_range(0x5000, 0x100);
   for (std::uintptr_t addr = 0x5000; addr < 0x5100; addr += kGranuleBytes) {
-    const ShadowCell* cells = shadow.granule_if_present(addr);
-    ASSERT_NE(cells, nullptr);
-    for (std::size_t s = 0; s < kShadowSlots; ++s) {
-      EXPECT_FALSE(cells[s].valid());
+    for (const ShadowCell cell : shadow.load(addr)) {
+      EXPECT_FALSE(cell.valid());
     }
   }
+  EXPECT_EQ(shadow.resident_blocks(), 1u);
 }
 
 TEST(ShadowMemoryTest, ResetRangeIsBounded) {
@@ -102,7 +102,8 @@ TEST(ShadowMemoryTest, ClearDropsEverything) {
   (void)shadow.granule(0x100000);
   shadow.clear();
   EXPECT_EQ(shadow.resident_blocks(), 0u);
-  EXPECT_EQ(shadow.granule_if_present(0x1000), nullptr);
+  EXPECT_FALSE(shadow.load(0x1000)[0].valid());
+  EXPECT_EQ(shadow.resident_blocks(), 0u);
 }
 
 TEST(ShadowMemoryTest, ResetRangePartialGranuleEdgesClearWholeGranules) {
@@ -161,6 +162,91 @@ TEST(ShadowMemoryTest, ResetRangeInvalidatesBlockSummary) {
   EXPECT_GT(blk->summary.lo, blk->summary.hi);  // invalidated, not shrunk
 }
 
+// -- Summaries on: a uniform span lives in its block summary ----------------
+
+TEST(ShadowMemoryTest, FreshBlockIsAnEmptyWholeBlockSummary) {
+  ShadowMemory shadow{/*summaries=*/true};
+  const rsan::ShadowBlock* blk = shadow.block(0xB000);
+  ASSERT_NE(blk, nullptr);
+  EXPECT_TRUE(blk->summary.covers(0, rsan::kGranulesPerBlock - 1));
+  EXPECT_FALSE(blk->summary.deferred);  // mapped-zero raw cells already agree
+  EXPECT_FALSE(shadow.load(0xB000 + 8 * kGranuleBytes)[0].valid());
+  // Without summaries a fresh block has none.
+  ShadowMemory plain;
+  EXPECT_GT(plain.block(0xB000)->summary.lo, plain.block(0xB000)->summary.hi);
+}
+
+TEST(ShadowMemoryTest, LoadReadsTheSummaryInsideItsSpan) {
+  ShadowMemory shadow{/*summaries=*/true};
+  rsan::ShadowBlock* blk = shadow.block(0xC000);
+  blk->summary.cells[1] = ShadowCell::make(2, 5, true);
+  blk->summary.lo = 4;
+  blk->summary.hi = 9;
+  blk->cells[10 * kShadowSlots] = ShadowCell::make(3, 6, false);  // outside the span
+  EXPECT_EQ(shadow.load(0xC000 + 4 * kGranuleBytes)[1].clock(), 5u);
+  EXPECT_EQ(shadow.load(0xC000 + 9 * kGranuleBytes + 7)[1].clock(), 5u);
+  EXPECT_FALSE(shadow.load(0xC000 + 4 * kGranuleBytes)[0].valid());
+  EXPECT_EQ(shadow.load(0xC000 + 10 * kGranuleBytes)[0].clock(), 6u);
+  EXPECT_FALSE(shadow.load(0xC000 + 3 * kGranuleBytes)[1].valid());
+}
+
+TEST(ShadowMemoryTest, GranuleMaterializesAndDropsTheSummary) {
+  ShadowMemory shadow{/*summaries=*/true};
+  rsan::ShadowBlock* blk = shadow.block(0xD000);
+  blk->summary.cells[0] = ShadowCell::make(1, 3, true);
+  blk->summary.deferred = true;  // as after a store to the summary alone
+  ShadowCell* cells = shadow.granule(0xD000 + 5 * kGranuleBytes);
+  EXPECT_GT(blk->summary.lo, blk->summary.hi);
+  EXPECT_EQ(cells[0].clock(), 3u);
+  EXPECT_EQ(shadow.load(0xD000 + (rsan::kGranulesPerBlock - 1) * kGranuleBytes)[0].clock(), 3u);
+}
+
+TEST(ShadowMemoryTest, WholeBlockResetWritesNoCell) {
+  ShadowMemory shadow{/*summaries=*/true};
+  rsan::ShadowBlock* blk = shadow.block(0xE000);
+  blk->summary.cells[0] = ShadowCell::make(1, 4, true);
+  // Raw cells under the span are don't-care; a sentinel shows none is written.
+  const ShadowCell sentinel = ShadowCell::make(7, 7, false);
+  blk->cells.fill(sentinel);
+  shadow.reset_range(0xE000, kBlockAppBytes);
+  for (const ShadowCell cell : blk->cells) {
+    ASSERT_EQ(cell.raw, sentinel.raw);
+  }
+  EXPECT_TRUE(blk->summary.covers(0, rsan::kGranulesPerBlock - 1));
+  for (std::uintptr_t addr = 0xE000; addr < 0xE000 + kBlockAppBytes; addr += kGranuleBytes) {
+    for (const ShadowCell cell : shadow.load(addr)) {
+      ASSERT_FALSE(cell.valid());
+    }
+  }
+}
+
+TEST(ShadowMemoryTest, PartialResetKeepsTheRestOfTheSpan) {
+  ShadowMemory shadow{/*summaries=*/true};
+  rsan::ShadowBlock* blk = shadow.block(0xF000);
+  const ShadowCell cell = ShadowCell::make(1, 8, true);
+  blk->summary.cells[0] = cell;
+  blk->summary.deferred = true;
+  shadow.reset_range(0xF000 + 10 * kGranuleBytes, 11 * kGranuleBytes);  // granules 10..20
+  EXPECT_GT(blk->summary.lo, blk->summary.hi);
+  for (std::size_t g = 0; g < rsan::kGranulesPerBlock; ++g) {
+    const bool reset = g >= 10 && g <= 20;
+    EXPECT_EQ(shadow.load(0xF000 + g * kGranuleBytes)[0].raw, reset ? 0 : cell.raw)
+        << "granule " << g;
+  }
+}
+
+TEST(ShadowMemoryTest, ResetDisjointFromTheSpanKeepsTheSummary) {
+  ShadowMemory shadow{/*summaries=*/true};
+  rsan::ShadowBlock* blk = shadow.block(0x11000);
+  blk->summary.cells[0] = ShadowCell::make(1, 8, true);
+  blk->summary.lo = 100;
+  blk->cells[3 * kShadowSlots] = ShadowCell::make(2, 2, true);
+  shadow.reset_range(0x11000 + 3 * kGranuleBytes, kGranuleBytes);
+  EXPECT_TRUE(blk->summary.covers(100, rsan::kGranulesPerBlock - 1));
+  EXPECT_FALSE(shadow.load(0x11000 + 3 * kGranuleBytes)[0].valid());
+  EXPECT_EQ(shadow.load(0x11000 + 100 * kGranuleBytes)[0].clock(), 8u);
+}
+
 TEST(ShadowMemoryTest, TwoLevelTableHandlesFarApartAddresses) {
   // Addresses in different L2 pages (>= 1 GiB apart) and at the very bottom
   // of the address space resolve to distinct, persistent blocks.
@@ -173,9 +259,7 @@ TEST(ShadowMemoryTest, TwoLevelTableHandlesFarApartAddresses) {
   EXPECT_EQ(shadow.resident_blocks(), 3u);
   tag = 1;
   for (const std::uintptr_t addr : far_apart) {
-    const ShadowCell* cells = shadow.granule_if_present(addr);
-    ASSERT_NE(cells, nullptr);
-    EXPECT_EQ(cells[0].clock(), static_cast<std::uint64_t>(tag++));
+    EXPECT_EQ(shadow.load(addr)[0].clock(), static_cast<std::uint64_t>(tag++));
   }
 }
 
@@ -189,10 +273,9 @@ TEST(ShadowMemoryTest, AddressesBeyondDirectMapUseOverflowTable) {
   const std::uintptr_t high = std::uintptr_t{1} << 50;
   shadow.granule(high)[0] = ShadowCell::make(3, 9, true);
   EXPECT_EQ(shadow.resident_blocks(), 1u);
-  const ShadowCell* cells = shadow.granule_if_present(high);
-  ASSERT_NE(cells, nullptr);
-  EXPECT_EQ(cells[0].clock(), 9u);
-  EXPECT_EQ(shadow.granule_if_present(high + kBlockAppBytes), nullptr);
+  EXPECT_EQ(shadow.load(high)[0].clock(), 9u);
+  EXPECT_FALSE(shadow.load(high + kBlockAppBytes)[0].valid());
+  EXPECT_EQ(shadow.resident_blocks(), 1u);
   shadow.reset_range(high, kGranuleBytes);
   EXPECT_FALSE(shadow.granule(high)[0].valid());
 }
