@@ -62,7 +62,8 @@ Runtime::Runtime(obs::MetricsRegistry& metrics, RuntimeConfig config)
     : config_(config), shadow_(config_.use_shadow_fast_path), metrics_(metrics) {
   if (config_.shadow_max_bytes != 0) {
     // At least one block so a capped runtime still tracks something.
-    shadow_.set_block_budget(std::max<std::size_t>(1, config_.shadow_max_bytes / sizeof(ShadowBlock)));
+    shadow_.set_block_budget(
+        std::max<std::size_t>(1, config_.shadow_max_bytes / kShadowBlockBytes));
   }
   host_ = create_fiber(CtxKind::kHostThread, "host");
   current_ = host_;

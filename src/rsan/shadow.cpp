@@ -3,19 +3,15 @@
 #include <sys/mman.h>
 
 #include <algorithm>
-#include <type_traits>
+#include <utility>
 
 namespace rsan {
 
 namespace {
 
-constexpr std::size_t kL1Bytes = (std::size_t{1} << kShadowL1Bits) * sizeof(ShadowBlock**);
-constexpr std::size_t kL2Bytes = (std::size_t{1} << kShadowL2Bits) * sizeof(ShadowBlock*);
-
 /// Anonymous demand-zero pages, deliberately not malloc/calloc: glibc's
 /// sliding mmap threshold turns repeated large callocs into heap recycling +
-/// full memset after the first free, which is exactly the per-session fixed
-/// cost this table layout exists to avoid.
+/// full memset after the first free.
 [[nodiscard]] void* map_zero(std::size_t bytes) {
   void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   return p == MAP_FAILED ? nullptr : p;
@@ -24,78 +20,61 @@ constexpr std::size_t kL2Bytes = (std::size_t{1} << kShadowL2Bits) * sizeof(Shad
 }  // namespace
 
 ShadowBlock* ShadowMemory::allocate_block() {
-  static_assert(std::is_trivially_destructible_v<ShadowBlock>,
-                "slab teardown munmaps blocks without running destructors");
-  if (slab_used_ == kBlocksPerSlab) {
-    void* slab = map_zero(kBlocksPerSlab * sizeof(ShadowBlock));
-    if (slab == nullptr) {
+  if (slabs_.empty() || slabs_.back().headers.size() == kBlocksPerSlab) {
+    void* cells = map_zero(kSlabCellBytes);
+    if (cells == nullptr) {
       return nullptr;
     }
-    slabs_.push_back(static_cast<ShadowBlock*>(slab));
-    slab_used_ = 0;
+    slabs_.push_back(Slab{static_cast<ShadowCell*>(cells), {}});
+    slabs_.back().headers.reserve(kBlocksPerSlab);
   }
-  ShadowBlock* blk = slabs_.back() + slab_used_;
-  ++slab_used_;
-  init_summary(*blk);
-  return blk;
-}
-
-void ShadowMemory::init_summary(ShadowBlock& blk) const {
-  // Mapped-zero cells are exactly the value-initialized state, but a zero
-  // BlockSummary reads as lo=0,hi=0 ("covers granule 0"): set it explicitly.
+  Slab& slab = slabs_.back();
+  ShadowCell* const cells = slab.cells + slab.headers.size() * kBlockCells;
+  ShadowBlock& blk =
+      slab.headers.emplace_back(std::span<ShadowCell, kBlockCells>{cells, kBlockCells});
   if (summaries_) {
     blk.summary.reset_whole_block();
-    blk.summary.deferred = false;  // the raw cells are empty already
-  } else {
-    blk.summary.invalidate();
+    blk.summary.deferred = false;  // the mapped-zero raw cells agree already
   }
+  return &blk;
 }
 
 ShadowBlock* ShadowMemory::lookup_or_create(std::uintptr_t key) {
   if (ShadowBlock* existing = find(key)) {
     return existing;
   }
-  // Budget check before any allocation (including L2 pages): at the cap the
-  // lookup is denied rather than the process aborted.
+  // Budget check before any allocation: at the cap the lookup is denied
+  // rather than the process aborted.
   if (block_budget_ != 0 && block_count_ >= block_budget_) {
     ++denied_blocks_;
     return nullptr;
   }
-  if (key < kDirectMappedBlockKeys) {
-    if (l1_ == nullptr) {
-      l1_ = static_cast<ShadowBlock***>(map_zero(kL1Bytes));
-      if (l1_ == nullptr) {
-        ++denied_blocks_;
-        return nullptr;
-      }
-    }
-    ShadowBlock**& page = l1_[key >> kShadowL2Bits];
-    if (page == nullptr) {
-      page = static_cast<ShadowBlock**>(map_zero(kL2Bytes));
-      if (page == nullptr) {
-        ++denied_blocks_;
-        return nullptr;
-      }
-      pages_.push_back(page);
-    }
-    ShadowBlock*& slot = page[key & ((std::uintptr_t{1} << kShadowL2Bits) - 1)];
-    if (slot == nullptr) {
-      slot = allocate_block();
-      if (slot == nullptr) {
-        ++denied_blocks_;
-        return nullptr;
-      }
-      ++block_count_;
-    }
-    return slot;
+  ShadowBlock* blk = allocate_block();
+  if (blk == nullptr) {
+    ++denied_blocks_;
+    return nullptr;
   }
-  std::unique_ptr<ShadowBlock>& slot = overflow_[key];
-  if (!slot) {
-    slot = std::make_unique<ShadowBlock>();
-    init_summary(*slot);
-    ++block_count_;
+  if (2 * (block_count_ + 1) > index_.size()) {
+    std::vector<Slot> old =
+        std::exchange(index_, std::vector<Slot>(std::max(kMinIndexSlots, 2 * index_.size())));
+    for (const Slot& slot : old) {
+      if (slot.blk != nullptr) {
+        insert(slot.key, slot.blk);
+      }
+    }
   }
-  return slot.get();
+  insert(key, blk);
+  ++block_count_;
+  return blk;
+}
+
+void ShadowMemory::insert(std::uintptr_t key, ShadowBlock* blk) {
+  const std::size_t mask = index_.size() - 1;
+  std::size_t i = home(key);
+  while (index_[i].blk != nullptr) {
+    i = (i + 1) & mask;
+  }
+  index_[i] = Slot{key, blk};
 }
 
 ShadowBlock* ShadowMemory::find(std::uintptr_t key) {
@@ -103,18 +82,16 @@ ShadowBlock* ShadowMemory::find(std::uintptr_t key) {
 }
 
 const ShadowBlock* ShadowMemory::find(std::uintptr_t key) const {
-  if (key < kDirectMappedBlockKeys) {
-    if (l1_ == nullptr) {
-      return nullptr;
-    }
-    ShadowBlock** page = l1_[key >> kShadowL2Bits];
-    if (page == nullptr) {
-      return nullptr;
-    }
-    return page[key & ((std::uintptr_t{1} << kShadowL2Bits) - 1)];
+  if (index_.empty()) {
+    return nullptr;
   }
-  const auto it = overflow_.find(key);
-  return it != overflow_.end() ? it->second.get() : nullptr;
+  const std::size_t mask = index_.size() - 1;
+  for (std::size_t i = home(key);; i = (i + 1) & mask) {
+    const Slot& slot = index_[i];
+    if (slot.blk == nullptr || slot.key == key) {
+      return slot.blk;
+    }
+  }
 }
 
 void ShadowMemory::reset_range(std::uintptr_t base, std::size_t extent) {
@@ -156,26 +133,17 @@ void ShadowMemory::reset_range(std::uintptr_t base, std::size_t extent) {
     g = seg_last + 1;
   }
   // The cached block may point into the reset range; drop it so later
-  // mutating lookups re-walk the table (mirrors the pre-reset behaviour).
+  // mutating lookups probe the index again.
   cached_block_ = nullptr;
   cached_key_ = ~std::uintptr_t{0};
 }
 
 void ShadowMemory::clear() {
-  for (ShadowBlock** page : pages_) {
-    ::munmap(page, kL2Bytes);
-  }
-  pages_.clear();
-  if (l1_ != nullptr) {
-    ::munmap(l1_, kL1Bytes);
-    l1_ = nullptr;
-  }
-  for (ShadowBlock* slab : slabs_) {
-    ::munmap(slab, kBlocksPerSlab * sizeof(ShadowBlock));
+  for (const Slab& slab : slabs_) {
+    ::munmap(slab.cells, kSlabCellBytes);
   }
   slabs_.clear();
-  slab_used_ = kBlocksPerSlab;
-  overflow_.clear();
+  index_ = {};
   block_count_ = 0;
   denied_blocks_ = 0;
   cached_block_ = nullptr;

@@ -3,22 +3,20 @@
 // small fixed number of shadow cells recording the most recent accesses as
 // (context, epoch, access-kind) triples packed into 64 bits.
 //
-// Shadow blocks cover 4 KiB of application memory and are kept in a flat
-// two-level direct-map table: an L1 directory indexed by the high bits of
-// the block key points at lazily allocated L2 pages of block pointers, so a
-// granule lookup is two indexed loads with no hashing. Blocks themselves are
-// still allocated lazily on first touch, so reserved shadow stays
-// proportional to the amount of memory actually tracked — the property
-// behind the paper's Fig. 11/12 observations. Addresses beyond the
-// direct-mapped VA range (48 bits) fall back to a hashed overflow map so
-// correctness never depends on the platform's address layout.
+// A shadow block covers 4 KiB of application memory and is split in two: a
+// small malloc'd header (the block summary plus a view of the raw cells) and
+// 16 KiB of raw cells carved from a demand-zero mmap'd slab. One
+// open-addressing index maps block keys to headers. Blocks are created on
+// first touch, and a fresh or whole-block-reset block writes only its
+// header, so a raw-cell page is faulted in only when a granule scan or a
+// materialization writes it. Reserved shadow and setup/teardown cost thus
+// stay proportional to the memory actually tracked (paper Fig. 11/12).
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 #include "rsan/clock.hpp"
@@ -59,13 +57,7 @@ inline constexpr std::size_t kGranuleBytes = 8;
 /// Application bytes covered by one shadow block.
 inline constexpr std::size_t kBlockAppBytes = 4096;
 inline constexpr std::size_t kGranulesPerBlock = kBlockAppBytes / kGranuleBytes;
-
-/// Two-level table geometry: 48 bits of direct-mapped VA split into a block
-/// offset (12 bits), an L2 page index and an L1 directory index.
-inline constexpr unsigned kShadowL1Bits = 18;
-inline constexpr unsigned kShadowL2Bits = 18;
-inline constexpr std::uintptr_t kDirectMappedBlockKeys =
-    std::uintptr_t{1} << (kShadowL1Bits + kShadowL2Bits);
+inline constexpr std::size_t kBlockCells = kGranulesPerBlock * kShadowSlots;
 
 /// Per-block uniform summary, maintained by the runtime's shadow fast path
 /// (see rsan::Runtime::access_range). For granules in [lo, hi] the summary's
@@ -103,10 +95,13 @@ struct BlockSummary {
   }
 };
 
+/// A block's header. It lives apart from the block's raw cells, so writing
+/// the summary faults in no raw-cell page.
 struct ShadowBlock {
-  // cells[granule * kShadowSlots + slot]
-  std::array<ShadowCell, kGranulesPerBlock * kShadowSlots> cells{};
   BlockSummary summary{};
+  std::span<ShadowCell, kBlockCells> cells;  ///< cells[granule * kShadowSlots + slot]
+
+  explicit ShadowBlock(std::span<ShadowCell, kBlockCells> raw) : cells(raw) {}
 
   /// Write `pattern` into the raw cells of granules [lo, hi], storing only
   /// the cells that differ: empty cells over demand-zero slab pages then
@@ -131,6 +126,11 @@ struct ShadowBlock {
     }
   }
 };
+
+/// What one resident block costs: its header plus its raw cells. The block
+/// budget and resident_bytes() count in these units.
+inline constexpr std::size_t kShadowBlockBytes =
+    sizeof(ShadowBlock) + sizeof(ShadowCell) * kBlockCells;
 
 class ShadowMemory {
  public:
@@ -204,10 +204,10 @@ class ShadowMemory {
   void reset_range(std::uintptr_t base, std::size_t extent);
 
   [[nodiscard]] std::size_t resident_blocks() const { return block_count_; }
-  /// Reserved shadow bytes (blocks × block size). What the shadow adds to
-  /// RSS can be lower: a block whose granules stay summarized never writes
-  /// its raw cells, so their demand-zero slab pages are never faulted in.
-  [[nodiscard]] std::size_t resident_bytes() const { return block_count_ * sizeof(ShadowBlock); }
+  /// Reserved shadow bytes (blocks × kShadowBlockBytes). What the shadow
+  /// adds to RSS can be lower: a block whose granules stay summarized never
+  /// writes its raw cells, so their demand-zero slab pages are never faulted in.
+  [[nodiscard]] std::size_t resident_bytes() const { return block_count_ * kShadowBlockBytes; }
 
   /// Cap the number of resident shadow blocks (0 = unlimited). When the cap
   /// is hit, first-touch lookups return nullptr instead of allocating —
@@ -220,38 +220,38 @@ class ShadowMemory {
   void clear();
 
  private:
+  /// One index slot; `blk == nullptr` marks it empty.
+  struct Slot {
+    std::uintptr_t key{0};
+    ShadowBlock* blk{nullptr};
+  };
+  /// Raw cells of kBlocksPerSlab blocks (one anonymous mmap, ~1 MiB, so a
+  /// fresh block is demand-zero kernel pages, not a 16 KiB memset) and their
+  /// headers, reserved up front so header addresses never move.
+  struct Slab {
+    ShadowCell* cells;
+    std::vector<ShadowBlock> headers;
+  };
+  static constexpr std::size_t kBlocksPerSlab = 64;
+  static constexpr std::size_t kSlabCellBytes = kBlocksPerSlab * kBlockCells * sizeof(ShadowCell);
+  static constexpr std::size_t kMinIndexSlots = 64;
+
   [[nodiscard]] ShadowBlock* lookup_or_create(std::uintptr_t key);
   [[nodiscard]] ShadowBlock* find(std::uintptr_t key);
   [[nodiscard]] const ShadowBlock* find(std::uintptr_t key) const;
-
-  /// Blocks are carved from mmap'd slabs of this many blocks (~1 MiB), so a
-  /// fresh block is demand-zero kernel pages, not a 16 KiB memset — and only
-  /// the cells actually written ever get faulted in.
-  static constexpr std::size_t kBlocksPerSlab = 64;
-
+  /// Home slot of `key`. Inside one aligned 4 GiB region `key >> 20` is a
+  /// constant, so a dense range of up to index_.size() blocks there lands
+  /// in distinct slots.
+  [[nodiscard]] std::size_t home(std::uintptr_t key) const {
+    return (key ^ (key >> 20)) & (index_.size() - 1);
+  }
+  void insert(std::uintptr_t key, ShadowBlock* blk);
   [[nodiscard]] ShadowBlock* allocate_block();
-  /// Fresh-block state: an empty whole-block summary when summaries are on,
-  /// no summary otherwise.
-  void init_summary(ShadowBlock& blk) const;
 
-  /// L1 directory (2^kShadowL1Bits L2-page pointers), L2 pages
-  /// (2^kShadowL2Bits block pointers) and block slabs come straight from
-  /// anonymous mmap, NOT malloc/calloc: a fresh 2 MiB table is zero pages the
-  /// kernel faults in on demand, with no eager memset, and teardown munmaps
-  /// `pages_`/`slabs_` instead of scanning every slot. (calloc is not enough:
-  /// glibc's mmap threshold slides up when a large chunk is freed, so from
-  /// the second runtime in a process onward calloc recycles heap memory and
-  /// memsets the full table.) Both construction and destruction therefore
-  /// cost O(resident blocks), not O(table size) — what lets a session
-  /// executor cycle thousands of short-lived runtimes per process without
-  /// paying megabytes of memset each.
-  ShadowBlock*** l1_{nullptr};
-  std::vector<ShadowBlock**> pages_;  ///< mmap'd L2 pages (teardown)
-  std::vector<ShadowBlock*> slabs_;   ///< mmap'd block slabs (teardown)
-  std::size_t slab_used_{kBlocksPerSlab};  ///< blocks carved from slabs_.back()
-  /// Blocks whose key exceeds the direct-mapped range (exotic address
-  /// layouts only; empty on mainstream 48-bit-VA platforms).
-  std::unordered_map<std::uintptr_t, std::unique_ptr<ShadowBlock>> overflow_;
+  /// Linear probing over a power-of-two table at load <= 1/2, doubled when
+  /// a new block would pass that load.
+  std::vector<Slot> index_;
+  std::vector<Slab> slabs_;
   bool summaries_{false};
   std::size_t block_count_{0};
   std::size_t block_budget_{0};

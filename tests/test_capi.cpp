@@ -5,6 +5,8 @@
 
 #include <array>
 #include <cstdlib>
+#include <filesystem>
+#include <iterator>
 #include <string>
 
 #include "capi/cuda.hpp"
@@ -81,6 +83,21 @@ TEST(SessionTest, VanillaHasNoToolState) {
   });
   EXPECT_EQ(capi::total_races(results), 0u);
   EXPECT_EQ(results[0].shadow_bytes, 0u);
+}
+
+TEST(SessionTest, RepeatedSessionsLeakNoFds) {
+  // Each rank thread reads /proc/self/status at finalize; its cached fd must
+  // close with the thread, or every session leaks one fd per rank.
+  const auto open_fds = [] {
+    const std::filesystem::directory_iterator fds("/proc/self/fd");
+    return std::distance(begin(fds), end(fds));
+  };
+  (void)run_flavored(Flavor::kVanilla, 2, [](RankEnv&) {});
+  const auto before = open_fds();
+  for (int i = 0; i < 100; ++i) {
+    (void)run_flavored(Flavor::kVanilla, 2, [](RankEnv&) {});
+  }
+  EXPECT_LE(open_fds(), before);
 }
 
 TEST(SessionTest, ContextBindingIsPerThread) {

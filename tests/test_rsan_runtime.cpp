@@ -649,4 +649,21 @@ TEST_F(RsanRuntimeTest, FastPathDisabledKeepsCountersZero) {
   EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_granules_elided"), 0u);
 }
 
+TEST(RsanShadowBudgetTest, BudgetCountsWholeBlockFootprints) {
+  // CUSAN_SHADOW_MAX_MB divides by a block's header plus its 16 KiB of raw
+  // cells: 1 MiB admits 63 blocks, not 1 MiB / sizeof(header).
+  obs::MetricsRegistry metrics;
+  RuntimeConfig config;
+  config.shadow_max_bytes = std::size_t{1} << 20;
+  Runtime rt{metrics, config};
+  EXPECT_EQ(rt.shadow().block_budget(), 63u);
+  for (std::uintptr_t i = 0; i < 100; ++i) {
+    rt.write_range(reinterpret_cast<const void*>(0x40000000 + i * rsan::kBlockAppBytes), 8);
+  }
+  EXPECT_EQ(rt.shadow().resident_blocks(), 63u);
+  EXPECT_EQ(rt.shadow().denied_blocks(), 37u);
+  EXPECT_EQ(rt.shadow_resident_bytes(), 63 * rsan::kShadowBlockBytes);
+  EXPECT_EQ(metric_value(metrics, "rsan.degraded_blocks"), 37u);
+}
+
 }  // namespace

@@ -1,5 +1,11 @@
-// Unit tests for the shadow memory (lazy blocks, granule addressing, reset).
+// Unit tests for the shadow memory (lazy blocks, granule addressing, reset,
+// the block index and the raw-cell pages a block faults in).
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "rsan/shadow.hpp"
 
@@ -20,7 +26,7 @@ TEST(ShadowMemoryTest, LazyAllocation) {
   EXPECT_EQ(shadow.resident_blocks(), 1u);
   (void)shadow.granule(0x1000 + kBlockAppBytes);  // next block
   EXPECT_EQ(shadow.resident_blocks(), 2u);
-  EXPECT_EQ(shadow.resident_bytes(), 2 * sizeof(rsan::ShadowBlock));
+  EXPECT_EQ(shadow.resident_bytes(), 2 * rsan::kShadowBlockBytes);
 }
 
 TEST(ShadowMemoryTest, GranuleCellsPersist) {
@@ -207,7 +213,7 @@ TEST(ShadowMemoryTest, WholeBlockResetWritesNoCell) {
   blk->summary.cells[0] = ShadowCell::make(1, 4, true);
   // Raw cells under the span are don't-care; a sentinel shows none is written.
   const ShadowCell sentinel = ShadowCell::make(7, 7, false);
-  blk->cells.fill(sentinel);
+  std::fill(blk->cells.begin(), blk->cells.end(), sentinel);
   shadow.reset_range(0xE000, kBlockAppBytes);
   for (const ShadowCell cell : blk->cells) {
     ASSERT_EQ(cell.raw, sentinel.raw);
@@ -247,9 +253,11 @@ TEST(ShadowMemoryTest, ResetDisjointFromTheSpanKeepsTheSummary) {
   EXPECT_EQ(shadow.load(0x11000 + 100 * kGranuleBytes)[0].clock(), 8u);
 }
 
-TEST(ShadowMemoryTest, TwoLevelTableHandlesFarApartAddresses) {
-  // Addresses in different L2 pages (>= 1 GiB apart) and at the very bottom
-  // of the address space resolve to distinct, persistent blocks.
+// -- Block index ---------------------------------------------------------------
+
+TEST(ShadowMemoryTest, IndexHandlesFarApartAddresses) {
+  // Addresses >= 1 GiB apart and at the very bottom of the address space
+  // resolve to distinct, persistent blocks.
   ShadowMemory shadow;
   const std::uintptr_t far_apart[] = {0x0, 0x40000000, 0x7f0000000000};
   int tag = 1;
@@ -263,21 +271,127 @@ TEST(ShadowMemoryTest, TwoLevelTableHandlesFarApartAddresses) {
   }
 }
 
-TEST(ShadowMemoryTest, AddressesBeyondDirectMapUseOverflowTable) {
-  // Keys past the 48-bit direct-mapped VA range fall back to the hashed
-  // overflow map; granule addressing, reset and residency behave identically.
+TEST(ShadowMemoryTest, KeysBeyond48BitsResolveLikeAnyOther) {
+  // Keys past a 48-bit VA: granule addressing, reset and residency behave
+  // exactly as for low addresses.
   if constexpr (sizeof(std::uintptr_t) < 8) {
-    GTEST_SKIP() << "no addresses beyond the direct map on 32-bit platforms";
+    GTEST_SKIP() << "no addresses beyond 48 bits on 32-bit platforms";
   }
   ShadowMemory shadow;
-  const std::uintptr_t high = std::uintptr_t{1} << 50;
-  shadow.granule(high)[0] = ShadowCell::make(3, 9, true);
-  EXPECT_EQ(shadow.resident_blocks(), 1u);
-  EXPECT_EQ(shadow.load(high)[0].clock(), 9u);
-  EXPECT_FALSE(shadow.load(high + kBlockAppBytes)[0].valid());
-  EXPECT_EQ(shadow.resident_blocks(), 1u);
-  shadow.reset_range(high, kGranuleBytes);
-  EXPECT_FALSE(shadow.granule(high)[0].valid());
+  const std::uintptr_t high[] = {std::uintptr_t{1} << 50, std::uintptr_t{1} << 62,
+                                 ~std::uintptr_t{0} - kBlockAppBytes + 1};
+  std::uint64_t tag = 1;
+  for (const std::uintptr_t addr : high) {
+    shadow.granule(addr)[0] = ShadowCell::make(3, tag++, true);
+  }
+  EXPECT_EQ(shadow.resident_blocks(), 3u);
+  tag = 1;
+  for (const std::uintptr_t addr : high) {
+    EXPECT_EQ(shadow.load(addr)[0].clock(), tag++);
+  }
+  EXPECT_FALSE(shadow.load(high[0] + kBlockAppBytes)[0].valid());
+  EXPECT_EQ(shadow.resident_blocks(), 3u);
+  shadow.reset_range(high[0], kGranuleBytes);
+  EXPECT_FALSE(shadow.granule(high[0])[0].valid());
+  EXPECT_EQ(shadow.load(high[1])[0].clock(), 2u);
+}
+
+TEST(ShadowMemoryTest, KeysWithCollidingLowBitsStayDistinct) {
+  // Keys 2^28 apart agree in their low bits and in the bits the hash folds
+  // in, so they share a home slot and form one long probe chain.
+  if constexpr (sizeof(std::uintptr_t) < 8) {
+    GTEST_SKIP() << "needs 64-bit addresses";
+  }
+  ShadowMemory shadow;
+  constexpr std::size_t kKeys = 40;
+  const auto addr_of = [](std::size_t i) {
+    return (static_cast<std::uintptr_t>(i) << 28) * kBlockAppBytes + 8;
+  };
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    shadow.granule(addr_of(i))[0] = ShadowCell::make(1, i + 1, true);
+  }
+  EXPECT_EQ(shadow.resident_blocks(), kKeys);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    EXPECT_EQ(shadow.load(addr_of(i))[0].clock(), i + 1) << "key " << i;
+  }
+  // An absent key on the same chain reads empty and allocates nothing.
+  EXPECT_EQ(shadow.block_if_present(addr_of(kKeys)), nullptr);
+  EXPECT_FALSE(shadow.load(addr_of(kKeys))[0].valid());
+  EXPECT_EQ(shadow.resident_blocks(), kKeys);
+}
+
+TEST(ShadowMemoryTest, BlocksKeepTheirAddressAcrossIndexGrowth) {
+  // The index doubles several times; headers and raw cells never move, so a
+  // cached block and granule pointers taken before stay valid.
+  ShadowMemory shadow;
+  const std::uintptr_t first = 0x100000;
+  ShadowCell* const cells = shadow.granule(first);  // caches the block
+  cells[0] = ShadowCell::make(1, 1, true);
+  rsan::ShadowBlock* const blk = shadow.block(first);
+  constexpr std::size_t kBlocks = 1000;
+  for (std::size_t i = 1; i < kBlocks; ++i) {
+    shadow.granule(first + i * kBlockAppBytes)[0] = ShadowCell::make(2, i, false);
+    ASSERT_EQ(shadow.block_if_present(first), blk) << "after " << i << " blocks";
+  }
+  EXPECT_EQ(shadow.resident_blocks(), kBlocks);
+  EXPECT_EQ(shadow.block(first), blk);
+  EXPECT_EQ(shadow.block(first), blk);  // served from the cached block
+  EXPECT_EQ(shadow.granule(first), cells);
+  EXPECT_EQ(cells[0].clock(), 1u);
+  for (std::size_t i = 1; i < kBlocks; ++i) {
+    ASSERT_EQ(shadow.load(first + i * kBlockAppBytes)[0].clock(), i);
+  }
+}
+
+TEST(ShadowMemoryTest, ClearThenReuse) {
+  ShadowMemory shadow{/*summaries=*/true};
+  shadow.set_block_budget(100);
+  for (std::size_t i = 0; i < 150; ++i) {
+    (void)shadow.granule(0x200000 + i * kBlockAppBytes);
+  }
+  EXPECT_EQ(shadow.resident_blocks(), 100u);
+  EXPECT_EQ(shadow.denied_blocks(), 50u);
+  shadow.clear();
+  EXPECT_EQ(shadow.resident_blocks(), 0u);
+  EXPECT_EQ(shadow.resident_bytes(), 0u);
+  EXPECT_EQ(shadow.denied_blocks(), 0u);
+  EXPECT_EQ(shadow.block_if_present(0x200000), nullptr);
+  // The same addresses come back as fresh blocks: empty summary, empty cells.
+  for (std::size_t i = 0; i < 100; ++i) {
+    const rsan::ShadowBlock* blk = shadow.block(0x200000 + i * kBlockAppBytes);
+    ASSERT_NE(blk, nullptr);
+    ASSERT_TRUE(blk->summary.covers(0, rsan::kGranulesPerBlock - 1));
+    ASSERT_FALSE(shadow.load(0x200000 + i * kBlockAppBytes)[0].valid());
+  }
+  EXPECT_EQ(shadow.resident_blocks(), 100u);
+  EXPECT_EQ(shadow.block(0x200000 + 100 * kBlockAppBytes), nullptr);  // budget still holds
+}
+
+TEST(ShadowMemoryTest, FreshSummarizedBlockFaultsNoRawCellPage) {
+  // A fresh block writes only its header: the summary lives off the cell
+  // pages, so the block's demand-zero raw cells stay unmapped.
+  ShadowMemory shadow{/*summaries=*/true};
+  const long page_size = ::sysconf(_SC_PAGESIZE);
+  ASSERT_GT(page_size, 0);
+  const auto page = static_cast<std::uintptr_t>(page_size);
+  const auto resident_pages = [page](const rsan::ShadowBlock& blk) {
+    const auto first = reinterpret_cast<std::uintptr_t>(blk.cells.data());
+    const std::uintptr_t lo = first / page * page;
+    const std::uintptr_t hi = first + blk.cells.size_bytes();
+    std::vector<unsigned char> vec((hi - lo + page - 1) / page);
+    EXPECT_EQ(::mincore(reinterpret_cast<void*>(lo), hi - lo, vec.data()), 0);
+    return std::count_if(vec.begin(), vec.end(), [](unsigned char v) { return (v & 1) != 0; });
+  };
+  rsan::ShadowBlock* blk = shadow.block(0x300000);
+  ASSERT_NE(blk, nullptr);
+  blk->summary.cells[0] = ShadowCell::make(1, 2, true);  // a store to the summary alone
+  blk->summary.deferred = true;
+  shadow.reset_range(0x300000, kBlockAppBytes);  // a whole-block reset
+  EXPECT_FALSE(shadow.load(0x300000)[0].valid());
+  EXPECT_EQ(resident_pages(*blk), 0);
+  // Control: a raw-cell write faults in the page that holds it.
+  blk->cells[0] = ShadowCell::make(1, 3, true);
+  EXPECT_EQ(resident_pages(*blk), 1);
 }
 
 }  // namespace
