@@ -43,11 +43,6 @@ constexpr int kSoftBlockThreshold = 64;
 /// within one timeslice, so yielding first avoids the two futex transitions
 /// of a condvar park on the hot path.
 constexpr int kParkSpinYields = 4;
-/// Largest yield count the schedule controller may pick for the pre-park
-/// phase (candidates 0..kMaxParkSpinYields; the default stays
-/// kParkSpinYields). Routing the phase through the controller makes it part
-/// of the recorded schedule instead of an uncontrolled busy-wait.
-constexpr int kMaxParkSpinYields = 8;
 
 // OpScope / current_op_label moved to mpisim/op_scope.hpp (shared with the
 // proc backend).
@@ -571,16 +566,9 @@ class ThreadCommImpl final : public CommImpl {
     // Pre-park yield phase: on an oversubscribed host the peer usually
     // finishes within a timeslice, making the condvar round-trip (two futex
     // syscalls plus a scheduler wakeup) the dominant cost of a wait. The
-    // yield count is one schedule-controller decision (the index *is* the
-    // count), so record/replay pins the whole phase instead of racing an
-    // uncontrolled busy-wait.
-    int yields = kParkSpinYields;
-    if (schedsim::Controller::armed()) {
-      yields = schedsim::Controller::instance().choose(schedsim::Site::kPreParkYield,
-                                                       {op.rank, 'h', 0},
-                                                       kMaxParkSpinYields + 1, kParkSpinYields);
-    }
-    for (int i = 0; i < yields; ++i) {
+    // count only changes timing, never which message matches or which
+    // request completes, so it is not a schedule decision.
+    for (int i = 0; i < kParkSpinYields; ++i) {
       std::this_thread::yield();
       if (pred()) {
         return MpiError::kSuccess;

@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "common/format.hpp"
-#include "common/rng.hpp"
 #include "common/thread_context.hpp"
 #include "obs/diagnostics.hpp"
 #include "obs/metrics.hpp"
@@ -113,15 +112,6 @@ bool parse_schedule(const std::string& text, Config* out, std::string* error) {
       }
       have_mode = true;
       config.mode = Mode::kFree;
-    } else if (head == "seed") {
-      if (have_mode) {
-        return parse_error(error, "multiple strategy clauses");
-      }
-      have_mode = true;
-      config.mode = Mode::kSeed;
-      if (!parse_u64(arg, &config.seed)) {
-        return parse_error(error, common::format("seed: not a number: '{}'", arg));
-      }
     } else if (head == "replay") {
       if (have_mode) {
         return parse_error(error, "multiple strategy clauses");
@@ -153,27 +143,12 @@ bool parse_schedule(const std::string& text, Config* out, std::string* error) {
       }
       config.record = true;
       config.record_path = arg;
-    } else if (head == "pct") {
-      std::uint64_t k = 0;
-      if (!parse_u64(arg, &k) || k == 0) {
-        return parse_error(error, common::format("pct: not a positive number: '{}'", arg));
-      }
-      config.pct_k = static_cast<std::uint32_t>(k);
-    } else if (head == "horizon") {
-      std::uint64_t h = 0;
-      if (!parse_u64(arg, &h) || h == 0) {
-        return parse_error(error, common::format("horizon: not a positive number: '{}'", arg));
-      }
-      config.pct_horizon = static_cast<std::uint32_t>(h);
     } else {
       return parse_error(error, common::format("unknown clause '{}'", clause));
     }
     if (end == text.size()) {
       break;
     }
-  }
-  if (config.pct_k > config.pct_horizon) {
-    return parse_error(error, "pct must be <= horizon");
   }
   *out = config;
   return true;
@@ -245,20 +220,6 @@ int Controller::choose(Site site, const ActorId& actor, int candidates, int defa
       case Mode::kDpor:  // a single dpor run is free + record; the explorer
                          // owns the multi-run loop and installs prefixes
         break;
-      case Mode::kSeed: {
-        // Deterministic per (seed, actor, site, seq): the answer a stream
-        // gets does not depend on how OS timing interleaved other actors'
-        // queries, so a seed names one perturbation, not a lottery.
-        common::SplitMix64 rng(config_.seed ^ (key * 0x9e3779b97f4a7c15ULL) ^
-                               (seq * 0xd1b54a32d192ed03ULL));
-        if (rng.next_below(config_.pct_horizon) < config_.pct_k) {
-          const int other = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(
-              candidates - 1)));
-          chosen = other >= default_index ? other + 1 : other;
-          ++stats_.preemptions;
-        }
-        break;
-      }
       case Mode::kPrefix:  // prefix pinning replays its pinned slice and
                            // records the suffix as tolerated underruns
       case Mode::kReplay: {
@@ -446,7 +407,6 @@ bool Controller::absorb_child(const std::string& trace_text, const Stats& child_
   std::lock_guard lock(mutex_);
   recorded_.insert(recorded_.end(), trace.entries.begin(), trace.entries.end());
   stats_.decisions += child_stats.decisions;
-  stats_.preemptions += child_stats.preemptions;
   stats_.replayed += child_stats.replayed;
   stats_.underruns += child_stats.underruns;
   stats_.divergences += child_stats.divergences;
@@ -471,10 +431,6 @@ std::string Controller::strategy_string_locked() const {
   switch (config_.mode) {
     case Mode::kFree:
       out = "free";
-      break;
-    case Mode::kSeed:
-      out = common::format("seed:{};pct:{};horizon:{}", config_.seed, config_.pct_k,
-                           config_.pct_horizon);
       break;
     case Mode::kReplay:
       out = config_.replay_path.empty() ? "replay" : "replay:" + config_.replay_path;

@@ -1,30 +1,26 @@
 // The central schedule-exploration controller: every nondeterministic choice
 // point in the stack — cusim stream-worker op selection, mpisim wildcard
-// matching / wakeup order / pre-park yields, and the MPI wait family's
-// request-fiber completion order — routes its decision through choose() as a
-// numbered (site, candidates) query and obeys the answer. Strategies
+// matching / wakeup order, and the MPI wait family's request-fiber
+// completion order — routes its decision through choose() as a numbered
+// (site, candidates) query and obeys the answer. Timing-only knobs (how long
+// a blocked wait spins before parking) are not choice points: they change
+// no verdict, only how many executions an exploration visits. Strategies
 // (CUSAN_SCHEDULE):
 //
 //   free             today's behavior; the controller stays disarmed and
 //                    each choice point costs one relaxed atomic load
-//   seed:<n>         PCT-style randomized exploration: actors get hashed
-//                    priorities from the seed and an expected `pct` choices
-//                    per `horizon` decisions are preempted away from the
-//                    default (clauses `pct:<k>` / `horizon:<h>` tune it);
-//                    deterministic per (seed, actor, seq), so the choice an
-//                    actor sees does not depend on OS thread timing
 //   replay:<path>    answer every query from its (actor, site) stream of a
 //                    recorded trace; the first stream decision whose live
 //                    candidate count disagrees with the recording is
 //                    latched and reported as a divergence
 //   record:<path>    compose with any of the above to write the decision
-//                    trace after each session — any race a sweep finds
-//                    becomes a one-command deterministic reproducer
-//   dpor             systematic exploration (explorer.hpp): harnesses drive
-//                    a source-DPOR frontier of pinned prefixes over repeated
-//                    runs; a single session under this mode runs free with
-//                    recording on (the explorer owns the multi-run loop).
-//                    `bound:<k>` caps executed schedules per scenario
+//                    trace after each session — any race an exploration
+//                    finds becomes a one-command deterministic reproducer
+//   dpor             the one exploration strategy (explorer.hpp): harnesses
+//                    drive a source-DPOR frontier of pinned prefixes over
+//                    repeated runs; a single session under this mode runs
+//                    free with recording on (the explorer owns the multi-run
+//                    loop). `bound:<k>` caps executed schedules per scenario
 //   graph[:<path>]   compose: record the execution graph (execution_graph
 //                    .hpp) during the run; with a path, serialize it after
 //                    each session next to the decision trace
@@ -48,7 +44,6 @@ namespace schedsim {
 
 enum class Mode : std::uint8_t {
   kFree,    ///< default choices (armed only if recording)
-  kSeed,    ///< PCT-style randomized preemption
   kReplay,  ///< answer from a recorded trace
   kPrefix,  ///< replay a pinned prefix, record the free suffix (explorer)
   kDpor,    ///< explorer-driven systematic exploration (free + record per run)
@@ -56,10 +51,6 @@ enum class Mode : std::uint8_t {
 
 struct Config {
   Mode mode{Mode::kFree};
-  std::uint64_t seed{0};
-  /// Expected preemptions per `horizon` decisions (PCT's k).
-  std::uint32_t pct_k{16};
-  std::uint32_t pct_horizon{128};
   bool record{false};
   std::string record_path;  ///< empty: in-memory only (take_trace)
   std::string replay_path;  ///< kReplay via env: file to load
@@ -70,8 +61,8 @@ struct Config {
 };
 
 /// Parse the CUSAN_SCHEDULE grammar (clauses separated by ';' or ','):
-/// `free` | `seed:<n>` | `replay:<path>` | `dpor` | `record:<path>` |
-/// `pct:<k>` | `horizon:<h>` | `bound:<k>` | `graph[:<path>]`.
+/// `free` | `replay:<path>` | `dpor` | `record:<path>` | `bound:<k>` |
+/// `graph[:<path>]`. Any other clause is an error.
 /// Empty / `0` / `off` / `none` yields a disarmed free config.
 [[nodiscard]] bool parse_schedule(const std::string& text, Config* out,
                                   std::string* error = nullptr);
@@ -94,7 +85,6 @@ struct Divergence {
 
 struct Stats {
   std::uint64_t decisions{0};    ///< choose() calls answered while armed
-  std::uint64_t preemptions{0};  ///< seed mode: non-default answers
   std::uint64_t replayed{0};     ///< replay mode: answers taken from the trace
   std::uint64_t underruns{0};    ///< replay mode: queries past the trace end
   std::uint64_t divergences{0};  ///< replay mode: mismatched queries
@@ -150,8 +140,9 @@ class Controller {
 
   /// Answer one numbered decision: an index in [0, candidates). Call sites
   /// pass today's deterministic behavior as `default_index`; the free
-  /// strategy (and every non-preempted seed decision) returns it unchanged,
-  /// which is what makes exploration semantics-preserving by construction.
+  /// strategy (and every decision past a pinned prefix) returns it
+  /// unchanged, which is what makes exploration semantics-preserving by
+  /// construction.
   [[nodiscard]] int choose(Site site, const ActorId& actor, int candidates,
                            int default_index = 0);
 

@@ -54,30 +54,20 @@ std::string Explorer::signature(const std::vector<TraceEntry>& entries) {
 std::vector<Execution> Explorer::explore(Controller& controller, const RunFn& run) {
   stats_ = {};
   std::vector<Execution> executions;
-  // Two-tier FIFO frontier: structural flips (stream ops, matching, wait
-  // orders) explore breadth-first before any timing-only pre-park flip, so
-  // a tight bound spends its budget where verdicts can change.
-  std::deque<std::vector<TraceEntry>> frontier;
-  std::deque<std::vector<TraceEntry>> deferred;
-  std::unordered_set<std::string> sleep;     ///< prefixes already scheduled
-  std::unordered_set<std::string> seen;      ///< full-run signatures executed
+  std::deque<std::vector<TraceEntry>> frontier;  ///< FIFO: breadth-first in flip depth
+  std::unordered_set<std::string> sleep;         ///< prefixes already scheduled
+  std::unordered_set<std::string> seen;          ///< full-run signatures executed
   frontier.push_back({});
   sleep.insert(signature({}));
 
   GraphRecorder& recorder = GraphRecorder::instance();
-  while (!frontier.empty() || !deferred.empty()) {
+  while (!frontier.empty()) {
     if (executions.size() >= options_.bound) {
       stats_.bound_hit = true;
       break;
     }
-    std::vector<TraceEntry> prefix;
-    if (!frontier.empty()) {
-      prefix = std::move(frontier.front());
-      frontier.pop_front();
-    } else {
-      prefix = std::move(deferred.front());
-      deferred.pop_front();
-    }
+    std::vector<TraceEntry> prefix = std::move(frontier.front());
+    frontier.pop_front();
 
     controller.configure_prefix(prefix);
     if (options_.use_graph) {
@@ -148,15 +138,10 @@ std::vector<Execution> Explorer::explore(Controller& controller, const RunFn& ru
           continue;
         }
         ++stats_.backtrack_points;
-        if (e.site == Site::kPreParkYield) {
-          deferred.push_back(std::move(next));
-        } else {
-          frontier.push_back(std::move(next));
-        }
+        frontier.push_back(std::move(next));
       }
     }
-    stats_.frontier_peak =
-        std::max<std::uint64_t>(stats_.frontier_peak, frontier.size() + deferred.size());
+    stats_.frontier_peak = std::max<std::uint64_t>(stats_.frontier_peak, frontier.size());
     executions.push_back(std::move(exec));
   }
   controller.clear();

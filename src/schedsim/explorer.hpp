@@ -13,10 +13,9 @@
 // two runs whose (actor, site) streams recorded identical decisions are the
 // same execution regardless of how OS timing interleaved the lines, so the
 // sleep set keys on a canonical (stream-sorted) signature. The frontier is
-// FIFO, which makes exploration breadth-first in flip depth — single-flip
-// perturbations (the ones PCT finds with luck) are all tried before any
-// two-flip prefix, so verdict-revealing schedules surface early even under
-// a tight `bound:<k>`.
+// one FIFO queue, which makes exploration breadth-first in flip depth —
+// every single-flip perturbation is tried before any two-flip prefix, so
+// verdict-revealing schedules surface early even under a tight `bound:<k>`.
 //
 // The explorer is harness-agnostic: check_cutests, fault_sweep and tests
 // supply the run callback (typically a closure over run_scenario_outcome);

@@ -21,8 +21,6 @@ const char* to_string(Site site) {
       return "match_recv";
     case Site::kWakeOrder:
       return "wake_order";
-    case Site::kPreParkYield:
-      return "pre_park_yield";
     case Site::kWaitany:
       return "waitany";
     case Site::kWaitallOrder:
@@ -32,8 +30,8 @@ const char* to_string(Site site) {
 }
 
 bool site_from_string(const std::string& name, Site* out) {
-  static constexpr Site kAll[] = {Site::kStreamOp,     Site::kMatchRecv, Site::kWakeOrder,
-                                  Site::kPreParkYield, Site::kWaitany,   Site::kWaitallOrder};
+  static constexpr Site kAll[] = {Site::kStreamOp, Site::kMatchRecv, Site::kWakeOrder,
+                                  Site::kWaitany,  Site::kWaitallOrder};
   for (const Site site : kAll) {
     if (name == to_string(site)) {
       *out = site;

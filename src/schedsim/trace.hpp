@@ -4,11 +4,11 @@
 // per-(actor, site) streams: replay matches each stream's decisions against
 // its own recording, so neither the physical interleaving of lines (OS
 // thread timing at record time) nor timing-dependent *skips* of one site
-// (e.g. a wait whose predicate was already true, so its pre-park decision
+// (e.g. a waitany that found a single request complete, so its decision
 // never fired) can shift another site's decisions out of alignment.
 //
 //   # cusan-schedule-trace v1
-//   # strategy seed:7
+//   # strategy free;record
 //   d <rank>:<kind><local> <seq> <site> <candidates> <chosen>
 //
 // `<kind>` is `h` (the rank's host/MPI thread) or `s` (a cusim stream
@@ -30,7 +30,6 @@ enum class Site : std::uint8_t {
   kStreamOp,      ///< cusim stream worker: run the head op now or defer once
   kMatchRecv,     ///< mpisim ANY_SOURCE recv: which source channel matches
   kWakeOrder,     ///< mpisim WaiterHub broadcast: slot wake permutation
-  kPreParkYield,  ///< mpisim blocked_wait: yields before parking on the slot
   kWaitany,       ///< MPI_Waitany: which completed request is returned
   kWaitallOrder,  ///< MPI_Waitall: request completion/fiber-join order
 };

@@ -140,8 +140,8 @@ struct RunPartial {
   std::vector<std::string> failures;
 };
 
-/// All rounds (free schedule + optional PCT seeds) of one plan against one
-/// scenario, checking invariants 2-4 against the unfaulted baseline.
+/// All rounds (free schedule + optional DPOR executions) of one plan against
+/// one scenario, checking invariants 2-4 against the unfaulted baseline.
 [[nodiscard]] RunPartial run_plan_rounds(const faultsim::FaultPlan& plan,
                                          const Scenario& scenario, std::size_t baseline_races,
                                          const SweepOptions& options, int p, bool fast) {
@@ -149,10 +149,9 @@ struct RunPartial {
   obs::Counter& rank_failure_metric = obs::metric("mpisim.proc.rank_failures");
   RunPartial partial;
 
-  // One faulted run under whatever schedule the caller configured, plus the
-  // invariant checks against its fired-fault ledger. Shared between the PCT
-  // rounds loop and the DPOR exploration (where the explorer decides how
-  // many times this executes).
+  // One faulted run under whatever schedule is configured, plus the
+  // invariant checks against its fired-fault ledger. Round 0 is the free
+  // schedule; under DPOR the explorer decides how many more rounds run.
   const auto one_run = [&](int round) -> std::size_t {
     injector.load(plan);  // resets match counters: every run sees the same schedule
     const std::uint64_t failures_before = rank_failure_metric.value();
@@ -218,40 +217,22 @@ struct RunPartial {
     return races;
   };
 
-  if (options.dpor) {
-    // Round 0 runs the faulted plan on the free schedule, then the explorer
-    // systematically covers the run's happens-before classes; every executed
-    // schedule passes through the same invariant checks above.
-    schedsim::Controller::instance().clear();
+  if (!options.dpor) {
     (void)one_run(0);
-    schedsim::ExplorerOptions explorer_options;
-    explorer_options.bound = options.dpor_bound;
-    schedsim::Explorer explorer(explorer_options);
-    int round = 0;
-    (void)explorer.explore(schedsim::Controller::instance(), [&] { return one_run(++round); });
-    partial.dpor_executions += explorer.stats().executions;
-    partial.dpor_hb_prunes += explorer.stats().hb_prunes;
     return partial;
   }
-
-  // With schedules requested, every (plan, scenario) run repeats under N
-  // seed-deterministic PCT schedules: round 0 is the free schedule, rounds
-  // 1..N perturb it. The invariants must hold under every combination.
-  const int rounds = options.schedules > 0 ? options.schedules + 1 : 1;
-  for (int round = 0; round < rounds; ++round) {
-    if (options.schedules > 0) {
-      if (round == 0) {
-        schedsim::Controller::instance().clear();
-      } else {
-        schedsim::Config sched;
-        sched.mode = schedsim::Mode::kSeed;
-        sched.seed = options.seed ^ (static_cast<std::uint64_t>(p) << 32) ^
-                     static_cast<std::uint64_t>(round);
-        schedsim::Controller::instance().configure(sched);
-      }
-    }
-    (void)one_run(round);
-  }
+  // Round 0 runs the faulted plan on the free schedule, then the explorer
+  // systematically covers the run's happens-before classes; every executed
+  // schedule passes through the same invariant checks above.
+  schedsim::Controller::instance().clear();
+  (void)one_run(0);
+  schedsim::ExplorerOptions explorer_options;
+  explorer_options.bound = options.dpor_bound;
+  schedsim::Explorer explorer(explorer_options);
+  int round = 0;
+  (void)explorer.explore(schedsim::Controller::instance(), [&] { return one_run(++round); });
+  partial.dpor_executions += explorer.stats().executions;
+  partial.dpor_hb_prunes += explorer.stats().hb_prunes;
   return partial;
 }
 
@@ -390,7 +371,7 @@ SweepStats run_fault_sweep(const SweepOptions& options) {
   }
 
   injector.clear();
-  if (options.schedules > 0 || options.dpor) {
+  if (options.dpor) {
     schedsim::Controller::instance().clear();
   }
   return stats;

@@ -33,16 +33,12 @@ struct SweepOptions {
   std::chrono::milliseconds watchdog{150};
   /// Print one line per (plan, scenario) run to stdout.
   bool verbose{false};
-  /// Randomized schedules per (plan, scenario) run: 0 keeps the free
-  /// schedule; N > 0 repeats every faulted run under N seed-deterministic
-  /// PCT schedules, so fault plans and schedule perturbations compose. The
-  /// unfaulted baseline always runs on the free schedule — invariant 2
-  /// therefore also proves verdicts are schedule-independent.
-  int schedules{0};
-  /// Systematic exploration instead of random schedules: every (plan,
-  /// scenario) pair first runs one free round, then a DPOR exploration
+  /// Compose fault plans with schedule exploration: every (plan, scenario)
+  /// pair first runs one free round, then a DPOR exploration
   /// (schedsim::Explorer) whose every executed schedule must satisfy the
-  /// same invariants. Mutually exclusive with `schedules`.
+  /// same invariants. The unfaulted baseline always runs on the free
+  /// schedule — invariant 2 therefore also proves verdicts are
+  /// schedule-independent.
   bool dpor{false};
   /// Execution bound per DPOR exploration (0 = explorer default).
   std::uint32_t dpor_bound{0};

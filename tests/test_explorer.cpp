@@ -4,20 +4,26 @@
 // happens-before prune (sync-ordered decisions are proven non-racing and
 // never backtracked), and the two end-to-end promises from the roadmap:
 //
-//   1. Differential coverage — on race-revealing scenarios the DPOR verdict
-//      set contains every verdict a 32-seed PCT sweep finds, with fewer
-//      executed schedules.
+//   1. Differential coverage — per scenario, the set of (race count,
+//      diagnostic ids) verdicts DPOR reaches equals the set an exhaustive,
+//      unpruned enumeration of every choice sequence reaches.
 //   2. Reproducibility — every DPOR execution's recorded trace replays via
 //      the ordinary replay machinery with zero divergence and the same
 //      verdict.
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "capi/session.hpp"
+#include "obs/diagnostics.hpp"
 #include "schedsim/controller.hpp"
 #include "schedsim/execution_graph.hpp"
 #include "schedsim/explorer.hpp"
@@ -27,15 +33,14 @@
 namespace {
 
 using schedsim::ActorId;
-using schedsim::Config;
 using schedsim::Controller;
 using schedsim::ExecutionGraph;
 using schedsim::Explorer;
 using schedsim::ExplorerOptions;
 using schedsim::GraphRecorder;
-using schedsim::Mode;
 using schedsim::ScheduleTrace;
 using schedsim::Site;
+using schedsim::TraceEntry;
 
 /// Every test leaves the process-global controller and recorder disarmed.
 class ExplorerTest : public ::testing::Test {
@@ -178,45 +183,119 @@ TEST_F(ExplorerTest, SyncOrderedDecisionsAreHbPruned) {
 
 // ------------------------------------------------ end-to-end promises ----
 
-TEST_F(ExplorerTest, DporCoversPctVerdictsWithFewerExecutions) {
+/// What one execution of a scenario observed: its race count and the sorted
+/// ids of every diagnostic it emitted.
+using Verdict = std::pair<std::size_t, std::vector<std::string>>;
+
+[[nodiscard]] Verdict run_for_verdict(const testsuite::Scenario& scenario) {
+  obs::clear_diagnostics();
+  const std::size_t races =
+      testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true).races;
+  std::vector<std::string> ids;
+  for (const obs::Diagnostic& d : obs::diagnostics()) {
+    ids.push_back(d.id);
+  }
+  std::sort(ids.begin(), ids.end());
+  return {races, std::move(ids)};
+}
+
+/// The reference DPOR is checked against: a depth-first enumeration of every
+/// choice sequence through Controller::configure_prefix, with no
+/// happens-before or sleep-set pruning. Each run's children flip every
+/// unpinned branchable decision to every alternative, keeping the decisions
+/// recorded before it and everything the parent pinned, so each child pins
+/// strictly more than its parent and the search ends. Returns false once
+/// more than `cap` runs would be needed.
+[[nodiscard]] bool enumerate_all(Controller& controller, const std::function<Verdict()>& run,
+                                 std::size_t cap, std::set<Verdict>* verdicts,
+                                 std::size_t* runs) {
+  std::vector<std::vector<TraceEntry>> stack{{}};
+  *runs = 0;
+  while (!stack.empty()) {
+    if (*runs == cap) {
+      controller.clear();
+      return false;
+    }
+    const std::vector<TraceEntry> prefix = std::move(stack.back());
+    stack.pop_back();
+    controller.configure_prefix(prefix);
+    verdicts->insert(run());
+    ++*runs;
+    const std::vector<TraceEntry> trace = controller.take_recorded();
+
+    std::set<std::pair<std::uint64_t, std::uint64_t>> pinned;
+    for (const TraceEntry& e : prefix) {
+      pinned.emplace(schedsim::stream_key(e.actor, e.site), e.seq);
+    }
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const TraceEntry& e = trace[i];
+      if (e.candidates <= 1 || pinned.contains({schedsim::stream_key(e.actor, e.site), e.seq})) {
+        continue;
+      }
+      for (int alt = 0; alt < e.candidates; ++alt) {
+        if (alt == e.chosen) {
+          continue;
+        }
+        std::vector<TraceEntry> child(trace.begin(),
+                                      trace.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+        child.back().chosen = alt;
+        std::set<std::pair<std::uint64_t, std::uint64_t>> in_child;
+        for (const TraceEntry& c : child) {
+          in_child.emplace(schedsim::stream_key(c.actor, c.site), c.seq);
+        }
+        // Parent pins recorded after position i (or never reached) stay
+        // pinned; per stream they follow the child's entries in seq order.
+        for (const TraceEntry& p : prefix) {
+          if (!in_child.contains({schedsim::stream_key(p.actor, p.site), p.seq})) {
+            child.push_back(p);
+          }
+        }
+        stack.push_back(std::move(child));
+      }
+    }
+  }
+  controller.clear();
+  return true;
+}
+
+TEST_F(ExplorerTest, DporReachesEveryVerdictOfExhaustiveEnumeration) {
+  // Runs per scenario the enumeration may spend: 8x the widest 2-rank
+  // scenario (64 runs). A scenario that needs more has grown a new choice
+  // point, and that fails the test rather than skipping the scenario.
+  constexpr std::size_t kEnumerationCap = 512;
+  ASSERT_EQ(capi::default_ranks(), 2) << "the oracle enumerates the 2-rank corpus (CUSAN_RANKS=2)";
   const auto scenarios = testsuite::build_scenarios();
   auto& controller = Controller::instance();
 
-  std::size_t tested = 0;
-  for (std::size_t i = 0; i < scenarios.size() && tested < 6; ++i) {
-    const testsuite::Scenario& scenario = scenarios[i];
-    if (!scenario.expect_race) {
-      continue;
-    }
-    ++tested;
+  std::size_t enumerated_runs = 0;
+  std::size_t widest = 0;  ///< most runs one scenario's enumeration took
+  std::size_t dpor_runs = 0;
+  for (const testsuite::Scenario& scenario : scenarios) {
+    std::set<Verdict> exhaustive;
+    std::size_t runs = 0;
+    const bool complete = enumerate_all(
+        controller, [&] { return run_for_verdict(scenario); }, kEnumerationCap, &exhaustive,
+        &runs);
+    EXPECT_TRUE(complete) << scenario.name << ": enumeration exceeded " << kEnumerationCap
+                          << " runs";
+    enumerated_runs += runs;
+    widest = std::max(widest, runs);
 
-    std::set<std::size_t> pct_verdicts;
-    for (std::uint64_t seed = 1; seed <= 32; ++seed) {
-      Config config;
-      config.mode = Mode::kSeed;
-      config.seed = seed;
-      controller.configure(config);
-      pct_verdicts.insert(
-          testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true).races);
-    }
-    controller.clear();
-
+    std::set<Verdict> explored;
     Explorer explorer;
     const auto executions = explorer.explore(controller, [&]() -> std::size_t {
-      return testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true).races;
+      const Verdict verdict = run_for_verdict(scenario);
+      explored.insert(verdict);
+      return verdict.first;
     });
-    std::set<std::size_t> dpor_verdicts;
-    for (const auto& execution : executions) {
-      dpor_verdicts.insert(execution.races);
-    }
-
-    for (const std::size_t verdict : pct_verdicts) {
-      EXPECT_TRUE(dpor_verdicts.contains(verdict))
-          << scenario.name << ": PCT verdict " << verdict << " not reached by DPOR";
-    }
-    EXPECT_LT(executions.size(), 32u) << scenario.name;
+    dpor_runs += executions.size();
+    EXPECT_EQ(explored, exhaustive) << scenario.name;
   }
-  EXPECT_EQ(tested, 6u);
+  EXPECT_EQ(scenarios.size(), 86u);
+  // Pruning must pay for itself over the corpus.
+  EXPECT_LE(dpor_runs, enumerated_runs);
+  std::printf("[oracle] %zu scenarios: %zu enumerated runs (widest %zu), %zu DPOR executions\n",
+              scenarios.size(), enumerated_runs, widest, dpor_runs);
 }
 
 TEST_F(ExplorerTest, DporExecutionTracesReplayWithoutDivergence) {

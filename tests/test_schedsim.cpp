@@ -1,18 +1,19 @@
 // Schedule-exploration engine tests: the CUSAN_SCHEDULE grammar, the trace
-// interchange format, the controller's strategy semantics (free / seed /
+// interchange format, the controller's strategy semantics (free / prefix /
 // replay with per-(actor, site) decision streams), and the three end-to-end
 // properties the engine promises:
 //
-//   1. Differential replay oracle — record a randomized run over the
-//      scenario corpus, replay its trace, and get bit-identical verdicts and
-//      diagnostics with zero divergences; a tampered trace is detected and
-//      reported, never silently skipped.
-//   2. Seed-sweep soundness — known-racy scenarios report their race under
-//      every explored schedule; race-free scenarios stay clean across the
-//      whole sweep (verdicts are schedule-independent).
-//   3. The pre-park yield phase is a controlled decision: a wakeup-heavy
-//      waitall workload records pre_park_yield / waitall_order decisions and
-//      replays them verdict-identically.
+//   1. Differential replay oracle — replay the traces of DPOR-flipped
+//      executions over the scenario corpus and get bit-identical verdicts
+//      and diagnostics with zero divergences; a tampered trace is detected
+//      and reported, never silently skipped.
+//   2. Exploration soundness — known-racy scenarios report their race under
+//      every DPOR-explored schedule; race-free scenarios stay clean across
+//      the whole exploration (verdicts are schedule-independent).
+//   3. Waitall processing order is a controlled decision: a wakeup-heavy
+//      waitall workload records waitall_order decisions, runs with them
+//      pinned away from the default, and replays that run
+//      verdict-identically.
 #include <algorithm>
 #include <array>
 #include <cstddef>
@@ -27,6 +28,7 @@
 #include "mpisim/request.hpp"
 #include "obs/diagnostics.hpp"
 #include "schedsim/controller.hpp"
+#include "schedsim/explorer.hpp"
 #include "schedsim/trace.hpp"
 #include "testsuite/scenarios.hpp"
 
@@ -35,6 +37,7 @@ namespace {
 using schedsim::ActorId;
 using schedsim::Config;
 using schedsim::Controller;
+using schedsim::Explorer;
 using schedsim::Mode;
 using schedsim::ScheduleTrace;
 using schedsim::Site;
@@ -60,17 +63,11 @@ TEST_F(SchedsimTest, ParseScheduleGrammar) {
   EXPECT_TRUE(schedsim::parse_schedule("free", &config, &error));
   EXPECT_EQ(config.mode, Mode::kFree);
 
-  EXPECT_TRUE(schedsim::parse_schedule("seed:7", &config, &error));
-  EXPECT_EQ(config.mode, Mode::kSeed);
-  EXPECT_EQ(config.seed, 7u);
-  EXPECT_EQ(config.pct_k, 16u);
-  EXPECT_EQ(config.pct_horizon, 128u);
+  EXPECT_TRUE(schedsim::parse_schedule("dpor;bound:8", &config, &error));
+  EXPECT_EQ(config.mode, Mode::kDpor);
+  EXPECT_EQ(config.bound, 8u);
 
-  EXPECT_TRUE(schedsim::parse_schedule("seed:3;pct:4;horizon:64", &config, &error));
-  EXPECT_EQ(config.pct_k, 4u);
-  EXPECT_EQ(config.pct_horizon, 64u);
-
-  EXPECT_TRUE(schedsim::parse_schedule("seed:3,record:/tmp/t.trace", &config, &error));
+  EXPECT_TRUE(schedsim::parse_schedule("free,record:/tmp/t.trace", &config, &error));
   EXPECT_TRUE(config.record);
   EXPECT_EQ(config.record_path, "/tmp/t.trace");
 
@@ -79,23 +76,31 @@ TEST_F(SchedsimTest, ParseScheduleGrammar) {
   EXPECT_EQ(config.replay_path, "/tmp/t.trace");
 
   EXPECT_FALSE(schedsim::parse_schedule("bogus:1", &config, &error));
-  EXPECT_FALSE(schedsim::parse_schedule("seed:x", &config, &error));
-  EXPECT_FALSE(schedsim::parse_schedule("seed:1;free", &config, &error));
+  EXPECT_FALSE(schedsim::parse_schedule("dpor;free", &config, &error));
   EXPECT_FALSE(schedsim::parse_schedule("replay:", &config, &error));
   EXPECT_FALSE(schedsim::parse_schedule("record:", &config, &error));
-  EXPECT_FALSE(schedsim::parse_schedule("seed:1;pct:9;horizon:4", &config, &error));
+  EXPECT_FALSE(schedsim::parse_schedule("bound:0", &config, &error));
+  EXPECT_FALSE(schedsim::parse_schedule("8", &config, &error));
+
+  // The retired randomized strategy and its tuning clauses are rejected as
+  // unknown clauses, never run as a free schedule.
+  for (const char* retired : {"seed:7", "pct:4", "horizon:64"}) {
+    error.clear();
+    EXPECT_FALSE(schedsim::parse_schedule(retired, &config, &error)) << retired;
+    EXPECT_NE(error.find("unknown clause"), std::string::npos) << retired << ": " << error;
+  }
 }
 
 // ----------------------------------------------------------- trace format --
 
 [[nodiscard]] ScheduleTrace sample_trace() {
   ScheduleTrace trace;
-  trace.strategy = "seed:7";
+  trace.strategy = "dpor execution 3";
   trace.entries = {
-      {{0, 'h', 0}, 0, Site::kPreParkYield, 9, 4},
+      {{0, 'h', 0}, 0, Site::kWakeOrder, 3, 1},
       {{1, 's', 4097}, 0, Site::kStreamOp, 2, 1},
       {{0, 'h', 0}, 0, Site::kWaitallOrder, 3, 2},
-      {{0, 'h', 0}, 1, Site::kPreParkYield, 9, 0},
+      {{0, 'h', 0}, 1, Site::kWakeOrder, 2, 0},
       {{1, 's', 4097}, 1, Site::kStreamOp, 2, 0},
   };
   return trace;
@@ -107,7 +112,7 @@ TEST_F(SchedsimTest, TraceSerializeParseRoundTrip) {
   ScheduleTrace parsed;
   std::string error;
   ASSERT_TRUE(schedsim::parse_trace(text, &parsed, &error)) << error;
-  EXPECT_EQ(parsed.strategy, "seed:7");
+  EXPECT_EQ(parsed.strategy, "dpor execution 3");
   ASSERT_EQ(parsed.entries.size(), trace.entries.size());
   for (std::size_t i = 0; i < trace.entries.size(); ++i) {
     EXPECT_EQ(parsed.entries[i].actor.key(), trace.entries[i].actor.key()) << i;
@@ -128,6 +133,9 @@ TEST_F(SchedsimTest, TraceParseRejectsMalformedDocuments) {
   EXPECT_TRUE(schedsim::parse_trace(header, &parsed, &error)) << error;
 
   EXPECT_FALSE(schedsim::parse_trace(header + "d 0:h 0 nonsense 2 0\n", &parsed, &error));
+  EXPECT_TRUE(error.find("unknown site") != std::string::npos) << error;
+  // The retired timing-only site is no longer a decision stream.
+  EXPECT_FALSE(schedsim::parse_trace(header + "d 0:h 0 pre_park_yield 9 4\n", &parsed, &error));
   EXPECT_TRUE(error.find("unknown site") != std::string::npos) << error;
   EXPECT_FALSE(schedsim::parse_trace(header + "d 0:h 0 waitany 2 2\n", &parsed, &error));
   EXPECT_TRUE(error.find("outside") != std::string::npos) << error;
@@ -159,7 +167,7 @@ struct Query {
 [[nodiscard]] std::vector<Query> synthetic_queries() {
   std::vector<Query> queries;
   for (int round = 0; round < 50; ++round) {
-    queries.push_back({Site::kPreParkYield, {0, 'h', 0}, 9, 4});
+    queries.push_back({Site::kMatchRecv, {0, 'h', 0}, 3, 1});
     queries.push_back({Site::kStreamOp, {0, 's', 1}, 2, 0});
     queries.push_back({Site::kWaitallOrder, {1, 'h', 0}, 4, 0});
     queries.push_back({Site::kWakeOrder, {1, 'h', 0}, 3, 0});
@@ -205,41 +213,64 @@ TEST_F(SchedsimTest, FreeWithRecordingKeepsDefaultsButRecords) {
   EXPECT_EQ(parsed.entries.size(), queries.size());
 }
 
-TEST_F(SchedsimTest, SeedStrategyIsDeterministicAndPreempts) {
-  Config config;
-  config.mode = Mode::kSeed;
-  config.seed = 42;
-  const auto queries = synthetic_queries();
-
-  Controller::instance().configure(config);
-  const auto first = run_queries(queries);
-  EXPECT_GT(Controller::instance().stats().preemptions, 0u);
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_GE(first[i], 0);
-    EXPECT_LT(first[i], queries[i].candidates);
+/// A prefix pinning a non-default answer for every query of the first
+/// `rounds` rounds of synthetic_queries() (each stream asks once per round).
+[[nodiscard]] std::vector<TraceEntry> non_default_prefix(const std::vector<Query>& queries,
+                                                         std::uint64_t rounds,
+                                                         int shift = 0) {
+  std::vector<TraceEntry> prefix;
+  for (std::size_t i = 0; i < queries.size() && i / 5 < rounds; ++i) {
+    const Query& q = queries[i];
+    const std::uint64_t round = i / 5;
+    const int offset = 1 + static_cast<int>((round + static_cast<std::uint64_t>(shift)) %
+                                            static_cast<std::uint64_t>(q.candidates - 1));
+    const int answer = (q.default_index + offset) % q.candidates;
+    prefix.push_back({q.actor, round, q.site, q.candidates, answer});
   }
-
-  Controller::instance().configure(config);
-  EXPECT_EQ(run_queries(queries), first);  // same seed, same answers
-
-  config.seed = 43;
-  Controller::instance().configure(config);
-  EXPECT_NE(run_queries(queries), first);  // 250 decisions: collision is ~impossible
+  return prefix;
 }
 
-TEST_F(SchedsimTest, SeedAnswersIndependentOfArrivalInterleaving) {
-  Config config;
-  config.mode = Mode::kSeed;
-  config.seed = 9;
+TEST_F(SchedsimTest, PrefixPinningIsDeterministicAndFallsBackToDefaults) {
   const auto queries = synthetic_queries();
+  const auto prefix = non_default_prefix(queries, /*rounds=*/25);
 
-  Controller::instance().configure(config);
+  Controller::instance().configure_prefix(prefix);
+  const auto first = run_queries(queries);
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    if (i < prefix.size()) {
+      EXPECT_EQ(first[i], prefix[i].chosen) << i;  // pinned slice obeyed
+    } else {
+      EXPECT_EQ(first[i], queries[i].default_index) << i;  // free past it
+    }
+  }
+  EXPECT_EQ(Controller::instance().stats().replayed, prefix.size());
+  EXPECT_EQ(Controller::instance().stats().underruns, queries.size() - prefix.size());
+  EXPECT_FALSE(Controller::instance().divergence().has_value());
+  // The recorded run is prefix + free suffix, decision for decision.
+  const auto recorded = Controller::instance().take_recorded();
+  ASSERT_EQ(recorded.size(), queries.size());
+  for (std::size_t i = 0; i < queries.size(); ++i) {
+    EXPECT_EQ(recorded[i].chosen, first[i]) << i;
+  }
+
+  Controller::instance().configure_prefix(prefix);
+  EXPECT_EQ(run_queries(queries), first);  // same prefix, same answers
+
+  Controller::instance().configure_prefix(non_default_prefix(queries, 25, /*shift=*/1));
+  EXPECT_NE(run_queries(queries), first);  // a different pin, different answers
+}
+
+TEST_F(SchedsimTest, ReplayAnswersIndependentOfArrivalInterleaving) {
+  const auto queries = synthetic_queries();
+  Controller::instance().configure_prefix(non_default_prefix(queries, /*rounds=*/50));
   const auto forward = run_queries(queries);
+  const std::string trace = Controller::instance().take_trace();
 
   // Re-issue with the global arrival order permuted (stream-by-stream):
   // per-stream answers must be unchanged, because each stream's decisions
   // are numbered by its own counter, not by global arrival.
-  Controller::instance().configure(config);
+  std::string error;
+  ASSERT_TRUE(Controller::instance().configure_replay_text(trace, &error)) << error;
   std::vector<int> reordered(queries.size());
   for (std::size_t start = 0; start < 5; ++start) {
     for (std::size_t i = start; i < queries.size(); i += 5) {
@@ -249,16 +280,22 @@ TEST_F(SchedsimTest, SeedAnswersIndependentOfArrivalInterleaving) {
     }
   }
   EXPECT_EQ(reordered, forward);
+  EXPECT_FALSE(Controller::instance().divergence().has_value());
+  EXPECT_EQ(Controller::instance().stats().replayed, queries.size());
 }
 
 TEST_F(SchedsimTest, RecordThenReplayRoundTrips) {
-  Config config;
-  config.mode = Mode::kSeed;
-  config.seed = 1234;
-  config.record = true;
-  Controller::instance().configure(config);
+  // Pin a non-default answer for every query through a prefix (the
+  // explorer's seam), record the run, and replay the recording.
   const auto queries = synthetic_queries();
+  const auto prefix = non_default_prefix(queries, /*rounds=*/50);
+  std::vector<int> pinned;
+  for (const TraceEntry& entry : prefix) {
+    pinned.push_back(entry.chosen);
+  }
+  Controller::instance().configure_prefix(prefix);
   const auto recorded_answers = run_queries(queries);
+  EXPECT_EQ(recorded_answers, pinned);
   const std::string trace = Controller::instance().take_trace();
 
   std::string error;
@@ -344,88 +381,94 @@ TEST_F(SchedsimTest, DifferentialReplayOracleOverScenarioCorpus) {
   const auto scenarios = testsuite::build_scenarios();
   auto& controller = Controller::instance();
 
-  std::size_t tested = 0;
-  for (std::size_t i = 0; i < scenarios.size() && tested < 20; i += 3, ++tested) {
-    const testsuite::Scenario& scenario = scenarios[i];
+  /// What one DPOR execution observed, indexed by execution order.
+  struct Observed {
+    testsuite::ScenarioOutcome outcome;
+    std::vector<std::string> ids;
+  };
 
-    Config config;
-    config.mode = Mode::kSeed;
-    config.seed = 1000 + i;
-    config.record = true;
-    controller.configure(config);
-    obs::clear_diagnostics();
-    const testsuite::ScenarioOutcome recorded =
-        testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true);
-    const std::vector<std::string> recorded_ids = diagnostic_ids();
-    const std::string trace = controller.take_trace();
+  std::size_t flipped = 0;
+  for (const testsuite::Scenario& scenario : scenarios) {
+    std::vector<Observed> observed;
+    Explorer explorer;
+    const auto executions = explorer.explore(controller, [&]() -> std::size_t {
+      obs::clear_diagnostics();
+      Observed run;
+      run.outcome = testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true);
+      run.ids = diagnostic_ids();
+      observed.push_back(run);
+      return run.outcome.races;
+    });
+    ASSERT_EQ(observed.size(), executions.size()) << scenario.name;
 
-    std::string error;
-    ASSERT_TRUE(controller.configure_replay_text(trace, &error)) << scenario.name << ": " << error;
-    obs::clear_diagnostics();
-    const testsuite::ScenarioOutcome replayed =
-        testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true);
+    // Replay every explored execution — the flipped ones are the point:
+    // their traces pin non-default decisions the free schedule never takes.
+    for (const schedsim::Execution& execution : executions) {
+      flipped += execution.pinned > 0 ? 1 : 0;
+      ScheduleTrace trace;
+      trace.strategy = "dpor execution " + std::to_string(execution.index);
+      trace.entries = execution.trace;
+      std::string error;
+      ASSERT_TRUE(controller.configure_replay_text(serialize_trace(trace), &error))
+          << scenario.name << ": " << error;
+      obs::clear_diagnostics();
+      const testsuite::ScenarioOutcome replayed =
+          testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true);
 
-    EXPECT_FALSE(controller.divergence().has_value())
-        << scenario.name << ": " << controller.divergence()->to_string();
-    EXPECT_EQ(replayed.races, recorded.races) << scenario.name;
-    EXPECT_EQ(replayed.tracked_bytes, recorded.tracked_bytes) << scenario.name;
-    EXPECT_EQ(replayed.elided_launches, recorded.elided_launches) << scenario.name;
-    EXPECT_EQ(replayed.elided_bytes, recorded.elided_bytes) << scenario.name;
-    EXPECT_EQ(diagnostic_ids(), recorded_ids) << scenario.name;
-  }
-  EXPECT_EQ(tested, 20u);
-}
-
-// --------------------------------------------- satellite 2: seed sweep ----
-
-[[nodiscard]] const testsuite::Scenario* find_scenario(
-    const std::vector<testsuite::Scenario>& scenarios, bool racy) {
-  for (const auto& scenario : scenarios) {
-    if (scenario.expect_race == racy) {
-      return &scenario;
+      const Observed& recorded = observed[execution.index];
+      EXPECT_FALSE(controller.divergence().has_value())
+          << scenario.name << ": " << controller.divergence()->to_string();
+      EXPECT_EQ(replayed.races, recorded.outcome.races) << scenario.name;
+      EXPECT_EQ(replayed.tracked_bytes, recorded.outcome.tracked_bytes) << scenario.name;
+      EXPECT_EQ(replayed.elided_launches, recorded.outcome.elided_launches) << scenario.name;
+      EXPECT_EQ(replayed.elided_bytes, recorded.outcome.elided_bytes) << scenario.name;
+      EXPECT_EQ(diagnostic_ids(), recorded.ids) << scenario.name;
+      controller.clear();
     }
   }
-  return nullptr;
+  EXPECT_GT(flipped, 0u);  // the oracle replayed non-default schedules
 }
 
-TEST_F(SchedsimTest, SeedSweepKeepsVerdictsScheduleIndependent) {
+// ------------------------------------ satellite 2: exploration soundness --
+
+TEST_F(SchedsimTest, DporExecutionsKeepVerdictsScheduleIndependent) {
+  // Explore the corpus until one racy and one race-free scenario with more
+  // than one explored execution have been seen: every execution of a racy
+  // scenario reports its race, every execution of a clean one stays clean.
   const auto scenarios = testsuite::build_scenarios();
-  const testsuite::Scenario* racy = find_scenario(scenarios, true);
-  const testsuite::Scenario* clean = find_scenario(scenarios, false);
-  ASSERT_NE(racy, nullptr);
-  ASSERT_NE(clean, nullptr);
   auto& controller = Controller::instance();
 
-  std::size_t racy_detected = 0;
-  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
-    Config config;
-    config.mode = Mode::kSeed;
-    config.seed = seed;
-    controller.configure(config);
-    if (testsuite::run_scenario_outcome(*racy, true).races > 0) {
-      ++racy_detected;
+  bool racy_branched = false;
+  bool clean_branched = false;
+  for (const auto& scenario : scenarios) {
+    if (racy_branched && clean_branched) {
+      break;
     }
-    controller.configure(config);
-    EXPECT_EQ(testsuite::run_scenario_outcome(*clean, true).races, 0u)
-        << clean->name << " seed " << seed;
+    if ((scenario.expect_race && racy_branched) || (!scenario.expect_race && clean_branched)) {
+      continue;
+    }
+    Explorer explorer;
+    const auto executions = explorer.explore(controller, [&]() -> std::size_t {
+      return testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true).races;
+    });
+    for (const schedsim::Execution& execution : executions) {
+      EXPECT_EQ(execution.races > 0, scenario.expect_race)
+          << scenario.name << " execution " << execution.index << " (" << execution.races
+          << " races)";
+    }
+    if (executions.size() > 1) {
+      (scenario.expect_race ? racy_branched : clean_branched) = true;
+    }
   }
-  // The detector is schedule-independent by construction, so the race should
-  // be found under *every* seed; >= 1 is the engine's hard promise.
-  EXPECT_GE(racy_detected, 1u) << racy->name;
-  EXPECT_EQ(racy_detected, 32u) << racy->name;
+  EXPECT_TRUE(racy_branched);
+  EXPECT_TRUE(clean_branched);
 }
 
-// ------------------------------- satellite 3: pre-park yield replay ------
+// ------------------------------- satellite 3: waitall order replay -------
 
-TEST_F(SchedsimTest, WakeupHeavyWaitallRecordsAndReplaysPreParkDecisions) {
+TEST_F(SchedsimTest, WakeupHeavyWaitallRecordsAndReplaysWaitallOrder) {
   auto& controller = Controller::instance();
-  // Force every blocked wait through a perturbed pre-park phase: pct = the
-  // horizon makes the controller preempt at every decision point.
   Config config;
-  config.mode = Mode::kSeed;
-  config.seed = 77;
-  config.pct_k = 64;
-  config.pct_horizon = 64;
   config.record = true;
   controller.configure(config);
 
@@ -461,14 +504,26 @@ TEST_F(SchedsimTest, WakeupHeavyWaitallRecordsAndReplaysPreParkDecisions) {
     ASSERT_EQ(capi::mpi::waitall(env.comm, reqs), mpisim::MpiError::kSuccess);
   };
 
+  EXPECT_EQ(capi::total_races(capi::run_flavored(capi::Flavor::kMust, 4, all_to_all)), 0u);
+
+  // The regression this guards: waitall's processing order routes through
+  // the controller, so the trace of a wakeup-heavy run records it. Pin every
+  // waitall_order decision away from the default (a selection step's
+  // candidate count does not depend on earlier picks, so the whole stream
+  // stays pinned) and record the perturbed run.
+  std::vector<TraceEntry> prefix;
+  for (TraceEntry entry : controller.take_recorded()) {
+    if (entry.site == Site::kWaitallOrder) {
+      entry.chosen = entry.candidates - 1;
+      prefix.push_back(entry);
+    }
+  }
+  EXPECT_FALSE(prefix.empty());
+  controller.configure_prefix(prefix);
   const auto recorded = capi::run_flavored(capi::Flavor::kMust, 4, all_to_all);
   EXPECT_EQ(capi::total_races(recorded), 0u);
+  EXPECT_FALSE(controller.divergence().has_value()) << controller.divergence()->to_string();
   const std::string trace = controller.take_trace();
-
-  // The regression this guards: the pre-park yield phase must route through
-  // the controller (and waitall's processing order must too), so the trace
-  // of a wakeup-heavy run contains both decision streams.
-  EXPECT_TRUE(trace.find("pre_park_yield") != std::string::npos) << trace;
   EXPECT_TRUE(trace.find("waitall_order") != std::string::npos) << trace;
 
   std::string error;

@@ -18,29 +18,25 @@
 // fault must still be surfaced through some channel, and no run may crash or
 // hang (pair with CUSAN_MPI_WATCHDOG_MS). This is the CI resilience leg.
 //
-// Schedule-exploration aware: with --schedules N each scenario is re-run N
-// more times under randomized PCT schedules (seed 1..N through the schedsim
-// controller) and every seed run's verdict is classified against the
+// Schedule-exploration aware: with --schedules dpor[;bound:<k>] each
+// scenario is explored systematically after its baseline runs — a
+// schedsim::Explorer drives source-DPOR prefix pinning over the controller,
+// executing only schedules that differ under the recorded happens-before
+// graph — and every executed schedule's verdict is classified against the
 // free-schedule baseline:
 //
 //   identical      same race/no-race verdict — the expected outcome, since
 //                  verdicts must not depend on the explored interleaving
 //   new-true-race  a known-racy scenario whose race the default schedule
-//                  missed but this seed exposed (a detection win, not a bug)
+//                  missed but this execution exposed (a detection win)
 //   divergence-bug a false positive in a race-free scenario or a lost race —
 //                  schedule-dependent verdicts; counted as failures
 //
-// Non-identical seed runs can save their decision trace as a deterministic
-// reproducer (--schedule-dir=DIR; replay with CUSAN_SCHEDULE=replay:FILE).
-// Fault plans compose: a seed run with a fired fault is tagged `fault` and
-// exempt from classification, exactly like the baseline.
-//
-// With --schedules dpor[;bound:<k>] the randomized sweep is replaced by
-// systematic exploration: a schedsim::Explorer drives source-DPOR prefix
-// pinning over the controller, executing only schedules that differ under
-// the recorded happens-before graph, with the same classification and
-// reproducer saving per executed schedule (every saved trace replays with
-// CUSAN_SCHEDULE=replay:FILE, zero divergence).
+// Non-identical executions can save their decision trace as a deterministic
+// reproducer (--schedule-dir=DIR; every saved trace replays with
+// CUSAN_SCHEDULE=replay:FILE, zero divergence). Fault plans compose: an
+// execution with a fired fault is tagged `fault` and exempt from
+// classification, exactly like the baseline.
 //
 // With --json[=PATH] the same run is reported as one machine-readable JSON
 // document (per-scenario verdicts plus a summary block with the obs metrics
@@ -54,7 +50,7 @@
 // (scenario matrix order), and per-scenario fault accounting is per-session
 // (the summary sums the sessions).
 //
-// Usage: check_cutests [--json[=PATH]] [--schedules=N|dpor[;bound:K]]
+// Usage: check_cutests [--json[=PATH]] [--schedules=dpor[;bound:K]]
 //                      [--schedule-dir=DIR] [--jobs=N] [filter-substring]
 #include <cstddef>
 #include <cstdint>
@@ -64,7 +60,6 @@
 #include <string>
 #include <vector>
 
-#include "common/clock.hpp"
 #include "faultsim/injector.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
@@ -76,14 +71,12 @@
 
 namespace {
 
-/// One schedule re-run of a scenario: a PCT seed run, or one DPOR-explored
-/// execution (then `seed` is the execution index and `pinned` the prefix).
-struct SeedRun {
-  std::uint64_t seed{0};
+/// One DPOR-explored execution of a scenario.
+struct ScheduleRun {
+  std::uint64_t execution{0};    ///< index in exploration order
   std::size_t races{0};
   std::uint64_t decisions{0};    ///< choice points answered by the controller
-  std::uint64_t preemptions{0};  ///< decisions steered away from the default
-  std::uint64_t pinned{0};       ///< dpor: decisions pinned by the prefix
+  std::uint64_t pinned{0};       ///< decisions pinned by the prefix
   double wall_ms{0.0};           ///< wall time of this schedule's run
   const char* cls{"identical"};  ///< identical | new-true-race | divergence-bug | fault
   std::string trace_path;        ///< saved reproducer (--schedule-dir), if any
@@ -100,7 +93,7 @@ struct ScenarioRecord {
   std::string fault_outcome;
   bool diverged{false};
   bool ok{true};
-  std::vector<SeedRun> seed_runs;
+  std::vector<ScheduleRun> schedule_runs;
   std::size_t schedule_bugs{0};
   std::size_t schedule_new_races{0};
   /// DPOR exploration stats for this scenario (--schedules dpor).
@@ -114,48 +107,36 @@ struct ScenarioRecord {
 
 /// What one scenario run needs to know beyond the scenario itself.
 struct RunConfig {
-  std::size_t schedules{0};
   bool dpor{false};
   std::uint32_t dpor_bound{0};  ///< 0 = explorer default
   std::string schedule_dir;
-
-  [[nodiscard]] bool schedule_sweep() const { return schedules > 0 || dpor; }
 };
 
-/// Parse the --schedules value: a plain seed count, or `dpor[;bound:<k>]`
-/// (the CUSAN_SCHEDULE grammar restricted to the dpor mode).
+/// Parse the --schedules value: `dpor[;bound:<k>]` (the CUSAN_SCHEDULE
+/// grammar restricted to the dpor mode).
 [[nodiscard]] bool parse_schedules_arg(const char* value, RunConfig* config) {
-  if (std::strncmp(value, "dpor", 4) == 0) {
-    schedsim::Config sched;
-    std::string error;
-    if (!schedsim::parse_schedule(value, &sched, &error) ||
-        sched.mode != schedsim::Mode::kDpor) {
-      std::fprintf(stderr, "--schedules: %s\n",
-                   error.empty() ? "expected dpor[;bound:<k>]" : error.c_str());
-      return false;
-    }
-    config->dpor = true;
-    config->dpor_bound = sched.bound;
-    return true;
-  }
-  const int parsed = std::atoi(value);
-  if (parsed <= 0) {
-    std::fprintf(stderr, "--schedules: expected a positive count or dpor[;bound:<k>]\n");
+  schedsim::Config sched;
+  std::string error;
+  if (!schedsim::parse_schedule(value, &sched, &error) || sched.mode != schedsim::Mode::kDpor) {
+    std::fprintf(stderr, "--schedules: %s\n",
+                 error.empty() ? "expected dpor[;bound:<k>]" : error.c_str());
     return false;
   }
-  config->schedules = static_cast<std::size_t>(parsed);
+  config->dpor = true;
+  config->dpor_bound = sched.bound;
   return true;
 }
 
-/// Classify one seed run's verdict against the free-schedule baseline.
-[[nodiscard]] const char* classify_seed_run(const testsuite::Scenario& scenario,
-                                            std::size_t baseline_races, std::size_t seed_races) {
+/// Classify one explored execution's verdict against the free-schedule
+/// baseline.
+[[nodiscard]] const char* classify_schedule_run(const testsuite::Scenario& scenario,
+                                                std::size_t baseline_races, std::size_t races) {
   const bool baseline_racy = baseline_races > 0;
-  const bool seed_racy = seed_races > 0;
-  if (baseline_racy == seed_racy) {
+  const bool racy = races > 0;
+  if (baseline_racy == racy) {
     return "identical";
   }
-  if (seed_racy && scenario.expect_race) {
+  if (racy && scenario.expect_race) {
     return "new-true-race";
   }
   return "divergence-bug";
@@ -172,8 +153,8 @@ struct RunConfig {
   return out;
 }
 
-/// Run one scenario — fast/slow passes, fault accounting, optional schedule
-/// seed runs — against whatever injector/controller the calling thread
+/// Run one scenario — fast/slow passes, fault accounting, optional DPOR
+/// exploration — against whatever injector/controller the calling thread
 /// resolves to. Sequentially that is the process-global pair (cumulative
 /// ledger, exactly the pre---jobs behavior); inside an svc::Session it is
 /// the session-private pair, so concurrent scenarios cannot bleed fired
@@ -201,95 +182,61 @@ struct RunConfig {
   }
   record.diverged = record.fast.races != record.slow.races;
   record.ok = !record.diverged && testsuite::classified_correctly(scenario, record.fast.races);
-  // Classify one explored/seeded run against the baseline and tally it.
-  const auto classify_and_tally = [&](SeedRun& run, bool fault_fired, std::size_t races) {
-    if (fault_fired) {
+  if (!config.dpor) {
+    return record;
+  }
+  // Systematic exploration: the explorer owns the controller for the
+  // scenario, installing one pinned prefix per executed schedule, and leaves
+  // it disarmed.
+  schedsim::ExplorerOptions options;
+  options.bound = config.dpor_bound;
+  schedsim::Explorer explorer(options);
+  std::vector<std::uint64_t> fired_per_execution;
+  const auto executions = explorer.explore(controller, [&]() -> std::size_t {
+    const std::uint64_t before = injector.fired_count();
+    const testsuite::ScenarioOutcome outcome =
+        testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true);
+    fired_per_execution.push_back(injector.fired_count() - before);
+    return outcome.races;
+  });
+  explorer.publish_metrics();
+  record.explorer_stats = explorer.stats();
+  for (const schedsim::Execution& execution : executions) {
+    ScheduleRun run;
+    run.execution = execution.index;
+    run.races = execution.races;
+    run.decisions = execution.trace.size();
+    run.pinned = execution.pinned;
+    run.wall_ms = execution.wall_ms;
+    if (fired_per_execution[execution.index] != 0) {
       run.cls = "fault";  // injected failures legitimately change verdicts
     } else {
-      run.cls = classify_seed_run(scenario, record.fast.races, races);
+      run.cls = classify_schedule_run(scenario, record.fast.races, execution.races);
     }
     if (std::strcmp(run.cls, "divergence-bug") == 0) {
       ++record.schedule_bugs;
     } else if (std::strcmp(run.cls, "new-true-race") == 0) {
       ++record.schedule_new_races;
     }
-  };
-  const auto save_reproducer = [&](SeedRun& run, const std::string& suffix,
-                                   const std::string& trace_text) {
-    if (std::strcmp(run.cls, "identical") == 0 || std::strcmp(run.cls, "fault") == 0 ||
-        config.schedule_dir.empty()) {
-      return;
-    }
-    // Save the decision trace: CUSAN_SCHEDULE=replay:FILE reproduces it.
-    const std::string path =
-        config.schedule_dir + "/" + sanitize_name(scenario.name) + "." + suffix + ".trace";
-    std::string error;
-    if (!obs::write_file(path, trace_text, &error)) {
-      std::fprintf(stderr, "--schedule-dir: %s\n", error.c_str());
-    } else {
-      run.trace_path = path;
-    }
-  };
-  if (config.dpor) {
-    // Systematic exploration: the explorer owns the controller for the
-    // scenario, installing one pinned prefix per executed schedule.
-    schedsim::ExplorerOptions options;
-    options.bound = config.dpor_bound;
-    schedsim::Explorer explorer(options);
-    std::vector<std::uint64_t> fired_per_execution;
-    const auto executions = explorer.explore(controller, [&]() -> std::size_t {
-      const std::uint64_t before = injector.fired_count();
-      const testsuite::ScenarioOutcome outcome =
-          testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true);
-      fired_per_execution.push_back(injector.fired_count() - before);
-      return outcome.races;
-    });
-    explorer.publish_metrics();
-    record.explorer_stats = explorer.stats();
-    for (const schedsim::Execution& execution : executions) {
-      SeedRun run;
-      run.seed = execution.index;
-      run.races = execution.races;
-      run.decisions = execution.trace.size();
-      run.pinned = execution.pinned;
-      run.wall_ms = execution.wall_ms;
-      classify_and_tally(run, fired_per_execution[execution.index] != 0, execution.races);
+    if (std::strcmp(run.cls, "identical") != 0 && std::strcmp(run.cls, "fault") != 0 &&
+        !config.schedule_dir.empty()) {
+      // Save the decision trace: CUSAN_SCHEDULE=replay:FILE reproduces it.
       schedsim::ScheduleTrace trace;
       trace.strategy = "dpor execution " + std::to_string(execution.index);
       trace.entries = execution.trace;
-      save_reproducer(run, "dpor" + std::to_string(execution.index), serialize_trace(trace));
-      record.seed_runs.push_back(run);
+      const std::string path = config.schedule_dir + "/" + sanitize_name(scenario.name) +
+                               ".dpor" + std::to_string(execution.index) + ".trace";
+      std::string error;
+      if (!obs::write_file(path, serialize_trace(trace), &error)) {
+        std::fprintf(stderr, "--schedule-dir: %s\n", error.c_str());
+      } else {
+        run.trace_path = path;
+      }
     }
+    record.schedule_runs.push_back(run);
   }
-  // Randomized-schedule sweep: re-run the scenario under PCT schedules and
-  // classify every seed's verdict against the baseline just computed.
-  for (std::size_t s = 1; s <= config.schedules; ++s) {
-    schedsim::Config sched_config;
-    sched_config.mode = schedsim::Mode::kSeed;
-    sched_config.seed = s;
-    sched_config.record = true;  // in-memory: take_trace() below
-    controller.configure(sched_config);
-    const std::size_t sched_fired_before = injector.fired_count();
-    const std::uint64_t t0 = common::now_ns();
-    const testsuite::ScenarioOutcome outcome =
-        testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true);
-    const std::uint64_t t1 = common::now_ns();
-    const schedsim::Stats sched_stats = controller.stats();
-    SeedRun run;
-    run.seed = s;
-    run.races = outcome.races;
-    run.decisions = sched_stats.decisions;
-    run.preemptions = sched_stats.preemptions;
-    run.wall_ms = static_cast<double>(t1 - t0) / 1e6;
-    classify_and_tally(run, injector.fired_count() != sched_fired_before, outcome.races);
-    save_reproducer(run, "seed" + std::to_string(s), controller.take_trace());
-    record.seed_runs.push_back(run);
-  }
-  if (config.schedule_sweep()) {
-    controller.clear();
-    if (record.schedule_bugs > 0) {
-      record.ok = false;
-    }
+  if (record.schedule_bugs > 0) {
+    record.ok = false;
   }
   return record;
 }
@@ -327,22 +274,16 @@ void print_record(const ScenarioRecord& record, std::size_t index, std::size_t t
                                   : "  [false positive report]";
   }
   std::string sched_note;
-  if (!record.seed_runs.empty()) {
-    const bool dpor = record.explorer_stats.executions > 0;
-    sched_note = dpor ? " [dpor " + std::to_string(record.seed_runs.size()) + " execution(s)"
-                      : " [schedules " + std::to_string(record.seed_runs.size());
-    sched_note += ": ";
+  if (!record.schedule_runs.empty()) {
+    sched_note = " [dpor " + std::to_string(record.schedule_runs.size()) + " execution(s): ";
     if (record.schedule_bugs == 0 && record.schedule_new_races == 0) {
       sched_note += "identical";
     } else {
       sched_note += std::to_string(record.schedule_bugs) + " bug(s), " +
                     std::to_string(record.schedule_new_races) + " new race(s)";
     }
-    if (dpor) {
-      sched_note += record.explorer_stats.bound_hit ? "; bound hit" : "; frontier drained";
-      sched_note += ", " + std::to_string(record.explorer_stats.hb_prunes) + " hb-pruned";
-    }
-    sched_note += "]";
+    sched_note += record.explorer_stats.bound_hit ? "; bound hit" : "; frontier drained";
+    sched_note += ", " + std::to_string(record.explorer_stats.hb_prunes) + " hb-pruned]";
   }
   std::printf(
       "%s: CuSanTest :: %s (%zu of %zu) [tracked %.1f KiB] [fastpath %llu hits / %llu "
@@ -353,7 +294,7 @@ void print_record(const ScenarioRecord& record, std::size_t index, std::size_t t
       static_cast<unsigned long long>(record.fast.fastpath_granules_elided),
       static_cast<unsigned long long>(record.fast.elided_launches),
       static_cast<double>(record.fast.elided_bytes) / 1024.0, sched_note.c_str(), detail);
-  for (const SeedRun& run : record.seed_runs) {
+  for (const ScheduleRun& run : record.schedule_runs) {
     if (!run.trace_path.empty()) {
       std::printf("  reproducer: %s\n", run.trace_path.c_str());
     }
@@ -399,9 +340,7 @@ void append_json_escaped(std::string& out, const std::string& text) {
                                   const RunConfig& config, std::size_t schedule_bugs,
                                   std::size_t schedule_new_races) {
   std::string out = "{\n  \"world_ranks\": " + std::to_string(world_ranks) +
-                    ",\n  \"schedules\": " + std::to_string(config.schedules) +
-                    ",\n  \"schedule_mode\": \"" +
-                    (config.dpor ? "dpor" : (config.schedules > 0 ? "pct" : "off")) + "\"" +
+                    ",\n  \"schedule_mode\": \"" + (config.dpor ? "dpor" : "off") + "\"" +
                     ",\n  \"scenarios\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const ScenarioRecord& r = records[i];
@@ -424,27 +363,24 @@ void append_json_escaped(std::string& out, const std::string& text) {
       append_json_escaped(out, r.fault_outcome);
       out += "\"";
     }
-    if (!r.seed_runs.empty()) {
-      out += ", \"schedule_executions\": " + std::to_string(r.seed_runs.size());
-      out += ", \"schedule_seeds\": [";
-      for (std::size_t s = 0; s < r.seed_runs.size(); ++s) {
-        const SeedRun& run = r.seed_runs[s];
-        out += "{\"seed\": " + std::to_string(run.seed);
+    if (!r.schedule_runs.empty()) {
+      out += ", \"schedule_executions\": " + std::to_string(r.schedule_runs.size());
+      out += ", \"schedule_runs\": [";
+      for (std::size_t s = 0; s < r.schedule_runs.size(); ++s) {
+        const ScheduleRun& run = r.schedule_runs[s];
+        out += "{\"execution\": " + std::to_string(run.execution);
         out += ", \"races\": " + std::to_string(run.races);
         out += ", \"decisions\": " + std::to_string(run.decisions);
-        out += ", \"preemptions\": " + std::to_string(run.preemptions);
-        if (config.dpor) {
-          out += ", \"pinned\": " + std::to_string(run.pinned);
-        }
+        out += ", \"pinned\": " + std::to_string(run.pinned);
         out += ", \"wall_ms\": " + append_fixed(run.wall_ms);
         out += ", \"class\": \"";
         out += run.cls;
         out += "\"}";
-        out += s + 1 < r.seed_runs.size() ? ", " : "";
+        out += s + 1 < r.schedule_runs.size() ? ", " : "";
       }
       out += "]";
     }
-    if (config.dpor && r.explorer_stats.executions > 0) {
+    if (r.explorer_stats.executions > 0) {
       out += ", \"dpor\": {\"executions\": " + std::to_string(r.explorer_stats.executions);
       out += ", \"backtracks\": " + std::to_string(r.explorer_stats.backtrack_points);
       out += ", \"sleep_prunes\": " + std::to_string(r.explorer_stats.sleep_prunes);
@@ -464,14 +400,11 @@ void append_json_escaped(std::string& out, const std::string& text) {
   out += ", \"diverged\": " + std::to_string(divergences);
   out += ", \"faulted\": " + std::to_string(faulted);
   out += ", \"faults_unsurfaced\": " + std::to_string(unsurfaced);
-  out += ", \"schedule_runs\": " +
-         std::to_string(!config.schedule_sweep() ? 0 : [&] {
-           std::size_t total = 0;
-           for (const auto& r : records) {
-             total += r.seed_runs.size();
-           }
-           return total;
-         }());
+  std::size_t schedule_runs = 0;
+  for (const auto& r : records) {
+    schedule_runs += r.schedule_runs.size();
+  }
+  out += ", \"schedule_runs\": " + std::to_string(schedule_runs);
   out += ", \"schedule_bugs\": " + std::to_string(schedule_bugs);
   out += ", \"schedule_new_races\": " + std::to_string(schedule_new_races);
   if (config.dpor) {
@@ -551,17 +484,15 @@ int main(int argc, char** argv) {
       std::printf("-- schedules: dpor exploration (bound %u per scenario)\n",
                   config.dpor_bound != 0 ? config.dpor_bound
                                          : schedsim::ExplorerOptions::kDefaultBound);
-    } else if (config.schedules > 0) {
-      std::printf("-- schedules: %zu randomized seed(s) per scenario\n", config.schedules);
     }
     if (jobs > 1) {
       std::printf("-- jobs: %d concurrent session(s)\n", jobs);
     }
   }
   auto& controller = schedsim::Controller::instance();
-  if (config.schedule_sweep()) {
-    // The sweep owns the controller for the whole run: baselines run with it
-    // disarmed, seed runs configure it per (scenario, seed).
+  if (config.dpor) {
+    // The explorer owns the controller for the whole run: baselines run with
+    // it disarmed, each exploration configures it per executed schedule.
     controller.clear();
   }
 
@@ -691,32 +622,28 @@ int main(int argc, char** argv) {
         static_cast<double>(total_tracked) / 1024.0, static_cast<unsigned long long>(total_hits),
         static_cast<unsigned long long>(total_elided_launches),
         static_cast<double>(total_elided_bytes) / 1024.0);
-    if (config.schedule_sweep()) {
+    if (config.dpor) {
       std::size_t executed = 0;
+      schedsim::ExplorerStats totals;
+      std::size_t bounded = 0;
       for (const ScenarioRecord& record : records) {
-        executed += record.seed_runs.size();
+        executed += record.schedule_runs.size();
+        totals.backtrack_points += record.explorer_stats.backtrack_points;
+        totals.sleep_prunes += record.explorer_stats.sleep_prunes;
+        totals.hb_prunes += record.explorer_stats.hb_prunes;
+        totals.graph_nodes += record.explorer_stats.graph_nodes;
+        totals.graph_edges += record.explorer_stats.graph_edges;
+        bounded += record.explorer_stats.bound_hit ? 1 : 0;
       }
       std::printf("  Schedule runs: %zu\n  Schedule bugs: %zu\n  New races found: %zu\n",
                   executed, schedule_bugs, schedule_new_races);
-      if (config.dpor) {
-        schedsim::ExplorerStats totals;
-        std::size_t bounded = 0;
-        for (const ScenarioRecord& record : records) {
-          totals.backtrack_points += record.explorer_stats.backtrack_points;
-          totals.sleep_prunes += record.explorer_stats.sleep_prunes;
-          totals.hb_prunes += record.explorer_stats.hb_prunes;
-          totals.graph_nodes += record.explorer_stats.graph_nodes;
-          totals.graph_edges += record.explorer_stats.graph_edges;
-          bounded += record.explorer_stats.bound_hit ? 1 : 0;
-        }
-        std::printf("  DPOR: %llu backtrack(s), %llu sleep-prune(s), %llu hb-prune(s), "
-                    "graph %llu nodes / %llu edges, %zu scenario(s) hit the bound\n",
-                    static_cast<unsigned long long>(totals.backtrack_points),
-                    static_cast<unsigned long long>(totals.sleep_prunes),
-                    static_cast<unsigned long long>(totals.hb_prunes),
-                    static_cast<unsigned long long>(totals.graph_nodes),
-                    static_cast<unsigned long long>(totals.graph_edges), bounded);
-      }
+      std::printf("  DPOR: %llu backtrack(s), %llu sleep-prune(s), %llu hb-prune(s), "
+                  "graph %llu nodes / %llu edges, %zu scenario(s) hit the bound\n",
+                  static_cast<unsigned long long>(totals.backtrack_points),
+                  static_cast<unsigned long long>(totals.sleep_prunes),
+                  static_cast<unsigned long long>(totals.hb_prunes),
+                  static_cast<unsigned long long>(totals.graph_nodes),
+                  static_cast<unsigned long long>(totals.graph_edges), bounded);
     }
     if (faulted_run) {
       std::printf("  Faulted: %zu\n  Faults fired: %llu\n  Faults unsurfaced: %zu\n", faulted,

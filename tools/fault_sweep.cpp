@@ -3,14 +3,12 @@
 // invariants (no crash/hang, unfired plans are verdict-invisible, every fired
 // fault is surfaced through some channel). See src/testsuite/fault_sweep.hpp.
 //
-// With --schedules N every (plan, scenario) run additionally repeats under N
-// seed-deterministic randomized schedules (via the schedsim controller), so
-// fault plans and schedule perturbations compose; the unfaulted baseline
-// stays on the free schedule, making invariant 2 also a schedule-independence
-// check. With --schedules dpor (optionally dpor;bound:<k>) the random rounds
-// are replaced by a systematic DPOR exploration per (plan, scenario) pair:
-// every distinct happens-before class the explorer reaches must satisfy the
-// same invariants.
+// With --schedules dpor (optionally dpor;bound:<k>) every (plan, scenario)
+// run is followed by a systematic DPOR exploration of the pair, so fault
+// plans and schedule exploration compose: every distinct happens-before
+// class the explorer reaches must satisfy the same invariants. The unfaulted
+// baseline stays on the free schedule, making invariant 2 also a
+// schedule-independence check.
 //
 // With --rank-kills N every plan additionally carries N rank_kill specs
 // (sigkill/sigabrt/hang at a random rank's n-th MPI operation). These only
@@ -24,7 +22,7 @@
 //
 // Usage: fault_sweep [--plans N] [--faults N] [--seed N] [--filter SUBSTR]
 //                    [--watchdog MS] [--metrics PATH]
-//                    [--schedules N|dpor[;bound:K]] [--rank-kills N]
+//                    [--schedules dpor[;bound:K]] [--rank-kills N]
 //                    [--jobs N] [--verbose]
 #include <cstdio>
 #include <cstdlib>
@@ -42,7 +40,7 @@ namespace {
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s [--plans N] [--faults N] [--seed N] [--filter SUBSTR] "
-               "[--watchdog MS] [--metrics PATH] [--schedules N|dpor[;bound:K]] "
+               "[--watchdog MS] [--metrics PATH] [--schedules dpor[;bound:K]] "
                "[--rank-kills N] [--jobs N] [--verbose]\n",
                argv0);
   std::exit(2);
@@ -98,20 +96,16 @@ int main(int argc, char** argv) {
       if (value == nullptr) {
         usage(argv[0]);
       }
-      if (std::strncmp(value, "dpor", 4) == 0) {
-        schedsim::Config sched;
-        std::string error;
-        if (!schedsim::parse_schedule(value, &sched, &error) ||
-            sched.mode != schedsim::Mode::kDpor) {
-          std::fprintf(stderr, "--schedules: %s\n",
-                       error.empty() ? "expected dpor[;bound:<k>]" : error.c_str());
-          return 2;
-        }
-        options.dpor = true;
-        options.dpor_bound = sched.bound;
-      } else {
-        options.schedules = static_cast<int>(parse_long(argv[0], arg, value));
+      schedsim::Config sched;
+      std::string error;
+      if (!schedsim::parse_schedule(value, &sched, &error) ||
+          sched.mode != schedsim::Mode::kDpor) {
+        std::fprintf(stderr, "--schedules: %s\n",
+                     error.empty() ? "expected dpor[;bound:<k>]" : error.c_str());
+        usage(argv[0]);
       }
+      options.dpor = true;
+      options.dpor_bound = sched.bound;
       ++i;
     } else if (std::strcmp(arg, "--rank-kills") == 0) {
       options.rank_kills = static_cast<int>(parse_long(argv[0], arg, value));
@@ -127,28 +121,23 @@ int main(int argc, char** argv) {
     }
   }
   if (options.plans < 1 || options.faults_per_plan < 1 || options.watchdog.count() <= 0 ||
-      options.schedules < 0 || options.rank_kills < 0 || options.jobs < 1) {
+      options.rank_kills < 0 || options.jobs < 1) {
     std::fprintf(stderr,
                  "--plans/--faults/--jobs must be >= 1, --watchdog must be > 0, "
-                 "--schedules/--rank-kills >= 0\n");
+                 "--rank-kills >= 0\n");
     return 2;
   }
 
-  if (options.dpor) {
-    std::printf("fault sweep: %d plan(s) x %d fault(s) + %d rank-kill(s), seed %llu, "
-                "watchdog %lld ms, dpor exploration (bound %u)\n",
-                options.plans, options.faults_per_plan, options.rank_kills,
-                static_cast<unsigned long long>(options.seed),
-                static_cast<long long>(options.watchdog.count()),
-                options.dpor_bound != 0 ? options.dpor_bound
-                                        : schedsim::ExplorerOptions::kDefaultBound);
-  } else {
-    std::printf("fault sweep: %d plan(s) x %d fault(s) + %d rank-kill(s), seed %llu, "
-                "watchdog %lld ms, %d schedule(s)\n",
-                options.plans, options.faults_per_plan, options.rank_kills,
-                static_cast<unsigned long long>(options.seed),
-                static_cast<long long>(options.watchdog.count()), options.schedules);
-  }
+  const std::uint32_t bound =
+      options.dpor_bound != 0 ? options.dpor_bound : schedsim::ExplorerOptions::kDefaultBound;
+  const std::string schedule = options.dpor
+                                   ? "dpor exploration (bound " + std::to_string(bound) + ")"
+                                   : std::string("free schedule");
+  std::printf("fault sweep: %d plan(s) x %d fault(s) + %d rank-kill(s), seed %llu, "
+              "watchdog %lld ms, %s\n",
+              options.plans, options.faults_per_plan, options.rank_kills,
+              static_cast<unsigned long long>(options.seed),
+              static_cast<long long>(options.watchdog.count()), schedule.c_str());
   const obs::MetricsSnapshot metrics_before = obs::MetricsRegistry::instance().snapshot();
   const testsuite::SweepStats stats = testsuite::run_fault_sweep(options);
   if (!metrics_path.empty()) {
