@@ -6,6 +6,7 @@
 #include <mutex>
 
 #include "capi/result_serde.hpp"
+#include "common/thread_context.hpp"
 #include "faultsim/injector.hpp"
 #include "obs/diagnostics.hpp"
 #include "obs/metrics.hpp"
@@ -94,7 +95,7 @@ std::vector<RankResult> run_session(const SessionConfig& config, const RankMain&
   // event rings stay process-global (tracing under the executor is a
   // process-level timeline) and svc::Session collects metrics/diagnostics
   // itself instead of the file exports.
-  const bool scoped = obs::MetricsRegistry::is_scoped();
+  const bool scoped = common::ThreadContext::current().metrics != nullptr;
   schedsim::Controller::instance().begin_session();
   // A `graph[:<path>]` schedule clause records the execution graph for this
   // session (thread backend: proc-backend children are separate processes,

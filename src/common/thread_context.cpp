@@ -1,48 +1,7 @@
 #include "common/thread_context.hpp"
 
-#include "common/assert.hpp"
+namespace common::detail {
 
-namespace common {
+constinit thread_local ThreadContext t_thread_context;
 
-namespace {
-
-struct Slot {
-  ThreadContext::CaptureFn capture{nullptr};
-  ThreadContext::RestoreFn restore{nullptr};
-};
-
-// Written only during static initialization (register_slot contract), read
-// afterwards without synchronization.
-std::array<Slot, ThreadContext::kMaxSlots> g_slots;
-std::size_t g_slot_count = 0;
-
-}  // namespace
-
-std::size_t ThreadContext::register_slot(CaptureFn capture, RestoreFn restore) {
-  CUSAN_ASSERT_MSG(g_slot_count < kMaxSlots, "ThreadContext slot table full");
-  g_slots[g_slot_count] = Slot{capture, restore};
-  return g_slot_count++;
-}
-
-ThreadContext ThreadContext::capture() {
-  ThreadContext out;
-  for (std::size_t i = 0; i < g_slot_count; ++i) {
-    out.values_[i] = g_slots[i].capture();
-  }
-  return out;
-}
-
-ThreadContext::Scope::Scope(const ThreadContext& context) {
-  for (std::size_t i = 0; i < g_slot_count; ++i) {
-    saved_[i] = g_slots[i].capture();
-    g_slots[i].restore(context.values_[i]);
-  }
-}
-
-ThreadContext::Scope::~Scope() {
-  for (std::size_t i = 0; i < g_slot_count; ++i) {
-    g_slots[i].restore(saved_[i]);
-  }
-}
-
-}  // namespace common
+}  // namespace common::detail

@@ -1,55 +1,71 @@
-// Session-context propagation across thread boundaries. Subsystems that
-// route a formerly process-global singleton through a thread_local "current
-// instance" pointer (obs::MetricsRegistry, obs diagnostics hub, the faultsim
-// Injector, the schedsim Controller, the shm session id) register a slot
-// here; thread-spawn sites (cusim stream workers, mpisim rank threads, the
-// svc executor) capture the parent thread's slots with capture() and install
-// them in the spawned thread with a Scope. A thread with no installed
-// context sees every slot as null and each subsystem falls back to its
-// process-global instance — exactly today's behavior, so code outside the
-// service path is unaffected.
+// The calling thread's tool-state binding: the five instances an svc::Session
+// owns (metrics registry, diagnostics hub, fault injector, schedule
+// controller, execution-graph recorder), held in one constinit thread_local
+// struct. svc::Session::run is the only place that binds a session; the
+// thread-spawn sites (mpisim rank threads, cusim stream workers) copy the
+// parent's binding with capture() and install it in the spawned thread with
+// a Scope, so a session's worlds and streams resolve to the session too.
 //
-// Registration happens from namespace-scope initializers in each subsystem's
-// .cpp, i.e. during static initialization, strictly before main() spawns any
-// thread; capture()/Scope never take a lock.
+// A thread with no binding sees every member as null and each subsystem's
+// instance() falls back to its process instance: harnesses, examples and
+// benches that call capi::run_session directly keep working unchanged.
+//
+// The members are forward-declared pointers because common sits below obs,
+// faultsim and schedsim. The instance is constant-initialized and the struct
+// trivially destructible, so reading a member is one TLS load with no
+// initialization guard — the disarmed gates (Injector::armed,
+// Controller::armed, GraphRecorder::enabled) rely on that.
 #pragma once
 
-#include <array>
-#include <cstddef>
+namespace obs {
+class MetricsRegistry;
+class DiagnosticHub;
+}  // namespace obs
+namespace faultsim {
+class Injector;
+}  // namespace faultsim
+namespace schedsim {
+class Controller;
+class GraphRecorder;
+}  // namespace schedsim
 
 namespace common {
 
-class ThreadContext {
+struct ThreadContext {
+  obs::MetricsRegistry* metrics{nullptr};
+  obs::DiagnosticHub* hub{nullptr};
+  faultsim::Injector* injector{nullptr};
+  schedsim::Controller* controller{nullptr};
+  schedsim::GraphRecorder* recorder{nullptr};
+
+  /// The calling thread's binding (all null when unbound).
+  [[nodiscard]] static const ThreadContext& current();
+
+  /// A copy of the calling thread's binding, for a thread about to spawn.
+  [[nodiscard]] static ThreadContext capture() { return current(); }
+
+  /// Installs a binding for the Scope's lifetime and restores the previous
+  /// one on destruction.
+  class Scope;
+};
+
+namespace detail {
+extern constinit thread_local ThreadContext t_thread_context;
+}  // namespace detail
+
+inline const ThreadContext& ThreadContext::current() { return detail::t_thread_context; }
+
+class ThreadContext::Scope {
  public:
-  /// Reads the calling thread's TLS value for the slot.
-  using CaptureFn = void* (*)();
-  /// Installs `value` into the calling thread's TLS for the slot.
-  using RestoreFn = void (*)(void* value);
-
-  static constexpr std::size_t kMaxSlots = 16;
-
-  /// Register a TLS slot; returns its index. Call only from static
-  /// initializers (namespace-scope), never after threads exist.
-  static std::size_t register_slot(CaptureFn capture, RestoreFn restore);
-
-  /// Snapshot every registered slot of the calling thread.
-  [[nodiscard]] static ThreadContext capture();
-
-  /// Install `context` in the current thread for the Scope's lifetime; the
-  /// previous values are restored on destruction.
-  class Scope {
-   public:
-    explicit Scope(const ThreadContext& context);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    std::array<void*, kMaxSlots> saved_{};
-  };
+  explicit Scope(const ThreadContext& context) : saved_(detail::t_thread_context) {
+    detail::t_thread_context = context;
+  }
+  ~Scope() { detail::t_thread_context = saved_; }
+  Scope(const Scope&) = delete;
+  Scope& operator=(const Scope&) = delete;
 
  private:
-  std::array<void*, kMaxSlots> values_{};
+  ThreadContext saved_;
 };
 
 }  // namespace common

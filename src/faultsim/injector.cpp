@@ -3,7 +3,6 @@
 #include <cstdlib>
 
 #include "common/format.hpp"
-#include "common/thread_context.hpp"
 #include "obs/diagnostics.hpp"
 #include "obs/metrics.hpp"
 
@@ -61,19 +60,12 @@ const char* to_string(Channel channel) {
 
 namespace detail {
 
-constinit thread_local Injector* t_current_injector = nullptr;
 constinit std::atomic<bool> g_process_armed{false};
-
-namespace {
-const std::size_t kInjectorSlot = common::ThreadContext::register_slot(
-    [] { return static_cast<void*>(t_current_injector); },
-    [](void* value) { t_current_injector = static_cast<Injector*>(value); });
-}  // namespace
 
 }  // namespace detail
 
 Injector& Injector::instance() {
-  Injector* current = detail::t_current_injector;
+  Injector* current = common::ThreadContext::current().injector;
   return current != nullptr ? *current : global();
 }
 
@@ -97,13 +89,6 @@ void Injector::register_ledger_provider(obs::MetricsRegistry& registry) {
     snapshot["faultsim.ledger_unsurfaced"] = unsurfaced_count();
   });
 }
-
-Injector::Scope::Scope(Injector* injector) : previous_(detail::t_current_injector) {
-  detail::t_current_injector = injector;
-  (void)detail::kInjectorSlot;
-}
-
-Injector::Scope::~Scope() { detail::t_current_injector = previous_; }
 
 void Injector::set_armed(bool armed) {
   armed_.store(armed, std::memory_order_relaxed);

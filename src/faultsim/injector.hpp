@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/thread_context.hpp"
 #include "faultsim/plan.hpp"
 
 namespace obs {
@@ -66,8 +67,6 @@ struct FiredFault {
 class Injector;
 
 namespace detail {
-/// The calling thread's session-scoped injector (null: use the global one).
-extern constinit thread_local Injector* t_current_injector;
 /// Mirror of the *global* injector's armed state, so threads with no session
 /// binding keep the one-relaxed-load fast path without touching the
 /// function-local-static global instance from an inline header.
@@ -81,31 +80,18 @@ class Injector {
   Injector(const Injector&) = delete;
   Injector& operator=(const Injector&) = delete;
 
-  /// The calling thread's current injector: the session-scoped one installed
-  /// by a Scope (svc::Session), else the process-global injector.
+  /// The calling thread's current injector: its svc::Session's, else the
+  /// process-global injector (see common/thread_context.hpp).
   [[nodiscard]] static Injector& instance();
 
   /// The process-global injector, regardless of any thread binding.
   [[nodiscard]] static Injector& global();
 
-  /// Bind `injector` as the calling thread's current injector (nullptr:
-  /// back to the global). Propagates via common::ThreadContext.
-  class Scope {
-   public:
-    explicit Scope(Injector* injector);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    Injector* previous_;
-  };
-
   /// The zero-overhead fast path: false unless the current instance has a
   /// non-empty plan loaded. One TLS load, a predicted branch and one relaxed
   /// atomic load — the bench guard budget still holds.
   [[nodiscard]] static bool armed() {
-    const Injector* current = detail::t_current_injector;
+    const Injector* current = common::ThreadContext::current().injector;
     return current != nullptr ? current->armed_.load(std::memory_order_relaxed)
                               : detail::g_process_armed.load(std::memory_order_relaxed);
   }

@@ -13,18 +13,10 @@ namespace {
 
 constexpr std::size_t kMaxRetained = 4096;
 
-// The calling thread's session-scoped hub (null: use the global one);
-// propagated into spawned workers via the ThreadContext slot.
-constinit thread_local DiagnosticHub* t_current_hub = nullptr;
-
-const std::size_t kHubSlot = common::ThreadContext::register_slot(
-    [] { return static_cast<void*>(t_current_hub); },
-    [](void* value) { t_current_hub = static_cast<DiagnosticHub*>(value); });
-
 }  // namespace
 
 DiagnosticHub& DiagnosticHub::instance() {
-  DiagnosticHub* current = t_current_hub;
+  DiagnosticHub* current = common::ThreadContext::current().hub;
   return current != nullptr ? *current : global();
 }
 
@@ -32,13 +24,6 @@ DiagnosticHub& DiagnosticHub::global() {
   static DiagnosticHub hub;
   return hub;
 }
-
-DiagnosticHub::Scope::Scope(DiagnosticHub* hub) : previous_(t_current_hub) {
-  t_current_hub = hub;
-  (void)kHubSlot;
-}
-
-DiagnosticHub::Scope::~Scope() { t_current_hub = previous_; }
 
 void DiagnosticHub::add_sink(DiagnosticSink* sink) {
   std::lock_guard<std::mutex> lock(mutex_);

@@ -41,8 +41,8 @@ class DiagnosticSink {
 /// One diagnostic stream: registered sinks plus a bounded retained store.
 /// The process has one global hub; svc sessions own private hubs so
 /// concurrent sessions' reports never interleave. The free functions below
-/// route to the calling thread's current hub (global unless a Scope is
-/// active), so emitting subsystems are hub-agnostic.
+/// route to the calling thread's current hub (global unless the thread is
+/// bound to a session), so emitting subsystems are hub-agnostic.
 class DiagnosticHub {
  public:
   DiagnosticHub() = default;
@@ -53,18 +53,6 @@ class DiagnosticHub {
   static DiagnosticHub& instance();
   /// The process-global hub, regardless of any thread binding.
   static DiagnosticHub& global();
-
-  /// Bind `hub` as the calling thread's current hub (nullptr: the global).
-  class Scope {
-   public:
-    explicit Scope(DiagnosticHub* hub);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    DiagnosticHub* previous_;
-  };
 
   void add_sink(DiagnosticSink* sink);
   void remove_sink(DiagnosticSink* sink);

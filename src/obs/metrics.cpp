@@ -8,26 +8,13 @@
 
 namespace obs {
 
-namespace {
-
-// The calling thread's session-scoped registry (null: use the global one).
-// constinit + trivial type keeps the TLS access to one load on hot-ish
-// paths; propagated into spawned workers via the ThreadContext slot below.
-constinit thread_local MetricsRegistry* t_current_registry = nullptr;
-
-const std::size_t kRegistrySlot = common::ThreadContext::register_slot(
-    [] { return static_cast<void*>(t_current_registry); },
-    [](void* value) { t_current_registry = static_cast<MetricsRegistry*>(value); });
-
-}  // namespace
-
 std::uint64_t value_of(const MetricsSnapshot& snapshot, std::string_view name) {
   const auto it = snapshot.find(name);
   return it != snapshot.end() ? it->second : 0;
 }
 
 MetricsRegistry& MetricsRegistry::instance() {
-  MetricsRegistry* current = t_current_registry;
+  MetricsRegistry* current = common::ThreadContext::current().metrics;
   return current != nullptr ? *current : global();
 }
 
@@ -37,15 +24,6 @@ MetricsRegistry& MetricsRegistry::global() {
   (void)process_stats;
   return registry;
 }
-
-bool MetricsRegistry::is_scoped() { return t_current_registry != nullptr; }
-
-MetricsRegistry::Scope::Scope(MetricsRegistry* registry) : previous_(t_current_registry) {
-  t_current_registry = registry;
-  (void)kRegistrySlot;
-}
-
-MetricsRegistry::Scope::~Scope() { t_current_registry = previous_; }
 
 MetricsRegistry::MetricsRegistry() = default;
 

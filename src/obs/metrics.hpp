@@ -41,31 +41,12 @@ class MetricsRegistry {
   /// a session's with add_process_stats()).
   MetricsRegistry();
 
-  /// The calling thread's current registry: the session-scoped one installed
-  /// by a Scope (svc::Session), else the process-global registry. Threads
-  /// never bound to a session always see the global registry — exactly the
-  /// pre-service behavior.
+  /// The calling thread's current registry: its svc::Session's, else the
+  /// process-global registry (see common/thread_context.hpp).
   static MetricsRegistry& instance();
 
   /// The process-global registry, regardless of any thread binding.
   static MetricsRegistry& global();
-
-  /// True when the calling thread is bound to a session-scoped registry.
-  [[nodiscard]] static bool is_scoped();
-
-  /// Bind `registry` as the calling thread's current registry (nullptr: back
-  /// to the global). The binding is thread-local and propagates to spawned
-  /// workers via common::ThreadContext.
-  class Scope {
-   public:
-    explicit Scope(MetricsRegistry* registry);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    MetricsRegistry* previous_;
-  };
 
   /// Find-or-create a counter. The returned reference stays valid for the
   /// registry's lifetime — cache it; never call this on a hot path.

@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <mutex>
 #include <set>
 #include <vector>
 
@@ -166,6 +167,11 @@ std::string export_chrome_trace() {
 }
 
 bool write_file(const std::string& path, const std::string& contents, std::string* error) {
+  // One writer at a time: sessions that export to the same path (a
+  // CUSAN_SCHEDULE record file under --jobs) each leave a whole file, never
+  // an interleaving of two.
+  static std::mutex mutex;
+  const std::lock_guard lock(mutex);
   std::FILE* file = std::fopen(path.c_str(), "w");
   if (file == nullptr) {
     if (error != nullptr) {

@@ -32,6 +32,8 @@ struct ExportConfig {
 [[nodiscard]] std::string export_chrome_trace();
 
 /// Serialize helper: write a string to a file, false + `error` on failure.
+/// Calls are serialized process-wide, so concurrent writers of one path
+/// leave one whole file.
 bool write_file(const std::string& path, const std::string& contents, std::string* error);
 
 }  // namespace obs

@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "common/format.hpp"
-#include "common/thread_context.hpp"
 #include "obs/diagnostics.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
@@ -162,19 +161,12 @@ std::string Divergence::to_string() const {
 
 namespace detail {
 
-constinit thread_local Controller* t_current_controller = nullptr;
 constinit std::atomic<bool> g_process_armed{false};
-
-namespace {
-const std::size_t kControllerSlot = common::ThreadContext::register_slot(
-    [] { return static_cast<void*>(t_current_controller); },
-    [](void* value) { t_current_controller = static_cast<Controller*>(value); });
-}  // namespace
 
 }  // namespace detail
 
 Controller& Controller::instance() {
-  Controller* current = detail::t_current_controller;
+  Controller* current = common::ThreadContext::current().controller;
   return current != nullptr ? *current : global();
 }
 
@@ -182,13 +174,6 @@ Controller& Controller::global() {
   static Controller controller;
   return controller;
 }
-
-Controller::Scope::Scope(Controller* controller) : previous_(detail::t_current_controller) {
-  detail::t_current_controller = controller;
-  (void)detail::kControllerSlot;
-}
-
-Controller::Scope::~Scope() { detail::t_current_controller = previous_; }
 
 void Controller::set_armed(bool armed) {
   armed_.store(armed, std::memory_order_relaxed);
@@ -323,33 +308,30 @@ bool Controller::configure_replay_text(const std::string& trace_text, std::strin
   return true;
 }
 
+bool Controller::load(const Config& config, std::string* error) {
+  if (config.mode != Mode::kReplay) {
+    configure(config);
+    return true;
+  }
+  std::string text;
+  if (!read_file(config.replay_path, &text)) {
+    return parse_error(error, common::format("replay: cannot read '{}'", config.replay_path));
+  }
+  if (!configure_replay_text(text, error, config.record)) {
+    return false;
+  }
+  std::lock_guard lock(mutex_);
+  config_.record_path = config.record_path;
+  return true;
+}
+
 bool Controller::load_env(std::string* error) {
   const char* env = std::getenv("CUSAN_SCHEDULE");
   if (env == nullptr || *env == '\0') {
     return true;
   }
   Config config;
-  if (!parse_schedule(env, &config, error)) {
-    return false;
-  }
-  if (config.mode == Mode::kReplay) {
-    std::string text;
-    if (!read_file(config.replay_path, &text)) {
-      return parse_error(error, common::format("replay: cannot read '{}'", config.replay_path));
-    }
-    const std::string record_path = config.record_path;
-    const bool record = config.record;
-    if (!configure_replay_text(text, error, record)) {
-      return false;
-    }
-    if (record) {
-      std::lock_guard lock(mutex_);
-      config_.record_path = record_path;
-    }
-    return true;
-  }
-  configure(config);
-  return true;
+  return parse_schedule(env, &config, error) && load(config, error);
 }
 
 void Controller::clear() {

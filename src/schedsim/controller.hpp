@@ -38,6 +38,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/thread_context.hpp"
 #include "schedsim/trace.hpp"
 
 namespace schedsim {
@@ -93,8 +94,6 @@ struct Stats {
 class Controller;
 
 namespace detail {
-/// The calling thread's session-scoped controller (null: use the global one).
-extern constinit thread_local Controller* t_current_controller;
 /// Mirror of the *global* controller's armed state for unbound threads.
 extern constinit std::atomic<bool> g_process_armed;
 [[nodiscard]] const std::atomic<bool>& armed_flag_of(const Controller& controller);
@@ -107,32 +106,19 @@ class Controller {
   Controller(const Controller&) = delete;
   Controller& operator=(const Controller&) = delete;
 
-  /// The calling thread's current controller: the session-scoped one
-  /// installed by a Scope (svc::Session), else the process-global controller.
+  /// The calling thread's current controller: its svc::Session's, else the
+  /// process-global controller (see common/thread_context.hpp).
   [[nodiscard]] static Controller& instance();
 
   /// The process-global controller, regardless of any thread binding.
   [[nodiscard]] static Controller& global();
-
-  /// Bind `controller` as the calling thread's current controller (nullptr:
-  /// back to the global). Propagates via common::ThreadContext.
-  class Scope {
-   public:
-    explicit Scope(Controller* controller);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    Controller* previous_;
-  };
 
   /// The zero-overhead fast path: false unless the current instance has a
   /// non-free strategy or recording active. Choice points gate on this
   /// before calling choose(). One TLS load, a predicted branch and one
   /// relaxed atomic load — the bench guard budget still holds.
   [[nodiscard]] static bool armed() {
-    const Controller* current = detail::t_current_controller;
+    const Controller* current = common::ThreadContext::current().controller;
     return current != nullptr
                ? detail::armed_flag_of(*current).load(std::memory_order_relaxed)
                : detail::g_process_armed.load(std::memory_order_relaxed);
@@ -160,7 +146,10 @@ class Controller {
   /// free-recorded run. Entries must be per-stream seq-monotonic (any
   /// per-stream-prefix-closed subsequence of a recorded trace is).
   void configure_prefix(std::vector<TraceEntry> prefix);
-  /// Load CUSAN_SCHEDULE (unset/empty: keeps current state). False on a
+  /// configure(), except that a replay config reads its trace from
+  /// replay_path. False on an unreadable or malformed replay file.
+  [[nodiscard]] bool load(const Config& config, std::string* error = nullptr);
+  /// Parse and load() CUSAN_SCHEDULE (unset/empty: keeps current state). False on a
   /// parse error or an unreadable replay file.
   [[nodiscard]] bool load_env(std::string* error = nullptr);
   /// Disarm and drop all state.

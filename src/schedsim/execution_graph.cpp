@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/format.hpp"
-#include "common/thread_context.hpp"
 
 namespace schedsim {
 
@@ -391,19 +390,12 @@ bool GraphAnalysis::decision_races(std::uint64_t stream, std::uint64_t seq) cons
 
 namespace detail {
 
-constinit thread_local GraphRecorder* t_current_recorder = nullptr;
 constinit std::atomic<bool> g_graph_armed{false};
-
-namespace {
-const std::size_t kRecorderSlot = common::ThreadContext::register_slot(
-    [] { return static_cast<void*>(t_current_recorder); },
-    [](void* value) { t_current_recorder = static_cast<GraphRecorder*>(value); });
-}  // namespace
 
 }  // namespace detail
 
 GraphRecorder& GraphRecorder::instance() {
-  GraphRecorder* current = detail::t_current_recorder;
+  GraphRecorder* current = common::ThreadContext::current().recorder;
   return current != nullptr ? *current : global();
 }
 
@@ -411,13 +403,6 @@ GraphRecorder& GraphRecorder::global() {
   static GraphRecorder recorder;
   return recorder;
 }
-
-GraphRecorder::Scope::Scope(GraphRecorder* recorder) : previous_(detail::t_current_recorder) {
-  detail::t_current_recorder = recorder;
-  (void)detail::kRecorderSlot;
-}
-
-GraphRecorder::Scope::~Scope() { detail::t_current_recorder = previous_; }
 
 void GraphRecorder::arm(bool on) {
   armed_.store(on, std::memory_order_relaxed);

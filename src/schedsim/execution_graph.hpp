@@ -33,6 +33,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/thread_context.hpp"
 #include "schedsim/trace.hpp"
 
 namespace schedsim {
@@ -123,15 +124,13 @@ class GraphAnalysis {
 class GraphRecorder;
 
 namespace detail {
-/// The calling thread's session-scoped recorder (null: the global one).
-extern constinit thread_local GraphRecorder* t_current_recorder;
 /// Mirror of the *global* recorder's armed state for unbound threads.
 extern constinit std::atomic<bool> g_graph_armed;
 [[nodiscard]] const std::atomic<bool>& graph_armed_flag_of(const GraphRecorder& recorder);
 }  // namespace detail
 
 /// Incremental execution-graph builder, session-scoped exactly like the
-/// Controller (Scope + common::ThreadContext propagation). The controller
+/// Controller (common::ThreadContext). The controller
 /// feeds it decisions from choose(); rsan feeds it sync events from its
 /// annotation entry points. Both gate on enabled() first, so the disarmed
 /// cost is one relaxed load.
@@ -141,25 +140,14 @@ class GraphRecorder {
   GraphRecorder(const GraphRecorder&) = delete;
   GraphRecorder& operator=(const GraphRecorder&) = delete;
 
-  /// The calling thread's current recorder: session-scoped if installed by
-  /// a Scope, else the process-global recorder.
+  /// The calling thread's current recorder: its svc::Session's, else the
+  /// process-global recorder.
   [[nodiscard]] static GraphRecorder& instance();
   [[nodiscard]] static GraphRecorder& global();
 
-  class Scope {
-   public:
-    explicit Scope(GraphRecorder* recorder);
-    ~Scope();
-    Scope(const Scope&) = delete;
-    Scope& operator=(const Scope&) = delete;
-
-   private:
-    GraphRecorder* previous_;
-  };
-
   /// The zero-overhead gate rsan and the controller check before recording.
   [[nodiscard]] static bool enabled() {
-    const GraphRecorder* current = detail::t_current_recorder;
+    const GraphRecorder* current = common::ThreadContext::current().recorder;
     return current != nullptr
                ? detail::graph_armed_flag_of(*current).load(std::memory_order_relaxed)
                : detail::g_graph_armed.load(std::memory_order_relaxed);

@@ -131,9 +131,10 @@ SessionHandlePtr Executor::next_session(std::size_t index, bool* stolen) {
     WorkerQueue& own = *queues_[index];
     std::lock_guard<std::mutex> lock(own.mutex);
     if (!own.deque.empty()) {
-      // LIFO on the owner's side: the freshest submission is the warmest.
-      SessionHandlePtr handle = std::move(own.deque.back());
-      own.deque.pop_back();
+      // FIFO: sessions share no warm state, and submission order is the
+      // order in-order consumers (check_cutests) wait on their handles.
+      SessionHandlePtr handle = std::move(own.deque.front());
+      own.deque.pop_front();
       return handle;
     }
   }
@@ -141,7 +142,7 @@ SessionHandlePtr Executor::next_session(std::size_t index, bool* stolen) {
     WorkerQueue& victim = *queues_[(index + i) % queues_.size()];
     std::lock_guard<std::mutex> lock(victim.mutex);
     if (!victim.deque.empty()) {
-      // FIFO steal: take the oldest, least-warm end.
+      // Steal the oldest, like the owner.
       SessionHandlePtr handle = std::move(victim.deque.front());
       victim.deque.pop_front();
       *stolen = true;

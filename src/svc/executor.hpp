@@ -10,11 +10,12 @@
 //   handle->wait();
 //   const svc::SessionResult& r = handle->result();
 //
-// Scheduling: each worker owns a deque (LIFO pop for cache warmth, FIFO
-// steal), submissions distribute round-robin, idle workers steal before
-// sleeping. Session bodies may block for long stretches (watchdog waits,
-// schedule exploration), so workers oversubscribing cores is by design —
-// blocked sessions cost a thread, not a core.
+// Scheduling: each worker owns a FIFO queue, submissions distribute
+// round-robin, idle workers steal the oldest entry before sleeping. One
+// worker therefore runs sessions in submission order. Session bodies may
+// block for long stretches (watchdog waits, schedule exploration), so workers
+// oversubscribing cores is by design — blocked sessions cost a thread, not a
+// core.
 #pragma once
 
 #include <atomic>

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/clock.hpp"
+#include "common/thread_context.hpp"
 #include "faultsim/plan.hpp"
 
 namespace svc {
@@ -20,13 +21,13 @@ SessionResult Session::run() {
   SessionResult result;
   result.label = spec_.label;
 
-  // Bind every session-scoped subsystem to this thread; worlds and stream
-  // workers spawned below inherit the bindings via common::ThreadContext.
-  const obs::MetricsRegistry::Scope metrics_scope(&metrics_);
-  const obs::DiagnosticHub::Scope hub_scope(&hub_);
-  const faultsim::Injector::Scope injector_scope(&injector_);
-  const schedsim::Controller::Scope controller_scope(&controller_);
-  const schedsim::GraphRecorder::Scope recorder_scope(&recorder_);
+  // Bind the session to this thread; worlds and stream workers spawned
+  // below copy the binding (common/thread_context.hpp).
+  const common::ThreadContext::Scope binding({.metrics = &metrics_,
+                                              .hub = &hub_,
+                                              .injector = &injector_,
+                                              .controller = &controller_,
+                                              .recorder = &recorder_});
 
   if (!spec_.fault_plan.empty()) {
     faultsim::FaultPlan plan;
@@ -38,7 +39,10 @@ SessionResult Session::run() {
     }
     injector_.load(std::move(plan));
   }
-  controller_.configure(spec_.schedule);
+  if (std::string error; !controller_.load(spec_.schedule, &error)) {
+    result.error = "schedule: " + error;
+    return result;
+  }
 
   const obs::MetricsSnapshot baseline = metrics_.snapshot();
   const std::uint64_t start_ns = common::now_ns();

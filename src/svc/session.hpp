@@ -32,7 +32,7 @@ struct SessionSpec {
   std::string label;                 ///< display handle, e.g. the scenario name
   std::function<void()> body;
   std::string fault_plan;            ///< CUSAN_FAULT_PLAN grammar; empty: none
-  schedsim::Config schedule;         ///< default: free (disarmed)
+  schedsim::Config schedule;         ///< default: free (disarmed); replay reads replay_path
   /// Admission-control estimate of resident bytes while running; 0 lets the
   /// executor use its EMA of observed session peaks.
   std::uint64_t memory_estimate{0};

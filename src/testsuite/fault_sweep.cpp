@@ -124,8 +124,7 @@ using faultsim::Site;
 }
 
 /// Everything one (plan, scenario) pair contributes to the sweep stats.
-/// Computed against the calling thread's injector/controller (global when
-/// sequential, session-private under --jobs) and merged in deterministic
+/// Computed against the session's injector and controller and merged in
 /// (plan, scenario) order by the caller.
 struct RunPartial {
   std::size_t runs{0};
@@ -224,7 +223,6 @@ struct RunPartial {
   // Round 0 runs the faulted plan on the free schedule, then the explorer
   // systematically covers the run's happens-before classes; every executed
   // schedule passes through the same invariant checks above.
-  schedsim::Controller::instance().clear();
   (void)one_run(0);
   schedsim::ExplorerOptions explorer_options;
   explorer_options.bound = options.dpor_bound;
@@ -290,7 +288,6 @@ faultsim::FaultPlan make_random_plan(std::uint64_t seed, int faults, int rank_ki
 }
 
 SweepStats run_fault_sweep(const SweepOptions& options) {
-  auto& injector = faultsim::Injector::instance();
   SweepStats stats;
 
   std::vector<Scenario> scenarios;
@@ -313,66 +310,51 @@ SweepStats run_fault_sweep(const SweepOptions& options) {
     }
   }
 
-  if (options.jobs > 1) {
-    // Concurrent sweep: every scenario baseline and every (plan, scenario)
-    // pair runs as its own svc::Session. Each body's Injector/Controller
-    // instance() resolves to the session's private pair, so concurrent runs
-    // cannot cross-contaminate ledgers; partials land in pre-sized slots and
-    // merge in the same order the sequential loop would have produced.
-    svc::ExecutorOptions exec_options;
-    exec_options.workers = options.jobs;
-    svc::Executor executor(exec_options);
-
-    std::vector<std::size_t> baseline(scenarios.size(), 0);
-    for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      svc::SessionSpec spec;
-      spec.label = scenarios[i].name + "/baseline";
-      spec.body = [&scenarios, &baseline, &options, fast, i] {
-        baseline[i] = run_scenario_outcome(scenarios[i], fast, options.watchdog).races;
-      };
-      (void)executor.submit(std::move(spec));
-    }
-    executor.wait_idle();
-
-    std::vector<RunPartial> partials(plans.size() * scenarios.size());
-    for (std::size_t p = 0; p < plans.size(); ++p) {
-      for (std::size_t i = 0; i < scenarios.size(); ++i) {
-        svc::SessionSpec spec;
-        spec.label = scenarios[i].name + "/plan" + std::to_string(p);
-        spec.body = [&plans, &scenarios, &baseline, &partials, &options, fast, p, i] {
-          partials[p * scenarios.size() + i] = run_plan_rounds(
-              plans[p], scenarios[i], baseline[i], options, static_cast<int>(p), fast);
-        };
-        (void)executor.submit(std::move(spec));
-      }
-    }
-    executor.wait_idle();
-    for (RunPartial& partial : partials) {
-      merge_partial(stats, partial);
-    }
-    return stats;
-  }
+  // Every scenario baseline and every (plan, scenario) pair runs as its own
+  // svc::Session, so each starts from a fresh injector, controller and
+  // metrics registry. Results land in pre-sized slots and merge in (plan,
+  // scenario) order, so the outcome is independent of the worker count.
+  svc::Executor executor(svc::ExecutorOptions{.workers = options.jobs});
+  std::vector<svc::SessionHandlePtr> handles;
 
   // Unfaulted baseline (also exercises the watchdog's no-false-positive
   // promise: a short timeout must not misfire on clean runs).
-  injector.clear();
-  std::vector<std::size_t> baseline;
-  baseline.reserve(scenarios.size());
-  for (const Scenario& sc : scenarios) {
-    baseline.push_back(run_scenario_outcome(sc, fast, options.watchdog).races);
+  std::vector<std::size_t> baseline(scenarios.size(), 0);
+  for (std::size_t i = 0; i < scenarios.size(); ++i) {
+    svc::SessionSpec spec;
+    spec.label = scenarios[i].name + "/baseline";
+    spec.body = [&scenarios, &baseline, &options, fast, i] {
+      baseline[i] = run_scenario_outcome(scenarios[i], fast, options.watchdog).races;
+    };
+    handles.push_back(executor.submit(std::move(spec)));
   }
+  executor.wait_idle();
 
+  std::vector<RunPartial> partials(plans.size() * scenarios.size());
   for (std::size_t p = 0; p < plans.size(); ++p) {
     for (std::size_t i = 0; i < scenarios.size(); ++i) {
-      RunPartial partial =
-          run_plan_rounds(plans[p], scenarios[i], baseline[i], options, static_cast<int>(p), fast);
-      merge_partial(stats, partial);
+      svc::SessionSpec spec;
+      spec.label = scenarios[i].name + "/plan" + std::to_string(p);
+      spec.body = [&plans, &scenarios, &baseline, &partials, &options, fast, p, i] {
+        partials[p * scenarios.size() + i] = run_plan_rounds(
+            plans[p], scenarios[i], baseline[i], options, static_cast<int>(p), fast);
+      };
+      handles.push_back(executor.submit(std::move(spec)));
     }
   }
+  executor.wait_idle();
 
-  injector.clear();
-  if (options.dpor) {
-    schedsim::Controller::instance().clear();
+  for (RunPartial& partial : partials) {
+    merge_partial(stats, partial);
+  }
+  for (const svc::SessionHandlePtr& handle : handles) {
+    const svc::SessionResult& result = handle->result();
+    if (!result.ok) {
+      stats.failures.push_back(common::format("session {} failed: {}", result.label, result.error));
+    }
+    for (const auto& [name, value] : result.metric_deltas) {
+      stats.metrics[name] += value;
+    }
   }
   return stats;
 }

@@ -18,6 +18,7 @@
 
 #include "faultsim/injector.hpp"
 #include "faultsim/plan.hpp"
+#include "obs/metrics.hpp"
 
 namespace testsuite {
 
@@ -49,11 +50,10 @@ struct SweepOptions {
   /// backend every fired kill must surface as exactly one RankFailureReport
   /// (invariant 4 below).
   int rank_kills{0};
-  /// Concurrent (plan, scenario) runs: > 1 executes each pair as one
-  /// svc::Session on a work-stealing executor with a private injector,
-  /// controller and metrics registry per session. Stats and failure lines
-  /// merge in deterministic (plan, scenario) order, so the sweep outcome is
-  /// independent of the interleaving.
+  /// Executor workers. Each scenario baseline and each (plan, scenario)
+  /// pair runs as one svc::Session with a private injector, controller and
+  /// metrics registry; stats and failure lines merge in (plan, scenario)
+  /// order, so the outcome does not depend on the worker count.
   int jobs{1};
 };
 
@@ -69,6 +69,7 @@ struct SweepStats {
   std::uint64_t dpor_executions{0};     ///< schedules executed by DPOR explorations
   std::uint64_t dpor_hb_prunes{0};      ///< decisions proven non-racing across explorations
   std::vector<std::string> failures;    ///< human-readable invariant violations
+  obs::MetricsSnapshot metrics;         ///< summed metric deltas of every session
 
   [[nodiscard]] bool ok() const {
     return faults_unsurfaced == 0 && verdict_mismatches == 0 && failures.empty();
@@ -87,8 +88,8 @@ struct SweepStats {
 [[nodiscard]] faultsim::FaultPlan make_random_plan(std::uint64_t seed, int faults,
                                                    int rank_kills = 0);
 
-/// Run the sweep. Loads plans into the global faultsim::Injector (clearing it
-/// on exit), so it must not race with other injector users.
+/// Run the sweep. Every run is an svc::Session, so the process instances
+/// (faultsim::Injector::global() and friends) are left untouched.
 [[nodiscard]] SweepStats run_fault_sweep(const SweepOptions& options);
 
 }  // namespace testsuite

@@ -385,6 +385,36 @@ TEST_F(FaultsimTest, MiniSweepHoldsRobustnessInvariants) {
     ADD_FAILURE() << failure;
   }
   EXPECT_TRUE(stats.ok());
+  EXPECT_GT(obs::value_of(stats.metrics, "faultsim.faults_fired"), 0u);
+
+  // Every run is its own session, so the worker count changes nothing:
+  // not the stats, not the failure lines, not the summed metrics.
+  options.jobs = 3;
+  const auto parallel = testsuite::run_fault_sweep(options);
+  EXPECT_EQ(parallel.scenarios, stats.scenarios);
+  EXPECT_EQ(parallel.runs, stats.runs);
+  EXPECT_EQ(parallel.faulted_runs, stats.faulted_runs);
+  EXPECT_EQ(parallel.faults_fired, stats.faults_fired);
+  EXPECT_EQ(parallel.faults_unsurfaced, stats.faults_unsurfaced);
+  EXPECT_EQ(parallel.verdict_mismatches, stats.verdict_mismatches);
+  EXPECT_EQ(parallel.rank_kill_runs, stats.rank_kill_runs);
+  EXPECT_EQ(parallel.rank_failure_reports, stats.rank_failure_reports);
+  EXPECT_EQ(parallel.failures, stats.failures);
+  std::vector<std::string> keys;
+  std::vector<std::string> parallel_keys;
+  for (const auto& [name, value] : stats.metrics) {
+    keys.push_back(name);
+  }
+  for (const auto& [name, value] : parallel.metrics) {
+    parallel_keys.push_back(name);
+  }
+  EXPECT_EQ(parallel_keys, keys);
+  for (const auto& [name, value] : stats.metrics) {
+    if (name == "faultsim.faults_fired" || name == "rsan.races_detected" ||
+        name.starts_with("diag.")) {
+      EXPECT_EQ(obs::value_of(parallel.metrics, name), value) << name;
+    }
+  }
 }
 
 }  // namespace

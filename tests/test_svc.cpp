@@ -16,6 +16,8 @@
 
 #include "obs/diagnostics.hpp"
 #include "obs/metrics.hpp"
+#include "obs/perfetto.hpp"
+#include "schedsim/controller.hpp"
 #include "svc/executor.hpp"
 #include "testsuite/scenarios.hpp"
 
@@ -141,8 +143,9 @@ TEST(SvcExecutor, ZeroWorkersMeansHardwareConcurrency) {
 }
 
 TEST(SvcExecutor, QueuedSessionWaitsForTheBusyWorker) {
-  // One worker, held by a blocker: the next session stays not-done until
-  // the blocker returns, then runs to completion.
+  // One worker, held by a blocker: the queued sessions stay not-done until
+  // the blocker returns, then run in submission order (check_cutests prints
+  // records as their handles complete, in that order).
   svc::Executor executor(svc::ExecutorOptions{.workers = 1});
   std::mutex mutex;
   std::condition_variable cv;
@@ -161,25 +164,28 @@ TEST(SvcExecutor, QueuedSessionWaitsForTheBusyWorker) {
     std::unique_lock<std::mutex> lock(mutex);
     cv.wait(lock, [&] { return started; });
   }
-  std::atomic<bool> ran{false};
-  svc::SessionSpec queued;
-  queued.label = "queued";
-  queued.body = [&ran] { ran.store(true, std::memory_order_relaxed); };
-  auto waiting = executor.submit(std::move(queued));
+  std::vector<std::string> order;  // written by the one worker only
+  std::vector<svc::SessionHandlePtr> waiting;
+  for (const char* label : {"first", "second", "third"}) {
+    svc::SessionSpec queued;
+    queued.label = label;
+    queued.body = [&order, label] { order.emplace_back(label); };
+    waiting.push_back(executor.submit(std::move(queued)));
+  }
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(running->done());
-  EXPECT_FALSE(waiting->done());
-  EXPECT_FALSE(ran.load());
+  for (const auto& handle : waiting) {
+    EXPECT_FALSE(handle->done());
+  }
   {
     std::lock_guard<std::mutex> lock(mutex);
     release = true;
   }
   cv.notify_all();
-  waiting->wait();
+  executor.wait_idle();
   EXPECT_TRUE(running->done());
-  EXPECT_TRUE(waiting->done());
-  EXPECT_TRUE(ran.load());
-  EXPECT_EQ(waiting->result().label, "queued");
+  EXPECT_EQ(order, (std::vector<std::string>{"first", "second", "third"}));
+  EXPECT_EQ(waiting.back()->result().label, "third");
 }
 
 TEST(SvcExecutor, DestructorDrainsSubmittedSessions) {
@@ -241,6 +247,35 @@ TEST(SvcSession, MalformedFaultPlanFailsBeforeTheBody) {
   EXPECT_FALSE(ran) << "a session with an unparseable plan must not run";
   EXPECT_EQ(result.error.rfind("fault plan: ", 0), 0u) << result.error;
   EXPECT_EQ(result.label, "bad-plan");
+}
+
+TEST(SvcSession, ReplayScheduleReadsItsTraceFile) {
+  // A replay schedule in the spec loads its trace like CUSAN_SCHEDULE does;
+  // an unreadable trace fails the session before the body runs.
+  const std::string path = ::testing::TempDir() + "svc_replay.trace";
+  schedsim::ScheduleTrace trace;
+  trace.strategy = "free";
+  std::string error;
+  ASSERT_TRUE(obs::write_file(path, schedsim::serialize_trace(trace), &error)) << error;
+
+  bool ran = false;
+  svc::SessionSpec spec;
+  spec.label = "replay";
+  ASSERT_TRUE(schedsim::parse_schedule("replay:" + path, &spec.schedule, &error)) << error;
+  spec.body = [&ran] {
+    ran = true;
+    EXPECT_EQ(schedsim::Controller::instance().config().mode, schedsim::Mode::kReplay);
+  };
+  EXPECT_TRUE(svc::Session(spec).run().ok);
+  EXPECT_TRUE(ran);
+
+  ran = false;
+  ASSERT_TRUE(
+      schedsim::parse_schedule("replay:" + path + ".missing", &spec.schedule, &error)) << error;
+  const svc::SessionResult missing = svc::Session(spec).run();
+  EXPECT_FALSE(missing.ok);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(missing.error.rfind("schedule: replay: cannot read", 0), 0u) << missing.error;
 }
 
 TEST(SvcSession, PeakBytesComeFromShadowBytesDelta) {

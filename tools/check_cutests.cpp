@@ -39,16 +39,18 @@
 // classification, exactly like the baseline.
 //
 // With --json[=PATH] the same run is reported as one machine-readable JSON
-// document (per-scenario verdicts plus a summary block with the obs metrics
-// registry delta for the whole run), written to PATH or stdout.
+// document (per-scenario verdicts, a summary block and the sessions' summed
+// metric deltas), written to PATH or stdout.
 //
-// With --jobs=N scenarios run concurrently as svc::Sessions on a
-// work-stealing executor: each scenario gets a private metrics registry,
-// diagnostics hub, fault injector and schedule controller, so verdicts and
-// per-scenario counters are identical to the sequential run while the wall
-// clock divides by the worker count. Output order stays deterministic
-// (scenario matrix order), and per-scenario fault accounting is per-session
-// (the summary sums the sessions).
+// Every scenario runs as one svc::Session (private metrics registry,
+// diagnostics hub, fault injector and schedule controller) on an executor
+// with --jobs=N workers (default 1). Records print in scenario order as their
+// sessions complete; records, summary and exit code do not depend on N.
+// CUSAN_FAULT_PLAN and CUSAN_SCHEDULE are parsed once here and handed to
+// every session, so a plan counts its matches per scenario and a faulted
+// scenario reproduces when run alone by filter. The totals and the
+// CUSAN_METRICS export are the sums of the sessions' ledgers and metric
+// deltas; CUSAN_TRACE exports the process timeline of all sessions.
 //
 // Usage: check_cutests [--json[=PATH]] [--schedules=dpor[;bound:K]]
 //                      [--schedule-dir=DIR] [--jobs=N] [filter-substring]
@@ -61,6 +63,7 @@
 #include <vector>
 
 #include "faultsim/injector.hpp"
+#include "faultsim/plan.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
 #include "schedsim/controller.hpp"
@@ -98,11 +101,6 @@ struct ScenarioRecord {
   std::size_t schedule_new_races{0};
   /// DPOR exploration stats for this scenario (--schedules dpor).
   schedsim::ExplorerStats explorer_stats{};
-  /// Per-run fault accounting (meaningful in --jobs mode, where each
-  /// scenario's session owns a private injector ledger).
-  std::uint64_t session_fired{0};
-  std::size_t session_unsurfaced{0};
-  std::vector<std::string> unsurfaced_lines;
 };
 
 /// What one scenario run needs to know beyond the scenario itself.
@@ -154,12 +152,9 @@ struct RunConfig {
 }
 
 /// Run one scenario — fast/slow passes, fault accounting, optional DPOR
-/// exploration — against whatever injector/controller the calling thread
-/// resolves to. Sequentially that is the process-global pair (cumulative
-/// ledger, exactly the pre---jobs behavior); inside an svc::Session it is
-/// the session-private pair, so concurrent scenarios cannot bleed fired
-/// faults or schedule state into each other. No printing here: callers
-/// print in deterministic order from the returned record.
+/// exploration — as the body of its svc::Session, against the session's
+/// injector and controller. No printing here: main prints in scenario order
+/// from the returned record.
 [[nodiscard]] ScenarioRecord run_scenario_record(const testsuite::Scenario& scenario,
                                                  const RunConfig& config) {
   auto& injector = faultsim::Injector::instance();
@@ -239,20 +234,6 @@ struct RunConfig {
     record.ok = false;
   }
   return record;
-}
-
-/// Per-session fault accounting, read off the calling thread's (session)
-/// injector after the scenario ran.
-void collect_session_ledger(ScenarioRecord& record) {
-  const auto& injector = faultsim::Injector::instance();
-  record.session_fired = injector.fired_count();
-  record.session_unsurfaced = injector.unsurfaced_count();
-  for (const auto& f : injector.fired_log()) {
-    if (f.surfaced == faultsim::Channel::kNone) {
-      record.unsurfaced_lines.push_back("  UNSURFACED: fault #" + std::to_string(f.id) + " " +
-                                        to_string(f.action) + " at " + to_string(f.site));
-    }
-  }
 }
 
 /// The llvm-lit style per-scenario lines (non-JSON mode).
@@ -432,13 +413,31 @@ void append_json_escaped(std::string& out, const std::string& text) {
   return out;
 }
 
+/// Write the CUSAN_TRACE / CUSAN_METRICS exports: the process timeline and
+/// the sessions' summed metric deltas.
+[[nodiscard]] bool write_exports(const obs::ExportConfig& exports,
+                                 const obs::MetricsSnapshot& metrics) {
+  std::string error;
+  if (exports.trace_enabled && !exports.trace_path.empty() &&
+      !obs::write_file(exports.trace_path, obs::export_chrome_trace(), &error)) {
+    std::fprintf(stderr, "CUSAN_TRACE: %s\n", error.c_str());
+    return false;
+  }
+  if (!exports.metrics_path.empty() &&
+      !obs::write_file(exports.metrics_path, obs::MetricsRegistry::to_json(metrics), &error)) {
+    std::fprintf(stderr, "CUSAN_METRICS: %s\n", error.c_str());
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool json = false;
   std::string json_path;
   RunConfig config;
-  int jobs = 0;
+  int jobs = 1;
   const char* filter = nullptr;
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -465,35 +464,53 @@ int main(int argc, char** argv) {
       filter = arg;
     }
   }
-
-  auto& injector = faultsim::Injector::instance();
-  std::string plan_error;
-  if (!injector.load_env(&plan_error)) {
-    std::fprintf(stderr, "CUSAN_FAULT_PLAN: %s\n", plan_error.c_str());
+  if (jobs < 1) {
+    std::fprintf(stderr, "--jobs must be >= 1\n");
     return 2;
   }
-  const bool faulted_run = faultsim::Injector::armed();
-  if (faulted_run && !json) {
-    std::printf("-- fault plan: %s\n", injector.plan_string().c_str());
+
+  // The environment is read once, here, and handed to every session.
+  const char* env_plan = std::getenv("CUSAN_FAULT_PLAN");
+  const std::string plan_text = env_plan != nullptr ? env_plan : "";
+  faultsim::FaultPlan plan;
+  if (const auto parsed = faultsim::FaultPlan::parse(plan_text, plan); !parsed.ok) {
+    std::fprintf(stderr, "CUSAN_FAULT_PLAN: %s\n", parsed.error.c_str());
+    return 2;
   }
+  // --schedules dpor leaves each session's schedule free: the explorer owns
+  // the controller and configures it per executed schedule.
+  schedsim::Config schedule;
+  if (const char* env = std::getenv("CUSAN_SCHEDULE");
+      env != nullptr && *env != '\0' && !config.dpor) {
+    std::string error;
+    if (!schedsim::parse_schedule(env, &schedule, &error)) {
+      std::fprintf(stderr, "CUSAN_SCHEDULE: %s\n", error.c_str());
+      return 2;
+    }
+  }
+  std::string obs_error;
+  const obs::ExportConfig exports = obs::export_config_from_env(&obs_error);
+  if (!obs_error.empty()) {
+    std::fprintf(stderr, "%s\n", obs_error.c_str());
+    return 2;
+  }
+  if (exports.trace_enabled) {
+    obs::set_tracing_enabled(true);
+  }
+
   // Scenarios run pairwise on every rank pair of the world (CUSAN_RANKS).
   const int world_ranks = capi::default_ranks();
   if (!json) {
+    if (!plan.empty()) {
+      std::printf("-- fault plan: %s\n", plan.to_string().c_str());
+    }
     std::printf("-- world: %d ranks\n", world_ranks);
     if (config.dpor) {
       std::printf("-- schedules: dpor exploration (bound %u per scenario)\n",
                   config.dpor_bound != 0 ? config.dpor_bound
                                          : schedsim::ExplorerOptions::kDefaultBound);
     }
-    if (jobs > 1) {
-      std::printf("-- jobs: %d concurrent session(s)\n", jobs);
-    }
-  }
-  auto& controller = schedsim::Controller::instance();
-  if (config.dpor) {
-    // The explorer owns the controller for the whole run: baselines run with
-    // it disarmed, each exploration configures it per executed schedule.
-    controller.clear();
+    std::printf("-- jobs: %d session worker(s)\n", jobs);
   }
 
   const auto scenarios = testsuite::build_scenarios();
@@ -509,50 +526,22 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  const obs::MetricsSnapshot metrics_before = obs::MetricsRegistry::instance().snapshot();
-
+  // One svc::Session per scenario, each body writing only its own record.
+  // Declared after everything the bodies reference: the executor's
+  // destructor drains the queue before those go away.
   std::vector<ScenarioRecord> records(selected.size());
-  obs::MetricsSnapshot session_metrics;  // summed per-session deltas (--jobs)
-  if (jobs > 1) {
-    // One svc::Session per scenario: private injector/controller/metrics per
-    // session, results written into pre-sized slots so the output order (and
-    // every verdict) matches the sequential run exactly.
-    const char* env_plan = std::getenv("CUSAN_FAULT_PLAN");
-    svc::ExecutorOptions exec_options;
-    exec_options.workers = jobs;
-    svc::Executor executor(exec_options);
-    std::vector<svc::SessionHandlePtr> handles;
-    handles.reserve(selected.size());
-    for (std::size_t i = 0; i < selected.size(); ++i) {
-      svc::SessionSpec spec;
-      spec.label = selected[i]->name;
-      if (env_plan != nullptr) {
-        spec.fault_plan = env_plan;
-      }
-      spec.body = [&records, &selected, &config, i] {
-        records[i] = run_scenario_record(*selected[i], config);
-        collect_session_ledger(records[i]);
-      };
-      handles.push_back(executor.submit(std::move(spec)));
-    }
-    executor.wait_idle();
-    for (const auto& handle : handles) {
-      if (!handle->result().ok) {
-        std::fprintf(stderr, "session %s failed: %s\n", handle->result().label.c_str(),
-                     handle->result().error.c_str());
-        return 2;
-      }
-      for (const auto& [key, value] : handle->result().metric_deltas) {
-        session_metrics[key] += value;
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < selected.size(); ++i) {
+  svc::Executor executor(svc::ExecutorOptions{.workers = jobs});
+  std::vector<svc::SessionHandlePtr> handles;
+  handles.reserve(selected.size());
+  for (std::size_t i = 0; i < selected.size(); ++i) {
+    svc::SessionSpec spec;
+    spec.label = selected[i]->name;
+    spec.fault_plan = plan_text;
+    spec.schedule = schedule;
+    spec.body = [&records, &selected, &config, i] {
       records[i] = run_scenario_record(*selected[i], config);
-      if (!json) {
-        print_record(records[i], i + 1, selected.size());
-      }
-    }
+    };
+    handles.push_back(executor.submit(std::move(spec)));
   }
 
   std::size_t failures = 0;
@@ -564,11 +553,30 @@ int main(int argc, char** argv) {
   std::uint64_t total_hits = 0;
   std::uint64_t total_elided_launches = 0;
   std::uint64_t total_elided_bytes = 0;
-  std::uint64_t jobs_fired = 0;
-  std::size_t jobs_unsurfaced = 0;
+  std::uint64_t fired_total = 0;
+  std::vector<std::string> unsurfaced_lines;
+  obs::MetricsSnapshot metrics;
   for (std::size_t i = 0; i < records.size(); ++i) {
+    handles[i]->wait();
+    const svc::SessionResult& result = handles[i]->result();
+    if (!result.ok) {
+      std::fprintf(stderr, "session %s failed: %s\n", result.label.c_str(),
+                   result.error.c_str());
+      return 2;
+    }
+    for (const auto& [key, value] : result.metric_deltas) {
+      metrics[key] += value;
+    }
+    fired_total += result.fired_faults.size();
+    for (const faultsim::FiredFault& f : result.fired_faults) {
+      if (f.surfaced == faultsim::Channel::kNone) {
+        unsurfaced_lines.push_back("  UNSURFACED: fault #" + std::to_string(f.id) + " " +
+                                   to_string(f.action) + " at " + to_string(f.site) + " in " +
+                                   result.label);
+      }
+    }
     const ScenarioRecord& record = records[i];
-    if (jobs > 1 && !json) {
+    if (!json) {
       print_record(record, i + 1, records.size());
     }
     total_tracked += record.fast.tracked_bytes;
@@ -585,25 +593,12 @@ int main(int argc, char** argv) {
     }
     schedule_bugs += record.schedule_bugs;
     schedule_new_races += record.schedule_new_races;
-    jobs_fired += record.session_fired;
-    jobs_unsurfaced += record.session_unsurfaced;
   }
+  const std::size_t unsurfaced = unsurfaced_lines.size();
 
-  // Fault accounting: sequentially the global injector holds the cumulative
-  // ledger; with --jobs each session held its own, summed above.
-  const std::uint64_t fired_total = jobs > 1 ? jobs_fired : injector.fired_count();
-  const std::size_t unsurfaced =
-      !faulted_run ? 0 : (jobs > 1 ? jobs_unsurfaced : injector.unsurfaced_count());
   if (json) {
-    obs::MetricsSnapshot metrics_delta;
-    if (jobs > 1) {
-      metrics_delta = session_metrics;
-    } else {
-      metrics_delta =
-          obs::MetricsRegistry::diff(obs::MetricsRegistry::instance().snapshot(), metrics_before);
-    }
     const std::string doc =
-        to_json(records, metrics_delta, world_ranks, failures, divergences, faulted, unsurfaced,
+        to_json(records, metrics, world_ranks, failures, divergences, faulted, unsurfaced,
                 config, schedule_bugs, schedule_new_races);
     if (json_path.empty()) {
       std::fputs(doc.c_str(), stdout);
@@ -645,25 +640,16 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(totals.graph_nodes),
                   static_cast<unsigned long long>(totals.graph_edges), bounded);
     }
-    if (faulted_run) {
+    if (!plan.empty()) {
       std::printf("  Faulted: %zu\n  Faults fired: %llu\n  Faults unsurfaced: %zu\n", faulted,
                   static_cast<unsigned long long>(fired_total), unsurfaced);
-      if (unsurfaced > 0 && jobs > 1) {
-        for (const ScenarioRecord& record : records) {
-          for (const std::string& line : record.unsurfaced_lines) {
-            std::printf("%s\n", line.c_str());
-          }
-        }
-      } else if (unsurfaced > 0) {
-        for (const auto& f : injector.fired_log()) {
-          if (f.surfaced == faultsim::Channel::kNone) {
-            std::printf("  UNSURFACED: fault #%llu %s at %s\n",
-                        static_cast<unsigned long long>(f.id), to_string(f.action),
-                        to_string(f.site));
-          }
-        }
+      for (const std::string& line : unsurfaced_lines) {
+        std::printf("%s\n", line.c_str());
       }
     }
+  }
+  if (!write_exports(exports, metrics)) {
+    return 2;
   }
   return failures == 0 && unsurfaced == 0 ? 0 : 1;
 }

@@ -16,9 +16,10 @@
 // exactly one supervisor RankFailureReport; under the thread backend they
 // stay dormant and invariant 2 proves them invisible.
 //
-// With --jobs N the (plan, scenario) grid runs concurrently as svc::Sessions
-// on a work-stealing executor (per-session injector/controller/metrics), with
-// stats merged in deterministic order; verdicts are identical to --jobs 1.
+// Every baseline and (plan, scenario) run is one svc::Session (private
+// injector, controller and metrics registry) on an executor with --jobs N
+// workers (default 1). Stats merge in (plan, scenario) order, so the outcome
+// and the --metrics file do not depend on N.
 //
 // Usage: fault_sweep [--plans N] [--faults N] [--seed N] [--filter SUBSTR]
 //                    [--watchdog MS] [--metrics PATH]
@@ -138,15 +139,12 @@ int main(int argc, char** argv) {
               options.plans, options.faults_per_plan, options.rank_kills,
               static_cast<unsigned long long>(options.seed),
               static_cast<long long>(options.watchdog.count()), schedule.c_str());
-  const obs::MetricsSnapshot metrics_before = obs::MetricsRegistry::instance().snapshot();
   const testsuite::SweepStats stats = testsuite::run_fault_sweep(options);
   if (!metrics_path.empty()) {
-    // The sweep's whole-run registry delta (tool counters, fault ledger,
+    // The sessions' summed metric deltas (tool counters, fault ledger,
     // contention counters) as one flat JSON object.
-    const auto delta = obs::MetricsRegistry::diff(obs::MetricsRegistry::instance().snapshot(),
-                                                  metrics_before);
     std::string error;
-    if (!obs::write_file(metrics_path, obs::MetricsRegistry::to_json(delta), &error)) {
+    if (!obs::write_file(metrics_path, obs::MetricsRegistry::to_json(stats.metrics), &error)) {
       std::fprintf(stderr, "--metrics: %s\n", error.c_str());
       return 2;
     }
