@@ -157,7 +157,7 @@ std::vector<std::byte> encode(const RankPayload& payload) {
     w.str(d.message);
     w.u64(d.ts_ns);
   }
-  w.str(payload.sched_trace);
+  w.str(payload.sched_graph);
   w.pod(payload.sched_stats);
   w.u8(payload.sched_divergence.has_value() ? 1 : 0);
   if (payload.sched_divergence.has_value()) {
@@ -232,7 +232,7 @@ bool decode(std::span<const std::byte> bytes, RankPayload* out) {
     d.rank = drank;
   }
   std::uint8_t has_divergence = 0;
-  if (!r.str(&out->sched_trace) || !r.pod(&out->sched_stats) || !r.u8(&has_divergence)) {
+  if (!r.str(&out->sched_graph) || !r.pod(&out->sched_stats) || !r.u8(&has_divergence)) {
     return false;
   }
   if (has_divergence != 0) {

@@ -29,9 +29,10 @@ struct RankPayload {
   /// Diagnostics emitted in the child (re-emitted parent-side without
   /// re-bumping `diag.<id>` — the deltas above already carry those).
   std::vector<obs::Diagnostic> diagnostics;
-  /// Schedule-controller slice: decisions this rank recorded, its stats,
-  /// and its latched divergence, if any.
-  std::string sched_trace;
+  /// Schedule slice: the execution graph this rank recorded (the session
+  /// restarted it before the fork), its controller stats, and its latched
+  /// divergence, if any.
+  std::string sched_graph;
   schedsim::Stats sched_stats{};
   std::optional<schedsim::Divergence> sched_divergence;
 };

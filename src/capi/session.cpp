@@ -96,18 +96,22 @@ std::vector<RankResult> run_session(const SessionConfig& config, const RankMain&
   // process-level timeline) and svc::Session collects metrics/diagnostics
   // itself instead of the file exports.
   const bool scoped = common::ThreadContext::current().metrics != nullptr;
-  schedsim::Controller::instance().begin_session();
-  // A `graph[:<path>]` schedule clause records the execution graph for this
-  // session (thread backend: proc-backend children are separate processes,
-  // so only parent-side decisions would land in it). Explorer-driven runs
-  // arm the recorder themselves and leave config().graph unset here.
-  const schedsim::Config sched_config = schedsim::Controller::instance().config();
-  const bool session_graph = sched_config.graph && !schedsim::GraphRecorder::enabled();
-  if (session_graph) {
-    schedsim::GraphRecorder& recorder = schedsim::GraphRecorder::instance();
-    recorder.begin_run();
-    recorder.set_strategy(schedsim::Controller::instance().strategy_string());
+  schedsim::Controller& controller = schedsim::Controller::instance();
+  schedsim::GraphRecorder& recorder = schedsim::GraphRecorder::instance();
+  controller.begin_session();
+  // A `record:` schedule records this session's execution graph; explorer
+  // runs arm the recorder themselves. Either way the graph restarts with
+  // the session, like the controller's decision streams, so its decision
+  // seqs run from 0 and a forked rank's whole graph is what it recorded
+  // after the fork.
+  const schedsim::Config sched_config = controller.config();
+  const bool session_record = sched_config.record && !schedsim::GraphRecorder::enabled();
+  if (session_record) {
     recorder.arm(true);
+  }
+  if (schedsim::GraphRecorder::enabled()) {
+    recorder.begin_run();
+    recorder.set_strategy(controller.strategy_string());
   }
   const obs::ExportConfig* obs_cfg = nullptr;
   if (!scoped) {
@@ -157,9 +161,10 @@ std::vector<RankResult> run_session(const SessionConfig& config, const RankMain&
         all_diags.begin() + static_cast<std::ptrdiff_t>(
                                 std::min(diag_base, all_diags.size())),
         all_diags.end());
-    auto& controller = schedsim::Controller::instance();
+    if (schedsim::GraphRecorder::enabled()) {
+      payload.sched_graph = schedsim::serialize_graph(recorder.snapshot());
+    }
     if (schedsim::Controller::armed()) {
-      payload.sched_trace = controller.take_trace();
       payload.sched_stats = controller.stats();
       payload.sched_divergence = controller.divergence();
     }
@@ -182,22 +187,24 @@ std::vector<RankResult> run_session(const SessionConfig& config, const RankMain&
       for (obs::Diagnostic& diagnostic : payload.diagnostics) {
         obs::reemit_imported_diagnostic(std::move(diagnostic));
       }
+      if (schedsim::GraphRecorder::enabled()) {
+        std::string error;
+        if (!recorder.absorb(payload.sched_graph, &error)) {
+          std::fprintf(stderr, "cusan: rank %d execution graph: %s\n", r, error.c_str());
+        }
+      }
       if (schedsim::Controller::armed()) {
-        (void)schedsim::Controller::instance().absorb_child(
-            payload.sched_trace, payload.sched_stats, payload.sched_divergence);
+        controller.absorb_child(payload.sched_stats, payload.sched_divergence);
       }
       results[static_cast<std::size_t>(r)] = std::move(payload.result);
     }
   }
-  schedsim::Controller::instance().end_session();
-  if (session_graph) {
-    schedsim::GraphRecorder& recorder = schedsim::GraphRecorder::instance();
+  if (session_record) {
     recorder.arm(false);
-    if (!sched_config.graph_path.empty()) {
-      // Like the Perfetto trace and the record path: the exported file is
-      // the last session's.
+    if (!sched_config.record_path.empty()) {
+      // Like the Perfetto trace: the exported file is the last session's.
       std::string error;
-      if (!obs::write_file(sched_config.graph_path,
+      if (!obs::write_file(sched_config.record_path,
                            schedsim::serialize_graph(recorder.snapshot()), &error)) {
         std::fprintf(stderr, "cusan: execution graph export failed: %s\n", error.c_str());
       }

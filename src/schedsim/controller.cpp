@@ -1,14 +1,11 @@
 #include "schedsim/controller.hpp"
 
-#include "schedsim/execution_graph.hpp"
-
 #include <cstdio>
 #include <cstdlib>
 
 #include "common/format.hpp"
 #include "obs/diagnostics.hpp"
 #include "obs/metrics.hpp"
-#include "obs/perfetto.hpp"
 #include "obs/ring.hpp"
 
 namespace schedsim {
@@ -133,9 +130,6 @@ bool parse_schedule(const std::string& text, Config* out, std::string* error) {
         return parse_error(error, common::format("bound: not a positive number: '{}'", arg));
       }
       config.bound = static_cast<std::uint32_t>(k);
-    } else if (head == "graph") {
-      config.graph = true;
-      config.graph_path = arg;  // empty: in-memory only
     } else if (head == "record") {
       if (arg.empty()) {
         return parse_error(error, "record: missing path");
@@ -154,7 +148,7 @@ bool parse_schedule(const std::string& text, Config* out, std::string* error) {
 }
 
 std::string Divergence::to_string() const {
-  return common::format("actor {} {} decision {}: trace recorded {} candidates, run asked for {}",
+  return common::format("actor {} {} decision {}: graph recorded {} candidates, run asked for {}",
                         actor.to_string(), schedsim::to_string(site), seq, expected_candidates,
                         got_candidates);
 }
@@ -217,13 +211,13 @@ int Controller::choose(Site site, const ActorId& actor, int candidates, int defa
         if (slice == nullptr || st.cursor >= slice->size()) {
           // Ran past the recording: timing-dependent entry into a choice
           // point (e.g. a wait whose predicate was already true at record
-          // time). Counted, not a divergence — the trace still pins every
-          // decision it covers.
+          // time). Counted, not a divergence — the recording still pins
+          // every decision it covers.
           ++stats_.underruns;
           sched_counters().underruns->add(1);
           break;
         }
-        const TraceEntry& entry = replay_.entries[(*slice)[st.cursor]];
+        const TraceEntry& entry = replay_[(*slice)[st.cursor]];
         if (entry.candidates != candidates) {
           st.diverged = true;
           ++stats_.divergences;
@@ -241,12 +235,11 @@ int Controller::choose(Site site, const ActorId& actor, int candidates, int defa
         break;
       }
     }
-    if (config_.record) {
-      recorded_.push_back({actor, seq, site, candidates, chosen});
+    // Under the controller lock, so the graph's decision order is the
+    // answer order.
+    if (GraphRecorder::enabled()) {
+      GraphRecorder::instance().record_decision(actor, site, seq, candidates, chosen);
     }
-  }
-  if (GraphRecorder::enabled()) {
-    GraphRecorder::instance().record_decision(actor, site, seq, candidates, chosen);
   }
   sched_counters().decisions->add(1);
   if (obs::tracing_enabled()) {
@@ -261,51 +254,43 @@ void Controller::configure(const Config& config) {
   std::lock_guard lock(mutex_);
   config_ = config;
   if (config_.mode == Mode::kDpor) {
-    config_.record = true;  // every explored run must yield its trace
+    config_.record = true;  // every explored run must yield its graph
   }
-  replay_ = {};
-  replay_streams_.clear();
-  reset_run_state_locked();
-  set_armed(config_.mode != Mode::kFree || config_.record || config_.graph);
+  install_replay_locked({});
+  set_armed(config_.mode != Mode::kFree || config_.record);
 }
 
 void Controller::configure_prefix(std::vector<TraceEntry> prefix) {
   std::lock_guard lock(mutex_);
-  const bool graph = config_.graph;
-  const std::string graph_path = config_.graph_path;
   config_ = {};
   config_.mode = Mode::kPrefix;
   config_.record = true;
-  config_.graph = graph;
-  config_.graph_path = graph_path;
-  replay_ = {};
-  replay_.entries = std::move(prefix);
-  replay_streams_.clear();
-  for (std::size_t i = 0; i < replay_.entries.size(); ++i) {
-    replay_streams_[stream_key(replay_.entries[i].actor, replay_.entries[i].site)].push_back(i);
-  }
-  reset_run_state_locked();
+  install_replay_locked(std::move(prefix));
   set_armed(true);
 }
 
-bool Controller::configure_replay_text(const std::string& trace_text, std::string* error,
+bool Controller::configure_replay_text(const std::string& graph_text, std::string* error,
                                        bool record) {
-  ScheduleTrace parsed;
-  if (!parse_trace(trace_text, &parsed, error)) {
+  ExecutionGraph parsed;
+  if (!parse_graph(graph_text, &parsed, error) || !validate_graph(parsed, error)) {
     return false;
   }
   std::lock_guard lock(mutex_);
   config_ = {};
   config_.mode = Mode::kReplay;
   config_.record = record;
-  replay_ = std::move(parsed);
-  replay_streams_.clear();
-  for (std::size_t i = 0; i < replay_.entries.size(); ++i) {
-    replay_streams_[stream_key(replay_.entries[i].actor, replay_.entries[i].site)].push_back(i);
-  }
-  reset_run_state_locked();
+  install_replay_locked(decision_entries(parsed));
   set_armed(true);
   return true;
+}
+
+void Controller::install_replay_locked(std::vector<TraceEntry> entries) {
+  replay_ = std::move(entries);
+  replay_streams_.clear();
+  for (std::size_t i = 0; i < replay_.size(); ++i) {
+    replay_streams_[stream_key(replay_[i].actor, replay_[i].site)].push_back(i);
+  }
+  reset_run_state_locked();
 }
 
 bool Controller::load(const Config& config, std::string* error) {
@@ -337,9 +322,7 @@ bool Controller::load_env(std::string* error) {
 void Controller::clear() {
   std::lock_guard lock(mutex_);
   config_ = {};
-  replay_ = {};
-  replay_streams_.clear();
-  reset_run_state_locked();
+  install_replay_locked({});
   set_armed(false);
 }
 
@@ -351,43 +334,15 @@ void Controller::begin_session() {
   reset_run_state_locked();
 }
 
-void Controller::end_session() {
-  if (!armed()) {
-    return;
-  }
-  std::lock_guard lock(mutex_);
-  flush_record_locked();
-}
-
 void Controller::reset_run_state_locked() {
   streams_.clear();
-  recorded_.clear();
   divergence_.reset();
   stats_ = {};
 }
 
-void Controller::flush_record_locked() {
-  if (!config_.record || config_.record_path.empty()) {
-    return;
-  }
-  ScheduleTrace trace;
-  trace.strategy = strategy_string_locked();
-  trace.entries = recorded_;
-  std::string error;
-  if (!obs::write_file(config_.record_path, serialize_trace(trace), &error)) {
-    std::fprintf(stderr, "cusan: schedule trace export failed: %s\n", error.c_str());
-  }
-}
-
-bool Controller::absorb_child(const std::string& trace_text, const Stats& child_stats,
-                              const std::optional<Divergence>& child_divergence,
-                              std::string* error) {
-  ScheduleTrace trace;
-  if (!trace_text.empty() && !parse_trace(trace_text, &trace, error)) {
-    return false;
-  }
+void Controller::absorb_child(const Stats& child_stats,
+                              const std::optional<Divergence>& child_divergence) {
   std::lock_guard lock(mutex_);
-  recorded_.insert(recorded_.end(), trace.entries.begin(), trace.entries.end());
   stats_.decisions += child_stats.decisions;
   stats_.replayed += child_stats.replayed;
   stats_.underruns += child_stats.underruns;
@@ -395,7 +350,6 @@ bool Controller::absorb_child(const std::string& trace_text, const Stats& child_
   if (!divergence_.has_value() && child_divergence.has_value()) {
     divergence_ = child_divergence;
   }
-  return true;
 }
 
 Config Controller::config() const {
@@ -405,10 +359,6 @@ Config Controller::config() const {
 
 std::string Controller::strategy_string() const {
   std::lock_guard lock(mutex_);
-  return strategy_string_locked();
-}
-
-std::string Controller::strategy_string_locked() const {
   std::string out;
   switch (config_.mode) {
     case Mode::kFree:
@@ -418,7 +368,7 @@ std::string Controller::strategy_string_locked() const {
       out = config_.replay_path.empty() ? "replay" : "replay:" + config_.replay_path;
       break;
     case Mode::kPrefix:
-      out = common::format("prefix:{}", replay_.entries.size());
+      out = common::format("prefix:{}", replay_.size());
       break;
     case Mode::kDpor:
       out = config_.bound != 0 ? common::format("dpor;bound:{}", config_.bound) : "dpor";
@@ -427,33 +377,6 @@ std::string Controller::strategy_string_locked() const {
   if (config_.record) {
     out += config_.record_path.empty() ? ";record" : ";record:" + config_.record_path;
   }
-  if (config_.graph) {
-    out += config_.graph_path.empty() ? ";graph" : ";graph:" + config_.graph_path;
-  }
-  return out;
-}
-
-std::string Controller::trace_text() const {
-  std::lock_guard lock(mutex_);
-  ScheduleTrace trace;
-  trace.strategy = strategy_string_locked();
-  trace.entries = recorded_;
-  return serialize_trace(trace);
-}
-
-std::string Controller::take_trace() {
-  std::lock_guard lock(mutex_);
-  ScheduleTrace trace;
-  trace.strategy = strategy_string_locked();
-  trace.entries = std::move(recorded_);
-  recorded_.clear();
-  return serialize_trace(trace);
-}
-
-std::vector<TraceEntry> Controller::take_recorded() {
-  std::lock_guard lock(mutex_);
-  std::vector<TraceEntry> out = std::move(recorded_);
-  recorded_.clear();
   return out;
 }
 

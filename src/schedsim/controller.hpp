@@ -9,21 +9,25 @@
 //
 //   free             today's behavior; the controller stays disarmed and
 //                    each choice point costs one relaxed atomic load
-//   replay:<path>    answer every query from its (actor, site) stream of a
-//                    recorded trace; the first stream decision whose live
-//                    candidate count disagrees with the recording is
-//                    latched and reported as a divergence
-//   record:<path>    compose with any of the above to write the decision
-//                    trace after each session — any race an exploration
-//                    finds becomes a one-command deterministic reproducer
+//   replay:<path>    answer every query from its (actor, site) stream of
+//                    the decision nodes of a recorded execution graph; the
+//                    first stream decision whose live candidate count
+//                    disagrees with the recording is latched and reported
+//                    as a divergence
+//   record:<path>    compose with any of the above to write the execution
+//                    graph (execution_graph.hpp) after each session — any
+//                    race an exploration finds becomes a one-command
+//                    deterministic reproducer
 //   dpor             the one exploration strategy (explorer.hpp): harnesses
 //                    drive a source-DPOR frontier of pinned prefixes over
 //                    repeated runs; a single session under this mode runs
 //                    free with recording on (the explorer owns the multi-run
 //                    loop). `bound:<k>` caps executed schedules per scenario
-//   graph[:<path>]   compose: record the execution graph (execution_graph
-//                    .hpp) during the run; with a path, serialize it after
-//                    each session next to the decision trace
+//
+// The controller keeps no decision log of its own: while the GraphRecorder
+// is armed, choose() appends each answer to it inside the controller's
+// critical section, so the graph's decision order is the order the
+// controller answered in.
 //
 // Cost model (the bench guard asserts it): disarmed, armed() is a single
 // relaxed atomic load and choose() is never reached. Armed, decisions take a
@@ -39,36 +43,36 @@
 #include <vector>
 
 #include "common/thread_context.hpp"
-#include "schedsim/trace.hpp"
+#include "schedsim/execution_graph.hpp"
 
 namespace schedsim {
 
 enum class Mode : std::uint8_t {
   kFree,    ///< default choices (armed only if recording)
-  kReplay,  ///< answer from a recorded trace
+  kReplay,  ///< answer from a recorded execution graph
   kPrefix,  ///< replay a pinned prefix, record the free suffix (explorer)
   kDpor,    ///< explorer-driven systematic exploration (free + record per run)
 };
 
 struct Config {
   Mode mode{Mode::kFree};
+  /// Sessions arm the GraphRecorder (capi::run_session) and write the
+  /// graph to record_path at their end.
   bool record{false};
-  std::string record_path;  ///< empty: in-memory only (take_trace)
-  std::string replay_path;  ///< kReplay via env: file to load
+  std::string record_path;  ///< empty: in-memory only (GraphRecorder)
+  std::string replay_path;  ///< kReplay via env: graph file to load
   /// kDpor: cap on executed schedules per exploration (0 = explorer default).
   std::uint32_t bound{0};
-  bool graph{false};        ///< record the execution graph during the run
-  std::string graph_path;   ///< empty: in-memory only (GraphRecorder)
 };
 
 /// Parse the CUSAN_SCHEDULE grammar (clauses separated by ';' or ','):
-/// `free` | `replay:<path>` | `dpor` | `record:<path>` | `bound:<k>` |
-/// `graph[:<path>]`. Any other clause is an error.
+/// `free` | `replay:<path>` | `dpor` | `record:<path>` | `bound:<k>`. Any
+/// other clause is an error.
 /// Empty / `0` / `off` / `none` yields a disarmed free config.
 [[nodiscard]] bool parse_schedule(const std::string& text, Config* out,
                                   std::string* error = nullptr);
 
-/// First mismatch between a replayed trace and the live run: the live query
+/// First mismatch between a replayed graph and the live run: the live query
 /// at (actor, site, seq) asked for a different candidate count than the
 /// recording. (Sites cannot mismatch: each (actor, site) pair replays its
 /// own stream, so a timing-dependent skip of one site — a wait whose
@@ -86,8 +90,8 @@ struct Divergence {
 
 struct Stats {
   std::uint64_t decisions{0};    ///< choose() calls answered while armed
-  std::uint64_t replayed{0};     ///< replay mode: answers taken from the trace
-  std::uint64_t underruns{0};    ///< replay mode: queries past the trace end
+  std::uint64_t replayed{0};     ///< replay mode: answers taken from the recording
+  std::uint64_t underruns{0};    ///< replay mode: queries past the recording's end
   std::uint64_t divergences{0};  ///< replay mode: mismatched queries
 };
 
@@ -133,20 +137,22 @@ class Controller {
                            int default_index = 0);
 
   /// Install a strategy programmatically (sweep harnesses, tests). Resets
-  /// per-actor cursors, the recorded trace and any latched divergence.
+  /// per-actor cursors and any latched divergence.
   void configure(const Config& config);
-  /// configure() for replay with the trace supplied as text instead of a
-  /// file (differential tests). Returns false on a malformed trace.
-  [[nodiscard]] bool configure_replay_text(const std::string& trace_text,
+  /// configure() for replay with the graph supplied as text instead of a
+  /// file (differential tests). Returns false on a malformed or invalid
+  /// graph (parse_graph + validate_graph).
+  [[nodiscard]] bool configure_replay_text(const std::string& graph_text,
                                            std::string* error = nullptr, bool record = false);
   /// The explorer's strategy seam: pin the given decisions (each (actor,
-  /// site) stream replays its slice of `prefix`), record everything, and
-  /// let each stream fall back to free choices past its pinned slice — the
-  /// recorded run is prefix + free suffix. An empty prefix is a plain
-  /// free-recorded run. Entries must be per-stream seq-monotonic (any
-  /// per-stream-prefix-closed subsequence of a recorded trace is).
+  /// site) stream replays its slice of `prefix`), record, and let each
+  /// stream fall back to free choices past its pinned slice — the recorded
+  /// run is prefix + free suffix. An empty prefix is a plain free-recorded
+  /// run. Entries must be per-stream seq-monotonic (any
+  /// per-stream-prefix-closed subsequence of a recorded graph's decisions
+  /// is).
   void configure_prefix(std::vector<TraceEntry> prefix);
-  /// configure(), except that a replay config reads its trace from
+  /// configure(), except that a replay config reads its graph from
   /// replay_path. False on an unreadable or malformed replay file.
   [[nodiscard]] bool load(const Config& config, std::string* error = nullptr);
   /// Parse and load() CUSAN_SCHEDULE (unset/empty: keeps current state). False on a
@@ -155,47 +161,30 @@ class Controller {
   /// Disarm and drop all state.
   void clear();
 
-  /// Session boundaries (capi::run_session): begin resets per-actor cursors,
-  /// the recorded trace and the latched divergence so every session replays
-  /// the trace from its start; end writes the recorded trace to the
-  /// configured record path (the exported file is the last session's, like
-  /// the Perfetto trace).
+  /// Session begin (capi::run_session): resets per-actor cursors and the
+  /// latched divergence so every session replays the graph from its start.
   void begin_session();
-  void end_session();
 
   [[nodiscard]] Config config() const;
   [[nodiscard]] std::string strategy_string() const;
-  /// Serialized trace of the decisions recorded since the last session
-  /// begin/configure (empty when not recording).
-  [[nodiscard]] std::string trace_text() const;
-  /// trace_text(), then drop the recorded entries.
-  [[nodiscard]] std::string take_trace();
-  /// The recorded decisions in structured form (explorer input), dropped
-  /// from the controller like take_trace().
-  [[nodiscard]] std::vector<TraceEntry> take_recorded();
   [[nodiscard]] std::optional<Divergence> divergence() const;
   [[nodiscard]] Stats stats() const;
 
-  /// Proc backend: merge a forked child rank's recorded decisions, stats and
-  /// latched divergence into this (parent) controller, so cross-process runs
-  /// export the same record trace / divergence verdicts as thread-backend
-  /// runs. Entries append in child order (streams are per-(actor, site), so
-  /// cross-child interleaving is irrelevant to replay). Returns false on a
-  /// malformed trace text.
-  bool absorb_child(const std::string& trace_text, const Stats& child_stats,
-                    const std::optional<Divergence>& child_divergence,
-                    std::string* error = nullptr);
+  /// Proc backend: merge a forked child rank's stats and latched divergence
+  /// into this (parent) controller, so cross-process runs report the same
+  /// divergence verdicts as thread-backend runs. (The child's decisions
+  /// travel as graph text: GraphRecorder::absorb.)
+  void absorb_child(const Stats& child_stats, const std::optional<Divergence>& child_divergence);
 
  private:
   friend const std::atomic<bool>& detail::armed_flag_of(const Controller& controller);
   void set_armed(bool armed);
   void reset_run_state_locked();
-  void flush_record_locked();
-  [[nodiscard]] std::string strategy_string_locked() const;
+  void install_replay_locked(std::vector<TraceEntry> entries);
 
   /// Mutable per-(actor, site)-stream run state: the stream-local decision
   /// counter and, in replay mode, the cursor into the stream's slice of the
-  /// trace.
+  /// recording.
   struct StreamState {
     std::uint64_t seq{0};
     std::size_t cursor{0};
@@ -205,11 +194,10 @@ class Controller {
   mutable std::mutex mutex_;
   std::atomic<bool> armed_{false};
   Config config_;
-  ScheduleTrace replay_;
-  /// Replay entries grouped per stream_key (indices into replay_.entries).
+  std::vector<TraceEntry> replay_;
+  /// Replay entries grouped per stream_key (indices into replay_).
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> replay_streams_;
   std::unordered_map<std::uint64_t, StreamState> streams_;
-  std::vector<TraceEntry> recorded_;
   std::optional<Divergence> divergence_;
   Stats stats_;
 };

@@ -14,11 +14,6 @@ namespace {
 
 constexpr const char* kMagic = "# cusan-execution-graph v1";
 
-/// Hard cap on recorded nodes: a runaway run stops growing the graph instead
-/// of exhausting memory. The analysis cap (GraphAnalysis max_nodes) kicks in
-/// far earlier, so a truncated graph only ever means "prune less".
-constexpr std::size_t kMaxRecordedNodes = 1u << 20;
-
 /// Decision seqs addressable by the analysis index. Streams longer than this
 /// fall back to "racing" (conservative).
 constexpr std::uint64_t kSeqBits = 13;
@@ -35,14 +30,18 @@ constexpr std::uint64_t kSeqBits = 13;
   return '?';
 }
 
-[[nodiscard]] bool fail(std::string* error, std::size_t line_no, const std::string& message) {
+[[nodiscard]] bool reject(std::string* error, const std::string& message) {
   if (error != nullptr) {
-    *error = common::format("line {}: {}", line_no, message);
+    *error = message;
   }
   return false;
 }
 
-/// Same `<rank>:<kind>[<local>]` grammar as the trace format.
+[[nodiscard]] bool fail(std::string* error, std::size_t line_no, const std::string& message) {
+  return reject(error, common::format("line {}: {}", line_no, message));
+}
+
+/// Parse `<rank>:<kind>[<local>]` (e.g. `0:h`, `1:s4097`, `-1:h`).
 [[nodiscard]] bool parse_actor_token(const std::string& token, ActorId* out) {
   const std::size_t colon = token.find(':');
   if (colon == std::string::npos || colon + 1 >= token.size()) {
@@ -71,6 +70,44 @@ constexpr std::uint64_t kSeqBits = 13;
 }
 
 }  // namespace
+
+const char* to_string(Site site) {
+  switch (site) {
+    case Site::kStreamOp:
+      return "stream_op";
+    case Site::kMatchRecv:
+      return "match_recv";
+    case Site::kWakeOrder:
+      return "wake_order";
+    case Site::kWaitany:
+      return "waitany";
+    case Site::kWaitallOrder:
+      return "waitall_order";
+  }
+  return "unknown";
+}
+
+bool site_from_string(const std::string& name, Site* out) {
+  static constexpr Site kAll[] = {Site::kStreamOp, Site::kMatchRecv, Site::kWakeOrder,
+                                  Site::kWaitany,  Site::kWaitallOrder};
+  for (const Site site : kAll) {
+    if (name == to_string(site)) {
+      *out = site;
+      return true;
+    }
+  }
+  return false;
+}
+
+std::string ActorId::to_string() const {
+  char buf[48];
+  if (local == 0) {
+    std::snprintf(buf, sizeof(buf), "%d:%c", rank, kind);
+  } else {
+    std::snprintf(buf, sizeof(buf), "%d:%c%u", rank, kind, local);
+  }
+  return buf;
+}
 
 std::string serialize_graph(const ExecutionGraph& graph) {
   std::string out = kMagic;
@@ -114,6 +151,7 @@ bool parse_graph(const std::string& text, ExecutionGraph* out, std::string* erro
   std::size_t line_no = 0;
   bool have_magic = false;
   std::unordered_map<std::uint32_t, bool> seen_ids;
+  std::unordered_map<std::uint64_t, std::uint64_t> next_seq;  ///< stream_key -> expected seq
   while (std::getline(in, line)) {
     ++line_no;
     if (!line.empty() && line.back() == '\r') {
@@ -164,10 +202,21 @@ bool parse_graph(const std::string& text, ExecutionGraph* out, std::string* erro
           if (!site_from_string(site_token, &node.site)) {
             return fail(error, line_no, common::format("unknown site '{}'", site_token));
           }
-          if (node.candidates < 1 || node.chosen < 0 || node.chosen >= node.candidates) {
-            return fail(error, line_no, "chosen outside [0, candidates)");
+          if (node.candidates < 1) {
+            return fail(error, line_no, "candidates must be >= 1");
+          }
+          if (node.chosen < 0 || node.chosen >= node.candidates) {
+            return fail(error, line_no, common::format("chosen {} outside [0, {})", node.chosen,
+                                                       node.candidates));
           }
           node.seq = static_cast<std::uint64_t>(seq);
+          std::uint64_t& expect = next_seq[stream_key(node.actor, node.site)];
+          if (node.seq != expect) {
+            return fail(error, line_no,
+                        common::format("actor {} {} seq {} out of order (expected {})",
+                                       node.actor.to_string(), site_token, node.seq, expect));
+          }
+          ++expect;
           break;
         }
         case 'r':
@@ -214,6 +263,16 @@ bool parse_graph(const std::string& text, ExecutionGraph* out, std::string* erro
     return fail(error, line_no, "empty document (missing header)");
   }
   return true;
+}
+
+std::vector<TraceEntry> decision_entries(const ExecutionGraph& graph) {
+  std::vector<TraceEntry> out;
+  for (const GraphNode& n : graph.nodes) {
+    if (n.kind == NodeKind::kDecision) {
+      out.push_back({n.actor, n.seq, n.site, n.candidates, n.chosen});
+    }
+  }
+  return out;
 }
 
 bool validate_graph(const ExecutionGraph& graph, std::string* error) {
@@ -433,9 +492,6 @@ std::uint32_t GraphRecorder::append_node_locked(GraphNode node) {
 void GraphRecorder::record_decision(const ActorId& actor, Site site, std::uint64_t seq,
                                     int candidates, int chosen) {
   std::lock_guard lock(mutex_);
-  if (graph_.nodes.size() >= kMaxRecordedNodes) {
-    return;
-  }
   GraphNode node;
   node.kind = NodeKind::kDecision;
   node.actor = actor;
@@ -484,6 +540,37 @@ void GraphRecorder::record_acquire(int rank, std::uint32_t ctx, const void* key)
 void GraphRecorder::record_key_retire(const void* key) {
   std::lock_guard lock(mutex_);
   releases_.erase(reinterpret_cast<std::uintptr_t>(key));
+}
+
+bool GraphRecorder::absorb(const std::string& text, std::string* error) {
+  ExecutionGraph child;
+  if (!parse_graph(text, &child, error)) {
+    return false;
+  }
+  for (std::size_t i = 0; i < child.nodes.size(); ++i) {
+    if (child.nodes[i].id != i) {
+      return reject(error, common::format("node {}: ids must run from 0 without a gap",
+                                          child.nodes[i].id));
+    }
+  }
+  for (const GraphEdge& e : child.edges) {
+    if (e.from >= child.nodes.size() || e.to >= child.nodes.size()) {
+      return reject(error, common::format("edge {} -> {}: dangling endpoint", e.from, e.to));
+    }
+  }
+  std::lock_guard lock(mutex_);
+  const auto offset = static_cast<std::uint32_t>(graph_.nodes.size());
+  for (GraphNode node : child.nodes) {
+    node.id += offset;
+    lane_last_[node.actor.key()] = node.id + 1;
+    graph_.nodes.push_back(node);
+  }
+  for (GraphEdge e : child.edges) {
+    e.from += offset;
+    e.to += offset;
+    graph_.edges.push_back(e);
+  }
+  return true;
 }
 
 void GraphRecorder::set_strategy(std::string strategy) {

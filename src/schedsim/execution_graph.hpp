@@ -1,18 +1,20 @@
 // The execution graph: a serializable happens-before skeleton of one checked
-// run, recorded while the schedule controller is exploring. Nodes are the
-// events the explorer reasons about — every Controller decision plus the
-// sync operations rsan's vector clocks are built from (stream sync, p2p
-// match, collective join, all funnelled through rsan's happens_before /
-// happens_after annotations). Edges are program order within a lane (one
-// lane per decision actor; rsan sync events land on their rank's host lane,
-// because the analysis runtime runs at API-interception time on the host
-// thread) and release->acquire order on a sync key. Together they induce the
-// same partial order rsan's clocks compute, in a form the DPOR explorer
-// (explorer.hpp) can walk run-over-run: two decisions unordered in the graph
-// are a racing pair worth backtracking on; ordered ones provably commute.
+// run, and the one schedule artifact of the exploration engine. Nodes are
+// every Controller decision plus the sync operations rsan's vector clocks are
+// built from (stream sync, p2p match, collective join, all funnelled through
+// rsan's happens_before / happens_after annotations). Edges are program order
+// within a lane (one lane per decision actor; rsan sync events land on their
+// rank's host lane, because the analysis runtime runs at API-interception
+// time on the host thread) and release->acquire order on a sync key.
+// Together they induce the same partial order rsan's clocks compute, in a
+// form the DPOR explorer (explorer.hpp) can walk run-over-run: two decisions
+// unordered in the graph are a racing pair worth backtracking on; ordered
+// ones provably commute.
 //
-// The graph serializes alongside the decision trace (trace.hpp) so a CI
-// failure ships both artifacts of the failing execution:
+// The decision nodes are also the replay record: `record:<path>` writes the
+// graph, `replay:<path>` answers every query from its (actor, site) stream of
+// the graph's decision nodes, so a CI failure ships one file that both
+// reproduces the run and explains its happens-before order:
 //
 //   # cusan-execution-graph v1
 //   # strategy <controller strategy string>
@@ -20,6 +22,13 @@
 //   n <id> r <actor> <ctx> <key>                          release (happens_before)
 //   n <id> a <actor> <ctx> <key>                          acquire (happens_after)
 //   e <from> <to> po|sync
+//
+// `<actor>` is `<rank>:<kind>[<local>]`: `<kind>` is `h` (the rank's
+// host/MPI thread) or `s` (a cusim stream worker, `<local>` = device ordinal
+// * 4096 + stream id). `<seq>` is the (actor, site) stream's own decision
+// counter: replay matches each stream against its own recording, so neither
+// the physical interleaving of nodes (OS thread timing at record time) nor a
+// timing-dependent skip of one site can shift another site's decisions.
 //
 // Recording is gated exactly like the controller: disarmed, every rsan sync
 // annotation costs one relaxed atomic load (the bench guard budget), armed
@@ -34,9 +43,51 @@
 #include <vector>
 
 #include "common/thread_context.hpp"
-#include "schedsim/trace.hpp"
 
 namespace schedsim {
+
+/// A nondeterministic choice point routed through the ScheduleController.
+enum class Site : std::uint8_t {
+  kStreamOp,      ///< cusim stream worker: run the head op now or defer once
+  kMatchRecv,     ///< mpisim ANY_SOURCE recv: which source channel matches
+  kWakeOrder,     ///< mpisim WaiterHub broadcast: slot wake permutation
+  kWaitany,       ///< MPI_Waitany: which completed request is returned
+  kWaitallOrder,  ///< MPI_Waitall: request completion/fiber-join order
+};
+
+[[nodiscard]] const char* to_string(Site site);
+/// Inverse of to_string; false if `name` is not a known site.
+[[nodiscard]] bool site_from_string(const std::string& name, Site* out);
+
+/// The thread asking for a decision. Rank -1 is unattributed (raw cusim /
+/// mpisim unit tests outside a capi session).
+struct ActorId {
+  int rank{-1};
+  char kind{'h'};          ///< 'h' host thread, 's' stream worker
+  std::uint32_t local{0};  ///< stream workers: ordinal * 4096 + stream id
+
+  [[nodiscard]] std::uint64_t key() const {
+    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rank + 1)) << 40) |
+           (static_cast<std::uint64_t>(static_cast<std::uint8_t>(kind)) << 32) |
+           static_cast<std::uint64_t>(local);
+  }
+  [[nodiscard]] std::string to_string() const;
+};
+
+/// One decision, as the controller replays it and the explorer flips it.
+struct TraceEntry {
+  ActorId actor;
+  std::uint64_t seq{0};  ///< (actor, site)-stream-local decision index
+  Site site{Site::kStreamOp};
+  int candidates{1};
+  int chosen{0};
+};
+
+/// Key of the (actor, site) decision stream an entry belongs to. The actor
+/// key occupies bits [3, 44); the site index fits in the low 3 bits.
+[[nodiscard]] inline std::uint64_t stream_key(const ActorId& actor, Site site) {
+  return (actor.key() << 3) | static_cast<std::uint64_t>(site);
+}
 
 enum class NodeKind : std::uint8_t {
   kDecision,  ///< one Controller::choose() answer
@@ -82,9 +133,17 @@ struct ExecutionGraph {
 [[nodiscard]] std::string serialize_graph(const ExecutionGraph& graph);
 
 /// Parse the v1 text format. False (with *error set, if given) on bad magic,
-/// unknown node/edge kind, duplicate node id, or malformed fields.
+/// unknown node/edge kind or site, duplicate node id, malformed or trailing
+/// fields, a decision with candidates < 1 or chosen outside [0, candidates),
+/// or an (actor, site) stream whose seqs do not run 0, 1, 2, ... in document
+/// order: replay identifies decisions by their stream position, so a gap or
+/// repeat makes the whole document meaningless.
 [[nodiscard]] bool parse_graph(const std::string& text, ExecutionGraph* out,
                                std::string* error = nullptr);
+
+/// The graph's decision nodes in node order: what replay pins and the
+/// explorer flips.
+[[nodiscard]] std::vector<TraceEntry> decision_entries(const ExecutionGraph& graph);
 
 /// Schema validation beyond parsing (trace_lint --graph): every edge
 /// endpoint names an existing node (dangling check), no sync edge targets a
@@ -130,12 +189,21 @@ extern constinit std::atomic<bool> g_graph_armed;
 }  // namespace detail
 
 /// Incremental execution-graph builder, session-scoped exactly like the
-/// Controller (common::ThreadContext). The controller
-/// feeds it decisions from choose(); rsan feeds it sync events from its
-/// annotation entry points. Both gate on enabled() first, so the disarmed
-/// cost is one relaxed load.
+/// Controller (common::ThreadContext), and the one decision log: the
+/// controller appends every decision from choose() inside its own critical
+/// section (lock order controller, then recorder; the recorder never calls
+/// the controller); rsan feeds it sync events from its annotation entry
+/// points. Both gate on enabled() first, so the disarmed cost is one
+/// relaxed load.
 class GraphRecorder {
  public:
+  /// Hard cap on recorded nodes: a runaway run stops growing the graph
+  /// instead of exhausting memory. Only sync nodes are dropped past it —
+  /// decision nodes are the replay record, so they are always kept. The
+  /// analysis cap (GraphAnalysis max_nodes, 1 << 15) kicks in far earlier,
+  /// so a truncated graph only ever means "prune less".
+  static constexpr std::size_t kMaxRecordedNodes = 1u << 18;
+
   GraphRecorder() = default;
   GraphRecorder(const GraphRecorder&) = delete;
   GraphRecorder& operator=(const GraphRecorder&) = delete;
@@ -165,6 +233,12 @@ class GraphRecorder {
   /// rsan::release_sync_object: the key's address may be reused by a future
   /// unrelated sync object, so retire its pending release nodes.
   void record_key_retire(const void* key);
+
+  /// Proc backend: append a forked rank's graph (serialized by the child,
+  /// which started from an empty graph at the fork), offsetting its node
+  /// ids past the nodes already here. The parent absorbs its ranks in rank
+  /// order. False, appending nothing, on a malformed document.
+  bool absorb(const std::string& text, std::string* error = nullptr);
 
   void set_strategy(std::string strategy);
   [[nodiscard]] ExecutionGraph snapshot() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <optional>
 #include <set>
 #include <unordered_set>
 #include <utility>
@@ -70,35 +71,24 @@ std::vector<Execution> Explorer::explore(Controller& controller, const RunFn& ru
     frontier.pop_front();
 
     controller.configure_prefix(prefix);
-    if (options_.use_graph) {
-      recorder.begin_run();
-      recorder.arm(true);
-    }
+    recorder.begin_run();
+    recorder.arm(true);
     const std::uint64_t t0 = common::now_ns();
     const std::size_t races = run();
     const std::uint64_t t1 = common::now_ns();
-    if (options_.use_graph) {
-      recorder.arm(false);
-    }
+    recorder.arm(false);
 
     Execution exec;
     exec.index = executions.size();
     exec.pinned = prefix.size();
-    exec.trace = controller.take_recorded();
+    exec.graph = recorder.take_graph();
+    exec.graph.strategy = common::format("dpor execution {}", exec.index);
+    exec.trace = decision_entries(exec.graph);
     exec.races = races;
     exec.diverged = controller.divergence().has_value();
     exec.wall_ms = static_cast<double>(t1 - t0) / 1e6;
-
-    ExecutionGraph graph;
-    if (options_.use_graph) {
-      graph = recorder.take_graph();
-      graph.strategy = common::format("dpor execution {}", exec.index);
-      stats_.graph_nodes += graph.nodes.size();
-      stats_.graph_edges += graph.edges.size();
-      if (options_.collect_graphs) {
-        exec.graph_text = serialize_graph(graph);
-      }
-    }
+    stats_.graph_nodes += exec.graph.nodes.size();
+    stats_.graph_edges += exec.graph.edges.size();
 
     ++stats_.executions;
     if (!seen.insert(signature(exec.trace)).second) {
@@ -111,7 +101,10 @@ std::vector<Execution> Explorer::explore(Controller& controller, const RunFn& ru
     for (const TraceEntry& e : prefix) {
       pinned.emplace(stream_key(e.actor, e.site), e.seq);
     }
-    GraphAnalysis analysis(graph);
+    std::optional<GraphAnalysis> analysis;
+    if (options_.use_graph) {
+      analysis.emplace(exec.graph);
+    }
     for (std::size_t i = 0; i < exec.trace.size(); ++i) {
       const TraceEntry& e = exec.trace[i];
       if (e.candidates <= 1) {
@@ -121,8 +114,8 @@ std::vector<Execution> Explorer::explore(Controller& controller, const RunFn& ru
       if (pinned.contains({stream, e.seq})) {
         continue;
       }
-      if (!is_value_site(e.site) && options_.use_graph && analysis.usable() &&
-          analysis.has_decision(stream, e.seq) && !analysis.decision_races(stream, e.seq)) {
+      if (!is_value_site(e.site) && analysis.has_value() && analysis->usable() &&
+          analysis->has_decision(stream, e.seq) && !analysis->decision_races(stream, e.seq)) {
         ++stats_.hb_prunes;
         continue;
       }

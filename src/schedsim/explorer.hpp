@@ -1,15 +1,16 @@
 // The multi-run DPOR driver: turns the single-run ScheduleController into a
 // systematic explorer. Each iteration installs a pinned prefix on the
 // controller (configure_prefix — replay:<path> generalized), executes one
-// run via a harness-supplied callback, takes the recorded decision trace and
-// the execution graph, and computes source-DPOR-style backtrack points: for
+// run via a harness-supplied callback with the GraphRecorder armed, takes
+// the run's execution graph (whose decision nodes are the run's decision
+// sequence), and computes source-DPOR-style backtrack points: for
 // every branchable decision in the run that is not part of the pinned
 // prefix, every alternative candidate spawns a new prefix — unless the
 // happens-before analysis proves the decision cannot race (it is ordered
 // with every other lane's branchable decisions, so flipping it reaches no
 // new happens-before class) or the prefix is already in the sleep set.
 //
-// Equivalence is tracked per-stream, matching the trace format's semantics:
+// Equivalence is tracked per-stream, matching replay's semantics:
 // two runs whose (actor, site) streams recorded identical decisions are the
 // same execution regardless of how OS timing interleaved the lines, so the
 // sleep set keys on a canonical (stream-sorted) signature. The frontier is
@@ -29,7 +30,6 @@
 #include <vector>
 
 #include "schedsim/execution_graph.hpp"
-#include "schedsim/trace.hpp"
 
 namespace schedsim {
 
@@ -40,10 +40,9 @@ struct ExplorerOptions {
   std::uint32_t bound{0};
   /// Use the recorded ExecutionGraph to prune non-racing backtrack points.
   /// Off, every branchable decision backtracks (pure DFS over the choice
-  /// tree — what the 2-site toy property test exercises).
+  /// tree — what the 2-site toy property test exercises). The graph is
+  /// recorded either way: its decision nodes are the run's decisions.
   bool use_graph{true};
-  /// Keep each execution's serialized graph text (CI artifact upload).
-  bool collect_graphs{false};
 
   static constexpr std::uint32_t kDefaultBound = 24;
 };
@@ -52,11 +51,11 @@ struct ExplorerOptions {
 struct Execution {
   std::size_t index{0};
   std::size_t pinned{0};            ///< decisions pinned by the prefix
-  std::vector<TraceEntry> trace;    ///< full recorded decision sequence
+  ExecutionGraph graph;             ///< the run's graph: its replay record
+  std::vector<TraceEntry> trace;    ///< decision_entries(graph)
   std::size_t races{0};             ///< harness-reported race count
   bool diverged{false};             ///< pinned prefix stopped matching
   double wall_ms{0.0};
-  std::string graph_text;           ///< when ExplorerOptions::collect_graphs
 };
 
 struct ExplorerStats {
@@ -80,8 +79,9 @@ class Explorer {
   explicit Explorer(ExplorerOptions options = {});
 
   /// Drive the exploration: repeatedly configure `controller`, invoke
-  /// `run`, and grow the frontier until it is empty or the bound is hit.
-  /// Leaves the controller disarmed. Each call resets stats.
+  /// `run` with the calling thread's GraphRecorder armed, and grow the
+  /// frontier until it is empty or the bound is hit. Leaves the controller
+  /// and the recorder disarmed. Each call resets stats.
   std::vector<Execution> explore(Controller& controller, const RunFn& run);
 
   [[nodiscard]] const ExplorerStats& stats() const { return stats_; }

@@ -61,9 +61,6 @@ SessionResult Session::run() {
   result.fired_faults = injector_.fired_log();
   result.sched_stats = controller_.stats();
   result.sched_divergence = controller_.divergence();
-  if (controller_.config().record || controller_.config().mode != schedsim::Mode::kFree) {
-    result.sched_trace = controller_.trace_text();
-  }
 
   // Observed resident footprint: the shadow bytes the session pinned — the
   // executor's admission EMA feeds on this.

@@ -48,7 +48,6 @@ struct SessionResult {
   std::vector<faultsim::FiredFault> fired_faults;
   schedsim::Stats sched_stats;
   std::optional<schedsim::Divergence> sched_divergence;
-  std::string sched_trace;    ///< recorded decision trace (when recording)
   std::uint64_t peak_session_bytes{0};  ///< observed peak (admission EMA input)
 };
 

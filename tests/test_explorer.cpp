@@ -7,7 +7,7 @@
 //   1. Differential coverage — per scenario, the set of (race count,
 //      diagnostic ids) verdicts DPOR reaches equals the set an exhaustive,
 //      unpruned enumeration of every choice sequence reaches.
-//   2. Reproducibility — every DPOR execution's recorded trace replays via
+//   2. Reproducibility — every DPOR execution's recorded graph replays via
 //      the ordinary replay machinery with zero divergence and the same
 //      verdict.
 #include <algorithm>
@@ -27,7 +27,6 @@
 #include "schedsim/controller.hpp"
 #include "schedsim/execution_graph.hpp"
 #include "schedsim/explorer.hpp"
-#include "schedsim/trace.hpp"
 #include "testsuite/scenarios.hpp"
 
 namespace {
@@ -38,7 +37,6 @@ using schedsim::ExecutionGraph;
 using schedsim::Explorer;
 using schedsim::ExplorerOptions;
 using schedsim::GraphRecorder;
-using schedsim::ScheduleTrace;
 using schedsim::Site;
 using schedsim::TraceEntry;
 
@@ -119,6 +117,77 @@ TEST_F(ExplorerTest, GraphSerializeParseValidateRoundTrip) {
   EXPECT_EQ(parsed.nodes.size(), graph.nodes.size());
   EXPECT_EQ(parsed.edges.size(), graph.edges.size());
   EXPECT_EQ(serialize_graph(parsed), text);  // canonical form is stable
+}
+
+TEST_F(ExplorerTest, RecorderCapNeverDropsDecisions) {
+  // Past the node cap the recorder drops sync nodes, but a decision node is
+  // the replay record: it is still appended, and it replays.
+  GraphRecorder recorder;
+  int key = 0;
+  for (std::size_t i = 0; i < GraphRecorder::kMaxRecordedNodes; ++i) {
+    recorder.record_acquire(0, 1, &key);
+  }
+  recorder.record_acquire(0, 1, &key);
+  ASSERT_EQ(recorder.node_count(), GraphRecorder::kMaxRecordedNodes);
+  recorder.record_decision({0, 'h', 0}, Site::kWaitany, 0, 3, 2);
+  EXPECT_EQ(recorder.node_count(), GraphRecorder::kMaxRecordedNodes + 1);
+
+  const ExecutionGraph graph = recorder.take_graph();
+  const std::string text = serialize_graph(graph);
+  const std::string decision_line =
+      std::to_string(GraphRecorder::kMaxRecordedNodes) + " d 0:h waitany 0 3 2\n";
+  EXPECT_NE(text.find(decision_line), std::string::npos);  // the artifact keeps it
+  const std::vector<TraceEntry> decisions = schedsim::decision_entries(graph);
+  ASSERT_EQ(decisions.size(), 1u);
+  // Replay it (prefix pinning shares the replay path; parsing a million
+  // sync lines back would only test the parser's memory).
+  auto& controller = Controller::instance();
+  controller.configure_prefix(decisions);
+  EXPECT_EQ(controller.choose(Site::kWaitany, {0, 'h', 0}, 3, 0), 2);
+  EXPECT_FALSE(controller.divergence().has_value());
+  EXPECT_EQ(controller.stats().replayed, 1u);
+}
+
+TEST_F(ExplorerTest, ProcChildGraphAbsorbsWithOffsetIds) {
+  // A forked rank ships the graph it recorded; the parent appends each
+  // child in rank order with its ids moved past what is already there.
+  std::string children[2];
+  for (int rank = 0; rank < 2; ++rank) {
+    GraphRecorder child;
+    int key = 0;
+    child.record_release(rank, 1, &key);
+    child.record_acquire(rank, 2, &key);
+    child.record_decision({rank, 's', 1}, Site::kStreamOp, 0, 2, 1);
+    children[rank] = serialize_graph(child.snapshot());
+  }
+  GraphRecorder parent;
+  std::string error;
+  for (const std::string& text : children) {
+    ASSERT_TRUE(parent.absorb(text, &error)) << error;
+  }
+  const ExecutionGraph graph = parent.take_graph();
+  ASSERT_EQ(graph.nodes.size(), 6u);
+  EXPECT_TRUE(validate_graph(graph, &error)) << error;
+  for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
+    EXPECT_EQ(graph.nodes[i].id, i);
+  }
+  EXPECT_EQ(graph.nodes[2].actor.rank, 0);
+  EXPECT_EQ(graph.nodes[5].actor.rank, 1);
+  // Each child's edges connect its own nodes.
+  using Edges = std::set<std::pair<std::uint32_t, std::uint32_t>>;
+  Edges sync;
+  Edges po;
+  for (const schedsim::GraphEdge& e : graph.edges) {
+    (e.kind == schedsim::GraphEdge::Kind::kSync ? sync : po).emplace(e.from, e.to);
+  }
+  EXPECT_EQ(sync, (Edges{{0, 1}, {3, 4}}));
+  EXPECT_EQ(po, (Edges{{0, 1}, {3, 4}}));
+
+  // A child document with a dangling edge is rejected whole.
+  const std::string dangling = "# cusan-execution-graph v1\nn 0 d 0:h waitany 0 2 0\ne 0 1 po\n";
+  EXPECT_FALSE(parent.absorb(dangling, &error));
+  EXPECT_NE(error.find("dangling"), std::string::npos) << error;
+  EXPECT_EQ(parent.node_count(), 0u);
 }
 
 TEST_F(ExplorerTest, GraphValidationRejectsTampering) {
@@ -219,9 +288,13 @@ using Verdict = std::pair<std::size_t, std::vector<std::string>>;
     const std::vector<TraceEntry> prefix = std::move(stack.back());
     stack.pop_back();
     controller.configure_prefix(prefix);
+    GraphRecorder& recorder = GraphRecorder::instance();
+    recorder.begin_run();
+    recorder.arm(true);
     verdicts->insert(run());
+    recorder.arm(false);
     ++*runs;
-    const std::vector<TraceEntry> trace = controller.take_recorded();
+    const std::vector<TraceEntry> trace = schedsim::decision_entries(recorder.take_graph());
 
     std::set<std::pair<std::uint64_t, std::uint64_t>> pinned;
     for (const TraceEntry& e : prefix) {
@@ -298,8 +371,8 @@ TEST_F(ExplorerTest, DporReachesEveryVerdictOfExhaustiveEnumeration) {
               scenarios.size(), enumerated_runs, widest, dpor_runs);
 }
 
-TEST_F(ExplorerTest, DporExecutionTracesReplayWithoutDivergence) {
-  // Walk racy scenarios until three DPOR-discovered traces (beyond each
+TEST_F(ExplorerTest, DporExecutionGraphsReplayWithoutDivergence) {
+  // Walk racy scenarios until three DPOR-discovered graphs (beyond each
   // scenario's baseline, when its exploration found more than one class)
   // have replayed verdict-identically through the ordinary replay path.
   const auto scenarios = testsuite::build_scenarios();
@@ -324,11 +397,9 @@ TEST_F(ExplorerTest, DporExecutionTracesReplayWithoutDivergence) {
         break;
       }
       ++checked;
-      ScheduleTrace trace;
-      trace.strategy = "dpor";
-      trace.entries = execution.trace;
       std::string error;
-      ASSERT_TRUE(controller.configure_replay_text(serialize_trace(trace), &error)) << error;
+      ASSERT_TRUE(controller.configure_replay_text(serialize_graph(execution.graph), &error))
+          << error;
       const auto replayed =
           testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true);
       EXPECT_FALSE(controller.divergence().has_value())

@@ -3,7 +3,8 @@
 // result publication), crash containment (rank_kill x {sigkill, sigabrt,
 // hang} must yield exactly one RankFailureReport, poisoned survivors and a
 // prompt return), supervisor-side deadlock detection, the RankPayload serde,
-// and thread/proc verdict equality on a scenario subset.
+// and thread/proc equality on a scenario subset: verdicts, and the DPOR
+// exploration that the shipped execution-graph nodes drive.
 //
 // A global test environment reaps stale cusan.* segments before the suite
 // runs (the in-process analog of `tools/shm_gc`), and the kill tests assert
@@ -30,6 +31,8 @@
 #include "mpisim/shm_ring.hpp"
 #include "mpisim/world.hpp"
 #include "obs/metrics.hpp"
+#include "schedsim/controller.hpp"
+#include "schedsim/explorer.hpp"
 #include "testsuite/fault_sweep.hpp"
 #include "testsuite/scenarios.hpp"
 
@@ -419,7 +422,7 @@ TEST(ResultSerdeTest, RoundTripsAllPayloadFields) {
   in.metric_deltas["mpisim.proc.eager_msgs"] = 17;
   in.diagnostics.push_back(
       obs::Diagnostic{"must.rank_failure", obs::Severity::kError, 0, "peer died", 123});
-  in.sched_trace = "r0 send 1\n";
+  in.sched_graph = "# cusan-execution-graph v1\nn 0 d 0:h waitany 0 2 1\n";
   in.sched_stats.decisions = 5;
 
   const std::vector<std::byte> blob = capi::serde::encode(in);
@@ -441,7 +444,7 @@ TEST(ResultSerdeTest, RoundTripsAllPayloadFields) {
   ASSERT_EQ(out.diagnostics.size(), 1u);
   EXPECT_EQ(out.diagnostics[0].id, "must.rank_failure");
   EXPECT_EQ(out.diagnostics[0].message, "peer died");
-  EXPECT_EQ(out.sched_trace, "r0 send 1\n");
+  EXPECT_EQ(out.sched_graph, in.sched_graph);
   EXPECT_EQ(out.sched_stats.decisions, 5u);
   EXPECT_FALSE(out.sched_divergence.has_value());
 
@@ -456,16 +459,19 @@ TEST(ResultSerdeTest, RoundTripsAllPayloadFields) {
 // Thread/proc verdict equality on a scenario subset
 // ---------------------------------------------------------------------------
 
+/// A racy and a race-free scenario from the SVI-C matrix; the full 86-way
+/// sweep runs in CI (check_cutests under both backends must print identical
+/// verdict lines).
+[[nodiscard]] bool in_backend_subset(const testsuite::Scenario& scenario) {
+  return scenario.name == "cuda_to_mpi__device__default_stream__no_sync__racy" ||
+         scenario.name == "cuda_to_mpi__device__default_stream__device_sync__ok";
+}
+
 TEST(ProcScenarioTest, VerdictsMatchThreadBackendOnSubset) {
-  // A racy and a race-free scenario from the SVI-C matrix; the full 86-way
-  // sweep runs in CI (check_cutests under both backends must print identical
-  // verdict lines). Here: same race verdict, both classified correctly.
+  // Same race verdict on both backends, both classified correctly.
   int compared = 0;
   for (const testsuite::Scenario& scenario : testsuite::build_scenarios()) {
-    const bool pick =
-        scenario.name == "cuda_to_mpi__device__default_stream__no_sync__racy" ||
-        scenario.name == "cuda_to_mpi__device__default_stream__device_sync__ok";
-    if (!pick) {
+    if (!in_backend_subset(scenario)) {
       continue;
     }
     std::size_t thread_races = 0;
@@ -484,6 +490,44 @@ TEST(ProcScenarioTest, VerdictsMatchThreadBackendOnSubset) {
   }
   EXPECT_EQ(compared, 2);
   expect_no_stale_segments("after scenario subset");
+}
+
+TEST(ProcScenarioTest, DporExploresProcRanksLikeThreadRanks) {
+  // Forked ranks ship the execution-graph nodes they record back to the
+  // parent, so DPOR on the proc backend sees the same happens-before graph
+  // as on the thread backend: a non-empty graph, the same HB prunes and the
+  // same executions, each one classified correctly.
+  int compared = 0;
+  for (const testsuite::Scenario& scenario : testsuite::build_scenarios()) {
+    if (!in_backend_subset(scenario)) {
+      continue;
+    }
+    schedsim::ExplorerStats stats[2];
+    const Backend backends[2] = {Backend::kThread, Backend::kProc};
+    for (int b = 0; b < 2; ++b) {
+      const ScopedBackend scoped(backends[b]);
+      schedsim::Explorer explorer;
+      const auto executions =
+          explorer.explore(schedsim::Controller::instance(), [&]() -> std::size_t {
+            return testsuite::run_scenario_outcome(scenario).races;
+          });
+      for (const schedsim::Execution& execution : executions) {
+        EXPECT_TRUE(testsuite::classified_correctly(scenario, execution.races))
+            << scenario.name << " execution " << execution.index;
+        EXPECT_FALSE(execution.diverged) << scenario.name << " execution " << execution.index;
+      }
+      stats[b] = explorer.stats();
+    }
+    const schedsim::ExplorerStats& thread = stats[0];
+    const schedsim::ExplorerStats& proc = stats[1];
+    EXPECT_GT(proc.graph_nodes, 0u) << scenario.name;
+    EXPECT_GT(proc.hb_prunes, 0u) << scenario.name;
+    EXPECT_EQ(proc.hb_prunes, thread.hb_prunes) << scenario.name;
+    EXPECT_EQ(proc.executions, thread.executions) << scenario.name;
+    ++compared;
+  }
+  EXPECT_EQ(compared, 2);
+  expect_no_stale_segments("after proc DPOR subset");
 }
 
 }  // namespace

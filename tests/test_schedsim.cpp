@@ -1,11 +1,12 @@
-// Schedule-exploration engine tests: the CUSAN_SCHEDULE grammar, the trace
-// interchange format, the controller's strategy semantics (free / prefix /
+// Schedule-exploration engine tests: the CUSAN_SCHEDULE grammar, the
+// execution graph as the replay record (its decision nodes and the checks
+// its decoder makes), the controller's strategy semantics (free / prefix /
 // replay with per-(actor, site) decision streams), and the three end-to-end
 // properties the engine promises:
 //
-//   1. Differential replay oracle — replay the traces of DPOR-flipped
+//   1. Differential replay oracle — replay the graphs of DPOR-flipped
 //      executions over the scenario corpus and get bit-identical verdicts
-//      and diagnostics with zero divergences; a tampered trace is detected
+//      and diagnostics with zero divergences; a tampered graph is detected
 //      and reported, never silently skipped.
 //   2. Exploration soundness — known-racy scenarios report their race under
 //      every DPOR-explored schedule; race-free scenarios stay clean across
@@ -17,7 +18,10 @@
 #include <algorithm>
 #include <array>
 #include <cstddef>
+#include <cstdio>
 #include <cstring>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,8 +32,8 @@
 #include "mpisim/request.hpp"
 #include "obs/diagnostics.hpp"
 #include "schedsim/controller.hpp"
+#include "schedsim/execution_graph.hpp"
 #include "schedsim/explorer.hpp"
-#include "schedsim/trace.hpp"
 #include "testsuite/scenarios.hpp"
 
 namespace {
@@ -37,17 +41,34 @@ namespace {
 using schedsim::ActorId;
 using schedsim::Config;
 using schedsim::Controller;
+using schedsim::ExecutionGraph;
 using schedsim::Explorer;
+using schedsim::GraphRecorder;
 using schedsim::Mode;
-using schedsim::ScheduleTrace;
 using schedsim::Site;
 using schedsim::TraceEntry;
 
-/// Every test leaves the process-global controller disarmed.
+/// Every test leaves the process-global controller and recorder disarmed.
 class SchedsimTest : public ::testing::Test {
  protected:
-  void TearDown() override { Controller::instance().clear(); }
+  void TearDown() override {
+    Controller::instance().clear();
+    GraphRecorder::instance().arm(false);
+  }
 };
+
+/// Arm the recorder for a run of raw choose() queries (capi::run_session
+/// does this itself under a `record` config).
+void start_recording() {
+  GraphRecorder::instance().begin_run();
+  GraphRecorder::instance().arm(true);
+}
+
+/// Disarm the recorder and return the recorded graph as replay text.
+[[nodiscard]] std::string take_recording() {
+  GraphRecorder::instance().arm(false);
+  return schedsim::serialize_graph(GraphRecorder::instance().take_graph());
+}
 
 // ---------------------------------------------------------------- grammar --
 
@@ -67,13 +88,13 @@ TEST_F(SchedsimTest, ParseScheduleGrammar) {
   EXPECT_EQ(config.mode, Mode::kDpor);
   EXPECT_EQ(config.bound, 8u);
 
-  EXPECT_TRUE(schedsim::parse_schedule("free,record:/tmp/t.trace", &config, &error));
+  EXPECT_TRUE(schedsim::parse_schedule("free,record:/tmp/t.graph", &config, &error));
   EXPECT_TRUE(config.record);
-  EXPECT_EQ(config.record_path, "/tmp/t.trace");
+  EXPECT_EQ(config.record_path, "/tmp/t.graph");
 
-  EXPECT_TRUE(schedsim::parse_schedule("replay:/tmp/t.trace", &config, &error));
+  EXPECT_TRUE(schedsim::parse_schedule("replay:/tmp/t.graph", &config, &error));
   EXPECT_EQ(config.mode, Mode::kReplay);
-  EXPECT_EQ(config.replay_path, "/tmp/t.trace");
+  EXPECT_EQ(config.replay_path, "/tmp/t.graph");
 
   EXPECT_FALSE(schedsim::parse_schedule("bogus:1", &config, &error));
   EXPECT_FALSE(schedsim::parse_schedule("dpor;free", &config, &error));
@@ -82,75 +103,92 @@ TEST_F(SchedsimTest, ParseScheduleGrammar) {
   EXPECT_FALSE(schedsim::parse_schedule("bound:0", &config, &error));
   EXPECT_FALSE(schedsim::parse_schedule("8", &config, &error));
 
-  // The retired randomized strategy and its tuning clauses are rejected as
-  // unknown clauses, never run as a free schedule.
-  for (const char* retired : {"seed:7", "pct:4", "horizon:64"}) {
+  // Retired clauses — the randomized strategy and its tuning knobs, and the
+  // separate graph recording (record: writes the graph now) — are rejected
+  // as unknown clauses, never run as a free schedule.
+  for (const char* retired : {"seed:7", "pct:4", "horizon:64", "graph", "graph:/tmp/g.graph"}) {
     error.clear();
     EXPECT_FALSE(schedsim::parse_schedule(retired, &config, &error)) << retired;
     EXPECT_NE(error.find("unknown clause"), std::string::npos) << retired << ": " << error;
   }
 }
 
-// ----------------------------------------------------------- trace format --
+// ------------------------------------------------- graph as replay record --
 
-[[nodiscard]] ScheduleTrace sample_trace() {
-  ScheduleTrace trace;
-  trace.strategy = "dpor execution 3";
-  trace.entries = {
-      {{0, 'h', 0}, 0, Site::kWakeOrder, 3, 1},
-      {{1, 's', 4097}, 0, Site::kStreamOp, 2, 1},
-      {{0, 'h', 0}, 0, Site::kWaitallOrder, 3, 2},
-      {{0, 'h', 0}, 1, Site::kWakeOrder, 2, 0},
-      {{1, 's', 4097}, 1, Site::kStreamOp, 2, 0},
-  };
-  return trace;
+[[nodiscard]] ExecutionGraph sample_graph() {
+  GraphRecorder recorder;
+  recorder.record_decision({0, 'h', 0}, Site::kWakeOrder, 0, 3, 1);
+  recorder.record_decision({1, 's', 4097}, Site::kStreamOp, 0, 2, 1);
+  recorder.record_decision({0, 'h', 0}, Site::kWaitallOrder, 0, 3, 2);
+  recorder.record_decision({0, 'h', 0}, Site::kWakeOrder, 1, 2, 0);
+  recorder.record_decision({1, 's', 4097}, Site::kStreamOp, 1, 2, 0);
+  ExecutionGraph graph = recorder.take_graph();
+  graph.strategy = "dpor execution 3";
+  return graph;
 }
 
-TEST_F(SchedsimTest, TraceSerializeParseRoundTrip) {
-  const ScheduleTrace trace = sample_trace();
-  const std::string text = schedsim::serialize_trace(trace);
-  ScheduleTrace parsed;
+TEST_F(SchedsimTest, GraphDecisionNodesRoundTrip) {
+  const ExecutionGraph graph = sample_graph();
+  ExecutionGraph parsed;
   std::string error;
-  ASSERT_TRUE(schedsim::parse_trace(text, &parsed, &error)) << error;
+  ASSERT_TRUE(schedsim::parse_graph(schedsim::serialize_graph(graph), &parsed, &error)) << error;
   EXPECT_EQ(parsed.strategy, "dpor execution 3");
-  ASSERT_EQ(parsed.entries.size(), trace.entries.size());
-  for (std::size_t i = 0; i < trace.entries.size(); ++i) {
-    EXPECT_EQ(parsed.entries[i].actor.key(), trace.entries[i].actor.key()) << i;
-    EXPECT_EQ(parsed.entries[i].seq, trace.entries[i].seq) << i;
-    EXPECT_EQ(parsed.entries[i].site, trace.entries[i].site) << i;
-    EXPECT_EQ(parsed.entries[i].candidates, trace.entries[i].candidates) << i;
-    EXPECT_EQ(parsed.entries[i].chosen, trace.entries[i].chosen) << i;
+  const std::vector<TraceEntry> want = schedsim::decision_entries(graph);
+  const std::vector<TraceEntry> got = schedsim::decision_entries(parsed);
+  ASSERT_EQ(want.size(), 5u);
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].actor.key(), want[i].actor.key()) << i;
+    EXPECT_EQ(got[i].seq, want[i].seq) << i;
+    EXPECT_EQ(got[i].site, want[i].site) << i;
+    EXPECT_EQ(got[i].candidates, want[i].candidates) << i;
+    EXPECT_EQ(got[i].chosen, want[i].chosen) << i;
   }
 }
 
-TEST_F(SchedsimTest, TraceParseRejectsMalformedDocuments) {
-  ScheduleTrace parsed;
+TEST_F(SchedsimTest, GraphParseRejectsMalformedDocuments) {
+  ExecutionGraph parsed;
   std::string error;
-  EXPECT_FALSE(schedsim::parse_trace("", &parsed, &error));
-  EXPECT_FALSE(schedsim::parse_trace("not a trace\n", &parsed, &error));
+  EXPECT_FALSE(schedsim::parse_graph("", &parsed, &error));
+  EXPECT_FALSE(schedsim::parse_graph("not a graph\n", &parsed, &error));
+  // The retired decision-trace format is not a graph.
+  EXPECT_FALSE(schedsim::parse_graph("# cusan-schedule-trace v1\nd 0:h 0 waitany 2 0\n",
+                                     &parsed, &error));
 
-  const std::string header = "# cusan-schedule-trace v1\n";
-  EXPECT_TRUE(schedsim::parse_trace(header, &parsed, &error)) << error;
+  const std::string header = "# cusan-execution-graph v1\n";
+  EXPECT_TRUE(schedsim::parse_graph(header, &parsed, &error)) << error;
 
-  EXPECT_FALSE(schedsim::parse_trace(header + "d 0:h 0 nonsense 2 0\n", &parsed, &error));
+  EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d 0:h nonsense 0 2 0\n", &parsed, &error));
   EXPECT_TRUE(error.find("unknown site") != std::string::npos) << error;
   // The retired timing-only site is no longer a decision stream.
-  EXPECT_FALSE(schedsim::parse_trace(header + "d 0:h 0 pre_park_yield 9 4\n", &parsed, &error));
+  EXPECT_FALSE(
+      schedsim::parse_graph(header + "n 0 d 0:h pre_park_yield 0 9 4\n", &parsed, &error));
   EXPECT_TRUE(error.find("unknown site") != std::string::npos) << error;
-  EXPECT_FALSE(schedsim::parse_trace(header + "d 0:h 0 waitany 2 2\n", &parsed, &error));
+  EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d 0:h waitany 0 2 2\n", &parsed, &error));
   EXPECT_TRUE(error.find("outside") != std::string::npos) << error;
-  EXPECT_FALSE(schedsim::parse_trace(header + "d 0:h 0 waitany 0 0\n", &parsed, &error));
-  EXPECT_FALSE(schedsim::parse_trace(header + "d 0:h 1 waitany 2 0\n", &parsed, &error));
+  EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d 0:h waitany 0 0 0\n", &parsed, &error));
+  EXPECT_TRUE(error.find("candidates must be >= 1") != std::string::npos) << error;
+  // A stream's seqs run 0, 1, 2, ...: a gap or a repeat is rejected.
+  EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d 0:h waitany 1 2 0\n", &parsed, &error));
   EXPECT_TRUE(error.find("out of order") != std::string::npos) << error;
-  EXPECT_FALSE(schedsim::parse_trace(
-      header + "d 0:h 0 waitany 2 0\nd 0:h 0 waitany 2 0\n", &parsed, &error));
-  EXPECT_FALSE(schedsim::parse_trace(header + "d 0:h 0 waitany 2 0 junk\n", &parsed, &error));
-  EXPECT_FALSE(schedsim::parse_trace(header + "d badactor 0 waitany 2 0\n", &parsed, &error));
+  EXPECT_FALSE(schedsim::parse_graph(
+      header + "n 0 d 0:h waitany 0 2 0\nn 1 d 0:h waitany 0 2 0\n", &parsed, &error));
+  EXPECT_TRUE(error.find("out of order") != std::string::npos) << error;
+  EXPECT_FALSE(
+      schedsim::parse_graph(header + "n 0 d 0:h waitany 0 2 0 junk\n", &parsed, &error));
+  EXPECT_TRUE(error.find("trailing") != std::string::npos) << error;
+  EXPECT_FALSE(
+      schedsim::parse_graph(header + "n 0 d badactor waitany 0 2 0\n", &parsed, &error));
+  EXPECT_TRUE(error.find("bad actor") != std::string::npos) << error;
 
   // Distinct sites of one actor are distinct streams: both start at seq 0.
-  EXPECT_TRUE(schedsim::parse_trace(
-      header + "d 0:h 0 waitany 2 0\nd 0:h 0 stream_op 2 1\nd 0:h 1 waitany 2 1\n", &parsed,
-      &error))
+  // Sync nodes between decisions do not touch the seq check.
+  EXPECT_TRUE(schedsim::parse_graph(header +
+                                        "n 0 d 0:h waitany 0 2 0\n"
+                                        "n 1 d 0:h stream_op 0 2 1\n"
+                                        "n 2 r 0:h 1 10\n"
+                                        "n 3 d 0:h waitany 1 2 1\n",
+                                    &parsed, &error))
       << error;
 }
 
@@ -201,16 +239,17 @@ TEST_F(SchedsimTest, FreeWithRecordingKeepsDefaultsButRecords) {
   config.record = true;
   Controller::instance().configure(config);
   EXPECT_TRUE(Controller::armed());
+  start_recording();
   const auto queries = synthetic_queries();
   const auto answers = run_queries(queries);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(answers[i], queries[i].default_index) << i;
   }
-  ScheduleTrace parsed;
+  ExecutionGraph parsed;
   std::string error;
-  ASSERT_TRUE(schedsim::parse_trace(Controller::instance().take_trace(), &parsed, &error))
-      << error;
-  EXPECT_EQ(parsed.entries.size(), queries.size());
+  ASSERT_TRUE(schedsim::parse_graph(take_recording(), &parsed, &error)) << error;
+  EXPECT_TRUE(schedsim::validate_graph(parsed, &error)) << error;
+  EXPECT_EQ(schedsim::decision_entries(parsed).size(), queries.size());
 }
 
 /// A prefix pinning a non-default answer for every query of the first
@@ -235,6 +274,7 @@ TEST_F(SchedsimTest, PrefixPinningIsDeterministicAndFallsBackToDefaults) {
   const auto prefix = non_default_prefix(queries, /*rounds=*/25);
 
   Controller::instance().configure_prefix(prefix);
+  start_recording();
   const auto first = run_queries(queries);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     if (i < prefix.size()) {
@@ -247,7 +287,8 @@ TEST_F(SchedsimTest, PrefixPinningIsDeterministicAndFallsBackToDefaults) {
   EXPECT_EQ(Controller::instance().stats().underruns, queries.size() - prefix.size());
   EXPECT_FALSE(Controller::instance().divergence().has_value());
   // The recorded run is prefix + free suffix, decision for decision.
-  const auto recorded = Controller::instance().take_recorded();
+  GraphRecorder::instance().arm(false);
+  const auto recorded = schedsim::decision_entries(GraphRecorder::instance().take_graph());
   ASSERT_EQ(recorded.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(recorded[i].chosen, first[i]) << i;
@@ -263,8 +304,9 @@ TEST_F(SchedsimTest, PrefixPinningIsDeterministicAndFallsBackToDefaults) {
 TEST_F(SchedsimTest, ReplayAnswersIndependentOfArrivalInterleaving) {
   const auto queries = synthetic_queries();
   Controller::instance().configure_prefix(non_default_prefix(queries, /*rounds=*/50));
+  start_recording();
   const auto forward = run_queries(queries);
-  const std::string trace = Controller::instance().take_trace();
+  const std::string trace = take_recording();
 
   // Re-issue with the global arrival order permuted (stream-by-stream):
   // per-stream answers must be unchanged, because each stream's decisions
@@ -294,9 +336,10 @@ TEST_F(SchedsimTest, RecordThenReplayRoundTrips) {
     pinned.push_back(entry.chosen);
   }
   Controller::instance().configure_prefix(prefix);
+  start_recording();
   const auto recorded_answers = run_queries(queries);
   EXPECT_EQ(recorded_answers, pinned);
-  const std::string trace = Controller::instance().take_trace();
+  const std::string trace = take_recording();
 
   std::string error;
   ASSERT_TRUE(Controller::instance().configure_replay_text(trace, &error)) << error;
@@ -310,9 +353,10 @@ TEST_F(SchedsimTest, ReplayToleratesUnderrunPastTraceEnd) {
   Config config;
   config.record = true;
   Controller::instance().configure(config);
+  start_recording();
   const auto queries = synthetic_queries();
   (void)run_queries(queries);
-  const std::string trace = Controller::instance().take_trace();
+  const std::string trace = take_recording();
 
   std::string error;
   ASSERT_TRUE(Controller::instance().configure_replay_text(trace, &error)) << error;
@@ -326,19 +370,20 @@ TEST_F(SchedsimTest, ReplayToleratesUnderrunPastTraceEnd) {
   EXPECT_GT(Controller::instance().stats().underruns, 0u);
 }
 
-TEST_F(SchedsimTest, TamperedTraceIsReportedAsDivergence) {
+TEST_F(SchedsimTest, TamperedGraphIsReportedAsDivergence) {
   Config config;
   config.record = true;
   Controller::instance().configure(config);
+  start_recording();
   const auto queries = synthetic_queries();
   (void)run_queries(queries);
-  std::string trace = Controller::instance().take_trace();
+  std::string trace = take_recording();
 
   // Tamper: the waitall_order stream recorded 4-candidate decisions; claim 3
   // (still a well-formed document — only replay can catch the mismatch).
-  const std::size_t pos = trace.find("waitall_order 4");
+  const std::size_t pos = trace.find("waitall_order 0 4 ");
   ASSERT_NE(pos, std::string::npos);
-  trace.replace(pos, std::strlen("waitall_order 4"), "waitall_order 3");
+  trace.replace(pos, std::strlen("waitall_order 0 4 "), "waitall_order 0 3 ");
 
   obs::clear_diagnostics();
   std::string error;
@@ -402,14 +447,12 @@ TEST_F(SchedsimTest, DifferentialReplayOracleOverScenarioCorpus) {
     ASSERT_EQ(observed.size(), executions.size()) << scenario.name;
 
     // Replay every explored execution — the flipped ones are the point:
-    // their traces pin non-default decisions the free schedule never takes.
+    // their graphs pin non-default decisions the free schedule never takes.
     for (const schedsim::Execution& execution : executions) {
       flipped += execution.pinned > 0 ? 1 : 0;
-      ScheduleTrace trace;
-      trace.strategy = "dpor execution " + std::to_string(execution.index);
-      trace.entries = execution.trace;
       std::string error;
-      ASSERT_TRUE(controller.configure_replay_text(serialize_trace(trace), &error))
+      ASSERT_TRUE(
+          controller.configure_replay_text(schedsim::serialize_graph(execution.graph), &error))
           << scenario.name << ": " << error;
       obs::clear_diagnostics();
       const testsuite::ScenarioOutcome replayed =
@@ -467,9 +510,14 @@ TEST_F(SchedsimTest, DporExecutionsKeepVerdictsScheduleIndependent) {
 // ------------------------------- satellite 3: waitall order replay -------
 
 TEST_F(SchedsimTest, WakeupHeavyWaitallRecordsAndReplaysWaitallOrder) {
+  // A `record:` config arms the recorder for each capi session and writes
+  // its graph to the record path at the session's end.
   auto& controller = Controller::instance();
+  const std::string record_path = ::testing::TempDir() + "waitall_record.graph";
+  std::remove(record_path.c_str());
   Config config;
   config.record = true;
+  config.record_path = record_path;
   controller.configure(config);
 
   // Wakeup-heavy all-to-all: every rank irecvs from and isends to every
@@ -505,14 +553,20 @@ TEST_F(SchedsimTest, WakeupHeavyWaitallRecordsAndReplaysWaitallOrder) {
   };
 
   EXPECT_EQ(capi::total_races(capi::run_flavored(capi::Flavor::kMust, 4, all_to_all)), 0u);
+  EXPECT_FALSE(GraphRecorder::enabled());  // the session disarmed what it armed
+  const ExecutionGraph recorded_graph = GraphRecorder::instance().take_graph();
+  std::ifstream file(record_path);
+  std::stringstream file_text;
+  file_text << file.rdbuf();
+  EXPECT_EQ(file_text.str(), schedsim::serialize_graph(recorded_graph)) << record_path;
 
   // The regression this guards: waitall's processing order routes through
-  // the controller, so the trace of a wakeup-heavy run records it. Pin every
+  // the controller, so the graph of a wakeup-heavy run records it. Pin every
   // waitall_order decision away from the default (a selection step's
   // candidate count does not depend on earlier picks, so the whole stream
   // stays pinned) and record the perturbed run.
   std::vector<TraceEntry> prefix;
-  for (TraceEntry entry : controller.take_recorded()) {
+  for (TraceEntry entry : schedsim::decision_entries(recorded_graph)) {
     if (entry.site == Site::kWaitallOrder) {
       entry.chosen = entry.candidates - 1;
       prefix.push_back(entry);
@@ -523,7 +577,7 @@ TEST_F(SchedsimTest, WakeupHeavyWaitallRecordsAndReplaysWaitallOrder) {
   const auto recorded = capi::run_flavored(capi::Flavor::kMust, 4, all_to_all);
   EXPECT_EQ(capi::total_races(recorded), 0u);
   EXPECT_FALSE(controller.divergence().has_value()) << controller.divergence()->to_string();
-  const std::string trace = controller.take_trace();
+  const std::string trace = schedsim::serialize_graph(GraphRecorder::instance().take_graph());
   EXPECT_TRUE(trace.find("waitall_order") != std::string::npos) << trace;
 
   std::string error;

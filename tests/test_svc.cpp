@@ -249,14 +249,14 @@ TEST(SvcSession, MalformedFaultPlanFailsBeforeTheBody) {
   EXPECT_EQ(result.label, "bad-plan");
 }
 
-TEST(SvcSession, ReplayScheduleReadsItsTraceFile) {
-  // A replay schedule in the spec loads its trace like CUSAN_SCHEDULE does;
-  // an unreadable trace fails the session before the body runs.
-  const std::string path = ::testing::TempDir() + "svc_replay.trace";
-  schedsim::ScheduleTrace trace;
-  trace.strategy = "free";
+TEST(SvcSession, ReplayScheduleReadsItsGraphFile) {
+  // A replay schedule in the spec loads its graph like CUSAN_SCHEDULE does;
+  // an unreadable graph fails the session before the body runs.
+  const std::string path = ::testing::TempDir() + "svc_replay.graph";
+  schedsim::ExecutionGraph graph;
+  graph.strategy = "free";
   std::string error;
-  ASSERT_TRUE(obs::write_file(path, schedsim::serialize_trace(trace), &error)) << error;
+  ASSERT_TRUE(obs::write_file(path, schedsim::serialize_graph(graph), &error)) << error;
 
   bool ran = false;
   svc::SessionSpec spec;

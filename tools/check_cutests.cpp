@@ -32,9 +32,10 @@
 //   divergence-bug a false positive in a race-free scenario or a lost race —
 //                  schedule-dependent verdicts; counted as failures
 //
-// Non-identical executions can save their decision trace as a deterministic
-// reproducer (--schedule-dir=DIR; every saved trace replays with
-// CUSAN_SCHEDULE=replay:FILE, zero divergence). Fault plans compose: an
+// Non-identical executions can save their execution graph as a
+// deterministic reproducer (--schedule-dir=DIR writes one .graph file per
+// such execution; each replays with CUSAN_SCHEDULE=replay:FILE, zero
+// divergence, and lints with trace_lint --graph). Fault plans compose: an
 // execution with a fired fault is tagged `fault` and exempt from
 // classification, exactly like the baseline.
 //
@@ -82,7 +83,7 @@ struct ScheduleRun {
   std::uint64_t pinned{0};       ///< decisions pinned by the prefix
   double wall_ms{0.0};           ///< wall time of this schedule's run
   const char* cls{"identical"};  ///< identical | new-true-race | divergence-bug | fault
-  std::string trace_path;        ///< saved reproducer (--schedule-dir), if any
+  std::string reproducer_path;   ///< saved reproducer (--schedule-dir), if any
 };
 
 struct ScenarioRecord {
@@ -140,7 +141,7 @@ struct RunConfig {
   return "divergence-bug";
 }
 
-/// File-system safe scenario name for reproducer trace paths.
+/// File-system safe scenario name for reproducer graph paths.
 [[nodiscard]] std::string sanitize_name(const std::string& name) {
   std::string out = name;
   for (char& c : out) {
@@ -215,17 +216,14 @@ struct RunConfig {
     }
     if (std::strcmp(run.cls, "identical") != 0 && std::strcmp(run.cls, "fault") != 0 &&
         !config.schedule_dir.empty()) {
-      // Save the decision trace: CUSAN_SCHEDULE=replay:FILE reproduces it.
-      schedsim::ScheduleTrace trace;
-      trace.strategy = "dpor execution " + std::to_string(execution.index);
-      trace.entries = execution.trace;
+      // Save the execution graph: CUSAN_SCHEDULE=replay:FILE reproduces it.
       const std::string path = config.schedule_dir + "/" + sanitize_name(scenario.name) +
-                               ".dpor" + std::to_string(execution.index) + ".trace";
+                               ".dpor" + std::to_string(execution.index) + ".graph";
       std::string error;
-      if (!obs::write_file(path, serialize_trace(trace), &error)) {
+      if (!obs::write_file(path, schedsim::serialize_graph(execution.graph), &error)) {
         std::fprintf(stderr, "--schedule-dir: %s\n", error.c_str());
       } else {
-        run.trace_path = path;
+        run.reproducer_path = path;
       }
     }
     record.schedule_runs.push_back(run);
@@ -276,8 +274,8 @@ void print_record(const ScenarioRecord& record, std::size_t index, std::size_t t
       static_cast<unsigned long long>(record.fast.elided_launches),
       static_cast<double>(record.fast.elided_bytes) / 1024.0, sched_note.c_str(), detail);
   for (const ScheduleRun& run : record.schedule_runs) {
-    if (!run.trace_path.empty()) {
-      std::printf("  reproducer: %s\n", run.trace_path.c_str());
+    if (!run.reproducer_path.empty()) {
+      std::printf("  reproducer: %s\n", run.reproducer_path.c_str());
     }
   }
   if (record.diverged) {

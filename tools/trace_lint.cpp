@@ -1,18 +1,18 @@
 // Schema checker for the observability export artifacts: validates Chrome
 // trace_event JSON written via CUSAN_TRACE=perfetto:<path>, flat metrics
-// JSON written via CUSAN_METRICS=<path>, schedule decision traces written
-// via CUSAN_SCHEDULE=record:<path>, and execution graphs written via
-// CUSAN_SCHEDULE=...;graph:<path>. CI runs this over the testsuite
+// JSON written via CUSAN_METRICS=<path>, and execution graphs written via
+// CUSAN_SCHEDULE=record:<path> (the schedule reproducer that
+// CUSAN_SCHEDULE=replay:<path> reads). CI runs this over the testsuite
 // artifacts so a malformed export fails the build, not the person opening
-// ui.perfetto.dev (or replaying a trace).
+// ui.perfetto.dev (or replaying a schedule).
 //
 // --graph checks go beyond parsing: the versioned header must match, every
-// edge endpoint must name an existing node (dangling check), and the edge
-// relation must be acyclic — the recorder only emits forward edges, so a
-// cycle means the artifact was corrupted or hand-edited.
+// decision stream's seqs must run 0, 1, 2, ..., every edge endpoint must
+// name an existing node (dangling check), and the edge relation must be
+// acyclic — the recorder only emits forward edges, so a cycle means the
+// artifact was corrupted or hand-edited.
 //
-// Usage: trace_lint [--trace FILE]... [--metrics FILE]... [--schedule FILE]...
-//                   [--graph FILE]...
+// Usage: trace_lint [--trace FILE]... [--metrics FILE]... [--graph FILE]...
 // Exit 0 iff every file parses and matches its schema.
 #include <cstdio>
 #include <cstring>
@@ -20,7 +20,6 @@
 
 #include "obs/jsonlint.hpp"
 #include "schedsim/execution_graph.hpp"
-#include "schedsim/trace.hpp"
 
 namespace {
 
@@ -44,8 +43,7 @@ bool read_file(const char* path, std::string* out) {
 int main(int argc, char** argv) {
   if (argc < 2) {
     std::fprintf(stderr,
-                 "usage: %s [--trace FILE]... [--metrics FILE]... [--schedule FILE]... "
-                 "[--graph FILE]...\n",
+                 "usage: %s [--trace FILE]... [--metrics FILE]... [--graph FILE]...\n",
                  argv[0]);
     return 2;
   }
@@ -54,9 +52,8 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const bool is_trace = std::strcmp(argv[i], "--trace") == 0;
     const bool is_metrics = std::strcmp(argv[i], "--metrics") == 0;
-    const bool is_schedule = std::strcmp(argv[i], "--schedule") == 0;
     const bool is_graph = std::strcmp(argv[i], "--graph") == 0;
-    if (!is_trace && !is_metrics && !is_schedule && !is_graph) {
+    if (!is_trace && !is_metrics && !is_graph) {
       std::fprintf(stderr, "unknown flag: %s\n", argv[i]);
       return 2;
     }
@@ -81,17 +78,11 @@ int main(int argc, char** argv) {
     } else if (is_metrics) {
       ok = obs::jsonlint::validate_metrics_json(text, &error, &count);
       unit = "metric(s)";
-    } else if (is_graph) {
+    } else {
       schedsim::ExecutionGraph graph;
       ok = schedsim::parse_graph(text, &graph, &error) && schedsim::validate_graph(graph, &error);
       count = graph.nodes.size();
       edges = graph.edges.size();
-      unit = "node(s)";
-    } else {
-      schedsim::ScheduleTrace trace;
-      ok = schedsim::parse_trace(text, &trace, &error);
-      count = trace.entries.size();
-      unit = "decision(s)";
     }
     ++checked;
     if (ok && is_graph) {
