@@ -17,17 +17,18 @@ void set_log_level(LogLevel level);
 /// Emit one formatted line (level tag + message + newline) to stderr.
 void log_line(LogLevel level, std::string_view message);
 
-template <typename... Args>
-void logf(LogLevel level, std::string_view fmt, const Args&... args) {
-  if (level < log_level()) {
-    return;
-  }
-  log_line(level, format(fmt, args...));
-}
-
 }  // namespace common
 
-#define CUSAN_LOG_DEBUG(...) ::common::logf(::common::LogLevel::kDebug, __VA_ARGS__)
-#define CUSAN_LOG_INFO(...) ::common::logf(::common::LogLevel::kInfo, __VA_ARGS__)
-#define CUSAN_LOG_WARN(...) ::common::logf(::common::LogLevel::kWarn, __VA_ARGS__)
-#define CUSAN_LOG_ERROR(...) ::common::logf(::common::LogLevel::kError, __VA_ARGS__)
+/// Logs at `level`; the message arguments are evaluated only when the level
+/// passes the threshold.
+#define CUSAN_LOG_AT(level, ...)                                   \
+  do {                                                             \
+    if ((level) >= ::common::log_level()) {                        \
+      ::common::log_line((level), ::common::format(__VA_ARGS__));  \
+    }                                                              \
+  } while (false)
+
+#define CUSAN_LOG_DEBUG(...) CUSAN_LOG_AT(::common::LogLevel::kDebug, __VA_ARGS__)
+#define CUSAN_LOG_INFO(...) CUSAN_LOG_AT(::common::LogLevel::kInfo, __VA_ARGS__)
+#define CUSAN_LOG_WARN(...) CUSAN_LOG_AT(::common::LogLevel::kWarn, __VA_ARGS__)
+#define CUSAN_LOG_ERROR(...) CUSAN_LOG_AT(::common::LogLevel::kError, __VA_ARGS__)

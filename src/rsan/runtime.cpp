@@ -14,13 +14,18 @@ namespace rsan {
 
 namespace {
 
-[[nodiscard]] bool cells_equal(const ShadowCell* a, const ShadowCell* b) {
-  for (std::size_t s = 0; s < kShadowSlots; ++s) {
-    if (a[s].raw != b[s].raw) {
-      return false;
-    }
-  }
-  return true;
+/// The bytes of granule `g` of block `block_key` inside the access
+/// [base, base + size): a race on the granule is attributed to them, not to
+/// the whole annotated range.
+struct GranuleBytes {
+  std::uintptr_t addr;
+  std::size_t size;
+};
+[[nodiscard]] GranuleBytes granule_bytes(std::uintptr_t block_key, std::size_t g,
+                                         std::uintptr_t base, std::size_t size) {
+  const std::uintptr_t gaddr = (block_key * kGranulesPerBlock + g) * kGranuleBytes;
+  const std::uintptr_t lo = std::max(gaddr, base);
+  return {lo, std::min(gaddr + kGranuleBytes, base + size) - lo};
 }
 
 /// Eviction victim when every slot is valid and none is subsumable: the slot
@@ -180,6 +185,7 @@ void Runtime::reset_shadow_range(const void* addr, std::size_t size) {
     });
   }
   ++shadow_gen_;  // fast-path invalidation rule: reset invalidates all caches
+  flush_tally();   // a partial reset may materialize cells onto new pages
 }
 
 bool Runtime::proven_range(const void* addr, std::size_t size, bool is_write, const char* label,
@@ -259,7 +265,6 @@ void Runtime::check_only_block(const ShadowBlock& blk, std::uintptr_t block_key,
                                bool is_write, const char* label, const Context& cur,
                                std::uint64_t cur_clock, bool& reported_this_call,
                                bool& call_race_free) {
-  const ShadowCell* const block_cells = blk.cells.data();
   const auto check_granule = [&](const ShadowCell* cells, std::size_t g) {
     for (std::size_t s = 0; s < kShadowSlots; ++s) {
       const ShadowCell cell = cells[s];
@@ -277,10 +282,8 @@ void Runtime::check_only_block(const ShadowBlock& blk, std::uintptr_t block_key,
         call_race_free = false;
         if (!reported_this_call) {
           reported_this_call = true;
-          const std::uintptr_t gaddr = (block_key * kGranulesPerBlock + g) * kGranuleBytes;
-          const std::uintptr_t race_lo = std::max(gaddr, base);
-          const std::uintptr_t race_hi = std::min(gaddr + kGranuleBytes, base + size);
-          report_race(race_lo, race_hi - race_lo, is_write, label, cur_clock, cell);
+          const GranuleBytes at = granule_bytes(block_key, g, base, size);
+          report_race(at.addr, at.size, is_write, label, cur_clock, cell);
         }
       }
     }
@@ -297,7 +300,7 @@ void Runtime::check_only_block(const ShadowBlock& blk, std::uintptr_t block_key,
       g = sum.hi;  // loop increment moves to sum.hi + 1
       continue;
     }
-    check_granule(block_cells + g * kShadowSlots, g);
+    check_granule(blk.cells(g), g);
   }
 }
 
@@ -463,9 +466,11 @@ bool Runtime::try_fast_block(ShadowBlock& blk, std::uintptr_t block_key, std::si
     return false;  // disjoint: the whole segment takes the reference scan
   }
   // Every granule in [sum.lo, sum.hi] holds identical cells, so the reference
-  // per-granule scan has one outcome for the whole covered span; run it once
-  // on the snapshot. The branch structure mirrors slow_block() exactly.
+  // per-granule scan has one outcome for the whole covered span, races
+  // included; run it once on the snapshot. The branch structure mirrors
+  // slow_block() exactly.
   int store_slot = -1;
+  ShadowCell racing{};  // first racing slot in slot order, if any
   for (std::size_t s = 0; s < kShadowSlots; ++s) {
     const ShadowCell cell = sum.cells[s];
     if (!cell.valid()) {
@@ -484,8 +489,8 @@ bool Runtime::try_fast_block(ShadowBlock& blk, std::uintptr_t block_key, std::si
     if (!is_write && !cell.is_write()) {
       continue;
     }
-    if (cell.clock() > (cur.clock.get(prev_ctx) & ShadowCell::kClockMask)) {
-      return false;  // racing segment: report + count on the reference path
+    if (cell.clock() > (cur.clock.get(prev_ctx) & ShadowCell::kClockMask) && !racing.valid()) {
+      racing = cell;
     }
   }
   if (store_slot < 0) {
@@ -506,16 +511,26 @@ bool Runtime::try_fast_block(ShadowBlock& blk, std::uintptr_t block_key, std::si
     slow_block(blk, block_key, g_lo, fast_lo - 1, base, size, is_write, label, cur, cur_clock,
                fresh, reported_this_call, call_race_free, /*update_summary=*/false);
   }
+  if (racing.valid()) {
+    // Every granule of the span races; the reference scan reports the first,
+    // fast_lo, unless a granule before it already reported this call.
+    call_race_free = false;
+    if (!reported_this_call) {
+      reported_this_call = true;
+      const GranuleBytes at = granule_bytes(block_key, fast_lo, base, size);
+      report_race(at.addr, at.size, is_write, label, cur_clock, racing);
+    }
+  }
   if (sum.cells[static_cast<std::size_t>(store_slot)].raw != fresh.raw) {
     // The summary is the state of [sum.lo, sum.hi], so storing `fresh` is one
     // summary slot, not a slot in each granule. The span's granules outside
     // [fast_lo, fast_hi] keep the old cells: materialize them, then shrink
     // the summary to the span just stored.
     if (sum.lo < fast_lo) {
-      blk.materialize(sum.lo, fast_lo - 1);
+      shadow_.materialize(blk, sum.lo, fast_lo - 1);
     }
     if (fast_hi < sum.hi) {
-      blk.materialize(fast_hi + 1, sum.hi);
+      shadow_.materialize(blk, fast_hi + 1, sum.hi);
     }
     blk.summary.cells[static_cast<std::size_t>(store_slot)] = fresh;
     blk.summary.lo = static_cast<std::uint16_t>(fast_lo);
@@ -537,18 +552,14 @@ void Runtime::slow_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_t
                          const char* label, const Context& cur, std::uint64_t cur_clock,
                          ShadowCell fresh, bool& reported_this_call, bool& call_race_free,
                          bool update_summary) {
+  // try_fast_block() takes every segment that overlaps the summary span, so
+  // the granules scanned here hold their state in their raw cells. Every one
+  // of them is stored into, which allocates its cell page.
   const bool fast = config_.use_shadow_fast_path && update_summary;
-  if (fast && blk.summary.overlaps(g_lo, g_hi)) {
-    // A racing segment overlapping the summary span: the scan below reads
-    // raw cells, so give the overlap its summarized state first.
-    blk.materialize(std::max<std::size_t>(g_lo, blk.summary.lo),
-                    std::min<std::size_t>(g_hi, blk.summary.hi));
-  }
-  ShadowCell* const block_cells = blk.cells.data();
-  const ShadowCell* const rep = block_cells + g_lo * kShadowSlots;
+  const ShadowCell* const rep = shadow_.writable_cells(blk, g_lo);
   bool uniform = true;
   for (std::size_t g = g_lo; g <= g_hi; ++g) {
-    ShadowCell* cells = block_cells + g * kShadowSlots;
+    ShadowCell* const cells = shadow_.writable_cells(blk, g);
     int store_slot = -1;
     for (std::size_t s = 0; s < kShadowSlots; ++s) {
       ShadowCell& cell = cells[s];
@@ -576,12 +587,8 @@ void Runtime::slow_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_t
         call_race_free = false;
         if (!reported_this_call) {
           reported_this_call = true;
-          // Attribute the race to the conflicting granule's bytes clipped to
-          // the current access, not the whole annotated range.
-          const std::uintptr_t gaddr = (block_key * kGranulesPerBlock + g) * kGranuleBytes;
-          const std::uintptr_t race_lo = std::max(gaddr, base);
-          const std::uintptr_t race_hi = std::min(gaddr + kGranuleBytes, base + size);
-          report_race(race_lo, race_hi - race_lo, is_write, label, cur_clock, cell);
+          const GranuleBytes at = granule_bytes(block_key, g, base, size);
+          report_race(at.addr, at.size, is_write, label, cur_clock, cell);
         }
       }
     }
@@ -593,7 +600,7 @@ void Runtime::slow_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_t
       ++tally_.slot_evictions;
     }
     cells[store_slot] = fresh;
-    if (fast && uniform && g != g_lo && !cells_equal(cells, rep)) {
+    if (fast && uniform && g != g_lo && !std::equal(cells, cells + kShadowSlots, rep)) {
       uniform = false;
     }
   }
@@ -628,8 +635,8 @@ void Runtime::slow_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_t
   const std::size_t frag_hi = left_wins ? left_hi : right_hi;
   // (materialize() of an empty lo > hi fragment stores nothing.)
   if (new_width >= width(frag_lo, frag_hi)) {
-    blk.materialize(left_lo, left_hi);
-    blk.materialize(right_lo, right_hi);
+    shadow_.materialize(blk, left_lo, left_hi);
+    shadow_.materialize(blk, right_lo, right_hi);
     if (uniform) {
       std::copy(rep, rep + kShadowSlots, blk.summary.cells.begin());
       blk.summary.lo = static_cast<std::uint16_t>(g_lo);
@@ -640,9 +647,9 @@ void Runtime::slow_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_t
     }
   } else {
     if (left_wins) {
-      blk.materialize(right_lo, right_hi);
+      shadow_.materialize(blk, right_lo, right_hi);
     } else {
-      blk.materialize(left_lo, left_hi);
+      shadow_.materialize(blk, left_lo, left_hi);
     }
     blk.summary.lo = static_cast<std::uint16_t>(frag_lo);
     blk.summary.hi = static_cast<std::uint16_t>(frag_hi);
@@ -664,6 +671,10 @@ void Runtime::flush_tally() {
   flush(tally_.proven_block_skips, metrics_.proven_block_skips);
   flush(tally_.region_checks, metrics_.region_checks);
   flush(tally_.slot_evictions, metrics_.slot_evictions);
+  if (shadow_.cell_pages() != cell_pages_counted_) {
+    metrics_.cell_pages.add(shadow_.cell_pages() - cell_pages_counted_);
+    cell_pages_counted_ = shadow_.cell_pages();
+  }
 }
 
 void Runtime::record_history(Context& ctx, std::uintptr_t base, std::size_t size, bool is_write,

@@ -236,6 +236,8 @@ class Runtime {
     /// may have forgotten a conflicting epoch, which is why the prove-elide
     /// differential oracle keys its strictness on it.
     obs::Counter& slot_evictions = registry.counter("rsan.slot_evictions");
+    /// Raw-cell pages allocated (one per 128 granules first written).
+    obs::Counter& cell_pages = registry.counter("rsan.cell_pages");
   };
 
   /// Per-block and per-granule events of one range call, summed here and
@@ -328,6 +330,8 @@ class Runtime {
   std::unordered_map<std::uintptr_t, VectorClock> sync_objects_;
   Metrics metrics_;
   Tally tally_;
+  /// shadow_.cell_pages() when flush_tally() last added to rsan.cell_pages.
+  std::size_t cell_pages_counted_{0};
   std::uint64_t proven_calls_{0};
   SuppressionList suppressions_;
   std::vector<RaceReport> reports_;

@@ -1,42 +1,17 @@
 #include "rsan/shadow.hpp"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <utility>
 
 namespace rsan {
 
-namespace {
-
-/// Anonymous demand-zero pages, deliberately not malloc/calloc: glibc's
-/// sliding mmap threshold turns repeated large callocs into heap recycling +
-/// full memset after the first free.
-[[nodiscard]] void* map_zero(std::size_t bytes) {
-  void* p = ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-  return p == MAP_FAILED ? nullptr : p;
-}
-
-}  // namespace
-
-ShadowBlock* ShadowMemory::allocate_block() {
-  if (slabs_.empty() || slabs_.back().headers.size() == kBlocksPerSlab) {
-    void* cells = map_zero(kSlabCellBytes);
-    if (cells == nullptr) {
-      return nullptr;
+void ShadowMemory::store_cells(ShadowBlock& blk, std::size_t lo, std::size_t hi,
+                               const GranuleCells& pattern) {
+  for (std::size_t g = lo; g <= hi; ++g) {
+    if (!std::equal(pattern.begin(), pattern.end(), blk.cells(g))) {
+      std::copy(pattern.begin(), pattern.end(), writable_cells(blk, g));
     }
-    slabs_.push_back(Slab{static_cast<ShadowCell*>(cells), {}});
-    slabs_.back().headers.reserve(kBlocksPerSlab);
   }
-  Slab& slab = slabs_.back();
-  ShadowCell* const cells = slab.cells + slab.headers.size() * kBlockCells;
-  ShadowBlock& blk =
-      slab.headers.emplace_back(std::span<ShadowCell, kBlockCells>{cells, kBlockCells});
-  if (summaries_) {
-    blk.summary.reset_whole_block();
-    blk.summary.deferred = false;  // the mapped-zero raw cells agree already
-  }
-  return &blk;
 }
 
 ShadowBlock* ShadowMemory::lookup_or_create(std::uintptr_t key) {
@@ -49,10 +24,13 @@ ShadowBlock* ShadowMemory::lookup_or_create(std::uintptr_t key) {
     ++denied_blocks_;
     return nullptr;
   }
-  ShadowBlock* blk = allocate_block();
-  if (blk == nullptr) {
-    ++denied_blocks_;
-    return nullptr;
+  if (slabs_.empty() || slabs_.back().size() == kBlocksPerSlab) {
+    slabs_.emplace_back().reserve(kBlocksPerSlab);
+  }
+  ShadowBlock* const blk = &slabs_.back().emplace_back();
+  if (summaries_) {
+    blk->summary.reset_whole_block();
+    blk->summary.deferred = false;  // the missing cell pages read empty already
   }
   if (2 * (block_count_ + 1) > index_.size()) {
     std::vector<Slot> old =
@@ -111,20 +89,20 @@ void ShadowMemory::reset_range(std::uintptr_t base, std::size_t extent) {
       const std::size_t hi = static_cast<std::size_t>(seg_last - key * kGranulesPerBlock);
       BlockSummary& sum = blk->summary;
       if (summaries_ && lo == 0 && hi == kGranulesPerBlock - 1) {
-        sum.reset_whole_block();  // the raw cells become don't-care: no 16 KiB fill
+        sum.reset_whole_block();  // the raw cells become don't-care: none is written
       } else {
         if (sum.overlaps(lo, hi)) {
           // The span's granules outside the segment keep the summary's
           // state; a summary disjoint from the segment stays as it is.
           if (sum.lo < lo) {
-            blk->materialize(sum.lo, std::min<std::size_t>(sum.hi, lo - 1));
+            materialize(*blk, sum.lo, std::min<std::size_t>(sum.hi, lo - 1));
           }
           if (hi < sum.hi) {
-            blk->materialize(std::max<std::size_t>(sum.lo, hi + 1), sum.hi);
+            materialize(*blk, std::max<std::size_t>(sum.lo, hi + 1), sum.hi);
           }
           sum.invalidate();
         }
-        blk->store_cells(lo, hi, {});
+        store_cells(*blk, lo, hi, kEmptyGranule);
       }
     }
     if (seg_last == last_granule) {
@@ -139,12 +117,10 @@ void ShadowMemory::reset_range(std::uintptr_t base, std::size_t extent) {
 }
 
 void ShadowMemory::clear() {
-  for (const Slab& slab : slabs_) {
-    ::munmap(slab.cells, kSlabCellBytes);
-  }
-  slabs_.clear();
+  slabs_.clear();  // frees every cell page with its header
   index_ = {};
   block_count_ = 0;
+  cell_pages_ = 0;
   denied_blocks_ = 0;
   cached_block_ = nullptr;
   cached_key_ = ~std::uintptr_t{0};

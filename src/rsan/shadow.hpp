@@ -3,20 +3,21 @@
 // small fixed number of shadow cells recording the most recent accesses as
 // (context, epoch, access-kind) triples packed into 64 bits.
 //
-// A shadow block covers 4 KiB of application memory and is split in two: a
-// small malloc'd header (the block summary plus a view of the raw cells) and
-// 16 KiB of raw cells carved from a demand-zero mmap'd slab. One
-// open-addressing index maps block keys to headers. Blocks are created on
-// first touch, and a fresh or whole-block-reset block writes only its
-// header, so a raw-cell page is faulted in only when a granule scan or a
-// materialization writes it. Reserved shadow and setup/teardown cost thus
-// stay proportional to the memory actually tracked (paper Fig. 11/12).
+// A shadow block covers 4 KiB of application memory. Its header (the block
+// summary and four cell-page pointers) sits in a per-slab header array, and
+// one open-addressing index maps block keys to headers. The block's 16 KiB
+// of raw cells are four 4 KiB heap pages, each allocated and zeroed on the
+// first write to one of its granules; a missing page reads as empty cells.
+// A fresh or whole-block-reset block is its summary alone, so a block whose
+// granules stay summarized owns no cell page. Reserved shadow and
+// setup/teardown cost thus stay proportional to the memory actually tracked
+// (paper Fig. 11/12).
 #pragma once
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <span>
+#include <memory>
 #include <vector>
 
 #include "rsan/clock.hpp"
@@ -48,6 +49,7 @@ struct ShadowCell {
   [[nodiscard]] bool is_write() const { return (raw & kWriteBit) != 0; }
   [[nodiscard]] CtxId ctx() const { return static_cast<CtxId>((raw >> kCtxShift) & kCtxMask); }
   [[nodiscard]] std::uint64_t clock() const { return raw & kClockMask; }
+  [[nodiscard]] bool operator==(const ShadowCell&) const = default;
 };
 
 /// Number of shadow cells per 8-byte granule (ThreadSanitizer uses 4).
@@ -58,21 +60,32 @@ inline constexpr std::size_t kGranuleBytes = 8;
 inline constexpr std::size_t kBlockAppBytes = 4096;
 inline constexpr std::size_t kGranulesPerBlock = kBlockAppBytes / kGranuleBytes;
 inline constexpr std::size_t kBlockCells = kGranulesPerBlock * kShadowSlots;
+/// Raw cells are allocated in 4 KiB pages, kCellPages to a block.
+inline constexpr std::size_t kCellsPerPage = 4096 / sizeof(ShadowCell);
+inline constexpr std::size_t kGranulesPerCellPage = kCellsPerPage / kShadowSlots;
+inline constexpr std::size_t kCellPages = kBlockCells / kCellsPerPage;
+
+/// The cells of one granule.
+using GranuleCells = std::array<ShadowCell, kShadowSlots>;
+/// What every granule on a missing cell page reads as: shared, read-only
+/// and empty.
+inline constexpr GranuleCells kEmptyGranule{};
 
 /// Per-block uniform summary, maintained by the runtime's shadow fast path
 /// (see rsan::Runtime::access_range). For granules in [lo, hi] the summary's
 /// cells ARE the shadow state: once a store went to the summary alone
 /// (`deferred`), the raw per-granule cells there are don't-care until the
 /// span shrinks, and only then are the dropped granules materialized
-/// (ShadowBlock::materialize). One representative scan of the summary
+/// (ShadowMemory::materialize). One representative scan of the summary
 /// decides a whole segment inside the span. `lo > hi` means "no summary";
 /// summaries exist only in a ShadowMemory built with summaries on.
 struct BlockSummary {
-  std::array<ShadowCell, kShadowSlots> cells{};  ///< contents of every granule in [lo, hi]
-  std::uint16_t lo{1};                           ///< first granule index covered
-  std::uint16_t hi{0};                           ///< last granule index covered
+  GranuleCells cells{};     ///< contents of every granule in [lo, hi]
+  std::uint16_t lo{1};      ///< first granule index covered
+  std::uint16_t hi{0};      ///< last granule index covered
   /// Raw cells in [lo, hi] may differ from `cells`. False when they were
-  /// just written by a scan, or are the mapped-zero cells of a fresh block.
+  /// just written by a scan, or are the missing (empty) pages of a fresh
+  /// block.
   bool deferred{false};
 
   [[nodiscard]] bool covers(std::size_t g_lo, std::size_t g_hi) const {
@@ -95,40 +108,26 @@ struct BlockSummary {
   }
 };
 
-/// A block's header. It lives apart from the block's raw cells, so writing
-/// the summary faults in no raw-cell page.
+/// A block's header: its summary and its raw cells, which live apart in
+/// pages allocated on first write, so writing the summary allocates nothing.
 struct ShadowBlock {
   BlockSummary summary{};
-  std::span<ShadowCell, kBlockCells> cells;  ///< cells[granule * kShadowSlots + slot]
+  /// Raw cells, kGranulesPerCellPage granules to a page. A null page holds
+  /// only empty cells.
+  std::array<std::unique_ptr<ShadowCell[]>, kCellPages> pages;
 
-  explicit ShadowBlock(std::span<ShadowCell, kBlockCells> raw) : cells(raw) {}
-
-  /// Write `pattern` into the raw cells of granules [lo, hi], storing only
-  /// the cells that differ: empty cells over demand-zero slab pages then
-  /// fault no page in.
-  void store_cells(std::size_t lo, std::size_t hi,
-                   const std::array<ShadowCell, kShadowSlots>& pattern) {
-    for (std::size_t g = lo; g <= hi; ++g) {
-      for (std::size_t s = 0; s < kShadowSlots; ++s) {
-        ShadowCell& cell = cells[g * kShadowSlots + s];
-        if (cell.raw != pattern[s].raw) {
-          cell = pattern[s];
-        }
-      }
-    }
-  }
-  /// Granules [lo, hi] (inside the summary span) are about to leave the
-  /// summary: give them the summary's cells as their raw state. An empty
-  /// lo > hi range stores nothing.
-  void materialize(std::size_t lo, std::size_t hi) {
-    if (summary.deferred) {
-      store_cells(lo, hi, summary.cells);
-    }
+  /// The raw cells of granule `g` (read-only; a granule on a missing page
+  /// reads as kEmptyGranule).
+  [[nodiscard]] const ShadowCell* cells(std::size_t g) const {
+    const ShadowCell* page = pages[g / kGranulesPerCellPage].get();
+    return page == nullptr ? kEmptyGranule.data()
+                           : page + (g % kGranulesPerCellPage) * kShadowSlots;
   }
 };
 
-/// What one resident block costs: its header plus its raw cells. The block
-/// budget and resident_bytes() count in these units.
+/// What one resident block costs when all its cells are written: its header
+/// plus its raw cells. The block budget and resident_bytes() count in these
+/// units.
 inline constexpr std::size_t kShadowBlockBytes =
     sizeof(ShadowBlock) + sizeof(ShadowCell) * kBlockCells;
 
@@ -138,7 +137,6 @@ class ShadowMemory {
   /// a block a reset covers whole, is one empty whole-block summary instead
   /// of 16 KiB of written cells.
   explicit ShadowMemory(bool summaries = false) : summaries_(summaries) {}
-  ~ShadowMemory() { clear(); }
   ShadowMemory(const ShadowMemory&) = delete;
   ShadowMemory& operator=(const ShadowMemory&) = delete;
 
@@ -172,16 +170,35 @@ class ShadowMemory {
     if (blk == nullptr) {
       return nullptr;
     }
-    blk->materialize(blk->summary.lo, blk->summary.hi);
+    materialize(*blk, blk->summary.lo, blk->summary.hi);
     blk->summary.invalidate();
-    const std::size_t granule_idx = (addr % kBlockAppBytes) / kGranuleBytes;
-    return blk->cells.data() + granule_idx * kShadowSlots;
+    return writable_cells(*blk, (addr % kBlockAppBytes) / kGranuleBytes);
+  }
+
+  /// Writable raw cells of granule `g` of `blk`: allocates and zeroes the
+  /// granule's cell page on its first write.
+  [[nodiscard]] ShadowCell* writable_cells(ShadowBlock& blk, std::size_t g) {
+    std::unique_ptr<ShadowCell[]>& page = blk.pages[g / kGranulesPerCellPage];
+    if (page == nullptr) {
+      page = std::make_unique<ShadowCell[]>(kCellsPerPage);
+      ++cell_pages_;
+    }
+    return page.get() + (g % kGranulesPerCellPage) * kShadowSlots;
+  }
+
+  /// Granules [lo, hi] of `blk` (inside the summary span) are about to leave
+  /// the summary: give them the summary's cells as their raw state. An empty
+  /// lo > hi range stores nothing.
+  void materialize(ShadowBlock& blk, std::size_t lo, std::size_t hi) {
+    if (blk.summary.deferred) {
+      store_cells(blk, lo, hi, blk.summary.cells);
+    }
   }
 
   /// Shadow state of the granule containing `addr`: the summary's cells
   /// inside a summarized span, the raw cells elsewhere, all-invalid if the
   /// block was never touched (read-only; does not allocate).
-  [[nodiscard]] std::array<ShadowCell, kShadowSlots> load(std::uintptr_t addr) const {
+  [[nodiscard]] GranuleCells load(std::uintptr_t addr) const {
     const ShadowBlock* blk = find(addr / kBlockAppBytes);
     if (blk == nullptr) {
       return {};
@@ -190,8 +207,8 @@ class ShadowMemory {
     if (blk->summary.covers(granule_idx, granule_idx)) {
       return blk->summary.cells;
     }
-    std::array<ShadowCell, kShadowSlots> out;
-    std::copy_n(blk->cells.data() + granule_idx * kShadowSlots, kShadowSlots, out.begin());
+    GranuleCells out;
+    std::copy_n(blk->cells(granule_idx), kShadowSlots, out.begin());
     return out;
   }
 
@@ -206,8 +223,10 @@ class ShadowMemory {
   [[nodiscard]] std::size_t resident_blocks() const { return block_count_; }
   /// Reserved shadow bytes (blocks × kShadowBlockBytes). What the shadow
   /// adds to RSS can be lower: a block whose granules stay summarized never
-  /// writes its raw cells, so their demand-zero slab pages are never faulted in.
+  /// writes its raw cells, so it owns no cell page.
   [[nodiscard]] std::size_t resident_bytes() const { return block_count_ * kShadowBlockBytes; }
+  /// Cell pages allocated since the last clear() (all still held).
+  [[nodiscard]] std::size_t cell_pages() const { return cell_pages_; }
 
   /// Cap the number of resident shadow blocks (0 = unlimited). When the cap
   /// is hit, first-touch lookups return nullptr instead of allocating —
@@ -225,15 +244,7 @@ class ShadowMemory {
     std::uintptr_t key{0};
     ShadowBlock* blk{nullptr};
   };
-  /// Raw cells of kBlocksPerSlab blocks (one anonymous mmap, ~1 MiB, so a
-  /// fresh block is demand-zero kernel pages, not a 16 KiB memset) and their
-  /// headers, reserved up front so header addresses never move.
-  struct Slab {
-    ShadowCell* cells;
-    std::vector<ShadowBlock> headers;
-  };
   static constexpr std::size_t kBlocksPerSlab = 64;
-  static constexpr std::size_t kSlabCellBytes = kBlocksPerSlab * kBlockCells * sizeof(ShadowCell);
   static constexpr std::size_t kMinIndexSlots = 64;
 
   [[nodiscard]] ShadowBlock* lookup_or_create(std::uintptr_t key);
@@ -246,14 +257,20 @@ class ShadowMemory {
     return (key ^ (key >> 20)) & (index_.size() - 1);
   }
   void insert(std::uintptr_t key, ShadowBlock* blk);
-  [[nodiscard]] ShadowBlock* allocate_block();
+  /// Give granules [lo, hi] of `blk` the raw cells `pattern`. A granule that
+  /// already holds them is not written, so storing empty cells over a
+  /// missing page allocates nothing.
+  void store_cells(ShadowBlock& blk, std::size_t lo, std::size_t hi, const GranuleCells& pattern);
 
   /// Linear probing over a power-of-two table at load <= 1/2, doubled when
   /// a new block would pass that load.
   std::vector<Slot> index_;
-  std::vector<Slab> slabs_;
+  /// Block headers, kBlocksPerSlab to an array reserved up front so header
+  /// addresses never move.
+  std::vector<std::vector<ShadowBlock>> slabs_;
   bool summaries_{false};
   std::size_t block_count_{0};
+  std::size_t cell_pages_{0};
   std::size_t block_budget_{0};
   std::uint64_t denied_blocks_{0};
   std::uintptr_t cached_key_{~std::uintptr_t{0}};

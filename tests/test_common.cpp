@@ -1,8 +1,11 @@
 // Unit tests for the common utility module.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/format.hpp"
 #include "common/interval_map.hpp"
+#include "common/log.hpp"
 #include "common/memstats.hpp"
 #include "common/rng.hpp"
 #include "common/table.hpp"
@@ -153,6 +156,24 @@ TEST(TimerTest, MeasuresElapsedTime) {
   }
   EXPECT_GE(timer.elapsed_seconds(), 0.0);
   EXPECT_GE(timer.elapsed_ms(), 0.0);
+}
+
+TEST(LogTest, MacroEvaluatesArgumentsOnlyAboveThreshold) {
+  const common::LogLevel saved = common::log_level();
+  int formatted = 0;
+  const auto message = [&formatted] {
+    ++formatted;
+    return std::string{"message"};
+  };
+  common::set_log_level(common::LogLevel::kOff);
+  CUSAN_LOG_ERROR("{}", message());
+  EXPECT_EQ(formatted, 0);
+  common::set_log_level(common::LogLevel::kWarn);
+  CUSAN_LOG_INFO("{}", message());
+  EXPECT_EQ(formatted, 0);
+  CUSAN_LOG_WARN("{}", message());
+  EXPECT_EQ(formatted, 1);
+  common::set_log_level(saved);
 }
 
 }  // namespace

@@ -362,6 +362,9 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided, bool widened)
     EXPECT_EQ(f.current.clock, s.current.clock) << "seed " << seed << " report " << i;
     EXPECT_EQ(f.previous.clock, s.previous.clock) << "seed " << seed << " report " << i;
     EXPECT_EQ(f.current.label, s.current.label) << "seed " << seed << " report " << i;
+    EXPECT_EQ(f.previous.label, s.previous.label) << "seed " << seed << " report " << i;
+    EXPECT_EQ(f.current.is_write, s.current.is_write) << "seed " << seed << " report " << i;
+    EXPECT_EQ(f.previous.is_write, s.previous.is_write) << "seed " << seed << " report " << i;
     EXPECT_EQ(f.addr, n.addr) << "seed " << seed << " report " << i;
     EXPECT_EQ(f.access_size, n.size) << "seed " << seed << " report " << i;
     EXPECT_EQ(f.current.ctx, n.cur) << "seed " << seed << " report " << i;

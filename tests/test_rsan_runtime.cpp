@@ -2,7 +2,9 @@
 // tracking, race detection/reporting and its configuration knobs.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <utility>
 
 #include "rsan/runtime.hpp"
 #include "metric_value.hpp"
@@ -508,8 +510,8 @@ std::uintptr_t granule_addr(const std::byte* page, std::size_t g) {
 }
 
 bool raw_cells_zero(const rsan::ShadowBlock& blk, std::size_t g_lo, std::size_t g_hi) {
-  for (std::size_t i = g_lo * rsan::kShadowSlots; i < (g_hi + 1) * rsan::kShadowSlots; ++i) {
-    if (blk.cells[i].raw != 0) {
+  for (std::size_t g = g_lo; g <= g_hi; ++g) {
+    if (!std::equal(rsan::kEmptyGranule.begin(), rsan::kEmptyGranule.end(), blk.cells(g))) {
       return false;
     }
   }
@@ -560,6 +562,10 @@ TEST_F(DeferredStoreTest, FirstWholeBlockTouchIsABlockHit) {
   EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_misses"), 0u);
   EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_granules_elided"),
             rsan::kGranulesPerBlock);
+  // The block stays on its summary; the reference scan writes every granule,
+  // which allocates each of the block's cell pages.
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.cell_pages"), 0u);
+  EXPECT_EQ(metric_value(reference_metrics, "rsan.cell_pages"), rsan::kCellPages);
   expect_same_block_state(fast, reference, page);
 }
 
@@ -592,7 +598,7 @@ TEST_F(DeferredStoreTest, PartialAccessMaterializesExactlyTheDroppedFragments) {
   const rsan::ShadowCell first = reference.shadow().load(granule_addr(page, 0))[0];
   for (const std::size_t g : {std::size_t{0}, std::size_t{99}, std::size_t{200},
                               rsan::kGranulesPerBlock - 1}) {
-    EXPECT_EQ(blk->cells[g * rsan::kShadowSlots].raw, first.raw) << "granule " << g;
+    EXPECT_EQ(blk->cells(g)[0].raw, first.raw) << "granule " << g;
   }
   expect_same_block_state(fast, reference, page);
 }
@@ -601,16 +607,50 @@ TEST_F(DeferredStoreTest, RacingSegmentInsideSummaryMatchesReference) {
   // Created before the host write, so the fiber's write is unordered with it.
   const auto fiber_fast = fast.create_fiber(CtxKind::kStreamFiber, "s");
   const auto fiber_ref = reference.create_fiber(CtxKind::kStreamFiber, "s");
-  write(0, rsan::kBlockAppBytes);
+  fast.write_range(page, rsan::kBlockAppBytes, "host write");
+  reference.write_range(page, rsan::kBlockAppBytes, "host write");
   fast.switch_to_fiber(fiber_fast);
   reference.switch_to_fiber(fiber_ref);
-  fast.write_range(page + 64 * rsan::kGranuleBytes, 32 * rsan::kGranuleBytes);
-  reference.write_range(page + 64 * rsan::kGranuleBytes, 32 * rsan::kGranuleBytes);
+  // The racing span is exactly cell page 1 of the block, inside the summary.
+  std::byte* const racing = page + rsan::kGranulesPerCellPage * rsan::kGranuleBytes;
+  const std::size_t racing_bytes = rsan::kGranulesPerCellPage * rsan::kGranuleBytes - 3;
+  fast.write_range(racing + 3, racing_bytes, "fiber write");
+  reference.write_range(racing + 3, racing_bytes, "fiber write");
   EXPECT_EQ(metric_value(fast_metrics, "rsan.races_detected"), 1u);
   EXPECT_EQ(metric_value(reference_metrics, "rsan.races_detected"), 1u);
+  // Decided on the summary: a block hit, not a per-granule scan.
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_misses"), 0u);
   ASSERT_EQ(fast.reports().size(), 1u);
-  EXPECT_EQ(fast.reports()[0].addr, reference.reports()[0].addr);
+  ASSERT_EQ(reference.reports().size(), 1u);
+  const rsan::RaceReport& f = fast.reports()[0];
+  const rsan::RaceReport& r = reference.reports()[0];
+  EXPECT_EQ(f.addr, reinterpret_cast<std::uintptr_t>(racing + 3));
+  EXPECT_EQ(f.addr, r.addr);
+  EXPECT_EQ(f.access_size, r.access_size);
+  for (const auto& [fa, ra] : {std::pair{f.current, r.current}, std::pair{f.previous, r.previous}}) {
+    EXPECT_EQ(fa.ctx, ra.ctx);
+    EXPECT_EQ(fa.clock, ra.clock);
+    EXPECT_EQ(fa.label, ra.label);
+    EXPECT_EQ(fa.is_write, ra.is_write);
+  }
+  EXPECT_EQ(f.current.label, "fiber write");
+  EXPECT_EQ(f.previous.label, "host write");
   expect_same_block_state(fast, reference, page);
+  // The racing span lives in the summary: its cell page was never allocated.
+  const rsan::ShadowBlock* blk = fast.shadow().block_if_present(granule_addr(page, 0));
+  ASSERT_NE(blk, nullptr);
+  EXPECT_EQ(blk->pages[1], nullptr);
+}
+
+TEST_F(DeferredStoreTest, CheckOnlyScanAllocatesNoCellPage) {
+  // The reference runtime keeps no summary, so the check-only scan reads raw
+  // cells; the ones on the three pages nobody wrote read as empty.
+  reference.write_range(page, rsan::kGranuleBytes);
+  EXPECT_EQ(reference.shadow().cell_pages(), 1u);
+  EXPECT_TRUE(reference.proven_range(page, rsan::kBlockAppBytes, /*is_write=*/true, "proven",
+                                     /*check=*/true));
+  EXPECT_EQ(reference.shadow().cell_pages(), 1u);
+  EXPECT_EQ(metric_value(reference_metrics, "rsan.cell_pages"), 1u);
 }
 
 TEST_F(DeferredStoreTest, PartialResetKeepsTheRestOfTheSpan) {

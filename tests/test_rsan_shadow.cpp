@@ -1,11 +1,8 @@
 // Unit tests for the shadow memory (lazy blocks, granule addressing, reset,
-// the block index and the raw-cell pages a block faults in).
+// the block index and the raw-cell pages a block allocates on write).
 #include <gtest/gtest.h>
-#include <sys/mman.h>
-#include <unistd.h>
 
 #include <algorithm>
-#include <vector>
 
 #include "rsan/shadow.hpp"
 
@@ -175,7 +172,7 @@ TEST(ShadowMemoryTest, FreshBlockIsAnEmptyWholeBlockSummary) {
   const rsan::ShadowBlock* blk = shadow.block(0xB000);
   ASSERT_NE(blk, nullptr);
   EXPECT_TRUE(blk->summary.covers(0, rsan::kGranulesPerBlock - 1));
-  EXPECT_FALSE(blk->summary.deferred);  // mapped-zero raw cells already agree
+  EXPECT_FALSE(blk->summary.deferred);  // the missing cell pages read empty already
   EXPECT_FALSE(shadow.load(0xB000 + 8 * kGranuleBytes)[0].valid());
   // Without summaries a fresh block has none.
   ShadowMemory plain;
@@ -188,7 +185,7 @@ TEST(ShadowMemoryTest, LoadReadsTheSummaryInsideItsSpan) {
   blk->summary.cells[1] = ShadowCell::make(2, 5, true);
   blk->summary.lo = 4;
   blk->summary.hi = 9;
-  blk->cells[10 * kShadowSlots] = ShadowCell::make(3, 6, false);  // outside the span
+  shadow.writable_cells(*blk, 10)[0] = ShadowCell::make(3, 6, false);  // outside the span
   EXPECT_EQ(shadow.load(0xC000 + 4 * kGranuleBytes)[1].clock(), 5u);
   EXPECT_EQ(shadow.load(0xC000 + 9 * kGranuleBytes + 7)[1].clock(), 5u);
   EXPECT_FALSE(shadow.load(0xC000 + 4 * kGranuleBytes)[0].valid());
@@ -213,10 +210,14 @@ TEST(ShadowMemoryTest, WholeBlockResetWritesNoCell) {
   blk->summary.cells[0] = ShadowCell::make(1, 4, true);
   // Raw cells under the span are don't-care; a sentinel shows none is written.
   const ShadowCell sentinel = ShadowCell::make(7, 7, false);
-  std::fill(blk->cells.begin(), blk->cells.end(), sentinel);
+  for (std::size_t g = 0; g < rsan::kGranulesPerBlock; ++g) {
+    std::fill_n(shadow.writable_cells(*blk, g), kShadowSlots, sentinel);
+  }
   shadow.reset_range(0xE000, kBlockAppBytes);
-  for (const ShadowCell cell : blk->cells) {
-    ASSERT_EQ(cell.raw, sentinel.raw);
+  for (std::size_t g = 0; g < rsan::kGranulesPerBlock; ++g) {
+    for (std::size_t s = 0; s < kShadowSlots; ++s) {
+      ASSERT_EQ(blk->cells(g)[s], sentinel) << "granule " << g << " slot " << s;
+    }
   }
   EXPECT_TRUE(blk->summary.covers(0, rsan::kGranulesPerBlock - 1));
   for (std::uintptr_t addr = 0xE000; addr < 0xE000 + kBlockAppBytes; addr += kGranuleBytes) {
@@ -246,7 +247,7 @@ TEST(ShadowMemoryTest, ResetDisjointFromTheSpanKeepsTheSummary) {
   rsan::ShadowBlock* blk = shadow.block(0x11000);
   blk->summary.cells[0] = ShadowCell::make(1, 8, true);
   blk->summary.lo = 100;
-  blk->cells[3 * kShadowSlots] = ShadowCell::make(2, 2, true);
+  shadow.writable_cells(*blk, 3)[0] = ShadowCell::make(2, 2, true);
   shadow.reset_range(0x11000 + 3 * kGranuleBytes, kGranuleBytes);
   EXPECT_TRUE(blk->summary.covers(100, rsan::kGranulesPerBlock - 1));
   EXPECT_FALSE(shadow.load(0x11000 + 3 * kGranuleBytes)[0].valid());
@@ -367,31 +368,47 @@ TEST(ShadowMemoryTest, ClearThenReuse) {
   EXPECT_EQ(shadow.block(0x200000 + 100 * kBlockAppBytes), nullptr);  // budget still holds
 }
 
-TEST(ShadowMemoryTest, FreshSummarizedBlockFaultsNoRawCellPage) {
-  // A fresh block writes only its header: the summary lives off the cell
-  // pages, so the block's demand-zero raw cells stay unmapped.
+TEST(ShadowMemoryTest, CellPagesAreAllocatedOnlyWhereAGranuleIsWritten) {
+  ShadowMemory shadow;
+  const std::uintptr_t base = 0x300000;
+  rsan::ShadowBlock* blk = shadow.block(base);
+  ASSERT_NE(blk, nullptr);
+  // Reads of unwritten granules see the shared empty granule: load() and the
+  // raw-cell view a check-only scan reads allocate nothing.
+  for (std::size_t g = 0; g < rsan::kGranulesPerBlock; ++g) {
+    ASSERT_FALSE(shadow.load(base + g * kGranuleBytes)[0].valid());
+    ASSERT_EQ(blk->cells(g), rsan::kEmptyGranule.data());
+  }
+  // Neither does a partial reset of unwritten granules.
+  shadow.reset_range(base + 3 * kGranuleBytes, 300 * kGranuleBytes);
+  EXPECT_EQ(shadow.cell_pages(), 0u);
+  // A single granule write allocates exactly the one page that holds it.
+  const std::size_t g = rsan::kGranulesPerCellPage + 5;
+  shadow.writable_cells(*blk, g)[1] = ShadowCell::make(1, 2, true);
+  EXPECT_EQ(shadow.cell_pages(), 1u);
+  for (std::size_t p = 0; p < rsan::kCellPages; ++p) {
+    EXPECT_EQ(blk->pages[p] != nullptr, p == 1) << "page " << p;
+  }
+  EXPECT_EQ(shadow.load(base + g * kGranuleBytes)[1].clock(), 2u);
+  EXPECT_FALSE(shadow.load(base + (g + 1) * kGranuleBytes)[1].valid());  // zeroed page
+  // Storing empty cells over a missing page allocates nothing either.
+  shadow.reset_range(base, 2 * kGranuleBytes);
+  EXPECT_EQ(shadow.cell_pages(), 1u);
+  // clear() frees every page with its header (LeakSanitizer checks this).
+  shadow.clear();
+  EXPECT_EQ(shadow.cell_pages(), 0u);
+}
+
+TEST(ShadowMemoryTest, SummaryStoresAndWholeBlockResetsAllocateNoCellPage) {
   ShadowMemory shadow{/*summaries=*/true};
-  const long page_size = ::sysconf(_SC_PAGESIZE);
-  ASSERT_GT(page_size, 0);
-  const auto page = static_cast<std::uintptr_t>(page_size);
-  const auto resident_pages = [page](const rsan::ShadowBlock& blk) {
-    const auto first = reinterpret_cast<std::uintptr_t>(blk.cells.data());
-    const std::uintptr_t lo = first / page * page;
-    const std::uintptr_t hi = first + blk.cells.size_bytes();
-    std::vector<unsigned char> vec((hi - lo + page - 1) / page);
-    EXPECT_EQ(::mincore(reinterpret_cast<void*>(lo), hi - lo, vec.data()), 0);
-    return std::count_if(vec.begin(), vec.end(), [](unsigned char v) { return (v & 1) != 0; });
-  };
-  rsan::ShadowBlock* blk = shadow.block(0x300000);
+  rsan::ShadowBlock* blk = shadow.block(0x310000);
   ASSERT_NE(blk, nullptr);
   blk->summary.cells[0] = ShadowCell::make(1, 2, true);  // a store to the summary alone
   blk->summary.deferred = true;
-  shadow.reset_range(0x300000, kBlockAppBytes);  // a whole-block reset
-  EXPECT_FALSE(shadow.load(0x300000)[0].valid());
-  EXPECT_EQ(resident_pages(*blk), 0);
-  // Control: a raw-cell write faults in the page that holds it.
-  blk->cells[0] = ShadowCell::make(1, 3, true);
-  EXPECT_EQ(resident_pages(*blk), 1);
+  EXPECT_EQ(shadow.load(0x310000 + 7 * kGranuleBytes)[0].clock(), 2u);
+  shadow.reset_range(0x310000, kBlockAppBytes);  // a whole-block reset
+  EXPECT_FALSE(shadow.load(0x310000)[0].valid());
+  EXPECT_EQ(shadow.cell_pages(), 0u);
 }
 
 }  // namespace
