@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
   // Fig. 10 Jacobi configuration: large domain, whole-range kernel
   // annotations dominate, so the shadow store cost is what the fast path has
   // to cut. Every launch runs at a fresh epoch (cusan ticks the fiber clock
-  // after each op), so the wins come from the uniform block summaries; the
+  // after each op), so the wins come from the blocks' uniform runs; the
   // recent-range cache covers same-epoch repeats.
   const auto config = bench::bench_jacobi_config();
   const capi::RankMain rank_main = [&](capi::RankEnv& env) {
@@ -109,7 +109,7 @@ int main(int argc, char** argv) {
     std::printf("per-launch annotation cost: %.2f us -> %.2f us (%.1fx lower)\n", ref_cost,
                 fast_cost, ratio);
   }
-  std::printf("expected: the fast path resolves repeated uniform ranges via block summaries\n");
+  std::printf("expected: the fast path resolves repeated uniform ranges via uniform runs\n");
   std::printf("(>= 2x lower per-launch annotation cost on this config) while reporting the\n");
   std::printf("exact same races as the reference scan -- here %llu in both modes.\n",
               static_cast<unsigned long long>(fast.races));

@@ -5,6 +5,9 @@
 
 #include "gbench_json.hpp"
 
+#include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "rsan/runtime.hpp"
@@ -50,8 +53,8 @@ BENCHMARK(BM_ReadRangeAfterWrite)->Range(64, 16 << 20);
 void BM_WriteRangeBlockSummary(benchmark::State& state) {
   // Fast path, fresh epoch every iteration (the kernel-launch cadence:
   // cusan's finish_op ticks the fiber clock after every op). The recent-range
-  // cache never hits; each block resolves through its uniform summary with
-  // one representative scan and a single-slot blast store.
+  // cache never hits; each block resolves through its uniform run with one
+  // representative scan and a single run-slot store.
   rsan::RuntimeConfig config;
   config.use_shadow_fast_path = true;
   obs::MetricsRegistry metrics;
@@ -60,7 +63,7 @@ void BM_WriteRangeBlockSummary(benchmark::State& state) {
   std::vector<double> buf(bytes / sizeof(double) + 1);
   int key{};
   for (auto _ : state) {
-    rt.happens_before(&key);  // tick: forces the block-summary layer
+    rt.happens_before(&key);  // tick: forces the uniform-run layer
     rt.write_range(buf.data(), bytes, "bench");
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
@@ -84,6 +87,47 @@ void BM_WriteRangeRecentRangeCache(benchmark::State& state) {
                           static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_WriteRangeRecentRangeCache)->Range(64, 16 << 20);
+
+void BM_SharedBlockAlternating(benchmark::State& state) {
+  // Two TeaLeaf-sized arrays (8,704 bytes) back to back from a 64-byte
+  // offset, as a 64-byte-aligned device allocator places them, so they share
+  // shadow blocks. A stream fiber alternates kernels over them (interior
+  // write of one, whole read of the other) at a fresh epoch each time, and
+  // the host writes their halo rows in between. Arg 1: fast path; 0: the
+  // reference scan.
+  rsan::RuntimeConfig config;
+  config.use_shadow_fast_path = state.range(0) != 0;
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt(metrics, config);
+  constexpr std::size_t kRow = 64 * sizeof(double);
+  constexpr std::size_t kArray = 17 * kRow;
+  std::vector<std::byte> storage(2 * kArray + 2 * 4096);
+  std::byte* const a =
+      reinterpret_cast<std::byte*>((reinterpret_cast<std::uintptr_t>(storage.data()) + 4095) &
+                                   ~std::uintptr_t{4095}) +
+      64;
+  std::byte* const b = a + kArray;
+  const auto stream = rt.create_fiber(rsan::CtxKind::kStreamFiber, "stream");
+  int key{};
+  for (auto _ : state) {
+    for (const auto& [dst, src] : {std::pair{a, b}, std::pair{b, a}}) {
+      rt.switch_to_fiber(stream);
+      rt.write_range(dst + kRow, kArray - 2 * kRow, "kernel");
+      rt.read_range(src, kArray, "kernel");
+      rt.happens_before(&key);
+      rt.switch_to_fiber(rt.host_ctx());
+      rt.happens_after(&key);
+      rt.write_range(dst, kRow, "halo");
+      rt.write_range(dst + kArray - kRow, kRow, "halo");
+      rt.happens_before(&key);
+      rt.switch_to_fiber(stream);
+      rt.happens_after(&key);
+    }
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * 2 * 2 *
+                          static_cast<std::int64_t>(kArray));
+}
+BENCHMARK(BM_SharedBlockAlternating)->Arg(1)->Arg(0);
 
 void BM_RangeCrossFiberHandoff(benchmark::State& state) {
   // The CuSan kernel-launch pattern: switch to a stream fiber, annotate a

@@ -43,6 +43,47 @@ struct GranuleBytes {
   return victim;
 }
 
+/// What the reference scan decides for one granule's cells: the first
+/// racing cell in slot order (invalid if none), and the slot the fresh cell
+/// goes to (-1 when every slot is valid and none is subsumable). Inlined:
+/// it is the per-granule body of the reference scan.
+struct Decision {
+  ShadowCell racing;
+  int store_slot;
+};
+[[nodiscard, gnu::always_inline]] inline Decision decide(const ShadowCell* cells, CtxId current,
+                                                         const VectorClock& clock,
+                                                         bool is_write) {
+  Decision d{{}, -1};
+  for (std::size_t s = 0; s < kShadowSlots; ++s) {
+    const ShadowCell cell = cells[s];
+    if (!cell.valid()) {
+      if (d.store_slot < 0) {
+        d.store_slot = static_cast<int>(s);
+      }
+      continue;
+    }
+    const CtxId prev_ctx = cell.ctx();
+    if (prev_ctx == current) {
+      // Program order on the same context: never a race. Subsume the old
+      // epoch if the access kinds match (write subsumes read as well).
+      if (cell.is_write() == is_write || is_write) {
+        d.store_slot = static_cast<int>(s);
+      }
+      continue;
+    }
+    if (!is_write && !cell.is_write()) {
+      continue;  // read-read never races
+    }
+    // Happens-before check: the previous access is ordered before the
+    // current one iff its epoch is visible in the current clock.
+    if (cell.clock() > (clock.get(prev_ctx) & ShadowCell::kClockMask) && !d.racing.valid()) {
+      d.racing = cell;
+    }
+  }
+  return d;
+}
+
 }  // namespace
 
 bool default_shadow_fast_path() {
@@ -205,8 +246,8 @@ bool Runtime::proven_range(const void* addr, std::size_t size, bool is_write, co
   const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(addr);
   record_history(cur, base, size, is_write, label, cur_clock);
 
-  bool reported_this_call = false;
-  bool call_race_free = true;
+  Access access{base, size, is_write, label, cur, cur_clock,
+                ShadowCell::make(current_, cur_clock, is_write)};
   if (check) {
     // Check-only shadow scan: same conflict logic as the tracked path, but
     // through block_if_present — a block nobody ever stored into holds no
@@ -221,8 +262,7 @@ bool Runtime::proven_range(const void* addr, std::size_t size, bool is_write, co
       const std::size_t g_hi = static_cast<std::size_t>(seg_last - key * kGranulesPerBlock);
       if (const ShadowBlock* blk = shadow_.block_if_present(g * kGranuleBytes); blk != nullptr) {
         ++tally_.proven_scan_blocks;
-        check_only_block(*blk, key, g_lo, g_hi, base, size, is_write, label, cur, cur_clock,
-                         reported_this_call, call_race_free);
+        check_only_block(*blk, key, g_lo, g_hi, access);
       } else {
         ++tally_.proven_block_skips;
       }
@@ -231,8 +271,7 @@ bool Runtime::proven_range(const void* addr, std::size_t size, bool is_write, co
       }
       g = seg_last + 1;
     }
-    check_regions(base, size, is_write, label, cur, cur_clock, reported_this_call,
-                  call_race_free);
+    check_regions(access);
   } else {
     // Generation-memo refresh: the caller proved nothing shadow-observable
     // happened since its last *checked* race-free publish of this exact
@@ -257,68 +296,49 @@ bool Runtime::proven_range(const void* addr, std::size_t size, bool is_write, co
   }
   ++shadow_gen_;  // region epochs are shadow-observable: invalidate caches/memos
   flush_tally();
-  return call_race_free;
+  return access.race_free;
 }
 
 void Runtime::check_only_block(const ShadowBlock& blk, std::uintptr_t block_key, std::size_t g_lo,
-                               std::size_t g_hi, std::uintptr_t base, std::size_t size,
-                               bool is_write, const char* label, const Context& cur,
-                               std::uint64_t cur_clock, bool& reported_this_call,
-                               bool& call_race_free) {
-  const auto check_granule = [&](const ShadowCell* cells, std::size_t g) {
-    for (std::size_t s = 0; s < kShadowSlots; ++s) {
-      const ShadowCell cell = cells[s];
-      if (!cell.valid()) {
-        continue;
-      }
-      const CtxId prev_ctx = cell.ctx();
-      if (prev_ctx == current_) {
-        continue;  // program order: never a race
-      }
-      if (!is_write && !cell.is_write()) {
-        continue;  // read-read never races
-      }
-      if (cell.clock() > (cur.clock.get(prev_ctx) & ShadowCell::kClockMask)) {
-        call_race_free = false;
-        if (!reported_this_call) {
-          reported_this_call = true;
-          const GranuleBytes at = granule_bytes(block_key, g, base, size);
-          report_race(at.addr, at.size, is_write, label, cur_clock, cell);
-        }
-      }
-    }
-  };
-  const BlockSummary& sum = blk.summary;
-  const bool summarized = config_.use_shadow_fast_path && sum.lo <= sum.hi;
+                               std::size_t g_hi, Access& a) {
+  const RunList& runs = blk.runs;
+  std::size_t i = runs.first_from(g_lo);
   for (std::size_t g = g_lo; g <= g_hi; ++g) {
-    if (summarized && g >= sum.lo && g <= sum.hi) {
-      // Uniform span: one representative check decides it, then jump past.
-      check_granule(sum.cells.data(), g);
-      if (static_cast<std::size_t>(sum.hi) >= g_hi) {
-        break;
-      }
-      g = sum.hi;  // loop increment moves to sum.hi + 1
-      continue;
+    // A granule of a uniform run stands for the whole run: one check decides
+    // it, then the loop jumps past the run.
+    const bool in_run = i < runs.size() && runs[i].lo <= g;
+    const ShadowCell* cells = in_run ? runs[i].cells.data() : blk.cells(g);
+    if (const Decision d = decide(cells, current_, a.cur.clock, a.is_write); d.racing.valid()) {
+      note_race(d.racing, block_key, g, a);
     }
-    check_granule(blk.cells(g), g);
+    if (in_run) {
+      g = std::min<std::size_t>(runs[i++].hi, g_hi);  // loop increment moves past the run
+    }
   }
 }
 
-void Runtime::check_regions(std::uintptr_t base, std::size_t size, bool is_write,
-                            const char* label, const Context& cur, std::uint64_t cur_clock,
-                            bool& reported_this_call, bool& call_race_free) {
+void Runtime::note_race(ShadowCell racing, std::uintptr_t block_key, std::size_t g, Access& a) {
+  a.race_free = false;
+  if (!a.reported) {
+    a.reported = true;
+    const GranuleBytes at = granule_bytes(block_key, g, a.base, a.size);
+    report_race(at.addr, at.size, a.is_write, a.label, a.cur_clock, racing);
+  }
+}
+
+void Runtime::check_regions(Access& a) {
   if (regions_.empty()) {
     return;
   }
   // Extents are rounded to shadow granules so region-vs-access conflicts
   // trigger on exactly the byte ranges cell-vs-access conflicts would.
-  const std::uintptr_t a_lo = (base / kGranuleBytes) * kGranuleBytes;
-  const std::uintptr_t a_hi = ((base + size - 1) / kGranuleBytes + 1) * kGranuleBytes;
+  const std::uintptr_t a_lo = (a.base / kGranuleBytes) * kGranuleBytes;
+  const std::uintptr_t a_hi = ((a.base + a.size - 1) / kGranuleBytes + 1) * kGranuleBytes;
   for (const ProvenRegion& r : regions_) {
     if (r.ctx == current_) {
       continue;  // program order: never a race
     }
-    if (!is_write && !r.is_write) {
+    if (!a.is_write && !r.is_write) {
       continue;  // read-read never races
     }
     const std::uintptr_t r_lo = (r.base / kGranuleBytes) * kGranuleBytes;
@@ -327,14 +347,14 @@ void Runtime::check_regions(std::uintptr_t base, std::size_t size, bool is_write
       continue;
     }
     ++tally_.region_checks;
-    if (r.clock > cur.clock.get(r.ctx)) {
-      call_race_free = false;
-      if (!reported_this_call) {
-        reported_this_call = true;
-        const std::uintptr_t race_lo = std::max({r_lo, a_lo, base});
-        const std::uintptr_t race_hi = std::min({r_hi, a_hi, base + size});
-        report_race(race_lo, race_hi > race_lo ? race_hi - race_lo : 1, is_write, label,
-                    cur_clock, ShadowCell::make(r.ctx, r.clock, r.is_write));
+    if (r.clock > a.cur.clock.get(r.ctx)) {
+      a.race_free = false;
+      if (!a.reported) {
+        a.reported = true;
+        const std::uintptr_t race_lo = std::max({r_lo, a_lo, a.base});
+        const std::uintptr_t race_hi = std::min({r_hi, a_hi, a.base + a.size});
+        report_race(race_lo, race_hi > race_lo ? race_hi - race_lo : 1, a.is_write, a.label,
+                    a.cur_clock, ShadowCell::make(r.ctx, r.clock, r.is_write));
       }
     }
   }
@@ -377,7 +397,6 @@ void Runtime::access_range(const void* addr, std::size_t size, bool is_write, co
 
   const std::uintptr_t first = base / kGranuleBytes;
   const std::uintptr_t last = (base + size - 1) / kGranuleBytes;
-  const ShadowCell fresh = ShadowCell::make(current_, cur_clock, is_write);
   const bool fast = config_.use_shadow_fast_path;
 
   if (fast && cur.recent.valid && cur.recent.is_write == is_write &&
@@ -395,8 +414,8 @@ void Runtime::access_range(const void* addr, std::size_t size, bool is_write, co
   }
 
   ++shadow_gen_;  // this call stores into the shadow
-  bool reported_this_call = false;
-  bool call_race_free = true;
+  Access access{base, size, is_write, label, cur, cur_clock,
+                ShadowCell::make(current_, cur_clock, is_write)};
   bool degraded = false;
 
   for (std::uintptr_t g = first;;) {
@@ -411,14 +430,8 @@ void Runtime::access_range(const void* addr, std::size_t size, bool is_write, co
       // tracked part is preserved, the process stays alive.
       ++tally_.degraded_blocks;
       degraded = true;
-    } else if (!fast ||
-               !try_fast_block(*blkp, key, g_lo, g_hi, base, size, is_write, label, cur, cur_clock,
-                               fresh, reported_this_call, call_race_free)) {
-      if (fast) {
-        ++tally_.fastpath_block_misses;
-      }
-      slow_block(*blkp, key, g_lo, g_hi, base, size, is_write, label, cur, cur_clock, fresh,
-                 reported_this_call, call_race_free, /*update_summary=*/true);
+    } else {
+      store_block(*blkp, key, g_lo, g_hi, access);
     }
     if (seg_last == last) {
       break;
@@ -428,7 +441,7 @@ void Runtime::access_range(const void* addr, std::size_t size, bool is_write, co
 
   // Proven regions published by elided launches are checked with the same
   // conflict rules as shadow cells (no-op while prove-and-elide is off).
-  check_regions(base, size, is_write, label, cur, cur_clock, reported_this_call, call_race_free);
+  check_regions(access);
 
   if (degraded) {
     metrics_.degraded_accesses.increment();
@@ -437,7 +450,7 @@ void Runtime::access_range(const void* addr, std::size_t size, bool is_write, co
   if (fast) {
     // A degraded call must not seed the recent-range cache: the untracked
     // segments stored nothing, so a repeat is not a provable no-op.
-    if (call_race_free && !degraded) {
+    if (access.race_free && !degraded) {
       cur.recent =
           RecentRange{first, last, cur_clock, cur.sync_gen, shadow_gen_, is_write, true};
     } else {
@@ -446,214 +459,126 @@ void Runtime::access_range(const void* addr, std::size_t size, bool is_write, co
   }
 }
 
-bool Runtime::try_fast_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_t g_lo,
-                             std::size_t g_hi, std::uintptr_t base, std::size_t size,
-                             bool is_write, const char* label, const Context& cur,
-                             std::uint64_t cur_clock, ShadowCell fresh, bool& reported_this_call,
-                             bool& call_race_free) {
-  const BlockSummary& sum = blk.summary;
-  if (sum.lo > sum.hi) {
-    return false;  // no summary for this block
+int Runtime::store_slot(const Run& run, std::uintptr_t block_key, std::size_t g,
+                        std::size_t width, Access& a) {
+  // Every granule of the run holds its cells, so the reference scan has one
+  // outcome for all `width` granules from `g`, races included: run it once
+  // on the cells.
+  const Decision d = decide(run.cells.data(), current_, a.cur.clock, a.is_write);
+  if (d.racing.valid()) {
+    note_race(d.racing, block_key, g, a);
   }
-  // The summary need not cover the whole segment: the uniform middle is
-  // resolved with one representative scan and the uncovered edge granules
-  // (e.g. the boundary columns an interior-only kernel write skips) fall back
-  // to the per-granule scan. This is what makes the fast path effective on
-  // stencil patterns, where interior writes and whole-range reads alternate.
-  const std::size_t fast_lo = std::max(g_lo, static_cast<std::size_t>(sum.lo));
-  const std::size_t fast_hi = std::min(g_hi, static_cast<std::size_t>(sum.hi));
-  if (fast_lo > fast_hi) {
-    return false;  // disjoint: the whole segment takes the reference scan
+  tally_.fastpath_granules_elided += width;
+  if (d.store_slot >= 0) {
+    return d.store_slot;
   }
-  // Every granule in [sum.lo, sum.hi] holds identical cells, so the reference
-  // per-granule scan has one outcome for the whole covered span, races
-  // included; run it once on the snapshot. The branch structure mirrors
-  // slow_block() exactly.
-  int store_slot = -1;
-  ShadowCell racing{};  // first racing slot in slot order, if any
-  for (std::size_t s = 0; s < kShadowSlots; ++s) {
-    const ShadowCell cell = sum.cells[s];
-    if (!cell.valid()) {
-      if (store_slot < 0) {
-        store_slot = static_cast<int>(s);
-      }
-      continue;
-    }
-    const CtxId prev_ctx = cell.ctx();
-    if (prev_ctx == current_) {
-      if (cell.is_write() == is_write || is_write) {
-        store_slot = static_cast<int>(s);
-      }
-      continue;
-    }
-    if (!is_write && !cell.is_write()) {
-      continue;
-    }
-    if (cell.clock() > (cur.clock.get(prev_ctx) & ShadowCell::kClockMask) && !racing.valid()) {
-      racing = cell;
-    }
-  }
-  if (store_slot < 0) {
-    // All slots valid and none subsumable: evict the stalest epoch. The
-    // victim choice is a pure function of the cell state, so it is the same
-    // for every granule of the uniform span — and identical to the choice
-    // the reference scan makes per granule.
-    store_slot = evict_victim(sum.cells.data());
-    tally_.slot_evictions += fast_hi - fast_lo + 1;
-  }
-  ++tally_.fastpath_block_hits;
-  tally_.fastpath_granules_elided += fast_hi - fast_lo + 1;
-  // Edge granules are processed in the reference order (front, middle, back)
-  // so race reports keep their first-racing-granule attribution. The edges
-  // lie outside [sum.lo, sum.hi], so their stores never touch the summarized
-  // span; the summary epilogue is suppressed to keep the middle's summary.
-  if (g_lo < fast_lo) {
-    slow_block(blk, block_key, g_lo, fast_lo - 1, base, size, is_write, label, cur, cur_clock,
-               fresh, reported_this_call, call_race_free, /*update_summary=*/false);
-  }
-  if (racing.valid()) {
-    // Every granule of the span races; the reference scan reports the first,
-    // fast_lo, unless a granule before it already reported this call.
-    call_race_free = false;
-    if (!reported_this_call) {
-      reported_this_call = true;
-      const GranuleBytes at = granule_bytes(block_key, fast_lo, base, size);
-      report_race(at.addr, at.size, is_write, label, cur_clock, racing);
-    }
-  }
-  if (sum.cells[static_cast<std::size_t>(store_slot)].raw != fresh.raw) {
-    // The summary is the state of [sum.lo, sum.hi], so storing `fresh` is one
-    // summary slot, not a slot in each granule. The span's granules outside
-    // [fast_lo, fast_hi] keep the old cells: materialize them, then shrink
-    // the summary to the span just stored.
-    if (sum.lo < fast_lo) {
-      shadow_.materialize(blk, sum.lo, fast_lo - 1);
-    }
-    if (fast_hi < sum.hi) {
-      shadow_.materialize(blk, fast_hi + 1, sum.hi);
-    }
-    blk.summary.cells[static_cast<std::size_t>(store_slot)] = fresh;
-    blk.summary.lo = static_cast<std::uint16_t>(fast_lo);
-    blk.summary.hi = static_cast<std::uint16_t>(fast_hi);
-    blk.summary.deferred = true;
-  }
-  // else: the chosen slot already holds `fresh` (same ctx/epoch/kind repeat
-  // over a different base range) — the store would be a bit-exact no-op, so
-  // the full summary span stays valid untouched.
-  if (fast_hi < g_hi) {
-    slow_block(blk, block_key, fast_hi + 1, g_hi, base, size, is_write, label, cur, cur_clock,
-               fresh, reported_this_call, call_race_free, /*update_summary=*/false);
-  }
-  return true;
+  // The victim is a pure function of the cells: the same for every granule
+  // of the run, and the one the reference scan picks.
+  tally_.slot_evictions += width;
+  return evict_victim(run.cells.data());
 }
 
-void Runtime::slow_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_t g_lo,
-                         std::size_t g_hi, std::uintptr_t base, std::size_t size, bool is_write,
-                         const char* label, const Context& cur, std::uint64_t cur_clock,
-                         ShadowCell fresh, bool& reported_this_call, bool& call_race_free,
-                         bool update_summary) {
-  // try_fast_block() takes every segment that overlaps the summary span, so
-  // the granules scanned here hold their state in their raw cells. Every one
-  // of them is stored into, which allocates its cell page.
-  const bool fast = config_.use_shadow_fast_path && update_summary;
-  const ShadowCell* const rep = shadow_.writable_cells(blk, g_lo);
-  bool uniform = true;
-  for (std::size_t g = g_lo; g <= g_hi; ++g) {
-    ShadowCell* const cells = shadow_.writable_cells(blk, g);
-    int store_slot = -1;
-    for (std::size_t s = 0; s < kShadowSlots; ++s) {
-      ShadowCell& cell = cells[s];
-      if (!cell.valid()) {
-        if (store_slot < 0) {
-          store_slot = static_cast<int>(s);
-        }
+void Runtime::store_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_t g_lo,
+                          std::size_t g_hi, Access& a) {
+  const RunList& runs = blk.runs;
+  std::size_t i = runs.first_from(g_lo);
+  if (i < runs.size() && runs[i].lo <= g_lo && g_hi <= runs[i].hi) {
+    // The segment lies inside one run, as most do: `fresh` goes into one run
+    // slot, not into a slot of each granule, and splits the run at the
+    // segment edges.
+    const Run& run = runs[i];
+    const auto slot =
+        static_cast<std::size_t>(store_slot(run, block_key, g_lo, g_hi - g_lo + 1, a));
+    ++tally_.fastpath_block_hits;
+    if (run.cells[slot] == a.fresh) {
+      return;  // a bit-exact no-op store
+    }
+    if (run.lo == g_lo && run.hi == g_hi) {
+      blk.runs.store(i, slot, a.fresh);  // no split, so no list surgery
+      return;
+    }
+    Run piece{run.cells, static_cast<std::uint16_t>(g_lo), static_cast<std::uint16_t>(g_hi), true};
+    piece.cells[slot] = a.fresh;
+    shadow_.replace_runs(blk, g_lo, g_hi, &piece, 1);
+    return;
+  }
+  // Walk the segment in granule order, so a race is attributed to its first
+  // racing granule as in the reference scan. `out` collects the uniform runs
+  // of [g_lo, g_hi] after the access: one piece per run the segment
+  // overlaps, plus each raw stretch between them that comes out uniform.
+  std::array<Run, 2 * kMaxRuns + 1>& out = run_scratch_;
+  std::size_t n = 0;
+  bool scanned = false;
+  for (std::size_t g = g_lo; g <= g_hi;) {
+    if (i < runs.size() && runs[i].lo <= g) {
+      const Run& run = runs[i++];
+      Run& piece = out[n++];
+      piece = Run{run.cells, static_cast<std::uint16_t>(g),
+                  static_cast<std::uint16_t>(std::min<std::size_t>(run.hi, g_hi)), run.deferred};
+      const auto slot = static_cast<std::size_t>(store_slot(run, block_key, g, piece.width(), a));
+      if (piece.cells[slot] != a.fresh) {
+        piece.cells[slot] = a.fresh;
+        piece.deferred = true;
+      }
+      g = piece.hi + 1u;
+    } else {
+      const std::size_t hi =
+          i < runs.size() ? std::min<std::size_t>(g_hi, runs[i].lo - 1u) : g_hi;
+      if (scan_raw(blk, block_key, g, hi, a, out[n].cells)) {
+        out[n].lo = static_cast<std::uint16_t>(g);
+        out[n].hi = static_cast<std::uint16_t>(hi);
+        out[n++].deferred = false;  // the scan just stored these raw cells
+      }
+      scanned = true;
+      g = hi + 1;
+    }
+  }
+  if (!config_.use_shadow_fast_path) {
+    return;  // the reference scan keeps no runs
+  }
+  ++(scanned ? tally_.fastpath_block_misses : tally_.fastpath_block_hits);
+  shadow_.replace_runs(blk, g_lo, g_hi, out.data(), n);
+}
+
+bool Runtime::scan_raw(ShadowBlock& blk, std::uintptr_t block_key, std::size_t lo, std::size_t hi,
+                       Access& a, GranuleCells& uniform) {
+  // The reference per-granule scan. Every granule scanned is stored into,
+  // which allocates its cell page; one page pointer serves up to 128
+  // granules.
+  bool is_uniform = config_.use_shadow_fast_path;
+  // Locals, so the cell stores below cannot make the compiler reload them.
+  const VectorClock& clock = a.cur.clock;
+  const bool is_write = a.is_write;
+  const ShadowCell fresh = a.fresh;
+  for (std::size_t g = lo; g <= hi;) {
+    const std::size_t p = g / kGranulesPerCellPage;
+    const std::size_t page_hi = std::min(hi, (p + 1) * kGranulesPerCellPage - 1);
+    ShadowCell* cells = shadow_.writable_page(blk, p) + (g % kGranulesPerCellPage) * kShadowSlots;
+    for (; g <= page_hi; ++g, cells += kShadowSlots) {
+      const Decision d = decide(cells, current_, clock, is_write);
+      if (d.racing.valid()) {
+        note_race(d.racing, block_key, g, a);
+      }
+      int slot = d.store_slot;
+      if (slot < 0) {
+        // Evict the stalest epoch (ties to the lowest slot). The choice is a
+        // pure function of the granule's cells, so granules with identical
+        // state evolve identically, which the uniform runs rely on.
+        slot = evict_victim(cells);
+        ++tally_.slot_evictions;
+      }
+      cells[slot] = fresh;
+      if (!is_uniform) {
         continue;
       }
-      const CtxId prev_ctx = cell.ctx();
-      if (prev_ctx == current_) {
-        // Program order on the same context: never a race. Subsume the old
-        // epoch if the access kinds match (write subsumes read as well).
-        if (cell.is_write() == is_write || is_write) {
-          store_slot = static_cast<int>(s);
-        }
-        continue;
-      }
-      if (!is_write && !cell.is_write()) {
-        continue;  // read-read never races
-      }
-      // Happens-before check: the previous access is ordered before the
-      // current one iff its epoch is visible in the current clock.
-      if (cell.clock() > (cur.clock.get(prev_ctx) & ShadowCell::kClockMask)) {
-        call_race_free = false;
-        if (!reported_this_call) {
-          reported_this_call = true;
-          const GranuleBytes at = granule_bytes(block_key, g, base, size);
-          report_race(at.addr, at.size, is_write, label, cur_clock, cell);
-        }
+      if (g == lo) {
+        std::copy_n(cells, kShadowSlots, uniform.begin());
+      } else if (!std::equal(uniform.begin(), uniform.end(), cells)) {
+        is_uniform = false;
       }
     }
-    if (store_slot < 0) {
-      // Evict the stalest epoch (ties to the lowest slot). The choice is a
-      // pure function of the granule's cells, so granules with identical
-      // state evolve identically — a property the block summaries rely on.
-      store_slot = evict_victim(cells);
-      ++tally_.slot_evictions;
-    }
-    cells[store_slot] = fresh;
-    if (fast && uniform && g != g_lo && !std::equal(cells, cells + kShadowSlots, rep)) {
-      uniform = false;
-    }
   }
-  if (!fast) {
-    return;  // summaries are never consulted; skip the bookkeeping entirely
-  }
-  // Candidate summaries for the block: the span just scanned (if its cells
-  // came out uniform) and the fragments of the previous summary this span did
-  // not touch (still uniform with the old cells). Keeping the widest one
-  // stops narrow annotations — a halo-row exchange, a host plain access —
-  // from clobbering a full-block summary. A fragment that loses leaves the
-  // summary, so it is materialized from the old cells.
-  const BlockSummary prev_sum = blk.summary;
-  const auto width = [](std::size_t lo, std::size_t hi) { return lo <= hi ? hi - lo + 1 : 0; };
-  std::size_t left_lo = 1;
-  std::size_t left_hi = 0;
-  std::size_t right_lo = 1;
-  std::size_t right_hi = 0;
-  if (prev_sum.lo <= prev_sum.hi) {
-    if (g_lo > prev_sum.lo) {
-      left_lo = prev_sum.lo;
-      left_hi = std::min<std::size_t>(prev_sum.hi, g_lo - 1);
-    }
-    if (g_hi < prev_sum.hi) {
-      right_lo = std::max<std::size_t>(prev_sum.lo, g_hi + 1);
-      right_hi = prev_sum.hi;
-    }
-  }
-  const std::size_t new_width = uniform ? g_hi - g_lo + 1 : 0;
-  const bool left_wins = width(left_lo, left_hi) >= width(right_lo, right_hi);
-  const std::size_t frag_lo = left_wins ? left_lo : right_lo;
-  const std::size_t frag_hi = left_wins ? left_hi : right_hi;
-  // (materialize() of an empty lo > hi fragment stores nothing.)
-  if (new_width >= width(frag_lo, frag_hi)) {
-    shadow_.materialize(blk, left_lo, left_hi);
-    shadow_.materialize(blk, right_lo, right_hi);
-    if (uniform) {
-      std::copy(rep, rep + kShadowSlots, blk.summary.cells.begin());
-      blk.summary.lo = static_cast<std::uint16_t>(g_lo);
-      blk.summary.hi = static_cast<std::uint16_t>(g_hi);
-      blk.summary.deferred = false;  // the scan just stored these raw cells
-    } else {
-      blk.summary.invalidate();
-    }
-  } else {
-    if (left_wins) {
-      shadow_.materialize(blk, right_lo, right_hi);
-    } else {
-      shadow_.materialize(blk, left_lo, left_hi);
-    }
-    blk.summary.lo = static_cast<std::uint16_t>(frag_lo);
-    blk.summary.hi = static_cast<std::uint16_t>(frag_hi);
-  }
+  return is_uniform;
 }
 
 void Runtime::flush_tally() {

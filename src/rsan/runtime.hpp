@@ -11,6 +11,7 @@
 // deterministic and independent of physical scheduling.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -46,8 +47,8 @@ struct RuntimeConfig {
   /// Per-context access-history ring size, used to attach operation labels
   /// to the "previous access" side of reports.
   std::size_t history_size = 64;
-  /// Ablation knob for the shadow fast path (per-block uniform-contents
-  /// summaries + per-context recent-range cache). Detection results are
+  /// Ablation knob for the shadow fast path (per-block uniform
+  /// runs + per-context recent-range cache). Detection results are
   /// bit-identical either way — the differential oracle and the dual-mode
   /// check_cutests run enforce this; the flag exists so the reference scan
   /// stays exercised and the speedup stays measurable.
@@ -209,9 +210,9 @@ class Runtime {
     // Shadow fast path (all zero when use_shadow_fast_path is false).
     /// Whole calls skipped via the recent-range cache.
     obs::Counter& fastpath_range_hits = registry.counter("rsan.fastpath_range_hits");
-    /// Block segments stored via the uniform-summary scan.
+    /// Block segments decided on their block's uniform runs alone.
     obs::Counter& fastpath_block_hits = registry.counter("rsan.fastpath_block_hits");
-    /// Block segments that took the per-granule scan.
+    /// Block segments with at least one granule on the per-granule scan.
     obs::Counter& fastpath_block_misses = registry.counter("rsan.fastpath_block_misses");
     /// Granule scans skipped by either fast-path layer.
     obs::Counter& fastpath_granules_elided = registry.counter("rsan.fastpath_granules_elided");
@@ -298,22 +299,36 @@ class Runtime {
     bool is_write{false};
   };
 
+  /// One range call as the block scans see it.
+  struct Access {
+    std::uintptr_t base;
+    std::size_t size;
+    bool is_write;
+    const char* label;
+    const Context& cur;
+    std::uint64_t cur_clock;
+    ShadowCell fresh;  ///< the cell the call stores
+    bool reported{false};  ///< this call already reported a race
+    bool race_free{true};
+  };
+
   void access_range(const void* addr, std::size_t size, bool is_write, const char* label);
-  void check_regions(std::uintptr_t base, std::size_t size, bool is_write, const char* label,
-                     const Context& cur, std::uint64_t cur_clock, bool& reported_this_call,
-                     bool& call_race_free);
+  void check_regions(Access& a);
   void check_only_block(const ShadowBlock& blk, std::uintptr_t block_key, std::size_t g_lo,
-                        std::size_t g_hi, std::uintptr_t base, std::size_t size, bool is_write,
-                        const char* label, const Context& cur, std::uint64_t cur_clock,
-                        bool& reported_this_call, bool& call_race_free);
-  bool try_fast_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_t g_lo,
-                      std::size_t g_hi, std::uintptr_t base, std::size_t size, bool is_write,
-                      const char* label, const Context& cur, std::uint64_t cur_clock,
-                      ShadowCell fresh, bool& reported_this_call, bool& call_race_free);
-  void slow_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_t g_lo, std::size_t g_hi,
-                  std::uintptr_t base, std::size_t size, bool is_write, const char* label,
-                  const Context& cur, std::uint64_t cur_clock, ShadowCell fresh,
-                  bool& reported_this_call, bool& call_race_free, bool update_summary);
+                        std::size_t g_hi, Access& a);
+  void store_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_t g_lo, std::size_t g_hi,
+                   Access& a);
+  /// The slot `fresh` goes into in `width` granules of `run` from granule
+  /// `g`, decided once on the run's cells (races noted, tallies counted).
+  int store_slot(const Run& run, std::uintptr_t block_key, std::size_t g, std::size_t width,
+                 Access& a);
+  /// Reference scan of raw granules [lo, hi]. With the fast path on, returns
+  /// whether they came out uniform, with their cells in `uniform`.
+  bool scan_raw(ShadowBlock& blk, std::uintptr_t block_key, std::size_t lo, std::size_t hi,
+                Access& a, GranuleCells& uniform);
+  /// A race against the valid cell `racing` at granule `g` of block
+  /// `block_key`: the call is racy, and the first such race is reported.
+  void note_race(ShadowCell racing, std::uintptr_t block_key, std::size_t g, Access& a);
   void flush_tally();
   void record_history(Context& ctx, std::uintptr_t base, std::size_t size, bool is_write,
                       const char* label, std::uint64_t clock);
@@ -340,6 +355,9 @@ class Runtime {
   /// Proven regions published by elided launches (linear scan: a handful of
   /// hot kernels per rank). Cleared per-range by reset_shadow_range.
   std::vector<ProvenRegion> regions_;
+  /// store_block's output runs (one per run a segment overlaps, one per raw
+  /// stretch between them); a member, so a call does not zero it.
+  std::array<Run, 2 * kMaxRuns + 1> run_scratch_;
   /// Bumped whenever shadow-observable contents change (any storing
   /// access_range, reset_shadow_range, or a proven-region publish/refresh);
   /// recent-range cache entries and launch memos from older generations are

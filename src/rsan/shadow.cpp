@@ -7,11 +7,54 @@ namespace rsan {
 
 void ShadowMemory::store_cells(ShadowBlock& blk, std::size_t lo, std::size_t hi,
                                const GranuleCells& pattern) {
-  for (std::size_t g = lo; g <= hi; ++g) {
-    if (!std::equal(pattern.begin(), pattern.end(), blk.cells(g))) {
-      std::copy(pattern.begin(), pattern.end(), writable_cells(blk, g));
+  const bool empty = pattern == kEmptyGranule;
+  for (std::size_t g = lo; g <= hi;) {
+    const std::size_t p = g / kGranulesPerCellPage;
+    const std::size_t page_hi = std::min(hi, (p + 1) * kGranulesPerCellPage - 1);
+    if (blk.pages[p] != nullptr || !empty) {  // a missing page reads empty already
+      ShadowCell* cells = writable_page(blk, p) + (g % kGranulesPerCellPage) * kShadowSlots;
+      for (; g <= page_hi; ++g, cells += kShadowSlots) {
+        std::copy(pattern.begin(), pattern.end(), cells);
+      }
+    }
+    g = page_hi + 1;
+  }
+}
+
+void ShadowMemory::replace_runs(ShadowBlock& blk, std::size_t lo, std::size_t hi,
+                                const Run* runs, std::size_t n) {
+  std::array<Run, kMergeRuns>& merged = merge_scratch_;
+  std::size_t m = 0;
+  const auto push = [&](const Run& run) {
+    if (m > 0 && merged[m - 1].hi + 1 == run.lo && merged[m - 1].cells == run.cells) {
+      merged[m - 1].hi = run.hi;
+      merged[m - 1].deferred = merged[m - 1].deferred || run.deferred;
+    } else {
+      merged[m++] = run;
+    }
+  };
+  for (Run run : blk.runs) {
+    if (run.lo < lo) {
+      run.hi = static_cast<std::uint16_t>(std::min<std::size_t>(run.hi, lo - 1));
+      push(run);
     }
   }
+  std::for_each(runs, runs + n, push);
+  for (Run run : blk.runs) {
+    if (run.hi > hi) {
+      run.lo = static_cast<std::uint16_t>(std::max<std::size_t>(run.lo, hi + 1));
+      push(run);
+    }
+  }
+  while (m > kMaxRuns) {
+    Run* narrowest =
+        std::min_element(merged.begin(), merged.begin() + m,
+                         [](const Run& a, const Run& b) { return a.width() < b.width(); });
+    materialize(blk, *narrowest);
+    std::copy(narrowest + 1, merged.begin() + m, narrowest);
+    --m;
+  }
+  blk.runs.assign(merged.data(), m);
 }
 
 ShadowBlock* ShadowMemory::lookup_or_create(std::uintptr_t key) {
@@ -28,9 +71,10 @@ ShadowBlock* ShadowMemory::lookup_or_create(std::uintptr_t key) {
     slabs_.emplace_back().reserve(kBlocksPerSlab);
   }
   ShadowBlock* const blk = &slabs_.back().emplace_back();
-  if (summaries_) {
-    blk->summary.reset_whole_block();
-    blk->summary.deferred = false;  // the missing cell pages read empty already
+  if (runs_) {
+    // The missing cell pages read empty already: nothing is deferred.
+    const Run empty{kEmptyGranule, 0, kGranulesPerBlock - 1, false};
+    blk->runs.assign(&empty, 1);
   }
   if (2 * (block_count_ + 1) > index_.size()) {
     std::vector<Slot> old =
@@ -87,21 +131,12 @@ void ShadowMemory::reset_range(std::uintptr_t base, std::size_t extent) {
     if (blk != nullptr) {
       const std::size_t lo = static_cast<std::size_t>(g - key * kGranulesPerBlock);
       const std::size_t hi = static_cast<std::size_t>(seg_last - key * kGranulesPerBlock);
-      BlockSummary& sum = blk->summary;
-      if (summaries_ && lo == 0 && hi == kGranulesPerBlock - 1) {
-        sum.reset_whole_block();  // the raw cells become don't-care: none is written
+      if (runs_) {
+        // The raw cells under the empty run become don't-care: none is written.
+        const Run empty{kEmptyGranule, static_cast<std::uint16_t>(lo),
+                        static_cast<std::uint16_t>(hi), true};
+        replace_runs(*blk, lo, hi, &empty, 1);
       } else {
-        if (sum.overlaps(lo, hi)) {
-          // The span's granules outside the segment keep the summary's
-          // state; a summary disjoint from the segment stays as it is.
-          if (sum.lo < lo) {
-            materialize(*blk, sum.lo, std::min<std::size_t>(sum.hi, lo - 1));
-          }
-          if (hi < sum.hi) {
-            materialize(*blk, std::max<std::size_t>(sum.lo, hi + 1), sum.hi);
-          }
-          sum.invalidate();
-        }
         store_cells(*blk, lo, hi, kEmptyGranule);
       }
     }

@@ -3,13 +3,13 @@
 // small fixed number of shadow cells recording the most recent accesses as
 // (context, epoch, access-kind) triples packed into 64 bits.
 //
-// A shadow block covers 4 KiB of application memory. Its header (the block
-// summary and four cell-page pointers) sits in a per-slab header array, and
-// one open-addressing index maps block keys to headers. The block's 16 KiB
-// of raw cells are four 4 KiB heap pages, each allocated and zeroed on the
-// first write to one of its granules; a missing page reads as empty cells.
-// A fresh or whole-block-reset block is its summary alone, so a block whose
-// granules stay summarized owns no cell page. Reserved shadow and
+// A shadow block covers 4 KiB of application memory. Its header (a short
+// list of uniform runs and four cell-page pointers) sits in a per-slab header
+// array, and one open-addressing index maps block keys to headers. The
+// block's 16 KiB of raw cells are four 4 KiB heap pages, each allocated and
+// zeroed on the first write to one of its granules; a missing page reads as
+// empty cells. A fresh or whole-block-reset block is one empty run, so a
+// block whose granules stay in runs owns no cell page. Reserved shadow and
 // setup/teardown cost thus stay proportional to the memory actually tracked
 // (paper Fig. 11/12).
 #pragma once
@@ -71,47 +71,90 @@ using GranuleCells = std::array<ShadowCell, kShadowSlots>;
 /// and empty.
 inline constexpr GranuleCells kEmptyGranule{};
 
-/// Per-block uniform summary, maintained by the runtime's shadow fast path
-/// (see rsan::Runtime::access_range). For granules in [lo, hi] the summary's
-/// cells ARE the shadow state: once a store went to the summary alone
-/// (`deferred`), the raw per-granule cells there are don't-care until the
-/// span shrinks, and only then are the dropped granules materialized
-/// (ShadowMemory::materialize). One representative scan of the summary
-/// decides a whole segment inside the span. `lo > hi` means "no summary";
-/// summaries exist only in a ShadowMemory built with summaries on.
-struct BlockSummary {
-  GranuleCells cells{};     ///< contents of every granule in [lo, hi]
-  std::uint16_t lo{1};      ///< first granule index covered
-  std::uint16_t hi{0};      ///< last granule index covered
-  /// Raw cells in [lo, hi] may differ from `cells`. False when they were
-  /// just written by a scan, or are the missing (empty) pages of a fresh
-  /// block.
+/// Uniform runs one block holds at most; past the cap the narrowest run is
+/// materialized to raw cells (ShadowMemory::replace_runs). Where an
+/// allocator packs small buffers into one block, a block needs up to twelve:
+/// in TeaLeaf, a host staging vector (its memcpy-written edge rows, the rows
+/// a walking read has passed and those it has not), a partial-sum array and
+/// the gaps between them.
+inline constexpr std::size_t kMaxRuns = 12;
+
+/// A uniform run of a block, maintained by the runtime's shadow fast path
+/// (see rsan::Runtime::access_range): every granule in [lo, hi] holds
+/// `cells`, and those cells ARE the shadow state there. The raw cells under
+/// a run are don't-care; `deferred` says they may differ from `cells`
+/// (a store went to the run alone), so the run writes them when it leaves
+/// the list. Granules outside every run keep their state in the raw cells.
+struct Run {
+  GranuleCells cells{};
+  std::uint16_t lo{};
+  std::uint16_t hi{};
   bool deferred{false};
 
-  [[nodiscard]] bool covers(std::size_t g_lo, std::size_t g_hi) const {
-    return lo <= g_lo && g_hi <= hi;
-  }
-  [[nodiscard]] bool overlaps(std::size_t g_lo, std::size_t g_hi) const {
-    return lo <= hi && lo <= g_hi && g_lo <= hi;
-  }
-  void invalidate() {
-    lo = 1;
-    hi = 0;
-  }
-  /// Empty cells over the whole block: the state of a freed block, whose
-  /// raw cells may still hold old epochs.
-  void reset_whole_block() {
-    cells = {};
-    lo = 0;
-    hi = kGranulesPerBlock - 1;
-    deferred = true;
-  }
+  [[nodiscard]] std::size_t width() const { return hi - lo + 1; }
 };
 
-/// A block's header: its summary and its raw cells, which live apart in
-/// pages allocated on first write, so writing the summary allocates nothing.
+/// A block's uniform runs, sorted by `lo` and disjoint; empty when the
+/// ShadowMemory keeps no runs (the reference scan). Up to kInlineRuns runs
+/// live in the header; a block that needs more moves them to a kMaxRuns
+/// array allocated on first need and kept, so a header stays small.
+class RunList {
+ public:
+  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] const Run* begin() const {
+    return count_ > kInlineRuns ? spill_.get() : inline_.data();
+  }
+  [[nodiscard]] const Run* end() const { return begin() + count_; }
+  [[nodiscard]] const Run& operator[](std::size_t i) const { return begin()[i]; }
+  /// The run holding granule `g`, or nullptr.
+  [[nodiscard]] const Run* find(std::size_t g) const {
+    for (const Run& run : *this) {
+      if (g <= run.hi) {
+        return g >= run.lo ? &run : nullptr;
+      }
+    }
+    return nullptr;
+  }
+  /// Index of the first run ending at or after granule `g` (size() if none).
+  [[nodiscard]] std::size_t first_from(std::size_t g) const {
+    const Run* runs = begin();
+    std::size_t i = 0;
+    while (i < count_ && runs[i].hi < g) {
+      ++i;
+    }
+    return i;
+  }
+  void assign(const Run* runs, std::size_t n) {
+    Run* dst = inline_.data();
+    if (n > kInlineRuns) {
+      if (spill_ == nullptr) {
+        spill_ = std::make_unique<Run[]>(kMaxRuns);
+      }
+      dst = spill_.get();
+    }
+    std::copy_n(runs, n, dst);
+    count_ = static_cast<std::uint8_t>(n);
+  }
+  /// Store `cell` into slot `slot` of run `i` alone.
+  void store(std::size_t i, std::size_t slot, ShadowCell cell) {
+    Run& run = (count_ > kInlineRuns ? spill_.get() : inline_.data())[i];
+    run.cells[slot] = cell;
+    run.deferred = true;
+  }
+  void clear() { count_ = 0; }
+
+ private:
+  static constexpr std::size_t kInlineRuns = 2;
+
+  std::uint8_t count_{0};  // first, so it shares a cache line with the first run
+  std::array<Run, kInlineRuns> inline_{};
+  std::unique_ptr<Run[]> spill_;
+};
+
+/// A block's header: its runs and its raw cells, which live apart in pages
+/// allocated on first write, so storing into a run allocates nothing.
 struct ShadowBlock {
-  BlockSummary summary{};
+  RunList runs;
   /// Raw cells, kGranulesPerCellPage granules to a page. A null page holds
   /// only empty cells.
   std::array<std::unique_ptr<ShadowCell[]>, kCellPages> pages;
@@ -133,10 +176,10 @@ inline constexpr std::size_t kShadowBlockBytes =
 
 class ShadowMemory {
  public:
-  /// With `summaries` on (the runtime's shadow fast path) a fresh block, and
-  /// a block a reset covers whole, is one empty whole-block summary instead
-  /// of 16 KiB of written cells.
-  explicit ShadowMemory(bool summaries = false) : summaries_(summaries) {}
+  /// With `runs` on (the runtime's shadow fast path) a fresh block is one
+  /// empty whole-block run instead of 16 KiB of written cells, and a reset
+  /// writes an empty run.
+  explicit ShadowMemory(bool runs = false) : runs_(runs) {}
   ShadowMemory(const ShadowMemory&) = delete;
   ShadowMemory& operator=(const ShadowMemory&) = delete;
 
@@ -163,49 +206,57 @@ class ShadowMemory {
 
   /// Raw shadow cells for the granule containing `addr`; allocates the block
   /// on first touch. Returned pointer is to kShadowSlots consecutive cells
-  /// (nullptr when the block budget is exhausted). The block's summary is
+  /// (nullptr when the block budget is exhausted). The block's runs are
   /// materialized and dropped first, so the raw cells are the whole state.
   [[nodiscard]] ShadowCell* granule(std::uintptr_t addr) {
     ShadowBlock* blk = block(addr);
     if (blk == nullptr) {
       return nullptr;
     }
-    materialize(*blk, blk->summary.lo, blk->summary.hi);
-    blk->summary.invalidate();
+    for (const Run& run : blk->runs) {
+      materialize(*blk, run);
+    }
+    blk->runs.clear();
     return writable_cells(*blk, (addr % kBlockAppBytes) / kGranuleBytes);
   }
 
-  /// Writable raw cells of granule `g` of `blk`: allocates and zeroes the
-  /// granule's cell page on its first write.
-  [[nodiscard]] ShadowCell* writable_cells(ShadowBlock& blk, std::size_t g) {
-    std::unique_ptr<ShadowCell[]>& page = blk.pages[g / kGranulesPerCellPage];
+  /// Writable raw cells of cell page `p` of `blk`: allocates and zeroes the
+  /// page on its first write.
+  [[nodiscard]] ShadowCell* writable_page(ShadowBlock& blk, std::size_t p) {
+    std::unique_ptr<ShadowCell[]>& page = blk.pages[p];
     if (page == nullptr) {
       page = std::make_unique<ShadowCell[]>(kCellsPerPage);
       ++cell_pages_;
     }
-    return page.get() + (g % kGranulesPerCellPage) * kShadowSlots;
+    return page.get();
   }
 
-  /// Granules [lo, hi] of `blk` (inside the summary span) are about to leave
-  /// the summary: give them the summary's cells as their raw state. An empty
-  /// lo > hi range stores nothing.
-  void materialize(ShadowBlock& blk, std::size_t lo, std::size_t hi) {
-    if (blk.summary.deferred) {
-      store_cells(blk, lo, hi, blk.summary.cells);
-    }
+  /// Writable raw cells of granule `g` of `blk` (allocates its page).
+  [[nodiscard]] ShadowCell* writable_cells(ShadowBlock& blk, std::size_t g) {
+    return writable_page(blk, g / kGranulesPerCellPage) +
+           (g % kGranulesPerCellPage) * kShadowSlots;
   }
 
-  /// Shadow state of the granule containing `addr`: the summary's cells
-  /// inside a summarized span, the raw cells elsewhere, all-invalid if the
-  /// block was never touched (read-only; does not allocate).
+  /// Make `runs` (sorted, disjoint, inside [lo, hi]) the uniform runs of
+  /// granules [lo, hi] of `blk`; the granules of [lo, hi] they leave out
+  /// hold their state in the raw cells. Runs outside [lo, hi] keep their
+  /// cells, adjacent runs with equal cells coalesce, and while the block has
+  /// more than kMaxRuns runs the narrowest (the first of equals) is
+  /// materialized to raw cells and dropped.
+  void replace_runs(ShadowBlock& blk, std::size_t lo, std::size_t hi, const Run* runs,
+                    std::size_t n);
+
+  /// Shadow state of the granule containing `addr`: a run's cells inside a
+  /// run, the raw cells elsewhere, all-invalid if the block was never
+  /// touched (read-only; does not allocate).
   [[nodiscard]] GranuleCells load(std::uintptr_t addr) const {
     const ShadowBlock* blk = find(addr / kBlockAppBytes);
     if (blk == nullptr) {
       return {};
     }
     const std::size_t granule_idx = (addr % kBlockAppBytes) / kGranuleBytes;
-    if (blk->summary.covers(granule_idx, granule_idx)) {
-      return blk->summary.cells;
+    if (const Run* run = blk->runs.find(granule_idx); run != nullptr) {
+      return run->cells;
     }
     GranuleCells out;
     std::copy_n(blk->cells(granule_idx), kShadowSlots, out.begin());
@@ -215,14 +266,13 @@ class ShadowMemory {
   /// Drop all shadow state for [base, base+extent) — used when memory is
   /// freed so stale epochs cannot produce false races on reuse. Only clears
   /// blocks that exist; granules partially overlapped by the range edges are
-  /// cleared whole, matching the tracking granularity. With summaries on, a
-  /// segment covering a whole block resets only its summary; a partial
-  /// segment materializes the rest of the summary span and drops it.
+  /// cleared whole, matching the tracking granularity. With runs on, each
+  /// block segment becomes one empty run and no raw cell is written.
   void reset_range(std::uintptr_t base, std::size_t extent);
 
   [[nodiscard]] std::size_t resident_blocks() const { return block_count_; }
   /// Reserved shadow bytes (blocks × kShadowBlockBytes). What the shadow
-  /// adds to RSS can be lower: a block whose granules stay summarized never
+  /// adds to RSS can be lower: a block whose granules stay in runs never
   /// writes its raw cells, so it owns no cell page.
   [[nodiscard]] std::size_t resident_bytes() const { return block_count_ * kShadowBlockBytes; }
   /// Cell pages allocated since the last clear() (all still held).
@@ -257,9 +307,16 @@ class ShadowMemory {
     return (key ^ (key >> 20)) & (index_.size() - 1);
   }
   void insert(std::uintptr_t key, ShadowBlock* blk);
-  /// Give granules [lo, hi] of `blk` the raw cells `pattern`. A granule that
-  /// already holds them is not written, so storing empty cells over a
-  /// missing page allocates nothing.
+  /// `run` is leaving its block's list: give its granules its cells as their
+  /// raw state (a no-op unless deferred).
+  void materialize(ShadowBlock& blk, const Run& run) {
+    if (run.deferred) {
+      store_cells(blk, run.lo, run.hi, run.cells);
+    }
+  }
+  /// Give granules [lo, hi] of `blk` the raw cells `pattern`, one page
+  /// pointer per cell page. Empty cells are not stored on a missing page, so
+  /// they allocate nothing.
   void store_cells(ShadowBlock& blk, std::size_t lo, std::size_t hi, const GranuleCells& pattern);
 
   /// Linear probing over a power-of-two table at load <= 1/2, doubled when
@@ -268,7 +325,12 @@ class ShadowMemory {
   /// Block headers, kBlocksPerSlab to an array reserved up front so header
   /// addresses never move.
   std::vector<std::vector<ShadowBlock>> slabs_;
-  bool summaries_{false};
+  bool runs_{false};
+  /// replace_runs' merge buffer: at most kMaxRuns runs before the replaced
+  /// range, kMaxRuns after it, and 2 * kMaxRuns + 1 inside it. A member, so
+  /// a call does not zero it.
+  static constexpr std::size_t kMergeRuns = 4 * kMaxRuns + 1;
+  std::array<Run, kMergeRuns> merge_scratch_;
   std::size_t block_count_{0};
   std::size_t cell_pages_{0};
   std::size_t block_budget_{0};

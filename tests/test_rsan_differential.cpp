@@ -3,19 +3,23 @@
 // single-granule to multi-block), fiber switches, acquire/release pairs and
 // shadow resets — through three independent detectors:
 //
-//   1. a Runtime with use_shadow_fast_path = true  (summary + range cache),
+//   1. a Runtime with use_shadow_fast_path = true  (uniform runs + range cache),
 //   2. a Runtime with use_shadow_fast_path = false (reference scan),
 //   3. NaiveDetector, a straight port of the per-granule loop kept here as a
 //      test-only class over a plain per-granule hash map (no blocks, no
 //      caches), so a bug in the shared production scan cannot hide.
 //
 // After every access the per-call race verdicts must agree across all three;
-// after every trace the race totals, report lists and the final shadow
-// contents (read through ShadowMemory::load, which sees block summaries) must
-// be identical. 51 parameter cases x 20 traces each = 1020 seeded traces per
-// run, plus 20 x 20 widened traces that also aim at block summaries:
-// block-aligned whole-block ranges, partial resets inside a summarized span,
-// and writes by another context that start inside one.
+// after every trace the race totals, report lists (labels and access kinds
+// included) and the final shadow contents (read through ShadowMemory::load,
+// which sees uniform runs) must be identical. Three trace families:
+//   - random: 51 parameter cases x 20 traces each;
+//   - widened, 20 x 20: also block-aligned whole-block ranges, partial resets
+//     inside a run, and writes by another context that start inside one;
+//   - shared-block, 20 x 20: widened plus two to four regions at 64-byte
+//     offsets that share blocks, accessed in turn by different contexts,
+//     halo rows at region edges, 1-granule reads walking a freshly written
+//     region, and storms of narrow accesses that overflow a block's runs.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -186,24 +190,61 @@ std::uintptr_t arena_base() {
   return (raw + 4095) & ~std::uintptr_t{4095};
 }
 
-/// Block summary span of the fast runtime's block `block` (arena-relative),
-/// or false when the block has none.
-bool summary_span(const rsan::Runtime& fast, std::uintptr_t base, std::size_t block,
-                  std::size_t& lo, std::size_t& hi) {
-  const rsan::ShadowBlock* blk = fast.shadow().block_if_present(base + block * 4096);
-  if (blk == nullptr || blk->summary.lo > blk->summary.hi) {
-    return false;
-  }
-  lo = blk->summary.lo;
-  hi = blk->summary.hi;
-  return true;
+/// The fast runtime's block `block` (arena-relative), or nullptr.
+const rsan::ShadowBlock* fast_block(const rsan::Runtime& fast, std::uintptr_t base,
+                                    std::size_t block) {
+  return fast.shadow().block_if_present(base + block * 4096);
 }
 
-void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided, bool widened) {
+/// A uniform run of the fast runtime's block `block`, picked by `rng`, or
+/// nullptr when the block has none.
+const rsan::Run* pick_run(const rsan::Runtime& fast, std::uintptr_t base, std::size_t block,
+                          common::SplitMix64& rng) {
+  const rsan::ShadowBlock* blk = fast_block(fast, base, block);
+  if (blk == nullptr || blk->runs.size() == 0) {
+    return nullptr;
+  }
+  return &blk->runs[rng.next_below(blk->runs.size())];
+}
+
+/// Trace generators: random accesses; plus block-aligned ranges and writes
+/// and resets aimed at runs (widened); plus neighbouring regions that share
+/// blocks (shared-block).
+enum class Family { kRandom, kWidened, kSharedBlock };
+
+struct TraceStats {
+  std::uint64_t fastpath_elided{};
+  /// Narrow-write storms after which a block held kMaxRuns runs.
+  std::uint64_t run_cap_hits{};
+};
+
+void run_trace(std::uint64_t seed, Family family, TraceStats& stats) {
   common::SplitMix64 rng(seed);
   const int contexts = 2 + static_cast<int>(rng.next_below(3));
   const int events = 120 + static_cast<int>(rng.next_below(80));
   const std::uintptr_t base = arena_base();
+
+  // Shared-block family: two to four regions back to back from a 64-byte
+  // offset, as a 64-byte-aligned device allocator places them, so
+  // neighbouring regions share blocks. Two regions are TeaLeaf-sized
+  // (8,704 bytes) half of the time.
+  struct Region {
+    std::uintptr_t addr;
+    std::size_t size;
+  };
+  std::vector<Region> regions;
+  if (family == Family::kSharedBlock) {
+    const std::size_t n = 2 + rng.next_below(3);
+    const bool tealeaf = n == 2 && rng.next_below(2) == 0;
+    std::uintptr_t at = base + 64;
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::size_t size =
+          tealeaf ? 8704 : 64 * (1 + rng.next_below((kArenaBytes / 64 - 1) / n - 1));
+      regions.push_back(Region{at, size});
+      at += size;
+    }
+  }
+  std::size_t next_region = 0;
 
   rsan::RuntimeConfig fast_config;
   fast_config.use_shadow_fast_path = true;
@@ -234,19 +275,35 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided, bool widened)
 
   const obs::Counter& fast_races = fast_metrics.counter("rsan.races_detected");
   const obs::Counter& slow_races = slow_metrics.counter("rsan.races_detected");
-  const auto do_access = [&](int ctx, std::uintptr_t addr, std::size_t size, bool is_write) {
+  const auto switch_to = [&](int ctx) {
     fast.switch_to_fiber(fast_ids[static_cast<std::size_t>(ctx)]);
     slow.switch_to_fiber(slow_ids[static_cast<std::size_t>(ctx)]);
     naive.switch_to(static_cast<CtxId>(ctx));
+  };
+  const auto release = [&](int ctx, std::size_t key) {
+    switch_to(ctx);
+    fast.happens_before(&keys[key]);
+    slow.happens_before(&keys[key]);
+    naive.release(&keys[key]);
+  };
+  const auto acquire = [&](int ctx, std::size_t key) {
+    switch_to(ctx);
+    fast.happens_after(&keys[key]);
+    slow.happens_after(&keys[key]);
+    naive.acquire(&keys[key]);
+  };
+  const auto do_access = [&](int ctx, std::uintptr_t addr, std::size_t size, bool is_write,
+                             const char* label = nullptr) {
+    switch_to(ctx);
     const std::uint64_t fast_before = fast_races.value();
     const std::uint64_t slow_before = slow_races.value();
     const auto* ptr = reinterpret_cast<const void*>(addr);
     if (is_write) {
-      fast.write_range(ptr, size, "w");
-      slow.write_range(ptr, size, "w");
+      fast.write_range(ptr, size, label != nullptr ? label : "w");
+      slow.write_range(ptr, size, label != nullptr ? label : "w");
     } else {
-      fast.read_range(ptr, size, "r");
-      slow.read_range(ptr, size, "r");
+      fast.read_range(ptr, size, label != nullptr ? label : "r");
+      slow.read_range(ptr, size, label != nullptr ? label : "r");
     }
     const bool naive_raced = naive.access(addr, size, is_write);
     const bool fast_raced = fast_races.value() != fast_before;
@@ -262,37 +319,98 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided, bool widened)
 
   for (int e = 0; e < events; ++e) {
     const int ctx = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(contexts)));
-    const auto choice = rng.next_below(widened ? 130 : 100);
-    if (choice >= 100) {  // widened generator only: aim at block summaries
+    const auto choice = rng.next_below(family == Family::kRandom    ? 100
+                                       : family == Family::kWidened ? 130
+                                                                    : 180);
+    if (choice >= 130) {  // shared-block generator only
+      const Region& region = regions[rng.next_below(regions.size())];
+      const std::size_t row = std::min<std::size_t>(64 * (1 + rng.next_below(8)), region.size / 2);
+      if (choice < 145) {
+        // A kernel on the next region in turn: whole access or interior write.
+        const Region& r = regions[next_region++ % regions.size()];
+        if (rng.next_below(2) == 0 && r.size > 2 * row) {
+          do_access(ctx, r.addr + row, r.size - 2 * row, true, "interior");
+        } else {
+          do_access(ctx, r.addr, r.size, rng.next_below(2) == 0, "kernel");
+        }
+      } else if (choice < 155) {
+        // A halo row at either edge of a region.
+        const std::uintptr_t addr =
+            rng.next_below(2) == 0 ? region.addr : region.addr + region.size - row;
+        do_access(ctx, addr, row, rng.next_below(2) == 0, "halo");
+      } else if (choice < 163) {
+        // A fresh write of the region, then a context walks 1-granule reads
+        // across its first granules, ordered after the write half the time.
+        do_access(ctx, region.addr, region.size, true, "memcpy");
+        const int reader = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(contexts)));
+        if (rng.next_below(2) == 0) {
+          release(ctx, 0);
+          acquire(reader, 0);
+        }
+        const std::size_t steps = std::min<std::size_t>(region.size / kGranuleBytes, 48);
+        for (std::size_t i = 0; i < steps && !testing::Test::HasFatalFailure(); ++i) {
+          do_access(reader, region.addr + i * kGranuleBytes, kGranuleBytes, false, "load");
+        }
+      } else if (choice < 170) {
+        // Partial reset inside a run of a block the region lies in.
+        const std::size_t block = (region.addr - base) / 4096;
+        if (const rsan::Run* run = pick_run(fast, base, block, rng); run != nullptr) {
+          const std::size_t g_lo = run->lo + rng.next_below(run->width());
+          const std::size_t g_hi = g_lo + rng.next_below(run->hi - g_lo + 1u);
+          const std::uintptr_t addr = base + block * 4096 + g_lo * kGranuleBytes;
+          const std::size_t size = (g_hi - g_lo + 1) * kGranuleBytes;
+          fast.reset_shadow_range(reinterpret_cast<const void*>(addr), size);
+          slow.reset_shadow_range(reinterpret_cast<const void*>(addr), size);
+          naive.reset(addr, size);
+        }
+      } else {
+        // A storm of narrow accesses at fresh epochs into one block: more
+        // distinct runs than a block holds, so runs are materialized.
+        const std::size_t block = rng.next_below(kArenaPages);
+        for (std::size_t k = 0; k < rsan::kMaxRuns + 2 && !testing::Test::HasFatalFailure();
+             ++k) {
+          const int who = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(contexts)));
+          release(who, rng.next_below(keys.size()));
+          const std::size_t g = rng.next_below(4096 / kGranuleBytes - 3);
+          do_access(who, base + block * 4096 + g * kGranuleBytes,
+                    (1 + rng.next_below(3)) * kGranuleBytes, rng.next_below(2) == 0, "narrow");
+        }
+        const rsan::ShadowBlock* blk = fast_block(fast, base, block);
+        if (blk != nullptr && blk->runs.size() == rsan::kMaxRuns) {
+          ++stats.run_cap_hits;
+        }
+      }
+      if (testing::Test::HasFatalFailure()) {
+        return;
+      }
+    } else if (choice >= 100) {  // widened and shared-block: aim at runs
       const std::size_t block = rng.next_below(kArenaPages);
-      std::size_t lo = 0;
-      std::size_t hi = 0;
+      const rsan::Run* run = choice >= 115 ? pick_run(fast, base, block, rng) : nullptr;
       const std::size_t blocks = 1 + rng.next_below(std::min<std::size_t>(3, kArenaPages - block));
       if (choice >= 110 && choice < 115) {
-        // Whole-block reset: only the summaries change.
+        // Whole-block reset: each block becomes one empty run.
         const auto* ptr = reinterpret_cast<const void*>(base + block * 4096);
         fast.reset_shadow_range(ptr, blocks * 4096);
         slow.reset_shadow_range(ptr, blocks * 4096);
         naive.reset(base + block * 4096, blocks * 4096);
-      } else if (choice < 110 || !summary_span(fast, base, block, lo, hi)) {
+      } else if (choice < 110 || run == nullptr) {
         // Block-aligned whole-block range of one to three blocks.
         do_access(ctx, base + block * 4096, blocks * 4096, rng.next_below(2) == 0);
       } else if (choice < 120) {
-        // Partial reset inside the summarized span.
-        const std::size_t g_lo = lo + rng.next_below(hi - lo + 1);
-        const std::size_t g_hi = g_lo + rng.next_below(hi - g_lo + 1);
+        // Partial reset inside a run.
+        const std::size_t g_lo = run->lo + rng.next_below(run->width());
+        const std::size_t g_hi = g_lo + rng.next_below(run->hi - g_lo + 1u);
         const std::uintptr_t addr = base + block * 4096 + g_lo * kGranuleBytes;
         const std::size_t size = (g_hi - g_lo + 1) * kGranuleBytes;
         fast.reset_shadow_range(reinterpret_cast<const void*>(addr), size);
         slow.reset_shadow_range(reinterpret_cast<const void*>(addr), size);
         naive.reset(addr, size);
       } else {
-        // A write that starts inside the summarized span, by the context
-        // after the one whose cell the span holds: a race unless ordered.
-        const ShadowCell held =
-            fast.shadow().block_if_present(base + block * 4096)->summary.cells[0];
+        // A write that starts inside a run, by the context after the one
+        // whose cell the run holds: a race unless ordered.
+        const ShadowCell held = run->cells[0];
         const int owner = held.valid() ? static_cast<int>(held.ctx()) : 0;
-        const std::size_t g = lo + rng.next_below(hi - lo + 1);
+        const std::size_t g = run->lo + rng.next_below(run->width());
         const std::uintptr_t addr =
             base + block * 4096 + g * kGranuleBytes + rng.next_below(kGranuleBytes);
         const std::size_t max_size = std::min<std::size_t>(base + kArenaBytes - addr, 2 * 4096);
@@ -322,21 +440,9 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided, bool widened)
       slow.switch_to_fiber(slow_ids[static_cast<std::size_t>(ctx)]);
       naive.switch_to(static_cast<CtxId>(ctx));
     } else if (choice < 82) {  // release
-      fast.switch_to_fiber(fast_ids[static_cast<std::size_t>(ctx)]);
-      slow.switch_to_fiber(slow_ids[static_cast<std::size_t>(ctx)]);
-      naive.switch_to(static_cast<CtxId>(ctx));
-      const auto key = rng.next_below(keys.size());
-      fast.happens_before(&keys[key]);
-      slow.happens_before(&keys[key]);
-      naive.release(&keys[key]);
+      release(ctx, rng.next_below(keys.size()));
     } else if (choice < 94) {  // acquire
-      fast.switch_to_fiber(fast_ids[static_cast<std::size_t>(ctx)]);
-      slow.switch_to_fiber(slow_ids[static_cast<std::size_t>(ctx)]);
-      naive.switch_to(static_cast<CtxId>(ctx));
-      const auto key = rng.next_below(keys.size());
-      fast.happens_after(&keys[key]);
-      slow.happens_after(&keys[key]);
-      naive.acquire(&keys[key]);
+      acquire(ctx, rng.next_below(keys.size()));
     } else {  // reset a sub-range
       const std::size_t size = 1 + rng.next_below(4096);
       const std::uintptr_t offset = rng.next_below(kArenaBytes - size);
@@ -376,7 +482,7 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided, bool widened)
   }
 
   // Final shadow contents over the whole arena: cell-for-cell identical.
-  // load() reads a summarized span from its block summary, which is the
+  // load() reads a granule inside a uniform run from the run, which is the
   // authority there (the raw cells under it are don't-care).
   EXPECT_EQ(fast.shadow().resident_blocks(), slow.shadow().resident_blocks()) << "seed " << seed;
   for (std::uintptr_t addr = base; addr < base + kArenaBytes; addr += kGranuleBytes) {
@@ -398,24 +504,27 @@ void run_trace(std::uint64_t seed, std::uint64_t& fastpath_elided, bool widened)
   EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_range_hits"), 0u);
   EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_block_hits"), 0u);
   EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_granules_elided"), 0u);
-  fastpath_elided += metric_value(fast_metrics, "rsan.fastpath_granules_elided");
+  stats.fastpath_elided += metric_value(fast_metrics, "rsan.fastpath_granules_elided");
 }
 
-void run_case(std::uint64_t case_seed, bool widened) {
-  std::uint64_t fastpath_elided = 0;
+void run_case(std::uint64_t case_seed, Family family) {
+  TraceStats stats;
   for (std::uint64_t t = 0; t < 20; ++t) {
-    run_trace(case_seed * 7919 + t * 104729 + 1, fastpath_elided, widened);
+    run_trace(case_seed * 7919 + t * 104729 + 1, family, stats);
     if (testing::Test::HasFatalFailure()) {
       return;
     }
   }
   // The oracle is vacuous if the fast path never engages; the repeat-heavy
   // generator guarantees hits in every 20-trace batch.
-  EXPECT_GT(fastpath_elided, 0u) << "fast path never engaged for case seed " << case_seed;
+  EXPECT_GT(stats.fastpath_elided, 0u) << "fast path never engaged for case seed " << case_seed;
+  if (family == Family::kSharedBlock) {
+    EXPECT_GT(stats.run_cap_hits, 0u) << "no block reached the run cap, case seed " << case_seed;
+  }
 }
 
 TEST_P(ShadowDifferentialP, FastAndReferenceShadowsAgreeOnRandomTraces) {
-  run_case(GetParam(), /*widened=*/false);
+  run_case(GetParam(), Family::kRandom);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTraces, ShadowDifferentialP, ::testing::Range<std::uint64_t>(1, 52));
@@ -423,10 +532,19 @@ INSTANTIATE_TEST_SUITE_P(RandomTraces, ShadowDifferentialP, ::testing::Range<std
 class ShadowDifferentialWidenedP : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ShadowDifferentialWidenedP, FastAndReferenceShadowsAgreeOnSummaryAimedTraces) {
-  run_case(GetParam(), /*widened=*/true);
+  run_case(GetParam(), Family::kWidened);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTraces, ShadowDifferentialWidenedP,
+                         ::testing::Range<std::uint64_t>(1, 21));
+
+class ShadowDifferentialSharedBlockP : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ShadowDifferentialSharedBlockP, FastAndReferenceShadowsAgreeOnSharedBlockTraces) {
+  run_case(GetParam(), Family::kSharedBlock);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomTraces, ShadowDifferentialSharedBlockP,
                          ::testing::Range<std::uint64_t>(1, 21));
 
 }  // namespace

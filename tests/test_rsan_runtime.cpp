@@ -416,7 +416,7 @@ TEST_F(RsanRuntimeTest, RepeatedSameEpochRangeHitsRecentRangeCache) {
   Runtime fast(fast_metrics, config);
   fast.write_range(buf.data(), sizeof buf, "first");
   EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 0u);
-  // The first pass already elides through the fresh blocks' summaries; the
+  // The first pass already elides through the fresh blocks' empty runs; the
   // repeat elides every granule of the range on top of that.
   const std::uint64_t elided_first = metric_value(fast_metrics, "rsan.fastpath_granules_elided");
   fast.write_range(buf.data(), sizeof buf, "repeat");
@@ -450,8 +450,8 @@ TEST_F(RsanRuntimeTest, ClockTickInvalidatesRecentRangeCache) {
   fast.happens_before(&sync_key);  // ticks the epoch
   fast.write_range(buf.data(), sizeof buf);
   EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 0u);
-  // The re-scan still runs O(blocks), not O(granules): every block summary is
-  // uniform after the first pass, so the second pass hits the summary layer.
+  // The re-scan still runs O(blocks), not O(granules): the range's granules
+  // are uniform runs after the first pass, so the second pass hits them.
   EXPECT_GT(metric_value(fast_metrics, "rsan.fastpath_block_hits"), 0u);
 }
 
@@ -496,7 +496,7 @@ TEST_F(RsanRuntimeTest, FastPathStillDetectsRacesAfterHits) {
   EXPECT_EQ(metric_value(fast_metrics, "rsan.races_detected"), 1u);
 }
 
-// -- Deferred shadow stores: the block summary is the state of its span -----
+// -- Deferred shadow stores: a uniform run is the state of its granules ------
 
 /// One shadow block's worth of block-aligned bytes, so a whole-block range
 /// maps onto exactly one shadow block.
@@ -562,7 +562,7 @@ TEST_F(DeferredStoreTest, FirstWholeBlockTouchIsABlockHit) {
   EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_misses"), 0u);
   EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_granules_elided"),
             rsan::kGranulesPerBlock);
-  // The block stays on its summary; the reference scan writes every granule,
+  // The block stays one run; the reference scan writes every granule,
   // which allocates each of the block's cell pages.
   EXPECT_EQ(metric_value(fast_metrics, "rsan.cell_pages"), 0u);
   EXPECT_EQ(metric_value(reference_metrics, "rsan.cell_pages"), rsan::kCellPages);
@@ -584,26 +584,24 @@ TEST_F(DeferredStoreTest, WholeBlockStoreAtNewEpochWritesNoRawCell) {
   expect_same_block_state(fast, reference, page);
 }
 
-TEST_F(DeferredStoreTest, PartialAccessMaterializesExactlyTheDroppedFragments) {
+TEST_F(DeferredStoreTest, PartialAccessSplitsTheRunAndWritesNoRawCell) {
   write(0, rsan::kBlockAppBytes);
   tick();
   write(100 * rsan::kGranuleBytes, 100 * rsan::kGranuleBytes);  // granules 100..199
   const rsan::ShadowBlock* blk = fast.shadow().block_if_present(granule_addr(page, 0));
   ASSERT_NE(blk, nullptr);
-  EXPECT_EQ(blk->summary.lo, 100u);
-  EXPECT_EQ(blk->summary.hi, 199u);
-  // The accessed span stays deferred; both dropped fragments hold the first
-  // write's cell.
-  EXPECT_TRUE(raw_cells_zero(*blk, 100, 199));
-  const rsan::ShadowCell first = reference.shadow().load(granule_addr(page, 0))[0];
-  for (const std::size_t g : {std::size_t{0}, std::size_t{99}, std::size_t{200},
-                              rsan::kGranulesPerBlock - 1}) {
-    EXPECT_EQ(blk->cells(g)[0].raw, first.raw) << "granule " << g;
-  }
+  // The store split the whole-block run at the segment edges; no granule
+  // left the runs, so no raw cell was written.
+  ASSERT_EQ(blk->runs.size(), 3u);
+  EXPECT_EQ(blk->runs[1].lo, 100u);
+  EXPECT_EQ(blk->runs[1].hi, 199u);
+  EXPECT_EQ(blk->runs[0].cells, blk->runs[2].cells);
+  EXPECT_EQ(fast.shadow().cell_pages(), 0u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_misses"), 0u);
   expect_same_block_state(fast, reference, page);
 }
 
-TEST_F(DeferredStoreTest, RacingSegmentInsideSummaryMatchesReference) {
+TEST_F(DeferredStoreTest, RacingSegmentInsideARunMatchesReference) {
   // Created before the host write, so the fiber's write is unordered with it.
   const auto fiber_fast = fast.create_fiber(CtxKind::kStreamFiber, "s");
   const auto fiber_ref = reference.create_fiber(CtxKind::kStreamFiber, "s");
@@ -611,14 +609,14 @@ TEST_F(DeferredStoreTest, RacingSegmentInsideSummaryMatchesReference) {
   reference.write_range(page, rsan::kBlockAppBytes, "host write");
   fast.switch_to_fiber(fiber_fast);
   reference.switch_to_fiber(fiber_ref);
-  // The racing span is exactly cell page 1 of the block, inside the summary.
+  // The racing span is exactly cell page 1 of the block, inside its run.
   std::byte* const racing = page + rsan::kGranulesPerCellPage * rsan::kGranuleBytes;
   const std::size_t racing_bytes = rsan::kGranulesPerCellPage * rsan::kGranuleBytes - 3;
   fast.write_range(racing + 3, racing_bytes, "fiber write");
   reference.write_range(racing + 3, racing_bytes, "fiber write");
   EXPECT_EQ(metric_value(fast_metrics, "rsan.races_detected"), 1u);
   EXPECT_EQ(metric_value(reference_metrics, "rsan.races_detected"), 1u);
-  // Decided on the summary: a block hit, not a per-granule scan.
+  // Decided on the block's runs: a block hit, not a per-granule scan.
   EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_misses"), 0u);
   ASSERT_EQ(fast.reports().size(), 1u);
   ASSERT_EQ(reference.reports().size(), 1u);
@@ -636,14 +634,14 @@ TEST_F(DeferredStoreTest, RacingSegmentInsideSummaryMatchesReference) {
   EXPECT_EQ(f.current.label, "fiber write");
   EXPECT_EQ(f.previous.label, "host write");
   expect_same_block_state(fast, reference, page);
-  // The racing span lives in the summary: its cell page was never allocated.
+  // The racing span lives in a run: its cell page was never allocated.
   const rsan::ShadowBlock* blk = fast.shadow().block_if_present(granule_addr(page, 0));
   ASSERT_NE(blk, nullptr);
   EXPECT_EQ(blk->pages[1], nullptr);
 }
 
 TEST_F(DeferredStoreTest, CheckOnlyScanAllocatesNoCellPage) {
-  // The reference runtime keeps no summary, so the check-only scan reads raw
+  // The reference runtime keeps no runs, so the check-only scan reads raw
   // cells; the ones on the three pages nobody wrote read as empty.
   reference.write_range(page, rsan::kGranuleBytes);
   EXPECT_EQ(reference.shadow().cell_pages(), 1u);
@@ -673,6 +671,103 @@ TEST_F(DeferredStoreTest, WholeBlockResetReadsAllInvalidAndHitsAgain) {
   EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_hits"), 2u);
   EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_misses"), 0u);
   expect_same_block_state(fast, reference, page);
+}
+
+// -- Uniform runs of neighbouring allocations --------------------------------
+
+/// Two TeaLeaf-sized device arrays (17 rows of 64 doubles, 8,704 bytes) laid
+/// out the way a 64-byte-aligned allocator places them: they share shadow
+/// blocks with each other.
+class SharedBlockTest : public DeferredStoreTest {
+ protected:
+  static constexpr std::size_t kRowBytes = 64 * sizeof(double);
+  static constexpr std::size_t kArrayBytes = 17 * kRowBytes;
+
+  static std::byte* arena() {
+    alignas(rsan::kBlockAppBytes) static std::array<std::byte, 5 * rsan::kBlockAppBytes> bytes{};
+    return bytes.data();
+  }
+
+  /// The same annotation by the same-named context on both runtimes.
+  void access(rsan::CtxId ctx, std::byte* addr, std::size_t size, bool is_write) {
+    for (Runtime* rt : {&fast, &reference}) {
+      rt->switch_to_fiber(ctx);
+      if (is_write) {
+        rt->write_range(addr, size, "w");
+      } else {
+        rt->read_range(addr, size, "r");
+      }
+    }
+  }
+  /// `from` releases, `to` acquires: orders everything before.
+  void order(rsan::CtxId from, rsan::CtxId to) {
+    for (Runtime* rt : {&fast, &reference}) {
+      rt->switch_to_fiber(from);
+      rt->happens_before(&key);
+      rt->switch_to_fiber(to);
+      rt->happens_after(&key);
+    }
+  }
+  void expect_same_state(const std::byte* lo, const std::byte* hi) {
+    for (const std::byte* p = lo; p < hi; p += rsan::kGranuleBytes) {
+      const auto f = fast.shadow().load(reinterpret_cast<std::uintptr_t>(p));
+      const auto r = reference.shadow().load(reinterpret_cast<std::uintptr_t>(p));
+      for (std::size_t s = 0; s < rsan::kShadowSlots; ++s) {
+        ASSERT_EQ(f[s].raw, r[s].raw) << "offset " << (p - lo) << " slot " << s;
+      }
+    }
+  }
+};
+
+TEST_F(SharedBlockTest, TeaLeafShapedAnnotationsStayOnTheRuns) {
+  std::byte* const a = arena() + 64;
+  std::byte* const b = a + kArrayBytes;
+  const rsan::CtxId stream = fast.create_fiber(CtxKind::kStreamFiber, "stream");
+  ASSERT_EQ(reference.create_fiber(CtxKind::kStreamFiber, "stream"), stream);
+  const rsan::CtxId host = fast.host_ctx();
+  std::uint64_t misses_after_first = 0;
+  for (int it = 0; it < 6; ++it) {
+    // Kernel: interior write of a, whole read of b; then of b and a.
+    access(stream, a + kRowBytes, kArrayBytes - 2 * kRowBytes, true);
+    access(stream, b, kArrayBytes, false);
+    access(stream, b + kRowBytes, kArrayBytes - 2 * kRowBytes, true);
+    access(stream, a, kArrayBytes, false);
+    order(stream, host);
+    // Halo exchange on the host: the first and last rows of a and b.
+    for (std::byte* v : {a, b}) {
+      access(host, v, kRowBytes, true);
+      access(host, v + kArrayBytes - kRowBytes, kRowBytes, true);
+    }
+    order(host, stream);
+    if (it == 0) {
+      misses_after_first = metric_value(fast_metrics, "rsan.fastpath_block_misses");
+    }
+  }
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_misses"), misses_after_first);
+  EXPECT_GT(metric_value(fast_metrics, "rsan.fastpath_block_hits"), 0u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(reference_metrics, "rsan.races_detected"), 0u);
+  expect_same_state(arena(), arena() + 5 * rsan::kBlockAppBytes);
+}
+
+TEST_F(SharedBlockTest, WalkingOneGranuleReadLeavesFewRunsAndNoCellPage) {
+  // A memcpy writes the first 100 granules of a block, then the host reads
+  // them back one granule at a time (capi::checked_load over a host buffer).
+  std::byte* const dst = arena();
+  const rsan::CtxId stream = fast.create_fiber(CtxKind::kStreamFiber, "stream");
+  ASSERT_EQ(reference.create_fiber(CtxKind::kStreamFiber, "stream"), stream);
+  access(stream, dst, 100 * rsan::kGranuleBytes, true);
+  order(stream, fast.host_ctx());
+  const rsan::ShadowBlock* blk = fast.shadow().block_if_present(granule_addr(dst, 0));
+  ASSERT_NE(blk, nullptr);
+  for (std::size_t g = 0; g < 100; ++g) {
+    fast.plain_read(dst + g * rsan::kGranuleBytes, sizeof(double));
+    reference.plain_read(dst + g * rsan::kGranuleBytes, sizeof(double));
+    ASSERT_LE(blk->runs.size(), 3u) << "after granule " << g;
+  }
+  EXPECT_EQ(fast.shadow().cell_pages(), 0u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_misses"), 0u);
+  expect_same_state(dst, dst + rsan::kBlockAppBytes);
 }
 
 TEST_F(RsanRuntimeTest, FastPathDisabledKeepsCountersZero) {

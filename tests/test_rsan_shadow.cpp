@@ -1,8 +1,10 @@
 // Unit tests for the shadow memory (lazy blocks, granule addressing, reset,
-// the block index and the raw-cell pages a block allocates on write).
+// uniform runs, the block index and the raw-cell pages a block allocates on
+// write).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <vector>
 
 #include "rsan/shadow.hpp"
 
@@ -153,73 +155,73 @@ TEST(ShadowMemoryTest, ResetRangeInvalidatesCachedBlockLookup) {
   EXPECT_EQ(shadow.resident_blocks(), 1u);
 }
 
-TEST(ShadowMemoryTest, ResetRangeInvalidatesBlockSummary) {
-  ShadowMemory shadow;
-  rsan::ShadowBlock* blk = shadow.block(0xA000);
-  blk->summary.cells[0] = ShadowCell::make(1, 1, true);
-  blk->summary.lo = 0;
-  blk->summary.hi = 10;
-  EXPECT_TRUE(blk->summary.covers(2, 5));
-  shadow.reset_range(0xA020, kGranuleBytes);  // touches the block anywhere
-  EXPECT_FALSE(blk->summary.covers(2, 5));
-  EXPECT_GT(blk->summary.lo, blk->summary.hi);  // invalidated, not shrunk
+// -- Runs on: uniform runs hold the state of their granules ------------------
+
+using rsan::kGranulesPerBlock;
+
+/// A run of `cells` over granules [lo, hi] whose raw cells are don't-care.
+rsan::Run deferred_run(std::size_t lo, std::size_t hi, ShadowCell cell) {
+  return rsan::Run{{cell}, static_cast<std::uint16_t>(lo), static_cast<std::uint16_t>(hi), true};
 }
 
-// -- Summaries on: a uniform span lives in its block summary ----------------
+/// Make `run` the state of its granules.
+void put(ShadowMemory& shadow, rsan::ShadowBlock& blk, const rsan::Run& run) {
+  shadow.replace_runs(blk, run.lo, run.hi, &run, 1);
+}
 
-TEST(ShadowMemoryTest, FreshBlockIsAnEmptyWholeBlockSummary) {
-  ShadowMemory shadow{/*summaries=*/true};
+TEST(ShadowMemoryTest, FreshBlockIsAnEmptyWholeBlockRun) {
+  ShadowMemory shadow{/*runs=*/true};
   const rsan::ShadowBlock* blk = shadow.block(0xB000);
   ASSERT_NE(blk, nullptr);
-  EXPECT_TRUE(blk->summary.covers(0, rsan::kGranulesPerBlock - 1));
-  EXPECT_FALSE(blk->summary.deferred);  // the missing cell pages read empty already
+  ASSERT_EQ(blk->runs.size(), 1u);
+  EXPECT_EQ(blk->runs[0].width(), kGranulesPerBlock);
+  EXPECT_FALSE(blk->runs[0].deferred);  // the missing cell pages read empty already
   EXPECT_FALSE(shadow.load(0xB000 + 8 * kGranuleBytes)[0].valid());
-  // Without summaries a fresh block has none.
+  // Without runs a fresh block has none.
   ShadowMemory plain;
-  EXPECT_GT(plain.block(0xB000)->summary.lo, plain.block(0xB000)->summary.hi);
+  EXPECT_EQ(plain.block(0xB000)->runs.size(), 0u);
 }
 
-TEST(ShadowMemoryTest, LoadReadsTheSummaryInsideItsSpan) {
-  ShadowMemory shadow{/*summaries=*/true};
+TEST(ShadowMemoryTest, LoadReadsTheRunHoldingTheGranule) {
+  ShadowMemory shadow{/*runs=*/true};
   rsan::ShadowBlock* blk = shadow.block(0xC000);
-  blk->summary.cells[1] = ShadowCell::make(2, 5, true);
-  blk->summary.lo = 4;
-  blk->summary.hi = 9;
-  shadow.writable_cells(*blk, 10)[0] = ShadowCell::make(3, 6, false);  // outside the span
-  EXPECT_EQ(shadow.load(0xC000 + 4 * kGranuleBytes)[1].clock(), 5u);
-  EXPECT_EQ(shadow.load(0xC000 + 9 * kGranuleBytes + 7)[1].clock(), 5u);
-  EXPECT_FALSE(shadow.load(0xC000 + 4 * kGranuleBytes)[0].valid());
+  put(shadow, *blk, deferred_run(4, 9, ShadowCell::make(2, 5, true)));
+  shadow.replace_runs(*blk, 10, 10, nullptr, 0);  // granule 10 leaves the runs
+  shadow.writable_cells(*blk, 10)[0] = ShadowCell::make(3, 6, false);
+  EXPECT_EQ(shadow.load(0xC000 + 4 * kGranuleBytes)[0].clock(), 5u);
+  EXPECT_EQ(shadow.load(0xC000 + 9 * kGranuleBytes + 7)[0].clock(), 5u);
   EXPECT_EQ(shadow.load(0xC000 + 10 * kGranuleBytes)[0].clock(), 6u);
-  EXPECT_FALSE(shadow.load(0xC000 + 3 * kGranuleBytes)[1].valid());
+  EXPECT_FALSE(shadow.load(0xC000 + 3 * kGranuleBytes)[0].valid());
+  EXPECT_FALSE(shadow.load(0xC000 + 11 * kGranuleBytes)[0].valid());
 }
 
-TEST(ShadowMemoryTest, GranuleMaterializesAndDropsTheSummary) {
-  ShadowMemory shadow{/*summaries=*/true};
+TEST(ShadowMemoryTest, GranuleMaterializesAndDropsTheRuns) {
+  ShadowMemory shadow{/*runs=*/true};
   rsan::ShadowBlock* blk = shadow.block(0xD000);
-  blk->summary.cells[0] = ShadowCell::make(1, 3, true);
-  blk->summary.deferred = true;  // as after a store to the summary alone
+  put(shadow, *blk, deferred_run(0, kGranulesPerBlock - 1, ShadowCell::make(1, 3, true)));
   ShadowCell* cells = shadow.granule(0xD000 + 5 * kGranuleBytes);
-  EXPECT_GT(blk->summary.lo, blk->summary.hi);
+  EXPECT_EQ(blk->runs.size(), 0u);
   EXPECT_EQ(cells[0].clock(), 3u);
-  EXPECT_EQ(shadow.load(0xD000 + (rsan::kGranulesPerBlock - 1) * kGranuleBytes)[0].clock(), 3u);
+  EXPECT_EQ(shadow.load(0xD000 + (kGranulesPerBlock - 1) * kGranuleBytes)[0].clock(), 3u);
 }
 
 TEST(ShadowMemoryTest, WholeBlockResetWritesNoCell) {
-  ShadowMemory shadow{/*summaries=*/true};
+  ShadowMemory shadow{/*runs=*/true};
   rsan::ShadowBlock* blk = shadow.block(0xE000);
-  blk->summary.cells[0] = ShadowCell::make(1, 4, true);
-  // Raw cells under the span are don't-care; a sentinel shows none is written.
+  put(shadow, *blk, deferred_run(0, kGranulesPerBlock - 1, ShadowCell::make(1, 4, true)));
+  // Raw cells under a run are don't-care; a sentinel shows none is written.
   const ShadowCell sentinel = ShadowCell::make(7, 7, false);
-  for (std::size_t g = 0; g < rsan::kGranulesPerBlock; ++g) {
+  for (std::size_t g = 0; g < kGranulesPerBlock; ++g) {
     std::fill_n(shadow.writable_cells(*blk, g), kShadowSlots, sentinel);
   }
   shadow.reset_range(0xE000, kBlockAppBytes);
-  for (std::size_t g = 0; g < rsan::kGranulesPerBlock; ++g) {
+  for (std::size_t g = 0; g < kGranulesPerBlock; ++g) {
     for (std::size_t s = 0; s < kShadowSlots; ++s) {
       ASSERT_EQ(blk->cells(g)[s], sentinel) << "granule " << g << " slot " << s;
     }
   }
-  EXPECT_TRUE(blk->summary.covers(0, rsan::kGranulesPerBlock - 1));
+  ASSERT_EQ(blk->runs.size(), 1u);
+  EXPECT_EQ(blk->runs[0].width(), kGranulesPerBlock);
   for (std::uintptr_t addr = 0xE000; addr < 0xE000 + kBlockAppBytes; addr += kGranuleBytes) {
     for (const ShadowCell cell : shadow.load(addr)) {
       ASSERT_FALSE(cell.valid());
@@ -227,31 +229,82 @@ TEST(ShadowMemoryTest, WholeBlockResetWritesNoCell) {
   }
 }
 
-TEST(ShadowMemoryTest, PartialResetKeepsTheRestOfTheSpan) {
-  ShadowMemory shadow{/*summaries=*/true};
+TEST(ShadowMemoryTest, PartialResetWritesAnEmptyRun) {
+  ShadowMemory shadow{/*runs=*/true};
   rsan::ShadowBlock* blk = shadow.block(0xF000);
   const ShadowCell cell = ShadowCell::make(1, 8, true);
-  blk->summary.cells[0] = cell;
-  blk->summary.deferred = true;
+  put(shadow, *blk, deferred_run(0, kGranulesPerBlock - 1, cell));
   shadow.reset_range(0xF000 + 10 * kGranuleBytes, 11 * kGranuleBytes);  // granules 10..20
-  EXPECT_GT(blk->summary.lo, blk->summary.hi);
-  for (std::size_t g = 0; g < rsan::kGranulesPerBlock; ++g) {
+  ASSERT_EQ(blk->runs.size(), 3u);
+  EXPECT_EQ(blk->runs[1].lo, 10u);
+  EXPECT_EQ(blk->runs[1].hi, 20u);
+  for (std::size_t g = 0; g < kGranulesPerBlock; ++g) {
     const bool reset = g >= 10 && g <= 20;
     EXPECT_EQ(shadow.load(0xF000 + g * kGranuleBytes)[0].raw, reset ? 0 : cell.raw)
         << "granule " << g;
   }
+  EXPECT_EQ(shadow.cell_pages(), 0u);  // the rest of the run is not materialized
 }
 
-TEST(ShadowMemoryTest, ResetDisjointFromTheSpanKeepsTheSummary) {
-  ShadowMemory shadow{/*summaries=*/true};
+TEST(ShadowMemoryTest, ResetOfARawGranuleKeepsTheRuns) {
+  ShadowMemory shadow{/*runs=*/true};
   rsan::ShadowBlock* blk = shadow.block(0x11000);
-  blk->summary.cells[0] = ShadowCell::make(1, 8, true);
-  blk->summary.lo = 100;
+  put(shadow, *blk, deferred_run(100, kGranulesPerBlock - 1, ShadowCell::make(1, 8, true)));
+  shadow.replace_runs(*blk, 0, 99, nullptr, 0);  // granules 0..99 are raw
   shadow.writable_cells(*blk, 3)[0] = ShadowCell::make(2, 2, true);
   shadow.reset_range(0x11000 + 3 * kGranuleBytes, kGranuleBytes);
-  EXPECT_TRUE(blk->summary.covers(100, rsan::kGranulesPerBlock - 1));
+  ASSERT_EQ(blk->runs.size(), 2u);
+  EXPECT_EQ(blk->runs[0].lo, 3u);
+  EXPECT_EQ(blk->runs[0].hi, 3u);
+  EXPECT_EQ(blk->runs[1].lo, 100u);
   EXPECT_FALSE(shadow.load(0x11000 + 3 * kGranuleBytes)[0].valid());
   EXPECT_EQ(shadow.load(0x11000 + 100 * kGranuleBytes)[0].clock(), 8u);
+}
+
+TEST(ShadowMemoryTest, AdjacentRunsWithEqualCellsCoalesce) {
+  ShadowMemory shadow{/*runs=*/true};
+  rsan::ShadowBlock* blk = shadow.block(0x12000);
+  const ShadowCell cell = ShadowCell::make(1, 8, true);
+  put(shadow, *blk, deferred_run(0, 99, cell));
+  put(shadow, *blk, deferred_run(200, 299, cell));
+  EXPECT_EQ(blk->runs.size(), 4u);
+  put(shadow, *blk, deferred_run(100, 199, cell));
+  ASSERT_EQ(blk->runs.size(), 2u);
+  EXPECT_EQ(blk->runs[0].lo, 0u);
+  EXPECT_EQ(blk->runs[0].hi, 299u);
+  EXPECT_TRUE(blk->runs[0].deferred);
+}
+
+TEST(ShadowMemoryTest, ExceedingTheRunCapMaterializesTheNarrowestRun) {
+  ShadowMemory shadow{/*runs=*/true};
+  const std::uintptr_t base = 0x13000;
+  rsan::ShadowBlock* blk = shadow.block(base);
+  shadow.replace_runs(*blk, 0, kGranulesPerBlock - 1, nullptr, 0);  // all raw (and empty)
+  EXPECT_EQ(blk->runs.size(), 0u);
+  // kMaxRuns + 1 disjoint runs with distinct cells, evenly spaced; run 2 is
+  // the narrowest.
+  constexpr std::size_t kSpacing = kGranulesPerBlock / (rsan::kMaxRuns + 1);
+  std::vector<std::uint64_t> expected(kGranulesPerBlock, 0);
+  for (std::size_t k = 0; k <= rsan::kMaxRuns; ++k) {
+    const std::size_t lo = k * kSpacing;
+    const std::size_t hi = lo + (k == 2 ? 2 : 20 + k);
+    const ShadowCell cell = ShadowCell::make(1, 10 + k, k % 2 == 0);
+    const std::size_t before = blk->runs.size();
+    put(shadow, *blk, deferred_run(lo, hi, cell));
+    EXPECT_EQ(blk->runs.size(), std::min(before + 1, rsan::kMaxRuns)) << "run " << k;
+    for (std::size_t g = lo; g <= hi; ++g) {
+      expected[g] = cell.raw;
+    }
+  }
+  // Run 2 left the list, and only it: its cells went to its raw granules.
+  for (const rsan::Run& run : blk->runs) {
+    EXPECT_NE(run.lo, 2 * kSpacing);
+  }
+  EXPECT_EQ(shadow.cell_pages(), 1u);
+  EXPECT_EQ(blk->cells(2 * kSpacing + 1)[0].clock(), 12u);
+  for (std::size_t g = 0; g < kGranulesPerBlock; ++g) {
+    ASSERT_EQ(shadow.load(base + g * kGranuleBytes)[0].raw, expected[g]) << "granule " << g;
+  }
 }
 
 // -- Block index ---------------------------------------------------------------
@@ -345,7 +398,7 @@ TEST(ShadowMemoryTest, BlocksKeepTheirAddressAcrossIndexGrowth) {
 }
 
 TEST(ShadowMemoryTest, ClearThenReuse) {
-  ShadowMemory shadow{/*summaries=*/true};
+  ShadowMemory shadow{/*runs=*/true};
   shadow.set_block_budget(100);
   for (std::size_t i = 0; i < 150; ++i) {
     (void)shadow.granule(0x200000 + i * kBlockAppBytes);
@@ -357,11 +410,12 @@ TEST(ShadowMemoryTest, ClearThenReuse) {
   EXPECT_EQ(shadow.resident_bytes(), 0u);
   EXPECT_EQ(shadow.denied_blocks(), 0u);
   EXPECT_EQ(shadow.block_if_present(0x200000), nullptr);
-  // The same addresses come back as fresh blocks: empty summary, empty cells.
+  // The same addresses come back as fresh blocks: one empty run, empty cells.
   for (std::size_t i = 0; i < 100; ++i) {
     const rsan::ShadowBlock* blk = shadow.block(0x200000 + i * kBlockAppBytes);
     ASSERT_NE(blk, nullptr);
-    ASSERT_TRUE(blk->summary.covers(0, rsan::kGranulesPerBlock - 1));
+    ASSERT_EQ(blk->runs.size(), 1u);
+    ASSERT_EQ(blk->runs[0].width(), rsan::kGranulesPerBlock);
     ASSERT_FALSE(shadow.load(0x200000 + i * kBlockAppBytes)[0].valid());
   }
   EXPECT_EQ(shadow.resident_blocks(), 100u);
@@ -399,13 +453,14 @@ TEST(ShadowMemoryTest, CellPagesAreAllocatedOnlyWhereAGranuleIsWritten) {
   EXPECT_EQ(shadow.cell_pages(), 0u);
 }
 
-TEST(ShadowMemoryTest, SummaryStoresAndWholeBlockResetsAllocateNoCellPage) {
-  ShadowMemory shadow{/*summaries=*/true};
+TEST(ShadowMemoryTest, RunStoresAndResetsAllocateNoCellPage) {
+  ShadowMemory shadow{/*runs=*/true};
   rsan::ShadowBlock* blk = shadow.block(0x310000);
   ASSERT_NE(blk, nullptr);
-  blk->summary.cells[0] = ShadowCell::make(1, 2, true);  // a store to the summary alone
-  blk->summary.deferred = true;
+  put(shadow, *blk, deferred_run(0, kGranulesPerBlock - 1, ShadowCell::make(1, 2, true)));
   EXPECT_EQ(shadow.load(0x310000 + 7 * kGranuleBytes)[0].clock(), 2u);
+  shadow.reset_range(0x310000 + 8 * kGranuleBytes, 3 * kGranuleBytes);  // a partial reset
+  EXPECT_FALSE(shadow.load(0x310000 + 9 * kGranuleBytes)[0].valid());
   shadow.reset_range(0x310000, kBlockAppBytes);  // a whole-block reset
   EXPECT_FALSE(shadow.load(0x310000)[0].valid());
   EXPECT_EQ(shadow.cell_pages(), 0u);
