@@ -4,7 +4,8 @@
 // annotations (use_access_intervals=false, the paper's behaviour), with the
 // interval-precise annotations, and with intervals plus prove-and-elide
 // (CUSAN_PROVE_ELIDE=full: kernel arguments whose affine thread-index
-// summary is provably race-free skip dynamic shadow tracking entirely),
+// summary is provably race-free store no shadow cells; they take a
+// check-only scan plus a proven-region publish instead),
 // reporting the tracked-byte volume (rsan read_range + write_range bytes
 // over all ranks), the elided launch/byte volume and the relative runtime.
 #include "apps/stencil2d.hpp"

@@ -1,5 +1,5 @@
-// Ablation for the rsan shadow fast path (epoch-summary blocks + the
-// per-context recent-range cache, see DESIGN.md): runs the Jacobi mini-app on
+// Ablation for the rsan shadow fast path (uniform runs per shadow block, see
+// DESIGN.md): runs the Jacobi mini-app on
 // the Fig. 10 configuration under MUST & CuSan with the fast path disabled
 // (use_shadow_fast_path=false, the reference per-granule scan) and enabled,
 // reporting the runtime, the per-launch annotation cost (tracked runtime minus
@@ -15,7 +15,6 @@ struct Measurement {
   double seconds{};
   std::uint64_t kernel_launches{};
   std::uint64_t annotation_calls{};
-  std::uint64_t range_hits{};
   std::uint64_t block_hits{};
   std::uint64_t block_misses{};
   std::uint64_t granules_elided{};
@@ -36,7 +35,6 @@ Measurement measure(Mode mode, int ranks, const capi::RankMain& rank_main) {
     const auto results = capi::run_session(session, rank_main);
     m.kernel_launches = capi::sum_metric(results, "cusan.kernel_launches");
     m.annotation_calls = capi::sum_metric(results, "cusan.kernel_annotation_calls");
-    m.range_hits = capi::sum_metric(results, "rsan.fastpath_range_hits");
     m.block_hits = capi::sum_metric(results, "rsan.fastpath_block_hits");
     m.block_misses = capi::sum_metric(results, "rsan.fastpath_block_misses");
     m.granules_elided = capi::sum_metric(results, "rsan.fastpath_granules_elided");
@@ -70,8 +68,7 @@ int main(int argc, char** argv) {
   // Fig. 10 Jacobi configuration: large domain, whole-range kernel
   // annotations dominate, so the shadow store cost is what the fast path has
   // to cut. Every launch runs at a fresh epoch (cusan ticks the fiber clock
-  // after each op), so the wins come from the blocks' uniform runs; the
-  // recent-range cache covers same-epoch repeats.
+  // after each op), so the wins come from the blocks' uniform runs.
   const auto config = bench::bench_jacobi_config();
   const capi::RankMain rank_main = [&](capi::RankEnv& env) {
     (void)apps::run_jacobi_rank(env, config);
@@ -86,17 +83,17 @@ int main(int argc, char** argv) {
 
   bench::Table table(&report, "shadow",
                      {"configuration", "runtime [s]", "rel.", "annot cost [us/launch]",
-                      "fastpath hits (range/block)", "granules elided", "races"});
+                      "fastpath block hits", "granules elided", "races"});
   table.add_row({"tracking off (baseline)", common::fixed(baseline.seconds, 3), "-", "-", "-", "-",
                  common::format("{}", baseline.races)});
   table.add_row({"reference scan", common::fixed(reference.seconds, 3), "1.00",
                  common::fixed(ref_cost, 2),
-                 common::format("{}/{}", reference.range_hits, reference.block_hits),
+                 common::format("{}", reference.block_hits),
                  common::format("{}", reference.granules_elided),
                  common::format("{}", reference.races)});
   table.add_row({"shadow fast path", common::fixed(fast.seconds, 3),
                  common::fixed(fast.seconds / reference.seconds, 2), common::fixed(fast_cost, 2),
-                 common::format("{}/{}", fast.range_hits, fast.block_hits),
+                 common::format("{}", fast.block_hits),
                  common::format("{}", fast.granules_elided), common::format("{}", fast.races)});
   std::printf("-- Jacobi (Fig. 10 config, %d ranks) --\n%s\n", ranks, table.render().c_str());
 

@@ -17,7 +17,7 @@ namespace {
 void BM_WriteRange(benchmark::State& state) {
   // Reference per-granule store cost (the per-byte shadow cost behind
   // Fig. 12): the fast path is pinned off so repeated iterations measure the
-  // full scan, not the recent-range cache.
+  // full per-granule scan, not a decision per uniform run.
   rsan::RuntimeConfig config;
   config.use_shadow_fast_path = false;
   obs::MetricsRegistry metrics;
@@ -52,9 +52,9 @@ BENCHMARK(BM_ReadRangeAfterWrite)->Range(64, 16 << 20);
 
 void BM_WriteRangeBlockSummary(benchmark::State& state) {
   // Fast path, fresh epoch every iteration (the kernel-launch cadence:
-  // cusan's finish_op ticks the fiber clock after every op). The recent-range
-  // cache never hits; each block resolves through its uniform run with one
-  // representative scan and a single run-slot store.
+  // cusan's finish_op ticks the fiber clock after every op). Each block
+  // resolves through its uniform run with one decision on the run's cells
+  // and a single run-slot store.
   rsan::RuntimeConfig config;
   config.use_shadow_fast_path = true;
   obs::MetricsRegistry metrics;
@@ -63,30 +63,13 @@ void BM_WriteRangeBlockSummary(benchmark::State& state) {
   std::vector<double> buf(bytes / sizeof(double) + 1);
   int key{};
   for (auto _ : state) {
-    rt.happens_before(&key);  // tick: forces the uniform-run layer
+    rt.happens_before(&key);  // tick: a fresh epoch, as between launches
     rt.write_range(buf.data(), bytes, "bench");
   }
   state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(bytes));
 }
 BENCHMARK(BM_WriteRangeBlockSummary)->Range(64, 16 << 20);
-
-void BM_WriteRangeRecentRangeCache(benchmark::State& state) {
-  // Fast path, unticked epoch: repeated annotation of the same range by the
-  // same context is O(1) via the per-context recent-range cache.
-  rsan::RuntimeConfig config;
-  config.use_shadow_fast_path = true;
-  obs::MetricsRegistry metrics;
-  rsan::Runtime rt(metrics, config);
-  const std::size_t bytes = static_cast<std::size_t>(state.range(0));
-  std::vector<double> buf(bytes / sizeof(double) + 1);
-  for (auto _ : state) {
-    rt.write_range(buf.data(), bytes, "bench");
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(bytes));
-}
-BENCHMARK(BM_WriteRangeRecentRangeCache)->Range(64, 16 << 20);
 
 void BM_SharedBlockAlternating(benchmark::State& state) {
   // Two TeaLeaf-sized arrays (8,704 bytes) back to back from a 64-byte

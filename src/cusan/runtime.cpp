@@ -1,63 +1,41 @@
 #include "cusan/runtime.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
-#include <string_view>
 
 #include "common/assert.hpp"
 #include "common/format.hpp"
-#include "rsan/shadow.hpp"
 
 namespace cusan {
 
-ProveElide default_prove_elide() {
-  const char* env = std::getenv("CUSAN_PROVE_ELIDE");
-  if (env == nullptr) {
+std::optional<ProveElide> parse_prove_elide(std::string_view value) {
+  if (value.empty() || value == "off") {
     return ProveElide::kOff;
   }
-  const std::string_view v{env};
-  if (v == "intra") {
-    return ProveElide::kIntra;
-  }
-  if (v == "full") {
+  if (value == "full") {
     return ProveElide::kFull;
   }
-  return ProveElide::kOff;
+  return std::nullopt;
 }
 
-namespace {
-
-/// Theorem-2 side condition S2 at the dynamic granularity: two proven
-/// footprints over the same allocation conflict iff their byte intervals,
-/// rounded out to shadow granules (the resolution at which the region checks
-/// fire), overlap. Both vectors are sorted, disjoint, base-relative.
-[[nodiscard]] bool granule_overlaps(const std::vector<kir::Interval>& a,
-                                    const std::vector<kir::Interval>& b) {
-  constexpr std::int64_t kG = static_cast<std::int64_t>(rsan::kGranuleBytes);
-  const auto round = [](const kir::Interval& iv) {
-    return kir::Interval{(iv.lo / kG) * kG, ((iv.hi - 1) / kG + 1) * kG};
-  };
-  std::size_t i = 0;
-  std::size_t j = 0;
-  while (i < a.size() && j < b.size()) {
-    const kir::Interval x = round(a[i]);
-    const kir::Interval y = round(b[j]);
-    if (x.hi <= y.lo) {
-      ++i;
-    } else if (y.hi <= x.lo) {
-      ++j;
-    } else {
-      return true;
+ProveElide default_prove_elide() {
+  // Parsed exactly once per process (thread-safe magic static), so a bad
+  // value is reported once, not once per session.
+  static const ProveElide mode = [] {
+    const char* env = std::getenv("CUSAN_PROVE_ELIDE");
+    if (env == nullptr) {
+      return ProveElide::kOff;
     }
-  }
-  return false;
+    if (const std::optional<ProveElide> parsed = parse_prove_elide(env)) {
+      return *parsed;
+    }
+    std::fprintf(stderr,
+                 "cusan: unrecognized CUSAN_PROVE_ELIDE value '%s' (expected off|full)\n", env);
+    return ProveElide::kOff;
+  }();
+  return mode;
 }
-
-/// Cap on distinct in-flight footprints per allocation; past it the skip
-/// gate degrades to "never skip" until the next sync instead of growing.
-constexpr std::size_t kMaxInflightPerAlloc = 64;
-
-}  // namespace
 
 Runtime::Runtime(rsan::Runtime* tsan, typeart::Runtime* types, obs::MetricsRegistry& metrics,
                  Config config)
@@ -311,13 +289,12 @@ void Runtime::on_kernel_launch(const cusim::Stream* stream, const char* kernel_n
   StreamState& ss = stream_state(stream);
   begin_op(ss);
   if (config_.track_memory_accesses) {
-    launch_args(ss, kernel_name, args);
+    launch_args(kernel_name, args);
   }
   finish_op(ss);
 }
 
-void Runtime::launch_args(StreamState& ss, const char* kernel_name,
-                          std::span<const KernelArgAccess> args) {
+void Runtime::launch_args(const char* kernel_name, std::span<const KernelArgAccess> args) {
   // Elision derives its footprints from the byte-precise affine summaries, so
   // it is only consistent with interval-precision annotations: under the
   // paper's whole-range mode an elided argument would silently shrink to its
@@ -325,7 +302,6 @@ void Runtime::launch_args(StreamState& ss, const char* kernel_name,
   // to emulate.
   const bool prove = config_.prove_elide != ProveElide::kOff && config_.use_access_intervals;
   std::vector<ArgPlan> plans;
-  bool all_elided = false;
   if (prove) {
     plans.resize(args.size());
     // Pass 1: resolve allocations and build candidate footprints. An
@@ -389,69 +365,18 @@ void Runtime::launch_args(StreamState& ss, const char* kernel_name,
     // Pass 2: alias guard. Theorem 1 reasons about parameters as distinct
     // memory objects; two arguments landing in the same allocation with a
     // write among them void every proof over that allocation.
-    all_elided = true;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      const KernelArgAccess& arg = args[i];
-      if (arg.ptr == nullptr || arg.mode == kir::AccessMode::kNone) {
-        continue;
-      }
-      ArgPlan& plan = plans[i];
-      if (plan.elide && plan.base != nullptr) {
+    for (ArgPlan& plan : plans) {
+      if (plan.elide) {
         const AllocUse& use = uses[plan.base];
         if (use.arg_count > 1 && use.any_write) {
           plan.elide = false;
           metrics_.proof_alias_rejects.increment();
         }
       }
-      all_elided &= plan.elide;
-    }
-    all_elided &= !args.empty();
-  }
-
-  // Full-mode memo: a repeat of the last fully-elided race-free launch may
-  // refresh its regions without re-scanning, iff generation accounting shows
-  // every intervening shadow tick was a proven publish and every in-flight
-  // footprint from another stream is theorem-2 disjoint from ours.
-  bool memo_skip = false;
-  if (config_.prove_elide == ProveElide::kFull && all_elided && ss.memo.valid &&
-      ss.memo.kernel == kernel_name && !inflight_saturated_) {
-    bool match = ss.memo.ptrs.size() == args.size();
-    for (std::size_t i = 0; match && i < args.size(); ++i) {
-      match = ss.memo.ptrs[i] == args[i].ptr;
-    }
-    if (match &&
-        tsan_->shadow_generation() - ss.memo.shadow_gen ==
-            tsan_->proven_range_calls() - ss.memo.proven_calls) {
-      memo_skip = true;
-      for (std::size_t i = 0; memo_skip && i < plans.size(); ++i) {
-        const ArgPlan& plan = plans[i];
-        if (!plan.elide) {
-          continue;
-        }
-        const auto it = inflight_.find(plan.base);
-        if (it == inflight_.end()) {
-          continue;
-        }
-        for (const InflightProof& fp : it->second) {
-          if (fp.fiber == ss.fiber) {
-            continue;  // program order on the same stream: never a conflict
-          }
-          // A write on either side with overlapping granules breaks the
-          // cross-stream disjointness theorem — fall back to the full check.
-          if (granule_overlaps(plan.write_iv, fp.write_iv) ||
-              granule_overlaps(plan.write_iv, fp.read_iv) ||
-              granule_overlaps(plan.read_iv, fp.write_iv)) {
-            memo_skip = false;
-            metrics_.proof_cross_stream_overlaps.increment();
-            break;
-          }
-        }
-      }
     }
   }
 
   bool any_elided = false;
-  bool all_clean = true;
   std::uint64_t elided_bytes = 0;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const KernelArgAccess& arg = args[i];
@@ -468,38 +393,19 @@ void Runtime::launch_args(StreamState& ss, const char* kernel_name,
     metrics_.proof_elided_args.increment();
     for (const kir::Interval& iv : plan.read_iv) {
       elided_bytes += static_cast<std::uint64_t>(iv.hi - iv.lo);
-      all_clean &= tsan_->proven_range(plan.base + iv.lo, static_cast<std::size_t>(iv.hi - iv.lo),
-                                       /*is_write=*/false, label, /*check=*/!memo_skip);
+      tsan_->proven_range(plan.base + iv.lo, static_cast<std::size_t>(iv.hi - iv.lo),
+                          /*is_write=*/false, label);
     }
     for (const kir::Interval& iv : plan.write_iv) {
       elided_bytes += static_cast<std::uint64_t>(iv.hi - iv.lo);
-      all_clean &= tsan_->proven_range(plan.base + iv.lo, static_cast<std::size_t>(iv.hi - iv.lo),
-                                       /*is_write=*/true, label, /*check=*/!memo_skip);
-    }
-    if (config_.prove_elide == ProveElide::kFull && !memo_skip) {
-      // Record the footprint for later theorem-2 gates. A memo-skipped
-      // repeat is already represented by the entry its checked predecessor
-      // stored (same kernel, same pointers, same footprint).
-      auto& entries = inflight_[plan.base];
-      const auto same = [&](const InflightProof& fp) {
-        return fp.fiber == ss.fiber && fp.read_iv == plan.read_iv && fp.write_iv == plan.write_iv;
-      };
-      if (std::none_of(entries.begin(), entries.end(), same)) {
-        if (entries.size() >= kMaxInflightPerAlloc) {
-          inflight_saturated_ = true;  // degrade: deny skips until next sync
-        } else {
-          entries.push_back(InflightProof{ss.fiber, plan.read_iv, plan.write_iv});
-        }
-      }
+      tsan_->proven_range(plan.base + iv.lo, static_cast<std::size_t>(iv.hi - iv.lo),
+                          /*is_write=*/true, label);
     }
   }
 
   if (any_elided) {
     metrics_.proof_elided_launches.increment();
     metrics_.proof_elided_bytes.add(elided_bytes);
-    if (memo_skip) {
-      metrics_.proof_fast_launches.increment();
-    }
     trace_record(TraceKind::kProofElided, elided_bytes, kernel_name);
     obs::Counter*& metric = elide_metrics_[kernel_name];
     if (metric == nullptr) {
@@ -508,18 +414,6 @@ void Runtime::launch_args(StreamState& ss, const char* kernel_name,
     }
     metric->add(1);
   }
-  if (config_.prove_elide == ProveElide::kFull) {
-    ss.memo.valid = all_elided && all_clean;
-    if (ss.memo.valid) {
-      ss.memo.kernel = kernel_name;
-      ss.memo.ptrs.assign(args.size(), nullptr);
-      for (std::size_t i = 0; i < args.size(); ++i) {
-        ss.memo.ptrs[i] = args[i].ptr;
-      }
-      ss.memo.shadow_gen = tsan_->shadow_generation();
-      ss.memo.proven_calls = tsan_->proven_range_calls();
-    }
-  }
 }
 
 // -- Explicit synchronization ---------------------------------------------------------------
@@ -527,7 +421,6 @@ void Runtime::launch_args(StreamState& ss, const char* kernel_name,
 void Runtime::on_stream_synchronize(const cusim::Stream* stream) {
   metrics_.sync_calls.increment();
   trace_record(TraceKind::kStreamSync);
-  clear_inflight();
   StreamState& ss = stream_state(stream);
   tsan_->happens_after(&ss.complete_key);
   metrics_.hb_after.increment();
@@ -547,7 +440,6 @@ void Runtime::on_stream_synchronize(const cusim::Stream* stream) {
 void Runtime::on_device_synchronize() {
   metrics_.sync_calls.increment();
   trace_record(TraceKind::kDeviceSync);
-  clear_inflight();
   // Terminate the arc of every stream, including non-blocking ones.
   for (auto& [stream, state] : streams_) {
     tsan_->happens_after(&state.complete_key);
@@ -558,7 +450,6 @@ void Runtime::on_device_synchronize() {
 void Runtime::on_device_synchronize(const cusim::Device* device) {
   metrics_.sync_calls.increment();
   trace_record(TraceKind::kDeviceSync);
-  clear_inflight();
   // Only the given device's streams are covered (multi-GPU ranks).
   for (auto& [stream, state] : streams_) {
     if (state.device != device) {
@@ -586,7 +477,6 @@ void Runtime::on_event_record(const cusim::Event* event, const cusim::Stream* st
 void Runtime::on_event_synchronize(const cusim::Event* event) {
   metrics_.sync_calls.increment();
   trace_record(TraceKind::kEventSync);
-  clear_inflight();
   EventState& es = event_state(event);
   if (es.stream == nullptr) {
     return;  // never recorded
@@ -615,7 +505,6 @@ void Runtime::on_stream_query_success(const cusim::Stream* stream) {
   // synchronization (paper §III-B1).
   metrics_.sync_calls.increment();
   trace_record(TraceKind::kQuerySuccess);
-  clear_inflight();
   StreamState& ss = stream_state(stream);
   tsan_->happens_after(&ss.complete_key);
   metrics_.hb_after.increment();
@@ -624,7 +513,6 @@ void Runtime::on_stream_query_success(const cusim::Stream* stream) {
 void Runtime::on_event_query_success(const cusim::Event* event) {
   metrics_.sync_calls.increment();
   trace_record(TraceKind::kQuerySuccess);
-  clear_inflight();
   EventState& es = event_state(event);
   if (es.stream == nullptr) {
     return;
@@ -759,8 +647,6 @@ void Runtime::on_free(const void* ptr) {
   trace_record(TraceKind::kFree);
   if (const auto info = types_->find(ptr); info.has_value()) {
     tsan_->reset_shadow_range(reinterpret_cast<const void*>(info->base), info->extent);
-    // The reused address must not inherit stale proven footprints.
-    inflight_.erase(reinterpret_cast<const char*>(info->base));
   }
 }
 

@@ -13,7 +13,9 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -30,19 +32,20 @@
 
 namespace cusan {
 
-/// Prove-and-elide mode ladder (CUSAN_PROVE_ELIDE, docs/architecture.md):
-///  * kOff   — every launch annotates tracked ranges (paper behaviour).
-///  * kIntra — arguments whose affine summary satisfies theorem 1 (per-thread
-///             disjointness) take the proven-region path: a check-only shadow
-///             scan plus a region publish, with zero shadow-cell stores.
-///  * kFull  — kIntra, plus a per-stream generation memo: a repeat launch of
-///             a fully-proven kernel whose only intervening shadow activity
-///             was other proven publishes that are theorem-2 disjoint
-///             (cross-stream) skips even the check-only scan in O(#args).
-enum class ProveElide : std::uint8_t { kOff, kIntra, kFull };
+/// Prove-and-elide mode (CUSAN_PROVE_ELIDE, docs/architecture.md):
+///  * kOff  — every launch annotates tracked ranges (paper behaviour).
+///  * kFull — arguments whose affine summary satisfies theorem 1 (per-thread
+///            disjointness) take the proven-region path: a check-only shadow
+///            scan plus a region publish, with zero shadow-cell stores.
+enum class ProveElide : std::uint8_t { kOff, kFull };
 
-/// CUSAN_PROVE_ELIDE environment default: "intra"/"full" select the elision
-/// tiers, anything else (or unset) is kOff.
+/// The mode a CUSAN_PROVE_ELIDE value names: "off" or "" is kOff, "full" is
+/// kFull, anything else is unrecognized (nullopt).
+[[nodiscard]] std::optional<ProveElide> parse_prove_elide(std::string_view value);
+
+/// CUSAN_PROVE_ELIDE environment default, parsed once per process. Unset
+/// means kOff; an unrecognized value is reported once on stderr and also
+/// means kOff.
 [[nodiscard]] ProveElide default_prove_elide();
 
 struct Config {
@@ -56,9 +59,9 @@ struct Config {
   /// allocation. When false, every argument uses the paper's whole-range
   /// annotation (ablation baseline).
   bool use_access_intervals = true;
-  /// Prove-and-elide tier; see ProveElide. Detection verdicts are
-  /// bit-identical across tiers (enforced by the differential tests) — the
-  /// tiers trade dynamic tracking work against static proof obligations.
+  /// Prove-and-elide mode; see ProveElide. Detection verdicts are
+  /// bit-identical either way (enforced by the differential tests): elision
+  /// trades dynamic tracking work against static proof obligations.
   ProveElide prove_elide = default_prove_elide();
 };
 
@@ -191,28 +194,8 @@ class Runtime {
     obs::Counter& proof_elided_args = registry.counter("cusan.proof_elided_args");
     /// Bytes covered by elided annotations.
     obs::Counter& proof_elided_bytes = registry.counter("cusan.proof_elided_bytes");
-    /// Launches fully skipped via the generation memo.
-    obs::Counter& proof_fast_launches = registry.counter("cusan.proof_fast_launches");
     /// Proofs voided by aliasing pointer arguments.
     obs::Counter& proof_alias_rejects = registry.counter("cusan.proof_alias_rejects");
-    /// Memo skips denied by theorem-2 overlap.
-    obs::Counter& proof_cross_stream_overlaps =
-        registry.counter("cusan.proof_cross_stream_overlaps");
-  };
-
-  /// Full-mode launch memo (theorem 2 + generation accounting): remembers the
-  /// last fully-elided, race-free launch on the stream. A repeat with the
-  /// same kernel and argument pointers may skip even the check-only scan iff
-  /// every shadow-generation tick since was a proven-region publish (checked
-  /// against this rank's rsan::Runtime::proven_range_calls(), never a shared
-  /// metric) and every publish from another stream is theorem-2 disjoint
-  /// from this launch's footprint.
-  struct LaunchMemo {
-    const char* kernel{nullptr};
-    std::vector<const void*> ptrs;
-    std::uint64_t shadow_gen{0};
-    std::uint64_t proven_calls{0};
-    bool valid{false};
   };
 
   struct StreamState {
@@ -227,7 +210,6 @@ class Runtime {
     char complete_key{};  ///< &complete_key is the stream's HB sync object
     char submit_key{};    ///< &submit_key orders host -> fiber at op issue
     std::uint64_t acquired_by_default{0};  ///< this stream's ops_issued when default last acquired it
-    LaunchMemo memo;
   };
 
   struct EventState {
@@ -258,8 +240,7 @@ class Runtime {
   void annotate_kernel_arg(const KernelArgAccess& arg, const char* label);
 
   /// Per-argument elision plan, built at launch when prove_elide is on. The
-  /// interval vectors are clamped to the allocation and made base-relative so
-  /// footprints of different arguments over the same allocation compare.
+  /// interval vectors are clamped to the allocation and relative to `base`.
   struct ArgPlan {
     bool elide{false};
     bool read{false};
@@ -270,28 +251,10 @@ class Runtime {
     std::vector<kir::Interval> write_iv;
   };
 
-  /// One launch's proven footprint over an allocation, kept while no
-  /// host-ordering synchronization has happened — the theorem-2 witnesses a
-  /// later memo skip must be disjoint from.
-  struct InflightProof {
-    rsan::CtxId fiber{rsan::kInvalidCtx};
-    std::vector<kir::Interval> read_iv;
-    std::vector<kir::Interval> write_iv;
-  };
-
   /// Kernel-argument annotation for one launch: decides per-arg elision
-  /// (alias guard + bounded affine resolution), applies the full-mode memo,
-  /// and routes each argument to the proven or the tracked path.
-  void launch_args(StreamState& ss, const char* kernel_name,
-                   std::span<const KernelArgAccess> args);
-
-  /// Host-ordering synchronization observed: in-flight proven footprints are
-  /// no longer concurrent with future launches (begin_op imports the host's
-  /// acquired clock into the launching fiber).
-  void clear_inflight() {
-    inflight_.clear();
-    inflight_saturated_ = false;
-  }
+  /// (alias guard + bounded affine resolution) and routes each argument to
+  /// the proven or the tracked path.
+  void launch_args(const char* kernel_name, std::span<const KernelArgAccess> args);
 
   [[nodiscard]] const char* kernel_arg_label(const char* kernel_name, std::size_t arg_index,
                                              kir::AccessMode mode);
@@ -314,10 +277,6 @@ class Runtime {
   std::unordered_map<const cusim::Event*, EventState> events_;
   std::unordered_map<const cusim::Device*, StreamState*> default_states_;
   std::unordered_map<std::uint64_t, const char*> label_cache_;
-  /// Full-mode theorem-2 state: proven footprints per allocation base, alive
-  /// until the next host-ordering sync.
-  std::unordered_map<const void*, std::vector<InflightProof>> inflight_;
-  bool inflight_saturated_{false};
   /// Per-kernel elision metrics (cusan.prove_elide.<kernel>.launches),
   /// cached by kernel name.
   std::unordered_map<const void*, obs::Counter*> elide_metrics_;

@@ -5,8 +5,9 @@
 // to ⊤ exactly where the PR 1 interval analysis widens — so consumers that
 // fall back to the interval summary on ⊤ are never less precise than today.
 //
-// From the summaries, two theorems with explicit side conditions justify
-// deleting dynamic tracking (see docs/architecture.md "Prove-and-elide"):
+// From the summaries, theorem 1 (explicit side conditions below) justifies
+// replacing a parameter's shadow stores with a check-only scan plus a
+// proven-region marker (see docs/architecture.md "Prove-and-elide"):
 //
 //  Theorem 1 (per-thread disjointness). For a parameter whose read/write
 //  summaries are affine-bounded, if every pair of access terms (x, y) with at
@@ -22,12 +23,12 @@
 //  bounds. (Distinct parameters are assumed non-aliasing; the launch-time
 //  alias guard in cusan::Runtime voids the proof otherwise.)
 //
-//  Theorem 2 (cross-stream disjointness). If additionally the resolved byte
-//  sets of a launch are disjoint from the in-flight summaries of every other
-//  stream's kernels on the same allocation, the launch's dynamic shadow
-//  update is redundant: no concurrent kernel access can constitute a race
-//  with it, so recording only the happens-before edge plus a proven-region
-//  marker (rsan::Runtime::proven_range) preserves every verdict.
+//  Theorem 2 (cross-stream disjointness). Proven footprints of launches on
+//  different streams over the same allocation cannot race when their resolved
+//  byte sets are disjoint (pairs with a write). No code evaluates it: each
+//  proven launch's check-only scan (rsan::Runtime::proven_range) tests its
+//  footprint against the cells and the proven regions of every other
+//  context, so an overlapping unordered pair is reported, not assumed away.
 #pragma once
 
 #include <cstdint>

@@ -107,8 +107,8 @@ class IntervalSet {
 [[nodiscard]] std::string to_string(const IntervalSet& set);
 
 /// True when the two byte sets share at least one byte. ⊤ overlaps anything
-/// non-empty — the conservative answer the cross-stream disjointness check
-/// (prove-and-elide theorem 2) needs.
+/// non-empty — the conservative answer theorem 1's side condition S2
+/// (disjoint resolved byte sets, affine_analysis.hpp) needs.
 [[nodiscard]] bool overlaps(const IntervalSet& a, const IntervalSet& b);
 
 /// Per-parameter summary: which byte offsets (relative to the pointer value

@@ -159,7 +159,6 @@ void Runtime::happens_before(const void* key) {
   auto& clock = sync_objects_[reinterpret_cast<std::uintptr_t>(key)];
   clock.join(cur.clock);
   cur.clock.tick(current_);
-  ++cur.sync_gen;  // fast-path invalidation rule: any release invalidates
   if (schedsim::GraphRecorder::enabled()) {
     schedsim::GraphRecorder::instance().record_release(config_.rank, current_, key);
   }
@@ -173,7 +172,6 @@ void Runtime::happens_after(const void* key) {
   }
   Context& cur = *contexts_[current_];
   cur.clock.join(it->second);
-  ++cur.sync_gen;  // fast-path invalidation rule: any acquire invalidates
   if (schedsim::GraphRecorder::enabled()) {
     schedsim::GraphRecorder::instance().record_acquire(config_.rank, current_, key);
   }
@@ -225,21 +223,19 @@ void Runtime::reset_shadow_range(const void* addr, std::size_t size) {
       return r.base < hi && lo < r.base + r.size;
     });
   }
-  ++shadow_gen_;  // fast-path invalidation rule: reset invalidates all caches
-  flush_tally();   // a partial reset may materialize cells onto new pages
+  flush_tally();  // a partial reset may materialize cells onto new pages
 }
 
-bool Runtime::proven_range(const void* addr, std::size_t size, bool is_write, const char* label,
-                           bool check) {
+void Runtime::proven_range(const void* addr, std::size_t size, bool is_write, const char* label,
+                           bool /*unused*/) {
   if (!config_.track_memory || size == 0) {
-    return false;
+    return;
   }
   Context& cur = *contexts_[current_];
   if (cur.ignore_depth > 0) {
     metrics_.ignored_accesses.increment();
-    return false;
+    return;
   }
-  ++proven_calls_;
   metrics_.proven_range_calls.increment();
   metrics_.proven_bytes.add(size);
   const std::uint64_t cur_clock = cur.clock.get(current_);
@@ -248,36 +244,29 @@ bool Runtime::proven_range(const void* addr, std::size_t size, bool is_write, co
 
   Access access{base, size, is_write, label, cur, cur_clock,
                 ShadowCell::make(current_, cur_clock, is_write)};
-  if (check) {
-    // Check-only shadow scan: same conflict logic as the tracked path, but
-    // through block_if_present — a block nobody ever stored into holds no
-    // conflicting epochs, so it is skipped without allocating. On a pure
-    // proven working set the shadow table therefore stays empty forever.
-    const std::uintptr_t first = base / kGranuleBytes;
-    const std::uintptr_t last = (base + size - 1) / kGranuleBytes;
-    for (std::uintptr_t g = first;;) {
-      const std::uintptr_t key = g / kGranulesPerBlock;
-      const std::uintptr_t seg_last = std::min(last, (key + 1) * kGranulesPerBlock - 1);
-      const std::size_t g_lo = static_cast<std::size_t>(g - key * kGranulesPerBlock);
-      const std::size_t g_hi = static_cast<std::size_t>(seg_last - key * kGranulesPerBlock);
-      if (const ShadowBlock* blk = shadow_.block_if_present(g * kGranuleBytes); blk != nullptr) {
-        ++tally_.proven_scan_blocks;
-        check_only_block(*blk, key, g_lo, g_hi, access);
-      } else {
-        ++tally_.proven_block_skips;
-      }
-      if (seg_last == last) {
-        break;
-      }
-      g = seg_last + 1;
+  // Check-only shadow scan: same conflict logic as the tracked path, but
+  // through block_if_present — a block nobody ever stored into holds no
+  // conflicting epochs, so it is skipped without allocating. On a pure
+  // proven working set the shadow table therefore stays empty forever.
+  const std::uintptr_t first = base / kGranuleBytes;
+  const std::uintptr_t last = (base + size - 1) / kGranuleBytes;
+  for (std::uintptr_t g = first;;) {
+    const std::uintptr_t key = g / kGranulesPerBlock;
+    const std::uintptr_t seg_last = std::min(last, (key + 1) * kGranulesPerBlock - 1);
+    const std::size_t g_lo = static_cast<std::size_t>(g - key * kGranulesPerBlock);
+    const std::size_t g_hi = static_cast<std::size_t>(seg_last - key * kGranulesPerBlock);
+    if (const ShadowBlock* blk = shadow_.block_if_present(g * kGranuleBytes); blk != nullptr) {
+      ++tally_.proven_scan_blocks;
+      check_only_block(*blk, key, g_lo, g_hi, access);
+    } else {
+      ++tally_.proven_block_skips;
     }
-    check_regions(access);
-  } else {
-    // Generation-memo refresh: the caller proved nothing shadow-observable
-    // happened since its last *checked* race-free publish of this exact
-    // region, so re-scanning would detect nothing.
-    metrics_.proven_refreshes.increment();
+    if (seg_last == last) {
+      break;
+    }
+    g = seg_last + 1;
   }
+  check_regions(access);
 
   // Publish (or refresh) the region: it stands in for the cells a tracked
   // launch would have stored, so future conflicting accesses race against it
@@ -294,9 +283,7 @@ bool Runtime::proven_range(const void* addr, std::size_t size, bool is_write, co
   if (!found) {
     regions_.push_back(ProvenRegion{base, size, current_, cur_clock, is_write});
   }
-  ++shadow_gen_;  // region epochs are shadow-observable: invalidate caches/memos
   flush_tally();
-  return access.race_free;
 }
 
 void Runtime::check_only_block(const ShadowBlock& blk, std::uintptr_t block_key, std::size_t g_lo,
@@ -318,7 +305,6 @@ void Runtime::check_only_block(const ShadowBlock& blk, std::uintptr_t block_key,
 }
 
 void Runtime::note_race(ShadowCell racing, std::uintptr_t block_key, std::size_t g, Access& a) {
-  a.race_free = false;
   if (!a.reported) {
     a.reported = true;
     const GranuleBytes at = granule_bytes(block_key, g, a.base, a.size);
@@ -347,15 +333,12 @@ void Runtime::check_regions(Access& a) {
       continue;
     }
     ++tally_.region_checks;
-    if (r.clock > a.cur.clock.get(r.ctx)) {
-      a.race_free = false;
-      if (!a.reported) {
-        a.reported = true;
-        const std::uintptr_t race_lo = std::max({r_lo, a_lo, a.base});
-        const std::uintptr_t race_hi = std::min({r_hi, a_hi, a.base + a.size});
-        report_race(race_lo, race_hi > race_lo ? race_hi - race_lo : 1, a.is_write, a.label,
-                    a.cur_clock, ShadowCell::make(r.ctx, r.clock, r.is_write));
-      }
+    if (r.clock > a.cur.clock.get(r.ctx) && !a.reported) {
+      a.reported = true;
+      const std::uintptr_t race_lo = std::max({r_lo, a_lo, a.base});
+      const std::uintptr_t race_hi = std::min({r_hi, a_hi, a.base + a.size});
+      report_race(race_lo, race_hi > race_lo ? race_hi - race_lo : 1, a.is_write, a.label,
+                  a.cur_clock, ShadowCell::make(r.ctx, r.clock, r.is_write));
     }
   }
 }
@@ -390,30 +373,10 @@ void Runtime::access_range(const void* addr, std::size_t size, bool is_write, co
   }
   const std::uint64_t cur_clock = cur.clock.get(current_);
   const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(addr);
-  // History is recorded even when the fast path skips the scan: reports
-  // against this epoch attach labels from the ring, and a repeat of the same
-  // range may carry a different label.
   record_history(cur, base, size, is_write, label, cur_clock);
 
   const std::uintptr_t first = base / kGranuleBytes;
   const std::uintptr_t last = (base + size - 1) / kGranuleBytes;
-  const bool fast = config_.use_shadow_fast_path;
-
-  if (fast && cur.recent.valid && cur.recent.is_write == is_write &&
-      cur.recent.epoch == cur_clock && cur.recent.sync_gen == cur.sync_gen &&
-      cur.recent.shadow_gen == shadow_gen_ && cur.recent.first_granule <= first &&
-      last <= cur.recent.last_granule) {
-    // Repeat (or sub-range) of this context's last race-free annotation with
-    // the same access kind, at an unticked epoch, with no acquire/release by
-    // this context and no shadow mutation by anyone since: re-running the
-    // scan would find the cells this context just stored, pick the same
-    // slots, store identical values and detect nothing — a provable no-op.
-    metrics_.fastpath_range_hits.increment();
-    metrics_.fastpath_granules_elided.add(last - first + 1);
-    return;
-  }
-
-  ++shadow_gen_;  // this call stores into the shadow
   Access access{base, size, is_write, label, cur, cur_clock,
                 ShadowCell::make(current_, cur_clock, is_write)};
   bool degraded = false;
@@ -447,16 +410,6 @@ void Runtime::access_range(const void* addr, std::size_t size, bool is_write, co
     metrics_.degraded_accesses.increment();
   }
   flush_tally();
-  if (fast) {
-    // A degraded call must not seed the recent-range cache: the untracked
-    // segments stored nothing, so a repeat is not a provable no-op.
-    if (access.race_free && !degraded) {
-      cur.recent =
-          RecentRange{first, last, cur_clock, cur.sync_gen, shadow_gen_, is_write, true};
-    } else {
-      cur.recent.valid = false;
-    }
-  }
 }
 
 int Runtime::store_slot(const Run& run, std::uintptr_t block_key, std::size_t g,

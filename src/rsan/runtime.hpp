@@ -47,11 +47,12 @@ struct RuntimeConfig {
   /// Per-context access-history ring size, used to attach operation labels
   /// to the "previous access" side of reports.
   std::size_t history_size = 64;
-  /// Ablation knob for the shadow fast path (per-block uniform
-  /// runs + per-context recent-range cache). Detection results are
-  /// bit-identical either way — the differential oracle and the dual-mode
-  /// check_cutests run enforce this; the flag exists so the reference scan
-  /// stays exercised and the speedup stays measurable.
+  /// Ablation knob for the shadow fast path: each block keeps its uniform
+  /// runs, and a segment inside a run is decided once on the run's cells
+  /// instead of per granule. Detection results are bit-identical either
+  /// way — the differential oracle and the dual-mode check_cutests run
+  /// enforce this; the flag exists so the reference scan stays exercised and
+  /// the speedup stays measurable.
   bool use_shadow_fast_path = default_shadow_fast_path();
   /// Upper bound on resident shadow memory (0 = unlimited). At the cap,
   /// tracking degrades for untracked blocks — counted in
@@ -137,22 +138,10 @@ class Runtime {
   /// race against the region with the same happens-before logic they would
   /// apply to cells, so verdicts stay bit-identical while proven launches
   /// leave the shadow table untouched (never-touched blocks are skipped in
-  /// O(1) without allocating). With `check` false only the region epoch is
-  /// refreshed — sound solely when the caller proves nothing observable
-  /// changed since the last checked publish (shadow_generation() memo).
-  /// Returns true iff the check found no race (callers memoize only then).
-  bool proven_range(const void* addr, std::size_t size, bool is_write, const char* label = nullptr,
-                    bool check = true);
-
-  /// Bumped whenever shadow-observable state changes: cell stores, shadow
-  /// resets and proven-region publishes/refreshes. The cusan launch memo
-  /// compares this across launches to justify check-free refreshes.
-  [[nodiscard]] std::uint64_t shadow_generation() const { return shadow_gen_; }
-
-  /// proven_range calls that reached the check/refresh (this runtime only).
-  /// The cusan launch memo pairs it with shadow_generation(): program logic,
-  /// so a plain member rather than a metric another runtime could also bump.
-  [[nodiscard]] std::uint64_t proven_range_calls() const { return proven_calls_; }
+  /// O(1) without allocating). The trailing bool has no effect: it keeps the
+  /// symbol that bench_e2e's traced twin wraps (bench_e2e/wrap_table.inc).
+  void proven_range(const void* addr, std::size_t size, bool is_write, const char* label = nullptr,
+                    bool /*unused*/ = true);
 
   /// Live proven regions (tests / diagnostics).
   [[nodiscard]] std::size_t proven_region_count() const { return regions_.size(); }
@@ -208,13 +197,11 @@ class Runtime {
     /// Accesses skipped inside ignore scopes.
     obs::Counter& ignored_accesses = registry.counter("rsan.ignored_accesses");
     // Shadow fast path (all zero when use_shadow_fast_path is false).
-    /// Whole calls skipped via the recent-range cache.
-    obs::Counter& fastpath_range_hits = registry.counter("rsan.fastpath_range_hits");
     /// Block segments decided on their block's uniform runs alone.
     obs::Counter& fastpath_block_hits = registry.counter("rsan.fastpath_block_hits");
     /// Block segments with at least one granule on the per-granule scan.
     obs::Counter& fastpath_block_misses = registry.counter("rsan.fastpath_block_misses");
-    /// Granule scans skipped by either fast-path layer.
+    /// Granule scans skipped by deciding on a run's cells.
     obs::Counter& fastpath_granules_elided = registry.counter("rsan.fastpath_granules_elided");
     // Degradation under shadow_max_bytes (zero when no cap is hit).
     /// Block segments untracked (budget denied allocation).
@@ -224,8 +211,6 @@ class Runtime {
     // Prove-and-elide (all zero when CUSAN_PROVE_ELIDE is off).
     obs::Counter& proven_range_calls = registry.counter("rsan.proven_range_calls");
     obs::Counter& proven_bytes = registry.counter("rsan.proven_bytes");
-    /// Check-free epoch refreshes (generation memo hit).
-    obs::Counter& proven_refreshes = registry.counter("rsan.proven_refreshes");
     /// Resident blocks scanned check-only.
     obs::Counter& proven_scan_blocks = registry.counter("rsan.proven_scan_blocks");
     /// Never-touched blocks skipped in O(1).
@@ -262,29 +247,12 @@ class Runtime {
     bool is_write{false};
   };
 
-  /// Per-context memo of the last race-free range annotation. A repeat of
-  /// the same (range, kind) by the same context is a provable no-op — and is
-  /// skipped in O(1) — as long as the context's epoch is unticked
-  /// (epoch check), it acquired nothing since (sync_gen), and no other call
-  /// stored into or reset the shadow since (shadow_gen).
-  struct RecentRange {
-    std::uintptr_t first_granule{};
-    std::uintptr_t last_granule{};
-    std::uint64_t epoch{};
-    std::uint64_t sync_gen{};
-    std::uint64_t shadow_gen{};
-    bool is_write{false};
-    bool valid{false};
-  };
-
   struct Context {
     ContextInfo info;
     VectorClock clock;
     std::vector<AccessRecord> history;  // ring buffer
     std::size_t history_next{0};
     int ignore_depth{0};
-    std::uint64_t sync_gen{0};  ///< bumped on every acquire/release by this ctx
-    RecentRange recent;
   };
 
   /// One proven-region record: stands in for the shadow cells an elided
@@ -309,7 +277,6 @@ class Runtime {
     std::uint64_t cur_clock;
     ShadowCell fresh;  ///< the cell the call stores
     bool reported{false};  ///< this call already reported a race
-    bool race_free{true};
   };
 
   void access_range(const void* addr, std::size_t size, bool is_write, const char* label);
@@ -327,7 +294,7 @@ class Runtime {
   bool scan_raw(ShadowBlock& blk, std::uintptr_t block_key, std::size_t lo, std::size_t hi,
                 Access& a, GranuleCells& uniform);
   /// A race against the valid cell `racing` at granule `g` of block
-  /// `block_key`: the call is racy, and the first such race is reported.
+  /// `block_key`: the first such race of the call is reported.
   void note_race(ShadowCell racing, std::uintptr_t block_key, std::size_t g, Access& a);
   void flush_tally();
   void record_history(Context& ctx, std::uintptr_t base, std::size_t size, bool is_write,
@@ -347,7 +314,6 @@ class Runtime {
   Tally tally_;
   /// shadow_.cell_pages() when flush_tally() last added to rsan.cell_pages.
   std::size_t cell_pages_counted_{0};
-  std::uint64_t proven_calls_{0};
   SuppressionList suppressions_;
   std::vector<RaceReport> reports_;
   std::unordered_set<std::uint64_t> report_dedup_;
@@ -358,11 +324,6 @@ class Runtime {
   /// store_block's output runs (one per run a segment overlaps, one per raw
   /// stretch between them); a member, so a call does not zero it.
   std::array<Run, 2 * kMaxRuns + 1> run_scratch_;
-  /// Bumped whenever shadow-observable contents change (any storing
-  /// access_range, reset_shadow_range, or a proven-region publish/refresh);
-  /// recent-range cache entries and launch memos from older generations are
-  /// stale.
-  std::uint64_t shadow_gen_{0};
 };
 
 }  // namespace rsan

@@ -470,7 +470,7 @@ ScenarioOutcome run_scenario_outcome(const Scenario& scenario, bool use_shadow_f
   outcome.races = capi::total_races(results);
   const auto sum = [&](std::string_view name) { return capi::sum_metric(results, name); };
   outcome.tracked_bytes = sum("rsan.read_range_bytes") + sum("rsan.write_range_bytes");
-  outcome.fastpath_hits = sum("rsan.fastpath_range_hits") + sum("rsan.fastpath_block_hits");
+  outcome.fastpath_hits = sum("rsan.fastpath_block_hits");
   outcome.fastpath_granules_elided = sum("rsan.fastpath_granules_elided");
   outcome.elided_launches = sum("cusan.proof_elided_launches");
   outcome.elided_bytes = sum("cusan.proof_elided_bytes");

@@ -75,7 +75,7 @@ void scenario_rank_main(capi::RankEnv& env, const Scenario& scenario);
 struct ScenarioOutcome {
   std::size_t races{0};
   std::uint64_t tracked_bytes{0};
-  std::uint64_t fastpath_hits{0};             ///< range-cache + block-summary hits
+  std::uint64_t fastpath_hits{0};             ///< block segments decided on their runs
   std::uint64_t fastpath_granules_elided{0};  ///< granule scans skipped
   std::uint64_t elided_launches{0};           ///< launches with ≥1 proof-elided argument
   std::uint64_t elided_bytes{0};              ///< annotation bytes proven race-free & elided

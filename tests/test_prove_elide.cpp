@@ -1,6 +1,6 @@
 // Prove-and-elide tests (CUSAN_PROVE_ELIDE): the affine thread-index
-// race-freedom analysis (kir/affine_analysis.hpp), the launch-time elision
-// tiers in cusan::Runtime, and the soundness contract that detection verdicts
+// race-freedom analysis (kir/affine_analysis.hpp), launch-time elision in
+// cusan::Runtime, and the soundness contract that detection verdicts
 // are bit-identical whether a kernel argument is dynamically tracked or
 // replaced by a proven-region marker:
 //
@@ -10,11 +10,10 @@
 //  2. IntervalSet cap policy: affine resolution and Minkowski shifts widen
 //     to ⊤ (ticking widened_by_cap) instead of silently losing intervals.
 //  3. launch-time behaviour: proven arguments skip shadow stores entirely,
-//     racy/aliased/whole-range arguments never elide, the generation memo
-//     gives O(1) repeat launches with zero shadow work, and host activity or
-//     cross-stream overlap denies the memo.
+//     racy/aliased/whole-range arguments never elide, unordered proven
+//     writers still race, and CUSAN_PROVE_ELIDE accepts only off|full.
 //  4. differential property: random kernels x random schedules x
-//     {off, intra, full} x {fast, slow shadow} — race totals are bit-identical
+//     {off, full} x {fast, slow shadow} — race totals are bit-identical
 //     on eviction-free schedules; when slot eviction costs the tracked
 //     baseline an epoch, elision may add true races but never lose one.
 //  5. scenario equality: §VI-C suite entries report identical verdicts with
@@ -23,6 +22,7 @@
 
 #include <array>
 #include <chrono>
+#include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -275,8 +275,19 @@ struct ProvenKernel {
 constexpr std::size_t kCount = 64;
 constexpr std::size_t kBytes = kCount * sizeof(double);
 
+TEST(ProveElideModeTest, ParsesOnlyOffAndFull) {
+  EXPECT_EQ(cusan::parse_prove_elide(""), cusan::ProveElide::kOff);
+  EXPECT_EQ(cusan::parse_prove_elide("off"), cusan::ProveElide::kOff);
+  EXPECT_EQ(cusan::parse_prove_elide("full"), cusan::ProveElide::kFull);
+  // "intra" (no longer a mode), typos and case variants are unrecognized.
+  EXPECT_EQ(cusan::parse_prove_elide("intra"), std::nullopt);
+  EXPECT_EQ(cusan::parse_prove_elide("ful"), std::nullopt);
+  EXPECT_EQ(cusan::parse_prove_elide("FULL"), std::nullopt);
+  EXPECT_EQ(cusan::parse_prove_elide("full "), std::nullopt);
+}
+
 TEST(ProveElideRuntimeTest, ProvenKernelWritesNoShadow) {
-  ProveElideRuntime rt(elide_config(cusan::ProveElide::kIntra));
+  ProveElideRuntime rt(elide_config(cusan::ProveElide::kFull));
   void* buf = rt.alloc(kCount);
   ProvenKernel k(kCount);
   ASSERT_TRUE(k.info->proof.intra_race_free);
@@ -287,6 +298,25 @@ TEST(ProveElideRuntimeTest, ProvenKernelWritesNoShadow) {
   EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_elided_args"), 1u);
   EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_elided_bytes"), kBytes);
   // The elided argument never materializes shadow cells.
+  EXPECT_EQ(rt.tsan.shadow_resident_bytes(), 0u);
+  EXPECT_EQ(rt.tsan.proven_region_count(), 1u);
+  EXPECT_EQ(rt.races(), 0u);
+}
+
+TEST(ProveElideRuntimeTest, RepeatLaunchesRefreshOneRegion) {
+  // Every repeat launch on the stream is checked and elided again; it
+  // refreshes the argument's one proven region in place instead of adding
+  // regions or materializing shadow.
+  ProveElideRuntime rt(elide_config(cusan::ProveElide::kFull));
+  void* buf = rt.alloc(kCount);
+  ProvenKernel k(kCount);
+  const std::array<const void*, 1> ptrs{buf};
+  constexpr std::uint64_t kLaunches = 51;
+  for (std::uint64_t i = 0; i < kLaunches; ++i) {
+    rt.launch(*k.info, rt.device.default_stream(), ptrs);
+  }
+  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_elided_launches"), kLaunches);
+  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_elided_bytes"), kLaunches * kBytes);
   EXPECT_EQ(rt.tsan.shadow_resident_bytes(), 0u);
   EXPECT_EQ(rt.tsan.proven_region_count(), 1u);
   EXPECT_EQ(rt.races(), 0u);
@@ -359,8 +389,7 @@ TEST(ProveElideRuntimeTest, ElidedLaunchStillDetectsHostRace) {
   // The proven-region tier must preserve kernel-vs-host verdicts: an
   // unsynchronized host read after an elided kernel write is still a race,
   // exactly as on the tracked path.
-  for (const auto mode : {cusan::ProveElide::kOff, cusan::ProveElide::kIntra,
-                          cusan::ProveElide::kFull}) {
+  for (const auto mode : {cusan::ProveElide::kOff, cusan::ProveElide::kFull}) {
     ProveElideRuntime rt(elide_config(mode));
     void* buf = rt.alloc(kCount);
     ProvenKernel k(kCount);
@@ -371,63 +400,52 @@ TEST(ProveElideRuntimeTest, ElidedLaunchStillDetectsHostRace) {
   }
 }
 
-TEST(ProveElideRuntimeTest, SynchronizedHostAccessAfterElisionIsClean) {
-  for (const auto mode : {cusan::ProveElide::kIntra, cusan::ProveElide::kFull}) {
+TEST(ProveElideRuntimeTest, ElidedLaunchStillDetectsHostWriteRace) {
+  // Same contract for a write: an unsynchronized host write after an elided
+  // kernel write is one write-write race in both modes.
+  for (const auto mode : {cusan::ProveElide::kOff, cusan::ProveElide::kFull}) {
     ProveElideRuntime rt(elide_config(mode));
     void* buf = rt.alloc(kCount);
     ProvenKernel k(kCount);
     const std::array<const void*, 1> ptrs{buf};
     rt.launch(*k.info, rt.device.default_stream(), ptrs);
-    rt.cusan_rt.on_device_synchronize();
-    rt.tsan.read_range(buf, kBytes, "host read");
-    EXPECT_EQ(rt.races(), 0u) << "mode " << static_cast<int>(mode);
+    rt.tsan.write_range(buf, kBytes, "host write");
+    ASSERT_EQ(rt.races(), 1u) << "mode " << static_cast<int>(mode);
+    EXPECT_TRUE(rt.tsan.reports()[0].current.is_write);
+    EXPECT_TRUE(rt.tsan.reports()[0].previous.is_write);
   }
 }
 
-TEST(ProveElideRuntimeTest, MemoSkipsRepeatLaunchesWithZeroShadowWork) {
-  // Full mode: after the first checked launch, identical repeat launches on
-  // the same stream ride the generation memo — no shadow-table loads at all.
-  ProveElideRuntime rt(elide_config(cusan::ProveElide::kFull));
-  void* buf = rt.alloc(kCount);
-  ProvenKernel k(kCount);
-  const std::array<const void*, 1> ptrs{buf};
-  rt.launch(*k.info, rt.device.default_stream(), ptrs);
-
-  const std::uint64_t scans_after_first = metric_value(rt.metrics, "rsan.proven_scan_blocks");
-  constexpr std::uint64_t kRepeats = 50;
-  for (std::uint64_t i = 0; i < kRepeats; ++i) {
-    rt.launch(*k.info, rt.device.default_stream(), ptrs);
-  }
-  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_fast_launches"), kRepeats);
-  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_elided_launches"), kRepeats + 1);
-  // Zero shadow-table loads on the memo path: the check-only scan counter is
-  // flat and no shadow blocks were ever materialized for the buffer.
-  EXPECT_EQ(metric_value(rt.metrics, "rsan.proven_scan_blocks"), scans_after_first);
-  EXPECT_EQ(rt.tsan.shadow_resident_bytes(), 0u);
-  EXPECT_EQ(rt.races(), 0u);
-}
-
-TEST(ProveElideRuntimeTest, HostActivityDeniesTheMemo) {
-  // A tracked shadow event between launches bumps the generation without the
-  // proven-range counter, so the delta check refuses the O(1) skip and the
-  // next launch re-checks.
+TEST(ProveElideRuntimeTest, SynchronizedHostAccessAfterElisionIsClean) {
   ProveElideRuntime rt(elide_config(cusan::ProveElide::kFull));
   void* buf = rt.alloc(kCount);
   ProvenKernel k(kCount);
   const std::array<const void*, 1> ptrs{buf};
   rt.launch(*k.info, rt.device.default_stream(), ptrs);
   rt.cusan_rt.on_device_synchronize();
-  rt.tsan.write_range(buf, kBytes, "host write");  // ordered, but bumps gen
+  rt.tsan.read_range(buf, kBytes, "host read");
+  EXPECT_EQ(rt.races(), 0u);
+}
+
+TEST(ProveElideRuntimeTest, OrderedHostWriteBeforeRelaunchIsClean) {
+  // A host write between two synchronized launches is ordered with both, so
+  // the relaunch's check-only scan over the host's tracked cells is clean.
+  ProveElideRuntime rt(elide_config(cusan::ProveElide::kFull));
+  void* buf = rt.alloc(kCount);
+  ProvenKernel k(kCount);
+  const std::array<const void*, 1> ptrs{buf};
   rt.launch(*k.info, rt.device.default_stream(), ptrs);
-  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_fast_launches"), 0u);
+  rt.cusan_rt.on_device_synchronize();
+  rt.tsan.write_range(buf, kBytes, "host write");
+  rt.launch(*k.info, rt.device.default_stream(), ptrs);
   EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_elided_launches"), 2u);
   EXPECT_EQ(rt.races(), 0u);
 }
 
-TEST(ProveElideRuntimeTest, CrossStreamOverlapDeniesTheMemo) {
-  // Theorem 2's side condition: stream B's in-flight footprint on the same
-  // allocation overlaps ours, so stream A's repeat launch must not skip the
-  // check (and the concurrent writers are still reported).
+TEST(ProveElideRuntimeTest, UnorderedProvenWritersOnOneBufferRace) {
+  // Theorem 1 proves each launch race-free on its own; it says nothing about
+  // two launches on unordered streams. Both write the whole buffer, so the
+  // second launch's check-only scan must find the first launch's region.
   ProveElideRuntime rt(elide_config(cusan::ProveElide::kFull));
   void* buf = rt.alloc(kCount);
   ProvenKernel k(kCount);
@@ -438,19 +456,21 @@ TEST(ProveElideRuntimeTest, CrossStreamOverlapDeniesTheMemo) {
   rt.cusan_rt.on_stream_create(sa);
   rt.cusan_rt.on_stream_create(sb);
   const std::array<const void*, 1> ptrs{buf};
-  rt.launch(*k.info, sa, ptrs);  // checked; memo armed for stream A
-  rt.launch(*k.info, sb, ptrs);  // checked; in-flight entry for fiber B
-  rt.launch(*k.info, sa, ptrs);  // memo denied: B's write footprint overlaps
-  EXPECT_GE(metric_value(rt.metrics, "cusan.proof_cross_stream_overlaps"), 1u);
-  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_fast_launches"), 0u);
+  rt.launch(*k.info, sa, ptrs);
+  EXPECT_EQ(rt.races(), 0u);
+  rt.launch(*k.info, sb, ptrs);
+  EXPECT_EQ(metric_value(rt.metrics, "cusan.proof_elided_launches"), 2u);
+  EXPECT_EQ(rt.races(), 1u);
+  ASSERT_EQ(rt.tsan.reports().size(), 1u);
+  EXPECT_TRUE(rt.tsan.reports()[0].current.is_write);
+  EXPECT_TRUE(rt.tsan.reports()[0].previous.is_write);
+  EXPECT_NE(rt.tsan.reports()[0].current.ctx, rt.tsan.reports()[0].previous.ctx);
 }
 
-TEST(ProveElideRuntimeTest, AnotherStacksProvenLaunchesNeverApproveTheMemo) {
-  // Two ranks' stacks count into one registry. Stack B's proven launch bumps
-  // the shared rsan.proven_range_calls metric by one, exactly balancing the
-  // shadow tick of stack A's own tracked store. A memo that read the metric
-  // would skip A's next check and miss the seeded race; A's memo reads its
-  // own runtime's proven_range_calls() instead.
+TEST(ProveElideRuntimeTest, AnotherStacksProvenLaunchesDoNotHideARace) {
+  // Two ranks' stacks count into one registry. Stack A's relaunch is
+  // unordered with its own stream B's memset; stack B's proven launch in
+  // between must neither hide that race nor report one of its own.
   obs::MetricsRegistry shared;
   ProveElideRuntime a(elide_config(cusan::ProveElide::kFull), true, &shared);
   ProveElideRuntime b(elide_config(cusan::ProveElide::kFull), true, &shared);
@@ -467,7 +487,7 @@ TEST(ProveElideRuntimeTest, AnotherStacksProvenLaunchesNeverApproveTheMemo) {
   a.cusan_rt.on_stream_create(sb);
   a.cusan_rt.on_event_create(done);
   const std::array<const void*, 1> ptrs_a{buf_a};
-  a.launch(*k.info, sa, ptrs_a);  // checked; memo armed for stream A
+  a.launch(*k.info, sa, ptrs_a);
   // Stream B writes the buffer after the kernel (event wait), so the store
   // itself is clean, but stream A's next launch is unordered with it.
   a.cusan_rt.on_event_record(done, sa);
@@ -477,8 +497,7 @@ TEST(ProveElideRuntimeTest, AnotherStacksProvenLaunchesNeverApproveTheMemo) {
 
   const std::array<const void*, 1> ptrs_b{buf_b};
   b.launch(*k.info, b.device.default_stream(), ptrs_b);  // one proven publish
-  a.launch(*k.info, sa, ptrs_a);  // must re-check and find the race
-  EXPECT_EQ(metric_value(shared, "cusan.proof_fast_launches"), 0u);
+  a.launch(*k.info, sa, ptrs_a);  // unordered with the memset on stream B
   EXPECT_EQ(a.tsan.reports().size(), 1u);
   EXPECT_TRUE(b.tsan.reports().empty());
 }
@@ -487,7 +506,7 @@ TEST(ProveElideRuntimeTest, AnotherStacksProvenLaunchesNeverApproveTheMemo) {
 
 // Random provable/racy/⊤ kernels over two buffers and two concurrent streams,
 // mixed with host accesses and synchronization. The same seeded schedule is
-// replayed under every (prove-elide tier x shadow path) combination; the race
+// replayed under every (prove-elide mode x shadow path) combination; the race
 // totals must be identical — elision may never add or lose a verdict.
 struct RandomKernels {
   kir::Module m;
@@ -591,7 +610,7 @@ ReplayResult replay_schedule(std::uint64_t seed, cusan::ProveElide mode, bool fa
       case 6:
         rt.cusan_rt.on_device_synchronize();
         break;
-      default:  // repeat-launch burst to exercise the memo path
+      default:  // repeat-launch burst: proven regions are refreshed in place
         if (const auto* info = kernels.infos[rng.next_below(kernels.infos.size())]) {
           cusim::Stream* s = streams[rng.next_below(2)];
           const std::array<const void*, 2> ptrs{bufs[0], bufs[1]};
@@ -609,8 +628,8 @@ ReplayResult replay_schedule(std::uint64_t seed, cusan::ProveElide mode, bool fa
 class ProveElideDifferentialP : public ::testing::TestWithParam<std::uint64_t> {};
 
 // Short schedules keep granule slot pressure low (no evictions → the strict
-// bit-identical branch); long schedules stress the memo/region machinery
-// where eviction can cost the tracked baseline a conflicting epoch.
+// bit-identical branch); long schedules stress the region machinery where
+// eviction can cost the tracked baseline a conflicting epoch.
 constexpr int kShortSchedule = 12;
 constexpr int kLongSchedule = 48;
 
@@ -622,7 +641,7 @@ TEST_P(ProveElideDifferentialP, VerdictsAgreeAcrossTiersAndShadowPaths) {
     // The shadow fast path is a pure optimization of the tracked scan: its
     // verdict stream is bit-identical unconditionally.
     EXPECT_EQ(replay_schedule(seed, cusan::ProveElide::kOff, true, ops).races, base.races);
-    for (const auto mode : {cusan::ProveElide::kIntra, cusan::ProveElide::kFull}) {
+    for (const auto mode : {cusan::ProveElide::kFull}) {
       for (const bool fast : {false, true}) {
         const ReplayResult r = replay_schedule(seed, mode, fast, ops);
         // Elision may never lose a race the tracked baseline reports.

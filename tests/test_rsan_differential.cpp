@@ -3,7 +3,7 @@
 // single-granule to multi-block), fiber switches, acquire/release pairs and
 // shadow resets — through three independent detectors:
 //
-//   1. a Runtime with use_shadow_fast_path = true  (uniform runs + range cache),
+//   1. a Runtime with use_shadow_fast_path = true  (uniform runs),
 //   2. a Runtime with use_shadow_fast_path = false (reference scan),
 //   3. NaiveDetector, a straight port of the per-granule loop kept here as a
 //      test-only class over a plain per-granule hash map (no blocks, no
@@ -501,7 +501,6 @@ void run_trace(std::uint64_t seed, Family family, TraceStats& stats) {
 
   // The slow runtime must never take a fast path; the fast runtime's
   // engagement is accumulated and asserted per test case.
-  EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_range_hits"), 0u);
   EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_block_hits"), 0u);
   EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_granules_elided"), 0u);
   stats.fastpath_elided += metric_value(fast_metrics, "rsan.fastpath_granules_elided");

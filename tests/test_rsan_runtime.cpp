@@ -409,65 +409,6 @@ TEST_F(RsanRuntimeTest, RaceAttributionPointsAtMiddleGranule) {
 
 // -- Shadow fast path --------------------------------------------------------
 
-TEST_F(RsanRuntimeTest, RepeatedSameEpochRangeHitsRecentRangeCache) {
-  RuntimeConfig config;
-  config.use_shadow_fast_path = true;
-  obs::MetricsRegistry fast_metrics;
-  Runtime fast(fast_metrics, config);
-  fast.write_range(buf.data(), sizeof buf, "first");
-  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 0u);
-  // The first pass already elides through the fresh blocks' empty runs; the
-  // repeat elides every granule of the range on top of that.
-  const std::uint64_t elided_first = metric_value(fast_metrics, "rsan.fastpath_granules_elided");
-  fast.write_range(buf.data(), sizeof buf, "repeat");
-  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 1u);
-  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_granules_elided") - elided_first,
-            sizeof buf / rsan::kGranuleBytes);
-  // A covered sub-range is also a provable no-op.
-  fast.write_range(&buf[10], 64, "subrange");
-  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 2u);
-  EXPECT_EQ(metric_value(fast_metrics, "rsan.races_detected"), 0u);
-}
-
-TEST_F(RsanRuntimeTest, RecentRangeCacheRequiresSameAccessKind) {
-  RuntimeConfig config;
-  config.use_shadow_fast_path = true;
-  obs::MetricsRegistry fast_metrics;
-  Runtime fast(fast_metrics, config);
-  fast.write_range(buf.data(), sizeof buf);
-  // A read after a write stores fresh read cells in the reference semantics,
-  // so it must not be skipped (kind equality, not subsumption).
-  fast.read_range(buf.data(), sizeof buf);
-  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 0u);
-}
-
-TEST_F(RsanRuntimeTest, ClockTickInvalidatesRecentRangeCache) {
-  RuntimeConfig config;
-  config.use_shadow_fast_path = true;
-  obs::MetricsRegistry fast_metrics;
-  Runtime fast(fast_metrics, config);
-  fast.write_range(buf.data(), sizeof buf);
-  fast.happens_before(&sync_key);  // ticks the epoch
-  fast.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 0u);
-  // The re-scan still runs O(blocks), not O(granules): the range's granules
-  // are uniform runs after the first pass, so the second pass hits them.
-  EXPECT_GT(metric_value(fast_metrics, "rsan.fastpath_block_hits"), 0u);
-}
-
-TEST_F(RsanRuntimeTest, AcquireInvalidatesRecentRangeCache) {
-  RuntimeConfig config;
-  config.use_shadow_fast_path = true;
-  obs::MetricsRegistry fast_metrics;
-  Runtime fast(fast_metrics, config);
-  int key{};
-  fast.happens_before(&key);
-  fast.write_range(buf.data(), sizeof buf);
-  fast.happens_after(&key);  // acquire does not tick, but still invalidates
-  fast.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 0u);
-}
-
 TEST_F(RsanRuntimeTest, ResetRangeInvalidatesFastPathState) {
   RuntimeConfig config;
   config.use_shadow_fast_path = true;
@@ -476,7 +417,6 @@ TEST_F(RsanRuntimeTest, ResetRangeInvalidatesFastPathState) {
   fast.write_range(buf.data(), sizeof buf);
   fast.reset_shadow_range(buf.data(), sizeof buf);
   fast.write_range(buf.data(), sizeof buf);
-  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 0u);
   // The repeat after the reset really stored: the shadow holds valid cells.
   EXPECT_TRUE(fast.shadow().load(reinterpret_cast<std::uintptr_t>(buf.data()))[0].valid());
 }
@@ -489,8 +429,7 @@ TEST_F(RsanRuntimeTest, FastPathStillDetectsRacesAfterHits) {
   const auto fiber = fast.create_fiber(CtxKind::kStreamFiber, "s1");
   fast.switch_to_fiber(fiber);
   fast.write_range(buf.data(), sizeof buf, "fiber write");
-  fast.write_range(buf.data(), sizeof buf, "fiber write");  // range-cache hit
-  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_range_hits"), 1u);
+  fast.write_range(buf.data(), sizeof buf, "fiber write");  // decided on the runs
   fast.switch_to_fiber(fast.host_ctx());
   fast.write_range(buf.data(), sizeof buf, "host write");
   EXPECT_EQ(metric_value(fast_metrics, "rsan.races_detected"), 1u);
@@ -645,8 +584,8 @@ TEST_F(DeferredStoreTest, CheckOnlyScanAllocatesNoCellPage) {
   // cells; the ones on the three pages nobody wrote read as empty.
   reference.write_range(page, rsan::kGranuleBytes);
   EXPECT_EQ(reference.shadow().cell_pages(), 1u);
-  EXPECT_TRUE(reference.proven_range(page, rsan::kBlockAppBytes, /*is_write=*/true, "proven",
-                                     /*check=*/true));
+  reference.proven_range(page, rsan::kBlockAppBytes, /*is_write=*/true, "proven");
+  EXPECT_EQ(metric_value(reference_metrics, "rsan.races_detected"), 0u);
   EXPECT_EQ(reference.shadow().cell_pages(), 1u);
   EXPECT_EQ(metric_value(reference_metrics, "rsan.cell_pages"), 1u);
 }
@@ -670,6 +609,68 @@ TEST_F(DeferredStoreTest, WholeBlockResetReadsAllInvalidAndHitsAgain) {
   write(0, rsan::kBlockAppBytes);  // a freed block is a fresh block again
   EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_hits"), 2u);
   EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_misses"), 0u);
+  expect_same_block_state(fast, reference, page);
+}
+
+TEST_F(DeferredStoreTest, RepeatedSameEpochRangeMatchesReference) {
+  write(0, rsan::kBlockAppBytes);
+  const std::uint64_t hits_first = metric_value(fast_metrics, "rsan.fastpath_block_hits");
+  // The repeat and a covered sub-range are decided on the block's one run.
+  write(0, rsan::kBlockAppBytes);
+  write(10 * rsan::kGranuleBytes, 8 * rsan::kGranuleBytes);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_hits"), hits_first + 2);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.fastpath_block_misses"), 0u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.races_detected"), 0u);
+  EXPECT_EQ(metric_value(reference_metrics, "rsan.races_detected"), 0u);
+  expect_same_block_state(fast, reference, page);
+}
+
+TEST_F(DeferredStoreTest, ReadAfterWriteInOneEpochStoresReadCells) {
+  // Same context and epoch, other access kind: the reference semantics
+  // store a fresh read cell next to the write, and so must the runs.
+  write(0, rsan::kBlockAppBytes);
+  fast.read_range(page, rsan::kBlockAppBytes);
+  reference.read_range(page, rsan::kBlockAppBytes);
+  const auto cells = fast.shadow().load(granule_addr(page, 5));
+  EXPECT_TRUE(std::any_of(cells.begin(), cells.end(),
+                          [](rsan::ShadowCell c) { return c.valid() && !c.is_write(); }));
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.races_detected"), 0u);
+  expect_same_block_state(fast, reference, page);
+}
+
+TEST_F(DeferredStoreTest, RewriteAfterClockTickStoresTheNewEpoch) {
+  write(64, 512);
+  const std::uint64_t first_epoch = fast.shadow().load(granule_addr(page, 10))[0].clock();
+  tick();
+  write(64, 512);
+  const auto cells = fast.shadow().load(granule_addr(page, 10));
+  EXPECT_TRUE(std::any_of(cells.begin(), cells.end(), [&](rsan::ShadowCell c) {
+    return c.valid() && c.clock() > first_epoch;
+  }));
+  // Re-decided per block on the runs the first pass left, not per granule.
+  EXPECT_GT(metric_value(fast_metrics, "rsan.fastpath_block_hits"), 0u);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.races_detected"), 0u);
+  expect_same_block_state(fast, reference, page);
+}
+
+TEST_F(DeferredStoreTest, AcquireBetweenRewritesMatchesReference) {
+  // The fiber's write races the host's first write; once the host acquires
+  // the fiber's release, its rewrite of the same range is ordered.
+  const auto fiber_fast = fast.create_fiber(CtxKind::kStreamFiber, "s");
+  const auto fiber_ref = reference.create_fiber(CtxKind::kStreamFiber, "s");
+  fast.switch_to_fiber(fiber_fast);
+  reference.switch_to_fiber(fiber_ref);
+  write(0, rsan::kBlockAppBytes);
+  tick();  // the fiber releases `key` after its write
+  fast.switch_to_fiber(fast.host_ctx());
+  reference.switch_to_fiber(reference.host_ctx());
+  write(0, rsan::kBlockAppBytes);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.races_detected"), 1u);
+  fast.happens_after(&key);
+  reference.happens_after(&key);
+  write(0, rsan::kBlockAppBytes);
+  EXPECT_EQ(metric_value(fast_metrics, "rsan.races_detected"), 1u);
+  EXPECT_EQ(metric_value(reference_metrics, "rsan.races_detected"), 1u);
   expect_same_block_state(fast, reference, page);
 }
 
@@ -778,7 +779,6 @@ TEST_F(RsanRuntimeTest, FastPathDisabledKeepsCountersZero) {
   for (int i = 0; i < 4; ++i) {
     slow.write_range(buf.data(), sizeof buf);
   }
-  EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_range_hits"), 0u);
   EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_block_hits"), 0u);
   EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_block_misses"), 0u);
   EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_granules_elided"), 0u);
