@@ -10,6 +10,15 @@ namespace {
 
 constexpr std::uint32_t kMagic = 0x63525331;  // "cRS1"
 
+// Smallest encoding of each counted element (every string empty). A count
+// the bytes left cannot hold at this size is corrupt.
+constexpr std::size_t kStrBytes = 8;
+constexpr std::size_t kMetricBytes = kStrBytes + 8;
+constexpr std::size_t kAccessBytes = 4 + 1 + kStrBytes + 1 + 8 + kStrBytes;
+constexpr std::size_t kRaceBytes = 8 + 8 + 2 * kAccessBytes;
+constexpr std::size_t kReportBytes = 1 + 2 * kStrBytes;
+constexpr std::size_t kDiagnosticBytes = kStrBytes + 1 + 4 + kStrBytes + 8;
+
 class Writer {
  public:
   void u8(std::uint8_t v) { raw(&v, sizeof v); }
@@ -56,6 +65,12 @@ class Reader {
     pos_ += n;
     return true;
   }
+  /// An element count, rejected unless the bytes left could hold that many
+  /// elements of at least `min_bytes` each: a corrupt count must fail the
+  /// decode, not drive a huge allocation.
+  bool count(std::uint64_t* n, std::size_t min_bytes) {
+    return u64(n) && *n <= (bytes_.size() - pos_) / min_bytes;
+  }
   template <typename T>
   bool pod(T* v) {
     static_assert(std::is_trivially_copyable_v<T>);
@@ -89,7 +104,7 @@ void write_metrics(Writer& w, const obs::MetricsSnapshot& metrics) {
 
 bool read_metrics(Reader& r, obs::MetricsSnapshot* out) {
   std::uint64_t count = 0;
-  if (!r.u64(&count)) {
+  if (!r.count(&count, kMetricBytes)) {
     return false;
   }
   for (std::uint64_t i = 0; i < count; ++i) {
@@ -179,7 +194,7 @@ bool decode(std::span<const std::byte> bytes, RankPayload* out) {
   }
   res.rank = rank;
   std::uint64_t count = 0;
-  if (!r.u64(&count)) {
+  if (!r.count(&count, kRaceBytes)) {
     return false;
   }
   res.races.resize(count);
@@ -193,7 +208,7 @@ bool decode(std::span<const std::byte> bytes, RankPayload* out) {
     race.addr = static_cast<std::uintptr_t>(addr);
     race.access_size = static_cast<std::size_t>(size);
   }
-  if (!r.u64(&count)) {
+  if (!r.count(&count, kReportBytes)) {
     return false;
   }
   res.must_reports.resize(count);
@@ -217,7 +232,7 @@ bool decode(std::span<const std::byte> bytes, RankPayload* out) {
   res.rss_peak_bytes = static_cast<std::size_t>(rss);
   res.sticky_errors = static_cast<std::size_t>(sticky);
 
-  if (!read_metrics(r, &out->metric_deltas) || !r.u64(&count)) {
+  if (!read_metrics(r, &out->metric_deltas) || !r.count(&count, kDiagnosticBytes)) {
     return false;
   }
   out->diagnostics.resize(count);

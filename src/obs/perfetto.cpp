@@ -18,36 +18,6 @@ constexpr int kUnattributedPid = 1000000;
 
 int rank_pid(int rank) { return rank >= 0 ? rank : kUnattributedPid; }
 
-std::string escape_json(const char* text) {
-  std::string out;
-  for (const char* p = text; *p != '\0'; ++p) {
-    const unsigned char c = static_cast<unsigned char>(*p);
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += static_cast<char>(c);
-        }
-    }
-  }
-  return out;
-}
-
 /// Chrome trace timestamps are microseconds; keep nanosecond resolution as
 /// a fixed three-digit fraction (integer math, so golden files are stable).
 std::string us_from_ns(std::uint64_t ns) {
@@ -105,6 +75,36 @@ void append_event(std::string& out, int pid, const Event& event, bool& first) {
 }
 
 }  // namespace
+
+std::string escape_json(std::string_view text) {
+  std::string out;
+  for (const char ch : text) {
+    const unsigned char c = static_cast<unsigned char>(ch);
+    switch (c) {
+      case '"':
+        out += "\\\"";
+        break;
+      case '\\':
+        out += "\\\\";
+        break;
+      case '\n':
+        out += "\\n";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
+      default:
+        if (c < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += static_cast<char>(c);
+        }
+    }
+  }
+  return out;
+}
 
 ExportConfig export_config_from_env(std::string* error) {
   ExportConfig config;

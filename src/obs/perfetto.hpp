@@ -15,6 +15,7 @@
 #pragma once
 
 #include <string>
+#include <string_view>
 
 namespace obs {
 
@@ -30,6 +31,10 @@ struct ExportConfig {
 
 /// Render every active ring as one Chrome trace_event JSON document.
 [[nodiscard]] std::string export_chrome_trace();
+
+/// `text` escaped for use inside a JSON string literal: quote, backslash and
+/// control characters (`\n`, `\t`, else `\u00XX`).
+[[nodiscard]] std::string escape_json(std::string_view text);
 
 /// Serialize helper: write a string to a file, false + `error` on failure.
 /// Calls are serialized process-wide, so concurrent writers of one path

@@ -61,13 +61,6 @@ SessionResult Session::run() {
   result.fired_faults = injector_.fired_log();
   result.sched_stats = controller_.stats();
   result.sched_divergence = controller_.divergence();
-
-  // Observed resident footprint: the shadow bytes the session pinned — the
-  // executor's admission EMA feeds on this.
-  if (const auto it = result.metric_deltas.find("rsan.shadow_bytes");
-      it != result.metric_deltas.end()) {
-    result.peak_session_bytes = it->second;
-  }
   return result;
 }
 

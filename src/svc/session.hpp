@@ -33,9 +33,6 @@ struct SessionSpec {
   std::function<void()> body;
   std::string fault_plan;            ///< CUSAN_FAULT_PLAN grammar; empty: none
   schedsim::Config schedule;         ///< default: free (disarmed); replay reads replay_path
-  /// Admission-control estimate of resident bytes while running; 0 lets the
-  /// executor use its EMA of observed session peaks.
-  std::uint64_t memory_estimate{0};
 };
 
 struct SessionResult {
@@ -48,7 +45,6 @@ struct SessionResult {
   std::vector<faultsim::FiredFault> fired_faults;
   schedsim::Stats sched_stats;
   std::optional<schedsim::Divergence> sched_divergence;
-  std::uint64_t peak_session_bytes{0};  ///< observed peak (admission EMA input)
 };
 
 class Session {

@@ -300,6 +300,16 @@ TEST_F(ObsExportTest, GoldenPerfettoTraceIsByteStable) {
   EXPECT_EQ(rendered, golden);
 }
 
+TEST(ObsJsonEscape, EscapesQuotesBackslashesAndControlCharacters) {
+  EXPECT_EQ(obs::escape_json("plain__name"), "plain__name");
+  EXPECT_EQ(obs::escape_json("a\"b\\c"), "a\\\"b\\\\c");
+  EXPECT_EQ(obs::escape_json("l1\nl2\tx\x01"), "l1\\nl2\\tx\\u0001");
+  std::string error;
+  EXPECT_TRUE(obs::jsonlint::validate_metrics_json(
+      "{\"" + obs::escape_json("q\"\\\n\x1f") + "\": 1}", &error))
+      << error;
+}
+
 TEST_F(ObsExportTest, RingOverflowSurfacesAsDiagnosticEvent) {
   obs::set_tracing_enabled(true);
   obs::use_virtual_clock(100, 1);

@@ -17,6 +17,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -399,7 +400,8 @@ TEST(ProcWorldTest, SupervisorDeclaresDeadlockAcrossProcesses) {
 // RankPayload serde
 // ---------------------------------------------------------------------------
 
-TEST(ResultSerdeTest, RoundTripsAllPayloadFields) {
+/// The golden payload: every field set except the optional divergence.
+capi::serde::RankPayload golden_payload() {
   capi::serde::RankPayload in;
   in.result.rank = 3;
   rsan::RaceReport race;
@@ -424,7 +426,11 @@ TEST(ResultSerdeTest, RoundTripsAllPayloadFields) {
       obs::Diagnostic{"must.rank_failure", obs::Severity::kError, 0, "peer died", 123});
   in.sched_graph = "# cusan-execution-graph v1\nn 0 d 0:h waitany 0 2 1\n";
   in.sched_stats.decisions = 5;
+  return in;
+}
 
+TEST(ResultSerdeTest, RoundTripsAllPayloadFields) {
+  const capi::serde::RankPayload in = golden_payload();
   const std::vector<std::byte> blob = capi::serde::encode(in);
   capi::serde::RankPayload out;
   ASSERT_TRUE(capi::serde::decode(blob, &out));
@@ -453,6 +459,61 @@ TEST(ResultSerdeTest, RoundTripsAllPayloadFields) {
                                                blob.size() / 2));
   capi::serde::RankPayload garbage;
   EXPECT_FALSE(capi::serde::decode(cut, &garbage));
+}
+
+TEST(ResultSerdeTest, EmptyElementsRoundTrip) {
+  // Elements with every string empty encode at the decoder's minimum element
+  // size; a count bound set too tight would reject them.
+  capi::serde::RankPayload in;
+  in.result.races.resize(3);
+  in.result.must_reports.resize(3);
+  in.result.metrics[""] = 0;
+  in.diagnostics.resize(3);
+  capi::serde::RankPayload out;
+  ASSERT_TRUE(capi::serde::decode(capi::serde::encode(in), &out));
+  EXPECT_EQ(out.result.races.size(), 3u);
+  EXPECT_EQ(out.result.must_reports.size(), 3u);
+  EXPECT_EQ(out.result.metrics.size(), 1u);
+  EXPECT_EQ(out.diagnostics.size(), 3u);
+}
+
+TEST(ResultSerdeTest, MutatedBlobsAreRejectedWithoutThrowing) {
+  // The parent decodes whatever a rank left in its result segment: a
+  // malformed blob must fail the decode (or yield some payload), never throw
+  // or allocate by a corrupt count.
+  const std::vector<std::byte> blob = capi::serde::encode(golden_payload());
+  const auto decodes_or_rejects = [](const std::vector<std::byte>& bytes) {
+    capi::serde::RankPayload out;
+    EXPECT_NO_THROW((void)capi::serde::decode(bytes, &out));
+  };
+
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    const std::vector<std::byte> cut(blob.begin(),
+                                     blob.begin() + static_cast<std::ptrdiff_t>(len));
+    capi::serde::RankPayload out;
+    bool decoded = true;
+    EXPECT_NO_THROW(decoded = capi::serde::decode(cut, &out)) << "truncated to " << len;
+    EXPECT_FALSE(decoded) << "truncated to " << len;
+  }
+
+  for (const std::uint64_t word : {std::uint64_t{1} << 40, ~std::uint64_t{0}}) {
+    for (std::size_t at = 0; at + sizeof word <= blob.size(); ++at) {
+      std::vector<std::byte> mutated = blob;
+      std::memcpy(mutated.data() + at, &word, sizeof word);
+      SCOPED_TRACE(at);
+      decodes_or_rejects(mutated);
+    }
+  }
+
+  std::mt19937 rng(20240917);
+  for (std::size_t at = 0; at < blob.size(); ++at) {
+    for (int flip = 0; flip < 4; ++flip) {
+      std::vector<std::byte> mutated = blob;
+      mutated[at] ^= static_cast<std::byte>(1 + rng() % 255);
+      SCOPED_TRACE(at);
+      decodes_or_rejects(mutated);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

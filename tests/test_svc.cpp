@@ -1,6 +1,6 @@
-// svc: the session executor behind --jobs. Covers the work-stealing
-// executor (lifecycle, admission parking, worker count, exception capture),
-// what a session collects into its result, and cross-session isolation
+// svc: the session executor behind --jobs. Covers the FIFO executor
+// (lifecycle, worker count, submission order, exception capture), what a
+// session collects into its result, and cross-session isolation
 // (concurrent racy/clean scenarios with distinct fault plans must match
 // their solo runs verdict-for-verdict).
 #include <gtest/gtest.h>
@@ -59,59 +59,6 @@ TEST(SvcExecutor, BodyExceptionIsCapturedNotFatal) {
   EXPECT_TRUE(handle->done());
   EXPECT_FALSE(handle->result().ok);
   EXPECT_EQ(handle->result().error, "session body exploded");
-}
-
-TEST(SvcExecutor, AdmissionBudgetParksInsteadOfOvercommitting) {
-  svc::ExecutorOptions options;
-  options.workers = 4;
-  options.max_mb = 8;
-  svc::Executor executor(options);
-  std::atomic<int> concurrent{0};
-  std::atomic<int> peak{0};
-  std::vector<svc::SessionHandlePtr> handles;
-  for (int i = 0; i < 12; ++i) {
-    svc::SessionSpec spec;
-    spec.label = "fat" + std::to_string(i);
-    spec.memory_estimate = 6ull * 1024 * 1024;  // two at a time would bust 8 MiB
-    spec.body = [&] {
-      const int now = concurrent.fetch_add(1, std::memory_order_acq_rel) + 1;
-      int seen = peak.load(std::memory_order_relaxed);
-      while (now > seen && !peak.compare_exchange_weak(seen, now)) {
-      }
-      concurrent.fetch_sub(1, std::memory_order_acq_rel);
-    };
-    handles.push_back(executor.submit(std::move(spec)));
-  }
-  executor.wait_idle();
-  for (const auto& handle : handles) {
-    EXPECT_TRUE(handle->result().ok);
-  }
-  EXPECT_EQ(peak.load(), 1) << "6 MiB estimates under an 8 MiB budget must serialize";
-  EXPECT_GT(executor.stats().parked, 0u);
-  EXPECT_EQ(executor.stats().completed, 12u);
-}
-
-TEST(SvcExecutor, SessionOverBudgetStillRunsAlone) {
-  // The first in-flight session always fits, so one estimate larger than
-  // the whole budget cannot wedge the queue.
-  svc::ExecutorOptions options;
-  options.workers = 2;
-  options.max_mb = 1;
-  svc::Executor executor(options);
-  std::vector<svc::SessionHandlePtr> handles;
-  for (int i = 0; i < 3; ++i) {
-    svc::SessionSpec spec;
-    spec.label = "giant" + std::to_string(i);
-    spec.memory_estimate = 64ull * 1024 * 1024;
-    spec.body = [] {};
-    handles.push_back(executor.submit(std::move(spec)));
-  }
-  executor.wait_idle();
-  for (const auto& handle : handles) {
-    EXPECT_TRUE(handle->done());
-    EXPECT_TRUE(handle->result().ok) << handle->result().error;
-  }
-  EXPECT_EQ(executor.stats().completed, 3u);
 }
 
 TEST(SvcExecutor, ZeroWorkersMeansHardwareConcurrency) {
@@ -276,23 +223,6 @@ TEST(SvcSession, ReplayScheduleReadsItsGraphFile) {
   EXPECT_FALSE(missing.ok);
   EXPECT_FALSE(ran);
   EXPECT_EQ(missing.error.rfind("schedule: replay: cannot read", 0), 0u) << missing.error;
-}
-
-TEST(SvcSession, PeakBytesComeFromShadowBytesDelta) {
-  // The admission EMA feeds on the session's rsan.shadow_bytes delta.
-  svc::SessionSpec spec;
-  spec.label = "shadow";
-  spec.body = [] { obs::metric("rsan.shadow_bytes").add(3u << 20); };
-  svc::Session session(std::move(spec));
-  const svc::SessionResult result = session.run();
-  ASSERT_TRUE(result.ok) << result.error;
-  EXPECT_EQ(result.peak_session_bytes, 3u << 20);
-
-  svc::SessionSpec idle;
-  idle.label = "idle";
-  idle.body = [] {};
-  svc::Session idle_session(std::move(idle));
-  EXPECT_EQ(idle_session.run().peak_session_bytes, 0u);
 }
 
 // -- cross-session isolation --------------------------------------------------

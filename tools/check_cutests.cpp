@@ -291,21 +291,6 @@ void print_record(const ScenarioRecord& record, std::size_t index, std::size_t t
   return r.ok ? "pass" : "fail";
 }
 
-void append_json_escaped(std::string& out, const std::string& text) {
-  for (const char c : text) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
 [[nodiscard]] std::string append_fixed(double value) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.3f", value);
@@ -323,8 +308,7 @@ void append_json_escaped(std::string& out, const std::string& text) {
                     ",\n  \"scenarios\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const ScenarioRecord& r = records[i];
-    out += "    {\"name\": \"";
-    append_json_escaped(out, r.scenario->name);
+    out += "    {\"name\": \"" + obs::escape_json(r.scenario->name);
     out += "\", \"verdict\": \"";
     out += verdict(r);
     out += "\", \"expect_race\": ";
@@ -339,7 +323,7 @@ void append_json_escaped(std::string& out, const std::string& text) {
     out += ", \"faults_fired\": " + std::to_string(r.faults_fired);
     if (!r.fault_outcome.empty()) {
       out += ", \"fault_outcome\": \"";
-      append_json_escaped(out, r.fault_outcome);
+      out += obs::escape_json(r.fault_outcome);
       out += "\"";
     }
     if (!r.schedule_runs.empty()) {
