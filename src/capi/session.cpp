@@ -1,6 +1,5 @@
 #include "capi/session.hpp"
 
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
@@ -134,12 +133,14 @@ std::vector<RankResult> run_session(const SessionConfig& config, const RankMain&
   world.run([&](mpisim::Comm comm) {
     // Proc backend: the rank is a forked process, so anything its tool stack
     // produces must be shipped back explicitly. Baseline the fork-inherited
-    // obs state first; the deltas travel in the result blob.
+    // metrics first; the deltas travel in the result blob. The inherited
+    // diagnostics are the parent's own entries: drop them, so what the rank
+    // emits is exactly what the store retains (an offset into a store
+    // already at its cap would never move).
     obs::MetricsSnapshot metrics_base;
-    std::size_t diag_base = 0;
     if (proc) {
       metrics_base = obs::MetricsRegistry::instance().snapshot();
-      diag_base = obs::diagnostics().size();
+      obs::clear_diagnostics();
     }
     ToolContext ctx(comm.rank(), config.tools, config.device_profile, config.typedb,
                     config.devices_per_rank);
@@ -156,11 +157,7 @@ std::vector<RankResult> run_session(const SessionConfig& config, const RankMain&
     payload.result = ctx.finalize();
     payload.metric_deltas = obs::MetricsRegistry::diff(
         obs::MetricsRegistry::instance().snapshot(), metrics_base);
-    const auto all_diags = obs::diagnostics();
-    payload.diagnostics.assign(
-        all_diags.begin() + static_cast<std::ptrdiff_t>(
-                                std::min(diag_base, all_diags.size())),
-        all_diags.end());
+    payload.diagnostics = obs::diagnostics();
     if (schedsim::GraphRecorder::enabled()) {
       payload.sched_graph = schedsim::serialize_graph(recorder.snapshot());
     }

@@ -10,15 +10,9 @@
 #include "common/thread_context.hpp"
 #include "faultsim/injector.hpp"
 #include "obs/ring.hpp"
-#include "schedsim/controller.hpp"
 
 namespace cusim {
 namespace {
-
-/// Bound on consecutive controller-chosen defers of a ready stream op: the
-/// schedule explorer may slide an op past other streams' work, but never
-/// park it forever (exploration must not manufacture livelock).
-constexpr int kMaxStreamDefers = 3;
 
 [[nodiscard]] bool is_host_side(MemKind kind) {
   return kind == MemKind::kPageableHost || kind == MemKind::kPinnedHost ||
@@ -782,23 +776,6 @@ void Device::stream_worker(Stream* stream) {
       // Dependency streams notify work_cv_ on every completion.
       work_cv_.wait(lock);
       continue;
-    }
-    if (schedsim::Controller::armed()) {
-      // Schedule-exploration choice point: run the ready head op now, or
-      // defer once so other streams' ready work can slide in front of it.
-      // Only this worker pops its stream's deque and dependency tickets are
-      // monotonic, so the head op and its readiness survive the unlock.
-      const schedsim::ActorId actor{obs_rank_.load(std::memory_order_relaxed), 's',
-                                    static_cast<std::uint32_t>(ordinal_) * 4096u + stream->id_};
-      auto& controller = schedsim::Controller::instance();
-      for (int defers = 0; defers < kMaxStreamDefers; ++defers) {
-        if (controller.choose(schedsim::Site::kStreamOp, actor, 2, 0) == 0) {
-          break;
-        }
-        lock.unlock();
-        std::this_thread::yield();
-        lock.lock();
-      }
     }
     Stream::Op op = std::move(stream->pending.front());
     stream->pending.pop_front();

@@ -53,19 +53,6 @@ void poll_backoff(int& round) {
   return want_tag == kAnyTag || want_tag == tag;
 }
 
-[[nodiscard]] std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* text = std::getenv(name);
-  if (text == nullptr || text[0] == '\0') {
-    return fallback;
-  }
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text) {
-    return fallback;
-  }
-  return static_cast<std::uint64_t>(value);
-}
-
 // Cached per thread and re-resolved when the current registry changes
 // (session scoping), like detail::contention_counters().
 struct ProcCounters {
@@ -124,8 +111,7 @@ class ProcTransport {
     slot_->heartbeat_ns.store(common::now_ns(), std::memory_order_relaxed);
     slot_->state.store(shmlayout::RankState::kRunning, std::memory_order_release);
     heartbeat_stop_.store(false, std::memory_order_relaxed);
-    const auto interval = std::chrono::milliseconds(
-        std::clamp<std::uint64_t>(header_->heartbeat_ms, 5, 10'000) / 2 + 1);
+    const auto interval = shmlayout::kHeartbeatInterval / 2 + std::chrono::milliseconds(1);
     heartbeat_ = std::thread([this, interval] {
       while (!heartbeat_stop_.load(std::memory_order_relaxed)) {
         slot_->heartbeat_ns.store(common::now_ns(), std::memory_order_relaxed);
@@ -1011,11 +997,6 @@ MpiError ProcCommImpl::stall(int rank, const char* op_name, int peer, int tag,
 // -- proc:: free functions --------------------------------------------------
 
 namespace proc {
-
-std::chrono::milliseconds default_heartbeat_interval() {
-  return std::chrono::milliseconds(
-      std::clamp<std::uint64_t>(env_u64("CUSAN_HEARTBEAT_MS", 50), 5, 10'000));
-}
 
 std::uint32_t default_ring_bytes(int world_size) {
   // Scale so the N×N grid stays within ~64 MiB total.

@@ -9,7 +9,6 @@
 // survivor (the supervisor's poison store is the only wakeup needed).
 #pragma once
 
-#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -57,9 +56,6 @@ class ProcCommImpl final : public CommImpl {
 };
 
 namespace proc {
-
-/// Per-rank heartbeat stamping interval: CUSAN_HEARTBEAT_MS, default 50 ms.
-[[nodiscard]] std::chrono::milliseconds default_heartbeat_interval();
 
 /// Per-ring data bytes, scaled so the N×N grid stays within ~64 MiB
 /// (min 16 KiB, max 256 KiB per ring).

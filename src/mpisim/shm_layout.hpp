@@ -11,6 +11,7 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 
@@ -23,6 +24,10 @@ inline constexpr int kMaxInflight = 12;
 inline constexpr int kMaxSite = 40;
 inline constexpr int kMaxErrorMsg = 184;
 inline constexpr int kMaxDeadlockEntries = 64;
+/// Rank heartbeat stamping interval. Each rank stamps its slot every half
+/// interval; the supervisor declares a rank hung after
+/// max(8 x interval, 250 ms) without a stamp.
+inline constexpr std::chrono::milliseconds kHeartbeatInterval{50};
 
 /// Lifecycle of a rank process, stamped by the rank itself.
 enum class RankState : std::uint32_t {
@@ -112,7 +117,6 @@ struct alignas(64) SegHeader {
   std::uint32_t eager_max;      ///< payloads above this take the rendezvous path
   std::int32_t supervisor_pid;
   std::uint32_t watchdog_ms;    ///< deadlock quiet-time budget (0 = no detection)
-  std::uint32_t heartbeat_ms;   ///< rank heartbeat stamping interval
   std::atomic<std::uint64_t> progress;   ///< bumped on every message publish/delivery
   std::atomic<Poison> poison;
   std::atomic<std::int32_t> failed_rank; ///< valid when poison == kRankFailure

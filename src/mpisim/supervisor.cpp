@@ -85,8 +85,6 @@ void Supervisor::setup_segment() {
   header->watchdog_ms = options_.watchdog.count() > 0
                             ? static_cast<std::uint32_t>(options_.watchdog.count())
                             : 0;
-  header->heartbeat_ms = static_cast<std::uint32_t>(
-      std::max<std::int64_t>(options_.heartbeat.count(), 1));
   header->progress.store(0, std::memory_order_relaxed);
   header->poison.store(shmlayout::Poison::kNone, std::memory_order_relaxed);
   header->failed_rank.store(-1, std::memory_order_relaxed);
@@ -294,8 +292,8 @@ void Supervisor::declare_failure(int rank, FailureKind kind, int signal, int exi
 void Supervisor::check_heartbeats() {
   // Staleness threshold: generous multiple of the stamping interval, so a
   // descheduled-but-alive rank is never misdeclared on a loaded host.
-  const std::uint64_t stale_ns =
-      std::max<std::uint64_t>(8 * ms_to_ns(options_.heartbeat), ms_to_ns(std::chrono::milliseconds(250)));
+  const std::uint64_t stale_ns = std::max<std::uint64_t>(
+      8 * ms_to_ns(shmlayout::kHeartbeatInterval), ms_to_ns(std::chrono::milliseconds(250)));
   const std::uint64_t now = common::now_ns();
   for (int r = 0; r < options_.world_size; ++r) {
     Child& child = children_[static_cast<std::size_t>(r)];

@@ -29,8 +29,6 @@ class Supervisor {
     int world_size{2};
     /// Deadlock quiet-time budget; <= 0 disables supervisor-side detection.
     std::chrono::milliseconds watchdog{std::chrono::milliseconds(1000)};
-    /// Rank heartbeat stamping interval (staleness threshold derives from it).
-    std::chrono::milliseconds heartbeat{std::chrono::milliseconds(50)};
     std::uint32_t ring_bytes{0};  ///< 0: proc::default_ring_bytes(world_size)
     std::uint32_t eager_max{0};   ///< 0: proc::default_eager_max(ring_bytes)
   };

@@ -61,7 +61,6 @@ World::World(int size) : World(size, default_backend()) {}
 World::World(int size, Backend backend)
     : size_(size),
       backend_(backend),
-      heartbeat_(proc::default_heartbeat_interval()),
       tracker_(std::make_shared<ProgressTracker>(size)) {
   CUSAN_ASSERT_MSG(size > 0, "world size must be positive");
   if (backend_ == Backend::kThread) {
@@ -118,7 +117,6 @@ void World::run_procs(const std::function<void(Comm)>& rank_main) {
   Supervisor::Options options;
   options.world_size = size_;
   options.watchdog = tracker_->timeout();
-  options.heartbeat = heartbeat_;
   supervisor_ = std::make_unique<Supervisor>(options);
   supervisor_->run(rank_main);
   failure_ = supervisor_->failure_report();

@@ -82,11 +82,6 @@ class World {
     tracker_->set_timeout(timeout);
   }
 
-  /// Proc backend: rank heartbeat stamping interval (before run()).
-  void set_heartbeat_interval(std::chrono::milliseconds interval) {
-    heartbeat_ = interval;
-  }
-
   /// The rank failure detected during run(), if any (proc backend; the
   /// thread backend cannot contain crashes and never sets this).
   [[nodiscard]] const std::optional<RankFailureReport>& failure_report() const {
@@ -105,7 +100,6 @@ class World {
 
   int size_;
   Backend backend_;
-  std::chrono::milliseconds heartbeat_;
   std::shared_ptr<ProgressTracker> tracker_;
   std::shared_ptr<CommImpl> impl_;  ///< thread backend only
   std::unique_ptr<Supervisor> supervisor_;  ///< proc backend, kept after run()

@@ -120,7 +120,6 @@ CtxId Runtime::create_fiber(CtxKind kind, std::string name) {
   CUSAN_ASSERT_MSG(id <= ShadowCell::kCtxMask, "context id space exhausted");
   auto ctx = std::make_unique<Context>();
   ctx->info = ContextInfo{id, kind, std::move(name), true};
-  ctx->history.resize(config_.history_size);
   if (current_ != kInvalidCtx) {
     // Fiber creation synchronizes creator -> fiber (release semantics): the
     // fiber inherits the creator's clock, and the creator's epoch advances
@@ -557,9 +556,6 @@ void Runtime::flush_tally() {
 
 void Runtime::record_history(Context& ctx, std::uintptr_t base, std::size_t size, bool is_write,
                              const char* label, std::uint64_t clock) {
-  if (ctx.history.empty()) {
-    return;
-  }
   AccessRecord& rec = ctx.history[ctx.history_next];
   ctx.history_next = (ctx.history_next + 1) % ctx.history.size();
   rec = AccessRecord{base, size, label, clock, is_write};

@@ -44,9 +44,6 @@ struct RuntimeConfig {
   bool track_memory = true;
   /// Maximum number of stored race reports (all races are still counted).
   std::size_t report_limit = 256;
-  /// Per-context access-history ring size, used to attach operation labels
-  /// to the "previous access" side of reports.
-  std::size_t history_size = 64;
   /// Ablation knob for the shadow fast path: each block keeps its uniform
   /// runs, and a segment inside a run is decided once on the run's cells
   /// instead of per granule. Detection results are bit-identical either
@@ -239,6 +236,10 @@ class Runtime {
     std::uint64_t slot_evictions{};
   };
 
+  /// Per-context access-history ring size, used to attach operation labels
+  /// to the "previous access" side of reports.
+  static constexpr std::size_t kHistorySize = 64;
+
   struct AccessRecord {
     std::uintptr_t base{};
     std::size_t size{};
@@ -250,7 +251,7 @@ class Runtime {
   struct Context {
     ContextInfo info;
     VectorClock clock;
-    std::vector<AccessRecord> history;  // ring buffer
+    std::array<AccessRecord, kHistorySize> history{};  // ring buffer
     std::size_t history_next{0};
     int ignore_depth{0};
   };

@@ -47,12 +47,6 @@ namespace {
   return ok;
 }
 
-/// The exporter track a decision lands on: stream-worker actors map back to
-/// their stream's track so decisions line up with the ops they reorder.
-[[nodiscard]] std::uint32_t actor_track(const ActorId& actor) {
-  return actor.kind == 's' ? obs::stream_track(actor.local % 4096u) : obs::kHostTrack;
-}
-
 /// Cached counter handles, re-resolved when the calling thread's current
 /// registry changes (session-scoped runs): a plain function-local static
 /// would pin the handle to whichever registry was current first and bleed
@@ -243,7 +237,7 @@ int Controller::choose(Site site, const ActorId& actor, int candidates, int defa
   }
   sched_counters().decisions->add(1);
   if (obs::tracing_enabled()) {
-    obs::emit_instant(actor.rank, obs::EventKind::kSchedule, actor_track(actor), to_string(site),
+    obs::emit_instant(actor.rank, obs::EventKind::kSchedule, obs::kHostTrack, to_string(site),
                       (seq << 16) | (static_cast<std::uint64_t>(candidates) << 8) |
                           static_cast<std::uint64_t>(chosen));
   }

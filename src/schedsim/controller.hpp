@@ -1,11 +1,11 @@
 // The central schedule-exploration controller: every nondeterministic choice
-// point in the stack — cusim stream-worker op selection, mpisim wildcard
-// matching / wakeup order, and the MPI wait family's request-fiber
-// completion order — routes its decision through choose() as a numbered
-// (site, candidates) query and obeys the answer. Timing-only knobs (how long
-// a blocked wait spins before parking) are not choice points: they change
-// no verdict, only how many executions an exploration visits. Strategies
-// (CUSAN_SCHEDULE):
+// point in the stack — mpisim wildcard matching / wakeup order, and the MPI
+// wait family's request-fiber completion order — routes its decision
+// through choose() as a numbered (site, candidates) query and obeys the
+// answer. Timing-only knobs (how long a blocked wait spins before parking,
+// the order cusim's stream workers run ready ops in) are not choice points:
+// they change no verdict, only how many executions an exploration visits.
+// Strategies (CUSAN_SCHEDULE):
 //
 //   free             today's behavior; the controller stays disarmed and
 //                    each choice point costs one relaxed atomic load
@@ -81,7 +81,7 @@ struct Config {
 struct Divergence {
   ActorId actor;
   std::uint64_t seq{0};
-  Site site{Site::kStreamOp};
+  Site site{Site::kMatchRecv};
   int expected_candidates{1};
   int got_candidates{1};
 

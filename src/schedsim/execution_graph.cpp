@@ -41,7 +41,7 @@ constexpr std::uint64_t kSeqBits = 13;
   return reject(error, common::format("line {}: {}", line_no, message));
 }
 
-/// Parse `<rank>:<kind>[<local>]` (e.g. `0:h`, `1:s4097`, `-1:h`).
+/// Parse `<rank>:h[<local>]` (e.g. `0:h`, `-1:h`).
 [[nodiscard]] bool parse_actor_token(const std::string& token, ActorId* out) {
   const std::size_t colon = token.find(':');
   if (colon == std::string::npos || colon + 1 >= token.size()) {
@@ -53,7 +53,7 @@ constexpr std::uint64_t kSeqBits = 13;
     return false;
   }
   const char kind = token[colon + 1];
-  if (kind != 'h' && kind != 's') {
+  if (kind != 'h') {
     return false;
   }
   unsigned long local = 0;
@@ -73,8 +73,6 @@ constexpr std::uint64_t kSeqBits = 13;
 
 const char* to_string(Site site) {
   switch (site) {
-    case Site::kStreamOp:
-      return "stream_op";
     case Site::kMatchRecv:
       return "match_recv";
     case Site::kWakeOrder:
@@ -88,8 +86,8 @@ const char* to_string(Site site) {
 }
 
 bool site_from_string(const std::string& name, Site* out) {
-  static constexpr Site kAll[] = {Site::kStreamOp, Site::kMatchRecv, Site::kWakeOrder,
-                                  Site::kWaitany,  Site::kWaitallOrder};
+  static constexpr Site kAll[] = {Site::kMatchRecv, Site::kWakeOrder, Site::kWaitany,
+                                  Site::kWaitallOrder};
   for (const Site site : kAll) {
     if (name == to_string(site)) {
       *out = site;
@@ -422,20 +420,10 @@ bool GraphAnalysis::decision_races(std::uint64_t stream, std::uint64_t seq) cons
     return true;
   }
   const std::uint32_t i = it->second;
-  const GraphNode& a = graph_->nodes[i];
-  const std::uint64_t lane = a.actor.key();
+  const std::uint64_t lane = graph_->nodes[i].actor.key();
   for (const std::uint32_t j : decision_nodes_) {
     const GraphNode& b = graph_->nodes[j];
     if (j == i || b.actor.key() == lane) {
-      continue;
-    }
-    // Cross-rank stream-op pairs are not a conflict: each orders its own
-    // rank's device timeline (cusim devices are per-rank), and the ranks
-    // only interact through MPI, whose nondeterminism surfaces as separate
-    // host-lane decision sites (matching, wake order, wait family) that
-    // stay conflict-eligible here.
-    if (a.site == Site::kStreamOp && b.site == Site::kStreamOp &&
-        a.actor.rank != b.actor.rank && a.actor.rank >= 0 && b.actor.rank >= 0) {
       continue;
     }
     if (!reaches(i, j) && !reaches(j, i)) {

@@ -23,9 +23,8 @@
 //   n <id> a <actor> <ctx> <key>                          acquire (happens_after)
 //   e <from> <to> po|sync
 //
-// `<actor>` is `<rank>:<kind>[<local>]`: `<kind>` is `h` (the rank's
-// host/MPI thread) or `s` (a cusim stream worker, `<local>` = device ordinal
-// * 4096 + stream id). `<seq>` is the (actor, site) stream's own decision
+// `<actor>` is `<rank>:h[<local>]`, the rank's host/MPI thread: every
+// decision site runs there. `<seq>` is the (actor, site) stream's own decision
 // counter: replay matches each stream against its own recording, so neither
 // the physical interleaving of nodes (OS thread timing at record time) nor a
 // timing-dependent skip of one site can shift another site's decisions.
@@ -48,7 +47,6 @@ namespace schedsim {
 
 /// A nondeterministic choice point routed through the ScheduleController.
 enum class Site : std::uint8_t {
-  kStreamOp,      ///< cusim stream worker: run the head op now or defer once
   kMatchRecv,     ///< mpisim ANY_SOURCE recv: which source channel matches
   kWakeOrder,     ///< mpisim WaiterHub broadcast: slot wake permutation
   kWaitany,       ///< MPI_Waitany: which completed request is returned
@@ -63,8 +61,8 @@ enum class Site : std::uint8_t {
 /// mpisim unit tests outside a capi session).
 struct ActorId {
   int rank{-1};
-  char kind{'h'};          ///< 'h' host thread, 's' stream worker
-  std::uint32_t local{0};  ///< stream workers: ordinal * 4096 + stream id
+  char kind{'h'};          ///< 'h' host thread, the only lane kind
+  std::uint32_t local{0};  ///< lane index within the rank; the host thread is 0
 
   [[nodiscard]] std::uint64_t key() const {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rank + 1)) << 40) |
@@ -78,7 +76,7 @@ struct ActorId {
 struct TraceEntry {
   ActorId actor;
   std::uint64_t seq{0};  ///< (actor, site)-stream-local decision index
-  Site site{Site::kStreamOp};
+  Site site{Site::kMatchRecv};
   int candidates{1};
   int chosen{0};
 };
@@ -102,7 +100,7 @@ struct GraphNode {
   /// sync events use the rank's host lane ({rank, 'h', 0}).
   ActorId actor;
   // Decision payload (kDecision).
-  Site site{Site::kStreamOp};
+  Site site{Site::kMatchRecv};
   std::uint64_t seq{0};  ///< (actor, site) decision-stream index
   int candidates{1};
   int chosen{0};

@@ -105,12 +105,14 @@ std::vector<Execution> Explorer::explore(Controller& controller, const RunFn& ru
     if (options_.use_graph) {
       analysis.emplace(exec.graph);
     }
+    std::set<std::pair<std::uint64_t, std::uint64_t>> recorded;  ///< trace[0..i]
     for (std::size_t i = 0; i < exec.trace.size(); ++i) {
       const TraceEntry& e = exec.trace[i];
+      const std::uint64_t stream = stream_key(e.actor, e.site);
+      recorded.emplace(stream, e.seq);
       if (e.candidates <= 1) {
         continue;
       }
-      const std::uint64_t stream = stream_key(e.actor, e.site);
       if (pinned.contains({stream, e.seq})) {
         continue;
       }
@@ -126,6 +128,15 @@ std::vector<Execution> Explorer::explore(Controller& controller, const RunFn& ru
         std::vector<TraceEntry> next(exec.trace.begin(),
                                      exec.trace.begin() + static_cast<std::ptrdiff_t>(i) + 1);
         next.back().chosen = alt;
+        // The prefix's own pins recorded after position i (or never reached)
+        // stay pinned: dropped, they would fall back to free choices and the
+        // child could re-run a schedule another branch already covers, which
+        // depends on the order the ranks' decisions happened to arrive in.
+        for (const TraceEntry& p : prefix) {
+          if (!recorded.contains({stream_key(p.actor, p.site), p.seq})) {
+            next.push_back(p);
+          }
+        }
         if (!sleep.insert(signature(next)).second) {
           ++stats_.sleep_prunes;
           continue;

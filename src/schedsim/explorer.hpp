@@ -5,7 +5,9 @@
 // the run's execution graph (whose decision nodes are the run's decision
 // sequence), and computes source-DPOR-style backtrack points: for
 // every branchable decision in the run that is not part of the pinned
-// prefix, every alternative candidate spawns a new prefix — unless the
+// prefix, every alternative candidate spawns a new prefix (the run's
+// decisions up to the flipped one, plus the rest of the pinned prefix, so
+// each child pins strictly more than its parent) — unless the
 // happens-before analysis proves the decision cannot race (it is ordered
 // with every other lane's branchable decisions, so flipping it reaches no
 // new happens-before class) or the prefix is already in the sleep set.

@@ -4,9 +4,10 @@
 // happens-before prune (sync-ordered decisions are proven non-racing and
 // never backtracked), and the two end-to-end promises from the roadmap:
 //
-//   1. Differential coverage — per scenario, the set of (race count,
-//      diagnostic ids) verdicts DPOR reaches equals the set an exhaustive,
-//      unpruned enumeration of every choice sequence reaches.
+//   1. Differential coverage — per scenario and for the waitall program
+//      (waitall_program.hpp), the set of (race count, diagnostic ids)
+//      verdicts DPOR reaches equals the set an exhaustive, unpruned
+//      enumeration of every choice sequence reaches.
 //   2. Reproducibility — every DPOR execution's recorded graph replays via
 //      the ordinary replay machinery with zero divergence and the same
 //      verdict.
@@ -28,6 +29,7 @@
 #include "schedsim/execution_graph.hpp"
 #include "schedsim/explorer.hpp"
 #include "testsuite/scenarios.hpp"
+#include "waitall_program.hpp"
 
 namespace {
 
@@ -100,7 +102,7 @@ TEST_F(ExplorerTest, GraphSerializeParseValidateRoundTrip) {
   recorder.begin_run();
   recorder.arm(true);
   int key = 0;
-  recorder.record_decision({0, 's', 1}, Site::kStreamOp, 0, 2, 1);
+  recorder.record_decision({0, 'h', 0}, Site::kWaitallOrder, 0, 2, 1);
   recorder.record_release(0, 1, &key);
   recorder.record_acquire(1, 2, &key);
   recorder.record_decision({1, 'h', 0}, Site::kWakeOrder, 0, 3, 2);
@@ -157,7 +159,7 @@ TEST_F(ExplorerTest, ProcChildGraphAbsorbsWithOffsetIds) {
     int key = 0;
     child.record_release(rank, 1, &key);
     child.record_acquire(rank, 2, &key);
-    child.record_decision({rank, 's', 1}, Site::kStreamOp, 0, 2, 1);
+    child.record_decision({rank, 'h', 0}, Site::kWaitallOrder, 0, 2, 1);
     children[rank] = serialize_graph(child.snapshot());
   }
   GraphRecorder parent;
@@ -181,7 +183,7 @@ TEST_F(ExplorerTest, ProcChildGraphAbsorbsWithOffsetIds) {
     (e.kind == schedsim::GraphEdge::Kind::kSync ? sync : po).emplace(e.from, e.to);
   }
   EXPECT_EQ(sync, (Edges{{0, 1}, {3, 4}}));
-  EXPECT_EQ(po, (Edges{{0, 1}, {3, 4}}));
+  EXPECT_EQ(po, (Edges{{0, 1}, {1, 2}, {3, 4}, {4, 5}}));
 
   // A child document with a dangling edge is rejected whole.
   const std::string dangling = "# cusan-execution-graph v1\nn 0 d 0:h waitany 0 2 0\ne 0 1 po\n";
@@ -192,9 +194,9 @@ TEST_F(ExplorerTest, ProcChildGraphAbsorbsWithOffsetIds) {
 
 TEST_F(ExplorerTest, GraphValidationRejectsTampering) {
   ExecutionGraph graph;
-  graph.nodes.push_back({0, schedsim::NodeKind::kRelease, {0, 'h', 0}, Site::kStreamOp, 0, 1, 0,
+  graph.nodes.push_back({0, schedsim::NodeKind::kRelease, {0, 'h', 0}, Site::kWaitallOrder, 0, 1, 0,
                          /*ctx=*/1, /*key=*/0x10});
-  graph.nodes.push_back({1, schedsim::NodeKind::kAcquire, {1, 'h', 0}, Site::kStreamOp, 0, 1, 0,
+  graph.nodes.push_back({1, schedsim::NodeKind::kAcquire, {1, 'h', 0}, Site::kWaitallOrder, 0, 1, 0,
                          /*ctx=*/2, /*key=*/0x10});
   graph.edges.push_back({0, 1, schedsim::GraphEdge::Kind::kSync});
 
@@ -250,16 +252,40 @@ TEST_F(ExplorerTest, SyncOrderedDecisionsAreHbPruned) {
   EXPECT_EQ(pruned.stats().hb_prunes, 2u);
 }
 
+TEST_F(ExplorerTest, DecisionArrivalOrderDoesNotRepeatSchedules) {
+  // Two value decisions on different host lanes whose arrival order flips
+  // from run to run, as two ranks' waitall decisions do. A child prefix
+  // keeps its parent's pins wherever they land in the new run's order, so
+  // the 2 x 2 product runs once per schedule and no execution repeats one.
+  auto& controller = Controller::instance();
+  std::size_t run_no = 0;
+  const auto alternating = [&]() -> std::size_t {
+    const bool rank0_first = (run_no++ % 2) == 1;
+    for (int k = 0; k < 2; ++k) {
+      const int rank = (k == 0) == rank0_first ? 0 : 1;
+      (void)controller.choose(Site::kWaitallOrder, {rank, 'h', 0}, 2, 0);
+    }
+    return 0;
+  };
+  Explorer explorer;
+  std::set<std::string> schedules;
+  for (const schedsim::Execution& execution : explorer.explore(controller, alternating)) {
+    schedules.insert(Explorer::signature(execution.trace));
+  }
+  EXPECT_EQ(schedules.size(), 4u);
+  EXPECT_EQ(explorer.stats().executions, 4u);
+  EXPECT_EQ(explorer.stats().redundant, 0u);
+}
+
 // ------------------------------------------------ end-to-end promises ----
 
 /// What one execution of a scenario observed: its race count and the sorted
 /// ids of every diagnostic it emitted.
 using Verdict = std::pair<std::size_t, std::vector<std::string>>;
 
-[[nodiscard]] Verdict run_for_verdict(const testsuite::Scenario& scenario) {
+[[nodiscard]] Verdict run_for_verdict(const std::function<std::size_t()>& program) {
   obs::clear_diagnostics();
-  const std::size_t races =
-      testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true).races;
+  const std::size_t races = program();
   std::vector<std::string> ids;
   for (const obs::Diagnostic& d : obs::diagnostics()) {
     ids.push_back(d.id);
@@ -332,43 +358,56 @@ using Verdict = std::pair<std::size_t, std::vector<std::string>>;
 }
 
 TEST_F(ExplorerTest, DporReachesEveryVerdictOfExhaustiveEnumeration) {
-  // Runs per scenario the enumeration may spend: 8x the widest 2-rank
-  // scenario (64 runs). A scenario that needs more has grown a new choice
-  // point, and that fails the test rather than skipping the scenario.
+  // Runs per program the enumeration may spend, far above the widest
+  // program today (the waitall program, 4 runs). A program that needs more
+  // has grown a new choice point, and that fails the test rather than
+  // skipping the program.
   constexpr std::size_t kEnumerationCap = 512;
   ASSERT_EQ(capi::default_ranks(), 2) << "the oracle enumerates the 2-rank corpus (CUSAN_RANKS=2)";
   const auto scenarios = testsuite::build_scenarios();
   auto& controller = Controller::instance();
 
   std::size_t enumerated_runs = 0;
-  std::size_t widest = 0;  ///< most runs one scenario's enumeration took
+  std::size_t widest = 0;  ///< most runs one program's enumeration took
   std::size_t dpor_runs = 0;
-  for (const testsuite::Scenario& scenario : scenarios) {
+  const auto compare = [&](const std::string& name, const std::function<std::size_t()>& program) {
     std::set<Verdict> exhaustive;
     std::size_t runs = 0;
     const bool complete = enumerate_all(
-        controller, [&] { return run_for_verdict(scenario); }, kEnumerationCap, &exhaustive,
+        controller, [&] { return run_for_verdict(program); }, kEnumerationCap, &exhaustive,
         &runs);
-    EXPECT_TRUE(complete) << scenario.name << ": enumeration exceeded " << kEnumerationCap
-                          << " runs";
+    EXPECT_TRUE(complete) << name << ": enumeration exceeded " << kEnumerationCap << " runs";
     enumerated_runs += runs;
     widest = std::max(widest, runs);
 
     std::set<Verdict> explored;
     Explorer explorer;
     const auto executions = explorer.explore(controller, [&]() -> std::size_t {
-      const Verdict verdict = run_for_verdict(scenario);
+      const Verdict verdict = run_for_verdict(program);
       explored.insert(verdict);
       return verdict.first;
     });
     dpor_runs += executions.size();
-    EXPECT_EQ(explored, exhaustive) << scenario.name;
+    EXPECT_EQ(explored, exhaustive) << name;
+  };
+
+  for (const testsuite::Scenario& scenario : scenarios) {
+    compare(scenario.name, [&] {
+      return testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true).races;
+    });
+  }
+  // The corpus makes no branchable decision; the waitall program's
+  // waitall_order decisions give both searches a choice tree to walk.
+  for (const bool racy : {true, false}) {
+    compare(waitall_program::name(racy), [racy] { return waitall_program::run(racy); });
   }
   EXPECT_EQ(scenarios.size(), 86u);
   // Pruning must pay for itself over the corpus.
   EXPECT_LE(dpor_runs, enumerated_runs);
-  std::printf("[oracle] %zu scenarios: %zu enumerated runs (widest %zu), %zu DPOR executions\n",
-              scenarios.size(), enumerated_runs, widest, dpor_runs);
+  std::printf(
+      "[oracle] %zu scenarios + waitall program: %zu enumerated runs (widest %zu), %zu DPOR "
+      "executions\n",
+      scenarios.size(), enumerated_runs, widest, dpor_runs);
 }
 
 TEST_F(ExplorerTest, DporExecutionGraphsReplayWithoutDivergence) {

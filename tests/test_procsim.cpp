@@ -12,11 +12,14 @@
 // rendezvous or result segments behind.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <csignal>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <random>
 #include <string>
 #include <vector>
@@ -31,11 +34,13 @@
 #include "mpisim/shm.hpp"
 #include "mpisim/shm_ring.hpp"
 #include "mpisim/world.hpp"
+#include "obs/diagnostics.hpp"
 #include "obs/metrics.hpp"
 #include "schedsim/controller.hpp"
 #include "schedsim/explorer.hpp"
 #include "testsuite/fault_sweep.hpp"
 #include "testsuite/scenarios.hpp"
+#include "waitall_program.hpp"
 
 #include <sys/types.h>
 #include <unistd.h>
@@ -287,7 +292,6 @@ TEST_P(ProcRankKillTest, SurvivorsGetOneReportAndPoisonedComms) {
 
   World world(2, Backend::kProc);
   world.set_watchdog_timeout(std::chrono::milliseconds(1500));
-  world.set_heartbeat_interval(std::chrono::milliseconds(10));
   const auto started = std::chrono::steady_clock::now();
   world.run([](Comm comm) {
     // Four pingpong rounds; rank 1's second MPI operation fires the kill,
@@ -553,41 +557,90 @@ TEST(ProcScenarioTest, VerdictsMatchThreadBackendOnSubset) {
   expect_no_stale_segments("after scenario subset");
 }
 
+TEST(ProcScenarioTest, RankDiagnosticsReachAParentWhoseStoreIsFull) {
+  // A forked rank inherits the parent's bounded diagnostic store. Filled to
+  // its cap, that store drops its oldest entry per new one and never grows,
+  // so a rank must not find its own reports by an offset into it: every
+  // race the ranks report still reaches the parent as one rsan.race.
+  const auto scenarios = testsuite::build_scenarios();
+  const auto racy = std::find_if(scenarios.begin(), scenarios.end(), [](const auto& scenario) {
+    return in_backend_subset(scenario) && scenario.expect_race;
+  });
+  ASSERT_NE(racy, scenarios.end());
+
+  obs::clear_diagnostics();
+  obs::DiagnosticHub& hub = obs::DiagnosticHub::instance();
+  while (obs::dropped_diagnostics() == 0) {
+    hub.dispatch(obs::Diagnostic{"test.filler", obs::Severity::kInfo, -1, "filler", 1});
+  }
+  std::size_t races = 0;
+  {
+    ScopedBackend scoped(Backend::kProc);
+    races = testsuite::run_scenario_outcome(*racy).races;
+  }
+  const auto retained = obs::diagnostics();
+  const auto race_reports =
+      std::count_if(retained.begin(), retained.end(),
+                    [](const obs::Diagnostic& d) { return d.id == "rsan.race"; });
+  obs::clear_diagnostics();
+  EXPECT_GT(races, 0u);
+  EXPECT_EQ(static_cast<std::size_t>(race_reports), races);
+  expect_no_stale_segments("after full-store scenario");
+}
+
+/// Explore `program` with DPOR on the thread and on the proc backend; each
+/// execution must classify as `expect_race` says and replay its pinned
+/// prefix without divergence. Returns {thread, proc} explorer stats.
+[[nodiscard]] std::array<schedsim::ExplorerStats, 2> explore_on_both_backends(
+    const std::string& name, bool expect_race, const std::function<std::size_t()>& program) {
+  std::array<schedsim::ExplorerStats, 2> stats;
+  const Backend backends[2] = {Backend::kThread, Backend::kProc};
+  for (int b = 0; b < 2; ++b) {
+    const ScopedBackend scoped(backends[b]);
+    schedsim::Explorer explorer;
+    const auto executions = explorer.explore(schedsim::Controller::instance(), program);
+    for (const schedsim::Execution& execution : executions) {
+      EXPECT_EQ(execution.races > 0, expect_race) << name << " execution " << execution.index;
+      EXPECT_FALSE(execution.diverged) << name << " execution " << execution.index;
+    }
+    stats[static_cast<std::size_t>(b)] = explorer.stats();
+  }
+  return stats;
+}
+
 TEST(ProcScenarioTest, DporExploresProcRanksLikeThreadRanks) {
   // Forked ranks ship the execution-graph nodes they record back to the
   // parent, so DPOR on the proc backend sees the same happens-before graph
   // as on the thread backend: a non-empty graph, the same HB prunes and the
-  // same executions, each one classified correctly.
+  // same executions, each one classified correctly. The waitall program's
+  // waitall_order decisions are made inside the forked ranks, so its
+  // exploration must branch there too. (No prunable decision runs in a
+  // forked rank: wake_order exists only on the thread backend, and value
+  // sites are never pruned; ExplorerTest.SyncOrderedDecisionsAreHbPruned
+  // covers the prune.)
   int compared = 0;
   for (const testsuite::Scenario& scenario : testsuite::build_scenarios()) {
     if (!in_backend_subset(scenario)) {
       continue;
     }
-    schedsim::ExplorerStats stats[2];
-    const Backend backends[2] = {Backend::kThread, Backend::kProc};
-    for (int b = 0; b < 2; ++b) {
-      const ScopedBackend scoped(backends[b]);
-      schedsim::Explorer explorer;
-      const auto executions =
-          explorer.explore(schedsim::Controller::instance(), [&]() -> std::size_t {
-            return testsuite::run_scenario_outcome(scenario).races;
-          });
-      for (const schedsim::Execution& execution : executions) {
-        EXPECT_TRUE(testsuite::classified_correctly(scenario, execution.races))
-            << scenario.name << " execution " << execution.index;
-        EXPECT_FALSE(execution.diverged) << scenario.name << " execution " << execution.index;
-      }
-      stats[b] = explorer.stats();
-    }
-    const schedsim::ExplorerStats& thread = stats[0];
-    const schedsim::ExplorerStats& proc = stats[1];
+    const auto [thread, proc] =
+        explore_on_both_backends(scenario.name, scenario.expect_race,
+                                 [&] { return testsuite::run_scenario_outcome(scenario).races; });
     EXPECT_GT(proc.graph_nodes, 0u) << scenario.name;
-    EXPECT_GT(proc.hb_prunes, 0u) << scenario.name;
     EXPECT_EQ(proc.hb_prunes, thread.hb_prunes) << scenario.name;
     EXPECT_EQ(proc.executions, thread.executions) << scenario.name;
     ++compared;
   }
   EXPECT_EQ(compared, 2);
+  for (const bool racy : {true, false}) {
+    const char* name = waitall_program::name(racy);
+    const auto [thread, proc] =
+        explore_on_both_backends(name, racy, [racy] { return waitall_program::run(racy); });
+    EXPECT_GT(proc.graph_nodes, 0u) << name;
+    EXPECT_GT(proc.executions, 1u) << name;
+    EXPECT_EQ(proc.hb_prunes, thread.hb_prunes) << name;
+    EXPECT_EQ(proc.executions, thread.executions) << name;
+  }
   expect_no_stale_segments("after proc DPOR subset");
 }
 

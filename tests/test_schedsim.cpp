@@ -5,11 +5,12 @@
 // properties the engine promises:
 //
 //   1. Differential replay oracle — replay the graphs of DPOR-flipped
-//      executions over the scenario corpus and get bit-identical verdicts
-//      and diagnostics with zero divergences; a tampered graph is detected
-//      and reported, never silently skipped.
-//   2. Exploration soundness — known-racy scenarios report their race under
-//      every DPOR-explored schedule; race-free scenarios stay clean across
+//      executions over the scenario corpus and the waitall program
+//      (waitall_program.hpp) and get bit-identical verdicts and diagnostics
+//      with zero divergences; a tampered graph is detected and reported,
+//      never silently skipped.
+//   2. Exploration soundness — known-racy programs report their race under
+//      every DPOR-explored schedule; race-free programs stay clean across
 //      the whole exploration (verdicts are schedule-independent).
 //   3. Waitall processing order is a controlled decision: a wakeup-heavy
 //      waitall workload records waitall_order decisions, runs with them
@@ -21,6 +22,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -35,6 +37,7 @@
 #include "schedsim/execution_graph.hpp"
 #include "schedsim/explorer.hpp"
 #include "testsuite/scenarios.hpp"
+#include "waitall_program.hpp"
 
 namespace {
 
@@ -118,10 +121,10 @@ TEST_F(SchedsimTest, ParseScheduleGrammar) {
 [[nodiscard]] ExecutionGraph sample_graph() {
   GraphRecorder recorder;
   recorder.record_decision({0, 'h', 0}, Site::kWakeOrder, 0, 3, 1);
-  recorder.record_decision({1, 's', 4097}, Site::kStreamOp, 0, 2, 1);
+  recorder.record_decision({1, 'h', 0}, Site::kWaitallOrder, 0, 2, 1);
   recorder.record_decision({0, 'h', 0}, Site::kWaitallOrder, 0, 3, 2);
   recorder.record_decision({0, 'h', 0}, Site::kWakeOrder, 1, 2, 0);
-  recorder.record_decision({1, 's', 4097}, Site::kStreamOp, 1, 2, 0);
+  recorder.record_decision({1, 'h', 0}, Site::kWaitallOrder, 1, 2, 0);
   ExecutionGraph graph = recorder.take_graph();
   graph.strategy = "dpor execution 3";
   return graph;
@@ -160,10 +163,16 @@ TEST_F(SchedsimTest, GraphParseRejectsMalformedDocuments) {
 
   EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d 0:h nonsense 0 2 0\n", &parsed, &error));
   EXPECT_TRUE(error.find("unknown site") != std::string::npos) << error;
-  // The retired timing-only site is no longer a decision stream.
+  // The retired timing-only sites are no longer decision streams, and the
+  // stream-worker actor kind is gone with the stream_op site.
+  for (const char* retired : {"pre_park_yield 0 9 4", "stream_op 0 2 1"}) {
+    EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d 0:h " + retired + "\n", &parsed, &error))
+        << retired;
+    EXPECT_TRUE(error.find("unknown site") != std::string::npos) << error;
+  }
   EXPECT_FALSE(
-      schedsim::parse_graph(header + "n 0 d 0:h pre_park_yield 0 9 4\n", &parsed, &error));
-  EXPECT_TRUE(error.find("unknown site") != std::string::npos) << error;
+      schedsim::parse_graph(header + "n 0 d 0:s1 waitany 0 2 0\n", &parsed, &error));
+  EXPECT_TRUE(error.find("bad actor") != std::string::npos) << error;
   EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d 0:h waitany 0 2 2\n", &parsed, &error));
   EXPECT_TRUE(error.find("outside") != std::string::npos) << error;
   EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d 0:h waitany 0 0 0\n", &parsed, &error));
@@ -185,7 +194,7 @@ TEST_F(SchedsimTest, GraphParseRejectsMalformedDocuments) {
   // Sync nodes between decisions do not touch the seq check.
   EXPECT_TRUE(schedsim::parse_graph(header +
                                         "n 0 d 0:h waitany 0 2 0\n"
-                                        "n 1 d 0:h stream_op 0 2 1\n"
+                                        "n 1 d 0:h waitall_order 0 2 1\n"
                                         "n 2 r 0:h 1 10\n"
                                         "n 3 d 0:h waitany 1 2 1\n",
                                     &parsed, &error))
@@ -206,7 +215,7 @@ struct Query {
   std::vector<Query> queries;
   for (int round = 0; round < 50; ++round) {
     queries.push_back({Site::kMatchRecv, {0, 'h', 0}, 3, 1});
-    queries.push_back({Site::kStreamOp, {0, 's', 1}, 2, 0});
+    queries.push_back({Site::kWaitallOrder, {0, 'h', 0}, 2, 0});
     queries.push_back({Site::kWaitallOrder, {1, 'h', 0}, 4, 0});
     queries.push_back({Site::kWakeOrder, {1, 'h', 0}, 3, 0});
     queries.push_back({Site::kWaitany, {0, 'h', 0}, 5, 0});
@@ -423,7 +432,6 @@ TEST_F(SchedsimTest, TamperedGraphIsReportedAsDivergence) {
 }
 
 TEST_F(SchedsimTest, DifferentialReplayOracleOverScenarioCorpus) {
-  const auto scenarios = testsuite::build_scenarios();
   auto& controller = Controller::instance();
 
   /// What one DPOR execution observed, indexed by execution order.
@@ -433,18 +441,19 @@ TEST_F(SchedsimTest, DifferentialReplayOracleOverScenarioCorpus) {
   };
 
   std::size_t flipped = 0;
-  for (const testsuite::Scenario& scenario : scenarios) {
+  const auto explore_and_replay = [&](const std::string& name,
+                                      const std::function<testsuite::ScenarioOutcome()>& program) {
     std::vector<Observed> observed;
     Explorer explorer;
     const auto executions = explorer.explore(controller, [&]() -> std::size_t {
       obs::clear_diagnostics();
       Observed run;
-      run.outcome = testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true);
+      run.outcome = program();
       run.ids = diagnostic_ids();
       observed.push_back(run);
       return run.outcome.races;
     });
-    ASSERT_EQ(observed.size(), executions.size()) << scenario.name;
+    ASSERT_EQ(observed.size(), executions.size()) << name;
 
     // Replay every explored execution — the flipped ones are the point:
     // their graphs pin non-default decisions the free schedule never takes.
@@ -453,21 +462,35 @@ TEST_F(SchedsimTest, DifferentialReplayOracleOverScenarioCorpus) {
       std::string error;
       ASSERT_TRUE(
           controller.configure_replay_text(schedsim::serialize_graph(execution.graph), &error))
-          << scenario.name << ": " << error;
+          << name << ": " << error;
       obs::clear_diagnostics();
-      const testsuite::ScenarioOutcome replayed =
-          testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true);
+      const testsuite::ScenarioOutcome replayed = program();
 
       const Observed& recorded = observed[execution.index];
       EXPECT_FALSE(controller.divergence().has_value())
-          << scenario.name << ": " << controller.divergence()->to_string();
-      EXPECT_EQ(replayed.races, recorded.outcome.races) << scenario.name;
-      EXPECT_EQ(replayed.tracked_bytes, recorded.outcome.tracked_bytes) << scenario.name;
-      EXPECT_EQ(replayed.elided_launches, recorded.outcome.elided_launches) << scenario.name;
-      EXPECT_EQ(replayed.elided_bytes, recorded.outcome.elided_bytes) << scenario.name;
-      EXPECT_EQ(diagnostic_ids(), recorded.ids) << scenario.name;
+          << name << ": " << controller.divergence()->to_string();
+      EXPECT_EQ(replayed.races, recorded.outcome.races) << name;
+      EXPECT_EQ(replayed.tracked_bytes, recorded.outcome.tracked_bytes) << name;
+      EXPECT_EQ(replayed.elided_launches, recorded.outcome.elided_launches) << name;
+      EXPECT_EQ(replayed.elided_bytes, recorded.outcome.elided_bytes) << name;
+      EXPECT_EQ(diagnostic_ids(), recorded.ids) << name;
       controller.clear();
     }
+  };
+
+  for (const testsuite::Scenario& scenario : testsuite::build_scenarios()) {
+    explore_and_replay(scenario.name, [&] {
+      return testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true);
+    });
+  }
+  // The corpus makes no branchable decision; the waitall program's
+  // waitall_order decisions give the oracle non-default schedules to replay.
+  for (const bool racy : {true, false}) {
+    explore_and_replay(waitall_program::name(racy), [racy] {
+      testsuite::ScenarioOutcome outcome;
+      outcome.races = waitall_program::run(racy);
+      return outcome;
+    });
   }
   EXPECT_GT(flipped, 0u);  // the oracle replayed non-default schedules
 }
@@ -475,33 +498,33 @@ TEST_F(SchedsimTest, DifferentialReplayOracleOverScenarioCorpus) {
 // ------------------------------------ satellite 2: exploration soundness --
 
 TEST_F(SchedsimTest, DporExecutionsKeepVerdictsScheduleIndependent) {
-  // Explore the corpus until one racy and one race-free scenario with more
-  // than one explored execution have been seen: every execution of a racy
-  // scenario reports its race, every execution of a clean one stays clean.
-  const auto scenarios = testsuite::build_scenarios();
+  // Every execution of a racy program reports its race, every execution of
+  // a clean one stays clean: over the whole corpus, and over a racy and a
+  // race-free program whose explorations must branch.
   auto& controller = Controller::instance();
 
   bool racy_branched = false;
   bool clean_branched = false;
-  for (const auto& scenario : scenarios) {
-    if (racy_branched && clean_branched) {
-      break;
-    }
-    if ((scenario.expect_race && racy_branched) || (!scenario.expect_race && clean_branched)) {
-      continue;
-    }
+  const auto explore = [&](const std::string& name, bool expect_race,
+                           const std::function<std::size_t()>& program) {
     Explorer explorer;
-    const auto executions = explorer.explore(controller, [&]() -> std::size_t {
-      return testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true).races;
-    });
+    const auto executions = explorer.explore(controller, program);
     for (const schedsim::Execution& execution : executions) {
-      EXPECT_EQ(execution.races > 0, scenario.expect_race)
-          << scenario.name << " execution " << execution.index << " (" << execution.races
-          << " races)";
+      EXPECT_EQ(execution.races > 0, expect_race)
+          << name << " execution " << execution.index << " (" << execution.races << " races)";
     }
     if (executions.size() > 1) {
-      (scenario.expect_race ? racy_branched : clean_branched) = true;
+      (expect_race ? racy_branched : clean_branched) = true;
     }
+  };
+
+  for (const auto& scenario : testsuite::build_scenarios()) {
+    explore(scenario.name, scenario.expect_race, [&] {
+      return testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true).races;
+    });
+  }
+  for (const bool racy : {true, false}) {
+    explore(waitall_program::name(racy), racy, [racy] { return waitall_program::run(racy); });
   }
   EXPECT_TRUE(racy_branched);
   EXPECT_TRUE(clean_branched);
