@@ -132,9 +132,8 @@ mpisim::MpiError waitall(mpisim::Comm& comm, std::span<mpisim::Request*> request
   std::iota(order.begin(), order.end(), std::size_t{0});
   if (schedsim::Controller::armed() && requests.size() > 1) {
     auto& controller = schedsim::Controller::instance();
-    const schedsim::ActorId actor{comm.rank(), 'h', 0};
     for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-      const int pick = controller.choose(schedsim::Site::kWaitallOrder, actor,
+      const int pick = controller.choose(schedsim::Site::kWaitallOrder, comm.rank(),
                                          static_cast<int>(order.size() - i), 0);
       std::swap(order[i], order[i + static_cast<std::size_t>(pick)]);
     }

@@ -195,7 +195,7 @@ class ThreadCommImpl final : public CommImpl {
                       return a.it->epoch < b.it->epoch;
                     });
           const int pick = schedsim::Controller::instance().choose(
-              schedsim::Site::kMatchRecv, {dest, 'h', 0},
+              schedsim::Site::kMatchRecv, dest,
               static_cast<int>(candidates.size()), 0);
           match_queue = candidates[static_cast<std::size_t>(pick)].queue;
           match = candidates[static_cast<std::size_t>(pick)].it;
@@ -298,7 +298,7 @@ class ThreadCommImpl final : public CommImpl {
             rl.soft_quiet_since = now;
           } else if (now - rl.soft_quiet_since >= timeout_as_ns(tracker_->timeout())) {
             if (tracker_->try_declare(rl.soft_snapshot)) {
-              hub_->broadcast(rank);  // poisoning: every blocked rank must see it
+              hub_->broadcast();  // poisoning: every blocked rank must see it
               return MpiError::kDeadlock;
             }
             rl.soft_quiet_since = now;
@@ -371,7 +371,7 @@ class ThreadCommImpl final : public CommImpl {
       }
       if (complete.size() > 1) {
         const int pick = schedsim::Controller::instance().choose(
-            schedsim::Site::kWaitany, {rank, 'h', 0}, static_cast<int>(complete.size()), 0);
+            schedsim::Site::kWaitany, rank, static_cast<int>(complete.size()), 0);
         *index = complete[static_cast<std::size_t>(pick)];
       }
     }
@@ -624,7 +624,7 @@ class ThreadCommImpl final : public CommImpl {
       }
       if (now - quiet_since >= timeout_as_ns(tracker_->timeout())) {
         if (tracker_->try_declare(snapshot)) {
-          hub_->broadcast(op.rank);  // wake peers so they observe the declaration
+          hub_->broadcast();  // wake peers so they observe the declaration
           result = MpiError::kDeadlock;
           break;
         }

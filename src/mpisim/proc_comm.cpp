@@ -265,7 +265,7 @@ class ProcTransport {
                       return a.it->epoch < b.it->epoch;
                     });
           const int pick = schedsim::Controller::instance().choose(
-              schedsim::Site::kMatchRecv, {rank_, 'h', 0},
+              schedsim::Site::kMatchRecv, rank_,
               static_cast<int>(candidates.size()), 0);
           match_queue = candidates[static_cast<std::size_t>(pick)].queue;
           match = candidates[static_cast<std::size_t>(pick)].it;
@@ -406,7 +406,7 @@ class ProcTransport {
       }
       if (complete.size() > 1) {
         const int pick = schedsim::Controller::instance().choose(
-            schedsim::Site::kWaitany, {rank_, 'h', 0}, static_cast<int>(complete.size()), 0);
+            schedsim::Site::kWaitany, rank_, static_cast<int>(complete.size()), 0);
         *index = complete[static_cast<std::size_t>(pick)];
       }
     }

@@ -29,11 +29,9 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <numeric>
 #include <vector>
 
 #include "mpisim/counters.hpp"
-#include "schedsim/controller.hpp"
 
 namespace mpisim {
 
@@ -110,29 +108,11 @@ class WaiterHub {
 
   /// Wake every rank. Reserved for deadlock declaration/poisoning — the only
   /// events every blocked rank must observe regardless of what it waits on.
-  /// `caller_rank` attributes the wakeup-order decisions to the broadcasting
-  /// rank when the schedule controller is armed (-1: unattributed).
-  void broadcast(int caller_rank = -1) {
-    if (schedsim::Controller::armed() && slots_.size() > 1) {
-      // Schedule-exploration choice point: the order ranks are woken in is
-      // a selection-permutation, one (remaining-count)-way decision per
-      // slot. Every rank is still woken — only the order varies.
-      auto& controller = schedsim::Controller::instance();
-      const schedsim::ActorId actor{caller_rank, 'h', 0};
-      std::vector<int> order(slots_.size());
-      std::iota(order.begin(), order.end(), 0);
-      for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-        const int pick = controller.choose(schedsim::Site::kWakeOrder, actor,
-                                           static_cast<int>(order.size() - i), 0);
-        std::swap(order[i], order[i + static_cast<std::size_t>(pick)]);
-      }
-      for (const int idx : order) {
-        wake_slot(*slots_[static_cast<std::size_t>(idx)]);
-      }
-    } else {
-      for (auto& slot : slots_) {
-        wake_slot(*slot);
-      }
+  /// The deadlock is latched before the broadcast and every woken rank reads
+  /// it, so the order of the wakes decides nothing and is not a choice point.
+  void broadcast() {
+    for (auto& slot : slots_) {
+      wake_slot(*slot);
     }
     detail::bump(*detail::contention_counters().wakeups_broadcast, slots_.size());
   }

@@ -142,8 +142,8 @@ bool parse_schedule(const std::string& text, Config* out, std::string* error) {
 }
 
 std::string Divergence::to_string() const {
-  return common::format("actor {} {} decision {}: graph recorded {} candidates, run asked for {}",
-                        actor.to_string(), schedsim::to_string(site), seq, expected_candidates,
+  return common::format("rank {} {} decision {}: graph recorded {} candidates, run asked for {}",
+                        rank, schedsim::to_string(site), seq, expected_candidates,
                         got_candidates);
 }
 
@@ -170,7 +170,7 @@ void Controller::set_armed(bool armed) {
   }
 }
 
-int Controller::choose(Site site, const ActorId& actor, int candidates, int default_index) {
+int Controller::choose(Site site, int rank, int candidates, int default_index) {
   if (candidates <= 1) {
     return 0;
   }
@@ -182,7 +182,7 @@ int Controller::choose(Site site, const ActorId& actor, int candidates, int defa
   }
   int chosen = default_index;
   std::uint64_t seq = 0;
-  const std::uint64_t key = stream_key(actor, site);
+  const std::uint64_t key = stream_key(rank, site);
   {
     std::lock_guard lock(mutex_);
     StreamState& st = streams_[key];
@@ -216,9 +216,9 @@ int Controller::choose(Site site, const ActorId& actor, int candidates, int defa
           st.diverged = true;
           ++stats_.divergences;
           if (!divergence_.has_value()) {
-            divergence_ = Divergence{actor, entry.seq, site, entry.candidates, candidates};
+            divergence_ = Divergence{rank, entry.seq, site, entry.candidates, candidates};
             sched_counters().divergences->add(1);
-            obs::emit_diagnostic({"sched.divergence", obs::Severity::kError, actor.rank,
+            obs::emit_diagnostic({"sched.divergence", obs::Severity::kError, rank,
                                   divergence_->to_string(), 0});
           }
           break;
@@ -232,12 +232,12 @@ int Controller::choose(Site site, const ActorId& actor, int candidates, int defa
     // Under the controller lock, so the graph's decision order is the
     // answer order.
     if (GraphRecorder::enabled()) {
-      GraphRecorder::instance().record_decision(actor, site, seq, candidates, chosen);
+      GraphRecorder::instance().record_decision(rank, site, seq, candidates, chosen);
     }
   }
   sched_counters().decisions->add(1);
   if (obs::tracing_enabled()) {
-    obs::emit_instant(actor.rank, obs::EventKind::kSchedule, obs::kHostTrack, to_string(site),
+    obs::emit_instant(rank, obs::EventKind::kSchedule, obs::kHostTrack, to_string(site),
                       (seq << 16) | (static_cast<std::uint64_t>(candidates) << 8) |
                           static_cast<std::uint64_t>(chosen));
   }
@@ -282,7 +282,7 @@ void Controller::install_replay_locked(std::vector<TraceEntry> entries) {
   replay_ = std::move(entries);
   replay_streams_.clear();
   for (std::size_t i = 0; i < replay_.size(); ++i) {
-    replay_streams_[stream_key(replay_[i].actor, replay_[i].site)].push_back(i);
+    replay_streams_[stream_key(replay_[i].rank, replay_[i].site)].push_back(i);
   }
   reset_run_state_locked();
 }

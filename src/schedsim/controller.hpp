@@ -1,15 +1,16 @@
 // The central schedule-exploration controller: every nondeterministic choice
-// point in the stack — mpisim wildcard matching / wakeup order, and the MPI
-// wait family's request-fiber completion order — routes its decision
-// through choose() as a numbered (site, candidates) query and obeys the
-// answer. Timing-only knobs (how long a blocked wait spins before parking,
-// the order cusim's stream workers run ready ops in) are not choice points:
-// they change no verdict, only how many executions an exploration visits.
+// point in the stack — mpisim wildcard matching, and the MPI wait family's
+// request-fiber completion order — routes its decision through choose() as
+// a numbered (site, candidates) query and obeys the answer. Timing-only
+// knobs (how long a blocked wait spins before parking, the order cusim's
+// stream workers run ready ops in, the order a deadlock broadcast wakes
+// ranks in) are not choice points: they change no verdict, only how many
+// executions an exploration visits.
 // Strategies (CUSAN_SCHEDULE):
 //
 //   free             today's behavior; the controller stays disarmed and
 //                    each choice point costs one relaxed atomic load
-//   replay:<path>    answer every query from its (actor, site) stream of
+//   replay:<path>    answer every query from its (rank, site) stream of
 //                    the decision nodes of a recorded execution graph; the
 //                    first stream decision whose live candidate count
 //                    disagrees with the recording is latched and reported
@@ -73,13 +74,13 @@ struct Config {
                                   std::string* error = nullptr);
 
 /// First mismatch between a replayed graph and the live run: the live query
-/// at (actor, site, seq) asked for a different candidate count than the
-/// recording. (Sites cannot mismatch: each (actor, site) pair replays its
+/// at (rank, site, seq) asked for a different candidate count than the
+/// recording. (Sites cannot mismatch: each (rank, site) pair replays its
 /// own stream, so a timing-dependent skip of one site — a wait whose
 /// predicate was already true at replay time — shows up as a tolerated
 /// underrun of that stream, never as a false divergence of another.)
 struct Divergence {
-  ActorId actor;
+  int rank{-1};
   std::uint64_t seq{0};
   Site site{Site::kMatchRecv};
   int expected_candidates{1};
@@ -133,18 +134,17 @@ class Controller {
   /// strategy (and every decision past a pinned prefix) returns it
   /// unchanged, which is what makes exploration semantics-preserving by
   /// construction.
-  [[nodiscard]] int choose(Site site, const ActorId& actor, int candidates,
-                           int default_index = 0);
+  [[nodiscard]] int choose(Site site, int rank, int candidates, int default_index = 0);
 
   /// Install a strategy programmatically (sweep harnesses, tests). Resets
-  /// per-actor cursors and any latched divergence.
+  /// per-stream cursors and any latched divergence.
   void configure(const Config& config);
   /// configure() for replay with the graph supplied as text instead of a
   /// file (differential tests). Returns false on a malformed or invalid
   /// graph (parse_graph + validate_graph).
   [[nodiscard]] bool configure_replay_text(const std::string& graph_text,
                                            std::string* error = nullptr, bool record = false);
-  /// The explorer's strategy seam: pin the given decisions (each (actor,
+  /// The explorer's strategy seam: pin the given decisions (each (rank,
   /// site) stream replays its slice of `prefix`), record, and let each
   /// stream fall back to free choices past its pinned slice — the recorded
   /// run is prefix + free suffix. An empty prefix is a plain free-recorded
@@ -161,7 +161,7 @@ class Controller {
   /// Disarm and drop all state.
   void clear();
 
-  /// Session begin (capi::run_session): resets per-actor cursors and the
+  /// Session begin (capi::run_session): resets per-stream cursors and the
   /// latched divergence so every session replays the graph from its start.
   void begin_session();
 
@@ -182,7 +182,7 @@ class Controller {
   void reset_run_state_locked();
   void install_replay_locked(std::vector<TraceEntry> entries);
 
-  /// Mutable per-(actor, site)-stream run state: the stream-local decision
+  /// Mutable per-(rank, site)-stream run state: the stream-local decision
   /// counter and, in replay mode, the cursor into the stream's slice of the
   /// recording.
   struct StreamState {

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -13,10 +14,6 @@ namespace schedsim {
 namespace {
 
 constexpr const char* kMagic = "# cusan-execution-graph v1";
-
-/// Decision seqs addressable by the analysis index. Streams longer than this
-/// fall back to "racing" (conservative).
-constexpr std::uint64_t kSeqBits = 13;
 
 [[nodiscard]] char kind_char(NodeKind kind) {
   switch (kind) {
@@ -41,31 +38,20 @@ constexpr std::uint64_t kSeqBits = 13;
   return reject(error, common::format("line {}: {}", line_no, message));
 }
 
-/// Parse `<rank>:h[<local>]` (e.g. `0:h`, `-1:h`).
-[[nodiscard]] bool parse_actor_token(const std::string& token, ActorId* out) {
+/// Parse `<rank>:h` (e.g. `0:h`, `-1:h`); the rank is -1 (unattributed) or a
+/// valid int rank.
+[[nodiscard]] bool parse_actor_token(const std::string& token, int* rank) {
   const std::size_t colon = token.find(':');
-  if (colon == std::string::npos || colon + 1 >= token.size()) {
+  if (colon == std::string::npos || token.compare(colon, std::string::npos, ":h") != 0) {
     return false;
   }
   char* end = nullptr;
-  const long rank = std::strtol(token.c_str(), &end, 10);
-  if (end != token.c_str() + colon) {
+  const long parsed = std::strtol(token.c_str(), &end, 10);
+  if (end != token.c_str() + colon || parsed < -1 ||
+      parsed >= std::numeric_limits<int>::max()) {
     return false;
   }
-  const char kind = token[colon + 1];
-  if (kind != 'h') {
-    return false;
-  }
-  unsigned long local = 0;
-  if (colon + 2 < token.size()) {
-    local = std::strtoul(token.c_str() + colon + 2, &end, 10);
-    if (*end != '\0') {
-      return false;
-    }
-  }
-  out->rank = static_cast<int>(rank);
-  out->kind = kind;
-  out->local = static_cast<std::uint32_t>(local);
+  *rank = static_cast<int>(parsed);
   return true;
 }
 
@@ -75,8 +61,6 @@ const char* to_string(Site site) {
   switch (site) {
     case Site::kMatchRecv:
       return "match_recv";
-    case Site::kWakeOrder:
-      return "wake_order";
     case Site::kWaitany:
       return "waitany";
     case Site::kWaitallOrder:
@@ -86,8 +70,7 @@ const char* to_string(Site site) {
 }
 
 bool site_from_string(const std::string& name, Site* out) {
-  static constexpr Site kAll[] = {Site::kMatchRecv, Site::kWakeOrder, Site::kWaitany,
-                                  Site::kWaitallOrder};
+  static constexpr Site kAll[] = {Site::kMatchRecv, Site::kWaitany, Site::kWaitallOrder};
   for (const Site site : kAll) {
     if (name == to_string(site)) {
       *out = site;
@@ -95,16 +78,6 @@ bool site_from_string(const std::string& name, Site* out) {
     }
   }
   return false;
-}
-
-std::string ActorId::to_string() const {
-  char buf[48];
-  if (local == 0) {
-    std::snprintf(buf, sizeof(buf), "%d:%c", rank, kind);
-  } else {
-    std::snprintf(buf, sizeof(buf), "%d:%c%u", rank, kind, local);
-  }
-  return buf;
 }
 
 std::string serialize_graph(const ExecutionGraph& graph) {
@@ -118,7 +91,7 @@ std::string serialize_graph(const ExecutionGraph& graph) {
   for (const GraphNode& n : graph.nodes) {
     switch (n.kind) {
       case NodeKind::kDecision:
-        out += common::format("n {} d {} {} {} {} {}\n", n.id, n.actor.to_string(),
+        out += common::format("n {} d {}:h {} {} {} {}\n", n.id, n.rank,
                               to_string(n.site), n.seq, n.candidates, n.chosen);
         break;
       case NodeKind::kRelease:
@@ -126,9 +99,8 @@ std::string serialize_graph(const ExecutionGraph& graph) {
         char key_hex[24];
         std::snprintf(key_hex, sizeof(key_hex), "%llx",
                       static_cast<unsigned long long>(n.key));
-        out += common::format("n {} {} {} {} {}\n", n.id,
-                              std::string(1, kind_char(n.kind)), n.actor.to_string(), n.ctx,
-                              key_hex);
+        out += common::format("n {} {} {}:h {} {}\n", n.id,
+                              std::string(1, kind_char(n.kind)), n.rank, n.ctx, key_hex);
         break;
       }
     }
@@ -182,7 +154,7 @@ bool parse_graph(const std::string& text, ExecutionGraph* out, std::string* erro
       if (!(fields >> node.id >> kind_token >> actor_token) || kind_token.size() != 1) {
         return fail(error, line_no, "malformed node line");
       }
-      if (!parse_actor_token(actor_token, &node.actor)) {
+      if (!parse_actor_token(actor_token, &node.rank)) {
         return fail(error, line_no, common::format("bad actor '{}'", actor_token));
       }
       if (seen_ids.contains(node.id)) {
@@ -208,11 +180,11 @@ bool parse_graph(const std::string& text, ExecutionGraph* out, std::string* erro
                                                        node.candidates));
           }
           node.seq = static_cast<std::uint64_t>(seq);
-          std::uint64_t& expect = next_seq[stream_key(node.actor, node.site)];
+          std::uint64_t& expect = next_seq[stream_key(node.rank, node.site)];
           if (node.seq != expect) {
             return fail(error, line_no,
                         common::format("actor {} {} seq {} out of order (expected {})",
-                                       node.actor.to_string(), site_token, node.seq, expect));
+                                       actor_token, site_token, node.seq, expect));
           }
           ++expect;
           break;
@@ -267,7 +239,7 @@ std::vector<TraceEntry> decision_entries(const ExecutionGraph& graph) {
   std::vector<TraceEntry> out;
   for (const GraphNode& n : graph.nodes) {
     if (n.kind == NodeKind::kDecision) {
-      out.push_back({n.actor, n.seq, n.site, n.candidates, n.chosen});
+      out.push_back({n.rank, n.seq, n.site, n.candidates, n.chosen});
     }
   }
   return out;
@@ -332,107 +304,6 @@ bool validate_graph(const ExecutionGraph& graph, std::string* error) {
   return true;
 }
 
-// -- GraphAnalysis --------------------------------------------------------------------
-
-namespace {
-[[nodiscard]] bool analysis_key(std::uint64_t stream, std::uint64_t seq, std::uint64_t* out) {
-  if (seq >= (1ull << kSeqBits)) {
-    return false;
-  }
-  *out = (stream << kSeqBits) | seq;
-  return true;
-}
-}  // namespace
-
-GraphAnalysis::GraphAnalysis(const ExecutionGraph& graph, std::size_t max_nodes)
-    : graph_(&graph) {
-  const std::size_t n = graph.nodes.size();
-  if (n == 0 || n > max_nodes || !validate_graph(graph)) {
-    return;
-  }
-  std::unordered_map<std::uint32_t, std::uint32_t> index;
-  index.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    index.emplace(graph.nodes[i].id, static_cast<std::uint32_t>(i));
-  }
-  std::vector<std::vector<std::uint32_t>> out_edges(n);
-  std::vector<std::size_t> indegree(n, 0);
-  for (const GraphEdge& e : graph.edges) {
-    const std::uint32_t from = index.at(e.from);
-    const std::uint32_t to = index.at(e.to);
-    out_edges[from].push_back(to);
-    ++indegree[to];
-  }
-  words_ = (n + 63) / 64;
-  ancestors_.assign(n * words_, 0);
-  std::deque<std::uint32_t> ready;
-  for (std::uint32_t i = 0; i < n; ++i) {
-    if (indegree[i] == 0) {
-      ready.push_back(i);
-    }
-  }
-  while (!ready.empty()) {
-    const std::uint32_t i = ready.front();
-    ready.pop_front();
-    ancestors_[static_cast<std::size_t>(i) * words_ + i / 64] |= 1ull << (i % 64);
-    for (const std::uint32_t j : out_edges[i]) {
-      std::uint64_t* dst = ancestors_.data() + static_cast<std::size_t>(j) * words_;
-      const std::uint64_t* src = ancestors_.data() + static_cast<std::size_t>(i) * words_;
-      for (std::size_t w = 0; w < words_; ++w) {
-        dst[w] |= src[w];
-      }
-      if (--indegree[j] == 0) {
-        ready.push_back(j);
-      }
-    }
-  }
-  for (std::uint32_t i = 0; i < n; ++i) {
-    const GraphNode& node = graph.nodes[i];
-    if (node.kind != NodeKind::kDecision || node.candidates <= 1) {
-      continue;
-    }
-    decision_nodes_.push_back(i);
-    std::uint64_t key = 0;
-    if (analysis_key(stream_key(node.actor, node.site), node.seq, &key)) {
-      decision_index_.emplace(key, i);
-    }
-  }
-  usable_ = true;
-}
-
-bool GraphAnalysis::reaches(std::uint32_t from, std::uint32_t to) const {
-  return (ancestors_[static_cast<std::size_t>(to) * words_ + from / 64] &
-          (1ull << (from % 64))) != 0;
-}
-
-bool GraphAnalysis::has_decision(std::uint64_t stream, std::uint64_t seq) const {
-  std::uint64_t key = 0;
-  return usable_ && analysis_key(stream, seq, &key) && decision_index_.contains(key);
-}
-
-bool GraphAnalysis::decision_races(std::uint64_t stream, std::uint64_t seq) const {
-  std::uint64_t key = 0;
-  if (!usable_ || !analysis_key(stream, seq, &key)) {
-    return true;
-  }
-  const auto it = decision_index_.find(key);
-  if (it == decision_index_.end()) {
-    return true;
-  }
-  const std::uint32_t i = it->second;
-  const std::uint64_t lane = graph_->nodes[i].actor.key();
-  for (const std::uint32_t j : decision_nodes_) {
-    const GraphNode& b = graph_->nodes[j];
-    if (j == i || b.actor.key() == lane) {
-      continue;
-    }
-    if (!reaches(i, j) && !reaches(j, i)) {
-      return true;  // concurrent conflicting decision on another lane
-    }
-  }
-  return false;
-}
-
 // -- GraphRecorder --------------------------------------------------------------------
 
 namespace detail {
@@ -468,7 +339,7 @@ void GraphRecorder::begin_run() {
 std::uint32_t GraphRecorder::append_node_locked(GraphNode node) {
   const auto id = static_cast<std::uint32_t>(graph_.nodes.size());
   node.id = id;
-  std::uint32_t& last = lane_last_[node.actor.key()];
+  std::uint32_t& last = lane_last_[node.rank];
   if (last != 0) {
     graph_.edges.push_back({last - 1, id, GraphEdge::Kind::kProgram});
   }
@@ -477,12 +348,12 @@ std::uint32_t GraphRecorder::append_node_locked(GraphNode node) {
   return id;
 }
 
-void GraphRecorder::record_decision(const ActorId& actor, Site site, std::uint64_t seq,
-                                    int candidates, int chosen) {
+void GraphRecorder::record_decision(int rank, Site site, std::uint64_t seq, int candidates,
+                                    int chosen) {
   std::lock_guard lock(mutex_);
   GraphNode node;
   node.kind = NodeKind::kDecision;
-  node.actor = actor;
+  node.rank = rank;
   node.site = site;
   node.seq = seq;
   node.candidates = candidates;
@@ -497,7 +368,7 @@ void GraphRecorder::record_release(int rank, std::uint32_t ctx, const void* key)
   }
   GraphNode node;
   node.kind = NodeKind::kRelease;
-  node.actor = ActorId{rank, 'h', 0};
+  node.rank = rank;
   node.ctx = ctx;
   node.key = reinterpret_cast<std::uintptr_t>(key);
   const std::uint32_t id = append_node_locked(node);
@@ -511,7 +382,7 @@ void GraphRecorder::record_acquire(int rank, std::uint32_t ctx, const void* key)
   }
   GraphNode node;
   node.kind = NodeKind::kAcquire;
-  node.actor = ActorId{rank, 'h', 0};
+  node.rank = rank;
   node.ctx = ctx;
   node.key = reinterpret_cast<std::uintptr_t>(key);
   const std::uint32_t id = append_node_locked(node);
@@ -550,7 +421,7 @@ bool GraphRecorder::absorb(const std::string& text, std::string* error) {
   const auto offset = static_cast<std::uint32_t>(graph_.nodes.size());
   for (GraphNode node : child.nodes) {
     node.id += offset;
-    lane_last_[node.actor.key()] = node.id + 1;
+    lane_last_[node.rank] = node.id + 1;
     graph_.nodes.push_back(node);
   }
   for (GraphEdge e : child.edges) {

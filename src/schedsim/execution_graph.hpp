@@ -3,18 +3,16 @@
 // every Controller decision plus the sync operations rsan's vector clocks are
 // built from (stream sync, p2p match, collective join, all funnelled through
 // rsan's happens_before / happens_after annotations). Edges are program order
-// within a lane (one lane per decision actor; rsan sync events land on their
-// rank's host lane, because the analysis runtime runs at API-interception
-// time on the host thread) and release->acquire order on a sync key.
-// Together they induce the same partial order rsan's clocks compute, in a
-// form the DPOR explorer (explorer.hpp) can walk run-over-run: two decisions
-// unordered in the graph are a racing pair worth backtracking on; ordered
-// ones provably commute.
+// within a rank's lane (every decision site and every rsan sync event runs
+// on the rank's host thread: the analysis runtime runs at API-interception
+// time) and release->acquire order on a sync key. Together they induce the
+// same partial order rsan's clocks compute.
 //
-// The decision nodes are also the replay record: `record:<path>` writes the
-// graph, `replay:<path>` answers every query from its (actor, site) stream of
-// the graph's decision nodes, so a CI failure ships one file that both
-// reproduces the run and explains its happens-before order:
+// The decision nodes are the replay record: `record:<path>` writes the
+// graph, `replay:<path>` answers every query from its (rank, site) stream of
+// the graph's decision nodes, and the DPOR explorer (explorer.hpp) flips
+// them run over run, so a CI failure ships one file that both reproduces the
+// run and records its happens-before order:
 //
 //   # cusan-execution-graph v1
 //   # strategy <controller strategy string>
@@ -23,9 +21,9 @@
 //   n <id> a <actor> <ctx> <key>                          acquire (happens_after)
 //   e <from> <to> po|sync
 //
-// `<actor>` is `<rank>:h[<local>]`, the rank's host/MPI thread: every
-// decision site runs there. `<seq>` is the (actor, site) stream's own decision
-// counter: replay matches each stream against its own recording, so neither
+// `<actor>` is `<rank>:h`, the rank's host/MPI thread: every decision site
+// runs there. `<seq>` is the (rank, site) stream's own decision counter:
+// replay matches each stream against its own recording, so neither
 // the physical interleaving of nodes (OS thread timing at record time) nor a
 // timing-dependent skip of one site can shift another site's decisions.
 //
@@ -48,7 +46,6 @@ namespace schedsim {
 /// A nondeterministic choice point routed through the ScheduleController.
 enum class Site : std::uint8_t {
   kMatchRecv,     ///< mpisim ANY_SOURCE recv: which source channel matches
-  kWakeOrder,     ///< mpisim WaiterHub broadcast: slot wake permutation
   kWaitany,       ///< MPI_Waitany: which completed request is returned
   kWaitallOrder,  ///< MPI_Waitall: request completion/fiber-join order
 };
@@ -57,34 +54,20 @@ enum class Site : std::uint8_t {
 /// Inverse of to_string; false if `name` is not a known site.
 [[nodiscard]] bool site_from_string(const std::string& name, Site* out);
 
-/// The thread asking for a decision. Rank -1 is unattributed (raw cusim /
-/// mpisim unit tests outside a capi session).
-struct ActorId {
-  int rank{-1};
-  char kind{'h'};          ///< 'h' host thread, the only lane kind
-  std::uint32_t local{0};  ///< lane index within the rank; the host thread is 0
-
-  [[nodiscard]] std::uint64_t key() const {
-    return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rank + 1)) << 40) |
-           (static_cast<std::uint64_t>(static_cast<std::uint8_t>(kind)) << 32) |
-           static_cast<std::uint64_t>(local);
-  }
-  [[nodiscard]] std::string to_string() const;
-};
-
 /// One decision, as the controller replays it and the explorer flips it.
 struct TraceEntry {
-  ActorId actor;
-  std::uint64_t seq{0};  ///< (actor, site)-stream-local decision index
+  int rank{-1};          ///< the deciding rank's host thread; -1 is unattributed
+  std::uint64_t seq{0};  ///< (rank, site)-stream-local decision index
   Site site{Site::kMatchRecv};
   int candidates{1};
   int chosen{0};
 };
 
-/// Key of the (actor, site) decision stream an entry belongs to. The actor
-/// key occupies bits [3, 44); the site index fits in the low 3 bits.
-[[nodiscard]] inline std::uint64_t stream_key(const ActorId& actor, Site site) {
-  return (actor.key() << 3) | static_cast<std::uint64_t>(site);
+/// Key of the (rank, site) decision stream an entry belongs to: rank + 1
+/// above the site index, which fits in the low 3 bits.
+[[nodiscard]] inline std::uint64_t stream_key(int rank, Site site) {
+  return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(rank + 1)) << 3) |
+         static_cast<std::uint64_t>(site);
 }
 
 enum class NodeKind : std::uint8_t {
@@ -96,12 +79,11 @@ enum class NodeKind : std::uint8_t {
 struct GraphNode {
   std::uint32_t id{0};
   NodeKind kind{NodeKind::kDecision};
-  /// Lane the node executes on. Decisions keep their controller ActorId;
-  /// sync events use the rank's host lane ({rank, 'h', 0}).
-  ActorId actor;
+  /// Lane the node executes on: the rank's host thread (-1 unattributed).
+  int rank{-1};
   // Decision payload (kDecision).
   Site site{Site::kMatchRecv};
-  std::uint64_t seq{0};  ///< (actor, site) decision-stream index
+  std::uint64_t seq{0};  ///< (rank, site) decision-stream index
   int candidates{1};
   int chosen{0};
   // Sync payload (kRelease / kAcquire).
@@ -132,10 +114,11 @@ struct ExecutionGraph {
 
 /// Parse the v1 text format. False (with *error set, if given) on bad magic,
 /// unknown node/edge kind or site, duplicate node id, malformed or trailing
-/// fields, a decision with candidates < 1 or chosen outside [0, candidates),
-/// or an (actor, site) stream whose seqs do not run 0, 1, 2, ... in document
-/// order: replay identifies decisions by their stream position, so a gap or
-/// repeat makes the whole document meaningless.
+/// fields, an actor other than `<rank>:h`, a decision with candidates < 1 or
+/// chosen outside [0, candidates), or a (rank, site) stream whose seqs do
+/// not run 0, 1, 2, ... in document order: replay identifies decisions by
+/// their stream position, so a gap or repeat makes the whole document
+/// meaningless.
 [[nodiscard]] bool parse_graph(const std::string& text, ExecutionGraph* out,
                                std::string* error = nullptr);
 
@@ -148,35 +131,6 @@ struct ExecutionGraph {
 /// non-acquire node, and the edge relation is acyclic (Kahn toposort — the
 /// recorder only ever emits forward edges, so a cycle means tampering).
 [[nodiscard]] bool validate_graph(const ExecutionGraph& graph, std::string* error = nullptr);
-
-/// Ancestor-reachability analysis over a parsed/recorded graph, used by the
-/// explorer to prune backtrack points: a decision ordered (in either
-/// direction) with every other lane's decisions cannot be part of a racing
-/// pair, so flipping it reaches no new happens-before class.
-class GraphAnalysis {
- public:
-  /// Builds per-node ancestor bitsets in topological order. Graphs past
-  /// `max_nodes` disable the analysis (everything reports racing — the
-  /// conservative direction: the explorer just prunes less).
-  explicit GraphAnalysis(const ExecutionGraph& graph, std::size_t max_nodes = 1 << 15);
-
-  [[nodiscard]] bool usable() const { return usable_; }
-  /// Whether the graph recorded the decision at ((actor, site), seq).
-  [[nodiscard]] bool has_decision(std::uint64_t stream, std::uint64_t seq) const;
-  /// True when some other-lane decision with >1 candidates is concurrent
-  /// with this one (or the analysis is unusable / the decision unknown).
-  [[nodiscard]] bool decision_races(std::uint64_t stream, std::uint64_t seq) const;
-
- private:
-  [[nodiscard]] bool reaches(std::uint32_t from, std::uint32_t to) const;
-
-  bool usable_{false};
-  std::size_t words_{0};
-  std::vector<std::uint64_t> ancestors_;        ///< nodes * words_ bitset matrix
-  std::vector<std::uint32_t> decision_nodes_;   ///< indices of branchable decisions
-  std::unordered_map<std::uint64_t, std::uint32_t> decision_index_;  ///< (stream,seq) hash -> node
-  const ExecutionGraph* graph_{nullptr};
-};
 
 class GraphRecorder;
 
@@ -197,9 +151,7 @@ class GraphRecorder {
  public:
   /// Hard cap on recorded nodes: a runaway run stops growing the graph
   /// instead of exhausting memory. Only sync nodes are dropped past it —
-  /// decision nodes are the replay record, so they are always kept. The
-  /// analysis cap (GraphAnalysis max_nodes, 1 << 15) kicks in far earlier,
-  /// so a truncated graph only ever means "prune less".
+  /// decision nodes are the replay record, so they are always kept.
   static constexpr std::size_t kMaxRecordedNodes = 1u << 18;
 
   GraphRecorder() = default;
@@ -224,8 +176,7 @@ class GraphRecorder {
   /// capi: at session begin).
   void begin_run();
 
-  void record_decision(const ActorId& actor, Site site, std::uint64_t seq, int candidates,
-                       int chosen);
+  void record_decision(int rank, Site site, std::uint64_t seq, int candidates, int chosen);
   void record_release(int rank, std::uint32_t ctx, const void* key);
   void record_acquire(int rank, std::uint32_t ctx, const void* key);
   /// rsan::release_sync_object: the key's address may be reused by a future
@@ -253,7 +204,7 @@ class GraphRecorder {
   mutable std::mutex mutex_;
   std::atomic<bool> armed_{false};
   ExecutionGraph graph_;
-  std::unordered_map<std::uint64_t, std::uint32_t> lane_last_;      ///< actor key -> node id + 1
+  std::unordered_map<int, std::uint32_t> lane_last_;                ///< rank -> node id + 1
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> releases_;  ///< sync key -> nodes
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <deque>
-#include <optional>
 #include <set>
 #include <unordered_set>
 #include <utility>
@@ -13,19 +12,6 @@
 #include "schedsim/controller.hpp"
 
 namespace schedsim {
-
-namespace {
-
-/// Sites whose decision picks a *value* (which source matched, which request
-/// returned, which completion order) rather than a commutation of otherwise
-/// independent steps. Flipping one changes downstream semantics even when
-/// the decision is happens-before-ordered with every other lane, so the HB
-/// prune never applies to them.
-[[nodiscard]] bool is_value_site(Site site) {
-  return site == Site::kMatchRecv || site == Site::kWaitany || site == Site::kWaitallOrder;
-}
-
-}  // namespace
 
 Explorer::Explorer(ExplorerOptions options) : options_(options) {
   if (options_.bound == 0) {
@@ -40,14 +26,14 @@ std::string Explorer::signature(const std::vector<TraceEntry>& entries) {
     sorted.push_back(&e);
   }
   std::stable_sort(sorted.begin(), sorted.end(), [](const TraceEntry* a, const TraceEntry* b) {
-    const std::uint64_t ka = stream_key(a->actor, a->site);
-    const std::uint64_t kb = stream_key(b->actor, b->site);
+    const std::uint64_t ka = stream_key(a->rank, a->site);
+    const std::uint64_t kb = stream_key(b->rank, b->site);
     return ka != kb ? ka < kb : a->seq < b->seq;
   });
   std::string out;
   out.reserve(sorted.size() * 12);
   for (const TraceEntry* e : sorted) {
-    out += common::format("{}.{}={};", stream_key(e->actor, e->site), e->seq, e->chosen);
+    out += common::format("{}.{}={};", stream_key(e->rank, e->site), e->seq, e->chosen);
   }
   return out;
 }
@@ -95,30 +81,18 @@ std::vector<Execution> Explorer::explore(Controller& controller, const RunFn& ru
       ++stats_.redundant;
     }
 
-    // Backtrack points: every alternative of every branchable, un-pinned,
-    // not-provably-ordered decision extends the frontier.
+    // Backtrack points: every alternative of every branchable, un-pinned
+    // decision extends the frontier.
     std::set<std::pair<std::uint64_t, std::uint64_t>> pinned;
     for (const TraceEntry& e : prefix) {
-      pinned.emplace(stream_key(e.actor, e.site), e.seq);
-    }
-    std::optional<GraphAnalysis> analysis;
-    if (options_.use_graph) {
-      analysis.emplace(exec.graph);
+      pinned.emplace(stream_key(e.rank, e.site), e.seq);
     }
     std::set<std::pair<std::uint64_t, std::uint64_t>> recorded;  ///< trace[0..i]
     for (std::size_t i = 0; i < exec.trace.size(); ++i) {
       const TraceEntry& e = exec.trace[i];
-      const std::uint64_t stream = stream_key(e.actor, e.site);
+      const std::uint64_t stream = stream_key(e.rank, e.site);
       recorded.emplace(stream, e.seq);
-      if (e.candidates <= 1) {
-        continue;
-      }
-      if (pinned.contains({stream, e.seq})) {
-        continue;
-      }
-      if (!is_value_site(e.site) && analysis.has_value() && analysis->usable() &&
-          analysis->has_decision(stream, e.seq) && !analysis->decision_races(stream, e.seq)) {
-        ++stats_.hb_prunes;
+      if (e.candidates <= 1 || pinned.contains({stream, e.seq})) {
         continue;
       }
       for (int alt = 0; alt < e.candidates; ++alt) {
@@ -133,7 +107,7 @@ std::vector<Execution> Explorer::explore(Controller& controller, const RunFn& ru
         // child could re-run a schedule another branch already covers, which
         // depends on the order the ranks' decisions happened to arrive in.
         for (const TraceEntry& p : prefix) {
-          if (!recorded.contains({stream_key(p.actor, p.site), p.seq})) {
+          if (!recorded.contains({stream_key(p.rank, p.site), p.seq})) {
             next.push_back(p);
           }
         }
@@ -156,7 +130,6 @@ void Explorer::publish_metrics() const {
   obs::metric("sched.dpor_executions").add(stats_.executions);
   obs::metric("sched.dpor_backtracks").add(stats_.backtrack_points);
   obs::metric("sched.dpor_sleep_prunes").add(stats_.sleep_prunes);
-  obs::metric("sched.dpor_hb_prunes").add(stats_.hb_prunes);
   obs::metric("sched.dpor_redundant").add(stats_.redundant);
   obs::metric("sched.dpor_graph_nodes").add(stats_.graph_nodes);
   obs::metric("sched.dpor_graph_edges").add(stats_.graph_edges);

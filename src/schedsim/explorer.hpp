@@ -3,17 +3,17 @@
 // controller (configure_prefix — replay:<path> generalized), executes one
 // run via a harness-supplied callback with the GraphRecorder armed, takes
 // the run's execution graph (whose decision nodes are the run's decision
-// sequence), and computes source-DPOR-style backtrack points: for
-// every branchable decision in the run that is not part of the pinned
+// sequence), and computes source-DPOR-style backtrack points. One rule:
+// for every branchable decision in the run that is not part of the pinned
 // prefix, every alternative candidate spawns a new prefix (the run's
 // decisions up to the flipped one, plus the rest of the pinned prefix, so
-// each child pins strictly more than its parent) — unless the
-// happens-before analysis proves the decision cannot race (it is ordered
-// with every other lane's branchable decisions, so flipping it reaches no
-// new happens-before class) or the prefix is already in the sleep set.
+// each child pins strictly more than its parent) unless the prefix is
+// already in the sleep set. Every decision site picks a value (which source
+// matched, which request returned, which completion order), so no decision
+// commutes with the rest of the run and none is skipped.
 //
 // Equivalence is tracked per-stream, matching replay's semantics:
-// two runs whose (actor, site) streams recorded identical decisions are the
+// two runs whose (rank, site) streams recorded identical decisions are the
 // same execution regardless of how OS timing interleaved the lines, so the
 // sleep set keys on a canonical (stream-sorted) signature. The frontier is
 // one FIFO queue, which makes exploration breadth-first in flip depth —
@@ -40,11 +40,6 @@ class Controller;
 struct ExplorerOptions {
   /// Maximum executed schedules, baseline included (0 = kDefaultBound).
   std::uint32_t bound{0};
-  /// Use the recorded ExecutionGraph to prune non-racing backtrack points.
-  /// Off, every branchable decision backtracks (pure DFS over the choice
-  /// tree — what the 2-site toy property test exercises). The graph is
-  /// recorded either way: its decision nodes are the run's decisions.
-  bool use_graph{true};
 
   static constexpr std::uint32_t kDefaultBound = 24;
 };
@@ -64,7 +59,6 @@ struct ExplorerStats {
   std::uint64_t executions{0};
   std::uint64_t backtrack_points{0};  ///< prefixes pushed onto the frontier
   std::uint64_t sleep_prunes{0};      ///< prefixes already in the sleep set
-  std::uint64_t hb_prunes{0};         ///< decisions proven non-racing
   std::uint64_t redundant{0};         ///< executions equal to a previous one
   std::uint64_t graph_nodes{0};
   std::uint64_t graph_edges{0};

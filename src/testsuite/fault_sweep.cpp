@@ -135,7 +135,6 @@ struct RunPartial {
   std::size_t rank_kill_runs{0};
   std::size_t rank_failure_reports{0};
   std::uint64_t dpor_executions{0};
-  std::uint64_t dpor_hb_prunes{0};
   std::vector<std::string> failures;
 };
 
@@ -221,7 +220,7 @@ struct RunPartial {
     return partial;
   }
   // Round 0 runs the faulted plan on the free schedule, then the explorer
-  // systematically covers the run's happens-before classes; every executed
+  // systematically covers the run's decision choices; every executed
   // schedule passes through the same invariant checks above.
   (void)one_run(0);
   schedsim::ExplorerOptions explorer_options;
@@ -230,7 +229,6 @@ struct RunPartial {
   int round = 0;
   (void)explorer.explore(schedsim::Controller::instance(), [&] { return one_run(++round); });
   partial.dpor_executions += explorer.stats().executions;
-  partial.dpor_hb_prunes += explorer.stats().hb_prunes;
   return partial;
 }
 
@@ -243,7 +241,6 @@ void merge_partial(SweepStats& stats, RunPartial& partial) {
   stats.rank_kill_runs += partial.rank_kill_runs;
   stats.rank_failure_reports += partial.rank_failure_reports;
   stats.dpor_executions += partial.dpor_executions;
-  stats.dpor_hb_prunes += partial.dpor_hb_prunes;
   for (std::string& failure : partial.failures) {
     stats.failures.push_back(std::move(failure));
   }

@@ -67,7 +67,6 @@ struct SweepStats {
   std::size_t rank_kill_runs{0};        ///< runs in which a rank_kill fired (proc backend)
   std::size_t rank_failure_reports{0};  ///< supervisor RankFailureReports observed across runs
   std::uint64_t dpor_executions{0};     ///< schedules executed by DPOR explorations
-  std::uint64_t dpor_hb_prunes{0};      ///< decisions proven non-racing across explorations
   std::vector<std::string> failures;    ///< human-readable invariant violations
   obs::MetricsSnapshot metrics;         ///< summed metric deltas of every session
 

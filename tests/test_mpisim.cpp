@@ -694,8 +694,8 @@ TEST(MpisimWorldTest, SingleRankWorld) {
 class MpisimWatchdogTest : public ::testing::TestWithParam<int> {};
 
 INSTANTIATE_TEST_SUITE_P(WorldSizes, MpisimWatchdogTest, ::testing::Values(2, 8),
-                         [](const ::testing::TestParamInfo<int>& info) {
-                           return "ranks" + std::to_string(info.param);
+                         [](const ::testing::TestParamInfo<int>& param_info) {
+                           return "ranks" + std::to_string(param_info.param);
                          });
 
 TEST_P(MpisimWatchdogTest, UnmatchedRecvDeclaresDeadlock) {

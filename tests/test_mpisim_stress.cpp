@@ -45,7 +45,7 @@ constexpr int kMaxCount = 4;  // doubles per message
 enum class RecvMode {
   kSpecific,   // blocking recv with exact (source, tag)
   kAnyTagRecv, // blocking recv with (source, kAnyTag)
-  kAnySource,  // blocking recv with (kAnySource, tag)
+  kWildSource, // blocking recv with (kAnySource, tag)
   kTruncated,  // blocking recv with capacity one element short
   kBatch,      // member of an irecv + waitall batch (specific tags)
 };
@@ -100,7 +100,7 @@ struct Rec {
         m.mode = RecvMode::kAnyTagRecv;
         break;
       case 4:
-        m.mode = RecvMode::kAnySource;
+        m.mode = RecvMode::kWildSource;
         break;
       case 5:
         // Truncation needs room to cut; fall back to a plain recv otherwise.
@@ -203,7 +203,7 @@ void run_pair_traffic(Comm& comm, std::uint64_t seed, std::vector<Rec>& recs) {
       case RecvMode::kAnyTagRecv:
         tag = kAnyTag;
         break;
-      case RecvMode::kAnySource:
+      case RecvMode::kWildSource:
         // Pairs are disjoint, so the wildcard can only see the partner; this
         // still drives the scan-all-channels slow path in the mailbox.
         source = kAnySource;

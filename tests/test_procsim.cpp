@@ -610,14 +610,10 @@ TEST(ProcScenarioTest, RankDiagnosticsReachAParentWhoseStoreIsFull) {
 
 TEST(ProcScenarioTest, DporExploresProcRanksLikeThreadRanks) {
   // Forked ranks ship the execution-graph nodes they record back to the
-  // parent, so DPOR on the proc backend sees the same happens-before graph
-  // as on the thread backend: a non-empty graph, the same HB prunes and the
-  // same executions, each one classified correctly. The waitall program's
-  // waitall_order decisions are made inside the forked ranks, so its
-  // exploration must branch there too. (No prunable decision runs in a
-  // forked rank: wake_order exists only on the thread backend, and value
-  // sites are never pruned; ExplorerTest.SyncOrderedDecisionsAreHbPruned
-  // covers the prune.)
+  // parent, so DPOR on the proc backend sees the same graph as on the
+  // thread backend: a non-empty graph and the same executions, each one
+  // classified correctly. The waitall program's waitall_order decisions are
+  // made inside the forked ranks, so its exploration must branch there too.
   int compared = 0;
   for (const testsuite::Scenario& scenario : testsuite::build_scenarios()) {
     if (!in_backend_subset(scenario)) {
@@ -627,7 +623,6 @@ TEST(ProcScenarioTest, DporExploresProcRanksLikeThreadRanks) {
         explore_on_both_backends(scenario.name, scenario.expect_race,
                                  [&] { return testsuite::run_scenario_outcome(scenario).races; });
     EXPECT_GT(proc.graph_nodes, 0u) << scenario.name;
-    EXPECT_EQ(proc.hb_prunes, thread.hb_prunes) << scenario.name;
     EXPECT_EQ(proc.executions, thread.executions) << scenario.name;
     ++compared;
   }
@@ -638,7 +633,6 @@ TEST(ProcScenarioTest, DporExploresProcRanksLikeThreadRanks) {
         explore_on_both_backends(name, racy, [racy] { return waitall_program::run(racy); });
     EXPECT_GT(proc.graph_nodes, 0u) << name;
     EXPECT_GT(proc.executions, 1u) << name;
-    EXPECT_EQ(proc.hb_prunes, thread.hb_prunes) << name;
     EXPECT_EQ(proc.executions, thread.executions) << name;
   }
   expect_no_stale_segments("after proc DPOR subset");

@@ -1,7 +1,7 @@
 // Schedule-exploration engine tests: the CUSAN_SCHEDULE grammar, the
 // execution graph as the replay record (its decision nodes and the checks
 // its decoder makes), the controller's strategy semantics (free / prefix /
-// replay with per-(actor, site) decision streams), and the three end-to-end
+// replay with per-(rank, site) decision streams), and the three end-to-end
 // properties the engine promises:
 //
 //   1. Differential replay oracle — replay the graphs of DPOR-flipped
@@ -41,7 +41,6 @@
 
 namespace {
 
-using schedsim::ActorId;
 using schedsim::Config;
 using schedsim::Controller;
 using schedsim::ExecutionGraph;
@@ -120,11 +119,11 @@ TEST_F(SchedsimTest, ParseScheduleGrammar) {
 
 [[nodiscard]] ExecutionGraph sample_graph() {
   GraphRecorder recorder;
-  recorder.record_decision({0, 'h', 0}, Site::kWakeOrder, 0, 3, 1);
-  recorder.record_decision({1, 'h', 0}, Site::kWaitallOrder, 0, 2, 1);
-  recorder.record_decision({0, 'h', 0}, Site::kWaitallOrder, 0, 3, 2);
-  recorder.record_decision({0, 'h', 0}, Site::kWakeOrder, 1, 2, 0);
-  recorder.record_decision({1, 'h', 0}, Site::kWaitallOrder, 1, 2, 0);
+  recorder.record_decision(0, Site::kMatchRecv, 0, 3, 1);
+  recorder.record_decision(1, Site::kWaitallOrder, 0, 2, 1);
+  recorder.record_decision(0, Site::kWaitallOrder, 0, 3, 2);
+  recorder.record_decision(0, Site::kMatchRecv, 1, 2, 0);
+  recorder.record_decision(1, Site::kWaitallOrder, 1, 2, 0);
   ExecutionGraph graph = recorder.take_graph();
   graph.strategy = "dpor execution 3";
   return graph;
@@ -141,7 +140,7 @@ TEST_F(SchedsimTest, GraphDecisionNodesRoundTrip) {
   ASSERT_EQ(want.size(), 5u);
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
-    EXPECT_EQ(got[i].actor.key(), want[i].actor.key()) << i;
+    EXPECT_EQ(got[i].rank, want[i].rank) << i;
     EXPECT_EQ(got[i].seq, want[i].seq) << i;
     EXPECT_EQ(got[i].site, want[i].site) << i;
     EXPECT_EQ(got[i].candidates, want[i].candidates) << i;
@@ -163,16 +162,19 @@ TEST_F(SchedsimTest, GraphParseRejectsMalformedDocuments) {
 
   EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d 0:h nonsense 0 2 0\n", &parsed, &error));
   EXPECT_TRUE(error.find("unknown site") != std::string::npos) << error;
-  // The retired timing-only sites are no longer decision streams, and the
-  // stream-worker actor kind is gone with the stream_op site.
-  for (const char* retired : {"pre_park_yield 0 9 4", "stream_op 0 2 1"}) {
+  // The retired timing-only sites are no longer decision streams, and an
+  // actor names a rank's host thread alone: no other kind, no lane index.
+  for (const char* retired : {"pre_park_yield 0 9 4", "stream_op 0 2 1", "wake_order 0 3 1"}) {
     EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d 0:h " + retired + "\n", &parsed, &error))
         << retired;
     EXPECT_TRUE(error.find("unknown site") != std::string::npos) << error;
   }
-  EXPECT_FALSE(
-      schedsim::parse_graph(header + "n 0 d 0:s1 waitany 0 2 0\n", &parsed, &error));
-  EXPECT_TRUE(error.find("bad actor") != std::string::npos) << error;
+  for (const char* actor : {"0:s1", "0:h1", "0:h0", "0:", "-2:h", "2147483647:h", "4294967296:h"}) {
+    EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d " + actor + " waitany 0 2 0\n", &parsed,
+                                       &error))
+        << actor;
+    EXPECT_TRUE(error.find("bad actor") != std::string::npos) << actor << ": " << error;
+  }
   EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d 0:h waitany 0 2 2\n", &parsed, &error));
   EXPECT_TRUE(error.find("outside") != std::string::npos) << error;
   EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d 0:h waitany 0 0 0\n", &parsed, &error));
@@ -190,7 +192,7 @@ TEST_F(SchedsimTest, GraphParseRejectsMalformedDocuments) {
       schedsim::parse_graph(header + "n 0 d badactor waitany 0 2 0\n", &parsed, &error));
   EXPECT_TRUE(error.find("bad actor") != std::string::npos) << error;
 
-  // Distinct sites of one actor are distinct streams: both start at seq 0.
+  // Distinct sites of one rank are distinct streams: both start at seq 0.
   // Sync nodes between decisions do not touch the seq check.
   EXPECT_TRUE(schedsim::parse_graph(header +
                                         "n 0 d 0:h waitany 0 2 0\n"
@@ -203,10 +205,10 @@ TEST_F(SchedsimTest, GraphParseRejectsMalformedDocuments) {
 
 // ------------------------------------------------------ controller basics --
 
-/// A fixed synthetic query workload spanning several actors and sites.
+/// A fixed synthetic query workload spanning several ranks and sites.
 struct Query {
   Site site;
-  ActorId actor;
+  int rank;
   int candidates;
   int default_index;
 };
@@ -214,11 +216,11 @@ struct Query {
 [[nodiscard]] std::vector<Query> synthetic_queries() {
   std::vector<Query> queries;
   for (int round = 0; round < 50; ++round) {
-    queries.push_back({Site::kMatchRecv, {0, 'h', 0}, 3, 1});
-    queries.push_back({Site::kWaitallOrder, {0, 'h', 0}, 2, 0});
-    queries.push_back({Site::kWaitallOrder, {1, 'h', 0}, 4, 0});
-    queries.push_back({Site::kWakeOrder, {1, 'h', 0}, 3, 0});
-    queries.push_back({Site::kWaitany, {0, 'h', 0}, 5, 0});
+    queries.push_back({Site::kMatchRecv, 0, 3, 1});
+    queries.push_back({Site::kWaitallOrder, 0, 2, 0});
+    queries.push_back({Site::kWaitallOrder, 1, 4, 0});
+    queries.push_back({Site::kMatchRecv, 1, 3, 0});
+    queries.push_back({Site::kWaitany, 0, 5, 0});
   }
   return queries;
 }
@@ -228,7 +230,7 @@ struct Query {
   std::vector<int> answers;
   answers.reserve(queries.size());
   for (const Query& q : queries) {
-    answers.push_back(controller.choose(q.site, q.actor, q.candidates, q.default_index));
+    answers.push_back(controller.choose(q.site, q.rank, q.candidates, q.default_index));
   }
   return answers;
 }
@@ -237,7 +239,7 @@ TEST_F(SchedsimTest, DisarmedControllerReturnsDefaults) {
   Controller::instance().clear();
   EXPECT_FALSE(Controller::armed());
   for (const Query& q : synthetic_queries()) {
-    EXPECT_EQ(Controller::instance().choose(q.site, q.actor, q.candidates, q.default_index),
+    EXPECT_EQ(Controller::instance().choose(q.site, q.rank, q.candidates, q.default_index),
               q.default_index);
   }
   EXPECT_EQ(Controller::instance().stats().decisions, 0u);  // never counted while disarmed
@@ -273,7 +275,7 @@ TEST_F(SchedsimTest, FreeWithRecordingKeepsDefaultsButRecords) {
     const int offset = 1 + static_cast<int>((round + static_cast<std::uint64_t>(shift)) %
                                             static_cast<std::uint64_t>(q.candidates - 1));
     const int answer = (q.default_index + offset) % q.candidates;
-    prefix.push_back({q.actor, round, q.site, q.candidates, answer});
+    prefix.push_back({q.rank, round, q.site, q.candidates, answer});
   }
   return prefix;
 }
@@ -325,7 +327,7 @@ TEST_F(SchedsimTest, ReplayAnswersIndependentOfArrivalInterleaving) {
   std::vector<int> reordered(queries.size());
   for (std::size_t start = 0; start < 5; ++start) {
     for (std::size_t i = start; i < queries.size(); i += 5) {
-      reordered[i] = Controller::instance().choose(queries[i].site, queries[i].actor,
+      reordered[i] = Controller::instance().choose(queries[i].site, queries[i].rank,
                                                    queries[i].candidates,
                                                    queries[i].default_index);
     }
@@ -372,7 +374,7 @@ TEST_F(SchedsimTest, ReplayToleratesUnderrunPastTraceEnd) {
   (void)run_queries(queries);
   // Extra queries past every stream's recording fall back to the default.
   for (const Query& q : synthetic_queries()) {
-    EXPECT_EQ(Controller::instance().choose(q.site, q.actor, q.candidates, q.default_index),
+    EXPECT_EQ(Controller::instance().choose(q.site, q.rank, q.candidates, q.default_index),
               q.default_index);
   }
   EXPECT_FALSE(Controller::instance().divergence().has_value());

@@ -8,33 +8,61 @@
 // Each of the two ranks posts an irecv from and an isend to its peer and
 // completes both with one MPI_Waitall: one waitall_order decision with two
 // candidates per rank, so DPOR explores 2 x 2 executions. The racy variant
-// fills the send buffer with an unsynchronized cudaMemsetAsync, which races
-// with the isend's read in every execution; the clean variant synchronizes
-// the device first and is race-free in every execution.
+// writes the send buffer with an unsynchronized kernel, which races with
+// the isend's read in every execution; the clean variant fills it with a
+// cudaMemsetAsync and synchronizes the device first, and is race-free in
+// every execution. Like the corpus's racy kernels, the racy kernel's body
+// stays clear of the exchanged elements: CuSan finds the race from the
+// kernel's access summary (a write of the whole buffer), and the host
+// threads that simulate the device and the rank never race on memory.
 #pragma once
 
 #include <array>
 #include <cstddef>
+#include <memory>
 
 #include "capi/cuda.hpp"
 #include "capi/mpi.hpp"
 #include "capi/session.hpp"
+#include "kir/ir.hpp"
+#include "kir/registry.hpp"
 #include "mpisim/datatype.hpp"
 #include "mpisim/request.hpp"
 
 namespace waitall_program {
 
-constexpr std::size_t kCount = 64;
+constexpr std::size_t kCount = 64;  ///< doubles exchanged; the send buffer holds one more
+
+/// A kernel whose summary writes its first argument's whole allocation.
+inline const kir::KernelInfo& whole_buffer_writer() {
+  struct Kernel {
+    kir::Module module;
+    std::unique_ptr<kir::KernelRegistry> registry;
+    const kir::KernelInfo* info{};
+    Kernel() {
+      kir::Function* w = module.create_function("waitall_writer", {true, false});
+      w->store(w->gep(w->param(0), w->constant()), w->constant());
+      w->ret();
+      registry = std::make_unique<kir::KernelRegistry>(module);
+      info = registry->lookup(w);
+    }
+  };
+  static const Kernel kernel;
+  return *kernel.info;
+}
 
 inline void rank_main(capi::RankEnv& env, bool racy) {
   const int peer = env.rank() ^ 1;
   const auto type = mpisim::Datatype::float64();
   double* send_buf = nullptr;
   double* recv_buf = nullptr;
-  (void)capi::cuda::malloc_device(&send_buf, kCount);
+  (void)capi::cuda::malloc_device(&send_buf, kCount + 1);
   (void)capi::cuda::malloc_device(&recv_buf, kCount);
-  (void)capi::cuda::memset_async(send_buf, 0, kCount * sizeof(double), nullptr);
-  if (!racy) {
+  if (racy) {
+    (void)capi::cuda::launch(whole_buffer_writer(), {1, 1}, nullptr, {send_buf, nullptr},
+                             [send_buf](const cusim::KernelContext&) { send_buf[kCount] = 1.0; });
+  } else {
+    (void)capi::cuda::memset_async(send_buf, 0, (kCount + 1) * sizeof(double), nullptr);
     (void)capi::cuda::device_synchronize();
   }
   std::array<mpisim::Request*, 2> reqs{};

@@ -21,9 +21,9 @@
 // Schedule-exploration aware: with --schedules dpor[;bound:<k>] each
 // scenario is explored systematically after its baseline runs — a
 // schedsim::Explorer drives source-DPOR prefix pinning over the controller,
-// executing only schedules that differ under the recorded happens-before
-// graph — and every executed schedule's verdict is classified against the
-// free-schedule baseline:
+// executing every distinct combination of decision choices once — and every
+// executed schedule's verdict is classified against the free-schedule
+// baseline:
 //
 //   identical      same race/no-race verdict — the expected outcome, since
 //                  verdicts must not depend on the explored interleaving
@@ -261,8 +261,7 @@ void print_record(const ScenarioRecord& record, std::size_t index, std::size_t t
       sched_note += std::to_string(record.schedule_bugs) + " bug(s), " +
                     std::to_string(record.schedule_new_races) + " new race(s)";
     }
-    sched_note += record.explorer_stats.bound_hit ? "; bound hit" : "; frontier drained";
-    sched_note += ", " + std::to_string(record.explorer_stats.hb_prunes) + " hb-pruned]";
+    sched_note += record.explorer_stats.bound_hit ? "; bound hit]" : "; frontier drained]";
   }
   std::printf(
       "%s: CuSanTest :: %s (%zu of %zu) [tracked %.1f KiB] [fastpath %llu hits / %llu "
@@ -347,7 +346,6 @@ void print_record(const ScenarioRecord& record, std::size_t index, std::size_t t
       out += ", \"dpor\": {\"executions\": " + std::to_string(r.explorer_stats.executions);
       out += ", \"backtracks\": " + std::to_string(r.explorer_stats.backtrack_points);
       out += ", \"sleep_prunes\": " + std::to_string(r.explorer_stats.sleep_prunes);
-      out += ", \"hb_prunes\": " + std::to_string(r.explorer_stats.hb_prunes);
       out += ", \"redundant\": " + std::to_string(r.explorer_stats.redundant);
       out += ", \"graph_nodes\": " + std::to_string(r.explorer_stats.graph_nodes);
       out += ", \"graph_edges\": " + std::to_string(r.explorer_stats.graph_edges);
@@ -376,7 +374,6 @@ void print_record(const ScenarioRecord& record, std::size_t index, std::size_t t
       totals.executions += r.explorer_stats.executions;
       totals.backtrack_points += r.explorer_stats.backtrack_points;
       totals.sleep_prunes += r.explorer_stats.sleep_prunes;
-      totals.hb_prunes += r.explorer_stats.hb_prunes;
       totals.redundant += r.explorer_stats.redundant;
       totals.graph_nodes += r.explorer_stats.graph_nodes;
       totals.graph_edges += r.explorer_stats.graph_edges;
@@ -384,7 +381,6 @@ void print_record(const ScenarioRecord& record, std::size_t index, std::size_t t
     out += ", \"dpor_executions\": " + std::to_string(totals.executions);
     out += ", \"dpor_backtracks\": " + std::to_string(totals.backtrack_points);
     out += ", \"dpor_sleep_prunes\": " + std::to_string(totals.sleep_prunes);
-    out += ", \"dpor_hb_prunes\": " + std::to_string(totals.hb_prunes);
     out += ", \"dpor_redundant\": " + std::to_string(totals.redundant);
     out += ", \"dpor_graph_nodes\": " + std::to_string(totals.graph_nodes);
     out += ", \"dpor_graph_edges\": " + std::to_string(totals.graph_edges);
@@ -607,18 +603,16 @@ int main(int argc, char** argv) {
         executed += record.schedule_runs.size();
         totals.backtrack_points += record.explorer_stats.backtrack_points;
         totals.sleep_prunes += record.explorer_stats.sleep_prunes;
-        totals.hb_prunes += record.explorer_stats.hb_prunes;
         totals.graph_nodes += record.explorer_stats.graph_nodes;
         totals.graph_edges += record.explorer_stats.graph_edges;
         bounded += record.explorer_stats.bound_hit ? 1 : 0;
       }
       std::printf("  Schedule runs: %zu\n  Schedule bugs: %zu\n  New races found: %zu\n",
                   executed, schedule_bugs, schedule_new_races);
-      std::printf("  DPOR: %llu backtrack(s), %llu sleep-prune(s), %llu hb-prune(s), "
+      std::printf("  DPOR: %llu backtrack(s), %llu sleep-prune(s), "
                   "graph %llu nodes / %llu edges, %zu scenario(s) hit the bound\n",
                   static_cast<unsigned long long>(totals.backtrack_points),
                   static_cast<unsigned long long>(totals.sleep_prunes),
-                  static_cast<unsigned long long>(totals.hb_prunes),
                   static_cast<unsigned long long>(totals.graph_nodes),
                   static_cast<unsigned long long>(totals.graph_edges), bounded);
     }

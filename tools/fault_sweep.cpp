@@ -5,8 +5,8 @@
 //
 // With --schedules dpor (optionally dpor;bound:<k>) every (plan, scenario)
 // run is followed by a systematic DPOR exploration of the pair, so fault
-// plans and schedule exploration compose: every distinct happens-before
-// class the explorer reaches must satisfy the same invariants. The unfaulted
+// plans and schedule exploration compose: every schedule the explorer
+// executes must satisfy the same invariants. The unfaulted
 // baseline stays on the free schedule, making invariant 2 also a
 // schedule-independence check.
 //
@@ -161,9 +161,8 @@ int main(int argc, char** argv) {
                 stats.rank_failure_reports);
   }
   if (options.dpor) {
-    std::printf("  DPOR executions: %llu\n  DPOR hb-prunes: %llu\n",
-                static_cast<unsigned long long>(stats.dpor_executions),
-                static_cast<unsigned long long>(stats.dpor_hb_prunes));
+    std::printf("  DPOR executions: %llu\n",
+                static_cast<unsigned long long>(stats.dpor_executions));
   }
   for (const std::string& failure : stats.failures) {
     std::printf("  VIOLATION: %s\n", failure.c_str());
