@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <thread>
@@ -14,6 +13,7 @@
 #include "faultsim/injector.hpp"
 #include "mpisim/comm_impl.hpp"
 #include "mpisim/counters.hpp"
+#include "mpisim/matching.hpp"
 #include "mpisim/op_scope.hpp"
 #include "mpisim/request.hpp"
 #include "mpisim/wakeup.hpp"
@@ -36,8 +36,6 @@ constexpr int kTagAllgather = -107;
 
 /// How often a blocked thread re-checks the watchdog condition.
 constexpr auto kWatchdogPoll = std::chrono::milliseconds(5);
-/// Consecutive incomplete Test calls before the rank counts as soft-blocked.
-constexpr int kSoftBlockThreshold = 64;
 /// Predicate re-checks (with sched yields) before parking on the waiter
 /// slot. On an oversubscribed host the peer usually completes the operation
 /// within one timeslice, so yielding first avoids the two futex transitions
@@ -55,13 +53,11 @@ constexpr int kParkSpinYields = 4;
 
 }  // namespace
 
-// The sharded in-process communication engine (thread backend). One Mailbox
-// per destination rank, each with its own lock, per-source FIFO sub-queues,
-// and a channel epoch counter that totally orders entries across the
-// sub-queues (so wildcard matching still picks the oldest, as a single
-// merged queue would). A completion signals only the involved rank's
-// WaiterSlot; the sole broadcast is deadlock declaration/poisoning, which
-// every blocked rank must observe.
+// The sharded in-process transport (thread backend). One Mailbox
+// (matching.hpp) per destination rank, each under its own lock; the sender's
+// thread runs the match and the delivery. A completion signals only the
+// involved rank's WaiterSlot; the sole broadcast is deadlock
+// declaration/poisoning, which every blocked rank must observe.
 class ThreadCommImpl final : public CommImpl {
  public:
   ThreadCommImpl(int size, std::shared_ptr<ProgressTracker> tracker, int comm_id,
@@ -73,15 +69,14 @@ class ThreadCommImpl final : public CommImpl {
         hub_(std::move(hub)),
         rank_local_(static_cast<std::size_t>(size)),
         dup_counts_(static_cast<std::size_t>(size), 0) {
-    mailboxes_.reserve(static_cast<std::size_t>(size));
+    shards_.reserve(static_cast<std::size_t>(size));
     for (int r = 0; r < size; ++r) {
-      mailboxes_.push_back(std::make_unique<Mailbox>(size));
+      shards_.push_back(std::make_unique<Shard>(size));
     }
   }
 
   [[nodiscard]] int size() const override { return size_; }
   [[nodiscard]] int comm_id() const override { return comm_id_; }
-  [[nodiscard]] ProgressTracker* tracker() const { return tracker_.get(); }
 
   [[nodiscard]] bool deadlocked() const override {
     return tracker_ != nullptr && tracker_->deadlocked();
@@ -91,9 +86,25 @@ class ThreadCommImpl final : public CommImpl {
     return tracker_ != nullptr ? tracker_->report() : DeadlockReport{};
   }
 
-  /// Wake every rank of this world (rank exit, deadlock poisoning).
-  void wake_all() { hub_->broadcast(); }
+ private:
+  [[nodiscard]] BlockedOp blocked_op(int rank, const char* label, int peer, int tag) const {
+    BlockedOp op;
+    op.rank = rank;
+    op.op = label;
+    op.peer = peer;
+    op.tag = tag;
+    op.comm_id = comm_id_;
+    return op;
+  }
 
+  /// The blocking primitive of the shared request helpers (CommImpl).
+  [[nodiscard]] auto blocker(int rank) {
+    return [this, rank](const char* label, int peer, int tag, auto&& pred) {
+      return blocked_wait(blocked_op(rank, label, peer, tag), pred);
+    };
+  }
+
+ public:
   MpiError post_send(int src, int dest, int tag, const void* buf, std::size_t count,
                      const Datatype& type) override {
     Message msg;
@@ -105,35 +116,13 @@ class ThreadCommImpl final : public CommImpl {
     type.signature(count, msg.signature);
 
     clear_soft(src);
-    Mailbox& box = *mailboxes_[static_cast<std::size_t>(dest)];
+    Shard& shard = *shards_[static_cast<std::size_t>(dest)];
     {
-      MailboxLock lock(box);
-      // Match the oldest posted receive accepting (src, tag): the head
-      // tag-acceptor of the per-source queue vs the wildcard queue, the
-      // lower channel epoch being the one a merged queue would have found
-      // first.
-      std::deque<PostedRecv>& per_src = box.by_src[static_cast<std::size_t>(src)].posted;
-      const auto specific = std::find_if(per_src.begin(), per_src.end(), [&](const PostedRecv& p) {
-        return tag_accepts(p.tag, tag);
-      });
-      const auto wildcard =
-          std::find_if(box.wildcard.begin(), box.wildcard.end(),
-                       [&](const PostedRecv& p) { return tag_accepts(p.tag, tag); });
-      const bool have_specific = specific != per_src.end();
-      const bool have_wildcard = wildcard != box.wildcard.end();
-      if (have_specific || have_wildcard) {
-        const bool use_specific =
-            have_specific && (!have_wildcard || specific->epoch < wildcard->epoch);
-        PostedRecv posted = use_specific ? *specific : *wildcard;
-        if (use_specific) {
-          per_src.erase(specific);
-        } else {
-          box.wildcard.erase(wildcard);
-        }
-        deliver(msg, posted);
+      MailboxLock lock(shard);
+      if (std::optional<PostedRecv> posted = shard.box.take_posted(src, tag)) {
+        complete(*posted, deliver(msg, *posted));
       } else {
-        msg.epoch = box.next_epoch++;
-        box.by_src[static_cast<std::size_t>(src)].unexpected.push_back(std::move(msg));
+        shard.box.queue_unexpected(std::move(msg));
         note_progress();  // a blocked probe/recv poster may now match
       }
     }
@@ -145,117 +134,20 @@ class ThreadCommImpl final : public CommImpl {
 
   MpiError post_recv(int dest, int source, int tag, void* buf, std::size_t count,
                      const Datatype& type, Request* request) override {
-    PostedRecv posted;
-    posted.source = source;
-    posted.tag = tag;
-    posted.buffer = buf;
-    posted.count = count;
-    posted.type = type;
-    posted.request = request;
-
+    PostedRecv posted{source, tag, 0, buf, count, type, request};
     clear_soft(dest);
-    Mailbox& box = *mailboxes_[static_cast<std::size_t>(dest)];
-    MailboxLock lock(box);
-    std::deque<Message>* match_queue = nullptr;
-    std::deque<Message>::iterator match;
-    if (source != kAnySource) {
-      std::deque<Message>& q = box.by_src[static_cast<std::size_t>(source)].unexpected;
-      const auto it = std::find_if(
-          q.begin(), q.end(), [&](const Message& m) { return tag_accepts(tag, m.tag); });
-      if (it != q.end()) {
-        match_queue = &q;
-        match = it;
-      }
+    Shard& shard = *shards_[static_cast<std::size_t>(dest)];
+    MailboxLock lock(shard);
+    if (std::optional<Message> msg = shard.box.take_unexpected(dest, source, tag)) {
+      complete(posted, deliver(*msg, posted));
     } else {
-      // ANY_SOURCE slow path: scan every source channel's head tag-acceptor
-      // and take the globally oldest (lowest channel epoch). Per-channel
-      // FIFO is MPI law (non-overtaking), but the epoch order *across*
-      // senders is a timing artifact — exactly the nondeterminism a
-      // wildcard receive observes — so when the schedule controller is
-      // armed it picks among the channel heads instead.
-      detail::bump(*detail::contention_counters().any_source_scans);
-      if (schedsim::Controller::armed()) {
-        struct Candidate {
-          std::deque<Message>* queue;
-          std::deque<Message>::iterator it;
-        };
-        std::vector<Candidate> candidates;
-        for (auto& src_q : box.by_src) {
-          const auto it =
-              std::find_if(src_q.unexpected.begin(), src_q.unexpected.end(),
-                           [&](const Message& m) { return tag_accepts(tag, m.tag); });
-          if (it != src_q.unexpected.end()) {
-            candidates.push_back({&src_q.unexpected, it});
-          }
-        }
-        if (!candidates.empty()) {
-          // Candidate 0 = oldest epoch (today's deterministic default).
-          std::sort(candidates.begin(), candidates.end(),
-                    [](const Candidate& a, const Candidate& b) {
-                      return a.it->epoch < b.it->epoch;
-                    });
-          const int pick = schedsim::Controller::instance().choose(
-              schedsim::Site::kMatchRecv, dest,
-              static_cast<int>(candidates.size()), 0);
-          match_queue = candidates[static_cast<std::size_t>(pick)].queue;
-          match = candidates[static_cast<std::size_t>(pick)].it;
-        }
-      } else {
-        for (auto& src_q : box.by_src) {
-          const auto it =
-              std::find_if(src_q.unexpected.begin(), src_q.unexpected.end(),
-                           [&](const Message& m) { return tag_accepts(tag, m.tag); });
-          if (it != src_q.unexpected.end() &&
-              (match_queue == nullptr || it->epoch < match->epoch)) {
-            match_queue = &src_q.unexpected;
-            match = it;
-          }
-        }
-      }
-    }
-    if (match_queue != nullptr) {
-      Message msg = std::move(*match);
-      match_queue->erase(match);
-      deliver(msg, posted);
-      return MpiError::kSuccess;
-    }
-    posted.epoch = box.next_epoch++;
-    if (source != kAnySource) {
-      box.by_src[static_cast<std::size_t>(source)].posted.push_back(posted);
-    } else {
-      box.wildcard.push_back(posted);
+      shard.box.post(std::move(posted));
     }
     return MpiError::kSuccess;
   }
 
   MpiError wait(int rank, Request** request, Status* status) override {
-    if (request == nullptr || *request == nullptr) {
-      return MpiError::kRequestNull;
-    }
-    Request* req = *request;
-    BlockedOp op;
-    op.rank = rank;
-    op.op = current_op_label("MPI_Wait");
-    op.peer = request_peer(req);
-    op.tag = request_tag(req);
-    op.comm_id = comm_id_;
-    const MpiError blocked = blocked_wait(op, [req] { return request_complete(req); });
-    if (blocked != MpiError::kSuccess) {
-      // Deadlock: the request stays pending (it can never complete); MUST's
-      // finalize-time leak check will see and report it.
-      if (status != nullptr) {
-        *status = Status{};
-        status->error = blocked;
-      }
-      return blocked;
-    }
-    const Status st = request_status(req);
-    if (status != nullptr) {
-      *status = st;
-    }
-    delete req;
-    *request = nullptr;
-    return st.error;
+    return wait_with(request, status, blocker(rank));
   }
 
   MpiError test(int rank, Request** request, bool* completed, Status* status) override {
@@ -277,13 +169,8 @@ class ThreadCommImpl final : public CommImpl {
       RankLocal& rl = rank_local_[static_cast<std::size_t>(rank)];
       if (tracker_ != nullptr && ++rl.test_polls >= kSoftBlockThreshold) {
         if (!rl.soft_blocked) {
-          BlockedOp op;
-          op.rank = rank;
-          op.op = current_op_label("MPI_Test");
-          op.peer = request_peer(req);
-          op.tag = request_tag(req);
-          op.comm_id = comm_id_;
-          tracker_->soft_block(op);
+          tracker_->soft_block(blocked_op(rank, current_op_label("MPI_Test"), req->peer(),
+                                          req->tag()));
           rl.soft_blocked = true;
           rl.soft_snapshot = tracker_->progress();
           rl.soft_quiet_since = common::now_ns();
@@ -308,136 +195,24 @@ class ThreadCommImpl final : public CommImpl {
       return MpiError::kSuccess;
     }
     clear_soft(rank);
-    const Status st = request_status(req);
-    if (completed != nullptr) {
-      *completed = true;
-    }
-    if (status != nullptr) {
-      *status = st;
-    }
-    delete req;
-    *request = nullptr;
-    return st.error;
+    return finish(request, status, completed);
   }
 
   MpiError waitany(int rank, std::span<Request*> requests, int* index, Status* status) override {
-    if (index == nullptr) {
-      return MpiError::kInvalidArg;
-    }
-    *index = -1;
-    const Request* first_pending = nullptr;
-    bool any = false;
-    for (const Request* req : requests) {
-      any = any || req != nullptr;
-      if (first_pending == nullptr && req != nullptr) {
-        first_pending = req;
-      }
-    }
-    if (!any) {
-      return MpiError::kRequestNull;
-    }
-    BlockedOp op;
-    op.rank = rank;
-    op.op = current_op_label("MPI_Waitany");
-    op.peer = request_peer(first_pending);
-    op.tag = request_tag(first_pending);
-    op.comm_id = comm_id_;
-    const MpiError blocked = blocked_wait(op, [&] {
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (requests[i] != nullptr && request_complete(requests[i])) {
-          *index = static_cast<int>(i);
-          return true;
-        }
-      }
-      return false;
-    });
-    if (blocked != MpiError::kSuccess) {
-      if (status != nullptr) {
-        *status = Status{};
-        status->error = blocked;
-      }
-      return blocked;
-    }
-    if (schedsim::Controller::armed()) {
-      // MPI_Waitany may return *any* completed request; the scan above pins
-      // the lowest index. Under exploration the controller picks among all
-      // currently-complete candidates (a re-scan only ever adds candidates,
-      // so the recorded choice stays valid on replay).
-      std::vector<int> complete;
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (requests[i] != nullptr && request_complete(requests[i])) {
-          complete.push_back(static_cast<int>(i));
-        }
-      }
-      if (complete.size() > 1) {
-        const int pick = schedsim::Controller::instance().choose(
-            schedsim::Site::kWaitany, rank, static_cast<int>(complete.size()), 0);
-        *index = complete[static_cast<std::size_t>(pick)];
-      }
-    }
-    return wait(rank, &requests[static_cast<std::size_t>(*index)], status);
+    return waitany_with(rank, requests, index, status, blocker(rank));
   }
 
   MpiError probe(int rank, int source, int tag, bool blocking, bool* flag,
                  Status* status) override {
-    Mailbox& box = *mailboxes_[static_cast<std::size_t>(rank)];
+    Shard& shard = *shards_[static_cast<std::size_t>(rank)];
     // Envelope snapshot: the matched message cannot be referenced outside
-    // the mailbox lock (the owning rank could consume it), so copy what
-    // Status needs while holding it.
-    const auto find_match = [&]() -> std::optional<Status> {
-      MailboxLock lock(box);
-      const Message* found = nullptr;
-      if (source != kAnySource) {
-        const std::deque<Message>& q = box.by_src[static_cast<std::size_t>(source)].unexpected;
-        const auto it = std::find_if(
-            q.begin(), q.end(), [&](const Message& m) { return tag_accepts(tag, m.tag); });
-        if (it != q.end()) {
-          found = &*it;
-        }
-      } else {
-        detail::bump(*detail::contention_counters().any_source_scans);
-        for (const auto& src_q : box.by_src) {
-          const auto it =
-              std::find_if(src_q.unexpected.begin(), src_q.unexpected.end(),
-                           [&](const Message& m) { return tag_accepts(tag, m.tag); });
-          if (it != src_q.unexpected.end() && (found == nullptr || it->epoch < found->epoch)) {
-            found = &*it;
-          }
-        }
-      }
-      if (found == nullptr) {
-        return std::nullopt;
-      }
-      return Status{found->src, found->tag, found->payload.size(), MpiError::kSuccess};
+    // the mailbox lock (the owning rank could consume it), so peek copies
+    // what Status needs while holding it.
+    const auto peek = [&] {
+      MailboxLock lock(shard);
+      return shard.box.peek(source, tag);
     };
-    std::optional<Status> envelope = find_match();
-    if (!blocking) {
-      if (flag != nullptr) {
-        *flag = envelope.has_value();
-      }
-    } else if (!envelope.has_value()) {
-      BlockedOp op;
-      op.rank = rank;
-      op.op = current_op_label("MPI_Probe");
-      op.peer = source;
-      op.tag = tag;
-      op.comm_id = comm_id_;
-      const MpiError blocked = blocked_wait(op, [&] {
-        envelope = find_match();
-        return envelope.has_value();
-      });
-      if (blocked != MpiError::kSuccess) {
-        if (status != nullptr) {
-          *status = Status{};
-          status->error = blocked;
-        }
-        return blocked;
-      }
-    }
-    if (envelope.has_value() && status != nullptr) {
-      *status = *envelope;
-    }
-    return MpiError::kSuccess;
+    return probe_with(source, tag, blocking, flag, status, peek, blocker(rank));
   }
 
   /// Eager sends complete on the posting thread itself: the owner cannot be
@@ -454,13 +229,9 @@ class ThreadCommImpl final : public CommImpl {
                  std::uint64_t fault_id) override {
     auto& injector = faultsim::Injector::instance();
     if (tracker_ != nullptr && tracker_->timeout().count() > 0) {
-      BlockedOp op;
-      op.rank = rank;
-      op.op = std::string(op_name) + " [stalled by fault plan]";
-      op.peer = peer;
-      op.tag = tag;
-      op.comm_id = comm_id_;
-      const MpiError err = blocked_wait(op, [] { return false; });
+      const std::string label = std::string(op_name) + " [stalled by fault plan]";
+      const MpiError err =
+          blocked_wait(blocked_op(rank, label.c_str(), peer, tag), [] { return false; });
       injector.mark_surfaced(fault_id, faultsim::Channel::kDeadlockReport);
       return err;
     }
@@ -469,45 +240,17 @@ class ThreadCommImpl final : public CommImpl {
   }
 
  private:
-  struct Message {
-    int src{};
-    int tag{};
-    std::uint64_t epoch{};            ///< mailbox arrival order (set when queued)
-    std::vector<std::byte> payload;   ///< packed representation
-    std::vector<Scalar> signature;    ///< sender's type signature (MUST metadata)
-  };
-
-  struct PostedRecv {
-    int source{};
-    int tag{};
-    std::uint64_t epoch{};  ///< mailbox posting order (set when queued)
-    void* buffer{};
-    std::size_t count{};
-    Datatype type;
-    Request* request{};  ///< completion target
-  };
-
-  /// One source channel within a destination mailbox.
-  struct SrcQueues {
-    std::deque<Message> unexpected;  ///< arrived, not yet matched
-    std::deque<PostedRecv> posted;   ///< posted with this specific source
-  };
-
-  /// Per-destination shard: its own lock, per-source FIFO sub-queues, a
-  /// wildcard (ANY_SOURCE) posted queue, and a channel epoch counter giving
-  /// a total arrival/posting order across the sub-queues. Cacheline-aligned
-  /// so neighbouring shards don't false-share.
-  struct alignas(64) Mailbox {
-    explicit Mailbox(int size) : by_src(static_cast<std::size_t>(size)) {}
+  /// Per-destination shard: the destination's Mailbox under its own lock.
+  /// Cacheline-aligned so neighbouring shards don't false-share.
+  struct alignas(64) Shard {
+    explicit Shard(int size) : box(size) {}
     std::mutex mutex;
-    std::uint64_t next_epoch{0};       ///< guarded by mutex
-    std::vector<SrcQueues> by_src;     ///< guarded by mutex
-    std::deque<PostedRecv> wildcard;   ///< guarded by mutex
+    Mailbox box;  ///< guarded by mutex
   };
 
   class MailboxLock {
    public:
-    explicit MailboxLock(Mailbox& box) : lock_(box.mutex) {
+    explicit MailboxLock(Shard& shard) : lock_(shard.mutex) {
       detail::bump(*detail::contention_counters().mailbox_locks);
     }
 
@@ -524,8 +267,10 @@ class ThreadCommImpl final : public CommImpl {
     std::uint64_t soft_quiet_since{0};  ///< common::now_ns timestamp
   };
 
-  [[nodiscard]] static bool tag_accepts(int want_tag, int tag) {
-    return want_tag == kAnyTag || want_tag == tag;
+  /// Complete a matched receive. Caller holds the destination mailbox lock.
+  void complete(const PostedRecv& posted, const Status& st) {
+    publish_status(posted.request, st);
+    note_progress();
   }
 
   void note_progress() {
@@ -636,55 +381,11 @@ class ThreadCommImpl final : public CommImpl {
     return result;
   }
 
-  // Unpack a matched message into the posted receive buffer and complete the
-  // request. Caller holds the destination mailbox lock.
-  void deliver(const Message& msg, const PostedRecv& posted) {
-    const std::size_t elem_packed = posted.type.packed_size();
-    const std::size_t capacity_elems = posted.count;
-    const std::size_t msg_elems = elem_packed != 0 ? msg.payload.size() / elem_packed : 0;
-    const bool truncated = msg_elems > capacity_elems;
-    const std::size_t deliver_elems = truncated ? capacity_elems : msg_elems;
-    posted.type.unpack(msg.payload.data(), deliver_elems, posted.buffer);
-
-    // Signature check over the delivered prefix (MUST's send/recv type
-    // matching): the scalar sequences must agree element-wise. A fully
-    // byte-typed side (MPI_BYTE/MPI_CHAR) is treated as an untyped view and
-    // matches anything of the same byte length.
-    const auto all_byte_like = [](const std::vector<Scalar>& sig) {
-      for (const Scalar s : sig) {
-        if (s != Scalar::kByte && s != Scalar::kChar) {
-          return false;
-        }
-      }
-      return true;
-    };
-    std::vector<Scalar> recv_sig;
-    posted.type.signature(deliver_elems, recv_sig);
-    bool mismatch = false;
-    if (!all_byte_like(recv_sig) && !all_byte_like(msg.signature)) {
-      mismatch = recv_sig.size() > msg.signature.size();
-      if (!mismatch) {
-        for (std::size_t i = 0; i < recv_sig.size(); ++i) {
-          if (recv_sig[i] != msg.signature[i]) {
-            mismatch = true;
-            break;
-          }
-        }
-      }
-    }
-
-    CUSAN_ASSERT(posted.request != nullptr);
-    publish_status(posted.request,
-                   Status{msg.src, msg.tag, deliver_elems * elem_packed,
-                          truncated ? MpiError::kTruncate : MpiError::kSuccess, mismatch});
-    note_progress();
-  }
-
   int size_;
   std::shared_ptr<ProgressTracker> tracker_;
   int comm_id_;
   std::shared_ptr<WaiterHub> hub_;
-  std::vector<std::unique_ptr<Mailbox>> mailboxes_;
+  std::vector<std::unique_ptr<Shard>> shards_;
   std::vector<RankLocal> rank_local_;
 
  public:
@@ -708,6 +409,24 @@ class ThreadCommImpl final : public CommImpl {
   std::vector<std::size_t> dup_counts_;
   std::vector<std::shared_ptr<ThreadCommImpl>> children_;
 };
+
+int CommImpl::waitany_pick(int rank, std::span<Request* const> requests, int first) {
+  if (!schedsim::Controller::armed()) {
+    return first;
+  }
+  std::vector<int> complete;
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    if (requests[i] != nullptr && request_complete(requests[i])) {
+      complete.push_back(static_cast<int>(i));
+    }
+  }
+  if (complete.size() < 2) {
+    return first;
+  }
+  const int pick = schedsim::Controller::instance().choose(schedsim::Site::kWaitany, rank,
+                                                           static_cast<int>(complete.size()), 0);
+  return complete[static_cast<std::size_t>(pick)];
+}
 
 std::shared_ptr<CommImpl> make_comm_impl(int size) {
   return make_comm_impl(size, nullptr);

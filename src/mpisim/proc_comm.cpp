@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <optional>
 #include <thread>
@@ -19,11 +18,10 @@
 #include "mpisim/counters.hpp"
 #include "mpisim/deadlock.hpp"
 #include "mpisim/failure.hpp"
+#include "mpisim/matching.hpp"
 #include "mpisim/op_scope.hpp"
 #include "mpisim/request.hpp"
 #include "mpisim/shm.hpp"
-#include "obs/metrics.hpp"
-#include "schedsim/controller.hpp"
 
 namespace mpisim {
 
@@ -31,9 +29,6 @@ namespace {
 
 /// Yield rounds before a blocked wait falls back to sleeping polls.
 constexpr int kSpinRounds = 64;
-/// Consecutive incomplete Test calls before the rank counts as soft-blocked
-/// (same threshold as the thread backend).
-constexpr int kSoftBlockThreshold = 64;
 
 /// Poll-loop backoff: yield first, then sleep in growing steps. There is no
 /// cross-process futex to park on by design (nothing a dying peer could
@@ -49,33 +44,6 @@ void poll_backoff(int& round) {
   ++round;
 }
 
-[[nodiscard]] bool tag_accepts(int want_tag, int tag) {
-  return want_tag == kAnyTag || want_tag == tag;
-}
-
-// Cached per thread and re-resolved when the current registry changes
-// (session scoping), like detail::contention_counters().
-struct ProcCounters {
-  obs::MetricsRegistry* owner{nullptr};
-  obs::Counter* eager_msgs{nullptr};
-  obs::Counter* rendezvous_msgs{nullptr};
-  obs::Counter* ring_full_backoffs{nullptr};
-  obs::Counter* sends_dropped_dead{nullptr};
-};
-
-[[nodiscard]] ProcCounters& proc_counters() {
-  thread_local ProcCounters counters;
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
-  if (counters.owner != &registry) {
-    counters.owner = &registry;
-    counters.eager_msgs = &registry.counter("mpisim.proc.eager_msgs");
-    counters.rendezvous_msgs = &registry.counter("mpisim.proc.rendezvous_msgs");
-    counters.ring_full_backoffs = &registry.counter("mpisim.proc.ring_full_backoffs");
-    counters.sends_dropped_dead = &registry.counter("mpisim.proc.sends_dropped_dead");
-  }
-  return counters;
-}
-
 ProcTransport* g_current_transport = nullptr;
 
 void copy_label(char (&dst)[shmlayout::kMaxSite], const char* src) {
@@ -85,10 +53,11 @@ void copy_label(char (&dst)[shmlayout::kMaxSite], const char* src) {
 
 }  // namespace
 
-// The child-side engine. Single app thread per process (plus the heartbeat
-// stamper, which only touches its own slot's plain atomics), so the local
-// mailboxes need no locks — all cross-process synchronization is the rings'
-// head/tail pairs and the poison word.
+// The child-side transport. Single app thread per process (plus the
+// heartbeat stamper, which only touches its own slot's plain atomics), so the
+// local mailboxes (matching.hpp) need no locks — all cross-process
+// synchronization is the rings' head/tail pairs and the poison word.
+// ProcCommImpl's request calls block through blocked_wait.
 class ProcTransport {
  public:
   ProcTransport(void* base, shmlayout::Layout layout, int rank, std::string seg_prefix)
@@ -183,7 +152,7 @@ class ProcTransport {
       hdr.kind = shmring::RecordKind::kMessage;
       send_scratch_.resize(payload_bytes);
       type.pack(buf, count, send_scratch_.data());
-      detail::bump(*proc_counters().eager_msgs);
+      detail::bump(*detail::proc_contention_counters().eager_msgs);
       return publish_blocking(dest, tag, hdr, sig_bytes, send_scratch_);
     }
 
@@ -206,7 +175,7 @@ class ProcTransport {
     }
     std::vector<std::byte> name_body(rv_name.size() + 1);
     std::memcpy(name_body.data(), rv_name.c_str(), rv_name.size() + 1);
-    detail::bump(*proc_counters().rendezvous_msgs);
+    detail::bump(*detail::proc_contention_counters().rendezvous_msgs);
     const MpiError err = publish_blocking(dest, tag, hdr, {}, name_body);
     if (err != MpiError::kSuccess) {
       seg.unlink();  // never published; reclaim the name now
@@ -221,256 +190,32 @@ class ProcTransport {
     clear_soft();
     drain_rings();
 
-    PostedRecv posted;
-    posted.source = source;
-    posted.tag = tag;
-    posted.buffer = buf;
-    posted.count = count;
-    posted.type = type;
-    posted.request = request;
-
-    Box& box = box_for(comm_id);
-    std::deque<PMessage>* match_queue = nullptr;
-    std::deque<PMessage>::iterator match;
-    if (source != kAnySource) {
-      std::deque<PMessage>& q = box.by_src[static_cast<std::size_t>(source)].unexpected;
-      const auto it = std::find_if(
-          q.begin(), q.end(), [&](const PMessage& m) { return tag_accepts(tag, m.tag); });
-      if (it != q.end()) {
-        match_queue = &q;
-        match = it;
-      }
-    } else {
-      // ANY_SOURCE: the oldest head tag-acceptor across all source channels,
-      // or a schedule-controller pick among them (same site and actor id as
-      // the thread backend, so recorded schedules stay comparable).
-      detail::bump(*detail::contention_counters().any_source_scans);
-      if (schedsim::Controller::armed()) {
-        struct Candidate {
-          std::deque<PMessage>* queue;
-          std::deque<PMessage>::iterator it;
-        };
-        std::vector<Candidate> candidates;
-        for (auto& src_q : box.by_src) {
-          const auto it =
-              std::find_if(src_q.unexpected.begin(), src_q.unexpected.end(),
-                           [&](const PMessage& m) { return tag_accepts(tag, m.tag); });
-          if (it != src_q.unexpected.end()) {
-            candidates.push_back({&src_q.unexpected, it});
-          }
-        }
-        if (!candidates.empty()) {
-          std::sort(candidates.begin(), candidates.end(),
-                    [](const Candidate& a, const Candidate& b) {
-                      return a.it->epoch < b.it->epoch;
-                    });
-          const int pick = schedsim::Controller::instance().choose(
-              schedsim::Site::kMatchRecv, rank_,
-              static_cast<int>(candidates.size()), 0);
-          match_queue = candidates[static_cast<std::size_t>(pick)].queue;
-          match = candidates[static_cast<std::size_t>(pick)].it;
-        }
-      } else {
-        for (auto& src_q : box.by_src) {
-          const auto it =
-              std::find_if(src_q.unexpected.begin(), src_q.unexpected.end(),
-                           [&](const PMessage& m) { return tag_accepts(tag, m.tag); });
-          if (it != src_q.unexpected.end() &&
-              (match_queue == nullptr || it->epoch < match->epoch)) {
-            match_queue = &src_q.unexpected;
-            match = it;
-          }
-        }
-      }
-    }
-    if (match_queue != nullptr) {
-      const PMessage msg = std::move(*match);
-      match_queue->erase(match);
-      deliver(msg.src, msg.tag, msg.payload, msg.signature, posted);
+    PostedRecv posted{source, tag, 0, buf, count, type, request};
+    Mailbox& box = box_for(comm_id);
+    if (std::optional<Message> msg = box.take_unexpected(rank_, source, tag)) {
+      complete(posted, deliver(*msg, posted));
       return MpiError::kSuccess;
     }
-    posted.epoch = box.next_epoch++;
-    if (source != kAnySource) {
-      box.by_src[static_cast<std::size_t>(source)].posted.push_back(posted);
-    } else {
-      box.wildcard.push_back(posted);
-    }
+    box.post(std::move(posted));
     pending_recvs_.push_back({request, source, tag});
     stamp_inflight();
     return MpiError::kSuccess;
   }
 
-  MpiError wait(int comm_id, Request** request, Status* status) {
-    if (request == nullptr || *request == nullptr) {
-      return MpiError::kRequestNull;
+  /// An incomplete Test: the poison error if the world is poisoned. Past
+  /// the streak threshold a rank spinning on incomplete Tests counts as
+  /// soft-blocked, so the supervisor's all-blocked check can see a
+  /// Test-polling deadlock.
+  MpiError note_incomplete_test(int peer, int tag, int comm_id) {
+    if (const MpiError poison = poison_error(); poison != MpiError::kSuccess) {
+      return poison;
     }
-    Request* req = *request;
-    const MpiError blocked =
-        blocked_wait(current_op_label("MPI_Wait"), req->peer_, req->tag_, comm_id,
-                     [req] { return req->complete(); });
-    if (blocked != MpiError::kSuccess) {
-      // Poisoned: the request stays pending (it can never complete); MUST's
-      // finalize-time leak check will see and report it.
-      if (status != nullptr) {
-        *status = Status{};
-        status->error = blocked;
-      }
-      return blocked;
-    }
-    const Status st = req->status_;
-    if (status != nullptr) {
-      *status = st;
-    }
-    delete req;
-    *request = nullptr;
-    return st.error;
-  }
-
-  MpiError test(int comm_id, Request** request, bool* completed, Status* status) {
-    if (request == nullptr || *request == nullptr) {
-      return MpiError::kRequestNull;
-    }
-    Request* req = *request;
-    if (!req->complete()) {
-      drain_rings();
-    }
-    if (!req->complete()) {
-      if (completed != nullptr) {
-        *completed = false;
-      }
-      if (const MpiError poison = poison_error(); poison != MpiError::kSuccess) {
-        return poison;
-      }
-      // Soft-block accounting: a rank spinning on incomplete Tests is not
-      // making progress; past the streak threshold it counts as blocked so
-      // the supervisor's all-blocked check can see a Test-polling deadlock.
-      if (++test_polls_ >= kSoftBlockThreshold && !soft_blocked_) {
-        soft_blocked_ = true;
-        stamp_blocked(current_op_label("MPI_Test"), req->peer_, req->tag_, comm_id,
-                      /*active=*/false, /*soft=*/true);
-      }
-      return MpiError::kSuccess;
-    }
-    clear_soft();
-    const Status st = req->status_;
-    if (completed != nullptr) {
-      *completed = true;
-    }
-    if (status != nullptr) {
-      *status = st;
-    }
-    delete req;
-    *request = nullptr;
-    return st.error;
-  }
-
-  MpiError waitany(int comm_id, std::span<Request*> requests, int* index, Status* status) {
-    if (index == nullptr) {
-      return MpiError::kInvalidArg;
-    }
-    *index = -1;
-    const Request* first_pending = nullptr;
-    for (const Request* req : requests) {
-      if (req != nullptr) {
-        first_pending = req;
-        break;
-      }
-    }
-    if (first_pending == nullptr) {
-      return MpiError::kRequestNull;
-    }
-    const MpiError blocked = blocked_wait(
-        current_op_label("MPI_Waitany"), first_pending->peer_, first_pending->tag_,
-        comm_id, [&] {
-          for (std::size_t i = 0; i < requests.size(); ++i) {
-            if (requests[i] != nullptr && requests[i]->complete()) {
-              *index = static_cast<int>(i);
-              return true;
-            }
-          }
-          return false;
-        });
-    if (blocked != MpiError::kSuccess) {
-      if (status != nullptr) {
-        *status = Status{};
-        status->error = blocked;
-      }
-      return blocked;
-    }
-    if (schedsim::Controller::armed()) {
-      std::vector<int> complete;
-      for (std::size_t i = 0; i < requests.size(); ++i) {
-        if (requests[i] != nullptr && requests[i]->complete()) {
-          complete.push_back(static_cast<int>(i));
-        }
-      }
-      if (complete.size() > 1) {
-        const int pick = schedsim::Controller::instance().choose(
-            schedsim::Site::kWaitany, rank_, static_cast<int>(complete.size()), 0);
-        *index = complete[static_cast<std::size_t>(pick)];
-      }
-    }
-    return wait(comm_id, &requests[static_cast<std::size_t>(*index)], status);
-  }
-
-  MpiError probe(int comm_id, int source, int tag, bool blocking, bool* flag, Status* status) {
-    drain_rings();
-    Box& box = box_for(comm_id);
-    const auto find_match = [&]() -> std::optional<Status> {
-      const PMessage* found = nullptr;
-      if (source != kAnySource) {
-        const std::deque<PMessage>& q =
-            box.by_src[static_cast<std::size_t>(source)].unexpected;
-        const auto it = std::find_if(
-            q.begin(), q.end(), [&](const PMessage& m) { return tag_accepts(tag, m.tag); });
-        if (it != q.end()) {
-          found = &*it;
-        }
-      } else {
-        detail::bump(*detail::contention_counters().any_source_scans);
-        for (const auto& src_q : box.by_src) {
-          const auto it =
-              std::find_if(src_q.unexpected.begin(), src_q.unexpected.end(),
-                           [&](const PMessage& m) { return tag_accepts(tag, m.tag); });
-          if (it != src_q.unexpected.end() && (found == nullptr || it->epoch < found->epoch)) {
-            found = &*it;
-          }
-        }
-      }
-      if (found == nullptr) {
-        return std::nullopt;
-      }
-      return Status{found->src, found->tag, found->payload.size(), MpiError::kSuccess};
-    };
-    std::optional<Status> envelope = find_match();
-    if (!blocking) {
-      if (flag != nullptr) {
-        *flag = envelope.has_value();
-      }
-    } else if (!envelope.has_value()) {
-      const MpiError blocked =
-          blocked_wait(current_op_label("MPI_Probe"), source, tag, comm_id, [&] {
-            envelope = find_match();
-            return envelope.has_value();
-          });
-      if (blocked != MpiError::kSuccess) {
-        if (status != nullptr) {
-          *status = Status{};
-          status->error = blocked;
-        }
-        return blocked;
-      }
-    }
-    if (envelope.has_value() && status != nullptr) {
-      *status = *envelope;
+    if (++test_polls_ >= kSoftBlockThreshold && !soft_blocked_) {
+      soft_blocked_ = true;
+      stamp_blocked(current_op_label("MPI_Test"), peer, tag, comm_id,
+                    /*active=*/false, /*soft=*/true);
     }
     return MpiError::kSuccess;
-  }
-
-  void complete_send_request(Request* req, std::size_t bytes) {
-    req->status_ = Status{-1, -1, bytes, MpiError::kSuccess};
-    req->complete_.store(true, std::memory_order_release);
-    note_progress();
   }
 
   MpiError stall(int comm_id, const char* op_name, int peer, int tag, std::uint64_t fault_id) {
@@ -539,55 +284,84 @@ class ProcTransport {
     return report.to_string();
   }
 
- private:
-  struct PMessage {
-    int src{};
-    int tag{};
-    std::uint64_t epoch{};
-    std::vector<std::byte> payload;
-    std::vector<Scalar> signature;
-  };
-
-  struct PostedRecv {
-    int source{};
-    int tag{};
-    std::uint64_t epoch{};
-    void* buffer{};
-    std::size_t count{};
-    Datatype type;
-    Request* request{};
-  };
-
-  struct SrcQueues {
-    std::deque<PMessage> unexpected;
-    std::deque<PostedRecv> posted;
-  };
-
   /// Local mailbox of one communicator, keyed by comm_id. Created lazily so
   /// a message for a communicator this rank hasn't dup'd yet still has a
   /// place to queue (dup timing differs across ranks).
-  struct Box {
-    explicit Box(int size) : by_src(static_cast<std::size_t>(size)) {}
-    std::uint64_t next_epoch{0};
-    std::vector<SrcQueues> by_src;
-    std::deque<PostedRecv> wildcard;
-  };
-
-  struct PendingRecv {
-    Request* request;
-    int peer;
-    int tag;
-  };
-
-  [[nodiscard]] Box& box_for(int comm_id) {
+  [[nodiscard]] Mailbox& box_for(int comm_id) {
     auto it = boxes_.find(comm_id);
     if (it == boxes_.end()) {
-      it = boxes_.emplace(comm_id, Box(world())).first;
+      it = boxes_.emplace(comm_id, Mailbox(world())).first;
     }
     return it->second;
   }
 
   void note_progress() { header_->progress.fetch_add(1, std::memory_order_relaxed); }
+
+  void clear_soft() {
+    test_polls_ = 0;
+    if (soft_blocked_) {
+      soft_blocked_ = false;
+      clear_blocked();
+    }
+  }
+
+  /// Drain every ring targeting this rank, routing records into the local
+  /// mailboxes (or straight into matching posted receives — the map-once
+  /// unpack path).
+  void drain_rings() {
+    for (int src = 0; src < world(); ++src) {
+      if (src == rank_) {
+        continue;
+      }
+      shmring::Ring ring = layout_.ring(base_, src, rank_);
+      shmring::drain(ring, [&](const shmring::RecordHdr& hdr, const std::byte* sig,
+                               const std::byte* body) {
+        const std::span<const Scalar> sig_span(reinterpret_cast<const Scalar*>(sig),
+                                               hdr.sig_count);
+        if (hdr.kind == shmring::RecordKind::kMessage) {
+          route_payload(hdr.comm_id, src, hdr.tag,
+                        std::span<const std::byte>(body, hdr.payload_bytes), sig_span);
+        } else if (hdr.kind == shmring::RecordKind::kRendezvous) {
+          receive_rendezvous(hdr, src, reinterpret_cast<const char*>(body));
+        }
+        note_progress();
+      });
+    }
+  }
+
+  /// Poll until `pred` holds: drain → predicate → poison → back off. The
+  /// blocked op is stamped into the rank slot so the supervisor's
+  /// all-blocked deadlock check and failure reports can describe it.
+  template <typename Pred>
+  MpiError blocked_wait(const char* label, int peer, int tag, int comm_id, Pred&& pred) {
+    clear_soft();
+    drain_rings();
+    if (pred()) {
+      return MpiError::kSuccess;
+    }
+    stamp_blocked(label, peer, tag, comm_id, /*active=*/true, /*soft=*/false);
+    MpiError result = MpiError::kSuccess;
+    int round = 0;
+    while (true) {
+      drain_rings();
+      if (pred()) {
+        break;
+      }
+      if (result = poison_error(); result != MpiError::kSuccess) {
+        break;
+      }
+      poll_backoff(round);
+    }
+    clear_blocked();
+    return result;
+  }
+
+ private:
+  struct PendingRecv {
+    Request* request;
+    int peer;
+    int tag;
+  };
 
   [[nodiscard]] MpiError poison_error() const {
     switch (header_->poison.load(std::memory_order_acquire)) {
@@ -637,14 +411,6 @@ class ProcTransport {
       slot_->blocked.active = 0;
       slot_->blocked.soft = 0;
     });
-  }
-
-  void clear_soft() {
-    test_polls_ = 0;
-    if (soft_blocked_) {
-      soft_blocked_ = false;
-      clear_blocked();
-    }
   }
 
   void stamp_inflight() {
@@ -730,7 +496,7 @@ class ProcTransport {
       note_progress();
       return MpiError::kSuccess;
     }
-    detail::bump(*proc_counters().ring_full_backoffs);
+    detail::bump(*detail::proc_contention_counters().ring_full_backoffs);
     stamp_blocked(current_op_label("MPI_Send"), dest, tag, hdr.comm_id,
                   /*active=*/true, /*soft=*/false);
     MpiError result = MpiError::kSuccess;
@@ -748,37 +514,13 @@ class ProcTransport {
           layout_.slot(base_, dest)->state.load(std::memory_order_acquire);
       if (dest_state == shmlayout::RankState::kExited ||
           dest_state == shmlayout::RankState::kAppError) {
-        detail::bump(*proc_counters().sends_dropped_dead);
+        detail::bump(*detail::proc_contention_counters().sends_dropped_dead);
         break;  // destination gone for good: the message can never be drained
       }
       poll_backoff(round);
     }
     clear_blocked();
     return result;
-  }
-
-  /// Drain every ring targeting this rank, routing records into the local
-  /// mailboxes (or straight into matching posted receives — the map-once
-  /// unpack path).
-  void drain_rings() {
-    for (int src = 0; src < world(); ++src) {
-      if (src == rank_) {
-        continue;
-      }
-      shmring::Ring ring = layout_.ring(base_, src, rank_);
-      shmring::drain(ring, [&](const shmring::RecordHdr& hdr, const std::byte* sig,
-                               const std::byte* body) {
-        const std::span<const Scalar> sig_span(reinterpret_cast<const Scalar*>(sig),
-                                               hdr.sig_count);
-        if (hdr.kind == shmring::RecordKind::kMessage) {
-          route_payload(hdr.comm_id, src, hdr.tag,
-                        std::span<const std::byte>(body, hdr.payload_bytes), sig_span);
-        } else if (hdr.kind == shmring::RecordKind::kRendezvous) {
-          receive_rendezvous(hdr, src, reinterpret_cast<const char*>(body));
-        }
-        note_progress();
-      });
-    }
   }
 
   void receive_rendezvous(const shmring::RecordHdr& hdr, int src, const char* name) {
@@ -797,111 +539,23 @@ class ProcTransport {
     seg.unlink();  // consumed: drop the name, the mapping dies with `seg`
   }
 
-  /// Match-or-queue: deliver into the oldest accepting posted receive
-  /// (specific vs wildcard by epoch, as one merged queue would), else copy
-  /// into the unexpected queue.
+  /// Match-or-queue: deliver into the oldest accepting posted receive, else
+  /// copy into the unexpected queue.
   void route_payload(int comm_id, int src, int tag, std::span<const std::byte> payload,
                      std::span<const Scalar> sig) {
-    Box& box = box_for(comm_id);
-    std::deque<PostedRecv>& per_src = box.by_src[static_cast<std::size_t>(src)].posted;
-    const auto specific = std::find_if(per_src.begin(), per_src.end(), [&](const PostedRecv& p) {
-      return tag_accepts(p.tag, tag);
-    });
-    const auto wildcard =
-        std::find_if(box.wildcard.begin(), box.wildcard.end(),
-                     [&](const PostedRecv& p) { return tag_accepts(p.tag, tag); });
-    const bool have_specific = specific != per_src.end();
-    const bool have_wildcard = wildcard != box.wildcard.end();
-    if (have_specific || have_wildcard) {
-      const bool use_specific =
-          have_specific && (!have_wildcard || specific->epoch < wildcard->epoch);
-      PostedRecv posted = use_specific ? *specific : *wildcard;
-      if (use_specific) {
-        per_src.erase(specific);
-      } else {
-        box.wildcard.erase(wildcard);
-      }
-      deliver(src, tag, payload, sig, posted);
+    Mailbox& box = box_for(comm_id);
+    if (std::optional<PostedRecv> posted = box.take_posted(src, tag)) {
+      complete(*posted, deliver(src, tag, payload, sig, *posted));
       return;
     }
-    PMessage msg;
-    msg.src = src;
-    msg.tag = tag;
-    msg.epoch = box.next_epoch++;
-    msg.payload.assign(payload.begin(), payload.end());
-    msg.signature.assign(sig.begin(), sig.end());
-    box.by_src[static_cast<std::size_t>(src)].unexpected.push_back(std::move(msg));
+    box.queue_unexpected(Message{src, tag, 0, {payload.begin(), payload.end()},
+                                 {sig.begin(), sig.end()}});
   }
 
-  /// Unpack into the posted buffer and complete the request — the same
-  /// truncation and signature-matching rules as the thread backend's
-  /// deliver (byte-like sides are untyped views and match anything).
-  void deliver(int src, int tag, std::span<const std::byte> payload,
-               std::span<const Scalar> sig, const PostedRecv& posted) {
-    const std::size_t elem_packed = posted.type.packed_size();
-    const std::size_t capacity_elems = posted.count;
-    const std::size_t msg_elems = elem_packed != 0 ? payload.size() / elem_packed : 0;
-    const bool truncated = msg_elems > capacity_elems;
-    const std::size_t deliver_elems = truncated ? capacity_elems : msg_elems;
-    posted.type.unpack(payload.data(), deliver_elems, posted.buffer);
-
-    const auto all_byte_like = [](std::span<const Scalar> s) {
-      for (const Scalar scalar : s) {
-        if (scalar != Scalar::kByte && scalar != Scalar::kChar) {
-          return false;
-        }
-      }
-      return true;
-    };
-    std::vector<Scalar> recv_sig;
-    posted.type.signature(deliver_elems, recv_sig);
-    bool mismatch = false;
-    if (!all_byte_like(recv_sig) && !all_byte_like(sig)) {
-      mismatch = recv_sig.size() > sig.size();
-      if (!mismatch) {
-        for (std::size_t i = 0; i < recv_sig.size(); ++i) {
-          if (recv_sig[i] != sig[i]) {
-            mismatch = true;
-            break;
-          }
-        }
-      }
-    }
-
-    CUSAN_ASSERT(posted.request != nullptr);
-    posted.request->status_ =
-        Status{src, tag, deliver_elems * elem_packed,
-               truncated ? MpiError::kTruncate : MpiError::kSuccess, mismatch};
-    posted.request->complete_.store(true, std::memory_order_release);
+  void complete(const PostedRecv& posted, const Status& st) {
+    CommImpl::publish_status(posted.request, st);
     drop_pending(posted.request);
     note_progress();
-  }
-
-  /// Poll until `pred` holds: drain → predicate → poison → back off. The
-  /// blocked op is stamped into the rank slot so the supervisor's
-  /// all-blocked deadlock check and failure reports can describe it.
-  template <typename Pred>
-  MpiError blocked_wait(const char* label, int peer, int tag, int comm_id, Pred&& pred) {
-    clear_soft();
-    drain_rings();
-    if (pred()) {
-      return MpiError::kSuccess;
-    }
-    stamp_blocked(label, peer, tag, comm_id, /*active=*/true, /*soft=*/false);
-    MpiError result = MpiError::kSuccess;
-    int round = 0;
-    while (true) {
-      drain_rings();
-      if (pred()) {
-        break;
-      }
-      if (result = poison_error(); result != MpiError::kSuccess) {
-        break;
-      }
-      poll_backoff(round);
-    }
-    clear_blocked();
-    return result;
   }
 
   void* base_;
@@ -911,7 +565,7 @@ class ProcTransport {
   shmlayout::SegHeader* header_;
   shmlayout::RankSlot* slot_;
 
-  std::map<int, Box> boxes_;
+  std::map<int, Mailbox> boxes_;
   std::vector<PendingRecv> pending_recvs_;
   std::vector<Scalar> sig_scratch_;
   std::vector<std::byte> send_scratch_;
@@ -925,6 +579,17 @@ class ProcTransport {
 };
 
 // -- ProcCommImpl -----------------------------------------------------------
+
+namespace {
+
+/// The blocking primitive of the shared request helpers (CommImpl).
+[[nodiscard]] auto blocker(ProcTransport& transport, int comm_id) {
+  return [&transport, comm_id](const char* label, int peer, int tag, auto&& pred) {
+    return transport.blocked_wait(label, peer, tag, comm_id, pred);
+  };
+}
+
+}  // namespace
 
 ProcCommImpl::ProcCommImpl(std::shared_ptr<ProcTransport> transport, int comm_id)
     : CommImpl(transport->world()), transport_(std::move(transport)), comm_id_(comm_id) {}
@@ -964,28 +629,45 @@ MpiError ProcCommImpl::post_recv(int dest, int source, int tag, void* buf, std::
 
 MpiError ProcCommImpl::wait(int rank, Request** request, Status* status) {
   (void)rank;
-  return transport_->wait(comm_id_, request, status);
+  return wait_with(request, status, blocker(*transport_, comm_id_));
 }
 
 MpiError ProcCommImpl::test(int rank, Request** request, bool* completed, Status* status) {
   (void)rank;
-  return transport_->test(comm_id_, request, completed, status);
+  if (request == nullptr || *request == nullptr) {
+    return MpiError::kRequestNull;
+  }
+  const Request* req = *request;
+  if (!request_complete(req)) {
+    transport_->drain_rings();
+  }
+  if (!request_complete(req)) {
+    if (completed != nullptr) {
+      *completed = false;
+    }
+    return transport_->note_incomplete_test(req->peer(), req->tag(), comm_id_);
+  }
+  transport_->clear_soft();
+  return finish(request, status, completed);
 }
 
 MpiError ProcCommImpl::waitany(int rank, std::span<Request*> requests, int* index,
                                Status* status) {
-  (void)rank;
-  return transport_->waitany(comm_id_, requests, index, status);
+  return waitany_with(rank, requests, index, status, blocker(*transport_, comm_id_));
 }
 
 MpiError ProcCommImpl::probe(int rank, int source, int tag, bool blocking, bool* flag,
                              Status* status) {
   (void)rank;
-  return transport_->probe(comm_id_, source, tag, blocking, flag, status);
+  transport_->drain_rings();
+  Mailbox& box = transport_->box_for(comm_id_);
+  return probe_with(source, tag, blocking, flag, status, [&] { return box.peek(source, tag); },
+                    blocker(*transport_, comm_id_));
 }
 
 void ProcCommImpl::complete_send_request(Request* req, std::size_t bytes) {
-  transport_->complete_send_request(req, bytes);
+  publish_status(req, Status{-1, -1, bytes, MpiError::kSuccess});
+  transport_->note_progress();
 }
 
 MpiError ProcCommImpl::stall(int rank, const char* op_name, int peer, int tag,

@@ -1,8 +1,7 @@
-// The proc backend's child-side engine. After the supervisor forks a rank,
-// the child builds one ProcTransport over the inherited world-segment
-// mapping: per-communicator mailboxes with the exact matching semantics of
-// the thread backend (per-source FIFO, wildcard min-epoch scan, schedule-
-// controller choice points), fed by draining the rank's column of SPSC
+// The proc backend's child-side transport. After the supervisor forks a
+// rank, the child builds one ProcTransport over the inherited world-segment
+// mapping: per-communicator mailboxes (the matching engine both backends
+// share, matching.hpp), fed by draining the rank's column of SPSC
 // shared-memory rings. Blocking calls poll: drain own rings → check the
 // predicate → check the poison word → back off. There is no cross-process
 // lock to block on — which is precisely why a dying peer can never wedge a

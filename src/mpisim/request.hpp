@@ -38,7 +38,6 @@ class Request {
 
  private:
   friend class CommImpl;
-  friend class ProcTransport;  ///< proc-backend engine (see proc_comm.cpp)
 
   Request(Kind kind, const void* buffer, std::size_t count, Datatype type, int peer, int tag)
       : kind_(kind), buffer_(buffer), count_(count), type_(std::move(type)), peer_(peer),

@@ -284,6 +284,17 @@ faultsim::FaultPlan make_random_plan(std::uint64_t seed, int faults, int rank_ki
   return plan;
 }
 
+std::string vacuous_reason(const SweepOptions& options, const SweepStats& stats,
+                           mpisim::Backend backend) {
+  if (options.faults_per_plan + options.rank_kills > 0 && stats.faulted_runs == 0) {
+    return common::format("no fault fired in any of {} faulted runs", stats.runs);
+  }
+  if (backend == mpisim::Backend::kProc && options.rank_kills > 0 && stats.rank_kill_runs == 0) {
+    return common::format("no rank_kill fired in any of {} faulted runs", stats.runs);
+  }
+  return {};
+}
+
 SweepStats run_fault_sweep(const SweepOptions& options) {
   SweepStats stats;
 

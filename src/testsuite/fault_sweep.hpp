@@ -18,6 +18,7 @@
 
 #include "faultsim/injector.hpp"
 #include "faultsim/plan.hpp"
+#include "mpisim/world.hpp"
 #include "obs/metrics.hpp"
 
 namespace testsuite {
@@ -86,6 +87,13 @@ struct SweepStats {
 /// always yields the same plan).
 [[nodiscard]] faultsim::FaultPlan make_random_plan(std::uint64_t seed, int faults,
                                                    int rank_kills = 0);
+
+/// Why a sweep checked nothing ("" when it checked something): its plans
+/// asked for faults but none fired in any faulted run, or, under the proc
+/// backend, they asked for rank kills but none fired. Such a sweep holds
+/// every invariant vacuously, so it is not a pass.
+[[nodiscard]] std::string vacuous_reason(const SweepOptions& options, const SweepStats& stats,
+                                         mpisim::Backend backend);
 
 /// Run the sweep. Every run is an svc::Session, so the process instances
 /// (faultsim::Injector::global() and friends) are left untouched.

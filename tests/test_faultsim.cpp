@@ -386,6 +386,7 @@ TEST_F(FaultsimTest, MiniSweepHoldsRobustnessInvariants) {
   }
   EXPECT_TRUE(stats.ok());
   EXPECT_GT(obs::value_of(stats.metrics, "faultsim.faults_fired"), 0u);
+  EXPECT_EQ(testsuite::vacuous_reason(options, stats, mpisim::default_backend()), "");
 
   // Every run is its own session, so the worker count changes nothing:
   // not the stats, not the failure lines, not the summed metrics.
@@ -415,6 +416,45 @@ TEST_F(FaultsimTest, MiniSweepHoldsRobustnessInvariants) {
       EXPECT_EQ(obs::value_of(parallel.metrics, name), value) << name;
     }
   }
+}
+
+// A sweep whose plans fire nothing holds every invariant vacuously. The
+// plan here is one rank_kill spec and no other fault: rank_kill matches no
+// site the thread backend probes, so no run is faulted.
+TEST_F(FaultsimTest, SweepThatFiresNothingIsVacuous) {
+  const mpisim::ScopedBackend thread_backend(mpisim::Backend::kThread);
+  testsuite::SweepOptions options;
+  options.plans = 1;
+  options.faults_per_plan = 0;
+  options.rank_kills = 1;
+  options.watchdog = std::chrono::milliseconds(150);
+  options.filter = "device__default_stream";
+  const auto stats = testsuite::run_fault_sweep(options);
+  ASSERT_GT(stats.runs, 0u);
+  EXPECT_TRUE(stats.ok());
+  EXPECT_EQ(stats.faulted_runs, 0u);
+  EXPECT_EQ(testsuite::vacuous_reason(options, stats, mpisim::Backend::kThread),
+            "no fault fired in any of " + std::to_string(stats.runs) + " faulted runs");
+}
+
+// Under the proc backend a sweep that asked for rank kills must also have
+// killed a rank; faults of other kinds firing do not make up for it. The
+// thread backend never probes rank_kill sites, so there the rule is off.
+TEST(FaultSweepVerdictTest, UnfiredRankKillsAreVacuousOnlyUnderProc) {
+  testsuite::SweepOptions options;
+  options.faults_per_plan = 2;
+  options.rank_kills = 1;
+  testsuite::SweepStats stats;
+  stats.runs = 4;
+  stats.faulted_runs = 2;
+  EXPECT_EQ(testsuite::vacuous_reason(options, stats, mpisim::Backend::kProc),
+            "no rank_kill fired in any of 4 faulted runs");
+  EXPECT_EQ(testsuite::vacuous_reason(options, stats, mpisim::Backend::kThread), "");
+  stats.rank_kill_runs = 1;
+  EXPECT_EQ(testsuite::vacuous_reason(options, stats, mpisim::Backend::kProc), "");
+  options.rank_kills = 0;
+  stats.rank_kill_runs = 0;
+  EXPECT_EQ(testsuite::vacuous_reason(options, stats, mpisim::Backend::kProc), "");
 }
 
 }  // namespace

@@ -21,6 +21,10 @@
 // workers (default 1). Stats merge in (plan, scenario) order, so the outcome
 // and the --metrics file do not depend on N.
 //
+// A sweep whose plans asked for faults but fired none (or, under the proc
+// backend, asked for rank kills but killed nothing) checked nothing: it
+// prints VACUOUS and exits 3 instead of OK.
+//
 // Usage: fault_sweep [--plans N] [--faults N] [--seed N] [--filter SUBSTR]
 //                    [--watchdog MS] [--metrics PATH]
 //                    [--schedules dpor[;bound:K]] [--rank-kills N]
@@ -30,6 +34,7 @@
 #include <cstring>
 #include <string>
 
+#include "mpisim/world.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
 #include "schedsim/controller.hpp"
@@ -37,6 +42,10 @@
 #include "testsuite/fault_sweep.hpp"
 
 namespace {
+
+/// Exit code of a sweep that held every invariant but fired nothing
+/// (1: an invariant failed, 2: usage).
+constexpr int kExitVacuous = 3;
 
 [[noreturn]] void usage(const char* argv0) {
   std::fprintf(stderr,
@@ -171,6 +180,16 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "no scenario matches filter '%s'\n", options.filter.c_str());
     return 2;
   }
-  std::printf("%s\n", stats.ok() ? "OK: all robustness invariants hold" : "FAILED");
-  return stats.ok() ? 0 : 1;
+  if (!stats.ok()) {
+    std::printf("FAILED\n");
+    return 1;
+  }
+  if (const std::string vacuous =
+          testsuite::vacuous_reason(options, stats, mpisim::default_backend());
+      !vacuous.empty()) {
+    std::printf("VACUOUS: %s\n", vacuous.c_str());
+    return kExitVacuous;
+  }
+  std::printf("OK: all robustness invariants hold\n");
+  return 0;
 }
