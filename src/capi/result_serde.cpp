@@ -18,6 +18,7 @@ constexpr std::size_t kAccessBytes = 4 + 1 + kStrBytes + 1 + 8 + kStrBytes;
 constexpr std::size_t kRaceBytes = 8 + 8 + 2 * kAccessBytes;
 constexpr std::size_t kReportBytes = 1 + 2 * kStrBytes;
 constexpr std::size_t kDiagnosticBytes = kStrBytes + 1 + 4 + kStrBytes + 8;
+constexpr std::size_t kFiredBytes = 1 + 1 + 3 * 4 + 1;
 
 class Writer {
  public:
@@ -178,6 +179,15 @@ std::vector<std::byte> encode(const RankPayload& payload) {
   if (payload.sched_divergence.has_value()) {
     w.pod(*payload.sched_divergence);
   }
+  w.u64(payload.fired_faults.size());
+  for (const faultsim::FiredFault& f : payload.fired_faults) {
+    w.u8(static_cast<std::uint8_t>(f.site));
+    w.u8(static_cast<std::uint8_t>(f.action));
+    w.i32(f.where.device);
+    w.i32(f.where.rank);
+    w.i32(f.where.stream);
+    w.u8(static_cast<std::uint8_t>(f.surfaced));
+  }
   return w.take();
 }
 
@@ -256,6 +266,26 @@ bool decode(std::span<const std::byte> bytes, RankPayload* out) {
       return false;
     }
     out->sched_divergence = divergence;
+  }
+  if (!r.count(&count, kFiredBytes)) {
+    return false;
+  }
+  out->fired_faults.resize(count);
+  for (faultsim::FiredFault& f : out->fired_faults) {
+    std::uint8_t site = 0;
+    std::uint8_t action = 0;
+    std::uint8_t surfaced = 0;
+    // Enum bytes out of range are corrupt: the sweep prints them by name.
+    if (!r.u8(&site) || site > static_cast<std::uint8_t>(faultsim::Site::kRankKill) ||
+        !r.u8(&action) || action > static_cast<std::uint8_t>(faultsim::Action::kHang) ||
+        !r.i32(&f.where.device) || !r.i32(&f.where.rank) || !r.i32(&f.where.stream) ||
+        !r.u8(&surfaced) ||
+        surfaced > static_cast<std::uint8_t>(faultsim::Channel::kFailureReport)) {
+      return false;
+    }
+    f.site = static_cast<faultsim::Site>(site);
+    f.action = static_cast<faultsim::Action>(action);
+    f.surfaced = static_cast<faultsim::Channel>(surfaced);
   }
   return true;
 }

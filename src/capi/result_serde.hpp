@@ -1,7 +1,8 @@
 // Serialization of a rank's session output for the proc backend: the child
 // process packs its RankResult plus everything else that would otherwise be
 // lost with its address space — obs metric deltas accumulated since fork,
-// diagnostics it emitted, and its slice of the schedule-controller state —
+// diagnostics it emitted, its slice of the schedule-controller state and the
+// faults it fired —
 // into one blob published through mpisim::publish_result; the parent decodes
 // and merges after World::run. Parent and child are the same forked binary,
 // so fixed-layout structs travel as raw bytes (size-checked); variable parts
@@ -14,6 +15,7 @@
 #include <vector>
 
 #include "capi/context.hpp"
+#include "faultsim/injector.hpp"
 #include "obs/diagnostics.hpp"
 #include "obs/metrics.hpp"
 #include "schedsim/controller.hpp"
@@ -35,6 +37,10 @@ struct RankPayload {
   std::string sched_graph;
   schedsim::Stats sched_stats{};
   std::optional<schedsim::Divergence> sched_divergence;
+  /// Fault-ledger entries the child fired since the fork, each with the
+  /// channel it surfaced through (ids are not shipped: the parent's
+  /// Injector::import_fired numbers them into its own sequence).
+  std::vector<faultsim::FiredFault> fired_faults;
 };
 
 [[nodiscard]] std::vector<std::byte> encode(const RankPayload& payload);

@@ -138,9 +138,11 @@ std::vector<RankResult> run_session(const SessionConfig& config, const RankMain&
     // emits is exactly what the store retains (an offset into a store
     // already at its cap would never move).
     obs::MetricsSnapshot metrics_base;
+    std::size_t fired_base = 0;
     if (proc) {
       metrics_base = obs::MetricsRegistry::instance().snapshot();
       obs::clear_diagnostics();
+      fired_base = faultsim::Injector::instance().fired_count();
     }
     ToolContext ctx(comm.rank(), config.tools, config.device_profile, config.typedb,
                     config.devices_per_rank);
@@ -158,6 +160,11 @@ std::vector<RankResult> run_session(const SessionConfig& config, const RankMain&
     payload.metric_deltas = obs::MetricsRegistry::diff(
         obs::MetricsRegistry::instance().snapshot(), metrics_base);
     payload.diagnostics = obs::diagnostics();
+    std::vector<faultsim::FiredFault> fired = faultsim::Injector::instance().fired_log();
+    if (fired.size() > fired_base) {
+      payload.fired_faults.assign(fired.begin() + static_cast<std::ptrdiff_t>(fired_base),
+                                  fired.end());
+    }
     if (schedsim::GraphRecorder::enabled()) {
       payload.sched_graph = schedsim::serialize_graph(recorder.snapshot());
     }
@@ -184,6 +191,7 @@ std::vector<RankResult> run_session(const SessionConfig& config, const RankMain&
       for (obs::Diagnostic& diagnostic : payload.diagnostics) {
         obs::reemit_imported_diagnostic(std::move(diagnostic));
       }
+      faultsim::Injector::instance().import_fired(payload.fired_faults);
       if (schedsim::GraphRecorder::enabled()) {
         std::string error;
         if (!recorder.absorb(payload.sched_graph, &error)) {

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 
 namespace faultsim {
 namespace {
@@ -51,9 +52,10 @@ std::string_view trim(std::string_view s) {
   return s;
 }
 
-/// Parse a non-negative integer prefix; returns false if `s` is empty or not
-/// all digits.
-bool parse_uint(std::string_view s, std::uint64_t& out) {
+/// Parse a non-negative integer; returns false if `s` is empty, not all
+/// digits, or above `max` (never wraps).
+bool parse_uint(std::string_view s, std::uint64_t& out,
+                std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   if (s.empty()) {
     return false;
   }
@@ -62,7 +64,11 @@ bool parse_uint(std::string_view s, std::uint64_t& out) {
     if (c < '0' || c > '9') {
       return false;
     }
-    out = out * 10 + static_cast<std::uint64_t>(c - '0');
+    const auto digit = static_cast<std::uint64_t>(c - '0');
+    if (out > (max - digit) / 10) {
+      return false;
+    }
+    out = out * 10 + digit;
   }
   return true;
 }
@@ -206,7 +212,7 @@ FaultPlan::ParseResult FaultPlan::parse(std::string_view text, FaultPlan& out) {
         return fail(spec_text, "unknown scope '" + std::string(scope_part) + "'");
       }
       std::uint64_t id = 0;
-      if (!parse_uint(id_part, id)) {
+      if (!parse_uint(id_part, id, std::numeric_limits<int>::max())) {
         return fail(spec_text, "bad scope id '" + std::string(id_part) + "'");
       }
       spec.scope_id = static_cast<int>(id);
@@ -254,8 +260,11 @@ FaultPlan::ParseResult FaultPlan::parse(std::string_view text, FaultPlan& out) {
         scale_to_us = 1000 * 1000;
         dur = dur.substr(0, dur.size() - 1);
       }
+      // The delay must fit microseconds' signed count after scaling.
       std::uint64_t amount = 0;
-      if (!parse_uint(dur, amount)) {
+      if (!parse_uint(dur, amount,
+                      static_cast<std::uint64_t>(std::chrono::microseconds::max().count()) /
+                          scale_to_us)) {
         return fail(spec_text, "bad delay duration '" + std::string(rhs.substr(6)) + "'");
       }
       spec.delay = std::chrono::microseconds(amount * scale_to_us);

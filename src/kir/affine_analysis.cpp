@@ -2,115 +2,15 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <optional>
 
 #include "common/format.hpp"
+#include "kir/dataflow.hpp"
 
 namespace kir {
 namespace {
 
-/// Same widening thresholds as the interval analysis: affine windows can
-/// climb indefinitely through pointer-increment loops and recursion, so
-/// lattice elements that keep growing are forced to ⊤.
-constexpr std::uint32_t kIntraWidenThreshold = 4;
-constexpr std::uint32_t kInterWidenThreshold = 8;
-
-bool add_overflows(std::int64_t a, std::int64_t b, std::int64_t* out) {
-  return __builtin_add_overflow(a, b, out);
-}
-
-bool mul_overflows(std::int64_t a, std::int64_t b, std::int64_t* out) {
-  return __builtin_mul_overflow(a, b, out);
-}
-
-/// Scalar affine value: stride·t + c with c ∈ [lo, hi] (inclusive), t the
-/// thread index along `dim` bounded by [tid_lo, tid_hi]. stride == 0 is a
-/// plain bounded scalar.
-struct AffineScalar {
-  bool known{false};
-  std::int64_t stride{0};
-  std::int64_t lo{0};
-  std::int64_t hi{0};
-  std::int64_t tid_lo{0};
-  std::int64_t tid_hi{0};
-  std::uint32_t dim{0};
-};
-
-AffineScalar join(const AffineScalar& a, const AffineScalar& b) {
-  if (!a.known || !b.known || a.stride != b.stride) {
-    return AffineScalar{};
-  }
-  if (a.stride != 0 && a.dim != b.dim) {
-    return AffineScalar{};
-  }
-  AffineScalar out = a;
-  out.lo = std::min(a.lo, b.lo);
-  out.hi = std::max(a.hi, b.hi);
-  if (a.stride != 0) {
-    out.tid_lo = std::min(a.tid_lo, b.tid_lo);
-    out.tid_hi = std::max(a.tid_hi, b.tid_hi);
-  }
-  return out;
-}
-
-bool scalar_differs(const AffineScalar& a, const AffineScalar& b) {
-  return a.known != b.known || a.stride != b.stride || a.lo != b.lo || a.hi != b.hi ||
-         a.tid_lo != b.tid_lo || a.tid_hi != b.tid_hi || a.dim != b.dim;
-}
-
-/// Per-function affine scalar values: constants carry their range with stride
-/// zero, kThreadIdx is stride one along its dimension, phis join (widening
-/// non-converging loop bounds to unknown), everything else is unknown.
-std::vector<AffineScalar> affine_scalars(const Function& fn) {
-  const auto& instrs = fn.instrs();
-  std::vector<AffineScalar> values(instrs.size());
-  std::vector<std::uint32_t> grew(instrs.size(), 0);
-  const auto value_of = [&](Value v) {
-    return v.kind == Value::Kind::kInstr ? values[v.index] : AffineScalar{};
-  };
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i < instrs.size(); ++i) {
-      const Instr& instr = instrs[i];
-      AffineScalar next = values[i];
-      switch (instr.op) {
-        case Opcode::kConst:
-          if (instr.has_range()) {
-            next = AffineScalar{true, 0, instr.imm_lo, instr.imm_hi, 0, 0, 0};
-          }
-          break;
-        case Opcode::kThreadIdx:
-          next = AffineScalar{true, 1, 0, 0, instr.imm_lo, instr.imm_hi, instr.size};
-          break;
-        case Opcode::kPhi: {
-          if (instr.args.empty()) {
-            break;
-          }
-          AffineScalar merged = value_of(instr.args.front());
-          for (std::size_t a = 1; a < instr.args.size(); ++a) {
-            merged = join(merged, value_of(instr.args[a]));
-          }
-          next = values[i].known ? join(values[i], merged) : merged;
-          break;
-        }
-        default:
-          break;  // arith/load/call results: opaque
-      }
-      if (scalar_differs(next, values[i])) {
-        if (++grew[i] > kIntraWidenThreshold) {
-          next = AffineScalar{};  // unknown: absorbing, guarantees convergence
-        }
-        if (scalar_differs(next, values[i])) {
-          values[i] = next;
-          changed = true;
-        }
-      }
-    }
-  }
-  return values;
-}
+using dataflow::add_overflows;
+using dataflow::mul_overflows;
 
 /// Fold `delta_stride` along `dim` (with thread bounds) into `term`. Fails —
 /// the caller widens to ⊤ — on mixed dimensions or stride overflow; strides
@@ -142,6 +42,109 @@ bool combine_stride(AffineTerm& term, std::int64_t delta_stride, std::uint32_t d
   }
   return true;
 }
+
+/// The affine lattice for the dataflow engine: scalars are stride·t + [lo, hi],
+/// offsets and accessed bytes are AffineSets.
+struct AffineDomain {
+  /// Scalar affine value: stride·t + c with c ∈ [lo, hi] (inclusive), t the
+  /// thread index along `dim` bounded by [tid_lo, tid_hi]. stride == 0 is a
+  /// plain bounded scalar.
+  struct Scalar {
+    bool known{false};
+    std::int64_t stride{0};
+    std::int64_t lo{0};
+    std::int64_t hi{0};
+    std::int64_t tid_lo{0};
+    std::int64_t tid_hi{0};
+    std::uint32_t dim{0};
+
+    friend bool operator==(const Scalar&, const Scalar&) = default;
+  };
+  using Set = AffineSet;
+  /// The engine fills read/write; the constructor then decides race_free.
+  using Summary = ParamProof;
+
+  /// Constants carry their range with stride zero; kThreadIdx is stride one
+  /// along its dimension.
+  static Scalar leaf(const Instr& instr) {
+    if (instr.op == Opcode::kThreadIdx) {
+      return Scalar{true, 1, 0, 0, instr.imm_lo, instr.imm_hi, instr.size};
+    }
+    return instr.has_range() ? Scalar{true, 0, instr.imm_lo, instr.imm_hi, 0, 0, 0} : Scalar{};
+  }
+
+  static Scalar join(const Scalar& a, const Scalar& b) {
+    if (!a.known || !b.known || a.stride != b.stride) {
+      return Scalar{};
+    }
+    if (a.stride != 0 && a.dim != b.dim) {
+      return Scalar{};
+    }
+    Scalar out = a;
+    out.lo = std::min(a.lo, b.lo);
+    out.hi = std::max(a.hi, b.hi);
+    if (a.stride != 0) {
+      out.tid_lo = std::min(a.tid_lo, b.tid_lo);
+      out.tid_hi = std::max(a.tid_hi, b.tid_hi);
+    }
+    return out;
+  }
+
+  static Set origin() { return AffineSet::of(AffineTerm{0, 0, 1, 0, 0, 0}); }
+
+  static Set shift(const Set& base, const Scalar& index, std::int64_t elem) {
+    std::int64_t delta_stride = 0;
+    std::int64_t add_lo = 0;
+    std::int64_t add_hi = 0;
+    if (mul_overflows(index.stride, elem, &delta_stride) ||
+        mul_overflows(index.lo, elem, &add_lo) || mul_overflows(index.hi, elem, &add_hi)) {
+      return AffineSet::top();
+    }
+    AffineSet shifted;
+    for (AffineTerm term : base.terms()) {
+      if (!combine_stride(term, delta_stride, index.dim, index.tid_lo, index.tid_hi) ||
+          add_overflows(term.lo, add_lo, &term.lo) || add_overflows(term.hi, add_hi, &term.hi)) {
+        return AffineSet::top();
+      }
+      shifted.insert(term);
+    }
+    return shifted;
+  }
+
+  /// A start window [a, b) accessed with width w touches bytes
+  /// [a, b − 1 + w) per term.
+  static Set window(const Set& starts, std::uint32_t width) {
+    AffineSet out;
+    for (AffineTerm term : starts.terms()) {
+      if (add_overflows(term.hi, static_cast<std::int64_t>(width) - 1, &term.hi)) {
+        return AffineSet::top();
+      }
+      out.insert(term);
+    }
+    return out;
+  }
+
+  /// Caller start terms x callee byte-offset terms: starts [a, b) x bytes
+  /// [c, d) -> bytes [a + c, b + d − 1); strides along the same dimension add
+  /// (the callee is inlined device code running on the same thread), mixed
+  /// dimensions widen to ⊤.
+  static Set compose(const Set& starts, const Set& bytes) {
+    AffineSet out;
+    for (const AffineTerm& c : starts.terms()) {
+      for (const AffineTerm& e : bytes.terms()) {
+        AffineTerm term = c;
+        std::int64_t hi = 0;
+        if (!combine_stride(term, e.stride, e.dim, e.tid_lo, e.tid_hi) ||
+            add_overflows(term.lo, e.lo, &term.lo) || add_overflows(term.hi, e.hi, &hi) ||
+            add_overflows(hi, -1, &term.hi)) {
+          return AffineSet::top();
+        }
+        out.insert(term);
+      }
+    }
+    return out;
+  }
+};
 
 }  // namespace
 
@@ -326,255 +329,20 @@ namespace {
 // -- AffineAnalysis ------------------------------------------------------------
 
 AffineAnalysis::AffineAnalysis(const Module& module) {
-  for (const auto& fn : module.functions()) {
-    summaries_.emplace(fn.get(), std::vector<ParamAffine>(fn->param_count()));
-  }
-  std::unordered_map<const Function*, std::vector<std::pair<std::uint32_t, std::uint32_t>>> grew;
-  for (const auto& fn : module.functions()) {
-    grew.emplace(fn.get(),
-                 std::vector<std::pair<std::uint32_t, std::uint32_t>>(fn->param_count(), {0, 0}));
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    ++iterations_;
-    for (const auto& fn : module.functions()) {
-      auto& summary = summaries_.at(fn.get());
-      auto& counters = grew.at(fn.get());
-      for (std::uint32_t p = 0; p < fn->param_count(); ++p) {
-        if (!fn->param_is_pointer(p)) {
-          continue;
-        }
-        const ParamAffine update = analyze_param(*fn, p);
-        if (summary[p].read.merge(update.read)) {
-          if (++counters[p].first > kInterWidenThreshold) {
-            summary[p].read.widen_to_top();
-          }
-          changed = true;
-        }
-        if (summary[p].write.merge(update.write)) {
-          if (++counters[p].second > kInterWidenThreshold) {
-            summary[p].write.widen_to_top();
-          }
-          changed = true;
-        }
-      }
-    }
-  }
+  dataflow::Summaries<AffineDomain> summaries;
+  iterations_ = dataflow::solve<AffineDomain>(module, summaries);
   // Evaluate the theorem-1 side conditions on the fixpoint summaries.
   for (const auto& fn : module.functions()) {
-    const auto& summary = summaries_.at(fn.get());
     ProofSummary proof;
-    proof.params.resize(fn->param_count());
+    proof.params = std::move(summaries.at(fn.get()));
     proof.intra_race_free = true;
     for (std::uint32_t p = 0; p < fn->param_count(); ++p) {
       ParamProof& param = proof.params[p];
-      if (fn->param_is_pointer(p)) {
-        param.read = summary[p].read;
-        param.write = summary[p].write;
-        param.race_free = param_race_free(param);
-      } else {
-        param.race_free = true;
-      }
+      param.race_free = !fn->param_is_pointer(p) || param_race_free(param);
       proof.intra_race_free = proof.intra_race_free && param.race_free;
     }
     proofs_.emplace(fn.get(), std::move(proof));
   }
-}
-
-AffineAnalysis::ParamAffine AffineAnalysis::analyze_param(const Function& fn,
-                                                          std::uint32_t param) const {
-  const auto& instrs = fn.instrs();
-  const auto scalars = affine_scalars(fn);
-
-  // offsets[i]: set when instruction i's result is a pointer derived from the
-  // parameter; the AffineSet holds the possible *start offsets* of that
-  // pointer as half-open windows [lo, hi) per term. The param itself starts
-  // at offset 0 exactly.
-  std::vector<std::optional<AffineSet>> offsets(instrs.size());
-  std::vector<std::uint32_t> grew(instrs.size(), 0);
-  const auto offsets_of = [&](Value v) -> std::optional<AffineSet> {
-    if (v.kind == Value::Kind::kParam) {
-      if (v.index == param) {
-        return AffineSet::of(AffineTerm{0, 0, 1, 0, 0, 0});
-      }
-      return std::nullopt;
-    }
-    if (v.kind == Value::Kind::kInstr) {
-      return offsets[v.index];
-    }
-    return std::nullopt;
-  };
-
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i < instrs.size(); ++i) {
-      const Instr& instr = instrs[i];
-      std::optional<AffineSet> next = offsets[i];
-      switch (instr.op) {
-        case Opcode::kGep: {
-          const auto base = offsets_of(instr.a);
-          if (!base.has_value()) {
-            break;
-          }
-          AffineSet derived = *base;
-          if (!instr.b.is_none() && !derived.is_top()) {
-            const AffineScalar index =
-                instr.b.kind == Value::Kind::kInstr ? scalars[instr.b.index] : AffineScalar{};
-            const auto elem = static_cast<std::int64_t>(instr.size);
-            AffineSet shifted;
-            bool ok = index.known;
-            std::int64_t delta_stride = 0;
-            std::int64_t add_lo = 0;
-            std::int64_t add_hi = 0;
-            ok = ok && !mul_overflows(index.stride, elem, &delta_stride) &&
-                 !mul_overflows(index.lo, elem, &add_lo) && !mul_overflows(index.hi, elem, &add_hi);
-            if (ok) {
-              for (AffineTerm term : derived.terms()) {
-                if (!combine_stride(term, delta_stride, index.dim, index.tid_lo, index.tid_hi) ||
-                    add_overflows(term.lo, add_lo, &term.lo) ||
-                    add_overflows(term.hi, add_hi, &term.hi)) {
-                  ok = false;
-                  break;
-                }
-                shifted.insert(term);
-              }
-            }
-            derived = ok ? shifted : AffineSet::top();
-          }
-          next = next.has_value() ? *next : AffineSet::bottom();
-          next->merge(derived);
-          break;
-        }
-        case Opcode::kArith: {
-          // Pointer arithmetic through an opaque op: derived, offsets unknown.
-          if (offsets_of(instr.a).has_value() || offsets_of(instr.b).has_value()) {
-            next = AffineSet::top();
-          }
-          break;
-        }
-        case Opcode::kPhi: {
-          AffineSet merged = next.has_value() ? *next : AffineSet::bottom();
-          bool any = next.has_value();
-          for (const Value& incoming : instr.args) {
-            if (const auto in = offsets_of(incoming); in.has_value()) {
-              any = true;
-              merged.merge(*in);
-            }
-          }
-          if (any) {
-            next = merged;
-          }
-          break;
-        }
-        default:
-          break;
-      }
-      const auto differs = [&] {
-        return next.has_value() && (!offsets[i].has_value() || *next != *offsets[i]);
-      };
-      if (differs()) {
-        if (++grew[i] > kIntraWidenThreshold) {
-          next->widen_to_top();
-        }
-        if (differs()) {
-          offsets[i] = std::move(next);
-          changed = true;
-        }
-      }
-    }
-  }
-
-  // Accesses through derived pointers: a start window [a, b) accessed with
-  // width w touches bytes [a, b − 1 + w) per term.
-  const auto record_access = [](AffineSet& into, const AffineSet& starts, std::uint32_t width) {
-    if (starts.is_top()) {
-      into.widen_to_top();
-      return;
-    }
-    for (AffineTerm term : starts.terms()) {
-      std::int64_t hi = 0;
-      if (add_overflows(term.hi, static_cast<std::int64_t>(width) - 1, &hi)) {
-        into.widen_to_top();
-        return;
-      }
-      term.hi = hi;
-      into.insert(term);
-    }
-  };
-
-  ParamAffine result;
-  for (const Instr& instr : instrs) {
-    switch (instr.op) {
-      case Opcode::kLoad:
-        if (const auto starts = offsets_of(instr.a); starts.has_value()) {
-          record_access(result.read, *starts, instr.size);
-        }
-        break;
-      case Opcode::kStore:
-        if (const auto starts = offsets_of(instr.a); starts.has_value()) {
-          record_access(result.write, *starts, instr.size);
-        }
-        // Storing the pointer itself escapes it (mirrors IntervalAnalysis).
-        if (offsets_of(instr.b).has_value()) {
-          result.read.widen_to_top();
-          result.write.widen_to_top();
-        }
-        break;
-      case Opcode::kCall: {
-        for (std::size_t arg = 0; arg < instr.args.size(); ++arg) {
-          const auto starts = offsets_of(instr.args[arg]);
-          if (!starts.has_value()) {
-            continue;
-          }
-          const auto it =
-              instr.callee != nullptr ? summaries_.find(instr.callee) : summaries_.end();
-          if (it == summaries_.end()) {
-            result.read.widen_to_top();
-            result.write.widen_to_top();
-            break;
-          }
-          if (arg >= it->second.size()) {
-            continue;
-          }
-          const ParamAffine& callee = it->second[arg];
-          // Compose caller start terms with callee byte-offset terms: starts
-          // [a, b) x bytes [c, d) -> bytes [a + c, b + d − 1); strides along
-          // the same dimension add (the callee is inlined device code running
-          // on the same thread), mixed dimensions widen to ⊤.
-          const auto compose = [&](AffineSet& into, const AffineSet& callee_set) {
-            if (callee_set.is_empty()) {
-              return;
-            }
-            if (starts->is_top() || callee_set.is_top()) {
-              into.widen_to_top();
-              return;
-            }
-            for (const AffineTerm& c : starts->terms()) {
-              for (const AffineTerm& e : callee_set.terms()) {
-                AffineTerm term = c;
-                std::int64_t hi = 0;
-                if (!combine_stride(term, e.stride, e.dim, e.tid_lo, e.tid_hi) ||
-                    add_overflows(term.lo, e.lo, &term.lo) ||
-                    add_overflows(term.hi, e.hi, &hi) || add_overflows(hi, -1, &term.hi)) {
-                  into.widen_to_top();
-                  return;
-                }
-                into.insert(term);
-              }
-            }
-          };
-          compose(result.read, callee.read);
-          compose(result.write, callee.write);
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  return result;
 }
 
 const ProofSummary* AffineAnalysis::summary(const Function* fn) const {

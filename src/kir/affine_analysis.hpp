@@ -1,9 +1,13 @@
 // Thread-index-aware affine access analysis — the prove-and-elide pass: for
 // every kernel pointer parameter it derives symbolic summaries of the form
 //   {stride·tid + [lo, hi) | tid ∈ [tid_lo, tid_hi]}
-// by forward dataflow over gep/phi/call chains rooted at kThreadIdx, widening
-// to ⊤ exactly where the PR 1 interval analysis widens — so consumers that
-// fall back to the interval summary on ⊤ are never less precise than today.
+// by forward dataflow over gep/phi/call chains rooted at kThreadIdx. The
+// dataflow is the engine the interval analysis runs too (dataflow.hpp), so
+// both share every transfer, escape and call rule and the widening
+// thresholds; only the lattices differ. The affine lattice can still go ⊤
+// where the interval one stays bounded (mixed thread dimensions, more than
+// kMaxTerms term shapes), which is why consumers fall back to the interval
+// summary on ⊤.
 //
 // From the summaries, theorem 1 (explicit side conditions below) justifies
 // replacing a parameter's shadow stores with a check-only scan plus a
@@ -148,14 +152,6 @@ class AffineAnalysis {
   [[nodiscard]] std::uint32_t iterations() const { return iterations_; }
 
  private:
-  struct ParamAffine {
-    AffineSet read;
-    AffineSet write;
-  };
-
-  [[nodiscard]] ParamAffine analyze_param(const Function& fn, std::uint32_t param) const;
-
-  std::unordered_map<const Function*, std::vector<ParamAffine>> summaries_;
   std::unordered_map<const Function*, ProofSummary> proofs_;
   std::uint32_t iterations_{0};
 };

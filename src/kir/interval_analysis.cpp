@@ -2,129 +2,80 @@
 
 #include <algorithm>
 #include <atomic>
-#include <optional>
 
 #include "common/format.hpp"
+#include "kir/dataflow.hpp"
 
 namespace kir {
 namespace {
 
-/// Widening thresholds: how many times a lattice element may grow before it
-/// is forced to ⊤. Loop back-edges that keep shifting offsets (pointer
-/// increment loops) and recursion over shifted bases hit these.
-constexpr std::uint32_t kIntraWidenThreshold = 4;
-constexpr std::uint32_t kInterWidenThreshold = 8;
+using dataflow::add_overflows;
+using dataflow::mul_overflows;
 
-bool add_overflows(std::int64_t a, std::int64_t b, std::int64_t* out) {
-  return __builtin_add_overflow(a, b, out);
-}
+/// The byte-interval lattice for the dataflow engine: scalars are inclusive
+/// value ranges, offsets and accessed bytes are IntervalSets.
+struct IntervalDomain {
+  /// Inclusive scalar value range for integer-valued instructions.
+  struct Scalar {
+    std::int64_t lo{0};
+    std::int64_t hi{0};
+    bool known{false};
 
-bool mul_overflows(std::int64_t a, std::int64_t b, std::int64_t* out) {
-  return __builtin_mul_overflow(a, b, out);
-}
-
-/// Inclusive scalar value range for integer-valued instructions.
-struct ScalarRange {
-  std::int64_t lo{0};
-  std::int64_t hi{0};
-  bool known{false};
-};
-
-ScalarRange join(ScalarRange a, ScalarRange b) {
-  if (!a.known || !b.known) {
-    return ScalarRange{};
-  }
-  return ScalarRange{std::min(a.lo, b.lo), std::max(a.hi, b.hi), true};
-}
-
-/// Per-function scalar ranges: constants carry their declared range, phis
-/// join their incoming ranges (with widening on non-converging loop bounds),
-/// everything else is unknown.
-std::vector<ScalarRange> scalar_ranges(const Function& fn) {
-  const auto& instrs = fn.instrs();
-  std::vector<ScalarRange> ranges(instrs.size());
-  std::vector<std::uint32_t> grew(instrs.size(), 0);
-  const auto range_of = [&](Value v) {
-    return v.kind == Value::Kind::kInstr ? ranges[v.index] : ScalarRange{};
+    friend bool operator==(const Scalar&, const Scalar&) = default;
   };
+  using Set = IntervalSet;
+  using Summary = ParamIntervals;
 
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i < instrs.size(); ++i) {
-      const Instr& instr = instrs[i];
-      ScalarRange next = ranges[i];
-      switch (instr.op) {
-        case Opcode::kConst:
-        case Opcode::kThreadIdx:
-          // A thread index is, for value-range purposes, just a scalar
-          // bounded by the launch bounds — so every interval summary is at
-          // least as precise as with bounded(); only the affine analysis
-          // additionally exploits that distinct threads hold distinct values.
-          if (instr.has_range()) {
-            next = ScalarRange{instr.imm_lo, instr.imm_hi, true};
-          }
-          break;
-        case Opcode::kPhi: {
-          if (instr.args.empty()) {
-            break;
-          }
-          ScalarRange merged = range_of(instr.args.front());
-          for (std::size_t a = 1; a < instr.args.size(); ++a) {
-            merged = join(merged, range_of(instr.args[a]));
-          }
-          // First flow-in adopts the merged range; afterwards only grow.
-          next = ranges[i].known ? join(ranges[i], merged) : merged;
-          break;
+  // A thread index is, for value-range purposes, just a scalar bounded by the
+  // launch bounds — so every interval summary is at least as precise as with
+  // bounded(); only the affine analysis additionally exploits that distinct
+  // threads hold distinct values.
+  static Scalar leaf(const Instr& instr) {
+    return instr.has_range() ? Scalar{instr.imm_lo, instr.imm_hi, true} : Scalar{};
+  }
+
+  static Scalar join(const Scalar& a, const Scalar& b) {
+    if (!a.known || !b.known) {
+      return Scalar{};
+    }
+    return Scalar{std::min(a.lo, b.lo), std::max(a.hi, b.hi), true};
+  }
+
+  static Set origin() { return IntervalSet::of(Interval{0, 1}); }
+
+  static Set shift(const Set& base, const Scalar& index, std::int64_t elem) {
+    std::int64_t lo = 0;
+    std::int64_t hi = 0;
+    if (mul_overflows(index.lo, elem, &lo) || mul_overflows(index.hi, elem, &hi)) {
+      return IntervalSet::top();
+    }
+    return base.shifted(lo, hi);
+  }
+
+  /// Minkowski-compose pointer-start offsets with byte intervals relative to
+  /// those starts: start interval [a, b) (possible start offsets a..b-1) x
+  /// byte interval [c, d) -> accessed bytes [a+c, b+d-1).
+  static Set compose(const Set& starts, const Set& bytes) {
+    IntervalSet out;
+    for (const Interval& s : starts.intervals()) {
+      for (const Interval& b : bytes.intervals()) {
+        std::int64_t lo = 0;
+        std::int64_t hi_base = 0;
+        std::int64_t hi = 0;
+        if (add_overflows(s.lo, b.lo, &lo) || add_overflows(s.hi, b.hi, &hi_base) ||
+            add_overflows(hi_base, -1, &hi)) {
+          return IntervalSet::top();
         }
-        default:
-          break;  // arith/load/call results: opaque
-      }
-      const auto differs = [&] {
-        return next.known != ranges[i].known || next.lo != ranges[i].lo || next.hi != ranges[i].hi;
-      };
-      if (differs()) {
-        if (++grew[i] > kIntraWidenThreshold) {
-          next = ScalarRange{};  // unknown: absorbing, guarantees convergence
-        }
-        if (differs()) {
-          ranges[i] = next;
-          changed = true;
-        }
+        out.insert(Interval{lo, hi});
       }
     }
+    return out;
   }
-  return ranges;
-}
 
-/// Minkowski-compose a set of pointer-start offsets with a set of byte
-/// intervals relative to those starts: start interval [a, b) (possible start
-/// offsets a..b-1) x byte interval [c, d) -> accessed bytes [a+c, b+d-1).
-IntervalSet compose_offsets(const IntervalSet& starts, const IntervalSet& bytes) {
-  if (starts.is_top() || bytes.is_top()) {
-    return IntervalSet::top();
+  static Set window(const Set& starts, std::uint32_t width) {
+    return compose(starts, IntervalSet::of(Interval{0, static_cast<std::int64_t>(width)}));
   }
-  IntervalSet out;
-  for (const Interval& s : starts.intervals()) {
-    for (const Interval& b : bytes.intervals()) {
-      std::int64_t lo = 0;
-      std::int64_t hi_base = 0;
-      std::int64_t hi = 0;
-      if (add_overflows(s.lo, b.lo, &lo) || add_overflows(s.hi, b.hi, &hi_base) ||
-          add_overflows(hi_base, -1, &hi)) {
-        return IntervalSet::top();
-      }
-      out.insert(Interval{lo, hi});
-    }
-  }
-  return out;
-}
-
-/// The byte range touched by one access of `width` bytes from any start in
-/// `starts`.
-IntervalSet access_bytes(const IntervalSet& starts, std::uint32_t width) {
-  return compose_offsets(starts, IntervalSet::of(Interval{0, static_cast<std::int64_t>(width)}));
-}
+};
 
 }  // namespace
 
@@ -294,188 +245,7 @@ std::string to_string(const IntervalSet& set) {
 // -- IntervalAnalysis ---------------------------------------------------------------
 
 IntervalAnalysis::IntervalAnalysis(const Module& module) {
-  for (const auto& fn : module.functions()) {
-    summaries_.emplace(fn.get(), std::vector<ParamIntervals>(fn->param_count()));
-  }
-  // Monotone fixpoint mirroring AccessAnalysis: summaries only ever grow.
-  // Unlike the finite mode lattice, interval bounds can climb indefinitely
-  // through recursion over shifted bases, so each summary set that keeps
-  // changing is widened to ⊤ after kInterWidenThreshold growths.
-  std::unordered_map<const Function*, std::vector<std::pair<std::uint32_t, std::uint32_t>>> grew;
-  for (const auto& fn : module.functions()) {
-    grew.emplace(fn.get(),
-                 std::vector<std::pair<std::uint32_t, std::uint32_t>>(fn->param_count(), {0, 0}));
-  }
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    ++iterations_;
-    for (const auto& fn : module.functions()) {
-      auto& summary = summaries_.at(fn.get());
-      auto& counters = grew.at(fn.get());
-      for (std::uint32_t p = 0; p < fn->param_count(); ++p) {
-        if (!fn->param_is_pointer(p)) {
-          continue;
-        }
-        const ParamIntervals update = analyze_param(*fn, p);
-        if (summary[p].read.merge(update.read)) {
-          if (++counters[p].first > kInterWidenThreshold) {
-            summary[p].read.widen_to_top();
-          }
-          changed = true;
-        }
-        if (summary[p].write.merge(update.write)) {
-          if (++counters[p].second > kInterWidenThreshold) {
-            summary[p].write.widen_to_top();
-          }
-          changed = true;
-        }
-      }
-    }
-  }
-}
-
-ParamIntervals IntervalAnalysis::analyze_param(const Function& fn, std::uint32_t param) const {
-  const auto& instrs = fn.instrs();
-  const auto scalars = scalar_ranges(fn);
-
-  // offsets[i]: set when instruction i's result carries a pointer derived
-  // from the parameter; the IntervalSet holds the possible *start byte
-  // offsets* of that pointer relative to the parameter value. The param
-  // itself starts at offset 0 exactly.
-  std::vector<std::optional<IntervalSet>> offsets(instrs.size());
-  std::vector<std::uint32_t> grew(instrs.size(), 0);
-  const auto offsets_of = [&](Value v) -> std::optional<IntervalSet> {
-    if (v.kind == Value::Kind::kParam) {
-      if (v.index == param) {
-        return IntervalSet::of(Interval{0, 1});
-      }
-      return std::nullopt;
-    }
-    if (v.kind == Value::Kind::kInstr) {
-      return offsets[v.index];
-    }
-    return std::nullopt;
-  };
-
-  // Intra-function fixpoint over the derived-offset sets; phi back-edges may
-  // require several rounds, with per-instruction widening bounding them.
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (std::size_t i = 0; i < instrs.size(); ++i) {
-      const Instr& instr = instrs[i];
-      std::optional<IntervalSet> next = offsets[i];
-      switch (instr.op) {
-        case Opcode::kGep: {
-          const auto base = offsets_of(instr.a);
-          if (!base.has_value()) {
-            break;
-          }
-          IntervalSet derived = *base;
-          if (!instr.b.is_none()) {
-            const ScalarRange index =
-                instr.b.kind == Value::Kind::kInstr ? scalars[instr.b.index] : ScalarRange{};
-            if (!index.known) {
-              derived = IntervalSet::top();
-            } else {
-              std::int64_t lo = 0;
-              std::int64_t hi = 0;
-              const auto elem = static_cast<std::int64_t>(instr.size);
-              if (mul_overflows(index.lo, elem, &lo) || mul_overflows(index.hi, elem, &hi)) {
-                derived = IntervalSet::top();
-              } else {
-                derived = derived.shifted(lo, hi);
-              }
-            }
-          }
-          next = next.has_value() ? *next : IntervalSet::bottom();
-          next->merge(derived);
-          break;
-        }
-        case Opcode::kArith: {
-          // Pointer arithmetic through an opaque op: derived, offsets unknown.
-          if (offsets_of(instr.a).has_value() || offsets_of(instr.b).has_value()) {
-            next = IntervalSet::top();
-          }
-          break;
-        }
-        case Opcode::kPhi: {
-          IntervalSet merged = next.has_value() ? *next : IntervalSet::bottom();
-          bool any = next.has_value();
-          for (const Value& incoming : instr.args) {
-            if (const auto in = offsets_of(incoming); in.has_value()) {
-              any = true;
-              merged.merge(*in);
-            }
-          }
-          if (any) {
-            next = merged;
-          }
-          break;
-        }
-        default:
-          break;
-      }
-      const auto differs = [&] {
-        return next.has_value() && (!offsets[i].has_value() || *next != *offsets[i]);
-      };
-      if (differs()) {
-        if (++grew[i] > kIntraWidenThreshold) {
-          next->widen_to_top();
-        }
-        if (differs()) {
-          offsets[i] = std::move(next);
-          changed = true;
-        }
-      }
-    }
-  }
-
-  ParamIntervals result;
-  for (const Instr& instr : instrs) {
-    switch (instr.op) {
-      case Opcode::kLoad:
-        if (const auto starts = offsets_of(instr.a); starts.has_value()) {
-          result.read.merge(access_bytes(*starts, instr.size));
-        }
-        break;
-      case Opcode::kStore:
-        if (const auto starts = offsets_of(instr.a); starts.has_value()) {
-          result.write.merge(access_bytes(*starts, instr.size));
-        }
-        // Storing the pointer itself escapes it: anything may happen to the
-        // allocation afterwards (AccessAnalysis says read-write; we say ⊤).
-        if (offsets_of(instr.b).has_value()) {
-          result.read.widen_to_top();
-          result.write.widen_to_top();
-        }
-        break;
-      case Opcode::kCall: {
-        for (std::size_t arg = 0; arg < instr.args.size(); ++arg) {
-          const auto starts = offsets_of(instr.args[arg]);
-          if (!starts.has_value()) {
-            continue;
-          }
-          const auto it = instr.callee != nullptr ? summaries_.find(instr.callee)
-                                                  : summaries_.end();
-          if (it == summaries_.end()) {
-            // Unknown external callee or callee outside the module.
-            result.read.widen_to_top();
-            result.write.widen_to_top();
-          } else if (arg < it->second.size()) {
-            const ParamIntervals& callee = it->second[arg];
-            result.read.merge(compose_offsets(*starts, callee.read));
-            result.write.merge(compose_offsets(*starts, callee.write));
-          }
-        }
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  return result;
+  iterations_ = dataflow::solve<IntervalDomain>(module, summaries_);
 }
 
 std::span<const ParamIntervals> IntervalAnalysis::intervals(const Function* fn) const {

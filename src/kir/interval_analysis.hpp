@@ -6,10 +6,11 @@
 // with an explicit ⊤ ("whole allocation") element; offsets propagate through
 // GEP arithmetic on known index ranges, phi nodes (loop back-edges widen
 // non-converging bounds to ⊤) and nested/recursive calls by composing callee
-// summaries with the caller's offset base, mirroring the fixpoint structure
-// of AccessAnalysis. ⊤ reproduces the paper's whole-range behaviour exactly,
-// so the result is a strict refinement: consumers fall back to the whole
-// TypeART allocation whenever a summary is ⊤.
+// summaries with the caller's offset base. The fixpoint itself is the shared
+// dataflow engine (dataflow.hpp); interval_analysis.cpp holds the lattice.
+// ⊤ reproduces the paper's whole-range behaviour exactly, so the result is a
+// strict refinement: consumers fall back to the whole TypeART allocation
+// whenever a summary is ⊤.
 #pragma once
 
 #include <cstdint>
@@ -134,10 +135,6 @@ class IntervalAnalysis {
   [[nodiscard]] std::uint32_t iterations() const { return iterations_; }
 
  private:
-  /// One intraprocedural pass for a single pointer parameter using the
-  /// current interprocedural summaries.
-  [[nodiscard]] ParamIntervals analyze_param(const Function& fn, std::uint32_t param) const;
-
   std::unordered_map<const Function*, std::vector<ParamIntervals>> summaries_;
   std::uint32_t iterations_{0};
 };

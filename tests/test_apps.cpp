@@ -8,10 +8,16 @@
 #include "apps/jacobi.hpp"
 #include "apps/stencil2d.hpp"
 #include "apps/tealeaf.hpp"
+#include "mpisim/world.hpp"
 
 namespace {
 
 using capi::Flavor;
+
+// The numerics tests that pin `mpisim::Backend::kThread` read rank outputs
+// written into a vector captured by reference, which a forked rank
+// (CUSAN_MPI_BACKEND=proc) writes only in its own address space. They check
+// the solvers, not the backend; test_procsim compares the backends' verdicts.
 
 apps::JacobiConfig small_jacobi() {
   apps::JacobiConfig config;
@@ -59,6 +65,7 @@ AppRun run_tealeaf(Flavor flavor, const apps::TeaLeafConfig& config, int ranks =
 // -- Jacobi ---------------------------------------------------------------------
 
 TEST(JacobiAppTest, ConvergesTowardsLaplaceSolution) {
+  const mpisim::ScopedBackend thread_backend(mpisim::Backend::kThread);
   const auto first = run_jacobi(Flavor::kVanilla, [] {
                        auto c = small_jacobi();
                        c.iterations = 5;
@@ -130,6 +137,7 @@ TEST(JacobiAppTest, NormIntervalReducesMemcpys) {
 // -- TeaLeaf --------------------------------------------------------------------
 
 TEST(TeaLeafAppTest, CgReducesResidual) {
+  const mpisim::ScopedBackend thread_backend(mpisim::Backend::kThread);
   const auto run = run_tealeaf(Flavor::kVanilla, small_tealeaf());
   EXPECT_TRUE(std::isfinite(run.tealeaf.final_residual));
   EXPECT_GT(run.tealeaf.total_cg_iters, 0u);
@@ -137,6 +145,7 @@ TEST(TeaLeafAppTest, CgReducesResidual) {
 }
 
 TEST(TeaLeafAppTest, DiffusionSmoothsTemperature) {
+  const mpisim::ScopedBackend thread_backend(mpisim::Backend::kThread);
   // More timesteps: the hot corner spreads; energy (sum u^2) decreases as
   // the implicit solve diffuses the spike.
   auto short_config = small_tealeaf();
@@ -221,6 +230,7 @@ StencilRun run_stencil(Flavor flavor, const apps::Stencil2DConfig& config) {
 }
 
 TEST(Stencil2DAppTest, DiffusionPreservesMassUntilBoundary) {
+  const mpisim::ScopedBackend thread_backend(mpisim::Backend::kThread);
   // For the first iterations the hot plate has not reached the boundary, so
   // the 5-point average conserves the total mass exactly.
   auto config = small_stencil(2, 1);

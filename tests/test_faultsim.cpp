@@ -6,6 +6,10 @@
 
 #include <array>
 #include <cstdlib>
+#include <optional>
+#include <random>
+#include <string>
+#include <utility>
 
 #include "capi/cuda.hpp"
 #include "capi/memaccess.hpp"
@@ -97,6 +101,112 @@ TEST_F(FaultsimTest, RejectsInvalidSiteActionCombinations) {
     EXPECT_FALSE(result.ok) << "accepted: " << text;
     EXPECT_FALSE(result.error.empty()) << text;
     EXPECT_TRUE(plan.empty()) << text;
+  }
+}
+
+TEST_F(FaultsimTest, MutatedPlansAreRejectedOrParseExactly) {
+  // CUSAN_FAULT_PLAN comes from outside the program: a mangled plan must be
+  // rejected with a message or parse to a plan that round-trips — never
+  // throw, and never wrap a number into a different scope, count or delay.
+  enum class Field { kScope, kNth, kPeriod, kDelayMs };
+  struct Slot {
+    std::size_t spec;
+    Field field;
+  };
+  // The plan is pieces[0] numbers[0] pieces[1] ... numbers[9] pieces[10].
+  const std::array<std::string, 11> pieces = {
+      "malloc@dev", "#", "=oom;send@rank", "#", "%", "=delay:", "ms;kernel@stream", "#",
+      "=abort;rank_kill@rank", "#", "=sigkill"};
+  const std::array<std::string, 10> numbers = {"0", "3", "1", "2", "4", "5", "2", "1", "1", "2"};
+  const std::array<Slot, 10> slots = {{{0, Field::kScope},
+                                       {0, Field::kNth},
+                                       {1, Field::kScope},
+                                       {1, Field::kNth},
+                                       {1, Field::kPeriod},
+                                       {1, Field::kDelayMs},
+                                       {2, Field::kScope},
+                                       {2, Field::kNth},
+                                       {3, Field::kScope},
+                                       {3, Field::kNth}}};
+  const auto plan_text = [&](std::size_t slot, const std::string& number) {
+    std::string text = pieces[0];
+    for (std::size_t i = 0; i < numbers.size(); ++i) {
+      text += (i == slot ? number : numbers[i]) + pieces[i + 1];
+    }
+    return text;
+  };
+  const auto field_value = [](const faultsim::FaultSpec& spec,
+                              Field field) -> std::optional<std::uint64_t> {
+    switch (field) {
+      case Field::kScope:
+        return spec.scope_id >= 0 ? std::optional<std::uint64_t>(spec.scope_id) : std::nullopt;
+      case Field::kNth:
+        return spec.nth;
+      case Field::kPeriod:
+        return spec.period;
+      case Field::kDelayMs:
+        if (spec.delay.count() < 0 || spec.delay.count() % 1000 != 0) {
+          return std::nullopt;
+        }
+        return static_cast<std::uint64_t>(spec.delay.count() / 1000);
+    }
+    return std::nullopt;
+  };
+  // Returns the plan when `text` parsed, after checking that it round-trips
+  // through to_string and holds no negative scope or delay.
+  const auto parse_or_reject = [](const std::string& text) -> std::optional<FaultPlan> {
+    FaultPlan plan;
+    FaultPlan::ParseResult result;
+    EXPECT_NO_THROW(result = FaultPlan::parse(text, plan)) << text;
+    if (!result.ok) {
+      EXPECT_FALSE(result.error.empty()) << text;
+      EXPECT_TRUE(plan.empty()) << text;
+      return std::nullopt;
+    }
+    for (const faultsim::FaultSpec& spec : plan.specs()) {
+      EXPECT_GE(spec.nth, 1u) << text;
+      EXPECT_TRUE(spec.scope_kind == ScopeKind::kAny || spec.scope_id >= 0) << text;
+      EXPECT_GE(spec.delay.count(), 0) << text;
+    }
+    FaultPlan reparsed;
+    EXPECT_TRUE(FaultPlan::parse(plan.to_string(), reparsed).ok) << text;
+    EXPECT_EQ(reparsed.to_string(), plan.to_string()) << text;
+    return plan;
+  };
+
+  const std::string text = plan_text(numbers.size(), "");
+  ASSERT_EQ(parse_or_reject(text).value_or(FaultPlan{}).specs().size(), 4u);
+
+  for (std::size_t len = 0; len < text.size(); ++len) {
+    (void)parse_or_reject(text.substr(0, len));
+  }
+
+  const std::array<std::pair<std::string, std::optional<std::uint64_t>>, 3> extremes = {{
+      {"1099511627776", std::uint64_t{1} << 40},
+      {"-1", std::nullopt},
+      {"18446744073709551615", ~std::uint64_t{0}},
+  }};
+  for (std::size_t slot = 0; slot < slots.size(); ++slot) {
+    for (const auto& [number, value] : extremes) {
+      const std::string mutated = plan_text(slot, number);
+      const std::optional<FaultPlan> plan = parse_or_reject(mutated);
+      if (!plan.has_value()) {
+        continue;
+      }
+      ASSERT_TRUE(value.has_value()) << "accepted: " << mutated;
+      ASSERT_EQ(plan->specs().size(), 4u) << mutated;
+      EXPECT_EQ(field_value(plan->specs()[slots[slot].spec], slots[slot].field), value)
+          << "misread: " << mutated;
+    }
+  }
+
+  std::mt19937 rng(20261019);
+  for (std::size_t at = 0; at < text.size(); ++at) {
+    for (int flip = 0; flip < 4; ++flip) {
+      std::string mutated = text;
+      mutated[at] = static_cast<char>(mutated[at] ^ static_cast<char>(1 + rng() % 255));
+      (void)parse_or_reject(mutated);
+    }
   }
 }
 

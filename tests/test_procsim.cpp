@@ -430,6 +430,12 @@ capi::serde::RankPayload golden_payload() {
       obs::Diagnostic{"must.rank_failure", obs::Severity::kError, 0, "peer died", 123});
   in.sched_graph = "# cusan-execution-graph v1\nn 0 d 0:h waitany 0 2 1\n";
   in.sched_stats.decisions = 5;
+  faultsim::FiredFault fired;
+  fired.site = faultsim::Site::kSend;
+  fired.action = faultsim::Action::kStall;
+  fired.where.rank = 1;
+  fired.surfaced = faultsim::Channel::kDeadlockReport;
+  in.fired_faults.push_back(fired);
   return in;
 }
 
@@ -457,6 +463,12 @@ TEST(ResultSerdeTest, RoundTripsAllPayloadFields) {
   EXPECT_EQ(out.sched_graph, in.sched_graph);
   EXPECT_EQ(out.sched_stats.decisions, 5u);
   EXPECT_FALSE(out.sched_divergence.has_value());
+  ASSERT_EQ(out.fired_faults.size(), 1u);
+  EXPECT_EQ(out.fired_faults[0].site, faultsim::Site::kSend);
+  EXPECT_EQ(out.fired_faults[0].action, faultsim::Action::kStall);
+  EXPECT_EQ(out.fired_faults[0].where.rank, 1);
+  EXPECT_EQ(out.fired_faults[0].where.device, -1);
+  EXPECT_EQ(out.fired_faults[0].surfaced, faultsim::Channel::kDeadlockReport);
 
   // Truncated blobs are rejected, not misread.
   std::vector<std::byte> cut(blob.begin(), blob.begin() + static_cast<std::ptrdiff_t>(
@@ -473,22 +485,34 @@ TEST(ResultSerdeTest, EmptyElementsRoundTrip) {
   in.result.must_reports.resize(3);
   in.result.metrics[""] = 0;
   in.diagnostics.resize(3);
+  in.fired_faults.resize(3);
   capi::serde::RankPayload out;
   ASSERT_TRUE(capi::serde::decode(capi::serde::encode(in), &out));
   EXPECT_EQ(out.result.races.size(), 3u);
   EXPECT_EQ(out.result.must_reports.size(), 3u);
   EXPECT_EQ(out.result.metrics.size(), 1u);
   EXPECT_EQ(out.diagnostics.size(), 3u);
+  EXPECT_EQ(out.fired_faults.size(), 3u);
 }
 
 TEST(ResultSerdeTest, MutatedBlobsAreRejectedWithoutThrowing) {
   // The parent decodes whatever a rank left in its result segment: a
   // malformed blob must fail the decode (or yield some payload), never throw
-  // or allocate by a corrupt count.
+  // or allocate by a corrupt count; a fired fault it yields names a real
+  // site, action and channel.
   const std::vector<std::byte> blob = capi::serde::encode(golden_payload());
   const auto decodes_or_rejects = [](const std::vector<std::byte>& bytes) {
     capi::serde::RankPayload out;
-    EXPECT_NO_THROW((void)capi::serde::decode(bytes, &out));
+    bool decoded = false;
+    EXPECT_NO_THROW(decoded = capi::serde::decode(bytes, &out));
+    if (decoded) {
+      for (const faultsim::FiredFault& f : out.fired_faults) {
+        EXPECT_LE(static_cast<int>(f.site), static_cast<int>(faultsim::Site::kRankKill));
+        EXPECT_LE(static_cast<int>(f.action), static_cast<int>(faultsim::Action::kHang));
+        EXPECT_LE(static_cast<int>(f.surfaced),
+                  static_cast<int>(faultsim::Channel::kFailureReport));
+      }
+    }
   };
 
   for (std::size_t len = 0; len < blob.size(); ++len) {

@@ -418,11 +418,12 @@ TEST_P(KirPropertyP, ForwardingWrapperPreservesModesAndGrowthIsMonotone) {
 
 TEST_P(KirPropertyP, RandomCallGraphsConvergeAndAnalysesAgree) {
   // Random call graphs exercising recursion, multi-call-site merging and
-  // pointer params passed through unused. Both fixpoints must converge in a
-  // bounded number of iterations, and the byte-interval analysis must agree
-  // with the mode analysis direction-wise: a param has a non-empty read
-  // (write) interval set iff its mode reads (writes) — the interval pass is a
-  // refinement of the mode pass, never a relaxation.
+  // pointer params passed through unused, also at opaque offsets. All three
+  // fixpoints must converge in a bounded number of iterations, and both the
+  // byte-interval and the affine analysis must agree with the mode analysis
+  // direction-wise: a param has a non-empty read (write) set iff its mode
+  // reads (writes) — the refined passes are refinements of the mode pass,
+  // never relaxations.
   common::SplitMix64 rng(GetParam());
   kir::Module module;
   const std::size_t fn_count = 3 + rng.next_below(3);
@@ -435,7 +436,7 @@ TEST_P(KirPropertyP, RandomCallGraphsConvergeAndAnalysesAgree) {
     const int ops = 1 + static_cast<int>(rng.next_below(5));
     for (int i = 0; i < ops; ++i) {
       const auto p = static_cast<std::uint32_t>(rng.next_below(2));
-      switch (rng.next_below(4)) {
+      switch (rng.next_below(5)) {
         case 0: {  // bounded-index access (interval-precise)
           const auto lo = static_cast<std::int64_t>(rng.next_below(64));
           const auto hi = lo + static_cast<std::int64_t>(rng.next_below(64));
@@ -457,6 +458,13 @@ TEST_P(KirPropertyP, RandomCallGraphsConvergeAndAnalysesAgree) {
         case 3:  // narrow direct read at offset 0
           (void)fn->load(fn->gep(fn->param(p)), 4);
           break;
+        case 4: {  // call with a pointer at an opaque (⊤) offset: an arg the
+                   // callee never touches must stay untouched in the caller.
+          kir::Function* callee = fns[rng.next_below(fn_count)];
+          const auto q = static_cast<std::uint32_t>(rng.next_below(2));
+          (void)fn->call(callee, {fn->gep(fn->param(p), fn->constant()), fn->param(q)});
+          break;
+        }
       }
     }
     fn->ret();
@@ -465,17 +473,25 @@ TEST_P(KirPropertyP, RandomCallGraphsConvergeAndAnalysesAgree) {
 
   kir::AccessAnalysis modes(module);
   kir::IntervalAnalysis intervals(module);
+  kir::AffineAnalysis affine(module);
   EXPECT_LT(modes.iterations(), 64u);
   EXPECT_LT(intervals.iterations(), 64u);
+  EXPECT_LT(affine.iterations(), 64u);
   for (kir::Function* fn : fns) {
+    const auto proofs = affine.params(fn);
+    ASSERT_EQ(proofs.size(), 2u);
     for (std::uint32_t p = 0; p < 2; ++p) {
       const kir::AccessMode mode = modes.mode(fn, p);
       const kir::ParamIntervals* pi = intervals.param(fn, p);
       ASSERT_NE(pi, nullptr);
       EXPECT_EQ(kir::reads(mode), !pi->read.is_empty())
-          << "@" << fn->name() << " param " << p << " read disagreement";
+          << "@" << fn->name() << " param " << p << " interval read disagreement";
       EXPECT_EQ(kir::writes(mode), !pi->write.is_empty())
-          << "@" << fn->name() << " param " << p << " write disagreement";
+          << "@" << fn->name() << " param " << p << " interval write disagreement";
+      EXPECT_EQ(kir::reads(mode), !proofs[p].read.is_empty())
+          << "@" << fn->name() << " param " << p << " affine read disagreement";
+      EXPECT_EQ(kir::writes(mode), !proofs[p].write.is_empty())
+          << "@" << fn->name() << " param " << p << " affine write disagreement";
     }
   }
 }
