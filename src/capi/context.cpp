@@ -19,8 +19,10 @@ ToolContext::ToolContext(int rank, const ToolConfig& config, const cusim::Device
   CUSAN_ASSERT_MSG(!(config.cusan && !config.typeart), "CuSan requires TypeART");
 
   if (typedb == nullptr) {
-    owned_typedb_ = std::make_unique<typeart::TypeDB>();
-    typedb = owned_typedb_.get();
+    // The typeart runtimes only read it, so one immutable builtin-only DB
+    // serves every rank of every session.
+    static const typeart::TypeDB builtin;
+    typedb = &builtin;
   }
   for (int d = 0; d < device_count; ++d) {
     devices_.push_back(std::make_unique<cusim::Device>(profile, rank * device_count + d));
@@ -63,7 +65,7 @@ RankResult ToolContext::finalize() {
   if (tsan_) {
     result.races = tsan_->reports();
     result.shadow_bytes = tsan_->shadow_resident_bytes();
-    metrics_.set_gauge("rsan.shadow_bytes", result.shadow_bytes);
+    metrics_.slot("rsan.shadow_bytes").set(result.shadow_bytes);
   }
   if (must_) {
     result.must_reports = must_->reports();
@@ -75,8 +77,7 @@ RankResult ToolContext::finalize() {
     }
   }
   result.rss_peak_bytes = common::read_memstats().rss_peak_bytes;
-  result.metrics = metrics_.snapshot();
-  std::erase_if(result.metrics, [](const auto& entry) { return entry.second == 0; });
+  result.metrics = metrics_.counts();
   // Ranks sum up in the calling thread's registry; bench and tools diff its
   // snapshots around a session.
   obs::MetricsRegistry::instance().add(result.metrics);

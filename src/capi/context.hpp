@@ -20,9 +20,10 @@ struct RankResult {
   int rank{-1};
   std::vector<rsan::RaceReport> races;
   std::vector<must::MustReport> must_reports;
-  /// The rank's nonzero rsan.*, cusan.* and must.* counts (the paper's
-  /// per-process Table I statistics); read with obs::value_of.
-  obs::MetricsSnapshot metrics;
+  /// The rank's rsan.*, cusan.* and must.* counts (the paper's per-process
+  /// Table I statistics), slot by slot; read with `metrics["rsan.plain_reads"]`
+  /// or obs::value_of.
+  obs::MetricCounts metrics;
   std::size_t shadow_bytes{};        ///< rsan shadow memory resident at finalize
   std::size_t device_live_bytes{};   ///< simulated device memory still allocated
   std::size_t rss_peak_bytes{};      ///< process peak RSS at finalize (shared across ranks)
@@ -34,8 +35,8 @@ struct RankResult {
 
 class ToolContext {
  public:
-  /// `typedb` must outlive the context; pass nullptr to use a private DB with
-  /// builtins only.
+  /// `typedb` must outlive the context; pass nullptr to use the process's
+  /// builtin-only DB.
   /// `device_count` simulated GPUs are created per rank (multi-GPU nodes);
   /// device 0 is current initially (cudaSetDevice analog: set_device).
   ToolContext(int rank, const ToolConfig& config, const cusim::DeviceProfile& profile,
@@ -64,10 +65,10 @@ class ToolContext {
   [[nodiscard]] cusan::Runtime* cusan_rt() { return cusan_.get(); }
   [[nodiscard]] must::Runtime* must_rt() { return must_.get(); }
 
-  /// Run finalize-time checks (MUST request-leak detection) and snapshot all
+  /// Run finalize-time checks (MUST request-leak detection) and collect all
   /// tool state into a RankResult — the MPI_Finalize hook of the tool stack.
-  /// The rank's counts are added once into the calling thread's registry
-  /// (the session's, or the global one).
+  /// The rank's counts are added once, slot by slot, into the calling
+  /// thread's registry (the session's, or the global one).
   [[nodiscard]] RankResult finalize();
 
   /// The context bound to the calling thread (nullptr outside a rank).
@@ -88,7 +89,6 @@ class ToolContext {
  private:
   int rank_;
   ToolConfig config_;
-  std::unique_ptr<typeart::TypeDB> owned_typedb_;  ///< when caller passed nullptr
   std::vector<std::unique_ptr<cusim::Device>> devices_;
   int current_device_{0};
   obs::MetricsRegistry metrics_;  ///< declared before the runtimes holding handles on it

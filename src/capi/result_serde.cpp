@@ -119,6 +119,26 @@ bool read_metrics(Reader& r, obs::MetricsSnapshot* out) {
   return true;
 }
 
+/// A rank's flat counts travel name-keyed, like the deltas: schema names land
+/// in their slots (listed when zero, so the key survives), others in `extra`.
+bool read_counts(Reader& r, obs::MetricCounts* out) {
+  obs::MetricsSnapshot named;
+  if (!read_metrics(r, &named)) {
+    return false;
+  }
+  for (auto& [name, value] : named) {
+    if (const std::optional<obs::MetricId> id = obs::MetricId::find(name)) {
+      (*out)[*id] = value;
+      if (value == 0) {
+        out->listed.set(id->index());
+      }
+    } else {
+      out->extra.emplace(name, value);
+    }
+  }
+  return true;
+}
+
 void write_access(Writer& w, const rsan::RaceAccess& a) {
   w.u32(a.ctx);
   w.u8(static_cast<std::uint8_t>(a.kind));
@@ -158,7 +178,7 @@ std::vector<std::byte> encode(const RankPayload& payload) {
     w.str(report.mpi_call);
     w.str(report.detail);
   }
-  write_metrics(w, res.metrics);
+  write_metrics(w, res.metrics.snapshot());
   w.u64(res.shadow_bytes);
   w.u64(res.device_live_bytes);
   w.u64(res.rss_peak_bytes);
@@ -233,7 +253,7 @@ bool decode(std::span<const std::byte> bytes, RankPayload* out) {
   std::uint64_t device_live = 0;
   std::uint64_t rss = 0;
   std::uint64_t sticky = 0;
-  if (!read_metrics(r, &res.metrics) || !r.u64(&shadow) || !r.u64(&device_live) ||
+  if (!read_counts(r, &res.metrics) || !r.u64(&shadow) || !r.u64(&device_live) ||
       !r.u64(&rss) || !r.u64(&sticky)) {
     return false;
   }

@@ -137,10 +137,10 @@ std::vector<RankResult> run_session(const SessionConfig& config, const RankMain&
     // diagnostics are the parent's own entries: drop them, so what the rank
     // emits is exactly what the store retains (an offset into a store
     // already at its cap would never move).
-    obs::MetricsSnapshot metrics_base;
+    obs::MetricCounts metrics_base;
     std::size_t fired_base = 0;
     if (proc) {
-      metrics_base = obs::MetricsRegistry::instance().snapshot();
+      metrics_base = obs::MetricsRegistry::instance().counts();
       obs::clear_diagnostics();
       fired_base = faultsim::Injector::instance().fired_count();
     }
@@ -157,8 +157,8 @@ std::vector<RankResult> run_session(const SessionConfig& config, const RankMain&
     }
     serde::RankPayload payload;
     payload.result = ctx.finalize();
-    payload.metric_deltas = obs::MetricsRegistry::diff(
-        obs::MetricsRegistry::instance().snapshot(), metrics_base);
+    payload.metric_deltas =
+        obs::MetricsRegistry::diff(obs::MetricsRegistry::instance().counts(), metrics_base);
     payload.diagnostics = obs::diagnostics();
     std::vector<faultsim::FiredFault> fired = faultsim::Injector::instance().fired_log();
     if (fired.size() > fired_base) {

@@ -152,52 +152,6 @@ class Runtime {
   [[nodiscard]] std::size_t device_count() const { return devices_.size(); }
 
  private:
-  /// Handles on the cusan.* counters of the registry passed at construction.
-  struct Metrics {
-    explicit Metrics(obs::MetricsRegistry& r) : registry(r) {}
-    obs::MetricsRegistry& registry;
-    /// User streams + default stream on first use.
-    obs::Counter& streams_created = registry.counter("cusan.streams_created");
-    obs::Counter& events_created = registry.counter("cusan.events_created");
-    obs::Counter& event_records = registry.counter("cusan.event_records");
-    /// Memset + memsetAsync.
-    obs::Counter& memsets = registry.counter("cusan.memsets");
-    /// Memcpy + memcpyAsync.
-    obs::Counter& memcpys = registry.counter("cusan.memcpys");
-    /// Device/stream/event synchronize + successful queries + streamWaitEvent.
-    obs::Counter& sync_calls = registry.counter("cusan.sync_calls");
-    obs::Counter& kernel_launches = registry.counter("cusan.kernel_launches");
-    /// cudaMemPrefetchAsync hints.
-    obs::Counter& prefetches = registry.counter("cusan.prefetches");
-    /// cudaLaunchHostFunc callbacks.
-    obs::Counter& host_funcs = registry.counter("cusan.host_funcs");
-    /// Semantic happens-before arcs started by CuSan.
-    obs::Counter& hb_before = registry.counter("cusan.hb_before");
-    /// Semantic happens-before arcs terminated by CuSan.
-    obs::Counter& hb_after = registry.counter("cusan.hb_after");
-    /// Pointer args with no TypeART allocation info.
-    obs::Counter& unknown_kernel_args = registry.counter("cusan.unknown_kernel_args");
-    /// Args annotated via bounded byte intervals.
-    obs::Counter& interval_kernel_args = registry.counter("cusan.interval_kernel_args");
-    /// Args annotated whole-allocation (⊤ fallback).
-    obs::Counter& whole_range_kernel_args = registry.counter("cusan.whole_range_kernel_args");
-    /// Bytes covered by interval annotations.
-    obs::Counter& interval_bytes_annotated = registry.counter("cusan.interval_bytes_annotated");
-    /// Allocation bytes skipped thanks to intervals.
-    obs::Counter& interval_bytes_elided = registry.counter("cusan.interval_bytes_elided");
-    /// rsan range calls issued for kernel arguments.
-    obs::Counter& kernel_annotation_calls = registry.counter("cusan.kernel_annotation_calls");
-    // Prove-and-elide (CUSAN_PROVE_ELIDE; all zero when off).
-    /// Launches with at least one elided argument.
-    obs::Counter& proof_elided_launches = registry.counter("cusan.proof_elided_launches");
-    /// Arguments elided via an affine proof.
-    obs::Counter& proof_elided_args = registry.counter("cusan.proof_elided_args");
-    /// Bytes covered by elided annotations.
-    obs::Counter& proof_elided_bytes = registry.counter("cusan.proof_elided_bytes");
-    /// Proofs voided by aliasing pointer arguments.
-    obs::Counter& proof_alias_rejects = registry.counter("cusan.proof_alias_rejects");
-  };
-
   struct StreamState {
     rsan::CtxId fiber{rsan::kInvalidCtx};
     const cusim::Device* device{nullptr};
@@ -272,7 +226,7 @@ class Runtime {
   typeart::Runtime* types_;
   std::vector<const cusim::Device*> devices_;
   Config config_;
-  Metrics metrics_;
+  obs::MetricsRegistry& metrics_;  ///< cusan.* slots (obs/metric_schema.hpp)
   std::unordered_map<const cusim::Stream*, StreamState> streams_;
   std::unordered_map<const cusim::Event*, EventState> events_;
   std::unordered_map<const cusim::Device*, StreamState*> default_states_;

@@ -84,9 +84,9 @@ Injector& Injector::global() {
 }
 
 void Injector::register_ledger_provider(obs::MetricsRegistry& registry) {
-  registry.register_provider("faultsim.ledger", [this](obs::MetricsSnapshot& snapshot) {
-    snapshot["faultsim.ledger_fired"] = fired_count();
-    snapshot["faultsim.ledger_unsurfaced"] = unsurfaced_count();
+  registry.register_provider("faultsim.ledger", [this](obs::MetricCounts& counts) {
+    counts.set("faultsim.ledger_fired", fired_count());
+    counts.set("faultsim.ledger_unsurfaced", unsurfaced_count());
   });
 }
 
@@ -177,7 +177,7 @@ std::optional<Fired> Injector::probe(Site site, const SiteContext& where) {
     fired_.push_back(entry);
     const auto delay = spec.delay;
     lock.unlock();  // obs fan-out below must not run under the probe mutex
-    obs::metric("faultsim.faults_fired").increment();
+    obs::count("faultsim.faults_fired");
     obs::emit_diagnostic(obs::Diagnostic{
         "faultsim.fault_fired", obs::Severity::kWarning, where.rank,
         common::format("fault #{} {} at {} (device {}, stream {})", entry.id,

@@ -251,7 +251,7 @@ class ThreadCommImpl final : public CommImpl {
   class MailboxLock {
    public:
     explicit MailboxLock(Shard& shard) : lock_(shard.mutex) {
-      detail::bump(*detail::contention_counters().mailbox_locks);
+      detail::contention("mpisim.mailbox_locks").increment();
     }
 
    private:
@@ -354,7 +354,7 @@ class ThreadCommImpl final : public CommImpl {
         // different condition (e.g. an unexpected message this rank's recv
         // doesn't match). With the old notify_all engine this was the norm;
         // now it is the exception the counter makes visible.
-        detail::bump(*detail::contention_counters().wakeups_spurious);
+        detail::contention("mpisim.wakeups_spurious").increment();
       }
       if (tracker_->deadlocked()) {
         result = MpiError::kDeadlock;
@@ -485,7 +485,7 @@ MpiError consult_fault(CommImpl* impl, int rank, faultsim::Site site, const char
 
 /// Count an internal collective-tree message (instrumentation only).
 void count_collective_message() {
-  detail::bump(*detail::contention_counters().collective_messages);
+  detail::contention("mpisim.collective_messages").increment();
 }
 
 }  // namespace

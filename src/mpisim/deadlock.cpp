@@ -143,7 +143,7 @@ bool ProgressTracker::try_declare(std::uint64_t progress_snapshot) {
             [](const BlockedOp& a, const BlockedOp& b) { return a.rank < b.rank; });
   report_ = std::move(report);
   deadlocked_.store(true, std::memory_order_release);
-  obs::metric("mpisim.deadlocks_declared").increment();
+  obs::count("mpisim.deadlocks_declared");
   obs::emit_diagnostic(obs::Diagnostic{"mpisim.deadlock", obs::Severity::kError,
                                        /*rank=*/-1, report_.to_string(), 0});
   return true;

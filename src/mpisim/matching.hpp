@@ -107,7 +107,7 @@ class Mailbox {
       // but the epoch order *across* senders is a timing artifact, exactly
       // the nondeterminism a wildcard receive observes. So when the schedule
       // controller is armed it picks among the channel heads.
-      detail::bump(*detail::contention_counters().any_source_scans);
+      detail::contention("mpisim.any_source_scans").increment();
       match = schedsim::Controller::armed() ? choose_head(rank, tag) : find(source, tag);
     }
     if (match.queue == nullptr) {
@@ -133,7 +133,7 @@ class Mailbox {
   /// candidate without asking the schedule controller.
   [[nodiscard]] std::optional<Status> peek(int source, int tag) {
     if (source == kAnySource) {
-      detail::bump(*detail::contention_counters().any_source_scans);
+      detail::contention("mpisim.any_source_scans").increment();
     }
     const Match match = find(source, tag);
     if (match.queue == nullptr) {

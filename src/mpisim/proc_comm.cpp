@@ -152,7 +152,7 @@ class ProcTransport {
       hdr.kind = shmring::RecordKind::kMessage;
       send_scratch_.resize(payload_bytes);
       type.pack(buf, count, send_scratch_.data());
-      detail::bump(*detail::proc_contention_counters().eager_msgs);
+      detail::proc_transport("mpisim.proc.eager_msgs").increment();
       return publish_blocking(dest, tag, hdr, sig_bytes, send_scratch_);
     }
 
@@ -175,7 +175,7 @@ class ProcTransport {
     }
     std::vector<std::byte> name_body(rv_name.size() + 1);
     std::memcpy(name_body.data(), rv_name.c_str(), rv_name.size() + 1);
-    detail::bump(*detail::proc_contention_counters().rendezvous_msgs);
+    detail::proc_transport("mpisim.proc.rendezvous_msgs").increment();
     const MpiError err = publish_blocking(dest, tag, hdr, {}, name_body);
     if (err != MpiError::kSuccess) {
       seg.unlink();  // never published; reclaim the name now
@@ -496,7 +496,7 @@ class ProcTransport {
       note_progress();
       return MpiError::kSuccess;
     }
-    detail::bump(*detail::proc_contention_counters().ring_full_backoffs);
+    detail::proc_transport("mpisim.proc.ring_full_backoffs").increment();
     stamp_blocked(current_op_label("MPI_Send"), dest, tag, hdr.comm_id,
                   /*active=*/true, /*soft=*/false);
     MpiError result = MpiError::kSuccess;
@@ -514,7 +514,7 @@ class ProcTransport {
           layout_.slot(base_, dest)->state.load(std::memory_order_acquire);
       if (dest_state == shmlayout::RankState::kExited ||
           dest_state == shmlayout::RankState::kAppError) {
-        detail::bump(*detail::proc_contention_counters().sends_dropped_dead);
+        detail::proc_transport("mpisim.proc.sends_dropped_dead").increment();
         break;  // destination gone for good: the message can never be drained
       }
       poll_backoff(round);

@@ -284,7 +284,7 @@ void Supervisor::declare_failure(int rank, FailureKind kind, int signal, int exi
   }
 
   failure_ = report;
-  obs::metric("mpisim.proc.rank_failures").increment();
+  obs::count("mpisim.proc.rank_failures");
   obs::emit_diagnostic(obs::Diagnostic{"mpisim.rank_failure", obs::Severity::kError, rank,
                                        report.to_string(), 0});
 }
@@ -395,7 +395,7 @@ void Supervisor::check_deadlock() {
                                             std::memory_order_release);
   poisoned_at_ns_ = common::now_ns();
   deadlock_ = std::move(report);
-  obs::metric("mpisim.deadlocks_declared").increment();
+  obs::count("mpisim.deadlocks_declared");
   obs::emit_diagnostic(obs::Diagnostic{"mpisim.deadlock", obs::Severity::kError,
                                        /*rank=*/-1, deadlock_.to_string(), 0});
 }
@@ -414,7 +414,7 @@ void Supervisor::backstop_after_poison() {
     if (!child.reaped && !child.backstop_kill) {
       child.backstop_kill = true;
       ::kill(child.pid, SIGKILL);
-      obs::metric("mpisim.proc.backstop_kills").increment();
+      obs::count("mpisim.proc.backstop_kills");
     }
   }
 }

@@ -56,7 +56,7 @@ class WaiterSlot {
       wake = parked_;
     }
     if (wake) {
-      detail::bump(*detail::contention_counters().wakeups_delivered);
+      detail::contention("mpisim.wakeups_delivered").increment();
       cv_.notify_one();  // at most one thread (the owning rank) ever parks here
     }
   }
@@ -114,7 +114,7 @@ class WaiterHub {
     for (auto& slot : slots_) {
       wake_slot(*slot);
     }
-    detail::bump(*detail::contention_counters().wakeups_broadcast, slots_.size());
+    detail::contention("mpisim.wakeups_broadcast").add(slots_.size());
   }
 
  private:

@@ -102,7 +102,7 @@ class Runtime {
   void on_complete(const mpisim::Request* request);
 
   /// MPI_Probe / MPI_Iprobe: envelope-only, no buffer semantics.
-  void on_probe() { metrics_.calls_intercepted.increment(); }
+  void on_probe() { metrics_.slot("must.calls_intercepted").increment(); }
 
   /// The mpisim progress watchdog declared a deadlock and a blocking call on
   /// this rank returned MPI_ERR_DEADLOCK. Emits one structured report per
@@ -141,21 +141,6 @@ class Runtime {
   void clear_reports() { reports_.clear(); }
 
  private:
-  /// Handles on the must.* counters of the registry passed at construction.
-  struct Metrics {
-    explicit Metrics(obs::MetricsRegistry& r) : registry(r) {}
-    obs::MetricsRegistry& registry;
-    obs::Counter& calls_intercepted = registry.counter("must.calls_intercepted");
-    obs::Counter& request_fibers_created = registry.counter("must.request_fibers_created");
-    obs::Counter& request_fibers_reused = registry.counter("must.request_fibers_reused");
-    obs::Counter& type_checks = registry.counter("must.type_checks");
-    obs::Counter& type_errors = registry.counter("must.type_errors");
-    obs::Counter& request_leaks = registry.counter("must.request_leaks");
-    obs::Counter& signature_mismatches = registry.counter("must.signature_mismatches");
-    obs::Counter& deadlocks_reported = registry.counter("must.deadlocks_reported");
-    obs::Counter& rank_failures_reported = registry.counter("must.rank_failures_reported");
-  };
-
   struct PendingRequest {
     rsan::CtxId fiber{rsan::kInvalidCtx};
     char key{};  ///< request's HB sync object... address-stable via node map
@@ -173,7 +158,7 @@ class Runtime {
   rsan::Runtime* tsan_;
   typeart::Runtime* types_;
   Config config_;
-  Metrics metrics_;
+  obs::MetricsRegistry& metrics_;  ///< must.* slots (obs/metric_schema.hpp)
   std::vector<MustReport> reports_;
   std::unordered_map<const mpisim::Request*, PendingRequest> pending_;
   std::vector<rsan::CtxId> fiber_pool_;

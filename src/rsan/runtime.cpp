@@ -142,7 +142,7 @@ void Runtime::switch_to_fiber(CtxId id) {
   CUSAN_ASSERT(id < contexts_.size());
   CUSAN_ASSERT_MSG(contexts_[id]->info.alive, "switch to destroyed fiber");
   if (id != current_) {
-    metrics_.fiber_switches.increment();
+    metrics_.slot("rsan.fiber_switches").increment();
     current_ = id;
   }
 }
@@ -153,7 +153,7 @@ const ContextInfo& Runtime::context(CtxId id) const {
 }
 
 void Runtime::happens_before(const void* key) {
-  metrics_.hb_before.increment();
+  metrics_.slot("rsan.hb_before").increment();
   Context& cur = *contexts_[current_];
   auto& clock = sync_objects_[reinterpret_cast<std::uintptr_t>(key)];
   clock.join(cur.clock);
@@ -164,7 +164,7 @@ void Runtime::happens_before(const void* key) {
 }
 
 void Runtime::happens_after(const void* key) {
-  metrics_.hb_after.increment();
+  metrics_.slot("rsan.hb_after").increment();
   const auto it = sync_objects_.find(reinterpret_cast<std::uintptr_t>(key));
   if (it == sync_objects_.end()) {
     return;  // acquiring a never-released object is a no-op (TSan semantics)
@@ -190,24 +190,24 @@ void Runtime::release_sync_object(const void* key) {
 }
 
 void Runtime::read_range(const void* addr, std::size_t size, const char* label) {
-  metrics_.read_range_calls.increment();
-  metrics_.read_range_bytes.add(size);
+  metrics_.slot("rsan.read_range_calls").increment();
+  metrics_.slot("rsan.read_range_bytes").add(size);
   access_range(addr, size, /*is_write=*/false, label);
 }
 
 void Runtime::write_range(const void* addr, std::size_t size, const char* label) {
-  metrics_.write_range_calls.increment();
-  metrics_.write_range_bytes.add(size);
+  metrics_.slot("rsan.write_range_calls").increment();
+  metrics_.slot("rsan.write_range_bytes").add(size);
   access_range(addr, size, /*is_write=*/true, label);
 }
 
 void Runtime::plain_read(const void* addr, std::size_t size) {
-  metrics_.plain_reads.increment();
+  metrics_.slot("rsan.plain_reads").increment();
   access_range(addr, size, /*is_write=*/false, nullptr);
 }
 
 void Runtime::plain_write(const void* addr, std::size_t size) {
-  metrics_.plain_writes.increment();
+  metrics_.slot("rsan.plain_writes").increment();
   access_range(addr, size, /*is_write=*/true, nullptr);
 }
 
@@ -232,11 +232,11 @@ void Runtime::proven_range(const void* addr, std::size_t size, bool is_write, co
   }
   Context& cur = *contexts_[current_];
   if (cur.ignore_depth > 0) {
-    metrics_.ignored_accesses.increment();
+    metrics_.slot("rsan.ignored_accesses").increment();
     return;
   }
-  metrics_.proven_range_calls.increment();
-  metrics_.proven_bytes.add(size);
+  metrics_.slot("rsan.proven_range_calls").increment();
+  metrics_.slot("rsan.proven_bytes").add(size);
   const std::uint64_t cur_clock = cur.clock.get(current_);
   const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(addr);
   record_history(cur, base, size, is_write, label, cur_clock);
@@ -367,7 +367,7 @@ void Runtime::access_range(const void* addr, std::size_t size, bool is_write, co
   }
   Context& cur = *contexts_[current_];
   if (cur.ignore_depth > 0) {
-    metrics_.ignored_accesses.increment();
+    metrics_.slot("rsan.ignored_accesses").increment();
     return;
   }
   const std::uint64_t cur_clock = cur.clock.get(current_);
@@ -406,7 +406,7 @@ void Runtime::access_range(const void* addr, std::size_t size, bool is_write, co
   check_regions(access);
 
   if (degraded) {
-    metrics_.degraded_accesses.increment();
+    metrics_.slot("rsan.degraded_accesses").increment();
   }
   flush_tally();
 }
@@ -540,16 +540,16 @@ void Runtime::flush_tally() {
       n = 0;
     }
   };
-  flush(tally_.fastpath_block_hits, metrics_.fastpath_block_hits);
-  flush(tally_.fastpath_block_misses, metrics_.fastpath_block_misses);
-  flush(tally_.fastpath_granules_elided, metrics_.fastpath_granules_elided);
-  flush(tally_.degraded_blocks, metrics_.degraded_blocks);
-  flush(tally_.proven_scan_blocks, metrics_.proven_scan_blocks);
-  flush(tally_.proven_block_skips, metrics_.proven_block_skips);
-  flush(tally_.region_checks, metrics_.region_checks);
-  flush(tally_.slot_evictions, metrics_.slot_evictions);
+  flush(tally_.fastpath_block_hits, metrics_.slot("rsan.fastpath_block_hits"));
+  flush(tally_.fastpath_block_misses, metrics_.slot("rsan.fastpath_block_misses"));
+  flush(tally_.fastpath_granules_elided, metrics_.slot("rsan.fastpath_granules_elided"));
+  flush(tally_.degraded_blocks, metrics_.slot("rsan.degraded_blocks"));
+  flush(tally_.proven_scan_blocks, metrics_.slot("rsan.proven_scan_blocks"));
+  flush(tally_.proven_block_skips, metrics_.slot("rsan.proven_block_skips"));
+  flush(tally_.region_checks, metrics_.slot("rsan.region_checks"));
+  flush(tally_.slot_evictions, metrics_.slot("rsan.slot_evictions"));
   if (shadow_.cell_pages() != cell_pages_counted_) {
-    metrics_.cell_pages.add(shadow_.cell_pages() - cell_pages_counted_);
+    metrics_.slot("rsan.cell_pages").add(shadow_.cell_pages() - cell_pages_counted_);
     cell_pages_counted_ = shadow_.cell_pages();
   }
 }
@@ -599,10 +599,10 @@ void Runtime::report_race(std::uintptr_t addr, std::size_t access_size, bool cur
   }
 
   if (!suppressions_.empty() && suppressions_.matches(report)) {
-    metrics_.races_suppressed.increment();
+    metrics_.slot("rsan.races_suppressed").increment();
     return;
   }
-  metrics_.races_detected.increment();
+  metrics_.slot("rsan.races_detected").increment();
 
   // Dedupe by (unordered context pair, page) so one bad kernel/MPI pairing
   // produces a single report per buffer region rather than millions per

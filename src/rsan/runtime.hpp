@@ -171,58 +171,6 @@ class Runtime {
   [[nodiscard]] const SuppressionList& suppressions() const { return suppressions_; }
 
  private:
-  /// Handles on the rsan.* counters of the registry passed at construction.
-  struct Metrics {
-    explicit Metrics(obs::MetricsRegistry& r) : registry(r) {}
-    obs::MetricsRegistry& registry;
-    obs::Counter& fiber_switches = registry.counter("rsan.fiber_switches");
-    /// AnnotateHappensBefore (release) calls.
-    obs::Counter& hb_before = registry.counter("rsan.hb_before");
-    /// AnnotateHappensAfter (acquire) calls.
-    obs::Counter& hb_after = registry.counter("rsan.hb_after");
-    obs::Counter& read_range_calls = registry.counter("rsan.read_range_calls");
-    obs::Counter& write_range_calls = registry.counter("rsan.write_range_calls");
-    obs::Counter& read_range_bytes = registry.counter("rsan.read_range_bytes");
-    obs::Counter& write_range_bytes = registry.counter("rsan.write_range_bytes");
-    /// Single-access instrumentation (TSan pass analog).
-    obs::Counter& plain_reads = registry.counter("rsan.plain_reads");
-    obs::Counter& plain_writes = registry.counter("rsan.plain_writes");
-    /// Race events (at most one per range call).
-    obs::Counter& races_detected = registry.counter("rsan.races_detected");
-    /// Race events silenced by a suppression.
-    obs::Counter& races_suppressed = registry.counter("rsan.races_suppressed");
-    /// Accesses skipped inside ignore scopes.
-    obs::Counter& ignored_accesses = registry.counter("rsan.ignored_accesses");
-    // Shadow fast path (all zero when use_shadow_fast_path is false).
-    /// Block segments decided on their block's uniform runs alone.
-    obs::Counter& fastpath_block_hits = registry.counter("rsan.fastpath_block_hits");
-    /// Block segments with at least one granule on the per-granule scan.
-    obs::Counter& fastpath_block_misses = registry.counter("rsan.fastpath_block_misses");
-    /// Granule scans skipped by deciding on a run's cells.
-    obs::Counter& fastpath_granules_elided = registry.counter("rsan.fastpath_granules_elided");
-    // Degradation under shadow_max_bytes (zero when no cap is hit).
-    /// Block segments untracked (budget denied allocation).
-    obs::Counter& degraded_blocks = registry.counter("rsan.degraded_blocks");
-    /// Range calls with at least one untracked segment.
-    obs::Counter& degraded_accesses = registry.counter("rsan.degraded_accesses");
-    // Prove-and-elide (all zero when CUSAN_PROVE_ELIDE is off).
-    obs::Counter& proven_range_calls = registry.counter("rsan.proven_range_calls");
-    obs::Counter& proven_bytes = registry.counter("rsan.proven_bytes");
-    /// Resident blocks scanned check-only.
-    obs::Counter& proven_scan_blocks = registry.counter("rsan.proven_scan_blocks");
-    /// Never-touched blocks skipped in O(1).
-    obs::Counter& proven_block_skips = registry.counter("rsan.proven_block_skips");
-    /// Access-vs-proven-region overlap checks.
-    obs::Counter& region_checks = registry.counter("rsan.region_checks");
-    /// Granules whose stalest epoch was dropped to make room for a new store
-    /// (all four slots valid, none subsumable). Nonzero means the cell array
-    /// may have forgotten a conflicting epoch, which is why the prove-elide
-    /// differential oracle keys its strictness on it.
-    obs::Counter& slot_evictions = registry.counter("rsan.slot_evictions");
-    /// Raw-cell pages allocated (one per 128 granules first written).
-    obs::Counter& cell_pages = registry.counter("rsan.cell_pages");
-  };
-
   /// Per-block and per-granule events of one range call, summed here and
   /// added to the metrics once when the call ends (flush_tally).
   struct Tally {
@@ -311,7 +259,7 @@ class Runtime {
   CtxId current_{kInvalidCtx};
   ShadowMemory shadow_;
   std::unordered_map<std::uintptr_t, VectorClock> sync_objects_;
-  Metrics metrics_;
+  obs::MetricsRegistry& metrics_;  ///< rsan.* slots (obs/metric_schema.hpp)
   Tally tally_;
   /// shadow_.cell_pages() when flush_tally() last added to rsan.cell_pages.
   std::size_t cell_pages_counted_{0};

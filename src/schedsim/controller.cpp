@@ -47,27 +47,13 @@ namespace {
   return ok;
 }
 
-/// Cached counter handles, re-resolved when the calling thread's current
-/// registry changes (session-scoped runs): a plain function-local static
-/// would pin the handle to whichever registry was current first and bleed
-/// counts across sessions.
-struct SchedCounters {
-  obs::MetricsRegistry* owner{nullptr};
-  obs::Counter* decisions{nullptr};
-  obs::Counter* underruns{nullptr};
-  obs::Counter* divergences{nullptr};
-};
+/// The controller's counters, in the calling thread's registry (the
+/// session's under svc scoping), listed together from the first one bumped.
+constexpr obs::MetricId kSchedCounters[] = {"sched.decisions", "sched.replay_underruns",
+                                            "sched.divergences"};
 
-[[nodiscard]] SchedCounters& sched_counters() {
-  thread_local SchedCounters cache;
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
-  if (cache.owner != &registry) {
-    cache.owner = &registry;
-    cache.decisions = &registry.counter("sched.decisions");
-    cache.underruns = &registry.counter("sched.replay_underruns");
-    cache.divergences = &registry.counter("sched.divergences");
-  }
-  return cache;
+void count_sched(obs::MetricId id) {
+  obs::MetricsRegistry::instance().group_slot(kSchedCounters, id).increment();
 }
 
 }  // namespace
@@ -208,7 +194,7 @@ int Controller::choose(Site site, int rank, int candidates, int default_index) {
           // time). Counted, not a divergence — the recording still pins
           // every decision it covers.
           ++stats_.underruns;
-          sched_counters().underruns->add(1);
+          count_sched("sched.replay_underruns");
           break;
         }
         const TraceEntry& entry = replay_[(*slice)[st.cursor]];
@@ -217,7 +203,7 @@ int Controller::choose(Site site, int rank, int candidates, int default_index) {
           ++stats_.divergences;
           if (!divergence_.has_value()) {
             divergence_ = Divergence{rank, entry.seq, site, entry.candidates, candidates};
-            sched_counters().divergences->add(1);
+            count_sched("sched.divergences");
             obs::emit_diagnostic({"sched.divergence", obs::Severity::kError, rank,
                                   divergence_->to_string(), 0});
           }
@@ -235,7 +221,7 @@ int Controller::choose(Site site, int rank, int candidates, int default_index) {
       GraphRecorder::instance().record_decision(rank, site, seq, candidates, chosen);
     }
   }
-  sched_counters().decisions->add(1);
+  count_sched("sched.decisions");
   if (obs::tracing_enabled()) {
     obs::emit_instant(rank, obs::EventKind::kSchedule, obs::kHostTrack, to_string(site),
                       (seq << 16) | (static_cast<std::uint64_t>(candidates) << 8) |

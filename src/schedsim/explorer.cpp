@@ -127,12 +127,13 @@ std::vector<Execution> Explorer::explore(Controller& controller, const RunFn& ru
 }
 
 void Explorer::publish_metrics() const {
-  obs::metric("sched.dpor_executions").add(stats_.executions);
-  obs::metric("sched.dpor_backtracks").add(stats_.backtrack_points);
-  obs::metric("sched.dpor_sleep_prunes").add(stats_.sleep_prunes);
-  obs::metric("sched.dpor_redundant").add(stats_.redundant);
-  obs::metric("sched.dpor_graph_nodes").add(stats_.graph_nodes);
-  obs::metric("sched.dpor_graph_edges").add(stats_.graph_edges);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
+  registry.add("sched.dpor_executions", stats_.executions);
+  registry.add("sched.dpor_backtracks", stats_.backtrack_points);
+  registry.add("sched.dpor_sleep_prunes", stats_.sleep_prunes);
+  registry.add("sched.dpor_redundant", stats_.redundant);
+  registry.add("sched.dpor_graph_nodes", stats_.graph_nodes);
+  registry.add("sched.dpor_graph_edges", stats_.graph_edges);
 }
 
 }  // namespace schedsim

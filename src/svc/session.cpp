@@ -44,7 +44,7 @@ SessionResult Session::run() {
     return result;
   }
 
-  const obs::MetricsSnapshot baseline = metrics_.snapshot();
+  const obs::MetricCounts baseline = metrics_.counts();
   const std::uint64_t start_ns = common::now_ns();
   try {
     spec_.body();
@@ -56,7 +56,8 @@ SessionResult Session::run() {
   }
   result.duration_ns = common::now_ns() - start_ns;
 
-  result.metric_deltas = obs::MetricsRegistry::diff(metrics_.snapshot(), baseline);
+  // The one name-keyed map of the session: built here, from two flat values.
+  result.metric_deltas = obs::MetricsRegistry::diff(metrics_.counts(), baseline);
   result.diagnostics = hub_.retained();
   result.fired_faults = injector_.fired_log();
   result.sched_stats = controller_.stats();

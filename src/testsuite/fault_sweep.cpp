@@ -100,9 +100,11 @@ using faultsim::Site;
 }
 
 /// One rank_kill spec: a concrete rank (0/1 always exist), one of the three
-/// death modes, aimed at an early MPI operation so the kill lands while the
-/// victim's peers are still mid-conversation. No period: a killed process
-/// cannot die twice, and the supervisor declares first-failure only.
+/// death modes, aimed at the victim's first posted MPI operation: every
+/// corpus rank posts exactly one, so a later #n would never fire, and the
+/// first one still lands while the victim's peers are mid-conversation. No
+/// period: a killed process cannot die twice, and the supervisor declares
+/// first-failure only.
 [[nodiscard]] faultsim::FaultSpec random_kill_spec(common::SplitMix64& rng) {
   faultsim::FaultSpec spec;
   spec.site = Site::kRankKill;
@@ -119,7 +121,7 @@ using faultsim::Site;
       spec.action = Action::kHang;
       break;
   }
-  spec.nth = 1 + rng.next_below(4);
+  spec.nth = 1;
   return spec;
 }
 

@@ -170,7 +170,7 @@ TEST_F(ObsMetricsTest, SnapshotIncludesMemstatsProvider) {
 
 TEST_F(ObsMetricsTest, JsonExportIsValidAndFlat) {
   obs::metric("test_obs.json_counter").add(3);
-  obs::MetricsRegistry::instance().set_gauge("test_obs.json_gauge", 42);
+  obs::metric("test_obs.json_gauge").set(42);
   const auto snapshot = obs::MetricsRegistry::instance().snapshot();
   const std::string json = obs::MetricsRegistry::to_json(snapshot);
   std::string error;
@@ -182,14 +182,14 @@ TEST_F(ObsMetricsTest, JsonExportIsValidAndFlat) {
 
 TEST_F(ObsMetricsTest, ProvidersRunAtSnapshotTime) {
   obs::MetricsRegistry::instance().register_provider(
-      "test_obs.provider", [](obs::MetricsSnapshot& snapshot) {
-        snapshot["test_obs.provided"] = 123;
+      "test_obs.provider", [](obs::MetricCounts& counts) {
+        counts.extra["test_obs.provided"] = 123;
       });
   EXPECT_EQ(obs::MetricsRegistry::instance().snapshot().at("test_obs.provided"), 123u);
   // Replacing a provider under the same name must not double-report.
   obs::MetricsRegistry::instance().register_provider(
-      "test_obs.provider", [](obs::MetricsSnapshot& snapshot) {
-        snapshot["test_obs.provided"] = 456;
+      "test_obs.provider", [](obs::MetricCounts& counts) {
+        counts.extra["test_obs.provided"] = 456;
       });
   EXPECT_EQ(obs::MetricsRegistry::instance().snapshot().at("test_obs.provided"), 456u);
 }
@@ -408,7 +408,7 @@ void expect_rank_counts_added_once(mpisim::Backend backend) {
 
   obs::MetricsSnapshot expected;
   for (const auto& result : results) {
-    for (const auto& [name, value] : result.metrics) {
+    for (const auto& [name, value] : result.metrics.snapshot()) {
       expected[name] += value;
     }
   }

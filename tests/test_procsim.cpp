@@ -483,14 +483,14 @@ TEST(ResultSerdeTest, EmptyElementsRoundTrip) {
   capi::serde::RankPayload in;
   in.result.races.resize(3);
   in.result.must_reports.resize(3);
-  in.result.metrics[""] = 0;
+  in.result.metrics.extra[""] = 0;
   in.diagnostics.resize(3);
   in.fired_faults.resize(3);
   capi::serde::RankPayload out;
   ASSERT_TRUE(capi::serde::decode(capi::serde::encode(in), &out));
   EXPECT_EQ(out.result.races.size(), 3u);
   EXPECT_EQ(out.result.must_reports.size(), 3u);
-  EXPECT_EQ(out.result.metrics.size(), 1u);
+  EXPECT_EQ(out.result.metrics.extra.size(), 1u);
   EXPECT_EQ(out.diagnostics.size(), 3u);
   EXPECT_EQ(out.fired_faults.size(), 3u);
 }
@@ -660,6 +660,29 @@ TEST(ProcScenarioTest, DporExploresProcRanksLikeThreadRanks) {
     EXPECT_EQ(proc.executions, thread.executions) << name;
   }
   expect_no_stale_segments("after proc DPOR subset");
+}
+
+// A proc sweep that asks for rank kills kills ranks. The plan shape is the
+// CI sweep's (two faults and one rank_kill per plan, default seed); every
+// corpus rank posts a single MPI operation, so a kill aimed past it would
+// never fire and the sweep would be vacuous.
+TEST(ProcFaultSweepTest, RankKillSweepKillsRanksAndReportsThem) {
+  const ScopedBackend scoped(Backend::kProc);
+  testsuite::SweepOptions options;
+  options.plans = 2;
+  options.faults_per_plan = 2;
+  options.rank_kills = 1;
+  options.watchdog = std::chrono::milliseconds(400);
+  options.filter = "device__default_stream";
+  const testsuite::SweepStats stats = testsuite::run_fault_sweep(options);
+  ASSERT_GT(stats.runs, 0u);
+  for (const auto& failure : stats.failures) {
+    ADD_FAILURE() << failure;
+  }
+  EXPECT_GE(stats.rank_kill_runs, 1u);
+  EXPECT_GE(stats.rank_failure_reports, 1u);
+  EXPECT_EQ(testsuite::vacuous_reason(options, stats, Backend::kProc), "");
+  expect_no_stale_segments("after rank-kill sweep");
 }
 
 }  // namespace
