@@ -1,6 +1,7 @@
 // Microbenchmarks of the rsan (TSan-equivalent) primitives that dominate
 // CuSan's overhead: range annotations (the per-byte shadow cost behind
-// Fig. 12), happens-before operations, fiber switches and plain accesses.
+// Fig. 12), happens-before operations, fiber switches and plain accesses
+// (one address again and again, and TeaLeaf's walk over a staging buffer).
 #include <benchmark/benchmark.h>
 
 #include "gbench_json.hpp"
@@ -165,6 +166,51 @@ void BM_PlainAccess(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PlainAccess);
+
+void BM_PlainWalk(benchmark::State& state) {
+  // TeaLeaf's dot-product walk (device_dot in apps/tealeaf.cpp): a stream
+  // fiber's memcpy writes a 34-double staging buffer, then the host loads
+  // its 32 interior rows one plain_read at a time. The buffer shares its
+  // shadow block with regions other contexts wrote, so the block holds 8 or
+  // more runs (the `runs` counter). Each load after the first lands at the
+  // edge of the run the memcpy wrote, next to the rows already read.
+  obs::MetricsRegistry metrics;
+  rsan::Runtime rt{metrics};
+  constexpr std::size_t kRows = 32;
+  std::vector<double> storage(2 * 512);
+  double* const block = reinterpret_cast<double*>(
+      (reinterpret_cast<std::uintptr_t>(storage.data()) + 4095) & ~std::uintptr_t{4095});
+  double* const staging = block + 64;
+  const auto stream = rt.create_fiber(rsan::CtxKind::kStreamFiber, "stream");
+  // Neighbours: device-written rows before and after the staging buffer,
+  // host-read rows and an untouched gap between them.
+  for (const std::size_t at : {0, 32, 98, 160}) {
+    const auto writer = rt.create_fiber(rsan::CtxKind::kStreamFiber, "writer");
+    rt.switch_to_fiber(writer);
+    rt.write_range(block + at, 16 * sizeof(double), "kernel");
+    rt.switch_to_fiber(rt.host_ctx());
+  }
+  rt.read_range(block + 16, 16 * sizeof(double), "host");
+  int submit{};
+  int done{};
+  for (auto _ : state) {
+    rt.happens_before(&submit);  // the memcpy is issued after the last walk
+    rt.switch_to_fiber(stream);
+    rt.happens_after(&submit);
+    rt.write_range(staging, (kRows + 2) * sizeof(double), "memcpy");
+    rt.happens_before(&done);
+    rt.switch_to_fiber(rt.host_ctx());
+    rt.happens_after(&done);
+    for (std::size_t r = 1; r <= kRows; ++r) {
+      rt.plain_read(&staging[r], sizeof(double));
+    }
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kRows));
+  const rsan::ShadowBlock* blk =
+      rt.shadow().block_if_present(reinterpret_cast<std::uintptr_t>(block));
+  state.counters["runs"] = blk != nullptr ? static_cast<double>(blk->runs.size()) : 0.0;
+}
+BENCHMARK(BM_PlainWalk);
 
 void BM_ShadowResetRange(benchmark::State& state) {
   obs::MetricsRegistry metrics;

@@ -1,6 +1,7 @@
 // Internal invariant checking. CUSAN_ASSERT is active in all build types:
 // a correctness tool that silently corrupts its own bookkeeping is worse
-// than one that aborts loudly.
+// than one that aborts loudly. CUSAN_DEBUG_ASSERT is for contracts checked
+// on a hot path: it is active only without NDEBUG (the Debug build).
 #pragma once
 
 #include <cstdio>
@@ -27,3 +28,12 @@ namespace common {
     if (!(cond)) [[unlikely]]                                            \
       ::common::assert_fail(#cond, __FILE__, __LINE__, (msg));           \
   } while (false)
+
+#ifdef NDEBUG
+#define CUSAN_DEBUG_ASSERT_MSG(cond, msg) \
+  do {                                    \
+    (void)sizeof(!(cond));                \
+  } while (false)
+#else
+#define CUSAN_DEBUG_ASSERT_MSG(cond, msg) CUSAN_ASSERT_MSG(cond, msg)
+#endif

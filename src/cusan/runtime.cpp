@@ -59,7 +59,7 @@ Runtime::StreamState& Runtime::stream_state(const cusim::Stream* stream) {
                                ? std::string("default stream")
                                : common::format("stream {}", stream->id());
   state.fiber = tsan_->create_fiber(rsan::CtxKind::kStreamFiber, name);
-  metrics_.slot("cusan.streams_created").increment();
+  metrics_.slot("cusan.streams_created").increment_owned();
   auto [pos, inserted] = streams_.emplace(stream, state);
   CUSAN_ASSERT(inserted);
   if (state.is_default) {
@@ -86,7 +86,7 @@ void Runtime::on_stream_destroy(const cusim::Stream* stream) {
   }
   // cudaStreamDestroy waits for the stream's work: terminate its arc.
   tsan_->happens_after(&it->second.complete_key);
-  metrics_.slot("cusan.hb_after").increment();
+  metrics_.slot("cusan.hb_after").increment_owned();
   tsan_->release_sync_object(&it->second.complete_key);
   tsan_->release_sync_object(&it->second.submit_key);
   tsan_->destroy_fiber(it->second.fiber);
@@ -99,7 +99,7 @@ void Runtime::on_stream_destroy(const cusim::Stream* stream) {
 void Runtime::on_event_create(const cusim::Event* event) {
   trace_record(TraceKind::kEventCreate);
   (void)event_state(event);
-  metrics_.slot("cusan.events_created").increment();
+  metrics_.slot("cusan.events_created").increment_owned();
 }
 
 void Runtime::on_event_destroy(const cusim::Event* event) {
@@ -138,20 +138,20 @@ void Runtime::begin_op(StreamState& ss) {
       if (other.ops_issued > other.acquired_by_default) {
         tsan_->happens_after(&other.complete_key);
         other.acquired_by_default = other.ops_issued;
-        metrics_.slot("cusan.hb_after").increment();
+        metrics_.slot("cusan.hb_after").increment_owned();
       }
     }
   } else if (!ss.non_blocking && default_state != nullptr && !default_state->non_blocking &&
              default_state->ops_issued > ss.default_ops_acquired) {
     tsan_->happens_after(&default_state->complete_key);
     ss.default_ops_acquired = default_state->ops_issued;
-    metrics_.slot("cusan.hb_after").increment();
+    metrics_.slot("cusan.hb_after").increment_owned();
   }
 }
 
 void Runtime::finish_op(StreamState& ss) {
   tsan_->happens_before(&ss.complete_key);
-  metrics_.slot("cusan.hb_before").increment();
+  metrics_.slot("cusan.hb_before").increment_owned();
   ++ss.ops_issued;
   if (ss.is_default && !ss.non_blocking) {
     // Fan the arc out to every blocking stream of the same device (paper
@@ -162,7 +162,7 @@ void Runtime::finish_op(StreamState& ss) {
         continue;
       }
       tsan_->happens_before(&other.complete_key);
-      metrics_.slot("cusan.hb_before").increment();
+      metrics_.slot("cusan.hb_before").increment_owned();
     }
   }
   tsan_->switch_to_fiber(tsan_->host_ctx());
@@ -195,15 +195,15 @@ void Runtime::annotate_access(const void* ptr, std::size_t fallback_size, bool r
     base = reinterpret_cast<const void*>(info->base);
     size = info->extent;
   } else if (fallback_size == 0) {
-    metrics_.slot("cusan.unknown_kernel_args").increment();
+    metrics_.slot("cusan.unknown_kernel_args").increment_owned();
     return;
   }
   if (read) {
-    metrics_.slot("cusan.kernel_annotation_calls").increment();
+    metrics_.slot("cusan.kernel_annotation_calls").increment_owned();
     tsan_->read_range(base, size, label);
   }
   if (write) {
-    metrics_.slot("cusan.kernel_annotation_calls").increment();
+    metrics_.slot("cusan.kernel_annotation_calls").increment_owned();
     tsan_->write_range(base, size, label);
   }
 }
@@ -218,11 +218,11 @@ void Runtime::annotate_kernel_arg(const KernelArgAccess& arg, const char* label)
   if (!read_bounded && !write_bounded) {
     // ⊤ (or unknown) summary in every active direction: paper behaviour,
     // annotate the whole allocation.
-    metrics_.slot("cusan.whole_range_kernel_args").increment();
+    metrics_.slot("cusan.whole_range_kernel_args").increment_owned();
     annotate_access(arg.ptr, 0, read, write, label);
     return;
   }
-  metrics_.slot("cusan.interval_kernel_args").increment();
+  metrics_.slot("cusan.interval_kernel_args").increment_owned();
   // Resolve the allocation so intervals can be clamped to its extent.
   // Untracked pointers keep the bounded sub-ranges relative to the raw
   // pointer — strictly more information than the unknown-arg drop.
@@ -238,7 +238,7 @@ void Runtime::annotate_kernel_arg(const KernelArgAccess& arg, const char* label)
   const bool delegates = (read && !read_bounded) || (write && !write_bounded);
   if (!tracked && !delegates) {
     // annotate_access would have counted it
-    metrics_.slot("cusan.unknown_kernel_args").increment();
+    metrics_.slot("cusan.unknown_kernel_args").increment_owned();
   }
   const auto annotate_set = [&](const kir::IntervalSet& set, bool is_write) {
     std::uint64_t covered = 0;
@@ -254,17 +254,17 @@ void Runtime::annotate_kernel_arg(const KernelArgAccess& arg, const char* label)
       }
       const auto bytes = static_cast<std::size_t>(hi - lo);
       covered += bytes;
-      metrics_.slot("cusan.kernel_annotation_calls").increment();
+      metrics_.slot("cusan.kernel_annotation_calls").increment_owned();
       if (is_write) {
         tsan_->write_range(lo, bytes, label);
       } else {
         tsan_->read_range(lo, bytes, label);
       }
     }
-    metrics_.slot("cusan.interval_bytes_annotated").add(covered);
+    metrics_.slot("cusan.interval_bytes_annotated").add_owned(covered);
     if (tracked) {
       const auto extent = static_cast<std::uint64_t>(alloc_hi - alloc_lo);
-      metrics_.slot("cusan.interval_bytes_elided").add(extent > covered ? extent - covered : 0);
+      metrics_.slot("cusan.interval_bytes_elided").add_owned(extent > covered ? extent - covered : 0);
     }
   };
   if (read) {
@@ -285,7 +285,7 @@ void Runtime::annotate_kernel_arg(const KernelArgAccess& arg, const char* label)
 
 void Runtime::on_kernel_launch(const cusim::Stream* stream, const char* kernel_name,
                                std::span<const KernelArgAccess> args) {
-  metrics_.slot("cusan.kernel_launches").increment();
+  metrics_.slot("cusan.kernel_launches").increment_owned();
   trace_record(TraceKind::kKernelLaunch, 0, kernel_name);
   StreamState& ss = stream_state(stream);
   begin_op(ss);
@@ -371,7 +371,7 @@ void Runtime::launch_args(const char* kernel_name, std::span<const KernelArgAcce
         const AllocUse& use = uses[plan.base];
         if (use.arg_count > 1 && use.any_write) {
           plan.elide = false;
-          metrics_.slot("cusan.proof_alias_rejects").increment();
+          metrics_.slot("cusan.proof_alias_rejects").increment_owned();
         }
       }
     }
@@ -391,7 +391,7 @@ void Runtime::launch_args(const char* kernel_name, std::span<const KernelArgAcce
     }
     const ArgPlan& plan = plans[i];
     any_elided = true;
-    metrics_.slot("cusan.proof_elided_args").increment();
+    metrics_.slot("cusan.proof_elided_args").increment_owned();
     for (const kir::Interval& iv : plan.read_iv) {
       elided_bytes += static_cast<std::uint64_t>(iv.hi - iv.lo);
       tsan_->proven_range(plan.base + iv.lo, static_cast<std::size_t>(iv.hi - iv.lo),
@@ -405,25 +405,25 @@ void Runtime::launch_args(const char* kernel_name, std::span<const KernelArgAcce
   }
 
   if (any_elided) {
-    metrics_.slot("cusan.proof_elided_launches").increment();
-    metrics_.slot("cusan.proof_elided_bytes").add(elided_bytes);
+    metrics_.slot("cusan.proof_elided_launches").increment_owned();
+    metrics_.slot("cusan.proof_elided_bytes").add_owned(elided_bytes);
     trace_record(TraceKind::kProofElided, elided_bytes, kernel_name);
     obs::Counter*& metric = elide_metrics_[kernel_name];
     if (metric == nullptr) {
       metric = &metrics_.counter(common::format("cusan.prove_elide.{}.launches", kernel_name));
     }
-    metric->add(1);
+    metric->increment_owned();
   }
 }
 
 // -- Explicit synchronization ---------------------------------------------------------------
 
 void Runtime::on_stream_synchronize(const cusim::Stream* stream) {
-  metrics_.slot("cusan.sync_calls").increment();
+  metrics_.slot("cusan.sync_calls").increment_owned();
   trace_record(TraceKind::kStreamSync);
   StreamState& ss = stream_state(stream);
   tsan_->happens_after(&ss.complete_key);
-  metrics_.slot("cusan.hb_after").increment();
+  metrics_.slot("cusan.hb_after").increment_owned();
   if (ss.is_default && !ss.non_blocking) {
     // Host sync on the legacy default stream also covers all blocking
     // streams of its device (paper §IV-A-e).
@@ -432,23 +432,23 @@ void Runtime::on_stream_synchronize(const cusim::Stream* stream) {
         continue;
       }
       tsan_->happens_after(&other.complete_key);
-      metrics_.slot("cusan.hb_after").increment();
+      metrics_.slot("cusan.hb_after").increment_owned();
     }
   }
 }
 
 void Runtime::on_device_synchronize() {
-  metrics_.slot("cusan.sync_calls").increment();
+  metrics_.slot("cusan.sync_calls").increment_owned();
   trace_record(TraceKind::kDeviceSync);
   // Terminate the arc of every stream, including non-blocking ones.
   for (auto& [stream, state] : streams_) {
     tsan_->happens_after(&state.complete_key);
-    metrics_.slot("cusan.hb_after").increment();
+    metrics_.slot("cusan.hb_after").increment_owned();
   }
 }
 
 void Runtime::on_device_synchronize(const cusim::Device* device) {
-  metrics_.slot("cusan.sync_calls").increment();
+  metrics_.slot("cusan.sync_calls").increment_owned();
   trace_record(TraceKind::kDeviceSync);
   // Only the given device's streams are covered (multi-GPU ranks).
   for (auto& [stream, state] : streams_) {
@@ -456,12 +456,12 @@ void Runtime::on_device_synchronize(const cusim::Device* device) {
       continue;
     }
     tsan_->happens_after(&state.complete_key);
-    metrics_.slot("cusan.hb_after").increment();
+    metrics_.slot("cusan.hb_after").increment_owned();
   }
 }
 
 void Runtime::on_event_record(const cusim::Event* event, const cusim::Stream* stream) {
-  metrics_.slot("cusan.event_records").increment();
+  metrics_.slot("cusan.event_records").increment_owned();
   trace_record(TraceKind::kEventRecord);
   StreamState& ss = stream_state(stream);
   EventState& es = event_state(event);
@@ -470,23 +470,23 @@ void Runtime::on_event_record(const cusim::Event* event, const cusim::Stream* st
   // clock on the event's sync object.
   tsan_->switch_to_fiber(ss.fiber);
   tsan_->happens_before(&es.key);
-  metrics_.slot("cusan.hb_before").increment();
+  metrics_.slot("cusan.hb_before").increment_owned();
   tsan_->switch_to_fiber(tsan_->host_ctx());
 }
 
 void Runtime::on_event_synchronize(const cusim::Event* event) {
-  metrics_.slot("cusan.sync_calls").increment();
+  metrics_.slot("cusan.sync_calls").increment_owned();
   trace_record(TraceKind::kEventSync);
   EventState& es = event_state(event);
   if (es.stream == nullptr) {
     return;  // never recorded
   }
   tsan_->happens_after(&es.key);
-  metrics_.slot("cusan.hb_after").increment();
+  metrics_.slot("cusan.hb_after").increment_owned();
 }
 
 void Runtime::on_stream_wait_event(const cusim::Stream* stream, const cusim::Event* event) {
-  metrics_.slot("cusan.sync_calls").increment();
+  metrics_.slot("cusan.sync_calls").increment_owned();
   trace_record(TraceKind::kStreamWaitEvent);
   EventState& es = event_state(event);
   if (es.stream == nullptr) {
@@ -496,29 +496,29 @@ void Runtime::on_stream_wait_event(const cusim::Stream* stream, const cusim::Eve
   // The waiting stream's future work is ordered after the event.
   tsan_->switch_to_fiber(ss.fiber);
   tsan_->happens_after(&es.key);
-  metrics_.slot("cusan.hb_after").increment();
+  metrics_.slot("cusan.hb_after").increment_owned();
   tsan_->switch_to_fiber(tsan_->host_ctx());
 }
 
 void Runtime::on_stream_query_success(const cusim::Stream* stream) {
   // A successful query can be used as a busy-wait: treat it as
   // synchronization (paper §III-B1).
-  metrics_.slot("cusan.sync_calls").increment();
+  metrics_.slot("cusan.sync_calls").increment_owned();
   trace_record(TraceKind::kQuerySuccess);
   StreamState& ss = stream_state(stream);
   tsan_->happens_after(&ss.complete_key);
-  metrics_.slot("cusan.hb_after").increment();
+  metrics_.slot("cusan.hb_after").increment_owned();
 }
 
 void Runtime::on_event_query_success(const cusim::Event* event) {
-  metrics_.slot("cusan.sync_calls").increment();
+  metrics_.slot("cusan.sync_calls").increment_owned();
   trace_record(TraceKind::kQuerySuccess);
   EventState& es = event_state(event);
   if (es.stream == nullptr) {
     return;
   }
   tsan_->happens_after(&es.key);
-  metrics_.slot("cusan.hb_after").increment();
+  metrics_.slot("cusan.hb_after").increment_owned();
 }
 
 // -- Memory operations --------------------------------------------------------------------------
@@ -537,7 +537,7 @@ cusim::MemKind Runtime::kind_of(const void* ptr) const {
 }
 
 void Runtime::on_memcpy(void* dst, const void* src, std::size_t bytes, cusim::MemcpyDir dir) {
-  metrics_.slot("cusan.memcpys").increment();
+  metrics_.slot("cusan.memcpys").increment_owned();
   trace_record(TraceKind::kMemcpy, bytes, "cudaMemcpy");
   CUSAN_ASSERT(!devices_.empty());
   StreamState& ss = stream_state(devices_.front()->default_stream());
@@ -549,13 +549,13 @@ void Runtime::on_memcpy(void* dst, const void* src, std::size_t bytes, cusim::Me
   finish_op(ss);
   if (model_host_sync(cusim::MemOpClass::kMemcpy, dir, kind_of(src), kind_of(dst))) {
     tsan_->happens_after(&ss.complete_key);
-    metrics_.slot("cusan.hb_after").increment();
+    metrics_.slot("cusan.hb_after").increment_owned();
   }
 }
 
 void Runtime::on_memcpy_async(void* dst, const void* src, std::size_t bytes, cusim::MemcpyDir dir,
                               const cusim::Stream* stream) {
-  metrics_.slot("cusan.memcpys").increment();
+  metrics_.slot("cusan.memcpys").increment_owned();
   trace_record(TraceKind::kMemcpy, bytes, "cudaMemcpyAsync");
   StreamState& ss = stream_state(stream);
   begin_op(ss);
@@ -566,12 +566,12 @@ void Runtime::on_memcpy_async(void* dst, const void* src, std::size_t bytes, cus
   finish_op(ss);
   if (model_host_sync(cusim::MemOpClass::kMemcpyAsync, dir, kind_of(src), kind_of(dst))) {
     tsan_->happens_after(&ss.complete_key);
-    metrics_.slot("cusan.hb_after").increment();
+    metrics_.slot("cusan.hb_after").increment_owned();
   }
 }
 
 void Runtime::on_memset(void* dst, std::size_t bytes) {
-  metrics_.slot("cusan.memsets").increment();
+  metrics_.slot("cusan.memsets").increment_owned();
   trace_record(TraceKind::kMemset, bytes, "cudaMemset");
   CUSAN_ASSERT(!devices_.empty());
   StreamState& ss = stream_state(devices_.front()->default_stream());
@@ -583,12 +583,12 @@ void Runtime::on_memset(void* dst, std::size_t bytes) {
   if (model_host_sync(cusim::MemOpClass::kMemset, cusim::MemcpyDir::kHostToDevice,
                       cusim::MemKind::kPageableHost, kind_of(dst))) {
     tsan_->happens_after(&ss.complete_key);
-    metrics_.slot("cusan.hb_after").increment();
+    metrics_.slot("cusan.hb_after").increment_owned();
   }
 }
 
 void Runtime::on_memset_async(void* dst, std::size_t bytes, const cusim::Stream* stream) {
-  metrics_.slot("cusan.memsets").increment();
+  metrics_.slot("cusan.memsets").increment_owned();
   trace_record(TraceKind::kMemset, bytes, "cudaMemsetAsync");
   StreamState& ss = stream_state(stream);
   begin_op(ss);
@@ -601,7 +601,7 @@ void Runtime::on_memset_async(void* dst, std::size_t bytes, const cusim::Stream*
 void Runtime::on_memcpy_2d(void* dst, std::size_t dpitch, const void* src, std::size_t spitch,
                            std::size_t width, std::size_t height, cusim::MemcpyDir dir,
                            const cusim::Stream* stream, bool async) {
-  metrics_.slot("cusan.memcpys").increment();
+  metrics_.slot("cusan.memcpys").increment_owned();
   trace_record(TraceKind::kMemcpy, width * height, "cudaMemcpy2D");
   CUSAN_ASSERT(!devices_.empty());
   StreamState& ss =
@@ -621,12 +621,12 @@ void Runtime::on_memcpy_2d(void* dst, std::size_t dpitch, const void* src, std::
   const auto op_class = async ? cusim::MemOpClass::kMemcpyAsync : cusim::MemOpClass::kMemcpy;
   if (model_host_sync(op_class, dir, kind_of(src), kind_of(dst))) {
     tsan_->happens_after(&ss.complete_key);
-    metrics_.slot("cusan.hb_after").increment();
+    metrics_.slot("cusan.hb_after").increment_owned();
   }
 }
 
 void Runtime::on_mem_prefetch(const cusim::Stream* stream) {
-  metrics_.slot("cusan.prefetches").increment();
+  metrics_.slot("cusan.prefetches").increment_owned();
   trace_record(TraceKind::kPrefetch);
   StreamState& ss = stream_state(stream);
   begin_op(ss);
@@ -634,7 +634,7 @@ void Runtime::on_mem_prefetch(const cusim::Stream* stream) {
 }
 
 void Runtime::on_host_func(const cusim::Stream* stream) {
-  metrics_.slot("cusan.host_funcs").increment();
+  metrics_.slot("cusan.host_funcs").increment_owned();
   trace_record(TraceKind::kHostFunc);
   StreamState& ss = stream_state(stream);
   begin_op(ss);

@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <limits>
 
+#include "common/parse.hpp"
+
 namespace faultsim {
 namespace {
 
@@ -50,27 +52,6 @@ std::string_view trim(std::string_view s) {
     s.remove_suffix(1);
   }
   return s;
-}
-
-/// Parse a non-negative integer; returns false if `s` is empty, not all
-/// digits, or above `max` (never wraps).
-bool parse_uint(std::string_view s, std::uint64_t& out,
-                std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
-  if (s.empty()) {
-    return false;
-  }
-  out = 0;
-  for (const char c : s) {
-    if (c < '0' || c > '9') {
-      return false;
-    }
-    const auto digit = static_cast<std::uint64_t>(c - '0');
-    if (out > (max - digit) / 10) {
-      return false;
-    }
-    out = out * 10 + digit;
-  }
-  return true;
 }
 
 FaultPlan::ParseResult fail(std::string_view spec, const std::string& why) {
@@ -212,7 +193,7 @@ FaultPlan::ParseResult FaultPlan::parse(std::string_view text, FaultPlan& out) {
         return fail(spec_text, "unknown scope '" + std::string(scope_part) + "'");
       }
       std::uint64_t id = 0;
-      if (!parse_uint(id_part, id, std::numeric_limits<int>::max())) {
+      if (!common::parse_uint(id_part, id, std::numeric_limits<int>::max())) {
         return fail(spec_text, "bad scope id '" + std::string(id_part) + "'");
       }
       spec.scope_id = static_cast<int>(id);
@@ -223,11 +204,11 @@ FaultPlan::ParseResult FaultPlan::parse(std::string_view text, FaultPlan& out) {
       if (const std::size_t pct = count_part.find('%'); pct != std::string_view::npos) {
         nth_part = count_part.substr(0, pct);
         const std::string_view period_part = count_part.substr(pct + 1);
-        if (!parse_uint(period_part, spec.period) || spec.period == 0) {
+        if (!common::parse_uint(period_part, spec.period) || spec.period == 0) {
           return fail(spec_text, "bad period '" + std::string(period_part) + "'");
         }
       }
-      if (!parse_uint(nth_part, spec.nth) || spec.nth == 0) {
+      if (!common::parse_uint(nth_part, spec.nth) || spec.nth == 0) {
         return fail(spec_text, "bad occurrence count '" + std::string(nth_part) + "'");
       }
     }
@@ -262,9 +243,9 @@ FaultPlan::ParseResult FaultPlan::parse(std::string_view text, FaultPlan& out) {
       }
       // The delay must fit microseconds' signed count after scaling.
       std::uint64_t amount = 0;
-      if (!parse_uint(dur, amount,
-                      static_cast<std::uint64_t>(std::chrono::microseconds::max().count()) /
-                          scale_to_us)) {
+      if (!common::parse_uint(
+              dur, amount,
+              static_cast<std::uint64_t>(std::chrono::microseconds::max().count()) / scale_to_us)) {
         return fail(spec_text, "bad delay duration '" + std::string(rhs.substr(6)) + "'");
       }
       spec.delay = std::chrono::microseconds(amount * scale_to_us);

@@ -94,7 +94,7 @@ void Runtime::run_type_check(const char* mpi_call, const void* buf, std::size_t 
   if (!config_.check_types || buf == nullptr || count == 0) {
     return;
   }
-  metrics_.slot("must.type_checks").increment();
+  metrics_.slot("must.type_checks").increment_owned();
   TypeCheckOutcome outcome = check_buffer(*types_, buf, count, type);
   if (outcome.result == TypeCheckResult::kOk) {
     return;
@@ -102,7 +102,7 @@ void Runtime::run_type_check(const char* mpi_call, const void* buf, std::size_t 
   if (outcome.result == TypeCheckResult::kUntrackedBuffer && !config_.report_untracked) {
     return;
   }
-  metrics_.slot("must.type_errors").increment();
+  metrics_.slot("must.type_errors").increment_owned();
   ReportKind kind = ReportKind::kUntrackedBuffer;
   if (outcome.result == TypeCheckResult::kTypeMismatch) {
     kind = ReportKind::kTypeMismatch;
@@ -117,10 +117,10 @@ rsan::CtxId Runtime::acquire_fiber() {
   if (!fiber_pool_.empty()) {
     const rsan::CtxId id = fiber_pool_.back();
     fiber_pool_.pop_back();
-    metrics_.slot("must.request_fibers_reused").increment();
+    metrics_.slot("must.request_fibers_reused").increment_owned();
     return id;
   }
-  metrics_.slot("must.request_fibers_created").increment();
+  metrics_.slot("must.request_fibers_created").increment_owned();
   return tsan_->create_fiber(rsan::CtxKind::kMpiRequestFiber,
                              common::format("MPI request fiber {}", ++request_fibers_));
 }
@@ -128,13 +128,13 @@ rsan::CtxId Runtime::acquire_fiber() {
 // -- blocking p2p ------------------------------------------------------------------
 
 void Runtime::on_send(const void* buf, std::size_t count, const mpisim::Datatype& type) {
-  metrics_.slot("must.calls_intercepted").increment();
+  metrics_.slot("must.calls_intercepted").increment_owned();
   run_type_check("MPI_Send", buf, count, type);
   annotate_datatype_range(buf, count, type, /*is_write=*/false, "MPI_Send buffer (read)");
 }
 
 void Runtime::on_recv(void* buf, std::size_t count, const mpisim::Datatype& type) {
-  metrics_.slot("must.calls_intercepted").increment();
+  metrics_.slot("must.calls_intercepted").increment_owned();
   run_type_check("MPI_Recv", buf, count, type);
   annotate_datatype_range(buf, count, type, /*is_write=*/true, "MPI_Recv buffer (write)");
 }
@@ -143,7 +143,7 @@ void Runtime::on_recv(void* buf, std::size_t count, const mpisim::Datatype& type
 
 void Runtime::on_isend(const void* buf, std::size_t count, const mpisim::Datatype& type,
                        const mpisim::Request* request) {
-  metrics_.slot("must.calls_intercepted").increment();
+  metrics_.slot("must.calls_intercepted").increment_owned();
   run_type_check("MPI_Isend", buf, count, type);
   if (!config_.check_races || request == nullptr) {
     return;
@@ -170,7 +170,7 @@ void Runtime::on_isend(const void* buf, std::size_t count, const mpisim::Datatyp
 
 void Runtime::on_irecv(void* buf, std::size_t count, const mpisim::Datatype& type,
                        const mpisim::Request* request) {
-  metrics_.slot("must.calls_intercepted").increment();
+  metrics_.slot("must.calls_intercepted").increment_owned();
   run_type_check("MPI_Irecv", buf, count, type);
   if (!config_.check_races || request == nullptr) {
     return;
@@ -193,7 +193,7 @@ void Runtime::on_irecv(void* buf, std::size_t count, const mpisim::Datatype& typ
 }
 
 void Runtime::on_complete(const mpisim::Request* request) {
-  metrics_.slot("must.calls_intercepted").increment();
+  metrics_.slot("must.calls_intercepted").increment_owned();
   const auto it = pending_.find(request);
   if (it == pending_.end()) {
     return;  // races unchecked, or request not tracked
@@ -220,7 +220,7 @@ void Runtime::on_complete(const mpisim::Request* request) {
 
 void Runtime::on_gather(const void* sendbuf, std::size_t count, const mpisim::Datatype& type,
                         void* recvbuf, bool is_root, int comm_size) {
-  metrics_.slot("must.calls_intercepted").increment();
+  metrics_.slot("must.calls_intercepted").increment_owned();
   run_type_check("MPI_Gather", sendbuf, count, type);
   annotate_datatype_range(sendbuf, count, type, /*is_write=*/false,
                           "MPI_Gather send buffer (read)");
@@ -232,7 +232,7 @@ void Runtime::on_gather(const void* sendbuf, std::size_t count, const mpisim::Da
 
 void Runtime::on_scatter(const void* sendbuf, std::size_t count, const mpisim::Datatype& type,
                          void* recvbuf, bool is_root, int comm_size) {
-  metrics_.slot("must.calls_intercepted").increment();
+  metrics_.slot("must.calls_intercepted").increment_owned();
   run_type_check("MPI_Scatter", recvbuf, count, type);
   if (is_root) {
     annotate_datatype_range(sendbuf, count * static_cast<std::size_t>(comm_size), type,
@@ -246,7 +246,7 @@ void Runtime::on_receive_status(const char* mpi_call, const mpisim::Status& stat
   if (!status.signature_mismatch) {
     return;
   }
-  metrics_.slot("must.signature_mismatches").increment();
+  metrics_.slot("must.signature_mismatches").increment_owned();
   reports_.push_back(MustReport{
       ReportKind::kSignatureMismatch, mpi_call,
       common::format("message from rank {} (tag {}) was sent with a type signature "
@@ -260,7 +260,7 @@ void Runtime::on_deadlock(int rank, const mpisim::DeadlockReport& report) {
     return;
   }
   deadlock_reported_ = true;
-  metrics_.slot("must.deadlocks_reported").increment();
+  metrics_.slot("must.deadlocks_reported").increment_owned();
   const mpisim::BlockedOp* own = report.for_rank(rank);
   reports_.push_back(MustReport{ReportKind::kDeadlock,
                                 own != nullptr ? own->op : std::string("MPI (blocked)"),
@@ -274,7 +274,7 @@ void Runtime::on_rank_failure(int rank, const std::string& detail) {
     return;
   }
   rank_failure_reported_ = true;
-  metrics_.slot("must.rank_failures_reported").increment();
+  metrics_.slot("must.rank_failures_reported").increment_owned();
   reports_.push_back(MustReport{ReportKind::kRankFailure, "MPI (poisoned)",
                                 detail.empty() ? "a peer rank process died" : detail});
   emit_report_diagnostic(reports_.back());
@@ -282,7 +282,7 @@ void Runtime::on_rank_failure(int rank, const std::string& detail) {
 
 void Runtime::on_finalize() {
   for (const auto& [request, pr] : pending_) {
-    metrics_.slot("must.request_leaks").increment();
+    metrics_.slot("must.request_leaks").increment_owned();
     reports_.push_back(MustReport{
         ReportKind::kRequestLeak, pr.call,
         common::format("request {} was never completed (missing MPI_Wait/MPI_Test); its "
@@ -294,10 +294,10 @@ void Runtime::on_finalize() {
 
 // -- collectives ---------------------------------------------------------------------
 
-void Runtime::on_barrier() { metrics_.slot("must.calls_intercepted").increment(); }
+void Runtime::on_barrier() { metrics_.slot("must.calls_intercepted").increment_owned(); }
 
 void Runtime::on_bcast(void* buf, std::size_t count, const mpisim::Datatype& type, bool is_root) {
-  metrics_.slot("must.calls_intercepted").increment();
+  metrics_.slot("must.calls_intercepted").increment_owned();
   run_type_check("MPI_Bcast", buf, count, type);
   if (is_root) {
     annotate_datatype_range(buf, count, type, /*is_write=*/false, "MPI_Bcast buffer (read)");
@@ -308,7 +308,7 @@ void Runtime::on_bcast(void* buf, std::size_t count, const mpisim::Datatype& typ
 
 void Runtime::on_reduce(const void* sendbuf, void* recvbuf, std::size_t count,
                         const mpisim::Datatype& type, bool is_root) {
-  metrics_.slot("must.calls_intercepted").increment();
+  metrics_.slot("must.calls_intercepted").increment_owned();
   run_type_check("MPI_Reduce", sendbuf, count, type);
   annotate_datatype_range(sendbuf, count, type, /*is_write=*/false, "MPI_Reduce send buffer (read)");
   if (is_root && recvbuf != sendbuf) {
@@ -319,7 +319,7 @@ void Runtime::on_reduce(const void* sendbuf, void* recvbuf, std::size_t count,
 
 void Runtime::on_allreduce(const void* sendbuf, void* recvbuf, std::size_t count,
                            const mpisim::Datatype& type) {
-  metrics_.slot("must.calls_intercepted").increment();
+  metrics_.slot("must.calls_intercepted").increment_owned();
   run_type_check("MPI_Allreduce", sendbuf, count, type);
   if (sendbuf != recvbuf) {
     annotate_datatype_range(sendbuf, count, type, /*is_write=*/false,
@@ -331,7 +331,7 @@ void Runtime::on_allreduce(const void* sendbuf, void* recvbuf, std::size_t count
 
 void Runtime::on_allgather(const void* sendbuf, std::size_t count, const mpisim::Datatype& type,
                            void* recvbuf, int comm_size) {
-  metrics_.slot("must.calls_intercepted").increment();
+  metrics_.slot("must.calls_intercepted").increment_owned();
   run_type_check("MPI_Allgather", sendbuf, count, type);
   annotate_datatype_range(sendbuf, count, type, /*is_write=*/false,
                           "MPI_Allgather send buffer (read)");

@@ -102,7 +102,7 @@ class Runtime {
   void on_complete(const mpisim::Request* request);
 
   /// MPI_Probe / MPI_Iprobe: envelope-only, no buffer semantics.
-  void on_probe() { metrics_.slot("must.calls_intercepted").increment(); }
+  void on_probe() { metrics_.slot("must.calls_intercepted").increment_owned(); }
 
   /// The mpisim progress watchdog declared a deadlock and a blocking call on
   /// this rank returned MPI_ERR_DEADLOCK. Emits one structured report per

@@ -2,7 +2,9 @@
 // stack publishes is one entry of the fixed schema (obs/metric_schema.hpp),
 // and a registry holds a flat array of slots indexed by schema id. Hot paths
 // name a counter by MetricId — resolved at compile time — and bump its slot
-// with one relaxed atomic add; names are only spelled out where a snapshot
+// with one relaxed atomic add, or, where the slot has one writer thread (a
+// rank's registry, bumped only by its host thread), with a relaxed load and
+// store (Counter::add_owned); names are only spelled out where a snapshot
 // leaves the process (JSON, SessionResult::metric_deltas, the proc
 // RankPayload). Names outside the schema get a counter of their own in a
 // small mutex-guarded overflow map.
@@ -34,6 +36,13 @@ class Counter {
  public:
   void add(std::uint64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
   void increment() { add(1); }
+  /// add() for a counter that only the calling thread writes: a relaxed load
+  /// and store, no locked read-modify-write. Readers on other threads still
+  /// see a whole value; a concurrent add() from another thread could be lost.
+  void add_owned(std::uint64_t delta) {
+    value_.store(value_.load(std::memory_order_relaxed) + delta, std::memory_order_relaxed);
+  }
+  void increment_owned() { add_owned(1); }
   void set(std::uint64_t value) { value_.store(value, std::memory_order_relaxed); }
   [[nodiscard]] std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 

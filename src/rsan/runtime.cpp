@@ -116,6 +116,7 @@ Runtime::Runtime(obs::MetricsRegistry& metrics, RuntimeConfig config)
 }
 
 CtxId Runtime::create_fiber(CtxKind kind, std::string name) {
+  check_owner();
   const auto id = static_cast<CtxId>(contexts_.size());
   CUSAN_ASSERT_MSG(id <= ShadowCell::kCtxMask, "context id space exhausted");
   auto ctx = std::make_unique<Context>();
@@ -133,16 +134,18 @@ CtxId Runtime::create_fiber(CtxKind kind, std::string name) {
 }
 
 void Runtime::destroy_fiber(CtxId id) {
+  check_owner();
   CUSAN_ASSERT(id < contexts_.size());
   CUSAN_ASSERT_MSG(id != current_, "cannot destroy the current fiber");
   contexts_[id]->info.alive = false;
 }
 
 void Runtime::switch_to_fiber(CtxId id) {
+  check_owner();
   CUSAN_ASSERT(id < contexts_.size());
   CUSAN_ASSERT_MSG(contexts_[id]->info.alive, "switch to destroyed fiber");
   if (id != current_) {
-    metrics_.slot("rsan.fiber_switches").increment();
+    metrics_.slot("rsan.fiber_switches").increment_owned();
     current_ = id;
   }
 }
@@ -153,7 +156,8 @@ const ContextInfo& Runtime::context(CtxId id) const {
 }
 
 void Runtime::happens_before(const void* key) {
-  metrics_.slot("rsan.hb_before").increment();
+  check_owner();
+  metrics_.slot("rsan.hb_before").increment_owned();
   Context& cur = *contexts_[current_];
   auto& clock = sync_objects_[reinterpret_cast<std::uintptr_t>(key)];
   clock.join(cur.clock);
@@ -164,7 +168,8 @@ void Runtime::happens_before(const void* key) {
 }
 
 void Runtime::happens_after(const void* key) {
-  metrics_.slot("rsan.hb_after").increment();
+  check_owner();
+  metrics_.slot("rsan.hb_after").increment_owned();
   const auto it = sync_objects_.find(reinterpret_cast<std::uintptr_t>(key));
   if (it == sync_objects_.end()) {
     return;  // acquiring a never-released object is a no-op (TSan semantics)
@@ -181,6 +186,7 @@ bool Runtime::has_sync_object(const void* key) const {
 }
 
 void Runtime::release_sync_object(const void* key) {
+  check_owner();
   sync_objects_.erase(reinterpret_cast<std::uintptr_t>(key));
   if (schedsim::GraphRecorder::enabled()) {
     // The key's address may be recycled for an unrelated sync object; retire
@@ -190,28 +196,33 @@ void Runtime::release_sync_object(const void* key) {
 }
 
 void Runtime::read_range(const void* addr, std::size_t size, const char* label) {
-  metrics_.slot("rsan.read_range_calls").increment();
-  metrics_.slot("rsan.read_range_bytes").add(size);
+  check_owner();
+  metrics_.slot("rsan.read_range_calls").increment_owned();
+  metrics_.slot("rsan.read_range_bytes").add_owned(size);
   access_range(addr, size, /*is_write=*/false, label);
 }
 
 void Runtime::write_range(const void* addr, std::size_t size, const char* label) {
-  metrics_.slot("rsan.write_range_calls").increment();
-  metrics_.slot("rsan.write_range_bytes").add(size);
+  check_owner();
+  metrics_.slot("rsan.write_range_calls").increment_owned();
+  metrics_.slot("rsan.write_range_bytes").add_owned(size);
   access_range(addr, size, /*is_write=*/true, label);
 }
 
 void Runtime::plain_read(const void* addr, std::size_t size) {
-  metrics_.slot("rsan.plain_reads").increment();
+  check_owner();
+  metrics_.slot("rsan.plain_reads").increment_owned();
   access_range(addr, size, /*is_write=*/false, nullptr);
 }
 
 void Runtime::plain_write(const void* addr, std::size_t size) {
-  metrics_.slot("rsan.plain_writes").increment();
+  check_owner();
+  metrics_.slot("rsan.plain_writes").increment_owned();
   access_range(addr, size, /*is_write=*/true, nullptr);
 }
 
 void Runtime::reset_shadow_range(const void* addr, std::size_t size) {
+  check_owner();
   shadow_.reset_range(reinterpret_cast<std::uintptr_t>(addr), size);
   if (!regions_.empty() && size != 0) {
     // Freed/reused memory also forgets its proven regions, exactly like its
@@ -227,16 +238,17 @@ void Runtime::reset_shadow_range(const void* addr, std::size_t size) {
 
 void Runtime::proven_range(const void* addr, std::size_t size, bool is_write, const char* label,
                            bool /*unused*/) {
+  check_owner();
   if (!config_.track_memory || size == 0) {
     return;
   }
   Context& cur = *contexts_[current_];
   if (cur.ignore_depth > 0) {
-    metrics_.slot("rsan.ignored_accesses").increment();
+    metrics_.slot("rsan.ignored_accesses").increment_owned();
     return;
   }
-  metrics_.slot("rsan.proven_range_calls").increment();
-  metrics_.slot("rsan.proven_bytes").add(size);
+  metrics_.slot("rsan.proven_range_calls").increment_owned();
+  metrics_.slot("rsan.proven_bytes").add_owned(size);
   const std::uint64_t cur_clock = cur.clock.get(current_);
   const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(addr);
   record_history(cur, base, size, is_write, label, cur_clock);
@@ -342,9 +354,13 @@ void Runtime::check_regions(Access& a) {
   }
 }
 
-void Runtime::ignore_begin() { ++contexts_[current_]->ignore_depth; }
+void Runtime::ignore_begin() {
+  check_owner();
+  ++contexts_[current_]->ignore_depth;
+}
 
 void Runtime::ignore_end() {
+  check_owner();
   CUSAN_ASSERT_MSG(contexts_[current_]->ignore_depth > 0, "unbalanced ignore_end");
   --contexts_[current_]->ignore_depth;
 }
@@ -352,11 +368,13 @@ void Runtime::ignore_end() {
 bool Runtime::ignoring() const { return contexts_[current_]->ignore_depth > 0; }
 
 void Runtime::clear_reports() {
+  check_owner();
   reports_.clear();
   report_dedup_.clear();
 }
 
 const char* Runtime::intern(std::string label) {
+  check_owner();
   interned_.push_back(std::move(label));
   return interned_.back().c_str();
 }
@@ -367,7 +385,7 @@ void Runtime::access_range(const void* addr, std::size_t size, bool is_write, co
   }
   Context& cur = *contexts_[current_];
   if (cur.ignore_depth > 0) {
-    metrics_.slot("rsan.ignored_accesses").increment();
+    metrics_.slot("rsan.ignored_accesses").increment_owned();
     return;
   }
   const std::uint64_t cur_clock = cur.clock.get(current_);
@@ -406,7 +424,7 @@ void Runtime::access_range(const void* addr, std::size_t size, bool is_write, co
   check_regions(access);
 
   if (degraded) {
-    metrics_.slot("rsan.degraded_accesses").increment();
+    metrics_.slot("rsan.degraded_accesses").increment_owned();
   }
   flush_tally();
 }
@@ -436,8 +454,9 @@ void Runtime::store_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_
   std::size_t i = runs.first_from(g_lo);
   if (i < runs.size() && runs[i].lo <= g_lo && g_hi <= runs[i].hi) {
     // The segment lies inside one run, as most do: `fresh` goes into one run
-    // slot, not into a slot of each granule, and splits the run at the
-    // segment edges.
+    // slot, not into a slot of each granule. A store of the whole run, or of
+    // its edge next to a neighbour that then holds equal cells (a walk of
+    // 1-granule reads), edits the list in place; others split the run.
     const Run& run = runs[i];
     const auto slot =
         static_cast<std::size_t>(store_slot(run, block_key, g_lo, g_hi - g_lo + 1, a));
@@ -445,13 +464,7 @@ void Runtime::store_block(ShadowBlock& blk, std::uintptr_t block_key, std::size_
     if (run.cells[slot] == a.fresh) {
       return;  // a bit-exact no-op store
     }
-    if (run.lo == g_lo && run.hi == g_hi) {
-      blk.runs.store(i, slot, a.fresh);  // no split, so no list surgery
-      return;
-    }
-    Run piece{run.cells, static_cast<std::uint16_t>(g_lo), static_cast<std::uint16_t>(g_hi), true};
-    piece.cells[slot] = a.fresh;
-    shadow_.replace_runs(blk, g_lo, g_hi, &piece, 1);
+    shadow_.store_in_run(blk, i, g_lo, g_hi, slot, a.fresh);
     return;
   }
   // Walk the segment in granule order, so a race is attributed to its first
@@ -536,7 +549,7 @@ bool Runtime::scan_raw(ShadowBlock& blk, std::uintptr_t block_key, std::size_t l
 void Runtime::flush_tally() {
   const auto flush = [](std::uint64_t& n, obs::Counter& counter) {
     if (n != 0) {
-      counter.add(n);
+      counter.add_owned(n);
       n = 0;
     }
   };
@@ -549,7 +562,7 @@ void Runtime::flush_tally() {
   flush(tally_.region_checks, metrics_.slot("rsan.region_checks"));
   flush(tally_.slot_evictions, metrics_.slot("rsan.slot_evictions"));
   if (shadow_.cell_pages() != cell_pages_counted_) {
-    metrics_.slot("rsan.cell_pages").add(shadow_.cell_pages() - cell_pages_counted_);
+    metrics_.slot("rsan.cell_pages").add_owned(shadow_.cell_pages() - cell_pages_counted_);
     cell_pages_counted_ = shadow_.cell_pages();
   }
 }
@@ -599,10 +612,10 @@ void Runtime::report_race(std::uintptr_t addr, std::size_t access_size, bool cur
   }
 
   if (!suppressions_.empty() && suppressions_.matches(report)) {
-    metrics_.slot("rsan.races_suppressed").increment();
+    metrics_.slot("rsan.races_suppressed").increment_owned();
     return;
   }
-  metrics_.slot("rsan.races_detected").increment();
+  metrics_.slot("rsan.races_detected").increment_owned();
 
   // Dedupe by (unordered context pair, page) so one bad kernel/MPI pairing
   // produces a single report per buffer region rather than millions per

@@ -16,10 +16,12 @@
 #include <deque>
 #include <memory>
 #include <string>
+#include <thread>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "obs/metrics.hpp"
 #include "rsan/clock.hpp"
 #include "rsan/report.hpp"
@@ -228,6 +230,12 @@ class Runtime {
     bool reported{false};  ///< this call already reported a race
   };
 
+  /// Debug builds: abort unless called on the thread that constructed the
+  /// Runtime (see owner_).
+  void check_owner() const {
+    CUSAN_DEBUG_ASSERT_MSG(std::this_thread::get_id() == owner_,
+                           "rsan::Runtime called off the thread that constructed it");
+  }
   void access_range(const void* addr, std::size_t size, bool is_write, const char* label);
   void check_regions(Access& a);
   void check_only_block(const ShadowBlock& blk, std::uintptr_t block_key, std::size_t g_lo,
@@ -254,6 +262,12 @@ class Runtime {
                    const char* cur_label, std::uint64_t cur_clock, const ShadowCell& prev);
 
   RuntimeConfig config_;
+  /// The rank's host thread, the one thread that may call in: the rsan.*
+  /// slots of the rank's registry are bumped single-writer
+  /// (obs::Counter::add_owned), and so are cusan's and must's, whose calls
+  /// reach rsan on the same thread. Every public entry point checks it in
+  /// debug builds.
+  std::thread::id owner_{std::this_thread::get_id()};
   std::vector<std::unique_ptr<Context>> contexts_;
   CtxId host_{kInvalidCtx};
   CtxId current_{kInvalidCtx};

@@ -5,6 +5,38 @@
 
 namespace rsan {
 
+void RunList::join(std::size_t i, std::size_t lo, std::size_t hi, bool to_prev, bool to_next) {
+  Run* runs = data();
+  const bool whole = lo == runs[i].lo && hi == runs[i].hi;
+  if (to_prev) {
+    runs[i - 1].deferred = true;
+    runs[i - 1].hi = to_next ? runs[i + 1].hi : static_cast<std::uint16_t>(hi);
+    if (whole) {
+      erase(i, to_next ? 2 : 1);
+    } else {
+      runs[i].lo = static_cast<std::uint16_t>(hi + 1);
+    }
+  } else {
+    runs[i + 1].deferred = true;
+    runs[i + 1].lo = static_cast<std::uint16_t>(lo);
+    if (whole) {
+      erase(i, 1);
+    } else {
+      runs[i].hi = static_cast<std::uint16_t>(lo - 1);
+    }
+  }
+}
+
+void RunList::erase(std::size_t pos, std::size_t n) {
+  Run* runs = data();
+  std::copy(runs + pos + n, runs + count_, runs + pos);
+  const bool spilled = count_ > kInlineRuns;
+  count_ = static_cast<std::uint8_t>(count_ - n);
+  if (spilled && count_ <= kInlineRuns) {
+    std::copy_n(runs, count_, inline_.data());
+  }
+}
+
 void ShadowMemory::store_cells(ShadowBlock& blk, std::size_t lo, std::size_t hi,
                                const GranuleCells& pattern) {
   const bool empty = pattern == kEmptyGranule;
@@ -55,6 +87,8 @@ void ShadowMemory::replace_runs(ShadowBlock& blk, std::size_t lo, std::size_t hi
     --m;
   }
   blk.runs.assign(merged.data(), m);
+  CUSAN_DEBUG_ASSERT_MSG(blk.runs.canonical(),
+                         "replace_runs left a run list out of canonical form");
 }
 
 ShadowBlock* ShadowMemory::lookup_or_create(std::uintptr_t key) {

@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "rsan/clock.hpp"
 
 namespace rsan {
@@ -94,10 +95,12 @@ struct Run {
   [[nodiscard]] std::size_t width() const { return hi - lo + 1; }
 };
 
-/// A block's uniform runs, sorted by `lo` and disjoint; empty when the
-/// ShadowMemory keeps no runs (the reference scan). Up to kInlineRuns runs
-/// live in the header; a block that needs more moves them to a kMaxRuns
-/// array allocated on first need and kept, so a header stays small.
+/// A block's uniform runs, in the canonical form every edit keeps: sorted by
+/// `lo`, disjoint, no two adjacent runs (one's `hi` + 1 the next one's `lo`)
+/// with equal cells, at most kMaxRuns. Empty when the ShadowMemory keeps no
+/// runs (the reference scan). Up to kInlineRuns runs live in the header; a
+/// block that needs more moves them to a kMaxRuns array allocated on first
+/// need and kept, so a header stays small.
 class RunList {
  public:
   [[nodiscard]] std::size_t size() const { return count_; }
@@ -124,6 +127,20 @@ class RunList {
     }
     return i;
   }
+  /// Whether the list is in canonical form (see the class comment).
+  [[nodiscard]] bool canonical() const {
+    const Run* runs = begin();
+    for (std::size_t k = 0; k < count_; ++k) {
+      if (runs[k].lo > runs[k].hi || runs[k].hi >= kGranulesPerBlock) {
+        return false;
+      }
+      if (k > 0 && (runs[k - 1].hi >= runs[k].lo ||
+                    (runs[k - 1].hi + 1u == runs[k].lo && runs[k - 1].cells == runs[k].cells))) {
+        return false;
+      }
+    }
+    return count_ <= kMaxRuns;
+  }
   void assign(const Run* runs, std::size_t n) {
     Run* dst = inline_.data();
     if (n > kInlineRuns) {
@@ -135,16 +152,54 @@ class RunList {
     std::copy_n(runs, n, dst);
     count_ = static_cast<std::uint8_t>(n);
   }
-  /// Store `cell` into slot `slot` of run `i` alone.
-  void store(std::size_t i, std::size_t slot, ShadowCell cell) {
-    Run& run = (count_ > kInlineRuns ? spill_.get() : inline_.data())[i];
-    run.cells[slot] = cell;
-    run.deferred = true;
+  /// Store `cell` into slot `slot` of granules [lo, hi], which lie inside
+  /// run `i` (the cell is new to that slot), in place where that adds no
+  /// run: [lo, hi] is the whole run, or it starts (ends) the run and the
+  /// adjacent run before (after) it holds the resulting cells. The piece
+  /// joins each adjacent run with equal cells, so the list comes out as
+  /// ShadowMemory::replace_runs would make it. Returns false, changing
+  /// nothing, when the piece needs a run of its own.
+  bool try_store(std::size_t i, std::size_t lo, std::size_t hi, std::size_t slot,
+                 ShadowCell cell) {
+    Run* runs = data();
+    // Whether `other` holds run i's cells with `cell` in `slot` (compared
+    // slot by slot: no copy of the cells is built).
+    const auto holds_result = [&](const Run& other) {
+      for (std::size_t s = 0; s < kShadowSlots; ++s) {
+        if (other.cells[s] != (s == slot ? cell : runs[i].cells[s])) {
+          return false;
+        }
+      }
+      return true;
+    };
+    const bool at_lo = lo == runs[i].lo;
+    const bool at_hi = hi == runs[i].hi;
+    const bool joins_prev =
+        at_lo && i > 0 && runs[i - 1].hi + 1u == lo && holds_result(runs[i - 1]);
+    const bool joins_next =
+        at_hi && i + 1 < count_ && hi + 1 == runs[i + 1].lo && holds_result(runs[i + 1]);
+    if (joins_prev || joins_next) {
+      join(i, lo, hi, joins_prev, joins_next);
+    } else if (at_lo && at_hi) {
+      runs[i].cells[slot] = cell;
+      runs[i].deferred = true;
+    } else {
+      return false;
+    }
+    return true;
   }
   void clear() { count_ = 0; }
 
  private:
   static constexpr std::size_t kInlineRuns = 2;
+
+  [[nodiscard]] Run* data() { return count_ > kInlineRuns ? spill_.get() : inline_.data(); }
+  /// try_store's joins: granules [lo, hi] of run `i` go to the adjacent run
+  /// before it (`to_prev`), after it (`to_next`) or both, which hold their
+  /// new cells already. When they are the whole run, run `i` leaves the list.
+  void join(std::size_t i, std::size_t lo, std::size_t hi, bool to_prev, bool to_next);
+  /// Drop runs [pos, pos + n), moving the rest back inline when they fit.
+  void erase(std::size_t pos, std::size_t n);
 
   std::uint8_t count_{0};  // first, so it shares a cache line with the first run
   std::array<Run, kInlineRuns> inline_{};
@@ -245,6 +300,20 @@ class ShadowMemory {
   /// materialized to raw cells and dropped.
   void replace_runs(ShadowBlock& blk, std::size_t lo, std::size_t hi, const Run* runs,
                     std::size_t n);
+
+  /// Store `cell` into slot `slot` of granules [lo, hi], which lie inside
+  /// run `i` of `blk` (the cell is new to that slot): replace_runs with that
+  /// one piece, done in place (RunList::try_store) unless it splits the run.
+  [[gnu::always_inline]] void store_in_run(ShadowBlock& blk, std::size_t i, std::size_t lo,
+                                           std::size_t hi, std::size_t slot, ShadowCell cell) {
+    if (!blk.runs.try_store(i, lo, hi, slot, cell)) {
+      Run piece{blk.runs[i].cells, static_cast<std::uint16_t>(lo), static_cast<std::uint16_t>(hi),
+                true};
+      piece.cells[slot] = cell;
+      replace_runs(blk, lo, hi, &piece, 1);
+    }
+    CUSAN_DEBUG_ASSERT_MSG(blk.runs.canonical(), "a store left a run list out of canonical form");
+  }
 
   /// Shadow state of the granule containing `addr`: a run's cells inside a
   /// run, the raw cells elsewhere, all-invalid if the block was never

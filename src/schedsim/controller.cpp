@@ -2,8 +2,11 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <string_view>
 
 #include "common/format.hpp"
+#include "common/parse.hpp"
 #include "obs/diagnostics.hpp"
 #include "obs/metrics.hpp"
 #include "obs/ring.hpp"
@@ -17,19 +20,6 @@ namespace {
     *error = message;
   }
   return false;
-}
-
-[[nodiscard]] bool parse_u64(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(text.c_str(), &end, 10);
-  if (*end != '\0') {
-    return false;
-  }
-  *out = parsed;
-  return true;
 }
 
 [[nodiscard]] bool read_file(const std::string& path, std::string* out) {
@@ -106,8 +96,9 @@ bool parse_schedule(const std::string& text, Config* out, std::string* error) {
       config.mode = Mode::kDpor;
     } else if (head == "bound") {
       std::uint64_t k = 0;
-      if (!parse_u64(arg, &k) || k == 0) {
-        return parse_error(error, common::format("bound: not a positive number: '{}'", arg));
+      if (!common::parse_uint(arg, k, std::numeric_limits<std::uint32_t>::max()) || k == 0) {
+        return parse_error(error, common::format("bound: not a number in 1..{}: '{}'",
+                                                 std::numeric_limits<std::uint32_t>::max(), arg));
       }
       config.bound = static_cast<std::uint32_t>(k);
     } else if (head == "record") {
@@ -125,6 +116,31 @@ bool parse_schedule(const std::string& text, Config* out, std::string* error) {
   }
   *out = config;
   return true;
+}
+
+std::string to_string(const Config& config) {
+  std::string out;
+  switch (config.mode) {
+    case Mode::kFree:
+      out = "free";
+      break;
+    case Mode::kReplay:
+      out = config.replay_path.empty() ? "replay" : "replay:" + config.replay_path;
+      break;
+    case Mode::kPrefix:
+      out = "prefix";
+      break;
+    case Mode::kDpor:
+      out = "dpor";
+      break;
+  }
+  if (config.bound != 0) {
+    out += common::format(";bound:{}", config.bound);
+  }
+  if (config.record) {
+    out += config.record_path.empty() ? ";record" : ";record:" + config.record_path;
+  }
+  return out;
 }
 
 std::string Divergence::to_string() const {
@@ -339,23 +355,9 @@ Config Controller::config() const {
 
 std::string Controller::strategy_string() const {
   std::lock_guard lock(mutex_);
-  std::string out;
-  switch (config_.mode) {
-    case Mode::kFree:
-      out = "free";
-      break;
-    case Mode::kReplay:
-      out = config_.replay_path.empty() ? "replay" : "replay:" + config_.replay_path;
-      break;
-    case Mode::kPrefix:
-      out = common::format("prefix:{}", replay_.size());
-      break;
-    case Mode::kDpor:
-      out = config_.bound != 0 ? common::format("dpor;bound:{}", config_.bound) : "dpor";
-      break;
-  }
-  if (config_.record) {
-    out += config_.record_path.empty() ? ";record" : ";record:" + config_.record_path;
+  std::string out = to_string(config_);
+  if (config_.mode == Mode::kPrefix) {
+    out.insert(std::string_view("prefix").size(), common::format(":{}", replay_.size()));
   }
   return out;
 }

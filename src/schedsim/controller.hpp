@@ -64,14 +64,22 @@ struct Config {
   std::string replay_path;  ///< kReplay via env: graph file to load
   /// kDpor: cap on executed schedules per exploration (0 = explorer default).
   std::uint32_t bound{0};
+
+  bool operator==(const Config&) const = default;
 };
 
 /// Parse the CUSAN_SCHEDULE grammar (clauses separated by ';' or ','):
-/// `free` | `replay:<path>` | `dpor` | `record:<path>` | `bound:<k>`. Any
-/// other clause is an error.
+/// `free` | `replay:<path>` | `dpor` | `record:<path>` | `bound:<k>`, where
+/// `k` is plain decimal digits from 1 to UINT32_MAX. Any other clause is an
+/// error.
 /// Empty / `0` / `off` / `none` yields a disarmed free config.
 [[nodiscard]] bool parse_schedule(const std::string& text, Config* out,
                                   std::string* error = nullptr);
+
+/// `config` in the CUSAN_SCHEDULE grammar; parse_schedule reads back every
+/// config it produced. kPrefix, and a replay or record without a path, have
+/// no clause of their own and print as `prefix`, `replay` and `record`.
+[[nodiscard]] std::string to_string(const Config& config);
 
 /// First mismatch between a replayed graph and the live run: the live query
 /// at (rank, site, seq) asked for a different candidate count than the

@@ -9,17 +9,22 @@
 //      test-only class over a plain per-granule hash map (no blocks, no
 //      caches), so a bug in the shared production scan cannot hide.
 //
-// After every access the per-call race verdicts must agree across all three;
-// after every trace the race totals, report lists (labels and access kinds
-// included) and the final shadow contents (read through ShadowMemory::load,
-// which sees uniform runs) must be identical. Three trace families:
+// After every access the per-call race verdicts must agree across all three
+// and every block of the fast runtime holds its runs in canonical form
+// (RunList::canonical); after every trace the race totals, report lists
+// (labels and access kinds included) and the final shadow contents (read
+// through ShadowMemory::load, which sees uniform runs) must be identical.
+// Three trace families:
 //   - random: 51 parameter cases x 20 traces each;
 //   - widened, 20 x 20: also block-aligned whole-block ranges, partial resets
 //     inside a run, and writes by another context that start inside one;
 //   - shared-block, 20 x 20: widened plus two to four regions at 64-byte
 //     offsets that share blocks, accessed in turn by different contexts,
 //     halo rows at region edges, 1-granule reads walking a freshly written
-//     region, and storms of narrow accesses that overflow a block's runs.
+//     region, storms of narrow accesses that overflow a block's runs, walks
+//     of 1-granule reads rightward from a run's lo and leftward from its hi
+//     (each step an in-place boundary move), and whole-run stores that make
+//     a run equal to its neighbour (an in-place join).
 #include <gtest/gtest.h>
 
 #include <array>
@@ -216,6 +221,8 @@ struct TraceStats {
   std::uint64_t fastpath_elided{};
   /// Narrow-write storms after which a block held kMaxRuns runs.
   std::uint64_t run_cap_hits{};
+  /// Whole-run stores after which the run had joined its equal neighbour.
+  std::uint64_t run_joins{};
 };
 
 void run_trace(std::uint64_t seed, Family family, TraceStats& stats) {
@@ -314,6 +321,12 @@ void run_trace(std::uint64_t seed, Family family, TraceStats& stats) {
     ASSERT_EQ(fast_raced, naive_raced)
         << "fast/naive verdict diverged: seed " << seed << " addr " << (addr - base) << " size "
         << size << (is_write ? " write" : " read");
+    for (std::size_t block = 0; block < kArenaPages; ++block) {
+      const rsan::ShadowBlock* blk = fast_block(fast, base, block);
+      ASSERT_TRUE(blk == nullptr || blk->runs.canonical())
+          << "run list out of canonical form: seed " << seed << " block " << block << " after "
+          << (addr - base) << " size " << size << (is_write ? " write" : " read");
+    }
     last = LastAccess{ctx, addr, size, is_write};
   };
 
@@ -321,8 +334,50 @@ void run_trace(std::uint64_t seed, Family family, TraceStats& stats) {
     const int ctx = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(contexts)));
     const auto choice = rng.next_below(family == Family::kRandom    ? 100
                                        : family == Family::kWidened ? 130
-                                                                    : 180);
-    if (choice >= 130) {  // shared-block generator only
+                                                                    : 195);
+    if (choice >= 180) {  // shared-block generator only: aim at one run
+      const std::size_t block = (regions[rng.next_below(regions.size())].addr - base) / 4096;
+      const rsan::Run* picked = pick_run(fast, base, block, rng);
+      if (picked == nullptr) {
+        continue;
+      }
+      const rsan::Run run = *picked;
+      const std::uintptr_t run_addr = base + block * 4096 + run.lo * kGranuleBytes;
+      const int reader = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(contexts)));
+      const std::size_t steps = std::min<std::size_t>(run.width(), 64);
+      if (choice < 185) {
+        // A walk of 1-granule reads rightward from the run's lo: the first
+        // splits the run, each later one moves the boundary, and a walk over
+        // the whole run ends in a whole-run store that joins its neighbour.
+        for (std::size_t i = 0; i < steps && !testing::Test::HasFatalFailure(); ++i) {
+          do_access(reader, run_addr + i * kGranuleBytes, kGranuleBytes, false, "load");
+        }
+      } else if (choice < 190) {
+        // The same walk leftward from the run's hi.
+        for (std::size_t i = 0; i < steps && !testing::Test::HasFatalFailure(); ++i) {
+          do_access(reader, run_addr + (run.width() - 1 - i) * kGranuleBytes, kGranuleBytes,
+                    false, "load");
+        }
+      } else if (run.width() >= 2) {
+        // A context writes the run at a fresh epoch and reads its tail; its
+        // read of the head is then a whole-run store that makes the head
+        // equal to the tail, so the two must join.
+        const std::size_t head = 1 + rng.next_below(run.width() - 1);
+        release(ctx, rng.next_below(keys.size()));
+        do_access(ctx, run_addr, run.width() * kGranuleBytes, true, "memcpy");
+        do_access(ctx, run_addr + head * kGranuleBytes, (run.width() - head) * kGranuleBytes,
+                  false, "tail");
+        do_access(ctx, run_addr, head * kGranuleBytes, false, "head");
+        const rsan::ShadowBlock* blk = fast_block(fast, base, block);
+        const rsan::Run* joined = blk != nullptr ? blk->runs.find(run.lo) : nullptr;
+        if (joined != nullptr && joined->hi >= run.hi) {
+          ++stats.run_joins;
+        }
+      }
+      if (testing::Test::HasFatalFailure()) {
+        return;
+      }
+    } else if (choice >= 130) {  // shared-block generator only
       const Region& region = regions[rng.next_below(regions.size())];
       const std::size_t row = std::min<std::size_t>(64 * (1 + rng.next_below(8)), region.size / 2);
       if (choice < 145) {
@@ -519,6 +574,7 @@ void run_case(std::uint64_t case_seed, Family family) {
   EXPECT_GT(stats.fastpath_elided, 0u) << "fast path never engaged for case seed " << case_seed;
   if (family == Family::kSharedBlock) {
     EXPECT_GT(stats.run_cap_hits, 0u) << "no block reached the run cap, case seed " << case_seed;
+    EXPECT_GT(stats.run_joins, 0u) << "no whole-run store joined a run, case seed " << case_seed;
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <array>
+#include <thread>
 #include <utility>
 
 #include "rsan/runtime.hpp"
@@ -799,6 +800,21 @@ TEST(RsanShadowBudgetTest, BudgetCountsWholeBlockFootprints) {
   EXPECT_EQ(rt.shadow().denied_blocks(), 37u);
   EXPECT_EQ(rt.shadow_resident_bytes(), 63 * rsan::kShadowBlockBytes);
   EXPECT_EQ(metric_value(metrics, "rsan.degraded_blocks"), 37u);
+}
+
+TEST(RsanOwnerDeathTest, CallsOffTheOwningThreadAbortInDebugBuilds) {
+  // A Runtime's counters are bumped single-writer, so only the thread that
+  // constructed it may call in; debug builds check every public entry point.
+#ifdef NDEBUG
+  GTEST_SKIP() << "the owning-thread check is compiled into debug builds only";
+#else
+  obs::MetricsRegistry metrics;
+  Runtime rt{metrics};
+  double value = 0.0;
+  rt.plain_read(&value, sizeof value);  // the owner may
+  EXPECT_DEATH(std::thread([&] { rt.plain_read(&value, sizeof value); }).join(),
+               "off the thread that constructed it");
+#endif
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
 // Unit tests for the shadow memory (lazy blocks, granule addressing, reset,
-// uniform runs, the block index and the raw-cell pages a block allocates on
-// write).
+// uniform runs and their in-place edits, the block index and the raw-cell
+// pages a block allocates on write).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
+#include "common/rng.hpp"
 #include "rsan/shadow.hpp"
 
 namespace {
@@ -305,6 +307,162 @@ TEST(ShadowMemoryTest, ExceedingTheRunCapMaterializesTheNarrowestRun) {
   for (std::size_t g = 0; g < kGranulesPerBlock; ++g) {
     ASSERT_EQ(shadow.load(base + g * kGranuleBytes)[0].raw, expected[g]) << "granule " << g;
   }
+}
+
+TEST(ShadowMemoryTest, InPlaceRunStoresMatchReplaceRunsAndStayCanonical) {
+  // Two run-keeping shadows take the same seeded edits. A store of one cell
+  // inside one run goes through store_in_run on one and replace_runs on the
+  // other; multi-run replacements (resets and scans, leaving raw gaps) go
+  // through replace_runs on both. After every edit both run lists are
+  // canonical and equal run for run, and every granule loads the same state.
+  ShadowMemory in_place{/*runs=*/true};
+  ShadowMemory replaced{/*runs=*/true};
+  const std::uintptr_t base = 0x400000;
+  constexpr std::size_t kBlocks = 3;
+  // Cells vary in slots 0 and 1 over three values each, so that neighbours
+  // one store apart, and equal neighbours, are common.
+  const std::array<ShadowCell, 3> values = {ShadowCell{}, ShadowCell::make(1, 3, true),
+                                            ShadowCell::make(2, 4, false)};
+  common::SplitMix64 rng(20261019);
+  const auto random_cells = [&] {
+    return rsan::GranuleCells{values[rng.next_below(3)], values[rng.next_below(3)]};
+  };
+  std::size_t joins = 0;    // whole-run stores that joined a neighbour
+  std::size_t splices = 0;  // edge stores that moved a boundary
+  std::size_t splits = 0;   // stores that needed replace_runs
+  for (std::size_t step = 0; step < 6000; ++step) {
+    const std::uintptr_t addr = base + rng.next_below(kBlocks) * kBlockAppBytes;
+    rsan::ShadowBlock& a = *in_place.block(addr);
+    rsan::ShadowBlock& b = *replaced.block(addr);
+    if (rng.next_below(4) != 0 && a.runs.size() > 0) {
+      const std::size_t i = rng.next_below(a.runs.size());
+      const rsan::Run run = a.runs[i];
+      std::size_t lo = run.lo;
+      std::size_t hi = run.hi;
+      switch (rng.next_below(4)) {
+        case 0:  // the whole run
+          break;
+        case 1:  // from its lo, as a rightward walk
+          hi = lo + rng.next_below(run.width());
+          break;
+        case 2:  // to its hi, as a leftward walk
+          lo = hi - rng.next_below(run.width());
+          break;
+        default:
+          lo += rng.next_below(run.width());
+          hi = lo + rng.next_below(run.hi - lo + 1u);
+          break;
+      }
+      std::size_t slot = rng.next_below(2);
+      ShadowCell cell = values[rng.next_below(values.size())];
+      // Half the time the cell an adjacent neighbour holds in the one slot
+      // it differs from the run in, if there is exactly one.
+      const auto one_slot_apart = [&](const rsan::Run& other) {
+        std::size_t differ = 0;
+        for (std::size_t s = 0; s < kShadowSlots; ++s) {
+          if (other.cells[s] != run.cells[s]) {
+            ++differ;
+            slot = s;
+          }
+        }
+        return differ == 1;
+      };
+      if (rng.next_below(2) == 0 && i > 0 && a.runs[i - 1].hi + 1u == run.lo &&
+          one_slot_apart(a.runs[i - 1])) {
+        cell = a.runs[i - 1].cells[slot];
+      } else if (rng.next_below(2) == 0 && i + 1 < a.runs.size() &&
+                 run.hi + 1u == a.runs[i + 1].lo && one_slot_apart(a.runs[i + 1])) {
+        cell = a.runs[i + 1].cells[slot];
+      }
+      if (cell == run.cells[slot]) {
+        continue;  // the runtime never stores a cell a slot holds
+      }
+      const std::size_t before = a.runs.size();
+      const bool whole = lo == run.lo && hi == run.hi;
+      in_place.store_in_run(a, i, lo, hi, slot, cell);
+      rsan::Run piece{run.cells, static_cast<std::uint16_t>(lo), static_cast<std::uint16_t>(hi),
+                      true};
+      piece.cells[slot] = cell;
+      replaced.replace_runs(b, lo, hi, &piece, 1);
+      if (a.runs.size() < before) {
+        ++joins;
+      } else if (a.runs.size() == before && !whole) {
+        ++splices;
+      } else if (a.runs.size() > before) {
+        ++splits;
+      }
+    } else {
+      // Up to three disjoint pieces inside [lo, hi]; what they leave out is raw.
+      const std::size_t lo = rng.next_below(kGranulesPerBlock);
+      const std::size_t hi = lo + rng.next_below(std::min<std::size_t>(kGranulesPerBlock - lo, 64));
+      std::vector<rsan::Run> pieces;
+      for (std::size_t g = lo; g <= hi && pieces.size() < 3;) {
+        const std::size_t p_lo = g + rng.next_below(hi - g + 1);
+        const std::size_t p_hi = p_lo + rng.next_below(hi - p_lo + 1);
+        pieces.push_back(rsan::Run{random_cells(), static_cast<std::uint16_t>(p_lo),
+                                   static_cast<std::uint16_t>(p_hi), true});
+        g = p_hi + 2;  // a gap, so the pieces stay disjoint and unjoined
+      }
+      in_place.replace_runs(a, lo, hi, pieces.data(), pieces.size());
+      replaced.replace_runs(b, lo, hi, pieces.data(), pieces.size());
+    }
+    ASSERT_TRUE(a.runs.canonical()) << "step " << step;
+    ASSERT_TRUE(b.runs.canonical()) << "step " << step;
+    ASSERT_EQ(a.runs.size(), b.runs.size()) << "step " << step;
+    for (std::size_t k = 0; k < a.runs.size(); ++k) {
+      ASSERT_EQ(a.runs[k].lo, b.runs[k].lo) << "step " << step << " run " << k;
+      ASSERT_EQ(a.runs[k].hi, b.runs[k].hi) << "step " << step << " run " << k;
+      ASSERT_EQ(a.runs[k].cells, b.runs[k].cells) << "step " << step << " run " << k;
+      ASSERT_EQ(a.runs[k].deferred, b.runs[k].deferred) << "step " << step << " run " << k;
+    }
+    const std::uintptr_t block_base = addr - addr % kBlockAppBytes;
+    for (std::size_t g = 0; g < kGranulesPerBlock; ++g) {
+      ASSERT_EQ(in_place.load(block_base + g * kGranuleBytes),
+                replaced.load(block_base + g * kGranuleBytes))
+          << "step " << step << " granule " << g;
+    }
+  }
+  EXPECT_GT(joins, 0u);
+  EXPECT_GT(splices, 0u);
+  EXPECT_GT(splits, 0u);
+}
+
+TEST(ShadowMemoryTest, WholeRunStoreJoinsEqualNeighbours) {
+  // A whole-run store that makes a run equal to both neighbours leaves one
+  // run, spilled runs moving back inline once they fit.
+  ShadowMemory shadow{/*runs=*/true};
+  rsan::ShadowBlock* blk = shadow.block(0x500000);
+  const ShadowCell held = ShadowCell::make(1, 2, true);
+  const ShadowCell other = ShadowCell::make(2, 3, true);
+  put(shadow, *blk, deferred_run(0, 9, held));
+  put(shadow, *blk, deferred_run(10, 19, other));
+  put(shadow, *blk, deferred_run(20, kGranulesPerBlock - 1, held));
+  ASSERT_EQ(blk->runs.size(), 3u);
+  shadow.store_in_run(*blk, 1, 10, 19, 0, held);
+  ASSERT_EQ(blk->runs.size(), 1u);
+  EXPECT_EQ(blk->runs[0].lo, 0u);
+  EXPECT_EQ(blk->runs[0].hi, kGranulesPerBlock - 1);
+  EXPECT_EQ(blk->runs[0].cells[0], held);
+  EXPECT_TRUE(blk->runs[0].deferred);
+}
+
+TEST(ShadowMemoryTest, EdgeStoreMovesTheBoundaryToAnEqualNeighbour) {
+  ShadowMemory shadow{/*runs=*/true};
+  rsan::ShadowBlock* blk = shadow.block(0x510000);
+  const ShadowCell read = ShadowCell::make(1, 2, false);
+  put(shadow, *blk, deferred_run(0, 4, read));  // the granules a walk has read
+  ASSERT_EQ(blk->runs.size(), 2u);
+  // The walk's next read, at the lo of the run after it, is a boundary move.
+  shadow.store_in_run(*blk, 1, 5, 5, 0, read);
+  ASSERT_EQ(blk->runs.size(), 2u);
+  EXPECT_EQ(blk->runs[0].hi, 5u);
+  EXPECT_EQ(blk->runs[1].lo, 6u);
+  // And from the other side, at the hi of the run before it.
+  shadow.store_in_run(*blk, 0, 5, 5, 0, ShadowCell{});
+  EXPECT_EQ(blk->runs[0].hi, 4u);
+  EXPECT_EQ(blk->runs[1].lo, 5u);
+  EXPECT_FALSE(shadow.load(0x510000 + 5 * kGranuleBytes)[0].valid());
+  EXPECT_EQ(shadow.load(0x510000 + 4 * kGranuleBytes)[0], read);
 }
 
 // -- Block index ---------------------------------------------------------------

@@ -23,6 +23,9 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
+#include <optional>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -112,6 +115,75 @@ TEST_F(SchedsimTest, ParseScheduleGrammar) {
     error.clear();
     EXPECT_FALSE(schedsim::parse_schedule(retired, &config, &error)) << retired;
     EXPECT_NE(error.find("unknown clause"), std::string::npos) << retired << ": " << error;
+  }
+}
+
+TEST_F(SchedsimTest, MutatedSchedulesAreRejectedOrParseExactly) {
+  // CUSAN_SCHEDULE comes from outside the program: a mangled schedule must be
+  // rejected with a message or parse to a config that round-trips through
+  // to_string, and a bound is read back exactly or rejected — never wrapped
+  // into another bound or into 0, which means the explorer default.
+  const auto parse_or_reject = [](const std::string& text) -> std::optional<Config> {
+    Config config;
+    std::string error;
+    bool ok = false;
+    EXPECT_NO_THROW(ok = schedsim::parse_schedule(text, &config, &error)) << text;
+    if (!ok) {
+      EXPECT_FALSE(error.empty()) << text;
+      return std::nullopt;
+    }
+    const std::string printed = schedsim::to_string(config);
+    Config reparsed;
+    EXPECT_TRUE(schedsim::parse_schedule(printed, &reparsed, &error)) << text << ": " << error;
+    EXPECT_EQ(schedsim::to_string(reparsed), printed) << text;
+    EXPECT_TRUE(reparsed == config) << text << " -> " << printed;
+    return config;
+  };
+  const auto schedule = [](const std::string& bound) {
+    return "dpor;bound:" + bound + ";record:/tmp/g.graph";
+  };
+
+  const std::string text = schedule("24");
+  const std::optional<Config> parsed = parse_or_reject(text);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->mode, Mode::kDpor);
+  EXPECT_EQ(parsed->bound, 24u);
+  EXPECT_EQ(parsed->record_path, "/tmp/g.graph");
+
+  for (std::size_t len = 0; len < text.size(); ++len) {
+    (void)parse_or_reject(text.substr(0, len));
+  }
+
+  constexpr std::uint32_t kMax = std::numeric_limits<std::uint32_t>::max();
+  const std::array<std::pair<std::string, std::optional<std::uint32_t>>, 12> numbers = {{
+      {"1", 1u},
+      {"007", 7u},
+      {"4294967295", kMax},
+      {"0", std::nullopt},
+      {"4294967296", std::nullopt},  // 2^32: wrapped to 0, the explorer default
+      {"8589934599", std::nullopt},  // 2^33 + 7: wrapped to 7
+      {"18446744073709551615", std::nullopt},
+      {"18446744073709551616", std::nullopt},  // strtoull saturated it to UINT32_MAX
+      {"-1", std::nullopt},
+      {"+5", std::nullopt},
+      {" 7", std::nullopt},
+      {"7 ", std::nullopt},
+  }};
+  for (const auto& [number, value] : numbers) {
+    const std::optional<Config> config = parse_or_reject(schedule(number));
+    ASSERT_EQ(config.has_value(), value.has_value()) << schedule(number);
+    if (config.has_value()) {
+      EXPECT_EQ(config->bound, *value) << "misread: " << schedule(number);
+    }
+  }
+
+  std::mt19937 rng(20261019);
+  for (std::size_t at = 0; at < text.size(); ++at) {
+    for (int flip = 0; flip < 4; ++flip) {
+      std::string mutated = text;
+      mutated[at] = static_cast<char>(mutated[at] ^ static_cast<char>(1 + rng() % 255));
+      (void)parse_or_reject(mutated);
+    }
   }
 }
 
