@@ -10,9 +10,6 @@
 //      work (a second load, a branch chain, a call) to the off path.
 //   2. budget: the disarmed decision path (armed() check + skipped choose())
 //      vs a representative guarded operation, same < 1% rule.
-//   3. graph parity: GraphRecorder::enabled() — the gate every rsan sync
-//      annotation now crosses for execution-graph recording — held to the
-//      same single-relaxed-load discipline.
 #pragma once
 
 #include <chrono>
@@ -21,7 +18,6 @@
 #include "faultsim/injector.hpp"
 #include "obs_guard.hpp"
 #include "schedsim/controller.hpp"
-#include "schedsim/execution_graph.hpp"
 
 namespace bench {
 
@@ -37,8 +33,6 @@ int sched_hook_overhead_guard(const char* op_name, Op&& op, int op_iters) {
 
   const double gate_ns = detail::time_hook_ns([] { detail::keep(schedsim::Controller::armed()); });
   const double ref_ns = detail::time_hook_ns([] { detail::keep(faultsim::Injector::armed()); });
-  const double graph_ns =
-      detail::time_hook_ns([] { detail::keep(schedsim::GraphRecorder::enabled()); });
   // The full disarmed site as call sites write it: gate, and only then the
   // mutex-taking choose(). Disarmed it must compile down to the gate alone.
   const double site_ns = detail::time_hook_ns([] {
@@ -76,14 +70,6 @@ int sched_hook_overhead_guard(const char* op_name, Op&& op, int op_iters) {
   if (budget >= 0.01) {
     std::fprintf(stderr, "[sched-guard] FAIL: disarmed decision site costs >= 1%% of %s\n",
                  op_name);
-    return 1;
-  }
-  const double graph_parity = ref_ns > 0.0 ? graph_ns / ref_ns : 0.0;
-  std::fprintf(stderr, "[sched-guard] graph gate %.3f ns vs armed() %.3f ns (%.2fx, budget 4x)\n",
-               graph_ns, ref_ns, graph_parity);
-  if (graph_parity >= 4.0 && graph_ns - ref_ns > 1.0) {
-    std::fprintf(stderr,
-                 "[sched-guard] FAIL: GraphRecorder::enabled() is no longer one relaxed load\n");
     return 1;
   }
   return 0;

@@ -1,7 +1,6 @@
 #include "capi/context.hpp"
 
 #include "common/assert.hpp"
-#include "common/memstats.hpp"
 #include "obs/ring.hpp"
 
 namespace capi {
@@ -29,9 +28,7 @@ ToolContext::ToolContext(int rank, const ToolConfig& config, const cusim::Device
     devices_.back()->set_obs_rank(rank);
   }
   if (config.tsan) {
-    rsan::RuntimeConfig rsan_config = config.rsan_config;
-    rsan_config.rank = rank;  // execution-graph sync events land on this lane
-    tsan_ = std::make_unique<rsan::Runtime>(metrics_, rsan_config);
+    tsan_ = std::make_unique<rsan::Runtime>(metrics_, config.rsan_config);
   }
   if (config.typeart) {
     types_ = std::make_unique<typeart::Runtime>(typedb);
@@ -76,7 +73,6 @@ RankResult ToolContext::finalize() {
       ++result.sticky_errors;
     }
   }
-  result.rss_peak_bytes = common::read_memstats().rss_peak_bytes;
   result.metrics = metrics_.counts();
   // Ranks sum up in the calling thread's registry; bench and tools diff its
   // snapshots around a session.

@@ -26,7 +26,6 @@ struct RankResult {
   obs::MetricCounts metrics;
   std::size_t shadow_bytes{};        ///< rsan shadow memory resident at finalize
   std::size_t device_live_bytes{};   ///< simulated device memory still allocated
-  std::size_t rss_peak_bytes{};      ///< process peak RSS at finalize (shared across ranks)
   /// Devices whose sticky CUDA error was still latched at finalize (the app
   /// never observed it via cudaGetLastError); drained here so faults stay
   /// accounted even when the app ignores them.

@@ -1,6 +1,7 @@
 #include "capi/result_serde.hpp"
 
 #include <cstring>
+#include <limits>
 #include <string>
 #include <type_traits>
 
@@ -19,10 +20,13 @@ constexpr std::size_t kRaceBytes = 8 + 8 + 2 * kAccessBytes;
 constexpr std::size_t kReportBytes = 1 + 2 * kStrBytes;
 constexpr std::size_t kDiagnosticBytes = kStrBytes + 1 + 4 + kStrBytes + 8;
 constexpr std::size_t kFiredBytes = 1 + 1 + 3 * 4 + 1;
+constexpr std::size_t kEventBytes = 3 * 8 + 4 + 4 + 2 + kStrBytes;
+constexpr std::size_t kDecisionBytes = 4 + 8 + 1 + 4 + 4;
 
 class Writer {
  public:
   void u8(std::uint8_t v) { raw(&v, sizeof v); }
+  void u16(std::uint16_t v) { raw(&v, sizeof v); }
   void u32(std::uint32_t v) { raw(&v, sizeof v); }
   void u64(std::uint64_t v) { raw(&v, sizeof v); }
   void i32(std::int32_t v) { raw(&v, sizeof v); }
@@ -54,6 +58,7 @@ class Reader {
   explicit Reader(std::span<const std::byte> bytes) : bytes_(bytes) {}
 
   bool u8(std::uint8_t* v) { return raw(v, sizeof *v); }
+  bool u16(std::uint16_t* v) { return raw(v, sizeof *v); }
   bool u32(std::uint32_t* v) { return raw(v, sizeof *v); }
   bool u64(std::uint64_t* v) { return raw(v, sizeof *v); }
   bool i32(std::int32_t* v) { return raw(v, sizeof *v); }
@@ -181,7 +186,6 @@ std::vector<std::byte> encode(const RankPayload& payload) {
   write_metrics(w, res.metrics.snapshot());
   w.u64(res.shadow_bytes);
   w.u64(res.device_live_bytes);
-  w.u64(res.rss_peak_bytes);
   w.u64(res.sticky_errors);
 
   write_metrics(w, payload.metric_deltas);
@@ -193,7 +197,24 @@ std::vector<std::byte> encode(const RankPayload& payload) {
     w.str(d.message);
     w.u64(d.ts_ns);
   }
-  w.str(payload.sched_graph);
+  w.u64(payload.events.size());
+  for (const obs::Event& e : payload.events) {
+    w.u64(e.ts_ns);
+    w.u64(e.dur_ns);
+    w.u64(e.arg);
+    w.i32(e.rank);
+    w.u32(e.track);
+    w.u16(static_cast<std::uint16_t>(e.kind));
+    w.str(e.name);
+  }
+  w.u64(payload.sched_decisions.size());
+  for (const schedsim::TraceEntry& d : payload.sched_decisions) {
+    w.i32(d.rank);
+    w.u64(d.seq);
+    w.u8(static_cast<std::uint8_t>(d.site));
+    w.i32(d.candidates);
+    w.i32(d.chosen);
+  }
   w.pod(payload.sched_stats);
   w.u8(payload.sched_divergence.has_value() ? 1 : 0);
   if (payload.sched_divergence.has_value()) {
@@ -251,15 +272,13 @@ bool decode(std::span<const std::byte> bytes, RankPayload* out) {
   }
   std::uint64_t shadow = 0;
   std::uint64_t device_live = 0;
-  std::uint64_t rss = 0;
   std::uint64_t sticky = 0;
   if (!read_counts(r, &res.metrics) || !r.u64(&shadow) || !r.u64(&device_live) ||
-      !r.u64(&rss) || !r.u64(&sticky)) {
+      !r.u64(&sticky)) {
     return false;
   }
   res.shadow_bytes = static_cast<std::size_t>(shadow);
   res.device_live_bytes = static_cast<std::size_t>(device_live);
-  res.rss_peak_bytes = static_cast<std::size_t>(rss);
   res.sticky_errors = static_cast<std::size_t>(sticky);
 
   if (!read_metrics(r, &out->metric_deltas) || !r.count(&count, kDiagnosticBytes)) {
@@ -276,8 +295,41 @@ bool decode(std::span<const std::byte> bytes, RankPayload* out) {
     d.severity = static_cast<obs::Severity>(severity);
     d.rank = drank;
   }
+  if (!r.count(&count, kEventBytes)) {
+    return false;
+  }
+  out->events.resize(count);
+  for (obs::Event& e : out->events) {
+    std::uint16_t kind = 0;
+    std::string name;
+    // The exporter prints kinds by name and names as NUL-terminated labels.
+    if (!r.u64(&e.ts_ns) || !r.u64(&e.dur_ns) || !r.u64(&e.arg) || !r.i32(&e.rank) ||
+        !r.u32(&e.track) || !r.u16(&kind) ||
+        kind > static_cast<std::uint16_t>(obs::EventKind::kSchedule) || !r.str(&name) ||
+        name.size() >= sizeof(e.name) || name.find('\0') != std::string::npos) {
+      return false;
+    }
+    e.kind = static_cast<obs::EventKind>(kind);
+    name.copy(e.name, name.size());
+  }
+  if (!r.count(&count, kDecisionBytes)) {
+    return false;
+  }
+  out->sched_decisions.resize(count);
+  for (schedsim::TraceEntry& d : out->sched_decisions) {
+    std::uint8_t site = 0;
+    // A decision the parent appends to its log must be one parse_log accepts.
+    if (!r.i32(&d.rank) || d.rank < -1 || d.rank == std::numeric_limits<int>::max() ||
+        !r.u64(&d.seq) || !r.u8(&site) ||
+        site > static_cast<std::uint8_t>(schedsim::Site::kWaitallOrder) ||
+        !r.i32(&d.candidates) || d.candidates < 1 || !r.i32(&d.chosen) || d.chosen < 0 ||
+        d.chosen >= d.candidates) {
+      return false;
+    }
+    d.site = static_cast<schedsim::Site>(site);
+  }
   std::uint8_t has_divergence = 0;
-  if (!r.str(&out->sched_graph) || !r.pod(&out->sched_stats) || !r.u8(&has_divergence)) {
+  if (!r.pod(&out->sched_stats) || !r.u8(&has_divergence)) {
     return false;
   }
   if (has_divergence != 0) {

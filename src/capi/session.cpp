@@ -12,7 +12,6 @@
 #include "obs/perfetto.hpp"
 #include "obs/ring.hpp"
 #include "schedsim/controller.hpp"
-#include "schedsim/execution_graph.hpp"
 
 namespace capi {
 
@@ -96,22 +95,10 @@ std::vector<RankResult> run_session(const SessionConfig& config, const RankMain&
   // itself instead of the file exports.
   const bool scoped = common::ThreadContext::current().metrics != nullptr;
   schedsim::Controller& controller = schedsim::Controller::instance();
-  schedsim::GraphRecorder& recorder = schedsim::GraphRecorder::instance();
+  // The decision log restarts with the session, like the controller's
+  // decision streams, so its seqs run from 0 and a forked rank's whole log
+  // is what it recorded after the fork.
   controller.begin_session();
-  // A `record:` schedule records this session's execution graph; explorer
-  // runs arm the recorder themselves. Either way the graph restarts with
-  // the session, like the controller's decision streams, so its decision
-  // seqs run from 0 and a forked rank's whole graph is what it recorded
-  // after the fork.
-  const schedsim::Config sched_config = controller.config();
-  const bool session_record = sched_config.record && !schedsim::GraphRecorder::enabled();
-  if (session_record) {
-    recorder.arm(true);
-  }
-  if (schedsim::GraphRecorder::enabled()) {
-    recorder.begin_run();
-    recorder.set_strategy(controller.strategy_string());
-  }
   const obs::ExportConfig* obs_cfg = nullptr;
   if (!scoped) {
     obs_cfg = &obs_config();
@@ -133,16 +120,19 @@ std::vector<RankResult> run_session(const SessionConfig& config, const RankMain&
   world.run([&](mpisim::Comm comm) {
     // Proc backend: the rank is a forked process, so anything its tool stack
     // produces must be shipped back explicitly. Baseline the fork-inherited
-    // metrics first; the deltas travel in the result blob. The inherited
-    // diagnostics are the parent's own entries: drop them, so what the rank
-    // emits is exactly what the store retains (an offset into a store
-    // already at its cap would never move).
+    // metrics, fired faults and ring events first; what the rank added
+    // travels in the result blob. The inherited diagnostics are the
+    // parent's own entries: drop them, so what the rank emits is exactly
+    // what the store retains (an offset into a store already at its cap
+    // would never move).
     obs::MetricCounts metrics_base;
     std::size_t fired_base = 0;
+    obs::RingMarks ring_base{};
     if (proc) {
       metrics_base = obs::MetricsRegistry::instance().counts();
       obs::clear_diagnostics();
       fired_base = faultsim::Injector::instance().fired_count();
+      ring_base = obs::ring_marks();
     }
     ToolContext ctx(comm.rank(), config.tools, config.device_profile, config.typedb,
                     config.devices_per_rank);
@@ -165,10 +155,9 @@ std::vector<RankResult> run_session(const SessionConfig& config, const RankMain&
       payload.fired_faults.assign(fired.begin() + static_cast<std::ptrdiff_t>(fired_base),
                                   fired.end());
     }
-    if (schedsim::GraphRecorder::enabled()) {
-      payload.sched_graph = schedsim::serialize_graph(recorder.snapshot());
-    }
+    payload.events = obs::events_since(ring_base);
     if (schedsim::Controller::armed()) {
+      payload.sched_decisions = controller.log().decisions;
       payload.sched_stats = controller.stats();
       payload.sched_divergence = controller.divergence();
     }
@@ -192,27 +181,22 @@ std::vector<RankResult> run_session(const SessionConfig& config, const RankMain&
         obs::reemit_imported_diagnostic(std::move(diagnostic));
       }
       faultsim::Injector::instance().import_fired(payload.fired_faults);
-      if (schedsim::GraphRecorder::enabled()) {
-        std::string error;
-        if (!recorder.absorb(payload.sched_graph, &error)) {
-          std::fprintf(stderr, "cusan: rank %d execution graph: %s\n", r, error.c_str());
-        }
+      for (const obs::Event& event : payload.events) {
+        obs::emit_event(event);
       }
       if (schedsim::Controller::armed()) {
-        controller.absorb_child(payload.sched_stats, payload.sched_divergence);
+        controller.absorb_child(payload.sched_stats, payload.sched_divergence,
+                                payload.sched_decisions);
       }
       results[static_cast<std::size_t>(r)] = std::move(payload.result);
     }
   }
-  if (session_record) {
-    recorder.arm(false);
-    if (!sched_config.record_path.empty()) {
-      // Like the Perfetto trace: the exported file is the last session's.
-      std::string error;
-      if (!obs::write_file(sched_config.record_path,
-                           schedsim::serialize_graph(recorder.snapshot()), &error)) {
-        std::fprintf(stderr, "cusan: execution graph export failed: %s\n", error.c_str());
-      }
+  if (const schedsim::Config sched = controller.config();
+      sched.record && !sched.record_path.empty()) {
+    // Like the Perfetto trace: the exported file is the last session's.
+    std::string error;
+    if (!obs::write_file(sched.record_path, schedsim::serialize_log(controller.log()), &error)) {
+      std::fprintf(stderr, "cusan: decision log export failed: %s\n", error.c_str());
     }
   }
   if (!scoped) {

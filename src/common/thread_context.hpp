@@ -1,10 +1,10 @@
-// The calling thread's tool-state binding: the five instances an svc::Session
+// The calling thread's tool-state binding: the four instances an svc::Session
 // owns (metrics registry, diagnostics hub, fault injector, schedule
-// controller, execution-graph recorder), held in one constinit thread_local
-// struct. svc::Session::run is the only place that binds a session; the
-// thread-spawn sites (mpisim rank threads, cusim stream workers) copy the
-// parent's binding with capture() and install it in the spawned thread with
-// a Scope, so a session's worlds and streams resolve to the session too.
+// controller), held in one constinit thread_local struct.
+// svc::Session::run is the only place that binds a session; the thread-spawn
+// sites (mpisim rank threads, cusim stream workers) copy the parent's
+// binding with capture() and install it in the spawned thread with a Scope,
+// so a session's worlds and streams resolve to the session too.
 //
 // A thread with no binding sees every member as null and each subsystem's
 // instance() falls back to its process instance: harnesses, examples and
@@ -14,7 +14,7 @@
 // faultsim and schedsim. The instance is constant-initialized and the struct
 // trivially destructible, so reading a member is one TLS load with no
 // initialization guard — the disarmed gates (Injector::armed,
-// Controller::armed, GraphRecorder::enabled) rely on that.
+// Controller::armed) rely on that.
 #pragma once
 
 namespace obs {
@@ -26,7 +26,6 @@ class Injector;
 }  // namespace faultsim
 namespace schedsim {
 class Controller;
-class GraphRecorder;
 }  // namespace schedsim
 
 namespace common {
@@ -36,7 +35,6 @@ struct ThreadContext {
   obs::DiagnosticHub* hub{nullptr};
   faultsim::Injector* injector{nullptr};
   schedsim::Controller* controller{nullptr};
-  schedsim::GraphRecorder* recorder{nullptr};
 
   /// The calling thread's binding (all null when unbound).
   [[nodiscard]] static const ThreadContext& current();

@@ -115,8 +115,7 @@ inline constexpr auto kMetricSchema = std::to_array<std::string_view>({
     "sched.divergences",
     "sched.dpor_backtracks",
     "sched.dpor_executions",
-    "sched.dpor_graph_edges",
-    "sched.dpor_graph_nodes",
+    "sched.dpor_graph_nodes",           // decisions recorded over all executions
     "sched.dpor_redundant",
     "sched.dpor_sleep_prunes",
     "sched.replay_underruns",

@@ -46,21 +46,24 @@ MetricsRegistry& MetricsRegistry::instance() {
 }
 
 MetricsRegistry& MetricsRegistry::global() {
+  // The process registry alone carries the process.memstats provider: the
+  // RSS rides along in its snapshots, so memory tables (EXPERIMENTS.md) come
+  // out of the registry. A session registry's diff of it would be a clamped
+  // share of one process's resident set, not a counter.
   static MetricsRegistry registry;
-  static const bool process_stats = (registry.add_process_stats(), true);
+  static const bool process_stats = [] {
+    registry.register_provider("process.memstats", [](MetricCounts& counts) {
+      const auto stats = common::read_memstats();
+      counts.set("process.rss_bytes", stats.rss_bytes);
+      counts.set("process.rss_peak_bytes", stats.rss_peak_bytes);
+    });
+    return true;
+  }();
   (void)process_stats;
   return registry;
 }
 
 MetricsRegistry::MetricsRegistry() = default;
-
-void MetricsRegistry::add_process_stats() {
-  register_provider("process.memstats", [](MetricCounts& counts) {
-    const auto stats = common::read_memstats();
-    counts.set("process.rss_bytes", stats.rss_bytes);
-    counts.set("process.rss_peak_bytes", stats.rss_peak_bytes);
-  });
-}
 
 void MetricsRegistry::list(std::span<const MetricId> ids) {
   for (const MetricId id : ids) {

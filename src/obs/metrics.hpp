@@ -113,7 +113,7 @@ struct MetricCounts {
 class MetricsRegistry {
  public:
   /// A fresh, empty registry without providers (a rank's tool counters, or
-  /// a session's with add_process_stats()).
+  /// a session's).
   MetricsRegistry();
 
   /// The calling thread's current registry: its svc::Session's, else the
@@ -151,10 +151,6 @@ class MetricsRegistry {
   /// Add `counts` slot by slot (a rank's finalize-time counts). Only nonzero
   /// entries show up: `counts.listed` is not carried over.
   void add(const MetricCounts& counts);
-
-  /// Register the process.memstats provider: peak RSS rides along in every
-  /// snapshot, so memory tables (EXPERIMENTS.md) come out of the registry.
-  void add_process_stats();
 
   /// Providers run at snapshot time and fill computed values into the
   /// counts being taken (MetricCounts::set for schema gauges, `extra` for

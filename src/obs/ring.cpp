@@ -1,5 +1,6 @@
 #include "obs/ring.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <mutex>
 
@@ -56,9 +57,12 @@ std::uint64_t EventRing::dropped() const {
   return n > slots_.size() ? n - slots_.size() : 0;
 }
 
-std::vector<Event> EventRing::snapshot() const {
+std::vector<Event> EventRing::snapshot(std::uint64_t from) const {
   const std::uint64_t end = next_.load(std::memory_order_acquire);
-  const std::uint64_t begin = end > slots_.size() ? end - slots_.size() : 0;
+  const std::uint64_t begin = std::max(from, end > slots_.size() ? end - slots_.size() : 0);
+  if (begin >= end) {
+    return {};
+  }
   std::vector<Event> out;
   out.reserve(static_cast<std::size_t>(end - begin));
   for (std::uint64_t n = begin; n < end; ++n) {
@@ -110,6 +114,27 @@ void reset_rings() {
   for (auto& slot : g_rings) {
     delete slot.exchange(nullptr, std::memory_order_acq_rel);
   }
+}
+
+RingMarks ring_marks() {
+  RingMarks marks{};
+  for (int index = 0; index < kMaxRings; ++index) {
+    const EventRing* ring = g_rings[index].load(std::memory_order_acquire);
+    marks[static_cast<std::size_t>(index)] = ring != nullptr ? ring->total() : 0;
+  }
+  return marks;
+}
+
+std::vector<Event> events_since(const RingMarks& marks) {
+  std::vector<Event> out;
+  for (int index = 0; index < kMaxRings; ++index) {
+    const EventRing* ring = g_rings[index].load(std::memory_order_acquire);
+    if (ring != nullptr) {
+      const std::vector<Event> events = ring->snapshot(marks[static_cast<std::size_t>(index)]);
+      out.insert(out.end(), events.begin(), events.end());
+    }
+  }
+  return out;
 }
 
 void bind_rank(int rank) { t_bound_rank = rank; }

@@ -6,6 +6,7 @@
 // full ring simply overwrites the oldest entries (drop-counted).
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <vector>
@@ -32,9 +33,10 @@ class EventRing {
   [[nodiscard]] std::uint64_t dropped() const;
   [[nodiscard]] std::size_t capacity() const { return slots_.size(); }
 
-  /// Copy the surviving events in emission order. Entries caught mid-write
-  /// (torn) or overwritten during the scan are skipped.
-  [[nodiscard]] std::vector<Event> snapshot() const;
+  /// Copy the surviving events in emission order, from the `from`-th event
+  /// ever emitted on. Entries caught mid-write (torn) or overwritten during
+  /// the scan are skipped.
+  [[nodiscard]] std::vector<Event> snapshot(std::uint64_t from = 0) const;
 
  private:
   struct Slot {
@@ -65,6 +67,14 @@ void set_tracing_enabled(bool enabled);
 
 /// Drop all rings (start of a session; no producers may be live).
 void reset_rings();
+
+/// Events ever emitted per ring (index rank + 1): the baseline a forked rank
+/// takes of what it inherited, so it can ship only what it emitted.
+using RingMarks = std::array<std::uint64_t, kMaxRings>;
+[[nodiscard]] RingMarks ring_marks();
+/// The surviving events emitted since `marks`, ring by ring, each ring's in
+/// emission order.
+[[nodiscard]] std::vector<Event> events_since(const RingMarks& marks);
 
 /// Bind the calling thread to a rank so emit helpers attribute events
 /// without threading the rank through every call site.

@@ -8,7 +8,6 @@
 #include "common/log.hpp"
 #include "obs/diagnostics.hpp"
 #include "obs/ring.hpp"
-#include "schedsim/execution_graph.hpp"
 
 namespace rsan {
 
@@ -162,9 +161,6 @@ void Runtime::happens_before(const void* key) {
   auto& clock = sync_objects_[reinterpret_cast<std::uintptr_t>(key)];
   clock.join(cur.clock);
   cur.clock.tick(current_);
-  if (schedsim::GraphRecorder::enabled()) {
-    schedsim::GraphRecorder::instance().record_release(config_.rank, current_, key);
-  }
 }
 
 void Runtime::happens_after(const void* key) {
@@ -176,9 +172,6 @@ void Runtime::happens_after(const void* key) {
   }
   Context& cur = *contexts_[current_];
   cur.clock.join(it->second);
-  if (schedsim::GraphRecorder::enabled()) {
-    schedsim::GraphRecorder::instance().record_acquire(config_.rank, current_, key);
-  }
 }
 
 bool Runtime::has_sync_object(const void* key) const {
@@ -188,11 +181,6 @@ bool Runtime::has_sync_object(const void* key) const {
 void Runtime::release_sync_object(const void* key) {
   check_owner();
   sync_objects_.erase(reinterpret_cast<std::uintptr_t>(key));
-  if (schedsim::GraphRecorder::enabled()) {
-    // The key's address may be recycled for an unrelated sync object; retire
-    // its pending release nodes so no false cross-object edge appears.
-    schedsim::GraphRecorder::instance().record_key_retire(key);
-  }
 }
 
 void Runtime::read_range(const void* addr, std::size_t size, const char* label) {

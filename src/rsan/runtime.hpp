@@ -9,6 +9,11 @@
 // on the host thread, with fibers modelling the logical concurrency of CUDA
 // streams and non-blocking MPI requests. Detection is therefore fully
 // deterministic and independent of physical scheduling.
+//
+// The vector clocks here are the stack's one happens-before model: every
+// arc comes from an annotation keyed by address, as in the paper. Schedule
+// exploration (schedsim) records only the decisions that replay a run and
+// keeps no copy of this order.
 #pragma once
 
 #include <array>
@@ -58,10 +63,6 @@ struct RuntimeConfig {
   /// rsan.degraded_blocks/degraded_accesses — instead of aborting the run
   /// (robustness under substrate memory pressure).
   std::size_t shadow_max_bytes = default_shadow_max_bytes();
-  /// Owning rank, for the execution-graph recorder (schedsim): sync events
-  /// this runtime records land on the rank's host lane. -1 = unattributed
-  /// (raw rsan unit tests outside a capi session).
-  int rank = -1;
 };
 
 struct ContextInfo {

@@ -144,7 +144,7 @@ std::string to_string(const Config& config) {
 }
 
 std::string Divergence::to_string() const {
-  return common::format("rank {} {} decision {}: graph recorded {} candidates, run asked for {}",
+  return common::format("rank {} {} decision {}: log recorded {} candidates, run asked for {}",
                         rank, schedsim::to_string(site), seq, expected_candidates,
                         got_candidates);
 }
@@ -231,10 +231,8 @@ int Controller::choose(Site site, int rank, int candidates, int default_index) {
         break;
       }
     }
-    // Under the controller lock, so the graph's decision order is the
-    // answer order.
-    if (GraphRecorder::enabled()) {
-      GraphRecorder::instance().record_decision(rank, site, seq, candidates, chosen);
+    if (config_.record) {
+      log_.push_back({rank, seq, site, candidates, chosen});
     }
   }
   count_sched("sched.decisions");
@@ -250,7 +248,7 @@ void Controller::configure(const Config& config) {
   std::lock_guard lock(mutex_);
   config_ = config;
   if (config_.mode == Mode::kDpor) {
-    config_.record = true;  // every explored run must yield its graph
+    config_.record = true;  // every explored run must yield its log
   }
   install_replay_locked({});
   set_armed(config_.mode != Mode::kFree || config_.record);
@@ -265,17 +263,17 @@ void Controller::configure_prefix(std::vector<TraceEntry> prefix) {
   set_armed(true);
 }
 
-bool Controller::configure_replay_text(const std::string& graph_text, std::string* error,
+bool Controller::configure_replay_text(const std::string& log_text, std::string* error,
                                        bool record) {
-  ExecutionGraph parsed;
-  if (!parse_graph(graph_text, &parsed, error) || !validate_graph(parsed, error)) {
+  DecisionLog parsed;
+  if (!parse_log(log_text, &parsed, error)) {
     return false;
   }
   std::lock_guard lock(mutex_);
   config_ = {};
   config_.mode = Mode::kReplay;
   config_.record = record;
-  install_replay_locked(decision_entries(parsed));
+  install_replay_locked(std::move(parsed.decisions));
   set_armed(true);
   return true;
 }
@@ -334,11 +332,16 @@ void Controller::reset_run_state_locked() {
   streams_.clear();
   divergence_.reset();
   stats_ = {};
+  log_.clear();
 }
 
 void Controller::absorb_child(const Stats& child_stats,
-                              const std::optional<Divergence>& child_divergence) {
+                              const std::optional<Divergence>& child_divergence,
+                              const std::vector<TraceEntry>& child_decisions) {
   std::lock_guard lock(mutex_);
+  if (config_.record) {
+    log_.insert(log_.end(), child_decisions.begin(), child_decisions.end());
+  }
   stats_.decisions += child_stats.decisions;
   stats_.replayed += child_stats.replayed;
   stats_.underruns += child_stats.underruns;
@@ -353,13 +356,22 @@ Config Controller::config() const {
   return config_;
 }
 
-std::string Controller::strategy_string() const {
-  std::lock_guard lock(mutex_);
+std::string Controller::strategy_string_locked() const {
   std::string out = to_string(config_);
   if (config_.mode == Mode::kPrefix) {
     out.insert(std::string_view("prefix").size(), common::format(":{}", replay_.size()));
   }
   return out;
+}
+
+std::string Controller::strategy_string() const {
+  std::lock_guard lock(mutex_);
+  return strategy_string_locked();
+}
+
+DecisionLog Controller::log() const {
+  std::lock_guard lock(mutex_);
+  return {strategy_string_locked(), log_};
 }
 
 std::optional<Divergence> Controller::divergence() const {

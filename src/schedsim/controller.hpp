@@ -10,14 +10,13 @@
 //
 //   free             today's behavior; the controller stays disarmed and
 //                    each choice point costs one relaxed atomic load
-//   replay:<path>    answer every query from its (rank, site) stream of
-//                    the decision nodes of a recorded execution graph; the
-//                    first stream decision whose live candidate count
-//                    disagrees with the recording is latched and reported
-//                    as a divergence
-//   record:<path>    compose with any of the above to write the execution
-//                    graph (execution_graph.hpp) after each session — any
-//                    race an exploration finds becomes a one-command
+//   replay:<path>    answer every query from its (rank, site) stream of a
+//                    recorded decision log; the first stream decision whose
+//                    live candidate count disagrees with the recording is
+//                    latched and reported as a divergence
+//   record:<path>    compose with any of the above to write the session's
+//                    decision log (decision_log.hpp) at its end — any race
+//                    an exploration finds becomes a one-command
 //                    deterministic reproducer
 //   dpor             the one exploration strategy (explorer.hpp): harnesses
 //                    drive a source-DPOR frontier of pinned prefixes over
@@ -25,10 +24,12 @@
 //                    free with recording on (the explorer owns the multi-run
 //                    loop). `bound:<k>` caps executed schedules per scenario
 //
-// The controller keeps no decision log of its own: while the GraphRecorder
-// is armed, choose() appends each answer to it inside the controller's
-// critical section, so the graph's decision order is the order the
-// controller answered in.
+// The controller owns the recording: while it records (a `record:` config,
+// dpor, or an explorer's pinned prefix), choose() appends each answer to its
+// decision log inside its critical section, so the log's order is the order
+// the controller answered in. Each session restarts the log
+// (begin_session); a forked rank's log travels back in its RankPayload and
+// the parent appends it (absorb_child).
 //
 // Cost model (the bench guard asserts it): disarmed, armed() is a single
 // relaxed atomic load and choose() is never reached. Armed, decisions take a
@@ -44,24 +45,24 @@
 #include <vector>
 
 #include "common/thread_context.hpp"
-#include "schedsim/execution_graph.hpp"
+#include "schedsim/decision_log.hpp"
 
 namespace schedsim {
 
 enum class Mode : std::uint8_t {
   kFree,    ///< default choices (armed only if recording)
-  kReplay,  ///< answer from a recorded execution graph
+  kReplay,  ///< answer from a recorded decision log
   kPrefix,  ///< replay a pinned prefix, record the free suffix (explorer)
   kDpor,    ///< explorer-driven systematic exploration (free + record per run)
 };
 
 struct Config {
   Mode mode{Mode::kFree};
-  /// Sessions arm the GraphRecorder (capi::run_session) and write the
-  /// graph to record_path at their end.
+  /// choose() appends every answer to the decision log; sessions
+  /// (capi::run_session) write it to record_path at their end.
   bool record{false};
-  std::string record_path;  ///< empty: in-memory only (GraphRecorder)
-  std::string replay_path;  ///< kReplay via env: graph file to load
+  std::string record_path;  ///< empty: in-memory only (Controller::log)
+  std::string replay_path;  ///< kReplay via env: decision log file to load
   /// kDpor: cap on executed schedules per exploration (0 = explorer default).
   std::uint32_t bound{0};
 
@@ -81,7 +82,7 @@ struct Config {
 /// no clause of their own and print as `prefix`, `replay` and `record`.
 [[nodiscard]] std::string to_string(const Config& config);
 
-/// First mismatch between a replayed graph and the live run: the live query
+/// First mismatch between a replayed log and the live run: the live query
 /// at (rank, site, seq) asked for a different candidate count than the
 /// recording. (Sites cannot mismatch: each (rank, site) pair replays its
 /// own stream, so a timing-dependent skip of one site — a wait whose
@@ -147,20 +148,20 @@ class Controller {
   /// Install a strategy programmatically (sweep harnesses, tests). Resets
   /// per-stream cursors and any latched divergence.
   void configure(const Config& config);
-  /// configure() for replay with the graph supplied as text instead of a
-  /// file (differential tests). Returns false on a malformed or invalid
-  /// graph (parse_graph + validate_graph).
-  [[nodiscard]] bool configure_replay_text(const std::string& graph_text,
+  /// configure() for replay with the log supplied as text instead of a
+  /// file (differential tests). Returns false on a malformed log
+  /// (parse_log).
+  [[nodiscard]] bool configure_replay_text(const std::string& log_text,
                                            std::string* error = nullptr, bool record = false);
   /// The explorer's strategy seam: pin the given decisions (each (rank,
   /// site) stream replays its slice of `prefix`), record, and let each
   /// stream fall back to free choices past its pinned slice — the recorded
   /// run is prefix + free suffix. An empty prefix is a plain free-recorded
   /// run. Entries must be per-stream seq-monotonic (any
-  /// per-stream-prefix-closed subsequence of a recorded graph's decisions
+  /// per-stream-prefix-closed subsequence of a recorded log's decisions
   /// is).
   void configure_prefix(std::vector<TraceEntry> prefix);
-  /// configure(), except that a replay config reads its graph from
+  /// configure(), except that a replay config reads its log from
   /// replay_path. False on an unreadable or malformed replay file.
   [[nodiscard]] bool load(const Config& config, std::string* error = nullptr);
   /// Parse and load() CUSAN_SCHEDULE (unset/empty: keeps current state). False on a
@@ -169,25 +170,33 @@ class Controller {
   /// Disarm and drop all state.
   void clear();
 
-  /// Session begin (capi::run_session): resets per-stream cursors and the
-  /// latched divergence so every session replays the graph from its start.
+  /// Session begin (capi::run_session): resets per-stream cursors, stats,
+  /// the latched divergence and the decision log, so every session replays
+  /// the recording from its start and records from seq 0.
   void begin_session();
 
   [[nodiscard]] Config config() const;
   [[nodiscard]] std::string strategy_string() const;
   [[nodiscard]] std::optional<Divergence> divergence() const;
   [[nodiscard]] Stats stats() const;
+  /// The decisions recorded since the last reset (configure*, clear,
+  /// begin_session), under the current strategy string. Empty unless the
+  /// controller records.
+  [[nodiscard]] DecisionLog log() const;
 
-  /// Proc backend: merge a forked child rank's stats and latched divergence
-  /// into this (parent) controller, so cross-process runs report the same
-  /// divergence verdicts as thread-backend runs. (The child's decisions
-  /// travel as graph text: GraphRecorder::absorb.)
-  void absorb_child(const Stats& child_stats, const std::optional<Divergence>& child_divergence);
+  /// Proc backend: merge a forked child rank's stats, latched divergence
+  /// and recorded decisions into this (parent) controller, so
+  /// cross-process runs report and record what thread-backend runs do. The
+  /// parent absorbs its ranks in rank order; seqs are per (rank, site)
+  /// stream, so appended decisions need no renumbering.
+  void absorb_child(const Stats& child_stats, const std::optional<Divergence>& child_divergence,
+                    const std::vector<TraceEntry>& child_decisions);
 
  private:
   friend const std::atomic<bool>& detail::armed_flag_of(const Controller& controller);
   void set_armed(bool armed);
   void reset_run_state_locked();
+  [[nodiscard]] std::string strategy_string_locked() const;
   void install_replay_locked(std::vector<TraceEntry> entries);
 
   /// Mutable per-(rank, site)-stream run state: the stream-local decision
@@ -208,6 +217,7 @@ class Controller {
   std::unordered_map<std::uint64_t, StreamState> streams_;
   std::optional<Divergence> divergence_;
   Stats stats_;
+  std::vector<TraceEntry> log_;  ///< answers in order, while config_.record
 };
 
 namespace detail {

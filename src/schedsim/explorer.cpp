@@ -47,7 +47,6 @@ std::vector<Execution> Explorer::explore(Controller& controller, const RunFn& ru
   frontier.push_back({});
   sleep.insert(signature({}));
 
-  GraphRecorder& recorder = GraphRecorder::instance();
   while (!frontier.empty()) {
     if (executions.size() >= options_.bound) {
       stats_.bound_hit = true;
@@ -57,27 +56,23 @@ std::vector<Execution> Explorer::explore(Controller& controller, const RunFn& ru
     frontier.pop_front();
 
     controller.configure_prefix(prefix);
-    recorder.begin_run();
-    recorder.arm(true);
     const std::uint64_t t0 = common::now_ns();
     const std::size_t races = run();
     const std::uint64_t t1 = common::now_ns();
-    recorder.arm(false);
 
     Execution exec;
     exec.index = executions.size();
     exec.pinned = prefix.size();
-    exec.graph = recorder.take_graph();
-    exec.graph.strategy = common::format("dpor execution {}", exec.index);
-    exec.trace = decision_entries(exec.graph);
+    exec.log = controller.log();
+    exec.log.strategy = common::format("dpor execution {}", exec.index);
     exec.races = races;
     exec.diverged = controller.divergence().has_value();
     exec.wall_ms = static_cast<double>(t1 - t0) / 1e6;
-    stats_.graph_nodes += exec.graph.nodes.size();
-    stats_.graph_edges += exec.graph.edges.size();
+    const std::vector<TraceEntry>& trace = exec.log.decisions;
+    stats_.graph_nodes += trace.size();
 
     ++stats_.executions;
-    if (!seen.insert(signature(exec.trace)).second) {
+    if (!seen.insert(signature(trace)).second) {
       ++stats_.redundant;
     }
 
@@ -88,8 +83,8 @@ std::vector<Execution> Explorer::explore(Controller& controller, const RunFn& ru
       pinned.emplace(stream_key(e.rank, e.site), e.seq);
     }
     std::set<std::pair<std::uint64_t, std::uint64_t>> recorded;  ///< trace[0..i]
-    for (std::size_t i = 0; i < exec.trace.size(); ++i) {
-      const TraceEntry& e = exec.trace[i];
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const TraceEntry& e = trace[i];
       const std::uint64_t stream = stream_key(e.rank, e.site);
       recorded.emplace(stream, e.seq);
       if (e.candidates <= 1 || pinned.contains({stream, e.seq})) {
@@ -99,8 +94,8 @@ std::vector<Execution> Explorer::explore(Controller& controller, const RunFn& ru
         if (alt == e.chosen) {
           continue;
         }
-        std::vector<TraceEntry> next(exec.trace.begin(),
-                                     exec.trace.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+        std::vector<TraceEntry> next(trace.begin(),
+                                     trace.begin() + static_cast<std::ptrdiff_t>(i) + 1);
         next.back().chosen = alt;
         // The prefix's own pins recorded after position i (or never reached)
         // stay pinned: dropped, they would fall back to free choices and the
@@ -133,7 +128,6 @@ void Explorer::publish_metrics() const {
   registry.add("sched.dpor_sleep_prunes", stats_.sleep_prunes);
   registry.add("sched.dpor_redundant", stats_.redundant);
   registry.add("sched.dpor_graph_nodes", stats_.graph_nodes);
-  registry.add("sched.dpor_graph_edges", stats_.graph_edges);
 }
 
 }  // namespace schedsim

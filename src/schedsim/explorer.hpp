@@ -1,9 +1,9 @@
 // The multi-run DPOR driver: turns the single-run ScheduleController into a
 // systematic explorer. Each iteration installs a pinned prefix on the
-// controller (configure_prefix — replay:<path> generalized), executes one
-// run via a harness-supplied callback with the GraphRecorder armed, takes
-// the run's execution graph (whose decision nodes are the run's decision
-// sequence), and computes source-DPOR-style backtrack points. One rule:
+// controller (configure_prefix — replay:<path> generalized, recording on),
+// executes one run via a harness-supplied callback, takes the run's decision
+// log from the controller, and computes source-DPOR-style backtrack points.
+// One rule:
 // for every branchable decision in the run that is not part of the pinned
 // prefix, every alternative candidate spawns a new prefix (the run's
 // decisions up to the flipped one, plus the rest of the pinned prefix, so
@@ -22,8 +22,8 @@
 //
 // The explorer is harness-agnostic: check_cutests, fault_sweep and tests
 // supply the run callback (typically a closure over run_scenario_outcome);
-// the explorer owns only the controller/recorder choreography and the
-// frontier. Per-exploration counters land in obs as sched.dpor_*.
+// the explorer owns only the controller choreography and the frontier.
+// Per-exploration counters land in obs as sched.dpor_*.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +31,7 @@
 #include <string>
 #include <vector>
 
-#include "schedsim/execution_graph.hpp"
+#include "schedsim/decision_log.hpp"
 
 namespace schedsim {
 
@@ -48,8 +48,7 @@ struct ExplorerOptions {
 struct Execution {
   std::size_t index{0};
   std::size_t pinned{0};            ///< decisions pinned by the prefix
-  ExecutionGraph graph;             ///< the run's graph: its replay record
-  std::vector<TraceEntry> trace;    ///< decision_entries(graph)
+  DecisionLog log;                  ///< the run's decisions: its replay record
   std::size_t races{0};             ///< harness-reported race count
   bool diverged{false};             ///< pinned prefix stopped matching
   double wall_ms{0.0};
@@ -60,8 +59,7 @@ struct ExplorerStats {
   std::uint64_t backtrack_points{0};  ///< prefixes pushed onto the frontier
   std::uint64_t sleep_prunes{0};      ///< prefixes already in the sleep set
   std::uint64_t redundant{0};         ///< executions equal to a previous one
-  std::uint64_t graph_nodes{0};
-  std::uint64_t graph_edges{0};
+  std::uint64_t graph_nodes{0};       ///< decisions recorded over all executions
   std::uint64_t frontier_peak{0};
   bool bound_hit{false};
 };
@@ -74,10 +72,10 @@ class Explorer {
 
   explicit Explorer(ExplorerOptions options = {});
 
-  /// Drive the exploration: repeatedly configure `controller`, invoke
-  /// `run` with the calling thread's GraphRecorder armed, and grow the
-  /// frontier until it is empty or the bound is hit. Leaves the controller
-  /// and the recorder disarmed. Each call resets stats.
+  /// Drive the exploration: repeatedly configure `controller` with a
+  /// recording prefix, invoke `run`, and grow the frontier until it is
+  /// empty or the bound is hit. Leaves the controller disarmed. Each call
+  /// resets stats.
   std::vector<Execution> explore(Controller& controller, const RunFn& run);
 
   [[nodiscard]] const ExplorerStats& stats() const { return stats_; }

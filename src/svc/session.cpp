@@ -10,10 +10,9 @@
 namespace svc {
 
 Session::Session(SessionSpec spec) : spec_(std::move(spec)) {
-  // The session registry mirrors the global one's riders: process memstats,
-  // and the injector's ledger provider reports *this* session's
-  // fired/unsurfaced counts.
-  metrics_.add_process_stats();
+  // The injector's ledger provider reports *this* session's fired/unsurfaced
+  // counts. Process RSS stays on the global registry alone: a session's
+  // share of one process's resident set is not a counter.
   injector_.register_ledger_provider(metrics_);
 }
 
@@ -26,8 +25,7 @@ SessionResult Session::run() {
   const common::ThreadContext::Scope binding({.metrics = &metrics_,
                                               .hub = &hub_,
                                               .injector = &injector_,
-                                              .controller = &controller_,
-                                              .recorder = &recorder_});
+                                              .controller = &controller_});
 
   if (!spec_.fault_plan.empty()) {
     faultsim::FaultPlan plan;

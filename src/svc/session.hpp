@@ -21,7 +21,6 @@
 #include "obs/diagnostics.hpp"
 #include "obs/metrics.hpp"
 #include "schedsim/controller.hpp"
-#include "schedsim/execution_graph.hpp"
 
 namespace svc {
 
@@ -67,7 +66,6 @@ class Session {
   obs::DiagnosticHub hub_;
   faultsim::Injector injector_;
   schedsim::Controller controller_;
-  schedsim::GraphRecorder recorder_;
 };
 
 }  // namespace svc

@@ -1,14 +1,14 @@
 // DPOR explorer tests: the exact-enumeration property on a synthetic choice
-// tree (every full schedule executed once, none twice), the execution-graph
-// artifact (serialize / parse / validate round trip, tamper rejection, a
-// decoder that survives mutated input), and the two end-to-end promises
-// from the roadmap:
+// tree (every full schedule executed once, none twice), the decision-log
+// artifact (serialize / parse round trip, a proc child's decisions absorbed
+// in rank order, a decoder that survives mutated input), and the two
+// end-to-end promises from the roadmap:
 //
 //   1. Differential coverage — per scenario and for the waitall program
 //      (waitall_program.hpp), DPOR executes exactly the schedules an
 //      exhaustive enumeration of every choice sequence runs, and reaches
 //      the same set of (race count, diagnostic ids) verdicts.
-//   2. Reproducibility — every DPOR execution's recorded graph replays via
+//   2. Reproducibility — every DPOR execution's recorded log replays via
 //      the ordinary replay machinery with zero divergence and the same
 //      verdict.
 #include <algorithm>
@@ -28,7 +28,7 @@
 #include "capi/session.hpp"
 #include "obs/diagnostics.hpp"
 #include "schedsim/controller.hpp"
-#include "schedsim/execution_graph.hpp"
+#include "schedsim/decision_log.hpp"
 #include "schedsim/explorer.hpp"
 #include "testsuite/scenarios.hpp"
 #include "waitall_program.hpp"
@@ -36,20 +36,16 @@
 namespace {
 
 using schedsim::Controller;
-using schedsim::ExecutionGraph;
+using schedsim::DecisionLog;
 using schedsim::Explorer;
 using schedsim::ExplorerOptions;
-using schedsim::GraphRecorder;
 using schedsim::Site;
 using schedsim::TraceEntry;
 
-/// Every test leaves the process-global controller and recorder disarmed.
+/// Every test leaves the process-global controller disarmed.
 class ExplorerTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    Controller::instance().clear();
-    GraphRecorder::instance().arm(false);
-  }
+  void TearDown() override { Controller::instance().clear(); }
 };
 
 // ------------------------------------------------ exact enumeration ------
@@ -94,157 +90,89 @@ TEST_F(ExplorerTest, BoundCapsExecutions) {
   EXPECT_TRUE(explorer.stats().bound_hit);
 }
 
-// ------------------------------------------------ graph artifact ---------
+// ------------------------------------------------ decision log artifact --
 
-TEST_F(ExplorerTest, GraphSerializeParseValidateRoundTrip) {
-  GraphRecorder& recorder = GraphRecorder::instance();
-  recorder.begin_run();
-  recorder.arm(true);
-  int key = 0;
-  recorder.record_decision(0, Site::kWaitallOrder, 0, 2, 1);
-  recorder.record_release(0, 1, &key);
-  recorder.record_acquire(1, 2, &key);
-  recorder.record_decision(1, Site::kMatchRecv, 0, 3, 2);
-  recorder.arm(false);
-
-  const ExecutionGraph graph = recorder.take_graph();
-  ASSERT_EQ(graph.nodes.size(), 4u);
-  const std::string text = serialize_graph(graph);
-
-  ExecutionGraph parsed;
-  std::string error;
-  ASSERT_TRUE(parse_graph(text, &parsed, &error)) << error;
-  EXPECT_TRUE(validate_graph(parsed, &error)) << error;
-  EXPECT_EQ(parsed.nodes.size(), graph.nodes.size());
-  EXPECT_EQ(parsed.edges.size(), graph.edges.size());
-  EXPECT_EQ(serialize_graph(parsed), text);  // canonical form is stable
-}
-
-TEST_F(ExplorerTest, RecorderCapNeverDropsDecisions) {
-  // Past the node cap the recorder drops sync nodes, but a decision node is
-  // the replay record: it is still appended, and it replays.
-  GraphRecorder recorder;
-  int key = 0;
-  for (std::size_t i = 0; i < GraphRecorder::kMaxRecordedNodes; ++i) {
-    recorder.record_acquire(0, 1, &key);
-  }
-  recorder.record_acquire(0, 1, &key);
-  ASSERT_EQ(recorder.node_count(), GraphRecorder::kMaxRecordedNodes);
-  recorder.record_decision(0, Site::kWaitany, 0, 3, 2);
-  EXPECT_EQ(recorder.node_count(), GraphRecorder::kMaxRecordedNodes + 1);
-
-  const ExecutionGraph graph = recorder.take_graph();
-  const std::string text = serialize_graph(graph);
-  const std::string decision_line =
-      std::to_string(GraphRecorder::kMaxRecordedNodes) + " d 0:h waitany 0 3 2\n";
-  EXPECT_NE(text.find(decision_line), std::string::npos);  // the artifact keeps it
-  const std::vector<TraceEntry> decisions = schedsim::decision_entries(graph);
-  ASSERT_EQ(decisions.size(), 1u);
-  // Replay it (prefix pinning shares the replay path; parsing a million
-  // sync lines back would only test the parser's memory).
-  auto& controller = Controller::instance();
-  controller.configure_prefix(decisions);
-  EXPECT_EQ(controller.choose(Site::kWaitany, 0, 3, 0), 2);
-  EXPECT_FALSE(controller.divergence().has_value());
-  EXPECT_EQ(controller.stats().replayed, 1u);
-}
-
-TEST_F(ExplorerTest, ProcChildGraphAbsorbsWithOffsetIds) {
-  // A forked rank ships the graph it recorded; the parent appends each
-  // child in rank order with its ids moved past what is already there.
-  std::string children[2];
-  for (int rank = 0; rank < 2; ++rank) {
-    GraphRecorder child;
-    int key = 0;
-    child.record_release(rank, 1, &key);
-    child.record_acquire(rank, 2, &key);
-    child.record_decision(rank, Site::kWaitallOrder, 0, 2, 1);
-    children[rank] = serialize_graph(child.snapshot());
-  }
-  GraphRecorder parent;
-  std::string error;
-  for (const std::string& text : children) {
-    ASSERT_TRUE(parent.absorb(text, &error)) << error;
-  }
-  const ExecutionGraph graph = parent.take_graph();
-  ASSERT_EQ(graph.nodes.size(), 6u);
-  EXPECT_TRUE(validate_graph(graph, &error)) << error;
-  for (std::size_t i = 0; i < graph.nodes.size(); ++i) {
-    EXPECT_EQ(graph.nodes[i].id, i);
-  }
-  EXPECT_EQ(graph.nodes[2].rank, 0);
-  EXPECT_EQ(graph.nodes[5].rank, 1);
-  // Each child's edges connect its own nodes.
-  using Edges = std::set<std::pair<std::uint32_t, std::uint32_t>>;
-  Edges sync;
-  Edges po;
-  for (const schedsim::GraphEdge& e : graph.edges) {
-    (e.kind == schedsim::GraphEdge::Kind::kSync ? sync : po).emplace(e.from, e.to);
-  }
-  EXPECT_EQ(sync, (Edges{{0, 1}, {3, 4}}));
-  EXPECT_EQ(po, (Edges{{0, 1}, {1, 2}, {3, 4}, {4, 5}}));
-
-  // A child document with a dangling edge is rejected whole.
-  const std::string dangling = "# cusan-execution-graph v1\nn 0 d 0:h waitany 0 2 0\ne 0 1 po\n";
-  EXPECT_FALSE(parent.absorb(dangling, &error));
-  EXPECT_NE(error.find("dangling"), std::string::npos) << error;
-  EXPECT_EQ(parent.node_count(), 0u);
-}
-
-TEST_F(ExplorerTest, GraphValidationRejectsTampering) {
-  ExecutionGraph graph;
-  graph.nodes.push_back({0, schedsim::NodeKind::kRelease, 0, Site::kWaitallOrder, 0, 1, 0,
-                         /*ctx=*/1, /*key=*/0x10});
-  graph.nodes.push_back({1, schedsim::NodeKind::kAcquire, 1, Site::kWaitallOrder, 0, 1, 0,
-                         /*ctx=*/2, /*key=*/0x10});
-  graph.edges.push_back({0, 1, schedsim::GraphEdge::Kind::kSync});
-
-  std::string error;
-  EXPECT_TRUE(validate_graph(graph, &error)) << error;
-
-  ExecutionGraph dangling = graph;
-  dangling.edges[0].to = 99;
-  EXPECT_FALSE(validate_graph(dangling, &error));
-  EXPECT_NE(error.find("dangling"), std::string::npos) << error;
-
-  ExecutionGraph cyclic = graph;
-  cyclic.edges.push_back({1, 0, schedsim::GraphEdge::Kind::kProgram});
-  EXPECT_FALSE(validate_graph(cyclic, &error));
-  EXPECT_NE(error.find("cycle"), std::string::npos) << error;
-
-  ExecutionGraph no_magic;
-  EXPECT_FALSE(parse_graph("not a graph file\n", &no_magic, &error));
-}
-
-TEST_F(ExplorerTest, MutatedGraphsAreRejectedWithoutThrowing) {
-  // A graph file comes from disk (replay, trace_lint) or from a forked
-  // rank (absorb): a corrupt document must parse to false or to some graph,
-  // and validate to true or false, never throw or crash. The golden input
-  // is the racy waitall program's recorded graph: decision, release and
-  // acquire nodes and both edge kinds.
+TEST_F(ExplorerTest, DecisionLogSerializeParseRoundTrip) {
   auto& controller = Controller::instance();
   controller.configure_prefix({});  // a free run that records its decisions
-  GraphRecorder& recorder = GraphRecorder::instance();
-  recorder.begin_run();
-  recorder.arm(true);
+  EXPECT_EQ(controller.choose(Site::kWaitallOrder, 0, 2, 1), 1);
+  EXPECT_EQ(controller.choose(Site::kMatchRecv, 1, 3, 2), 2);
+  const DecisionLog log = controller.log();
+  ASSERT_EQ(log.decisions.size(), 2u);
+  EXPECT_EQ(log.strategy, "prefix:0;record");
+  const std::string text = serialize_log(log);
+
+  DecisionLog parsed;
+  std::string error;
+  ASSERT_TRUE(parse_log(text, &parsed, &error)) << error;
+  EXPECT_EQ(parsed.strategy, log.strategy);
+  ASSERT_EQ(parsed.decisions.size(), log.decisions.size());
+  EXPECT_EQ(parsed.decisions[1].rank, 1);
+  EXPECT_EQ(parsed.decisions[1].site, Site::kMatchRecv);
+  EXPECT_EQ(parsed.decisions[1].candidates, 3);
+  EXPECT_EQ(parsed.decisions[1].chosen, 2);
+  EXPECT_EQ(serialize_log(parsed), text);  // canonical form is stable
+}
+
+TEST_F(ExplorerTest, ProcChildDecisionsAbsorbInRankOrder) {
+  // A forked rank ships the decisions it recorded; the parent appends each
+  // child's in rank order. Seqs count per (rank, site) stream, so nothing
+  // is renumbered, and the merged log parses and replays both ranks.
+  auto& controller = Controller::instance();
+  std::vector<TraceEntry> children[2];
+  for (int rank = 0; rank < 2; ++rank) {
+    controller.configure_prefix({});
+    (void)controller.choose(Site::kWaitallOrder, rank, 2, 1);
+    (void)controller.choose(Site::kWaitallOrder, rank, 3, 2 - rank);
+    children[rank] = controller.log().decisions;
+  }
+  Controller parent;
+  parent.configure_prefix({});
+  for (const std::vector<TraceEntry>& decisions : children) {
+    parent.absorb_child({}, std::nullopt, decisions);
+  }
+  const DecisionLog log = parent.log();
+  ASSERT_EQ(log.decisions.size(), 4u);
+  const int ranks[] = {0, 0, 1, 1};
+  const std::uint64_t seqs[] = {0, 1, 0, 1};
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(log.decisions[i].rank, ranks[i]) << i;
+    EXPECT_EQ(log.decisions[i].seq, seqs[i]) << i;
+  }
+  std::string error;
+  ASSERT_TRUE(controller.configure_replay_text(serialize_log(log), &error)) << error;
+  EXPECT_EQ(controller.choose(Site::kWaitallOrder, 1, 2, 0), 1);
+  EXPECT_EQ(controller.choose(Site::kWaitallOrder, 1, 3, 0), 1);
+  EXPECT_EQ(controller.choose(Site::kWaitallOrder, 0, 2, 0), 1);
+  EXPECT_EQ(controller.choose(Site::kWaitallOrder, 0, 3, 0), 2);
+  EXPECT_FALSE(controller.divergence().has_value());
+
+  // A parent that does not record keeps none of its children's decisions.
+  Controller idle;
+  idle.absorb_child({}, std::nullopt, children[0]);
+  EXPECT_TRUE(idle.log().decisions.empty());
+}
+
+TEST_F(ExplorerTest, MutatedDecisionLogsAreRejectedWithoutThrowing) {
+  // A decision log comes from disk (replay, trace_lint): a corrupt document
+  // must parse to false or to some log, and load into a controller or be
+  // refused, never throw or crash. The golden input is the racy waitall
+  // program's recorded log.
+  auto& controller = Controller::instance();
+  controller.configure_prefix({});  // a free run that records its decisions
   (void)waitall_program::run(/*racy=*/true);
-  recorder.arm(false);
+  const std::string golden = serialize_log(controller.log());
   controller.clear();
-  const std::string golden = serialize_graph(recorder.take_graph());
-  ASSERT_NE(golden.find(" d "), std::string::npos) << golden;
-  ASSERT_NE(golden.find(" r "), std::string::npos) << golden;
-  ASSERT_NE(golden.find(" a "), std::string::npos) << golden;
-  ASSERT_NE(golden.find(" sync"), std::string::npos) << golden;
+  ASSERT_NE(golden.find(" waitall_order "), std::string::npos) << golden;
 
   const auto decodes_or_rejects = [](const std::string& text) {
-    ExecutionGraph parsed;
+    DecisionLog parsed;
     bool ok = false;
-    EXPECT_NO_THROW(ok = parse_graph(text, &parsed));
-    if (ok) {
-      EXPECT_NO_THROW((void)validate_graph(parsed));
-    }
-    GraphRecorder sink;
-    EXPECT_NO_THROW((void)sink.absorb(text));
+    EXPECT_NO_THROW(ok = parse_log(text, &parsed));
+    Controller sink;
+    bool loaded = false;
+    EXPECT_NO_THROW(loaded = sink.configure_replay_text(text));
+    EXPECT_EQ(loaded, ok);
   };
 
   for (std::size_t len = 0; len < golden.size(); ++len) {
@@ -252,9 +180,8 @@ TEST_F(ExplorerTest, MutatedGraphsAreRejectedWithoutThrowing) {
     decodes_or_rejects(golden.substr(0, len));
   }
 
-  // Each decimal number in the document (ids, ranks, seqs, counts, ctx,
-  // edge endpoints, and the digits inside sync keys) set to a value past
-  // every field's range.
+  // Each decimal number in the document (the header's version, ranks,
+  // seqs, counts and choices) set to a value past every field's range.
   for (const char* value : {"1099511627776", "-1", "18446744073709551615"}) {
     for (std::size_t at = 0; at < golden.size();) {
       if (std::isdigit(static_cast<unsigned char>(golden[at])) == 0) {
@@ -302,7 +229,7 @@ TEST_F(ExplorerTest, DecisionArrivalOrderDoesNotRepeatSchedules) {
   Explorer explorer;
   std::set<std::string> schedules;
   for (const schedsim::Execution& execution : explorer.explore(controller, alternating)) {
-    schedules.insert(Explorer::signature(execution.trace));
+    schedules.insert(Explorer::signature(execution.log.decisions));
   }
   EXPECT_EQ(schedules.size(), 4u);
   EXPECT_EQ(explorer.stats().executions, 4u);
@@ -345,13 +272,9 @@ using Verdict = std::pair<std::size_t, std::vector<std::string>>;
     const std::vector<TraceEntry> prefix = std::move(stack.back());
     stack.pop_back();
     controller.configure_prefix(prefix);
-    GraphRecorder& recorder = GraphRecorder::instance();
-    recorder.begin_run();
-    recorder.arm(true);
     verdicts->insert(run());
-    recorder.arm(false);
     ++*runs;
-    const std::vector<TraceEntry> trace = schedsim::decision_entries(recorder.take_graph());
+    const std::vector<TraceEntry> trace = controller.log().decisions;
 
     std::set<std::pair<std::uint64_t, std::uint64_t>> pinned;
     for (const TraceEntry& e : prefix) {
@@ -441,8 +364,8 @@ TEST_F(ExplorerTest, DporReachesEveryVerdictOfExhaustiveEnumeration) {
       scenarios.size(), enumerated_runs, widest, dpor_runs);
 }
 
-TEST_F(ExplorerTest, DporExecutionGraphsReplayWithoutDivergence) {
-  // Walk racy scenarios until three DPOR-discovered graphs (beyond each
+TEST_F(ExplorerTest, DporDecisionLogsReplayWithoutDivergence) {
+  // Walk racy scenarios until three DPOR-discovered logs (beyond each
   // scenario's baseline, when its exploration found more than one class)
   // have replayed verdict-identically through the ordinary replay path.
   const auto scenarios = testsuite::build_scenarios();
@@ -468,7 +391,7 @@ TEST_F(ExplorerTest, DporExecutionGraphsReplayWithoutDivergence) {
       }
       ++checked;
       std::string error;
-      ASSERT_TRUE(controller.configure_replay_text(serialize_graph(execution.graph), &error))
+      ASSERT_TRUE(controller.configure_replay_text(serialize_log(execution.log), &error))
           << error;
       const auto replayed =
           testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true);

@@ -29,7 +29,7 @@
 #include "mpisim/request.hpp"
 #include "mpisim/world.hpp"
 #include "schedsim/controller.hpp"
-#include "schedsim/execution_graph.hpp"
+#include "schedsim/decision_log.hpp"
 
 namespace {
 
@@ -538,21 +538,18 @@ int waitany_program(Comm& comm) {
 /// What rank 0 of a steered run observed.
 struct Steered {
   int answer{-1};
-  std::vector<TraceEntry> decisions;  ///< rank 0's recorded decision nodes
+  std::vector<TraceEntry> decisions;  ///< rank 0's recorded decisions
 };
 
-/// Runs `program` at three ranks on `backend` with the decision recorder
-/// armed, pinning rank 0's first `site` decision to `pin` (-1: unpinned).
+/// Runs `program` at three ranks on `backend` with the controller
+/// recording, pinning rank 0's first `site` decision to `pin` (-1: unpinned).
 Steered run_steered(Backend backend, Site site, int pin, int (*program)(Comm&)) {
   schedsim::Controller& controller = schedsim::Controller::instance();
-  schedsim::GraphRecorder& recorder = schedsim::GraphRecorder::instance();
   std::vector<TraceEntry> prefix;
   if (pin >= 0) {
     prefix.push_back(TraceEntry{0, 0, site, 2, pin});
   }
   controller.configure_prefix(prefix);
-  recorder.begin_run();
-  recorder.arm(true);
   World world(3, backend);
   world.set_watchdog_timeout(std::chrono::milliseconds(10000));
   world.run([&](Comm comm) {
@@ -563,7 +560,7 @@ Steered run_steered(Backend backend, Site site, int pin, int (*program)(Comm&)) 
     // [failed-flag][answer][TraceEntry...]: TraceEntry is trivially
     // copyable and parent and child are the same binary.
     std::vector<TraceEntry> mine;
-    for (const TraceEntry& e : schedsim::decision_entries(recorder.snapshot())) {
+    for (const TraceEntry& e : controller.log().decisions) {
       if (e.rank == 0) {
         mine.push_back(e);
       }
@@ -574,7 +571,6 @@ Steered run_steered(Backend backend, Site site, int pin, int (*program)(Comm&)) 
     std::memcpy(blob.data() + sizeof head, mine.data(), mine.size() * sizeof(TraceEntry));
     mpisim::publish_result(comm, blob);
   });
-  recorder.arm(false);
   controller.clear();
 
   Steered out;

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -458,6 +460,76 @@ TEST_F(ObsSessionTest, ContentionCountersReachTheRegistry) {
       obs::MetricsRegistry::diff(obs::MetricsRegistry::instance().snapshot(), before);
   EXPECT_GT(obs::value_of(delta, "mpisim.mailbox_locks"), 0u);
   EXPECT_GE(obs::value_of(delta, "mpisim.wakeups_delivered"), 1u);
+}
+
+TEST_F(ObsExportTest, MutatedExportsAreRejectedWithoutThrowing) {
+  // trace_lint reads exports from disk: a corrupt document must parse to
+  // false or to some value and validate to true or false, never throw or
+  // crash. The golden inputs are a real traced session's Chrome trace and
+  // the metrics dump the same process would write.
+  obs::set_tracing_enabled(true);
+  (void)capi::run_flavored(capi::Flavor::kMust, 2, [](capi::RankEnv& env) {
+    const int value = env.rank();
+    int sum = 0;
+    (void)capi::mpi::allreduce(env.comm, &value, &sum, 1, mpisim::Datatype::int32(),
+                               mpisim::ReduceOp::kSum);
+  });
+  obs::set_tracing_enabled(false);
+  const std::string trace = obs::export_chrome_trace();
+  const std::string metrics =
+      obs::MetricsRegistry::to_json(obs::MetricsRegistry::instance().snapshot());
+  std::string error;
+  ASSERT_TRUE(obs::jsonlint::validate_chrome_trace(trace, &error)) << error;
+  ASSERT_TRUE(obs::jsonlint::validate_metrics_json(metrics, &error)) << error;
+  // Every mutation below re-parses the whole document, so a golden input
+  // that grew past this would make the test quadratic in its size.
+  ASSERT_LT(trace.size(), std::size_t{16384});
+
+  const auto decodes_or_rejects = [](const std::string& text) {
+    obs::jsonlint::Value value;
+    EXPECT_NO_THROW((void)obs::jsonlint::parse(text, &value, nullptr));
+    std::string message;
+    EXPECT_NO_THROW((void)obs::jsonlint::validate_chrome_trace(text, &message));
+    EXPECT_NO_THROW((void)obs::jsonlint::validate_metrics_json(text, &message));
+  };
+  const auto is_number_char = [](char c) {
+    return std::isdigit(static_cast<unsigned char>(c)) != 0 || c == '-' || c == '.' ||
+           c == 'e' || c == 'E' || c == '+';
+  };
+
+  std::mt19937 rng(20261019);
+  for (const std::string* golden : {&trace, &metrics}) {
+    for (std::size_t len = 0; len < golden->size(); ++len) {
+      SCOPED_TRACE(len);
+      decodes_or_rejects(golden->substr(0, len));
+    }
+    for (std::size_t at = 0; at < golden->size(); ++at) {
+      for (int flip = 0; flip < 4; ++flip) {
+        std::string mutated = *golden;
+        mutated[at] = static_cast<char>(mutated[at] ^ static_cast<char>(1 + rng() % 255));
+        SCOPED_TRACE(at);
+        decodes_or_rejects(mutated);
+      }
+    }
+    // Each number (a digit run with its sign, fraction and exponent) set to
+    // a value past every field's range, or below zero.
+    for (const char* value : {"1e999", "-1e999", "18446744073709551616", "-1", "-0.5e-400"}) {
+      for (std::size_t at = 0; at < golden->size();) {
+        if (std::isdigit(static_cast<unsigned char>((*golden)[at])) == 0) {
+          ++at;
+          continue;
+        }
+        const std::size_t begin = at > 0 && (*golden)[at - 1] == '-' ? at - 1 : at;
+        std::size_t end = at;
+        while (end < golden->size() && is_number_char((*golden)[end])) {
+          ++end;
+        }
+        SCOPED_TRACE(begin);
+        decodes_or_rejects(golden->substr(0, begin) + value + golden->substr(end));
+        at = end;
+      }
+    }
+  }
 }
 
 TEST_F(ObsSessionTest, FaultLedgerProviderAppearsInSnapshots) {

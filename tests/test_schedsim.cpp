@@ -1,13 +1,13 @@
 // Schedule-exploration engine tests: the CUSAN_SCHEDULE grammar, the
-// execution graph as the replay record (its decision nodes and the checks
-// its decoder makes), the controller's strategy semantics (free / prefix /
+// decision log as the replay record (its entries and the checks its
+// decoder makes), the controller's strategy semantics (free / prefix /
 // replay with per-(rank, site) decision streams), and the three end-to-end
 // properties the engine promises:
 //
-//   1. Differential replay oracle — replay the graphs of DPOR-flipped
+//   1. Differential replay oracle — replay the logs of DPOR-flipped
 //      executions over the scenario corpus and the waitall program
 //      (waitall_program.hpp) and get bit-identical verdicts and diagnostics
-//      with zero divergences; a tampered graph is detected and reported,
+//      with zero divergences; a tampered log is detected and reported,
 //      never silently skipped.
 //   2. Exploration soundness — known-racy programs report their race under
 //      every DPOR-explored schedule; race-free programs stay clean across
@@ -37,7 +37,7 @@
 #include "mpisim/request.hpp"
 #include "obs/diagnostics.hpp"
 #include "schedsim/controller.hpp"
-#include "schedsim/execution_graph.hpp"
+#include "schedsim/decision_log.hpp"
 #include "schedsim/explorer.hpp"
 #include "testsuite/scenarios.hpp"
 #include "waitall_program.hpp"
@@ -46,33 +46,21 @@ namespace {
 
 using schedsim::Config;
 using schedsim::Controller;
-using schedsim::ExecutionGraph;
+using schedsim::DecisionLog;
 using schedsim::Explorer;
-using schedsim::GraphRecorder;
 using schedsim::Mode;
 using schedsim::Site;
 using schedsim::TraceEntry;
 
-/// Every test leaves the process-global controller and recorder disarmed.
+/// Every test leaves the process-global controller disarmed.
 class SchedsimTest : public ::testing::Test {
  protected:
-  void TearDown() override {
-    Controller::instance().clear();
-    GraphRecorder::instance().arm(false);
-  }
+  void TearDown() override { Controller::instance().clear(); }
 };
 
-/// Arm the recorder for a run of raw choose() queries (capi::run_session
-/// does this itself under a `record` config).
-void start_recording() {
-  GraphRecorder::instance().begin_run();
-  GraphRecorder::instance().arm(true);
-}
-
-/// Disarm the recorder and return the recorded graph as replay text.
-[[nodiscard]] std::string take_recording() {
-  GraphRecorder::instance().arm(false);
-  return schedsim::serialize_graph(GraphRecorder::instance().take_graph());
+/// The controller's recorded decisions as replay text.
+[[nodiscard]] std::string recording() {
+  return schedsim::serialize_log(Controller::instance().log());
 }
 
 // ---------------------------------------------------------------- grammar --
@@ -109,7 +97,7 @@ TEST_F(SchedsimTest, ParseScheduleGrammar) {
   EXPECT_FALSE(schedsim::parse_schedule("8", &config, &error));
 
   // Retired clauses — the randomized strategy and its tuning knobs, and the
-  // separate graph recording (record: writes the graph now) — are rejected
+  // separate graph recording (record: writes the decision log) — are rejected
   // as unknown clauses, never run as a free schedule.
   for (const char* retired : {"seed:7", "pct:4", "horizon:64", "graph", "graph:/tmp/g.graph"}) {
     error.clear();
@@ -187,29 +175,27 @@ TEST_F(SchedsimTest, MutatedSchedulesAreRejectedOrParseExactly) {
   }
 }
 
-// ------------------------------------------------- graph as replay record --
+// --------------------------------------------------- log as replay record --
 
-[[nodiscard]] ExecutionGraph sample_graph() {
-  GraphRecorder recorder;
-  recorder.record_decision(0, Site::kMatchRecv, 0, 3, 1);
-  recorder.record_decision(1, Site::kWaitallOrder, 0, 2, 1);
-  recorder.record_decision(0, Site::kWaitallOrder, 0, 3, 2);
-  recorder.record_decision(0, Site::kMatchRecv, 1, 2, 0);
-  recorder.record_decision(1, Site::kWaitallOrder, 1, 2, 0);
-  ExecutionGraph graph = recorder.take_graph();
-  graph.strategy = "dpor execution 3";
-  return graph;
+[[nodiscard]] DecisionLog sample_log() {
+  DecisionLog log;
+  log.strategy = "dpor execution 3";
+  log.decisions = {{0, 0, Site::kMatchRecv, 3, 1},
+                   {1, 0, Site::kWaitallOrder, 2, 1},
+                   {0, 0, Site::kWaitallOrder, 3, 2},
+                   {0, 1, Site::kMatchRecv, 2, 0},
+                   {1, 1, Site::kWaitallOrder, 2, 0}};
+  return log;
 }
 
-TEST_F(SchedsimTest, GraphDecisionNodesRoundTrip) {
-  const ExecutionGraph graph = sample_graph();
-  ExecutionGraph parsed;
+TEST_F(SchedsimTest, DecisionLogRoundTrip) {
+  const DecisionLog log = sample_log();
+  DecisionLog parsed;
   std::string error;
-  ASSERT_TRUE(schedsim::parse_graph(schedsim::serialize_graph(graph), &parsed, &error)) << error;
+  ASSERT_TRUE(schedsim::parse_log(schedsim::serialize_log(log), &parsed, &error)) << error;
   EXPECT_EQ(parsed.strategy, "dpor execution 3");
-  const std::vector<TraceEntry> want = schedsim::decision_entries(graph);
-  const std::vector<TraceEntry> got = schedsim::decision_entries(parsed);
-  ASSERT_EQ(want.size(), 5u);
+  const std::vector<TraceEntry>& want = log.decisions;
+  const std::vector<TraceEntry>& got = parsed.decisions;
   ASSERT_EQ(got.size(), want.size());
   for (std::size_t i = 0; i < want.size(); ++i) {
     EXPECT_EQ(got[i].rank, want[i].rank) << i;
@@ -220,59 +206,66 @@ TEST_F(SchedsimTest, GraphDecisionNodesRoundTrip) {
   }
 }
 
-TEST_F(SchedsimTest, GraphParseRejectsMalformedDocuments) {
-  ExecutionGraph parsed;
+TEST_F(SchedsimTest, DecisionLogParseRejectsMalformedDocuments) {
+  DecisionLog parsed;
   std::string error;
-  EXPECT_FALSE(schedsim::parse_graph("", &parsed, &error));
-  EXPECT_FALSE(schedsim::parse_graph("not a graph\n", &parsed, &error));
-  // The retired decision-trace format is not a graph.
-  EXPECT_FALSE(schedsim::parse_graph("# cusan-schedule-trace v1\nd 0:h 0 waitany 2 0\n",
-                                     &parsed, &error));
+  EXPECT_FALSE(schedsim::parse_log("", &parsed, &error));
+  EXPECT_FALSE(schedsim::parse_log("not a log\n", &parsed, &error));
+  // The retired formats are not read: the decision trace, and the execution
+  // graph with its rsan sync nodes, which is named in the error.
+  EXPECT_FALSE(schedsim::parse_log("# cusan-schedule-trace v1\nd 0:h 0 waitany 2 0\n",
+                                   &parsed, &error));
+  EXPECT_FALSE(schedsim::parse_log("# cusan-execution-graph v1\nn 0 d 0:h waitany 0 2 0\n",
+                                   &parsed, &error));
+  EXPECT_NE(error.find("'cusan-execution-graph v1' is a retired format"), std::string::npos)
+      << error;
 
-  const std::string header = "# cusan-execution-graph v1\n";
-  EXPECT_TRUE(schedsim::parse_graph(header, &parsed, &error)) << error;
+  const std::string header = "# cusan-decision-log v2\n";
+  EXPECT_TRUE(schedsim::parse_log(header, &parsed, &error)) << error;
 
-  EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d 0:h nonsense 0 2 0\n", &parsed, &error));
+  EXPECT_FALSE(schedsim::parse_log(header + "0 nonsense 0 2 0\n", &parsed, &error));
   EXPECT_TRUE(error.find("unknown site") != std::string::npos) << error;
-  // The retired timing-only sites are no longer decision streams, and an
-  // actor names a rank's host thread alone: no other kind, no lane index.
+  // The retired timing-only sites are no longer decision streams.
   for (const char* retired : {"pre_park_yield 0 9 4", "stream_op 0 2 1", "wake_order 0 3 1"}) {
-    EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d 0:h " + retired + "\n", &parsed, &error))
+    EXPECT_FALSE(schedsim::parse_log(header + "0 " + retired + "\n", &parsed, &error))
         << retired;
     EXPECT_TRUE(error.find("unknown site") != std::string::npos) << error;
   }
-  for (const char* actor : {"0:s1", "0:h1", "0:h0", "0:", "-2:h", "2147483647:h", "4294967296:h"}) {
-    EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d " + actor + " waitany 0 2 0\n", &parsed,
-                                       &error))
-        << actor;
-    EXPECT_TRUE(error.find("bad actor") != std::string::npos) << actor << ": " << error;
+  // A rank is -1 (unattributed) or an int rank below INT_MAX, in plain
+  // digits; the old `<rank>:h` actor spelling is gone with the lanes.
+  for (const char* rank : {"0:h", "-2", "+1", "2147483647", "4294967296", "badrank"}) {
+    EXPECT_FALSE(schedsim::parse_log(header + rank + " waitany 0 2 0\n", &parsed, &error))
+        << rank;
+    EXPECT_TRUE(error.find("bad rank") != std::string::npos) << rank << ": " << error;
   }
-  EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d 0:h waitany 0 2 2\n", &parsed, &error));
+  EXPECT_FALSE(schedsim::parse_log(header + "0 waitany 0 2 2\n", &parsed, &error));
   EXPECT_TRUE(error.find("outside") != std::string::npos) << error;
-  EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d 0:h waitany 0 0 0\n", &parsed, &error));
+  EXPECT_FALSE(schedsim::parse_log(header + "0 waitany 0 0 0\n", &parsed, &error));
   EXPECT_TRUE(error.find("candidates must be >= 1") != std::string::npos) << error;
+  for (const char* fields : {"0 waitany -1 2 0", "0 waitany 0 2 -1", "0 waitany 0 2147483648 0",
+                             "0 waitany 0 2", "0 waitany x 2 0"}) {
+    EXPECT_FALSE(schedsim::parse_log(header + fields + "\n", &parsed, &error)) << fields;
+    EXPECT_TRUE(error.find("malformed") != std::string::npos) << fields << ": " << error;
+  }
   // A stream's seqs run 0, 1, 2, ...: a gap or a repeat is rejected.
-  EXPECT_FALSE(schedsim::parse_graph(header + "n 0 d 0:h waitany 1 2 0\n", &parsed, &error));
+  EXPECT_FALSE(schedsim::parse_log(header + "0 waitany 1 2 0\n", &parsed, &error));
   EXPECT_TRUE(error.find("out of order") != std::string::npos) << error;
-  EXPECT_FALSE(schedsim::parse_graph(
-      header + "n 0 d 0:h waitany 0 2 0\nn 1 d 0:h waitany 0 2 0\n", &parsed, &error));
+  EXPECT_FALSE(schedsim::parse_log(header + "0 waitany 0 2 0\n0 waitany 0 2 0\n", &parsed,
+                                   &error));
   EXPECT_TRUE(error.find("out of order") != std::string::npos) << error;
-  EXPECT_FALSE(
-      schedsim::parse_graph(header + "n 0 d 0:h waitany 0 2 0 junk\n", &parsed, &error));
+  EXPECT_FALSE(schedsim::parse_log(header + "0 waitany 0 2 0 junk\n", &parsed, &error));
   EXPECT_TRUE(error.find("trailing") != std::string::npos) << error;
-  EXPECT_FALSE(
-      schedsim::parse_graph(header + "n 0 d badactor waitany 0 2 0\n", &parsed, &error));
-  EXPECT_TRUE(error.find("bad actor") != std::string::npos) << error;
 
-  // Distinct sites of one rank are distinct streams: both start at seq 0.
-  // Sync nodes between decisions do not touch the seq check.
-  EXPECT_TRUE(schedsim::parse_graph(header +
-                                        "n 0 d 0:h waitany 0 2 0\n"
-                                        "n 1 d 0:h waitall_order 0 2 1\n"
-                                        "n 2 r 0:h 1 10\n"
-                                        "n 3 d 0:h waitany 1 2 1\n",
-                                    &parsed, &error))
+  // Distinct sites and distinct ranks are distinct streams: each starts at
+  // seq 0.
+  EXPECT_TRUE(schedsim::parse_log(header +
+                                      "0 waitany 0 2 0\n"
+                                      "0 waitall_order 0 2 1\n"
+                                      "-1 waitany 0 3 2\n"
+                                      "0 waitany 1 2 1\n",
+                                  &parsed, &error))
       << error;
+  EXPECT_EQ(parsed.decisions.size(), 4u);
 }
 
 // ------------------------------------------------------ controller basics --
@@ -322,17 +315,15 @@ TEST_F(SchedsimTest, FreeWithRecordingKeepsDefaultsButRecords) {
   config.record = true;
   Controller::instance().configure(config);
   EXPECT_TRUE(Controller::armed());
-  start_recording();
   const auto queries = synthetic_queries();
   const auto answers = run_queries(queries);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(answers[i], queries[i].default_index) << i;
   }
-  ExecutionGraph parsed;
+  DecisionLog parsed;
   std::string error;
-  ASSERT_TRUE(schedsim::parse_graph(take_recording(), &parsed, &error)) << error;
-  EXPECT_TRUE(schedsim::validate_graph(parsed, &error)) << error;
-  EXPECT_EQ(schedsim::decision_entries(parsed).size(), queries.size());
+  ASSERT_TRUE(schedsim::parse_log(recording(), &parsed, &error)) << error;
+  EXPECT_EQ(parsed.decisions.size(), queries.size());
 }
 
 /// A prefix pinning a non-default answer for every query of the first
@@ -357,7 +348,6 @@ TEST_F(SchedsimTest, PrefixPinningIsDeterministicAndFallsBackToDefaults) {
   const auto prefix = non_default_prefix(queries, /*rounds=*/25);
 
   Controller::instance().configure_prefix(prefix);
-  start_recording();
   const auto first = run_queries(queries);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     if (i < prefix.size()) {
@@ -370,8 +360,7 @@ TEST_F(SchedsimTest, PrefixPinningIsDeterministicAndFallsBackToDefaults) {
   EXPECT_EQ(Controller::instance().stats().underruns, queries.size() - prefix.size());
   EXPECT_FALSE(Controller::instance().divergence().has_value());
   // The recorded run is prefix + free suffix, decision for decision.
-  GraphRecorder::instance().arm(false);
-  const auto recorded = schedsim::decision_entries(GraphRecorder::instance().take_graph());
+  const auto recorded = Controller::instance().log().decisions;
   ASSERT_EQ(recorded.size(), queries.size());
   for (std::size_t i = 0; i < queries.size(); ++i) {
     EXPECT_EQ(recorded[i].chosen, first[i]) << i;
@@ -387,9 +376,8 @@ TEST_F(SchedsimTest, PrefixPinningIsDeterministicAndFallsBackToDefaults) {
 TEST_F(SchedsimTest, ReplayAnswersIndependentOfArrivalInterleaving) {
   const auto queries = synthetic_queries();
   Controller::instance().configure_prefix(non_default_prefix(queries, /*rounds=*/50));
-  start_recording();
   const auto forward = run_queries(queries);
-  const std::string trace = take_recording();
+  const std::string trace = recording();
 
   // Re-issue with the global arrival order permuted (stream-by-stream):
   // per-stream answers must be unchanged, because each stream's decisions
@@ -419,10 +407,9 @@ TEST_F(SchedsimTest, RecordThenReplayRoundTrips) {
     pinned.push_back(entry.chosen);
   }
   Controller::instance().configure_prefix(prefix);
-  start_recording();
   const auto recorded_answers = run_queries(queries);
   EXPECT_EQ(recorded_answers, pinned);
-  const std::string trace = take_recording();
+  const std::string trace = recording();
 
   std::string error;
   ASSERT_TRUE(Controller::instance().configure_replay_text(trace, &error)) << error;
@@ -436,10 +423,9 @@ TEST_F(SchedsimTest, ReplayToleratesUnderrunPastTraceEnd) {
   Config config;
   config.record = true;
   Controller::instance().configure(config);
-  start_recording();
   const auto queries = synthetic_queries();
   (void)run_queries(queries);
-  const std::string trace = take_recording();
+  const std::string trace = recording();
 
   std::string error;
   ASSERT_TRUE(Controller::instance().configure_replay_text(trace, &error)) << error;
@@ -453,14 +439,13 @@ TEST_F(SchedsimTest, ReplayToleratesUnderrunPastTraceEnd) {
   EXPECT_GT(Controller::instance().stats().underruns, 0u);
 }
 
-TEST_F(SchedsimTest, TamperedGraphIsReportedAsDivergence) {
+TEST_F(SchedsimTest, TamperedLogIsReportedAsDivergence) {
   Config config;
   config.record = true;
   Controller::instance().configure(config);
-  start_recording();
   const auto queries = synthetic_queries();
   (void)run_queries(queries);
-  std::string trace = take_recording();
+  std::string trace = recording();
 
   // Tamper: the waitall_order stream recorded 4-candidate decisions; claim 3
   // (still a well-formed document — only replay can catch the mismatch).
@@ -530,12 +515,12 @@ TEST_F(SchedsimTest, DifferentialReplayOracleOverScenarioCorpus) {
     ASSERT_EQ(observed.size(), executions.size()) << name;
 
     // Replay every explored execution — the flipped ones are the point:
-    // their graphs pin non-default decisions the free schedule never takes.
+    // their logs pin non-default decisions the free schedule never takes.
     for (const schedsim::Execution& execution : executions) {
       flipped += execution.pinned > 0 ? 1 : 0;
       std::string error;
       ASSERT_TRUE(
-          controller.configure_replay_text(schedsim::serialize_graph(execution.graph), &error))
+          controller.configure_replay_text(schedsim::serialize_log(execution.log), &error))
           << name << ": " << error;
       obs::clear_diagnostics();
       const testsuite::ScenarioOutcome replayed = program();
@@ -607,8 +592,8 @@ TEST_F(SchedsimTest, DporExecutionsKeepVerdictsScheduleIndependent) {
 // ------------------------------- satellite 3: waitall order replay -------
 
 TEST_F(SchedsimTest, WakeupHeavyWaitallRecordsAndReplaysWaitallOrder) {
-  // A `record:` config arms the recorder for each capi session and writes
-  // its graph to the record path at the session's end.
+  // A `record:` config records each capi session's decisions and writes
+  // the log to the record path at the session's end.
   auto& controller = Controller::instance();
   const std::string record_path = ::testing::TempDir() + "waitall_record.graph";
   std::remove(record_path.c_str());
@@ -650,20 +635,19 @@ TEST_F(SchedsimTest, WakeupHeavyWaitallRecordsAndReplaysWaitallOrder) {
   };
 
   EXPECT_EQ(capi::total_races(capi::run_flavored(capi::Flavor::kMust, 4, all_to_all)), 0u);
-  EXPECT_FALSE(GraphRecorder::enabled());  // the session disarmed what it armed
-  const ExecutionGraph recorded_graph = GraphRecorder::instance().take_graph();
+  const DecisionLog recorded_log = controller.log();
   std::ifstream file(record_path);
   std::stringstream file_text;
   file_text << file.rdbuf();
-  EXPECT_EQ(file_text.str(), schedsim::serialize_graph(recorded_graph)) << record_path;
+  EXPECT_EQ(file_text.str(), schedsim::serialize_log(recorded_log)) << record_path;
 
   // The regression this guards: waitall's processing order routes through
-  // the controller, so the graph of a wakeup-heavy run records it. Pin every
+  // the controller, so the log of a wakeup-heavy run records it. Pin every
   // waitall_order decision away from the default (a selection step's
   // candidate count does not depend on earlier picks, so the whole stream
   // stays pinned) and record the perturbed run.
   std::vector<TraceEntry> prefix;
-  for (TraceEntry entry : schedsim::decision_entries(recorded_graph)) {
+  for (TraceEntry entry : recorded_log.decisions) {
     if (entry.site == Site::kWaitallOrder) {
       entry.chosen = entry.candidates - 1;
       prefix.push_back(entry);
@@ -674,7 +658,7 @@ TEST_F(SchedsimTest, WakeupHeavyWaitallRecordsAndReplaysWaitallOrder) {
   const auto recorded = capi::run_flavored(capi::Flavor::kMust, 4, all_to_all);
   EXPECT_EQ(capi::total_races(recorded), 0u);
   EXPECT_FALSE(controller.divergence().has_value()) << controller.divergence()->to_string();
-  const std::string trace = schedsim::serialize_graph(GraphRecorder::instance().take_graph());
+  const std::string trace = recording();
   EXPECT_TRUE(trace.find("waitall_order") != std::string::npos) << trace;
 
   std::string error;

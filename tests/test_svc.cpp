@@ -196,14 +196,14 @@ TEST(SvcSession, MalformedFaultPlanFailsBeforeTheBody) {
   EXPECT_EQ(result.label, "bad-plan");
 }
 
-TEST(SvcSession, ReplayScheduleReadsItsGraphFile) {
-  // A replay schedule in the spec loads its graph like CUSAN_SCHEDULE does;
-  // an unreadable graph fails the session before the body runs.
+TEST(SvcSession, ReplayScheduleReadsItsLogFile) {
+  // A replay schedule in the spec loads its decision log like CUSAN_SCHEDULE
+  // does; an unreadable log fails the session before the body runs.
   const std::string path = ::testing::TempDir() + "svc_replay.graph";
-  schedsim::ExecutionGraph graph;
-  graph.strategy = "free";
+  schedsim::DecisionLog log;
+  log.strategy = "free";
   std::string error;
-  ASSERT_TRUE(obs::write_file(path, schedsim::serialize_graph(graph), &error)) << error;
+  ASSERT_TRUE(obs::write_file(path, schedsim::serialize_log(log), &error)) << error;
 
   bool ran = false;
   svc::SessionSpec spec;

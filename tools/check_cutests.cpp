@@ -32,10 +32,10 @@
 //   divergence-bug a false positive in a race-free scenario or a lost race —
 //                  schedule-dependent verdicts; counted as failures
 //
-// Non-identical executions can save their execution graph as a
-// deterministic reproducer (--schedule-dir=DIR writes one .graph file per
-// such execution; each replays with CUSAN_SCHEDULE=replay:FILE, zero
-// divergence, and lints with trace_lint --graph). Fault plans compose: an
+// Non-identical executions can save their decision log as a deterministic
+// reproducer (--schedule-dir=DIR writes one .graph file per such execution;
+// each replays with CUSAN_SCHEDULE=replay:FILE, zero divergence, and lints
+// with trace_lint --graph). Fault plans compose: an
 // execution with a fired fault is tagged `fault` and exempt from
 // classification, exactly like the baseline.
 //
@@ -141,7 +141,7 @@ struct RunConfig {
   return "divergence-bug";
 }
 
-/// File-system safe scenario name for reproducer graph paths.
+/// File-system safe scenario name for reproducer paths.
 [[nodiscard]] std::string sanitize_name(const std::string& name) {
   std::string out = name;
   for (char& c : out) {
@@ -201,7 +201,7 @@ struct RunConfig {
     ScheduleRun run;
     run.execution = execution.index;
     run.races = execution.races;
-    run.decisions = execution.trace.size();
+    run.decisions = execution.log.decisions.size();
     run.pinned = execution.pinned;
     run.wall_ms = execution.wall_ms;
     if (fired_per_execution[execution.index] != 0) {
@@ -216,11 +216,11 @@ struct RunConfig {
     }
     if (std::strcmp(run.cls, "identical") != 0 && std::strcmp(run.cls, "fault") != 0 &&
         !config.schedule_dir.empty()) {
-      // Save the execution graph: CUSAN_SCHEDULE=replay:FILE reproduces it.
+      // Save the decision log: CUSAN_SCHEDULE=replay:FILE reproduces it.
       const std::string path = config.schedule_dir + "/" + sanitize_name(scenario.name) +
                                ".dpor" + std::to_string(execution.index) + ".graph";
       std::string error;
-      if (!obs::write_file(path, schedsim::serialize_graph(execution.graph), &error)) {
+      if (!obs::write_file(path, schedsim::serialize_log(execution.log), &error)) {
         std::fprintf(stderr, "--schedule-dir: %s\n", error.c_str());
       } else {
         run.reproducer_path = path;
@@ -348,7 +348,6 @@ void print_record(const ScenarioRecord& record, std::size_t index, std::size_t t
       out += ", \"sleep_prunes\": " + std::to_string(r.explorer_stats.sleep_prunes);
       out += ", \"redundant\": " + std::to_string(r.explorer_stats.redundant);
       out += ", \"graph_nodes\": " + std::to_string(r.explorer_stats.graph_nodes);
-      out += ", \"graph_edges\": " + std::to_string(r.explorer_stats.graph_edges);
       out += ", \"bound_hit\": ";
       out += r.explorer_stats.bound_hit ? "true" : "false";
       out += "}";
@@ -376,14 +375,12 @@ void print_record(const ScenarioRecord& record, std::size_t index, std::size_t t
       totals.sleep_prunes += r.explorer_stats.sleep_prunes;
       totals.redundant += r.explorer_stats.redundant;
       totals.graph_nodes += r.explorer_stats.graph_nodes;
-      totals.graph_edges += r.explorer_stats.graph_edges;
     }
     out += ", \"dpor_executions\": " + std::to_string(totals.executions);
     out += ", \"dpor_backtracks\": " + std::to_string(totals.backtrack_points);
     out += ", \"dpor_sleep_prunes\": " + std::to_string(totals.sleep_prunes);
     out += ", \"dpor_redundant\": " + std::to_string(totals.redundant);
     out += ", \"dpor_graph_nodes\": " + std::to_string(totals.graph_nodes);
-    out += ", \"dpor_graph_edges\": " + std::to_string(totals.graph_edges);
   }
   out += "},\n  \"metrics\": ";
   out += obs::MetricsRegistry::to_json(metrics_delta);
@@ -604,17 +601,15 @@ int main(int argc, char** argv) {
         totals.backtrack_points += record.explorer_stats.backtrack_points;
         totals.sleep_prunes += record.explorer_stats.sleep_prunes;
         totals.graph_nodes += record.explorer_stats.graph_nodes;
-        totals.graph_edges += record.explorer_stats.graph_edges;
         bounded += record.explorer_stats.bound_hit ? 1 : 0;
       }
       std::printf("  Schedule runs: %zu\n  Schedule bugs: %zu\n  New races found: %zu\n",
                   executed, schedule_bugs, schedule_new_races);
       std::printf("  DPOR: %llu backtrack(s), %llu sleep-prune(s), "
-                  "graph %llu nodes / %llu edges, %zu scenario(s) hit the bound\n",
+                  "%llu decision(s) recorded, %zu scenario(s) hit the bound\n",
                   static_cast<unsigned long long>(totals.backtrack_points),
                   static_cast<unsigned long long>(totals.sleep_prunes),
-                  static_cast<unsigned long long>(totals.graph_nodes),
-                  static_cast<unsigned long long>(totals.graph_edges), bounded);
+                  static_cast<unsigned long long>(totals.graph_nodes), bounded);
     }
     if (!plan.empty()) {
       std::printf("  Faulted: %zu\n  Faults fired: %llu\n  Faults unsurfaced: %zu\n", faulted,

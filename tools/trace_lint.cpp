@@ -1,16 +1,14 @@
 // Schema checker for the observability export artifacts: validates Chrome
 // trace_event JSON written via CUSAN_TRACE=perfetto:<path>, flat metrics
-// JSON written via CUSAN_METRICS=<path>, and execution graphs written via
+// JSON written via CUSAN_METRICS=<path>, and decision logs written via
 // CUSAN_SCHEDULE=record:<path> (the schedule reproducer that
 // CUSAN_SCHEDULE=replay:<path> reads). CI runs this over the testsuite
 // artifacts so a malformed export fails the build, not the person opening
 // ui.perfetto.dev (or replaying a schedule).
 //
-// --graph checks go beyond parsing: the versioned header must match, every
-// decision stream's seqs must run 0, 1, 2, ..., every edge endpoint must
-// name an existing node (dangling check), and the edge relation must be
-// acyclic — the recorder only emits forward edges, so a cycle means the
-// artifact was corrupted or hand-edited.
+// --graph runs the replay decoder's checks: the versioned header must
+// match, every decision must name a known site with chosen in
+// [0, candidates), and every decision stream's seqs must run 0, 1, 2, ...
 //
 // Usage: trace_lint [--trace FILE]... [--metrics FILE]... [--graph FILE]...
 // Exit 0 iff every file parses and matches its schema.
@@ -19,7 +17,7 @@
 #include <string>
 
 #include "obs/jsonlint.hpp"
-#include "schedsim/execution_graph.hpp"
+#include "schedsim/decision_log.hpp"
 
 namespace {
 
@@ -72,22 +70,19 @@ int main(int argc, char** argv) {
     std::size_t count = 0;
     bool ok = false;
     const char* unit = "event(s)";
-    std::size_t edges = 0;
     if (is_trace) {
       ok = obs::jsonlint::validate_chrome_trace(text, &error, &count);
     } else if (is_metrics) {
       ok = obs::jsonlint::validate_metrics_json(text, &error, &count);
       unit = "metric(s)";
     } else {
-      schedsim::ExecutionGraph graph;
-      ok = schedsim::parse_graph(text, &graph, &error) && schedsim::validate_graph(graph, &error);
-      count = graph.nodes.size();
-      edges = graph.edges.size();
+      schedsim::DecisionLog log;
+      ok = schedsim::parse_log(text, &log, &error);
+      count = log.decisions.size();
+      unit = "decision(s)";
     }
     ++checked;
-    if (ok && is_graph) {
-      std::printf("OK: %s: %zu node(s) / %zu edge(s)\n", path, count, edges);
-    } else if (ok) {
+    if (ok) {
       std::printf("OK: %s: %zu %s\n", path, count, unit);
     } else {
       std::printf("FAIL: %s: %s\n", path, error.c_str());
