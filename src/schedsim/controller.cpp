@@ -179,7 +179,7 @@ int Controller::choose(Site site, int rank, int candidates, int default_index) {
   if (default_index < 0 || default_index >= candidates) {
     default_index = 0;
   }
-  if (!armed()) {
+  if (!armed_.load(std::memory_order_relaxed)) {
     return default_index;
   }
   int chosen = default_index;
@@ -321,7 +321,7 @@ void Controller::clear() {
 }
 
 void Controller::begin_session() {
-  if (!armed()) {
+  if (!armed_.load(std::memory_order_relaxed)) {
     return;
   }
   std::lock_guard lock(mutex_);

@@ -142,7 +142,8 @@ class Controller {
   /// pass today's deterministic behavior as `default_index`; the free
   /// strategy (and every decision past a pinned prefix) returns it
   /// unchanged, which is what makes exploration semantics-preserving by
-  /// construction.
+  /// construction. The answer comes from this controller's own strategy,
+  /// whichever controller is current on the calling thread.
   [[nodiscard]] int choose(Site site, int rank, int candidates, int default_index = 0);
 
   /// Install a strategy programmatically (sweep harnesses, tests). Resets

@@ -1,7 +1,8 @@
 // DPOR explorer tests: the exact-enumeration property on a synthetic choice
 // tree (every full schedule executed once, none twice), the decision-log
 // artifact (serialize / parse round trip, a proc child's decisions absorbed
-// in rank order, a decoder that survives mutated input), and the two
+// in rank order, a long run's log kept whole, a decoder that survives
+// mutated input), a controller answering from its own strategy, and the two
 // end-to-end promises from the roadmap:
 //
 //   1. Differential coverage — per scenario and for the waitall program
@@ -118,13 +119,13 @@ TEST_F(ExplorerTest, ProcChildDecisionsAbsorbInRankOrder) {
   // A forked rank ships the decisions it recorded; the parent appends each
   // child's in rank order. Seqs count per (rank, site) stream, so nothing
   // is renumbered, and the merged log parses and replays both ranks.
-  auto& controller = Controller::instance();
   std::vector<TraceEntry> children[2];
   for (int rank = 0; rank < 2; ++rank) {
-    controller.configure_prefix({});
-    (void)controller.choose(Site::kWaitallOrder, rank, 2, 1);
-    (void)controller.choose(Site::kWaitallOrder, rank, 3, 2 - rank);
-    children[rank] = controller.log().decisions;
+    Controller child;
+    child.configure_prefix({});
+    (void)child.choose(Site::kWaitallOrder, rank, 2, 1);
+    (void)child.choose(Site::kWaitallOrder, rank, 3, 2 - rank);
+    children[rank] = child.log().decisions;
   }
   Controller parent;
   parent.configure_prefix({});
@@ -139,6 +140,7 @@ TEST_F(ExplorerTest, ProcChildDecisionsAbsorbInRankOrder) {
     EXPECT_EQ(log.decisions[i].rank, ranks[i]) << i;
     EXPECT_EQ(log.decisions[i].seq, seqs[i]) << i;
   }
+  auto& controller = Controller::instance();
   std::string error;
   ASSERT_TRUE(controller.configure_replay_text(serialize_log(log), &error)) << error;
   EXPECT_EQ(controller.choose(Site::kWaitallOrder, 1, 2, 0), 1);
@@ -151,6 +153,58 @@ TEST_F(ExplorerTest, ProcChildDecisionsAbsorbInRankOrder) {
   Controller idle;
   idle.absorb_child({}, std::nullopt, children[0]);
   EXPECT_TRUE(idle.log().decisions.empty());
+}
+
+TEST_F(ExplorerTest, ControllerAnswersFromItsOwnStrategy) {
+  // choose() answers from the controller it is called on, not from the
+  // calling thread's current one (Controller::instance()). This thread is
+  // bound to no session, so its current controller is the global one.
+  ASSERT_FALSE(Controller::armed());
+  Controller pinned;
+  pinned.configure_prefix({{0, 0, Site::kWaitany, 3, 2}});
+  EXPECT_EQ(pinned.choose(Site::kWaitany, 0, 3, 0), 2);
+  EXPECT_EQ(pinned.stats().replayed, 1u);
+  const DecisionLog log = pinned.log();
+  ASSERT_EQ(log.decisions.size(), 1u);
+  EXPECT_EQ(log.decisions[0].chosen, 2);
+  EXPECT_FALSE(Controller::armed());
+
+  // A disarmed controller answers the default and counts nothing, even
+  // while the thread's current controller is armed.
+  Controller::instance().configure_prefix({});
+  Controller idle;
+  EXPECT_EQ(idle.choose(Site::kWaitany, 0, 3, 1), 1);
+  EXPECT_EQ(idle.stats().decisions, 0u);
+  EXPECT_EQ(Controller::instance().stats().decisions, 0u);
+}
+
+TEST_F(ExplorerTest, LongRecordingKeepsAndReplaysEveryDecision) {
+  // The log has no cap: every decision of a long run is recorded, survives
+  // serialize / parse, and replays in its (rank, site) stream.
+  constexpr std::uint64_t kDecisions = (std::uint64_t{1} << 18) + 1;
+  const auto rank_of = [](std::uint64_t i) { return static_cast<int>(i % 2); };
+  const auto pick_of = [](std::uint64_t i) { return static_cast<int>(i % 3); };
+  Controller recorder;
+  recorder.configure_prefix({});
+  for (std::uint64_t i = 0; i < kDecisions; ++i) {
+    ASSERT_EQ(recorder.choose(Site::kMatchRecv, rank_of(i), 3, pick_of(i)), pick_of(i));
+  }
+  const std::string text = serialize_log(recorder.log());
+
+  DecisionLog parsed;
+  std::string error;
+  ASSERT_TRUE(parse_log(text, &parsed, &error)) << error;
+  ASSERT_EQ(parsed.decisions.size(), kDecisions);
+  Controller replayer;
+  ASSERT_TRUE(replayer.configure_replay_text(text, &error)) << error;
+  std::uint64_t mismatches = 0;
+  for (std::uint64_t i = 0; i < kDecisions; ++i) {
+    mismatches += replayer.choose(Site::kMatchRecv, rank_of(i), 3, 0) != pick_of(i) ? 1 : 0;
+  }
+  EXPECT_EQ(mismatches, 0u);
+  EXPECT_EQ(replayer.stats().replayed, kDecisions);
+  EXPECT_EQ(replayer.stats().underruns, 0u);
+  EXPECT_FALSE(replayer.divergence().has_value());
 }
 
 TEST_F(ExplorerTest, MutatedDecisionLogsAreRejectedWithoutThrowing) {
