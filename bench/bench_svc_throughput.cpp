@@ -8,7 +8,10 @@
 //
 // Also sweeps the executor saturation curve: sessions x workers, showing
 // where adding workers stops helping (1 CPU: immediately for CPU-bound
-// bodies; blocked bodies still overlap).
+// bodies; blocked bodies still overlap). Each saturation cell also splits
+// the process's CPU time per session into user and system time, with
+// voluntary context switches per session (getrusage deltas over the timed
+// window): thread start-up and teardown show as system time.
 //
 // Usage: bench_svc_throughput [--sessions N] [--scenario NAME] [--full]
 //                             [--json PATH]
@@ -20,6 +23,7 @@
 //
 // (Internal: --one-session NAME runs a single scenario and exits; this is
 // what the baseline children exec.)
+#include <sys/resource.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -100,13 +104,27 @@ double run_process_baseline(const char* self, const std::string& name, int sessi
   return static_cast<double>(sessions) / timer.elapsed_seconds();
 }
 
-/// `sessions` executor sessions on `workers` workers. Returns sessions/second.
-double run_executor(const testsuite::Scenario& scenario, int sessions, int workers) {
+/// What one executor run cost, per session where it says so.
+struct ExecutorRun {
+  double sessions_per_s{0};
+  double user_us{0};  ///< user CPU per session, all threads
+  double sys_us{0};   ///< system CPU per session, all threads
+  double voluntary_switches{0};  ///< voluntary context switches per session
+};
+
+[[nodiscard]] double cpu_us(const timeval& tv) {
+  return static_cast<double>(tv.tv_sec) * 1e6 + static_cast<double>(tv.tv_usec);
+}
+
+/// `sessions` executor sessions on `workers` workers.
+ExecutorRun run_executor(const testsuite::Scenario& scenario, int sessions, int workers) {
   svc::ExecutorOptions options;
   options.workers = workers;
   svc::Executor executor(options);
   std::vector<svc::SessionHandlePtr> handles;
   handles.reserve(static_cast<std::size_t>(sessions));
+  rusage before{};
+  (void)getrusage(RUSAGE_SELF, &before);
   common::WallTimer timer;
   for (int i = 0; i < sessions; ++i) {
     svc::SessionSpec spec;
@@ -118,13 +136,19 @@ double run_executor(const testsuite::Scenario& scenario, int sessions, int worke
   }
   executor.wait_idle();
   const double seconds = timer.elapsed_seconds();
+  rusage after{};
+  (void)getrusage(RUSAGE_SELF, &after);
   for (const auto& handle : handles) {
     if (!handle->result().ok) {
       std::fprintf(stderr, "executor session failed: %s\n", handle->result().error.c_str());
       std::exit(1);
     }
   }
-  return static_cast<double>(sessions) / seconds;
+  const auto n = static_cast<double>(sessions);
+  return {.sessions_per_s = n / seconds,
+          .user_us = (cpu_us(after.ru_utime) - cpu_us(before.ru_utime)) / n,
+          .sys_us = (cpu_us(after.ru_stime) - cpu_us(before.ru_stime)) / n,
+          .voluntary_switches = static_cast<double>(after.ru_nvcsw - before.ru_nvcsw) / n};
 }
 
 }  // namespace
@@ -166,7 +190,7 @@ int main(int argc, char** argv) {
   // Head-to-head at the same concurrency. The baseline gets `sessions`
   // concurrent children (the mpirun-per-test model never throttles either).
   const double baseline = run_process_baseline(argv[0], scenario->name, sessions, sessions);
-  const double executor = run_executor(*scenario, sessions, ncpu);
+  const double executor = run_executor(*scenario, sessions, ncpu).sessions_per_s;
   bench::Table comparison(&report, "comparison",
                           {"mode", "sessions", "concurrency", "sessions_per_s", "speedup"});
   comparison.add_row({"process-per-session", std::to_string(sessions), std::to_string(sessions),
@@ -192,11 +216,15 @@ int main(int argc, char** argv) {
     session_counts = {1, 16, 64, 256};
     worker_counts = {1, 2, 4};
   }
-  bench::Table saturation(&report, "saturation", {"sessions", "workers", "sessions_per_s"});
+  bench::Table saturation(&report, "saturation",
+                          {"sessions", "workers", "sessions_per_s", "user_us_per_session",
+                           "sys_us_per_session", "vol_ctx_switches_per_session"});
   for (const int n : session_counts) {
     for (const int w : worker_counts) {
-      saturation.add_row(
-          {std::to_string(n), std::to_string(w), common::fixed(run_executor(*scenario, n, w), 1)});
+      const ExecutorRun run = run_executor(*scenario, n, w);
+      saturation.add_row({std::to_string(n), std::to_string(w), common::fixed(run.sessions_per_s, 1),
+                          common::fixed(run.user_us, 1), common::fixed(run.sys_us, 1),
+                          common::fixed(run.voluntary_switches, 1)});
     }
   }
   std::printf("%s\n", saturation.render().c_str());

@@ -1,10 +1,10 @@
 // The calling thread's tool-state binding: the four instances an svc::Session
 // owns (metrics registry, diagnostics hub, fault injector, schedule
 // controller), held in one constinit thread_local struct.
-// svc::Session::run is the only place that binds a session; the thread-spawn
-// sites (mpisim rank threads, cusim stream workers) copy the parent's
-// binding with capture() and install it in the spawned thread with a Scope,
-// so a session's worlds and streams resolve to the session too.
+// svc::Session::run is the only place that binds a session; common::SimThread,
+// which starts mpisim rank threads and cusim stream workers, copies the
+// parent's binding with capture() and installs it in the spawned thread with
+// a Scope, so a session's worlds and streams resolve to the session too.
 //
 // A thread with no binding sees every member as null and each subsystem's
 // instance() falls back to its process instance: harnesses, examples and

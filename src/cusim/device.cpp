@@ -7,7 +7,6 @@
 
 #include "common/assert.hpp"
 #include "common/clock.hpp"
-#include "common/thread_context.hpp"
 #include "faultsim/injector.hpp"
 #include "obs/ring.hpp"
 
@@ -88,13 +87,9 @@ Stream* Device::create_stream_locked(StreamFlags flags) {
   const auto id = static_cast<std::uint32_t>(streams_.size());
   streams_.emplace_back(new Stream(id, flags, this));
   Stream* stream = streams_.back().get();
-  // Stream workers inherit the creating thread's session context so their
-  // probes/metrics/diagnostics land in the owning session, not the globals.
-  stream->worker = std::thread(
-      [this, stream, context = common::ThreadContext::capture()] {
-        const common::ThreadContext::Scope scope(context);
-        stream_worker(stream);
-      });
+  // Stream workers inherit the creating thread's session context (SimThread)
+  // so their probes/metrics/diagnostics land in the owning session.
+  stream->worker = common::SimThread([this, stream] { stream_worker(stream); });
   return stream;
 }
 

@@ -15,9 +15,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "common/sim_thread.hpp"
 #include "cusim/kernel.hpp"
 #include "cusim/memory.hpp"
 #include "obs/events.hpp"
@@ -70,7 +70,7 @@ class Stream {
   std::uint64_t completed{0};
   bool running{false};    ///< worker is currently executing this stream's head op
   bool retired{false};    ///< worker should exit (stream destroy / device teardown)
-  std::thread worker;     ///< each stream executes independently, like real CUDA
+  common::SimThread worker;  ///< each stream executes independently, like real CUDA
 };
 
 /// Opaque event handle (cudaEvent_t analog).

@@ -5,11 +5,10 @@
 #include <exception>
 #include <mutex>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/thread_context.hpp"
+#include "common/sim_thread.hpp"
 #include "mpisim/proc_comm.hpp"
 #include "mpisim/supervisor.hpp"
 
@@ -82,16 +81,13 @@ void World::run(const std::function<void(Comm)>& rank_main) {
 }
 
 void World::run_threads(const std::function<void(Comm)>& rank_main) {
-  std::vector<std::thread> threads;
+  std::vector<common::SimThread> threads;
   std::vector<std::exception_ptr> failures(static_cast<std::size_t>(size_));
   threads.reserve(static_cast<std::size_t>(size_));
-  // Rank threads inherit the spawning thread's session context (metrics
-  // registry, diagnostics hub, injector, controller bindings), so sessions
+  // SimThreads inherit the spawning thread's session context, so sessions
   // stay isolated when many worlds run concurrently under the svc executor.
-  const common::ThreadContext context = common::ThreadContext::capture();
   for (int r = 0; r < size_; ++r) {
-    threads.emplace_back([this, r, &rank_main, &failures, &context] {
-      const common::ThreadContext::Scope scope(context);
+    threads.emplace_back([this, r, &rank_main, &failures] {
       t_running_thread_world = this;
       try {
         rank_main(Comm(impl_, r));

@@ -1,11 +1,14 @@
 #include "rsan/runtime.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <string_view>
 
 #include "common/assert.hpp"
 #include "common/log.hpp"
+#include "common/parse.hpp"
 #include "obs/diagnostics.hpp"
 #include "obs/ring.hpp"
 
@@ -86,21 +89,42 @@ struct Decision {
 }  // namespace
 
 bool default_shadow_fast_path() {
-  const char* env = std::getenv("CUSAN_SHADOW_FAST_PATH");
-  return env == nullptr || std::string_view{env} != "0";
+  static const bool on = [] {
+    const char* env = std::getenv("CUSAN_SHADOW_FAST_PATH");
+    return env == nullptr || std::string_view{env} != "0";
+  }();
+  return on;
+}
+
+std::optional<std::size_t> parse_shadow_max_mb(std::string_view value) {
+  if (value.empty()) {
+    return 0;
+  }
+  std::uint64_t mb = 0;
+  if (!common::parse_uint(value, mb, std::numeric_limits<std::size_t>::max() >> 20)) {
+    return std::nullopt;
+  }
+  return static_cast<std::size_t>(mb) << 20;
 }
 
 std::size_t default_shadow_max_bytes() {
-  const char* env = std::getenv("CUSAN_SHADOW_MAX_MB");
-  if (env == nullptr || *env == '\0') {
-    return 0;
-  }
-  char* end = nullptr;
-  const unsigned long long mb = std::strtoull(env, &end, 10);
-  if (end == env || (end != nullptr && *end != '\0')) {
-    return 0;
-  }
-  return static_cast<std::size_t>(mb) * 1024 * 1024;
+  // Parsed exactly once per process (thread-safe magic static), so a bad
+  // value is reported once, not once per runtime.
+  static const std::size_t bytes = [] {
+    const char* env = std::getenv("CUSAN_SHADOW_MAX_MB");
+    if (env == nullptr) {
+      return std::size_t{0};
+    }
+    if (const std::optional<std::size_t> parsed = parse_shadow_max_mb(env)) {
+      return *parsed;
+    }
+    std::fprintf(stderr,
+                 "rsan: invalid CUSAN_SHADOW_MAX_MB value '%s' (expected a decimal count of "
+                 "MiB); shadow memory stays unlimited\n",
+                 env);
+    return std::size_t{0};
+  }();
+  return bytes;
 }
 
 Runtime::Runtime(obs::MetricsRegistry& metrics, RuntimeConfig config)

@@ -20,7 +20,9 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
@@ -37,11 +39,17 @@ namespace rsan {
 
 /// Default for RuntimeConfig::use_shadow_fast_path: true unless the
 /// CUSAN_SHADOW_FAST_PATH environment variable is set to "0" (the CI leg that
-/// pins the reference scan uses this).
+/// pins the reference scan uses this). Read once per process.
 [[nodiscard]] bool default_shadow_fast_path();
 
-/// Default for RuntimeConfig::shadow_max_bytes: CUSAN_SHADOW_MAX_MB
-/// megabytes, or 0 (unlimited) when unset/invalid.
+/// A CUSAN_SHADOW_MAX_MB value as a byte cap: a decimal count of MiB (digits
+/// only: no sign, no space) of at most SIZE_MAX >> 20, so the cap never wraps.
+/// "" and "0" are 0 (unlimited); nullopt for anything else.
+[[nodiscard]] std::optional<std::size_t> parse_shadow_max_mb(std::string_view value);
+
+/// Default for RuntimeConfig::shadow_max_bytes: CUSAN_SHADOW_MAX_MB, or 0
+/// (unlimited) when unset. Read once per process; a malformed value is
+/// reported once on stderr and reads as unlimited.
 [[nodiscard]] std::size_t default_shadow_max_bytes();
 
 struct RuntimeConfig {

@@ -1,15 +1,24 @@
 // Unit tests for the common utility module.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
+#include <array>
 #include <string>
+#include <system_error>
+#include <thread>
 
 #include "common/format.hpp"
 #include "common/interval_map.hpp"
 #include "common/log.hpp"
 #include "common/memstats.hpp"
 #include "common/rng.hpp"
+#include "common/sim_thread.hpp"
 #include "common/table.hpp"
+#include "common/thread_context.hpp"
 #include "common/timer.hpp"
+#include "cusim/device.hpp"
+#include "mpisim/world.hpp"
+#include "obs/metrics.hpp"
 
 namespace {
 
@@ -174,6 +183,84 @@ TEST(LogTest, MacroEvaluatesArgumentsOnlyAboveThreshold) {
   CUSAN_LOG_WARN("{}", message());
   EXPECT_EQ(formatted, 1);
   common::set_log_level(saved);
+}
+
+/// The stack size pthread_getattr_np reports for the calling thread.
+std::size_t own_stack_bytes() {
+  pthread_attr_t attr;
+  if (pthread_getattr_np(pthread_self(), &attr) != 0) {
+    return 0;
+  }
+  std::size_t bytes = 0;
+  (void)pthread_attr_getstacksize(&attr, &bytes);
+  (void)pthread_attr_destroy(&attr);
+  return bytes;
+}
+
+/// What a plain pthread asked for kSimThreadStackBytes reports: the constant
+/// itself, except under ThreadSanitizer, whose runtime enlarges small stacks
+/// to hold its own thread-local state.
+std::size_t requested_stack_bytes() {
+  pthread_attr_t attr;
+  EXPECT_EQ(pthread_attr_init(&attr), 0);
+  EXPECT_EQ(pthread_attr_setstacksize(&attr, common::kSimThreadStackBytes), 0);
+  std::size_t bytes = 0;
+  pthread_t thread;
+  EXPECT_EQ(pthread_create(
+                &thread, &attr,
+                [](void* out) -> void* {
+                  *static_cast<std::size_t*>(out) = own_stack_bytes();
+                  return nullptr;
+                },
+                &bytes),
+            0);
+  EXPECT_EQ(pthread_join(thread, nullptr), 0);
+  (void)pthread_attr_destroy(&attr);
+  return bytes;
+}
+
+TEST(SimThreadTest, RankBodiesAndStreamOpsRunOnTheFixedStack) {
+  const std::size_t expected = requested_stack_bytes();
+  std::size_t std_thread_bytes = 0;
+  std::thread([&std_thread_bytes] { std_thread_bytes = own_stack_bytes(); }).join();
+  ASSERT_NE(expected, std_thread_bytes) << "the fixed stack must differ from std::thread's";
+
+  std::array<std::size_t, 2> rank_bytes{};
+  mpisim::World world(2, mpisim::Backend::kThread);
+  world.run([&rank_bytes](mpisim::Comm comm) {
+    rank_bytes[static_cast<std::size_t>(comm.rank())] = own_stack_bytes();
+  });
+  EXPECT_EQ(rank_bytes[0], expected);
+  EXPECT_EQ(rank_bytes[1], expected);
+
+  cusim::Device device;
+  cusim::Stream* created = nullptr;
+  ASSERT_EQ(device.stream_create(&created, cusim::StreamFlags::kNonBlocking),
+            cusim::Error::kSuccess);
+  std::array<std::size_t, 2> stream_bytes{};
+  ASSERT_EQ(device.launch_host_func(nullptr, [&] { stream_bytes[0] = own_stack_bytes(); }),
+            cusim::Error::kSuccess);
+  ASSERT_EQ(device.launch_host_func(created, [&] { stream_bytes[1] = own_stack_bytes(); }),
+            cusim::Error::kSuccess);
+  ASSERT_EQ(device.device_synchronize(), cusim::Error::kSuccess);
+  EXPECT_EQ(stream_bytes[0], expected);
+  EXPECT_EQ(stream_bytes[1], expected);
+}
+
+TEST(SimThreadTest, KeepsStdThreadSemanticsAndTheSpawnersBinding) {
+  obs::MetricsRegistry registry;
+  const common::ThreadContext::Scope binding({.metrics = &registry});
+  obs::MetricsRegistry* seen = nullptr;
+  common::SimThread thread([&seen] { seen = common::ThreadContext::current().metrics; });
+  EXPECT_TRUE(thread.joinable());
+  common::SimThread moved(std::move(thread));
+  EXPECT_FALSE(thread.joinable());  // NOLINT(bugprone-use-after-move): moved-from is empty
+  ASSERT_TRUE(moved.joinable());
+  moved.join();
+  EXPECT_FALSE(moved.joinable());
+  EXPECT_EQ(seen, &registry);
+  EXPECT_THROW(moved.join(), std::system_error);
+  EXPECT_THROW(common::SimThread{}.join(), std::system_error);
 }
 
 }  // namespace

@@ -603,15 +603,18 @@ TEST(SuppressionTest, NonRaceDirectivesIgnored) {
 // -- MUST request-leak detection --------------------------------------------------------------
 
 TEST(RequestLeakTest, LeakedRequestReportedAtFinalize) {
-  // Buffers outlive the ranks: with the request never completed, the peer's
-  // send may deliver after the rank body returned (part of the modelled bug).
-  auto buffers = std::make_shared<std::array<std::array<double, 32>, 2>>();
-  const auto results = capi::run_flavored(Flavor::kMustCusan, 2, [buffers](RankEnv& env) {
-    double* buf = (*buffers)[static_cast<std::size_t>(env.rank())].data();
+  // Receive buffers outlive the ranks: with the request never completed, the
+  // peer's send may deliver after the rank body returned (part of the
+  // modelled bug). Sends read a separate buffer, so delivery never overlaps
+  // a send's pack.
+  auto recv_buffers = std::make_shared<std::array<std::array<double, 32>, 2>>();
+  const auto results = capi::run_flavored(Flavor::kMustCusan, 2, [recv_buffers](RankEnv& env) {
+    double* recv_buf = (*recv_buffers)[static_cast<std::size_t>(env.rank())].data();
+    const std::array<double, 32> send_buf{};
     mpisim::Request* req = nullptr;
     const int peer = 1 - env.rank();
-    (void)capi::mpi::irecv(env.comm, buf, 32, mpisim::Datatype::float64(), peer, 0, &req);
-    (void)capi::mpi::send(env.comm, buf, 32, mpisim::Datatype::float64(), peer, 0);
+    (void)capi::mpi::irecv(env.comm, recv_buf, 32, mpisim::Datatype::float64(), peer, 0, &req);
+    (void)capi::mpi::send(env.comm, send_buf.data(), 32, mpisim::Datatype::float64(), peer, 0);
     // BUG: req is never waited on.
   });
   for (const auto& result : results) {
@@ -624,11 +627,13 @@ TEST(RequestLeakTest, LeakedRequestReportedAtFinalize) {
 
 TEST(RequestLeakTest, CompletedRequestsDoNotReport) {
   const auto results = capi::run_flavored(Flavor::kMustCusan, 2, [](RankEnv& env) {
-    std::array<double, 32> buf{};
+    std::array<double, 32> recv_buf{};
+    const std::array<double, 32> send_buf{};
     mpisim::Request* req = nullptr;
     const int peer = 1 - env.rank();
-    (void)capi::mpi::irecv(env.comm, buf.data(), 32, mpisim::Datatype::float64(), peer, 0, &req);
-    (void)capi::mpi::send(env.comm, buf.data(), 32, mpisim::Datatype::float64(), peer, 0);
+    (void)capi::mpi::irecv(env.comm, recv_buf.data(), 32, mpisim::Datatype::float64(), peer, 0,
+                           &req);
+    (void)capi::mpi::send(env.comm, send_buf.data(), 32, mpisim::Datatype::float64(), peer, 0);
     (void)capi::mpi::wait(env.comm, &req);
   });
   for (const auto& result : results) {

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <array>
+#include <limits>
+#include <optional>
+#include <string>
 #include <thread>
 #include <utility>
 
@@ -783,6 +786,24 @@ TEST_F(RsanRuntimeTest, FastPathDisabledKeepsCountersZero) {
   EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_block_hits"), 0u);
   EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_block_misses"), 0u);
   EXPECT_EQ(metric_value(slow_metrics, "rsan.fastpath_granules_elided"), 0u);
+}
+
+TEST(RsanShadowBudgetTest, MaxMbParsesDigitsOnlyAndNeverWraps) {
+  constexpr std::size_t kMaxMb = std::numeric_limits<std::size_t>::max() >> 20;
+  EXPECT_EQ(rsan::parse_shadow_max_mb(""), 0u);
+  EXPECT_EQ(rsan::parse_shadow_max_mb("0"), 0u);
+  EXPECT_EQ(rsan::parse_shadow_max_mb("1"), std::size_t{1} << 20);
+  EXPECT_EQ(rsan::parse_shadow_max_mb("007"), std::size_t{7} << 20);
+  EXPECT_EQ(rsan::parse_shadow_max_mb(std::to_string(kMaxMb)), kMaxMb << 20);
+  // Signs, spaces and non-digits are rejected, not skipped.
+  for (const char* bad : {"-1", "+5", " 7", "7 ", "1.5", "1e3", "abc", "0x10"}) {
+    EXPECT_EQ(rsan::parse_shadow_max_mb(bad), std::nullopt) << bad;
+  }
+  // Past SIZE_MAX >> 20 the byte cap would wrap: 2^44 + 1 MiB once became a
+  // 1 MiB cap.
+  EXPECT_EQ(rsan::parse_shadow_max_mb(std::to_string(kMaxMb + 1)), std::nullopt);
+  EXPECT_EQ(rsan::parse_shadow_max_mb("17592186044417"), std::nullopt);
+  EXPECT_EQ(rsan::parse_shadow_max_mb("18446744073709551616"), std::nullopt);
 }
 
 TEST(RsanShadowBudgetTest, BudgetCountsWholeBlockFootprints) {

@@ -258,6 +258,9 @@ ScenarioRun run_in_executor(svc::Executor& executor, const testsuite::Scenario& 
   for (const auto& diagnostic : handle->result().diagnostics) {
     run.diagnostic_ids.push_back(diagnostic.id);
   }
+  // The ranks emit concurrently, so the ids are a multiset: their order is
+  // timing, not verdict.
+  std::sort(run.diagnostic_ids.begin(), run.diagnostic_ids.end());
   return run;
 }
 
