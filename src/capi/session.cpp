@@ -1,10 +1,13 @@
 #include "capi/session.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
 
 #include "capi/result_serde.hpp"
+#include "common/parse.hpp"
 #include "common/thread_context.hpp"
 #include "faultsim/injector.hpp"
 #include "obs/diagnostics.hpp"
@@ -56,6 +59,14 @@ void export_observability(const obs::ExportConfig& config) {
 
 }  // namespace
 
+std::optional<int> parse_ranks(std::string_view value) {
+  std::uint64_t ranks = 0;
+  if (!common::parse_uint(value, ranks)) {
+    return std::nullopt;
+  }
+  return static_cast<int>(std::clamp<std::uint64_t>(ranks, 2, 64));
+}
+
 int default_ranks() {
   // Parsed exactly once per process (thread-safe magic static): this is on
   // the per-session hot path of sweeps and the svc executor, and re-reading
@@ -66,11 +77,14 @@ int default_ranks() {
     if (env == nullptr || *env == '\0') {
       return 2;
     }
-    const int parsed = std::atoi(env);
-    if (parsed < 2) {
-      return 2;
+    if (const std::optional<int> parsed = parse_ranks(env)) {
+      return *parsed;
     }
-    return parsed > 64 ? 64 : parsed;
+    std::fprintf(stderr,
+                 "cusan: invalid CUSAN_RANKS value '%s' (expected a decimal rank count); "
+                 "worlds keep 2 ranks\n",
+                 env);
+    return 2;
   }();
   return ranks;
 }

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <functional>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -40,10 +41,14 @@ struct RankEnv {
 
 using RankMain = std::function<void(RankEnv&)>;
 
-/// World size for harness-driven sessions: the CUSAN_RANKS environment
-/// variable (clamped to [2, 64]), or 2 when unset/invalid. Lets the whole
-/// testsuite / fault sweep scale to wider worlds (CI runs it at 8) without
-/// touching every call site.
+/// A CUSAN_RANKS value as a world size: a decimal count (digits only),
+/// clamped to [2, 64]. std::nullopt: not such a count.
+[[nodiscard]] std::optional<int> parse_ranks(std::string_view value);
+
+/// World size for harness-driven sessions: CUSAN_RANKS, parsed once per
+/// process, or 2 when unset (a bad value is reported on stderr and keeps
+/// 2). Lets the whole testsuite / fault sweep scale to wider worlds (CI runs
+/// it at 8) without touching every call site.
 [[nodiscard]] int default_ranks();
 
 /// Run `rank_main` on every rank under the configured tool flavor and return

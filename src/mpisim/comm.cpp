@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/assert.hpp"
-#include "common/clock.hpp"
 #include "faultsim/injector.hpp"
 #include "mpisim/comm_impl.hpp"
 #include "mpisim/counters.hpp"
@@ -34,22 +33,11 @@ constexpr int kTagScatter = -105;
 constexpr int kTagAllreduce = -106;
 constexpr int kTagAllgather = -107;
 
-/// How often a blocked thread re-checks the watchdog condition.
-constexpr auto kWatchdogPoll = std::chrono::milliseconds(5);
 /// Predicate re-checks (with sched yields) before parking on the waiter
 /// slot. On an oversubscribed host the peer usually completes the operation
 /// within one timeslice, so yielding first avoids the two futex transitions
 /// of a condvar park on the hot path.
 constexpr int kParkSpinYields = 4;
-
-// OpScope / current_op_label moved to mpisim/op_scope.hpp (shared with the
-// proc backend).
-
-/// Watchdog timeout in the shared monotonic-clock unit (common::now_ns).
-[[nodiscard]] std::uint64_t timeout_as_ns(std::chrono::milliseconds timeout) {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(timeout).count());
-}
 
 }  // namespace
 
@@ -60,47 +48,30 @@ constexpr int kParkSpinYields = 4;
 // declaration/poisoning, which every blocked rank must observe.
 class ThreadCommImpl final : public CommImpl {
  public:
-  ThreadCommImpl(int size, std::shared_ptr<ProgressTracker> tracker, int comm_id,
-                 std::shared_ptr<WaiterHub> hub)
-      : CommImpl(size),
-        size_(size),
-        tracker_(std::move(tracker)),
-        comm_id_(comm_id),
+  ThreadCommImpl(std::shared_ptr<BlockedTable> table, std::shared_ptr<WaiterHub> hub,
+                 int comm_id)
+      : CommImpl(hub->size()),
+        size_(hub->size()),
+        table_(std::move(table)),
         hub_(std::move(hub)),
-        rank_local_(static_cast<std::size_t>(size)),
-        dup_counts_(static_cast<std::size_t>(size), 0) {
-    shards_.reserve(static_cast<std::size_t>(size));
-    for (int r = 0; r < size; ++r) {
-      shards_.push_back(std::make_unique<Shard>(size));
+        comm_id_(comm_id),
+        dup_counts_(static_cast<std::size_t>(size_), 0) {
+    shards_.reserve(static_cast<std::size_t>(size_));
+    for (int r = 0; r < size_; ++r) {
+      shards_.push_back(std::make_unique<Shard>(size_));
     }
   }
 
   [[nodiscard]] int size() const override { return size_; }
   [[nodiscard]] int comm_id() const override { return comm_id_; }
-
-  [[nodiscard]] bool deadlocked() const override {
-    return tracker_ != nullptr && tracker_->deadlocked();
-  }
-
-  [[nodiscard]] DeadlockReport deadlock_report() const override {
-    return tracker_ != nullptr ? tracker_->report() : DeadlockReport{};
-  }
+  [[nodiscard]] bool deadlocked() const override { return table_->deadlocked(); }
+  [[nodiscard]] DeadlockReport deadlock_report() const override { return table_->report(); }
 
  private:
-  [[nodiscard]] BlockedOp blocked_op(int rank, const char* label, int peer, int tag) const {
-    BlockedOp op;
-    op.rank = rank;
-    op.op = label;
-    op.peer = peer;
-    op.tag = tag;
-    op.comm_id = comm_id_;
-    return op;
-  }
-
   /// The blocking primitive of the shared request helpers (CommImpl).
   [[nodiscard]] auto blocker(int rank) {
     return [this, rank](const char* label, int peer, int tag, auto&& pred) {
-      return blocked_wait(blocked_op(rank, label, peer, tag), pred);
+      return blocked_wait(rank, label, peer, tag, pred);
     };
   }
 
@@ -123,7 +94,7 @@ class ThreadCommImpl final : public CommImpl {
         complete(*posted, deliver(msg, *posted));
       } else {
         shard.box.queue_unexpected(std::move(msg));
-        note_progress();  // a blocked probe/recv poster may now match
+        table_->note_progress();  // a blocked probe/recv poster may now match
       }
     }
     // Targeted wakeup: only the destination rank can be waiting on this
@@ -150,54 +121,6 @@ class ThreadCommImpl final : public CommImpl {
     return wait_with(request, status, blocker(rank));
   }
 
-  MpiError test(int rank, Request** request, bool* completed, Status* status) override {
-    if (request == nullptr || *request == nullptr) {
-      return MpiError::kRequestNull;
-    }
-    Request* req = *request;
-    if (!request_complete(req)) {
-      if (completed != nullptr) {
-        *completed = false;
-      }
-      if (deadlocked()) {
-        return MpiError::kDeadlock;
-      }
-      // A rank spinning on an incomplete Test cannot make progress by
-      // itself: after a burst of fruitless polls it counts as (soft)
-      // blocked so a Test-polling rank doesn't mask a deadlock forever.
-      // The streak state is only ever touched by the owning rank's thread.
-      RankLocal& rl = rank_local_[static_cast<std::size_t>(rank)];
-      if (tracker_ != nullptr && ++rl.test_polls >= kSoftBlockThreshold) {
-        if (!rl.soft_blocked) {
-          tracker_->soft_block(blocked_op(rank, current_op_label("MPI_Test"), req->peer(),
-                                          req->tag()));
-          rl.soft_blocked = true;
-          rl.soft_snapshot = tracker_->progress();
-          rl.soft_quiet_since = common::now_ns();
-        } else if (tracker_->timeout().count() > 0) {
-          // A soft-blocked rank may be the only live thread (everyone else
-          // hard-blocked or exited): it must drive declaration itself, or an
-          // all-Test-polling deadlock would spin forever.
-          const std::uint64_t progress = tracker_->progress();
-          const std::uint64_t now = common::now_ns();
-          if (progress != rl.soft_snapshot) {
-            rl.soft_snapshot = progress;
-            rl.soft_quiet_since = now;
-          } else if (now - rl.soft_quiet_since >= timeout_as_ns(tracker_->timeout())) {
-            if (tracker_->try_declare(rl.soft_snapshot)) {
-              hub_->broadcast();  // poisoning: every blocked rank must see it
-              return MpiError::kDeadlock;
-            }
-            rl.soft_quiet_since = now;
-          }
-        }
-      }
-      return MpiError::kSuccess;
-    }
-    clear_soft(rank);
-    return finish(request, status, completed);
-  }
-
   MpiError waitany(int rank, std::span<Request*> requests, int* index, Status* status) override {
     return waitany_with(rank, requests, index, status, blocker(rank));
   }
@@ -219,27 +142,24 @@ class ThreadCommImpl final : public CommImpl {
   /// waiting on the request yet, so no wakeup is needed.
   void complete_send_request(Request* req, std::size_t bytes) override {
     publish_status(req, Status{-1, -1, bytes, MpiError::kSuccess});
-    note_progress();
-  }
-
-  /// An injected `stall` fault: park the calling rank as if the operation
-  /// never completed, until the watchdog declares a deadlock. With no
-  /// tracker the stall degrades to a synchronous failure (no hang).
-  MpiError stall(int rank, const char* op_name, int peer, int tag,
-                 std::uint64_t fault_id) override {
-    auto& injector = faultsim::Injector::instance();
-    if (tracker_ != nullptr && tracker_->timeout().count() > 0) {
-      const std::string label = std::string(op_name) + " [stalled by fault plan]";
-      const MpiError err =
-          blocked_wait(blocked_op(rank, label.c_str(), peer, tag), [] { return false; });
-      injector.mark_surfaced(fault_id, faultsim::Channel::kDeadlockReport);
-      return err;
-    }
-    injector.mark_surfaced(fault_id, faultsim::Channel::kApiError);
-    return MpiError::kOther;
+    table_->note_progress();
   }
 
  private:
+  [[nodiscard]] bool watched() const override { return table_->watched(); }
+
+  void publish_soft_block(int rank, const char* label, int peer, int tag) override {
+    table_->block(rank, label, peer, tag, comm_id_, /*soft=*/true);
+  }
+
+  void clear_blocked(int rank) override { table_->unblock(rank); }
+
+  MpiError park(int rank, const char* label, int peer, int tag) override {
+    return blocked_wait(rank, label, peer, tag, [] { return false; });
+  }
+
+  [[nodiscard]] TestStreak& test_streak(int rank) override { return table_->streak(rank); }
+
   /// Per-destination shard: the destination's Mailbox under its own lock.
   /// Cacheline-aligned so neighbouring shards don't false-share.
   struct alignas(64) Shard {
@@ -258,53 +178,22 @@ class ThreadCommImpl final : public CommImpl {
     std::lock_guard<std::mutex> lock_;
   };
 
-  /// Per-rank Test-poll streak. Only the owning rank's thread reads or
-  /// writes its entry, so no lock is needed; padding avoids false sharing.
-  struct alignas(64) RankLocal {
-    int test_polls{0};
-    bool soft_blocked{false};
-    std::uint64_t soft_snapshot{0};
-    std::uint64_t soft_quiet_since{0};  ///< common::now_ns timestamp
-  };
-
   /// Complete a matched receive. Caller holds the destination mailbox lock.
   void complete(const PostedRecv& posted, const Status& st) {
     publish_status(posted.request, st);
-    note_progress();
+    table_->note_progress();
   }
 
-  void note_progress() {
-    if (tracker_ != nullptr) {
-      tracker_->note_progress();
-    }
-  }
-
-  /// Reset the rank's Test-poll streak (and soft-block registration): the
-  /// rank just made or observed progress, or entered a real blocking call.
-  void clear_soft(int rank) {
-    if (rank < 0 || rank >= size_) {
-      return;
-    }
-    RankLocal& rl = rank_local_[static_cast<std::size_t>(rank)];
-    rl.test_polls = 0;
-    if (rl.soft_blocked) {
-      rl.soft_blocked = false;
-      if (tracker_ != nullptr) {
-        tracker_->soft_unblock(rank);
-      }
-    }
-  }
-
-  /// Block the rank until `pred` holds, parking on its WaiterSlot and
-  /// participating in the progress watchdog: the blocked op is registered,
-  /// the park re-checks periodically, and when every live rank is blocked
-  /// with no progress for the timeout the wait returns kDeadlock instead of
-  /// hanging. `pred` is evaluated with no locks held by this function; it
-  /// may take mailbox locks or read request completion atomics. Templated
-  /// over the predicate so the hot path allocates no std::function.
+  /// Block the rank until `pred` holds, parking on its WaiterSlot with its
+  /// op published in the blocked table, where the world's declarer reads
+  /// it. A declaration latches the deadlock and then broadcasts, so the park
+  /// needs no timeout: it returns kDeadlock instead of hanging. `pred` is
+  /// evaluated with no locks held by this function; it may take mailbox
+  /// locks or read request completion atomics. Templated over the predicate
+  /// so the hot path allocates no std::function.
   template <typename Pred>
-  MpiError blocked_wait(const BlockedOp& op, Pred&& pred) {
-    clear_soft(op.rank);
+  MpiError blocked_wait(int rank, const char* label, int peer, int tag, Pred&& pred) {
+    clear_soft(rank);
     if (pred()) {
       return MpiError::kSuccess;
     }
@@ -319,87 +208,51 @@ class ThreadCommImpl final : public CommImpl {
         return MpiError::kSuccess;
       }
     }
-    WaiterSlot& slot = hub_->slot(op.rank);
-    if (tracker_ == nullptr || tracker_->timeout().count() <= 0) {
-      std::uint64_t seen = slot.epoch();
-      while (!pred()) {
-        seen = slot.wait(seen);
-      }
-      return MpiError::kSuccess;
-    }
-    if (tracker_->deadlocked()) {
+    if (deadlocked()) {
       return MpiError::kDeadlock;
     }
-    tracker_->block(op);
+    WaiterSlot& slot = hub_->slot(rank);
+    table_->block(rank, label, peer, tag, comm_id_, /*soft=*/false);
     MpiError result = MpiError::kSuccess;
-    std::uint64_t snapshot = tracker_->progress();
-    std::uint64_t quiet_since = common::now_ns();
     std::uint64_t seen = slot.epoch();
-    while (true) {
-      if (pred()) {
-        break;
-      }
-      if (tracker_->deadlocked()) {
-        result = MpiError::kDeadlock;
-        break;
-      }
-      const std::uint64_t woke = slot.wait(seen, kWatchdogPoll);
-      const bool signalled = woke != seen;
-      seen = woke;
-      if (pred()) {
-        break;
-      }
-      if (signalled) {
+    bool woken = false;
+    while (!pred()) {
+      if (woken) {
         // Signalled but the predicate is still false: the wakeup was for a
         // different condition (e.g. an unexpected message this rank's recv
         // doesn't match). With the old notify_all engine this was the norm;
         // now it is the exception the counter makes visible.
         detail::contention("mpisim.wakeups_spurious").increment();
       }
-      if (tracker_->deadlocked()) {
+      if (deadlocked()) {
         result = MpiError::kDeadlock;
         break;
       }
-      const std::uint64_t progress = tracker_->progress();
-      const std::uint64_t now = common::now_ns();
-      if (progress != snapshot) {
-        snapshot = progress;
-        quiet_since = now;
-        continue;
-      }
-      if (now - quiet_since >= timeout_as_ns(tracker_->timeout())) {
-        if (tracker_->try_declare(snapshot)) {
-          hub_->broadcast();  // wake peers so they observe the declaration
-          result = MpiError::kDeadlock;
-          break;
-        }
-        // Not a deadlock (some rank is still running); keep waiting.
-        quiet_since = now;
-      }
+      seen = slot.wait(seen);
+      woken = true;
     }
-    tracker_->unblock(op.rank);
+    table_->unblock(rank);
     return result;
   }
 
   int size_;
-  std::shared_ptr<ProgressTracker> tracker_;
-  int comm_id_;
+  std::shared_ptr<BlockedTable> table_;
   std::shared_ptr<WaiterHub> hub_;
+  int comm_id_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<RankLocal> rank_local_;
 
  public:
   /// The rank's k-th dup call maps to child context k (MPI's same-order
   /// collective-call requirement makes the indices agree across ranks).
-  /// Children share the parent's progress tracker AND waiter hub: a
-  /// deadlock spanning communicators is still a deadlock of the one world,
-  /// and a rank blocked on one communicator must be wakeable from another.
+  /// Children share the parent's blocked table AND waiter hub: a deadlock
+  /// spanning communicators is still a deadlock of the one world, and a rank
+  /// blocked on one communicator must be wakeable from another.
   std::shared_ptr<CommImpl> dup_for_rank(int rank) override {
     std::lock_guard lock(dup_mutex_);
     const std::size_t k = dup_counts_[static_cast<std::size_t>(rank)]++;
     if (k >= children_.size()) {
-      children_.push_back(std::make_shared<ThreadCommImpl>(
-          size_, tracker_, comm_id_ + static_cast<int>(k) + 1, hub_));
+      children_.push_back(
+          std::make_shared<ThreadCommImpl>(table_, hub_, comm_id_ + static_cast<int>(k) + 1));
     }
     return children_[k];
   }
@@ -409,6 +262,45 @@ class ThreadCommImpl final : public CommImpl {
   std::vector<std::size_t> dup_counts_;
   std::vector<std::shared_ptr<ThreadCommImpl>> children_;
 };
+
+MpiError CommImpl::test(int rank, Request** request, bool* completed, Status* status) {
+  if (request == nullptr || *request == nullptr) {
+    return MpiError::kRequestNull;
+  }
+  const Request* req = *request;
+  if (!req->complete()) {
+    poll(rank);
+  }
+  if (!req->complete()) {
+    if (completed != nullptr) {
+      *completed = false;
+    }
+    if (const MpiError err = poison(); err != MpiError::kSuccess) {
+      return err;
+    }
+    TestStreak& streak = test_streak(rank);
+    if (++streak.polls >= kSoftBlockThreshold && !streak.soft) {
+      streak.soft = true;
+      publish_soft_block(rank, current_op_label("MPI_Test"), req->peer(), req->tag());
+    }
+    return MpiError::kSuccess;
+  }
+  clear_soft(rank);
+  return finish(request, status, completed);
+}
+
+MpiError CommImpl::stall(int rank, const char* op_name, int peer, int tag,
+                         std::uint64_t fault_id) {
+  auto& injector = faultsim::Injector::instance();
+  if (!watched()) {
+    injector.mark_surfaced(fault_id, faultsim::Channel::kApiError);
+    return MpiError::kOther;
+  }
+  const std::string label = std::string(op_name) + " [stalled by fault plan]";
+  const MpiError err = park(rank, label.c_str(), peer, tag);
+  injector.mark_surfaced(fault_id, faultsim::Channel::kDeadlockReport);
+  return err;
+}
 
 int CommImpl::waitany_pick(int rank, std::span<Request* const> requests, int first) {
   if (!schedsim::Controller::armed()) {
@@ -428,14 +320,9 @@ int CommImpl::waitany_pick(int rank, std::span<Request* const> requests, int fir
   return complete[static_cast<std::size_t>(pick)];
 }
 
-std::shared_ptr<CommImpl> make_comm_impl(int size) {
-  return make_comm_impl(size, nullptr);
-}
-
-std::shared_ptr<CommImpl> make_comm_impl(int size, std::shared_ptr<ProgressTracker> tracker) {
-  CUSAN_ASSERT(size > 0);
-  return std::make_shared<ThreadCommImpl>(size, std::move(tracker), /*comm_id=*/0,
-                                          std::make_shared<WaiterHub>(size));
+std::shared_ptr<CommImpl> make_comm_impl(std::shared_ptr<BlockedTable> table,
+                                         std::shared_ptr<WaiterHub> hub) {
+  return std::make_shared<ThreadCommImpl>(std::move(table), std::move(hub), /*comm_id=*/0);
 }
 
 // -- Comm: fault-plan consultation -------------------------------------------------

@@ -77,14 +77,12 @@ struct Status {
 
 class Request;
 class CommImpl;
+class WaiterHub;
 
-/// Create the shared state for a communicator over `size` ranks (used by
-/// World; applications normally never call this directly). Without a
-/// tracker the communicator has no deadlock watchdog (blocking calls can
-/// hang forever, the pre-watchdog behaviour).
-[[nodiscard]] std::shared_ptr<CommImpl> make_comm_impl(int size);
-[[nodiscard]] std::shared_ptr<CommImpl> make_comm_impl(
-    int size, std::shared_ptr<ProgressTracker> tracker);
+/// The thread backend's world communicator over `table`'s and `hub`'s ranks
+/// (used by World; applications normally never call this directly).
+[[nodiscard]] std::shared_ptr<CommImpl> make_comm_impl(std::shared_ptr<BlockedTable> table,
+                                                       std::shared_ptr<WaiterHub> hub);
 
 /// A rank's view of a communicator (lightweight value handle).
 class Comm {

@@ -3,11 +3,13 @@
 // collectives — lives in Comm and is backend-agnostic. MPI matching (source
 // and tag wildcards, oldest-first order, truncation, type signatures, the
 // wildcard-receive schedule decision) lives in matching.hpp, and the request
-// half (the wait/test epilogue, waitany's pick) in the helpers below. A
-// backend implements only transport, locking and blocking: getting a
-// message to its destination's Mailbox, serializing access to it, and
-// parking a rank until its operation completes or the watchdog declares a
-// deadlock.
+// half (the wait/test epilogue, waitany's pick) and the rank's part of the
+// progress watchdog (MPI_Test's soft-block streak, stall faults) in the
+// helpers below. A backend implements only transport, locking and
+// blocking: getting a message to its destination's Mailbox, serializing
+// access to it, publishing a blocked rank into its blocked-rank table
+// (deadlock.hpp), and parking it until its operation completes or the
+// world's declarer declares a deadlock.
 //
 // Two backends exist:
 //   * ThreadCommImpl (comm.cpp)      — ranks as threads, one locked Mailbox
@@ -65,7 +67,10 @@ class CommImpl {
   virtual MpiError post_recv(int dest, int source, int tag, void* buf, std::size_t count,
                              const Datatype& type, Request* request) = 0;
   virtual MpiError wait(int rank, Request** request, Status* status) = 0;
-  virtual MpiError test(int rank, Request** request, bool* completed, Status* status) = 0;
+  /// Past kSoftBlockThreshold incomplete Tests in a row the rank counts as
+  /// soft-blocked: it cannot make progress by itself, and a Test-polling
+  /// rank must not mask a deadlock forever.
+  MpiError test(int rank, Request** request, bool* completed, Status* status);
   virtual MpiError waitany(int rank, std::span<Request*> requests, int* index,
                            Status* status) = 0;
   virtual MpiError probe(int rank, int source, int tag, bool blocking, bool* flag,
@@ -74,9 +79,10 @@ class CommImpl {
   /// waiting on the request yet, so no wakeup is needed.
   virtual void complete_send_request(Request* req, std::size_t bytes) = 0;
   /// An injected `stall` fault: park the calling rank as if the operation
-  /// never completed, until the watchdog declares a deadlock.
-  virtual MpiError stall(int rank, const char* op_name, int peer, int tag,
-                         std::uint64_t fault_id) = 0;
+  /// never completed, until the watchdog declares a deadlock. With no
+  /// declarer watching the world the stall degrades to a synchronous
+  /// failure (no hang).
+  MpiError stall(int rank, const char* op_name, int peer, int tag, std::uint64_t fault_id);
 
   /// Requests are constructed through the base so the Request friendship
   /// stays with this one class. The request joins `owner`'s list of
@@ -106,6 +112,39 @@ class CommImpl {
   explicit CommImpl(int size) : live_(static_cast<std::size_t>(size), nullptr) {}
 
   [[nodiscard]] static bool request_complete(const Request* req) { return req->complete(); }
+
+  // The backend's part of the watchdog, under test() and stall().
+
+  /// The error every call returns once the world is poisoned (kSuccess: not
+  /// poisoned). Only the proc backend can be poisoned by a rank failure.
+  [[nodiscard]] virtual MpiError poison() const {
+    return deadlocked() ? MpiError::kDeadlock : MpiError::kSuccess;
+  }
+  /// A declarer applies the rule to this world (its timeout is positive).
+  [[nodiscard]] virtual bool watched() const = 0;
+  /// Publish `rank` as soft-blocked (Test-polling) in `label` into the
+  /// backend's blocked-rank table, and withdraw it again.
+  virtual void publish_soft_block(int rank, const char* label, int peer, int tag) = 0;
+  virtual void clear_blocked(int rank) = 0;
+  /// Park `rank`, published as blocked in `label`, until the world is
+  /// poisoned; returns the poison error.
+  virtual MpiError park(int rank, const char* label, int peer, int tag) = 0;
+  /// The rank's Test-poll streak: one per rank of the world, shared by all
+  /// its communicators.
+  [[nodiscard]] virtual TestStreak& test_streak(int rank) = 0;
+  /// Make progress without blocking before MPI_Test reads its request.
+  virtual void poll(int rank) { (void)rank; }
+
+  /// Reset the rank's Test-poll streak (and withdraw its soft block): the
+  /// rank just made or observed progress, or entered a real blocking call.
+  void clear_soft(int rank) {
+    TestStreak& streak = test_streak(rank);
+    streak.polls = 0;
+    if (streak.soft) {
+      streak.soft = false;
+      clear_blocked(rank);
+    }
+  }
 
   // The request half both backends share. `block(label, peer, tag, pred)`
   // is the backend's blocking primitive: it parks the calling rank until

@@ -2,30 +2,48 @@
 // can make progress" from an eternal hang into a structured DeadlockReport —
 // graceful degradation from "CI hangs" to "test fails with a diagnosis".
 //
-// Detection condition: every rank of the world is either exited or blocked
-// in a blocking call (or soft-blocked: spinning on an incomplete Test), at
-// least one rank is blocked, and the shared progress counter — bumped on
-// every message delivery / completion — has not moved for the watchdog
-// timeout. Blocked threads poll this condition themselves (no extra watchdog
-// thread); the first to observe it declares the deadlock, snapshots the
-// per-rank blocked-op table, and poisons the communicator: every blocked and
-// future blocking call returns MpiError::kDeadlock immediately.
+// The rule, one copy for both backends (Watchdog): a world is deadlocked
+// when every live rank is blocked in a blocking call (or soft-blocked:
+// spinning on an incomplete Test) or exited, at least one rank is blocked,
+// and this has held with the world's progress counter — bumped on every
+// delivery, completion and rank exit — unmoved for the watchdog timeout.
+//
+// Ranks only publish into a fixed per-rank blocked table (hard op, soft op
+// or exited): BlockedTable in the thread backend, the shm RankSlot in the
+// proc backend. One declarer per world applies the rule: the world's parent
+// (World::run_threads' spawning thread; the proc Supervisor). On
+// declaration it builds the report (declare_deadlock) and poisons the world:
+// every blocked and future blocking call returns MpiError::kDeadlock.
 #pragma once
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
+#include <optional>
+#include <span>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace mpisim {
 
-/// Watchdog timeout: CUSAN_MPI_WATCHDOG_MS, default 1000 ms. 0 disables
-/// declaration (blocking calls then wait forever, the pre-watchdog
-/// behaviour).
+/// A CUSAN_MPI_WATCHDOG_MS value: a decimal count of milliseconds (digits
+/// only; 0 disables declaration). std::nullopt: not such a count.
+[[nodiscard]] std::optional<std::chrono::milliseconds> parse_watchdog_ms(std::string_view value);
+
+/// Watchdog timeout: CUSAN_MPI_WATCHDOG_MS, default 1000 ms, parsed once per
+/// process (a bad value is reported on stderr and keeps the default). 0
+/// disables declaration (blocking calls then wait forever).
 [[nodiscard]] std::chrono::milliseconds default_watchdog_timeout();
+
+/// How often a declarer re-applies the rule.
+inline constexpr auto kWatchdogPoll = std::chrono::milliseconds(2);
+
+/// Consecutive incomplete Test calls before the rank counts as soft-blocked.
+inline constexpr int kSoftBlockThreshold = 64;
 
 /// One rank's blocked operation at declaration time.
 struct BlockedOp {
@@ -35,6 +53,8 @@ struct BlockedOp {
   int tag{-1};       ///< message tag (-1 if n/a; internal tags are negative)
   int comm_id{0};    ///< 0 = world communicator, >0 = dup children
   bool soft{false};  ///< soft-blocked (Test polling loop), not a blocking call
+
+  friend bool operator==(const BlockedOp&, const BlockedOp&) = default;
 };
 
 struct DeadlockReport {
@@ -47,51 +67,91 @@ struct DeadlockReport {
   [[nodiscard]] std::string to_string() const;
 };
 
-class ProgressTracker {
+/// What a declarer sees of one rank.
+enum class RankWait : std::uint8_t { kRunning, kBlocked, kSoftBlocked, kExited };
+
+/// The declaration rule and its quiet clock; one per world, owned by the
+/// world's declarer.
+class Watchdog {
  public:
-  explicit ProgressTracker(int world_size);
+  /// timeout <= 0: the rule never holds.
+  explicit Watchdog(std::chrono::milliseconds timeout);
 
-  [[nodiscard]] int world_size() const { return world_size_; }
+  /// Apply the rule to one observation of the world at `now_ns`
+  /// (common::now_ns): its progress count and every rank's wait state.
+  [[nodiscard]] bool holds(std::uint64_t progress, std::span<const RankWait> ranks,
+                           std::uint64_t now_ns);
 
-  void set_timeout(std::chrono::milliseconds timeout);
-  [[nodiscard]] std::chrono::milliseconds timeout() const;
+ private:
+  std::uint64_t timeout_ns_;
+  std::uint64_t progress_{0};
+  std::uint64_t quiet_since_ns_{0};
+  bool quiet_{false};
+};
+
+/// The one report path: the report over the blocked ranks' ops (sorted by
+/// rank), counted as mpisim.deadlocks_declared and emitted as the
+/// mpisim.deadlock diagnostic.
+[[nodiscard]] DeadlockReport declare_deadlock(int world_size, std::vector<BlockedOp> blocked);
+
+/// A rank's run of incomplete MPI_Test calls; only the rank itself touches it.
+struct TestStreak {
+  int polls{0};
+  bool soft{false};  ///< published as a soft block
+};
+
+/// The thread backend's blocked-rank table, shared by every communicator of
+/// one world (ranks publish into it) and the world's declarer.
+class BlockedTable {
+ public:
+  /// `watched`: a declarer applies the rule to this table (timeout > 0).
+  BlockedTable(int size, bool watched);
+
+  [[nodiscard]] bool watched() const { return watched_; }
+
+  // -- rank side ------------------------------------------------------------
 
   /// Bumped on every state change that can unblock a rank (delivery,
   /// unexpected-message arrival, request completion, rank exit).
   void note_progress() { progress_.fetch_add(1, std::memory_order_relaxed); }
-  [[nodiscard]] std::uint64_t progress() const {
-    return progress_.load(std::memory_order_relaxed);
-  }
-
-  void block(const BlockedOp& op);
+  void block(int rank, const char* op, int peer, int tag, int comm_id, bool soft);
   void unblock(int rank);
-  /// A rank spinning on Test without completion counts as blocked for the
-  /// all-blocked condition (it cannot make progress by itself).
-  void soft_block(const BlockedOp& op);
-  void soft_unblock(int rank);
-  void rank_exited(int rank);
+  /// The rank returned from rank_main; wakes the declarer.
+  void exited(int rank);
+  [[nodiscard]] TestStreak& streak(int rank) { return entries_[static_cast<std::size_t>(rank)].streak; }
 
-  /// Declare a deadlock if the condition holds and the progress counter
-  /// still equals `progress_snapshot`. Idempotent; returns deadlocked().
-  bool try_declare(std::uint64_t progress_snapshot);
-
-  [[nodiscard]] bool deadlocked() const {
-    return deadlocked_.load(std::memory_order_acquire);
-  }
+  [[nodiscard]] bool deadlocked() const { return deadlocked_.load(std::memory_order_acquire); }
+  /// The declared report (empty: none).
   [[nodiscard]] DeadlockReport report() const;
 
- private:
-  int world_size_;
-  std::atomic<std::uint64_t> progress_{0};
-  std::atomic<std::int64_t> timeout_us_;
-  std::atomic<bool> deadlocked_{false};
+  // -- declarer side --------------------------------------------------------
 
-  mutable std::mutex mutex_;
-  std::unordered_map<int, BlockedOp> blocked_;       ///< rank -> hard-blocked op
-  std::unordered_map<int, BlockedOp> soft_blocked_;  ///< rank -> Test-poll op
-  std::size_t exited_{0};
-  std::vector<bool> exited_ranks_;
-  DeadlockReport report_;
+  /// Wait up to `poll` for every rank to exit; true once all have.
+  [[nodiscard]] bool wait_exits(std::chrono::milliseconds poll);
+  /// Apply `rule` to the table and declare when it holds; true on declaration.
+  bool declare_if(Watchdog& rule);
+
+ private:
+  /// One rank's row. Cacheline-aligned so neighbouring ranks don't
+  /// false-share; `mutex` guards `wait` and `op`.
+  struct alignas(64) Entry {
+    std::mutex mutex;
+    RankWait wait{RankWait::kRunning};
+    BlockedOp op;
+    TestStreak streak;
+  };
+
+  int size_;
+  bool watched_;
+  std::unique_ptr<Entry[]> entries_;
+  std::atomic<std::uint64_t> progress_{0};
+  std::atomic<bool> deadlocked_{false};
+  DeadlockReport report_;  ///< written once, before deadlocked_ is released
+  std::vector<RankWait> waits_;  ///< declarer's scratch
+
+  std::mutex exit_mutex_;
+  std::condition_variable exit_cv_;
+  int exits_{0};  ///< guarded by exit_mutex_
 };
 
 }  // namespace mpisim

@@ -30,9 +30,6 @@
 
 namespace mpisim {
 
-/// Consecutive incomplete Test calls before the rank counts as soft-blocked.
-inline constexpr int kSoftBlockThreshold = 64;
-
 [[nodiscard]] constexpr bool tag_accepts(int want_tag, int tag) {
   return want_tag == kAnyTag || want_tag == tag;
 }

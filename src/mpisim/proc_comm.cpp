@@ -73,6 +73,10 @@ class ProcTransport {
 
   ~ProcTransport() { stop_heartbeat(); }
 
+  /// The communicators publish into this rank's slot (the proc backend's
+  /// row of the blocked-rank table) and read the poison word.
+  friend class ProcCommImpl;
+
   [[nodiscard]] int rank() const { return rank_; }
   [[nodiscard]] int world() const { return layout_.world_size; }
 
@@ -124,7 +128,6 @@ class ProcTransport {
                      const Datatype& type) {
     stamp_site(current_op_label("MPI_Send"));
     maybe_kill();
-    clear_soft();
     const std::size_t payload_bytes = type.packed_size() * count;
     sig_scratch_.clear();
     type.signature(count, sig_scratch_);
@@ -187,7 +190,6 @@ class ProcTransport {
                      const Datatype& type, Request* request) {
     stamp_site(current_op_label("MPI_Recv"));
     maybe_kill();
-    clear_soft();
     drain_rings();
 
     PostedRecv posted{source, tag, 0, buf, count, type, request};
@@ -202,34 +204,8 @@ class ProcTransport {
     return MpiError::kSuccess;
   }
 
-  /// An incomplete Test: the poison error if the world is poisoned. Past
-  /// the streak threshold a rank spinning on incomplete Tests counts as
-  /// soft-blocked, so the supervisor's all-blocked check can see a
-  /// Test-polling deadlock.
-  MpiError note_incomplete_test(int peer, int tag, int comm_id) {
-    if (const MpiError poison = poison_error(); poison != MpiError::kSuccess) {
-      return poison;
-    }
-    if (++test_polls_ >= kSoftBlockThreshold && !soft_blocked_) {
-      soft_blocked_ = true;
-      stamp_blocked(current_op_label("MPI_Test"), peer, tag, comm_id,
-                    /*active=*/false, /*soft=*/true);
-    }
-    return MpiError::kSuccess;
-  }
-
-  MpiError stall(int comm_id, const char* op_name, int peer, int tag, std::uint64_t fault_id) {
-    auto& injector = faultsim::Injector::instance();
-    if (header_->watchdog_ms > 0) {
-      std::string label = std::string(op_name) + " [stalled by fault plan]";
-      const MpiError err =
-          blocked_wait(label.c_str(), peer, tag, comm_id, [] { return false; });
-      injector.mark_surfaced(fault_id, faultsim::Channel::kDeadlockReport);
-      return err;
-    }
-    injector.mark_surfaced(fault_id, faultsim::Channel::kApiError);
-    return MpiError::kOther;
-  }
+  /// The supervisor declares deadlocks for this world (timeout > 0).
+  [[nodiscard]] bool watched() const { return header_->watchdog_ms > 0; }
 
   [[nodiscard]] bool deadlocked() const {
     return header_->poison.load(std::memory_order_acquire) == shmlayout::Poison::kDeadlock;
@@ -297,13 +273,8 @@ class ProcTransport {
 
   void note_progress() { header_->progress.fetch_add(1, std::memory_order_relaxed); }
 
-  void clear_soft() {
-    test_polls_ = 0;
-    if (soft_blocked_) {
-      soft_blocked_ = false;
-      clear_blocked();
-    }
-  }
+  /// This process's one rank's Test-poll streak, across its communicators.
+  TestStreak streak;
 
   /// Drain every ring targeting this rank, routing records into the local
   /// mailboxes (or straight into matching posted receives — the map-once
@@ -334,7 +305,6 @@ class ProcTransport {
   /// all-blocked deadlock check and failure reports can describe it.
   template <typename Pred>
   MpiError blocked_wait(const char* label, int peer, int tag, int comm_id, Pred&& pred) {
-    clear_soft();
     drain_rings();
     if (pred()) {
       return MpiError::kSuccess;
@@ -571,25 +541,18 @@ class ProcTransport {
   std::vector<std::byte> send_scratch_;
   std::uint64_t rendezvous_seq_{0};
 
-  int test_polls_{0};
-  bool soft_blocked_{false};
-
   std::thread heartbeat_;
   std::atomic<bool> heartbeat_stop_{true};
 };
 
 // -- ProcCommImpl -----------------------------------------------------------
 
-namespace {
-
-/// The blocking primitive of the shared request helpers (CommImpl).
-[[nodiscard]] auto blocker(ProcTransport& transport, int comm_id) {
-  return [&transport, comm_id](const char* label, int peer, int tag, auto&& pred) {
-    return transport.blocked_wait(label, peer, tag, comm_id, pred);
+auto ProcCommImpl::blocker(int rank) {
+  return [this, rank](const char* label, int peer, int tag, auto&& pred) {
+    clear_soft(rank);
+    return transport_->blocked_wait(label, peer, tag, comm_id_, pred);
   };
 }
-
-}  // namespace
 
 ProcCommImpl::ProcCommImpl(std::shared_ptr<ProcTransport> transport, int comm_id)
     : CommImpl(transport->world()), transport_(std::move(transport)), comm_id_(comm_id) {}
@@ -617,52 +580,31 @@ std::shared_ptr<CommImpl> ProcCommImpl::dup_for_rank(int rank) {
 
 MpiError ProcCommImpl::post_send(int src, int dest, int tag, const void* buf, std::size_t count,
                                  const Datatype& type) {
-  (void)src;
+  clear_soft(src);
   return transport_->post_send(comm_id_, dest, tag, buf, count, type);
 }
 
 MpiError ProcCommImpl::post_recv(int dest, int source, int tag, void* buf, std::size_t count,
                                  const Datatype& type, Request* request) {
-  (void)dest;
+  clear_soft(dest);
   return transport_->post_recv(comm_id_, source, tag, buf, count, type, request);
 }
 
 MpiError ProcCommImpl::wait(int rank, Request** request, Status* status) {
-  (void)rank;
-  return wait_with(request, status, blocker(*transport_, comm_id_));
-}
-
-MpiError ProcCommImpl::test(int rank, Request** request, bool* completed, Status* status) {
-  (void)rank;
-  if (request == nullptr || *request == nullptr) {
-    return MpiError::kRequestNull;
-  }
-  const Request* req = *request;
-  if (!request_complete(req)) {
-    transport_->drain_rings();
-  }
-  if (!request_complete(req)) {
-    if (completed != nullptr) {
-      *completed = false;
-    }
-    return transport_->note_incomplete_test(req->peer(), req->tag(), comm_id_);
-  }
-  transport_->clear_soft();
-  return finish(request, status, completed);
+  return wait_with(request, status, blocker(rank));
 }
 
 MpiError ProcCommImpl::waitany(int rank, std::span<Request*> requests, int* index,
                                Status* status) {
-  return waitany_with(rank, requests, index, status, blocker(*transport_, comm_id_));
+  return waitany_with(rank, requests, index, status, blocker(rank));
 }
 
 MpiError ProcCommImpl::probe(int rank, int source, int tag, bool blocking, bool* flag,
                              Status* status) {
-  (void)rank;
   transport_->drain_rings();
   Mailbox& box = transport_->box_for(comm_id_);
   return probe_with(source, tag, blocking, flag, status, [&] { return box.peek(source, tag); },
-                    blocker(*transport_, comm_id_));
+                    blocker(rank));
 }
 
 void ProcCommImpl::complete_send_request(Request* req, std::size_t bytes) {
@@ -670,10 +612,32 @@ void ProcCommImpl::complete_send_request(Request* req, std::size_t bytes) {
   transport_->note_progress();
 }
 
-MpiError ProcCommImpl::stall(int rank, const char* op_name, int peer, int tag,
-                             std::uint64_t fault_id) {
+MpiError ProcCommImpl::poison() const { return transport_->poison_error(); }
+
+bool ProcCommImpl::watched() const { return transport_->watched(); }
+
+void ProcCommImpl::publish_soft_block(int rank, const char* label, int peer, int tag) {
   (void)rank;
-  return transport_->stall(comm_id_, op_name, peer, tag, fault_id);
+  transport_->stamp_blocked(label, peer, tag, comm_id_, /*active=*/false, /*soft=*/true);
+}
+
+void ProcCommImpl::clear_blocked(int rank) {
+  (void)rank;
+  transport_->clear_blocked();
+}
+
+MpiError ProcCommImpl::park(int rank, const char* label, int peer, int tag) {
+  return blocker(rank)(label, peer, tag, [] { return false; });
+}
+
+TestStreak& ProcCommImpl::test_streak(int rank) {
+  (void)rank;  // one process == one rank
+  return transport_->streak;
+}
+
+void ProcCommImpl::poll(int rank) {
+  (void)rank;
+  transport_->drain_rings();
 }
 
 // -- proc:: free functions --------------------------------------------------

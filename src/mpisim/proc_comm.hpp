@@ -39,15 +39,22 @@ class ProcCommImpl final : public CommImpl {
   MpiError post_recv(int dest, int source, int tag, void* buf, std::size_t count,
                      const Datatype& type, Request* request) override;
   MpiError wait(int rank, Request** request, Status* status) override;
-  MpiError test(int rank, Request** request, bool* completed, Status* status) override;
   MpiError waitany(int rank, std::span<Request*> requests, int* index, Status* status) override;
   MpiError probe(int rank, int source, int tag, bool blocking, bool* flag,
                  Status* status) override;
   void complete_send_request(Request* req, std::size_t bytes) override;
-  MpiError stall(int rank, const char* op_name, int peer, int tag,
-                 std::uint64_t fault_id) override;
 
  private:
+  [[nodiscard]] MpiError poison() const override;
+  [[nodiscard]] bool watched() const override;
+  void publish_soft_block(int rank, const char* label, int peer, int tag) override;
+  void clear_blocked(int rank) override;
+  MpiError park(int rank, const char* label, int peer, int tag) override;
+  [[nodiscard]] TestStreak& test_streak(int rank) override;
+  void poll(int rank) override;
+  /// The blocking primitive of the shared request helpers (CommImpl).
+  [[nodiscard]] auto blocker(int rank);
+
   std::shared_ptr<ProcTransport> transport_;
   int comm_id_;
   std::size_t dup_count_{0};

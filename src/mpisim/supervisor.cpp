@@ -29,9 +29,6 @@ namespace {
 /// unambiguous.
 constexpr int kAppErrorExit = 13;
 
-/// Supervisor poll period: reap, heartbeats, deadlock quiet-check.
-constexpr auto kMonitorPoll = std::chrono::milliseconds(2);
-
 /// Post-poison grace before stragglers are SIGKILLed: survivors should exit
 /// through their own poisoned-call error paths well within this.
 constexpr auto kBackstopGrace = std::chrono::milliseconds(2000);
@@ -47,7 +44,10 @@ std::atomic<std::uint64_t> g_world_instance{0};
 
 }  // namespace
 
-Supervisor::Supervisor(Options options) : options_(options) {
+Supervisor::Supervisor(Options options)
+    : options_(options),
+      rule_(options.watchdog),
+      waits_(static_cast<std::size_t>(options.world_size)) {
   CUSAN_ASSERT_MSG(options_.world_size > 0, "world size must be positive");
   children_.resize(static_cast<std::size_t>(options_.world_size));
   results_.resize(static_cast<std::size_t>(options_.world_size));
@@ -143,8 +143,6 @@ void Supervisor::run(const std::function<void(Comm)>& rank_main) {
     }
     children_[static_cast<std::size_t>(r)].pid = pid;
   }
-  last_progress_ = 0;
-  quiet_since_ns_ = common::now_ns();
   monitor();
   collect_results();
   teardown();
@@ -172,7 +170,7 @@ void Supervisor::monitor() {
     } else {
       backstop_after_poison();
     }
-    std::this_thread::sleep_for(kMonitorPoll);
+    std::this_thread::sleep_for(kWatchdogPoll);  // also the reap and heartbeat period
   }
 }
 
@@ -316,88 +314,53 @@ void Supervisor::check_heartbeats() {
 }
 
 void Supervisor::check_deadlock() {
-  if (options_.watchdog.count() <= 0) {
-    return;
+  // Each rank's shm slot is its row of the blocked-rank table.
+  std::vector<shmlayout::ShmBlockedOp> rows(static_cast<std::size_t>(options_.world_size));
+  for (int r = 0; r < options_.world_size; ++r) {
+    const auto state = layout_.slot(seg_.data(), r)->state.load(std::memory_order_acquire);
+    const shmlayout::ShmBlockedOp& row = rows[static_cast<std::size_t>(r)] = read_slot(r).blocked;
+    waits_[static_cast<std::size_t>(r)] =
+        children_[static_cast<std::size_t>(r)].reaped ||
+                state == shmlayout::RankState::kExited ||
+                state == shmlayout::RankState::kAppError
+            ? RankWait::kExited
+        : row.active != 0 ? RankWait::kBlocked
+        : row.soft != 0   ? RankWait::kSoftBlocked
+                          : RankWait::kRunning;
   }
   shmlayout::SegHeader* header = layout_.header(seg_.data());
-  const std::uint64_t progress = header->progress.load(std::memory_order_relaxed);
-  const std::uint64_t now = common::now_ns();
-  if (progress != last_progress_) {
-    last_progress_ = progress;
-    quiet_since_ns_ = now;
+  if (!rule_.holds(header->progress.load(std::memory_order_relaxed), waits_, common::now_ns())) {
     return;
   }
-  // All unreaped, still-running ranks must be blocked (hard or soft) with
-  // at least one of them present; a rank still computing between MPI calls
-  // vetoes the declaration exactly as in the thread backend.
-  int blocked_count = 0;
+  std::vector<BlockedOp> blocked;
   for (int r = 0; r < options_.world_size; ++r) {
-    const Child& child = children_[static_cast<std::size_t>(r)];
-    if (child.reaped) {
-      continue;
+    const RankWait wait = waits_[static_cast<std::size_t>(r)];
+    if (wait == RankWait::kBlocked || wait == RankWait::kSoftBlocked) {
+      const shmlayout::ShmBlockedOp& row = rows[static_cast<std::size_t>(r)];
+      blocked.push_back(BlockedOp{r, std::string(row.op, strnlen(row.op, sizeof(row.op))),
+                                  row.peer, row.tag, row.comm_id,
+                                  wait == RankWait::kSoftBlocked});
     }
-    const auto state =
-        layout_.slot(seg_.data(), r)->state.load(std::memory_order_acquire);
-    if (state == shmlayout::RankState::kExited || state == shmlayout::RankState::kAppError) {
-      continue;
-    }
-    const SlotSnap snap = read_slot(r);
-    if (snap.blocked.active == 0 && snap.blocked.soft == 0) {
-      quiet_since_ns_ = now;  // someone is runnable: restart the quiet clock
-      return;
-    }
-    ++blocked_count;
   }
-  if (blocked_count == 0 || now - quiet_since_ns_ < ms_to_ns(options_.watchdog)) {
-    return;
-  }
+  deadlock_ = declare_deadlock(options_.world_size, std::move(blocked));
 
-  // Declare: write the report area in full, then poison (release). Blocked
-  // ranks poll the poison word and return kDeadlock.
+  // Write the report area in full, then poison (release). Blocked ranks
+  // poll the poison word and return kDeadlock.
   shmlayout::ShmDeadlockArea* area = layout_.deadlock(seg_.data());
-  DeadlockReport report;
-  report.world_size = options_.world_size;
-  std::uint32_t count = 0;
-  for (int r = 0; r < options_.world_size; ++r) {
-    if (children_[static_cast<std::size_t>(r)].reaped) {
-      continue;
-    }
-    const auto state =
-        layout_.slot(seg_.data(), r)->state.load(std::memory_order_acquire);
-    if (state == shmlayout::RankState::kExited || state == shmlayout::RankState::kAppError) {
-      continue;
-    }
-    const SlotSnap snap = read_slot(r);
-    if (snap.blocked.active == 0 && snap.blocked.soft == 0) {
-      continue;
-    }
-    BlockedOp op;
-    op.rank = r;
-    op.op.assign(snap.blocked.op, strnlen(snap.blocked.op, sizeof(snap.blocked.op)));
-    op.peer = snap.blocked.peer;
-    op.tag = snap.blocked.tag;
-    op.comm_id = snap.blocked.comm_id;
-    op.soft = snap.blocked.soft != 0;
-    if (count < shmlayout::kMaxDeadlockEntries) {
-      shmlayout::ShmDeadlockEntry& entry = area->entries[count];
-      entry.rank = r;
-      entry.peer = op.peer;
-      entry.tag = op.tag;
-      entry.comm_id = op.comm_id;
-      entry.soft = snap.blocked.soft;
-      std::memcpy(entry.op, snap.blocked.op, sizeof(entry.op));
-    }
-    ++count;
-    report.blocked.push_back(std::move(op));
+  area->count = static_cast<std::uint32_t>(
+      std::min<std::size_t>(deadlock_.blocked.size(), shmlayout::kMaxDeadlockEntries));
+  for (std::uint32_t i = 0; i < area->count; ++i) {
+    const BlockedOp& op = deadlock_.blocked[i];
+    shmlayout::ShmDeadlockEntry& entry = area->entries[i];
+    entry.rank = op.rank;
+    entry.peer = op.peer;
+    entry.tag = op.tag;
+    entry.comm_id = op.comm_id;
+    entry.soft = op.soft ? 1 : 0;
+    std::strncpy(entry.op, op.op.c_str(), sizeof(entry.op) - 1);
   }
-  area->count = std::min<std::uint32_t>(count, shmlayout::kMaxDeadlockEntries);
-  layout_.header(seg_.data())->poison.store(shmlayout::Poison::kDeadlock,
-                                            std::memory_order_release);
+  header->poison.store(shmlayout::Poison::kDeadlock, std::memory_order_release);
   poisoned_at_ns_ = common::now_ns();
-  deadlock_ = std::move(report);
-  obs::count("mpisim.deadlocks_declared");
-  obs::emit_diagnostic(obs::Diagnostic{"mpisim.deadlock", obs::Severity::kError,
-                                       /*rank=*/-1, deadlock_.to_string(), 0});
 }
 
 void Supervisor::backstop_after_poison() {

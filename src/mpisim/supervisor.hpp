@@ -98,9 +98,8 @@ class Supervisor {
   DeadlockReport deadlock_;
   std::string first_app_error_;
 
-  // Deadlock quiet-time tracking.
-  std::uint64_t last_progress_{0};
-  std::uint64_t quiet_since_ns_{0};
+  Watchdog rule_;                ///< this world's declaration rule
+  std::vector<RankWait> waits_;  ///< check_deadlock's per-rank scratch
   // Post-poison teardown backstop.
   std::uint64_t poisoned_at_ns_{0};
 };

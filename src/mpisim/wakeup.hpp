@@ -24,7 +24,6 @@
 // wakeups (e.g. a dup'd comm's delivery unblocking a rank) working.
 #pragma once
 
-#include <chrono>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -61,20 +60,9 @@ class WaiterSlot {
     }
   }
 
-  /// Park until the epoch advances past `seen` or `timeout` elapses;
-  /// returns the epoch at wake time. A signal between the caller's
-  /// predicate check and this call returns immediately.
-  std::uint64_t wait(std::uint64_t seen, std::chrono::milliseconds timeout) {
-    std::unique_lock lock(mutex_);
-    if (epoch_ == seen) {
-      parked_ = true;
-      cv_.wait_for(lock, timeout, [&] { return epoch_ != seen; });
-      parked_ = false;
-    }
-    return epoch_;
-  }
-
-  /// Untimed variant (watchdog disabled: park until signalled).
+  /// Park until the epoch advances past `seen`; returns the epoch at wake
+  /// time. A signal between the caller's predicate check and this call
+  /// returns immediately. No timeout: a deadlock declaration broadcasts.
   std::uint64_t wait(std::uint64_t seen) {
     std::unique_lock lock(mutex_);
     if (epoch_ == seen) {

@@ -11,6 +11,7 @@
 #include "common/sim_thread.hpp"
 #include "mpisim/proc_comm.hpp"
 #include "mpisim/supervisor.hpp"
+#include "mpisim/wakeup.hpp"
 
 namespace mpisim {
 
@@ -58,15 +59,8 @@ void publish_result(const Comm& comm, std::span<const std::byte> bytes) {
 World::World(int size) : World(size, default_backend()) {}
 
 World::World(int size, Backend backend)
-    : size_(size),
-      backend_(backend),
-      tracker_(std::make_shared<ProgressTracker>(size)) {
+    : size_(size), backend_(backend), watchdog_(default_watchdog_timeout()) {
   CUSAN_ASSERT_MSG(size > 0, "world size must be positive");
-  if (backend_ == Backend::kThread) {
-    impl_ = make_comm_impl(size, tracker_);
-  }
-  // Proc backend: no in-process comm state; everything lives in the world
-  // segment the Supervisor creates per run().
   thread_results_.resize(static_cast<std::size_t>(size));
 }
 
@@ -81,6 +75,12 @@ void World::run(const std::function<void(Comm)>& rank_main) {
 }
 
 void World::run_threads(const std::function<void(Comm)>& rank_main) {
+  // Fresh per run: the blocked table and waiter hub that every
+  // communicator of the world shares.
+  const bool watched = watchdog_.count() > 0;
+  table_ = std::make_shared<BlockedTable>(size_, watched);
+  auto hub = std::make_shared<WaiterHub>(size_);
+  impl_ = make_comm_impl(table_, hub);
   std::vector<common::SimThread> threads;
   std::vector<std::exception_ptr> failures(static_cast<std::size_t>(size_));
   threads.reserve(static_cast<std::size_t>(size_));
@@ -96,8 +96,19 @@ void World::run_threads(const std::function<void(Comm)>& rank_main) {
       }
       t_running_thread_world = nullptr;
       // Exited ranks stop counting toward the all-blocked condition.
-      tracker_->rank_exited(r);
+      table_->exited(r);
     });
+  }
+  if (watched) {
+    // This thread is the world's declarer: between rank exits (the last one
+    // wakes it at once) it applies the rule every poll, and a declaration
+    // wakes every parked rank to observe it.
+    Watchdog rule(watchdog_);
+    while (!table_->wait_exits(kWatchdogPoll)) {
+      if (table_->declare_if(rule)) {
+        hub->broadcast();
+      }
+    }
   }
   for (auto& t : threads) {
     t.join();
@@ -112,7 +123,7 @@ void World::run_threads(const std::function<void(Comm)>& rank_main) {
 void World::run_procs(const std::function<void(Comm)>& rank_main) {
   Supervisor::Options options;
   options.world_size = size_;
-  options.watchdog = tracker_->timeout();
+  options.watchdog = watchdog_;
   supervisor_ = std::make_unique<Supervisor>(options);
   supervisor_->run(rank_main);
   failure_ = supervisor_->failure_report();
@@ -127,7 +138,7 @@ DeadlockReport World::deadlock_report() const {
   if (backend_ == Backend::kProc) {
     return supervisor_ ? supervisor_->deadlock_report() : DeadlockReport{};
   }
-  return tracker_->report();
+  return table_ ? table_->report() : DeadlockReport{};
 }
 
 const std::vector<std::byte>& World::rank_result(int rank) const {

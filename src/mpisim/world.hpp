@@ -73,14 +73,11 @@ class World {
   /// throw here — it yields failure_report() and poisoned peers.
   void run(const std::function<void(Comm)>& rank_main);
 
-  /// The progress watchdog shared by the world communicator and all dups.
-  /// In the proc backend its timeout configures the supervisor-side
-  /// deadlock detection (the tracker itself sees no traffic).
-  [[nodiscard]] ProgressTracker& watchdog() { return *tracker_; }
-  [[nodiscard]] const ProgressTracker& watchdog() const { return *tracker_; }
-  void set_watchdog_timeout(std::chrono::milliseconds timeout) {
-    tracker_->set_timeout(timeout);
-  }
+  /// The progress watchdog's timeout for the next run() (default:
+  /// default_watchdog_timeout(); 0 disables declaration). The world's
+  /// declarer is its parent: run()'s calling thread (thread backend) or the
+  /// Supervisor (proc backend).
+  void set_watchdog_timeout(std::chrono::milliseconds timeout) { watchdog_ = timeout; }
 
   /// The rank failure detected during run(), if any (proc backend; the
   /// thread backend cannot contain crashes and never sets this).
@@ -100,8 +97,9 @@ class World {
 
   int size_;
   Backend backend_;
-  std::shared_ptr<ProgressTracker> tracker_;
-  std::shared_ptr<CommImpl> impl_;  ///< thread backend only
+  std::chrono::milliseconds watchdog_;
+  std::shared_ptr<BlockedTable> table_;  ///< thread backend, of the last run()
+  std::shared_ptr<CommImpl> impl_;       ///< thread backend, of the last run()
   std::unique_ptr<Supervisor> supervisor_;  ///< proc backend, kept after run()
   std::vector<std::vector<std::byte>> thread_results_;
   std::optional<RankFailureReport> failure_;

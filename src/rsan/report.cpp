@@ -17,27 +17,6 @@ std::string format_access(const char* role, const RaceAccess& access) {
 
 }  // namespace
 
-namespace {
-
-std::string access_json(const RaceAccess& access) {
-  return common::format(R"({"ctx":{},"kind":"{}","name":"{}","access":"{}","epoch":{},"op":"{}"})",
-                        access.ctx, to_string(access.kind), access.ctx_name,
-                        access.is_write ? "write" : "read", access.clock, access.label);
-}
-
-}  // namespace
-
-std::string reports_to_jsonl(const std::vector<RaceReport>& reports) {
-  std::string out;
-  for (const RaceReport& report : reports) {
-    out += common::format(R"({"addr":"{}","size":{},"current":{},"previous":{}})",
-                          common::hex(report.addr), report.access_size,
-                          access_json(report.current), access_json(report.previous));
-    out += '\n';
-  }
-  return out;
-}
-
 std::string format_report(const RaceReport& report) {
   std::string out = common::format("WARNING: data race at address {} (access size {})\n",
                                    common::hex(report.addr), report.access_size);

@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "rsan/clock.hpp"
 
@@ -52,9 +51,5 @@ struct RaceReport {
 
 /// Render a human-readable multi-line report (the tool's console output).
 [[nodiscard]] std::string format_report(const RaceReport& report);
-
-/// Render reports as JSON lines (one object per report) for external
-/// tooling, matching the trace facility's JSONL convention.
-[[nodiscard]] std::string reports_to_jsonl(const std::vector<RaceReport>& reports);
 
 }  // namespace rsan

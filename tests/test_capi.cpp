@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <iterator>
+#include <optional>
 #include <string>
 
 #include "capi/cuda.hpp"
@@ -479,6 +480,21 @@ TEST(CapiCudaTest, EventChainAcrossStreamsIsClean) {
     (void)capi::cuda::free(d);
   }));
   EXPECT_EQ(races, 0u);
+}
+
+TEST(CapiSessionTest, ParsesStrictRankCounts) {
+  EXPECT_EQ(capi::parse_ranks("8"), 8);
+  EXPECT_EQ(capi::parse_ranks("2"), 2);
+  // Counts outside [2, 64] are clamped, not rejected.
+  EXPECT_EQ(capi::parse_ranks("0"), 2);
+  EXPECT_EQ(capi::parse_ranks("1"), 2);
+  EXPECT_EQ(capi::parse_ranks("65"), 64);
+  EXPECT_EQ(capi::parse_ranks("99999999999999999999999"), std::nullopt);
+  // Anything but a plain decimal count is rejected, where atoi used to read
+  // "8x" as 8 and "abc" as 0.
+  for (const char* bad : {"", "abc", "8x", "-8", "+8", " 8", "8 ", "4.0"}) {
+    EXPECT_EQ(capi::parse_ranks(bad), std::nullopt) << "'" << bad << "'";
+  }
 }
 
 TEST(CapiSessionTest, DefaultRanksIsCachedAcrossEnvChanges) {

@@ -5,19 +5,38 @@
 #include <array>
 #include <atomic>
 #include <chrono>
+#include <cstring>
+#include <functional>
 #include <numeric>
+#include <optional>
+#include <ostream>
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <vector>
 
 #include "mpisim/datatype.hpp"
 #include "mpisim/request.hpp"
 #include "mpisim/world.hpp"
 
+namespace mpisim {
+
+// Readable gtest messages for blocked-op list mismatches.
+void PrintTo(const BlockedOp& op, std::ostream* os) {
+  *os << "{rank " << op.rank << ", " << op.op << ", peer " << op.peer << ", tag " << op.tag
+      << ", comm " << op.comm_id << (op.soft ? ", soft}" : "}");
+}
+
+}  // namespace mpisim
+
 namespace {
 
+using mpisim::Backend;
+using mpisim::BlockedOp;
 using mpisim::Comm;
 using mpisim::Datatype;
+using mpisim::DeadlockReport;
 using mpisim::kAnySource;
 using mpisim::kAnyTag;
 using mpisim::MpiError;
@@ -687,90 +706,121 @@ TEST(MpisimWorldTest, SingleRankWorld) {
 
 // -- Progress watchdog / deadlock detection ---------------------------------------
 //
-// Parameterized over the world size: the same deadlock scenarios must be
-// diagnosed identically by the sharded engine whether two ranks or eight are
-// involved (idle/extra ranks either exit immediately or block symmetrically).
+// Parameterized over both backends and two world sizes: the one declaration
+// rule must diagnose the same deadlock scenarios identically whether the
+// ranks are threads or forked processes, two of them or eight (idle/extra
+// ranks either exit immediately or block symmetrically). Every case checks
+// the world's report against one expected blocked-op list, the same for
+// both backends.
 
-class MpisimWatchdogTest : public ::testing::TestWithParam<int> {};
+using WatchdogParam = std::tuple<Backend, int>;
 
-INSTANTIATE_TEST_SUITE_P(WorldSizes, MpisimWatchdogTest, ::testing::Values(2, 8),
-                         [](const ::testing::TestParamInfo<int>& param_info) {
-                           return "ranks" + std::to_string(param_info.param);
-                         });
+class MpisimWatchdogTest : public ::testing::TestWithParam<WatchdogParam> {
+ protected:
+  [[nodiscard]] static Backend backend() { return std::get<0>(GetParam()); }
+  [[nodiscard]] static int ranks() { return std::get<1>(GetParam()); }
+
+  /// Runs `body` on every rank of a world of this case's backend and size
+  /// with watchdog `timeout`, and returns the world's deadlock report. Each
+  /// rank ships back a gtest failure flag — a forked rank's EXPECT failures
+  /// never reach the parent — and the report it saw, which must be empty
+  /// (it exited before the declaration) or the world's.
+  static DeadlockReport run_world(std::chrono::milliseconds timeout,
+                                  const std::function<void(Comm)>& body) {
+    World world(ranks(), backend());
+    world.set_watchdog_timeout(timeout);
+    world.run([&](Comm comm) {
+      body(comm);
+      const std::string seen = comm.deadlock_detected() ? comm.deadlock_report().to_string() : "";
+      std::vector<std::byte> blob(1 + seen.size());
+      blob[0] = std::byte{::testing::Test::HasFailure() ? std::uint8_t{1} : std::uint8_t{0}};
+      std::memcpy(blob.data() + 1, seen.data(), seen.size());
+      mpisim::publish_result(comm, blob);
+    });
+    const DeadlockReport report = world.deadlock_report();
+    for (int r = 0; r < ranks(); ++r) {
+      const std::vector<std::byte>& blob = world.rank_result(r);
+      if (blob.empty()) {
+        ADD_FAILURE() << "rank " << r << " published no result";
+        continue;
+      }
+      EXPECT_EQ(blob[0], std::byte{0}) << "rank " << r << " recorded an assertion failure";
+      const std::string seen(reinterpret_cast<const char*>(blob.data()) + 1, blob.size() - 1);
+      if (!seen.empty()) {
+        EXPECT_EQ(seen, report.to_string()) << "rank " << r << " saw another report";
+      }
+    }
+    return report;
+  }
+
+  [[nodiscard]] static BlockedOp op(int rank, const char* name, int peer, int tag,
+                                    bool soft = false) {
+    return BlockedOp{rank, name, peer, tag, /*comm_id=*/0, soft};
+  }
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    BackendsAndWorldSizes, MpisimWatchdogTest,
+    ::testing::Combine(::testing::Values(Backend::kThread, Backend::kProc), ::testing::Values(2, 8)),
+    [](const ::testing::TestParamInfo<WatchdogParam>& param_info) {
+      return std::string(mpisim::to_string(std::get<0>(param_info.param))) + "_ranks" +
+             std::to_string(std::get<1>(param_info.param));
+    });
 
 TEST_P(MpisimWatchdogTest, UnmatchedRecvDeclaresDeadlock) {
-  World world(GetParam());
-  world.set_watchdog_timeout(std::chrono::milliseconds(100));
-  world.run([&](Comm comm) {
+  const DeadlockReport report = run_world(std::chrono::milliseconds(100), [](Comm comm) {
     if (comm.rank() == 0) {
       // No matching send ever arrives; all other ranks exit immediately.
       double v = 0.0;
       EXPECT_EQ(comm.recv(&v, 1, Datatype::float64(), 1, 42), MpiError::kDeadlock);
       EXPECT_TRUE(comm.deadlock_detected());
-      const mpisim::DeadlockReport report = comm.deadlock_report();
-      ASSERT_FALSE(report.empty());
-      EXPECT_EQ(report.world_size, GetParam());
-      const mpisim::BlockedOp* op = report.for_rank(0);
-      ASSERT_NE(op, nullptr);
-      EXPECT_EQ(op->op, "MPI_Recv");
-      EXPECT_EQ(op->peer, 1);
-      EXPECT_EQ(op->tag, 42);
-      EXPECT_FALSE(op->soft);
-      // The exited rank does not appear as blocked.
-      EXPECT_EQ(report.for_rank(1), nullptr);
+      const DeadlockReport seen = comm.deadlock_report();
+      EXPECT_EQ(seen.world_size, ranks());
       // The rendered report names the blocked rank and call.
-      EXPECT_NE(report.to_string().find("rank 0"), std::string::npos);
-      EXPECT_NE(report.to_string().find("MPI_Recv"), std::string::npos);
+      EXPECT_NE(seen.to_string().find("rank 0"), std::string::npos);
+      EXPECT_NE(seen.to_string().find("MPI_Recv"), std::string::npos);
     }
   });
+  // The exited ranks do not appear as blocked.
+  EXPECT_EQ(report.blocked, std::vector<BlockedOp>{op(0, "MPI_Recv", 1, 42)});
 }
 
 TEST_P(MpisimWatchdogTest, CrossedRecvsBothDiagnosed) {
-  World world(GetParam());
-  world.set_watchdog_timeout(std::chrono::milliseconds(100));
-  world.run([&](Comm comm) {
+  const DeadlockReport report = run_world(std::chrono::milliseconds(100), [](Comm comm) {
     // Classic head-to-head on every rank pair: everyone receives first —
     // nobody ever sends.
     double v = 0.0;
-    const int peer = comm.rank() ^ 1;
-    EXPECT_EQ(comm.recv(&v, 1, Datatype::float64(), peer, 0), MpiError::kDeadlock);
-    const mpisim::DeadlockReport report = comm.deadlock_report();
-    ASSERT_EQ(report.blocked.size(), static_cast<std::size_t>(GetParam()));  // all captured
-    for (int r = 0; r < GetParam(); ++r) {
-      const mpisim::BlockedOp* op = report.for_rank(r);
-      ASSERT_NE(op, nullptr);
-      EXPECT_EQ(op->op, "MPI_Recv");
-      EXPECT_EQ(op->peer, r ^ 1);
-    }
+    EXPECT_EQ(comm.recv(&v, 1, Datatype::float64(), comm.rank() ^ 1, 0), MpiError::kDeadlock);
   });
+  std::vector<BlockedOp> expected;
+  for (int r = 0; r < ranks(); ++r) {
+    expected.push_back(op(r, "MPI_Recv", r ^ 1, 0));  // all captured
+  }
+  EXPECT_EQ(report.blocked, expected);
 }
 
 TEST_P(MpisimWatchdogTest, BarrierAgainstRecvMismatch) {
-  World world(GetParam());
-  world.set_watchdog_timeout(std::chrono::milliseconds(100));
-  world.run([](Comm comm) {
+  const DeadlockReport report = run_world(std::chrono::milliseconds(100), [](Comm comm) {
     if (comm.rank() != 1) {
       EXPECT_EQ(comm.barrier(), MpiError::kDeadlock);
     } else {
       double v = 0.0;
       EXPECT_EQ(comm.recv(&v, 1, Datatype::float64(), 0, 5), MpiError::kDeadlock);
     }
-    const mpisim::DeadlockReport report = comm.deadlock_report();
-    const mpisim::BlockedOp* r0 = report.for_rank(0);
-    const mpisim::BlockedOp* r1 = report.for_rank(1);
-    ASSERT_NE(r0, nullptr);
-    ASSERT_NE(r1, nullptr);
-    // The report names the *outermost* MPI calls, not the internal p2p the
-    // barrier is built from.
-    EXPECT_EQ(r0->op, "MPI_Barrier");
-    EXPECT_EQ(r1->op, "MPI_Recv");
   });
+  // The report names the *outermost* MPI calls, not the internal p2p the
+  // barrier is built from; peer and tag are that p2p's. Rank 0 waits for
+  // rank 1's gather token (tag -100) forever; every other barrier rank sent
+  // its token and waits for its parent's release (tag -101).
+  std::vector<BlockedOp> expected{op(0, "MPI_Barrier", 1, -100), op(1, "MPI_Recv", 0, 5)};
+  for (int r = 2; r < ranks(); ++r) {
+    expected.push_back(op(r, "MPI_Barrier", r & (r - 1), -101));
+  }
+  EXPECT_EQ(report.blocked, expected);
 }
 
 TEST_P(MpisimWatchdogTest, WaitOnOrphanedIrecv) {
-  World world(GetParam());
-  world.set_watchdog_timeout(std::chrono::milliseconds(100));
-  world.run([](Comm comm) {
+  const DeadlockReport report = run_world(std::chrono::milliseconds(100), [](Comm comm) {
     if (comm.rank() == 0) {
       double v = 0.0;
       Request* req = nullptr;
@@ -780,38 +830,26 @@ TEST_P(MpisimWatchdogTest, WaitOnOrphanedIrecv) {
       EXPECT_EQ(status.error, MpiError::kDeadlock);
       // The abandoned request stays pending (MUST reports it as a leak).
       EXPECT_NE(req, nullptr);
-      const mpisim::DeadlockReport report = comm.deadlock_report();
-      const mpisim::BlockedOp* op = report.for_rank(0);
-      ASSERT_NE(op, nullptr);
-      EXPECT_EQ(op->op, "MPI_Wait");
-      EXPECT_EQ(op->peer, 1);
-      EXPECT_EQ(op->tag, 3);
     }
   });
+  EXPECT_EQ(report.blocked, std::vector<BlockedOp>{op(0, "MPI_Wait", 1, 3)});
 }
 
 TEST_P(MpisimWatchdogTest, WaitallOnOrphanedRequests) {
-  World world(GetParam());
-  world.set_watchdog_timeout(std::chrono::milliseconds(100));
-  world.run([](Comm comm) {
+  const DeadlockReport report = run_world(std::chrono::milliseconds(100), [](Comm comm) {
     if (comm.rank() == 0) {
       std::array<double, 2> v{};
       std::array<Request*, 2> reqs{};
       ASSERT_EQ(comm.irecv(&v[0], 1, Datatype::float64(), 1, 0, &reqs[0]), MpiError::kSuccess);
       ASSERT_EQ(comm.irecv(&v[1], 1, Datatype::float64(), 1, 1, &reqs[1]), MpiError::kSuccess);
       EXPECT_EQ(comm.waitall(reqs), MpiError::kDeadlock);
-      const mpisim::DeadlockReport report = comm.deadlock_report();
-      const mpisim::BlockedOp* op = report.for_rank(0);
-      ASSERT_NE(op, nullptr);
-      EXPECT_EQ(op->op, "MPI_Waitall");
     }
   });
+  EXPECT_EQ(report.blocked, std::vector<BlockedOp>{op(0, "MPI_Waitall", 1, 0)});
 }
 
 TEST_P(MpisimWatchdogTest, TestPollLoopCountsAsBlocked) {
-  World world(GetParam());
-  world.set_watchdog_timeout(std::chrono::milliseconds(100));
-  world.run([](Comm comm) {
+  const DeadlockReport report = run_world(std::chrono::milliseconds(100), [](Comm comm) {
     if (comm.rank() == 0) {
       // Spinning on MPI_Test for a message that never comes cannot make
       // progress by itself: the soft-block path feeds the watchdog.
@@ -826,21 +864,16 @@ TEST_P(MpisimWatchdogTest, TestPollLoopCountsAsBlocked) {
         EXPECT_FALSE(completed);
       }
       EXPECT_EQ(err, MpiError::kDeadlock);
-      const mpisim::DeadlockReport report = comm.deadlock_report();
-      const mpisim::BlockedOp* op = report.for_rank(0);
-      ASSERT_NE(op, nullptr);
-      EXPECT_TRUE(op->soft);
-      EXPECT_NE(report.to_string().find("polling MPI_Test"), std::string::npos);
+      EXPECT_NE(comm.deadlock_report().to_string().find("polling MPI_Test"), std::string::npos);
     }
   });
+  EXPECT_EQ(report.blocked, std::vector<BlockedOp>{op(0, "MPI_Test", 1, 9, /*soft=*/true)});
 }
 
 TEST_P(MpisimWatchdogTest, SlowRankIsNotAFalsePositive) {
   // Odd ranks compute for 4x the watchdog timeout before sending to their
   // partner: as long as a live rank is unblocked, no deadlock may be declared.
-  World world(GetParam());
-  world.set_watchdog_timeout(std::chrono::milliseconds(75));
-  world.run([](Comm comm) {
+  const DeadlockReport report = run_world(std::chrono::milliseconds(75), [](Comm comm) {
     double v = 7.0;
     const int partner = comm.rank() ^ 1;
     if (comm.rank() % 2 == 0) {
@@ -853,12 +886,11 @@ TEST_P(MpisimWatchdogTest, SlowRankIsNotAFalsePositive) {
       EXPECT_EQ(comm.send(&v, 1, Datatype::float64(), partner, 0), MpiError::kSuccess);
     }
   });
+  EXPECT_TRUE(report.empty());
 }
 
 TEST_P(MpisimWatchdogTest, PoisonedCommFailsFastAfterDeclaration) {
-  World world(GetParam());
-  world.set_watchdog_timeout(std::chrono::milliseconds(100));
-  world.run([](Comm comm) {
+  const DeadlockReport report = run_world(std::chrono::milliseconds(100), [](Comm comm) {
     if (comm.rank() == 0) {
       double v = 0.0;
       EXPECT_EQ(comm.recv(&v, 1, Datatype::float64(), 1, 0), MpiError::kDeadlock);
@@ -871,14 +903,13 @@ TEST_P(MpisimWatchdogTest, PoisonedCommFailsFastAfterDeclaration) {
       EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed).count(), 100);
     }
   });
+  EXPECT_EQ(report.blocked, std::vector<BlockedOp>{op(0, "MPI_Recv", 1, 0)});
 }
 
 TEST_P(MpisimWatchdogTest, DisabledWatchdogKeepsLegacyBehaviour) {
   // Timeout 0 disables declaration: a recv matched late still completes and
   // no deadlock state is ever set.
-  World world(GetParam());
-  world.set_watchdog_timeout(std::chrono::milliseconds(0));
-  world.run([](Comm comm) {
+  const DeadlockReport report = run_world(std::chrono::milliseconds(0), [](Comm comm) {
     double v = 0.0;
     const int partner = comm.rank() ^ 1;
     if (comm.rank() % 2 == 0) {
@@ -890,6 +921,20 @@ TEST_P(MpisimWatchdogTest, DisabledWatchdogKeepsLegacyBehaviour) {
     }
     EXPECT_FALSE(comm.deadlock_detected());
   });
+  EXPECT_TRUE(report.empty());
+}
+
+// -- CUSAN_MPI_WATCHDOG_MS ---------------------------------------------------------
+
+TEST(MpisimWatchdogEnvTest, ParsesStrictMillisecondCounts) {
+  EXPECT_EQ(mpisim::parse_watchdog_ms("0"), std::chrono::milliseconds(0));
+  EXPECT_EQ(mpisim::parse_watchdog_ms("150"), std::chrono::milliseconds(150));
+  EXPECT_EQ(mpisim::parse_watchdog_ms("007"), std::chrono::milliseconds(7));
+  // Anything but a plain decimal count is rejected, where strtol used to
+  // read "abc" and "-5" as "disable the watchdog" and "8x" as 8.
+  for (const char* bad : {"", "abc", "-5", "+5", "8x", " 150", "1.5", "99999999999999999999"}) {
+    EXPECT_EQ(mpisim::parse_watchdog_ms(bad), std::nullopt) << "'" << bad << "'";
+  }
 }
 
 }  // namespace

@@ -329,23 +329,6 @@ TEST_F(RsanRuntimeTest, IgnoreScopeSkipsTrackingAndChecking) {
   EXPECT_EQ(metric_value(metrics, "rsan.races_detected"), 1u);
 }
 
-TEST_F(RsanRuntimeTest, ReportsExportAsJsonl) {
-  const auto fiber = rt.create_fiber(CtxKind::kStreamFiber, "stream 1");
-  rt.switch_to_fiber(fiber);
-  rt.write_range(buf.data(), 64, "kernel 'k' arg 0 [write]");
-  rt.switch_to_fiber(rt.host_ctx());
-  rt.read_range(buf.data(), 64, "MPI_Send buffer (read)");
-  ASSERT_EQ(rt.reports().size(), 1u);
-  const std::string jsonl = rsan::reports_to_jsonl(rt.reports());
-  EXPECT_NE(jsonl.find(R"("access":"write")"), std::string::npos);
-  EXPECT_NE(jsonl.find(R"("access":"read")"), std::string::npos);
-  EXPECT_NE(jsonl.find(R"("name":"stream 1")"), std::string::npos);
-  EXPECT_NE(jsonl.find(R"("op":"kernel 'k' arg 0 [write]")"), std::string::npos);
-  EXPECT_NE(jsonl.find(R"("kind":"CUDA stream")"), std::string::npos);
-  EXPECT_EQ(jsonl.back(), '\n');
-  EXPECT_TRUE(rsan::reports_to_jsonl({}).empty());
-}
-
 TEST_F(RsanRuntimeTest, IgnoreScopesNest) {
   rt.ignore_begin();
   rt.ignore_begin();
