@@ -38,7 +38,7 @@ int sched_hook_overhead_guard(const char* op_name, Op&& op, int op_iters) {
   const double site_ns = detail::time_hook_ns([] {
     int chosen = 0;
     if (schedsim::Controller::armed()) {
-      chosen = schedsim::Controller::instance().choose(schedsim::Site::kWaitallOrder, 0, 2, 0);
+      chosen = schedsim::Controller::instance().choose(schedsim::Site::kWaitany, 0, 2, 0);
     }
     detail::keep(chosen);
   });

@@ -1,9 +1,6 @@
 #include "capi/mpi.hpp"
 
-#include <numeric>
 #include <vector>
-
-#include "schedsim/controller.hpp"
 
 namespace capi::mpi {
 namespace {
@@ -124,23 +121,10 @@ mpisim::MpiError test(mpisim::Comm& comm, mpisim::Request** request, bool* compl
 }
 
 mpisim::MpiError waitall(mpisim::Comm& comm, std::span<mpisim::Request*> requests) {
-  // The order the requests are waited on is not observable through MPI (all
-  // must complete before the call returns) but *is* observable through MUST:
-  // each wait() closes the request's fiber via on_complete, so the processing
-  // order is the fiber-join order. Under the schedule controller, permute it.
-  std::vector<std::size_t> order(requests.size());
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  if (schedsim::Controller::armed() && requests.size() > 1) {
-    auto& controller = schedsim::Controller::instance();
-    for (std::size_t i = 0; i + 1 < order.size(); ++i) {
-      const int pick = controller.choose(schedsim::Site::kWaitallOrder, comm.rank(),
-                                         static_cast<int>(order.size() - i), 0);
-      std::swap(order[i], order[i + static_cast<std::size_t>(pick)]);
-    }
-  }
+  // Index order: each wait() joins its request's fiber, and joins commute, so
+  // no other order could add or remove a happens-before edge.
   mpisim::MpiError first_error = mpisim::MpiError::kSuccess;
-  for (const std::size_t idx : order) {
-    mpisim::Request*& req = requests[idx];
+  for (mpisim::Request*& req : requests) {
     if (req == nullptr) {
       continue;
     }

@@ -26,6 +26,8 @@ mpisim::MpiError wait(mpisim::Comm& comm, mpisim::Request** request,
                       mpisim::Status* status = nullptr);
 mpisim::MpiError test(mpisim::Comm& comm, mpisim::Request** request, bool* completed,
                       mpisim::Status* status = nullptr);
+/// Waits on `requests` in index order and returns the first error in index
+/// order (kSuccess if none).
 mpisim::MpiError waitall(mpisim::Comm& comm, std::span<mpisim::Request*> requests);
 mpisim::MpiError waitany(mpisim::Comm& comm, std::span<mpisim::Request*> requests, int* index,
                          mpisim::Status* status = nullptr);

@@ -321,7 +321,7 @@ bool decode(std::span<const std::byte> bytes, RankPayload* out) {
     // A decision the parent appends to its log must be one parse_log accepts.
     if (!r.i32(&d.rank) || d.rank < -1 || d.rank == std::numeric_limits<int>::max() ||
         !r.u64(&d.seq) || !r.u8(&site) ||
-        site > static_cast<std::uint8_t>(schedsim::Site::kWaitallOrder) ||
+        site > static_cast<std::uint8_t>(schedsim::Site::kWaitany) ||
         !r.i32(&d.candidates) || d.candidates < 1 || !r.i32(&d.chosen) || d.chosen < 0 ||
         d.chosen >= d.candidates) {
       return false;

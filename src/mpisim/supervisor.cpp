@@ -9,6 +9,7 @@
 
 #include <dirent.h>
 #include <signal.h>
+#include <stdio_ext.h>
 #include <sys/mman.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -101,6 +102,10 @@ void Supervisor::setup_segment() {
 }
 
 void Supervisor::child_main(int rank, const std::function<void(Comm)>& rank_main) {
+  // Output another parent thread buffered after run()'s flush is the
+  // parent's to write; the fflush before _exit below must not repeat it.
+  __fpurge(stdout);
+  __fpurge(stderr);
   // The child inherits the parent's mapping: it never reopens the world
   // segment, so even an unlinked segment stays reachable.
   auto transport = proc::make_transport(seg_.data(), layout_, rank, seg_.name());
@@ -124,8 +129,8 @@ void Supervisor::child_main(int rank, const std::function<void(Comm)>& rank_main
 
 void Supervisor::run(const std::function<void(Comm)>& rank_main) {
   setup_segment();
-  // Children inherit stdio buffers; flush now so a child's exit never
-  // re-emits output the parent had buffered before the fork.
+  // Write what the parent has buffered before the ranks start, so it comes
+  // out ahead of their output (each child drops its inherited copy).
   std::fflush(nullptr);
   for (int r = 0; r < options_.world_size; ++r) {
     const pid_t pid = ::fork();

@@ -1,11 +1,12 @@
 // The central schedule-exploration controller: every nondeterministic choice
-// point in the stack — mpisim wildcard matching, and the MPI wait family's
-// request-fiber completion order — routes its decision through choose() as
-// a numbered (site, candidates) query and obeys the answer. Timing-only
-// knobs (how long a blocked wait spins before parking, the order cusim's
-// stream workers run ready ops in, the order a deadlock broadcast wakes
-// ranks in) are not choice points: they change no verdict, only how many
-// executions an exploration visits.
+// point in the stack — the two places MPI itself leaves a choice, mpisim
+// wildcard matching and MPI_Waitany's pick among completed requests —
+// routes its decision through choose() as a numbered (site, candidates)
+// query and obeys the answer. Orders that only reorder commuting work (how
+// long a blocked wait spins before parking, the order cusim's stream
+// workers run ready ops in, the order a deadlock broadcast wakes ranks in,
+// the order MPI_Waitall joins its request fibers in) are not choice points:
+// they change no verdict, only how many executions an exploration visits.
 // Strategies (CUSAN_SCHEDULE):
 //
 //   free             today's behavior; the controller stays disarmed and

@@ -53,14 +53,12 @@ const char* to_string(Site site) {
       return "match_recv";
     case Site::kWaitany:
       return "waitany";
-    case Site::kWaitallOrder:
-      return "waitall_order";
   }
   return "unknown";
 }
 
 bool site_from_string(const std::string& name, Site* out) {
-  static constexpr Site kAll[] = {Site::kMatchRecv, Site::kWaitany, Site::kWaitallOrder};
+  static constexpr Site kAll[] = {Site::kMatchRecv, Site::kWaitany};
   for (const Site site : kAll) {
     if (name == to_string(site)) {
       *out = site;

@@ -26,9 +26,8 @@ namespace schedsim {
 
 /// A nondeterministic choice point routed through the ScheduleController.
 enum class Site : std::uint8_t {
-  kMatchRecv,     ///< mpisim ANY_SOURCE recv: which source channel matches
-  kWaitany,       ///< MPI_Waitany: which completed request is returned
-  kWaitallOrder,  ///< MPI_Waitall: request completion/fiber-join order
+  kMatchRecv,  ///< mpisim ANY_SOURCE recv: which source channel matches
+  kWaitany,    ///< MPI_Waitany: which completed request is returned
 };
 
 [[nodiscard]] const char* to_string(Site site);

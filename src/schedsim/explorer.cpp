@@ -114,7 +114,6 @@ std::vector<Execution> Explorer::explore(Controller& controller, const RunFn& ru
         frontier.push_back(std::move(next));
       }
     }
-    stats_.frontier_peak = std::max<std::uint64_t>(stats_.frontier_peak, frontier.size());
     executions.push_back(std::move(exec));
   }
   controller.clear();

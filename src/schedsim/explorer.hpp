@@ -8,9 +8,9 @@
 // prefix, every alternative candidate spawns a new prefix (the run's
 // decisions up to the flipped one, plus the rest of the pinned prefix, so
 // each child pins strictly more than its parent) unless the prefix is
-// already in the sleep set. Every decision site picks a value (which source
-// matched, which request returned, which completion order), so no decision
-// commutes with the rest of the run and none is skipped.
+// already in the sleep set. Both decision sites pick a value (which source
+// matched, which request returned), so no decision commutes with the rest of
+// the run and none is skipped.
 //
 // Equivalence is tracked per-stream, matching replay's semantics:
 // two runs whose (rank, site) streams recorded identical decisions are the
@@ -60,7 +60,6 @@ struct ExplorerStats {
   std::uint64_t sleep_prunes{0};      ///< prefixes already in the sleep set
   std::uint64_t redundant{0};         ///< executions equal to a previous one
   std::uint64_t graph_nodes{0};       ///< decisions recorded over all executions
-  std::uint64_t frontier_peak{0};
   bool bound_hit{false};
 };
 

@@ -92,7 +92,12 @@ using faultsim::Site;
     }
   }
 
+  // The nth draw stays for every action, so plans without a stall do not
+  // change; a stall aims at #1 for the reason random_kill_spec does.
   spec.nth = 1 + rng.next_below(4);
+  if (spec.action == Action::kStall) {
+    spec.nth = 1;
+  }
   if (rng.next_below(2) == 0) {
     spec.period = 2 + rng.next_below(5);
   }

@@ -5,8 +5,8 @@
 // mutated input), a controller answering from its own strategy, and the two
 // end-to-end promises from the roadmap:
 //
-//   1. Differential coverage — per scenario and for the waitall program
-//      (waitall_program.hpp), DPOR executes exactly the schedules an
+//   1. Differential coverage — per scenario and for the waitany program
+//      (waitany_program.hpp), DPOR executes exactly the schedules an
 //      exhaustive enumeration of every choice sequence runs, and reaches
 //      the same set of (race count, diagnostic ids) verdicts.
 //   2. Reproducibility — every DPOR execution's recorded log replays via
@@ -32,7 +32,7 @@
 #include "schedsim/decision_log.hpp"
 #include "schedsim/explorer.hpp"
 #include "testsuite/scenarios.hpp"
-#include "waitall_program.hpp"
+#include "waitany_program.hpp"
 
 namespace {
 
@@ -96,7 +96,7 @@ TEST_F(ExplorerTest, BoundCapsExecutions) {
 TEST_F(ExplorerTest, DecisionLogSerializeParseRoundTrip) {
   auto& controller = Controller::instance();
   controller.configure_prefix({});  // a free run that records its decisions
-  EXPECT_EQ(controller.choose(Site::kWaitallOrder, 0, 2, 1), 1);
+  EXPECT_EQ(controller.choose(Site::kWaitany, 0, 2, 1), 1);
   EXPECT_EQ(controller.choose(Site::kMatchRecv, 1, 3, 2), 2);
   const DecisionLog log = controller.log();
   ASSERT_EQ(log.decisions.size(), 2u);
@@ -123,8 +123,8 @@ TEST_F(ExplorerTest, ProcChildDecisionsAbsorbInRankOrder) {
   for (int rank = 0; rank < 2; ++rank) {
     Controller child;
     child.configure_prefix({});
-    (void)child.choose(Site::kWaitallOrder, rank, 2, 1);
-    (void)child.choose(Site::kWaitallOrder, rank, 3, 2 - rank);
+    (void)child.choose(Site::kWaitany, rank, 2, 1);
+    (void)child.choose(Site::kWaitany, rank, 3, 2 - rank);
     children[rank] = child.log().decisions;
   }
   Controller parent;
@@ -143,10 +143,10 @@ TEST_F(ExplorerTest, ProcChildDecisionsAbsorbInRankOrder) {
   auto& controller = Controller::instance();
   std::string error;
   ASSERT_TRUE(controller.configure_replay_text(serialize_log(log), &error)) << error;
-  EXPECT_EQ(controller.choose(Site::kWaitallOrder, 1, 2, 0), 1);
-  EXPECT_EQ(controller.choose(Site::kWaitallOrder, 1, 3, 0), 1);
-  EXPECT_EQ(controller.choose(Site::kWaitallOrder, 0, 2, 0), 1);
-  EXPECT_EQ(controller.choose(Site::kWaitallOrder, 0, 3, 0), 2);
+  EXPECT_EQ(controller.choose(Site::kWaitany, 1, 2, 0), 1);
+  EXPECT_EQ(controller.choose(Site::kWaitany, 1, 3, 0), 1);
+  EXPECT_EQ(controller.choose(Site::kWaitany, 0, 2, 0), 1);
+  EXPECT_EQ(controller.choose(Site::kWaitany, 0, 3, 0), 2);
   EXPECT_FALSE(controller.divergence().has_value());
 
   // A parent that does not record keeps none of its children's decisions.
@@ -210,14 +210,14 @@ TEST_F(ExplorerTest, LongRecordingKeepsAndReplaysEveryDecision) {
 TEST_F(ExplorerTest, MutatedDecisionLogsAreRejectedWithoutThrowing) {
   // A decision log comes from disk (replay, trace_lint): a corrupt document
   // must parse to false or to some log, and load into a controller or be
-  // refused, never throw or crash. The golden input is the racy waitall
+  // refused, never throw or crash. The golden input is the racy waitany
   // program's recorded log.
   auto& controller = Controller::instance();
   controller.configure_prefix({});  // a free run that records its decisions
-  (void)waitall_program::run(/*racy=*/true);
+  (void)waitany_program::run(/*racy=*/true);
   const std::string golden = serialize_log(controller.log());
   controller.clear();
-  ASSERT_NE(golden.find(" waitall_order "), std::string::npos) << golden;
+  ASSERT_NE(golden.find(" waitany "), std::string::npos) << golden;
 
   const auto decodes_or_rejects = [](const std::string& text) {
     DecisionLog parsed;
@@ -267,7 +267,7 @@ TEST_F(ExplorerTest, MutatedDecisionLogsAreRejectedWithoutThrowing) {
 
 TEST_F(ExplorerTest, DecisionArrivalOrderDoesNotRepeatSchedules) {
   // Two value decisions on different host lanes whose arrival order flips
-  // from run to run, as two ranks' waitall decisions do. A child prefix
+  // from run to run, as two ranks' waitany decisions do. A child prefix
   // keeps its parent's pins wherever they land in the new run's order, so
   // the 2 x 2 product runs once per schedule and no execution repeats one.
   auto& controller = Controller::instance();
@@ -276,7 +276,7 @@ TEST_F(ExplorerTest, DecisionArrivalOrderDoesNotRepeatSchedules) {
     const bool rank0_first = (run_no++ % 2) == 1;
     for (int k = 0; k < 2; ++k) {
       const int rank = (k == 0) == rank0_first ? 0 : 1;
-      (void)controller.choose(Site::kWaitallOrder, rank, 2, 0);
+      (void)controller.choose(Site::kWaitany, rank, 2, 0);
     }
     return 0;
   };
@@ -367,7 +367,7 @@ using Verdict = std::pair<std::size_t, std::vector<std::string>>;
 
 TEST_F(ExplorerTest, DporReachesEveryVerdictOfExhaustiveEnumeration) {
   // Runs per program the enumeration may spend, far above the widest
-  // program today (the waitall program, 4 runs). A program that needs more
+  // program today (the waitany program, 4 runs). A program that needs more
   // has grown a new choice point, and that fails the test rather than
   // skipping the program.
   constexpr std::size_t kEnumerationCap = 512;
@@ -406,14 +406,14 @@ TEST_F(ExplorerTest, DporReachesEveryVerdictOfExhaustiveEnumeration) {
       return testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true).races;
     });
   }
-  // The corpus makes no branchable decision; the waitall program's
-  // waitall_order decisions give both searches a choice tree to walk.
+  // The corpus makes no branchable decision; the waitany program's
+  // waitany decisions give both searches a choice tree to walk.
   for (const bool racy : {true, false}) {
-    compare(waitall_program::name(racy), [racy] { return waitall_program::run(racy); });
+    compare(waitany_program::name(racy), [racy] { return waitany_program::run(racy); });
   }
   EXPECT_EQ(scenarios.size(), 86u);
   std::printf(
-      "[oracle] %zu scenarios + waitall program: %zu enumerated runs (widest %zu), %zu DPOR "
+      "[oracle] %zu scenarios + waitany program: %zu enumerated runs (widest %zu), %zu DPOR "
       "executions\n",
       scenarios.size(), enumerated_runs, widest, dpor_runs);
 }

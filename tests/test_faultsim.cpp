@@ -9,6 +9,7 @@
 #include <optional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <utility>
 
 #include "capi/cuda.hpp"
@@ -478,6 +479,46 @@ TEST_F(FaultsimTest, StalledRecvBecomesDeadlockReport) {
   EXPECT_TRUE(reported);
 }
 
+TEST_F(FaultsimTest, WaitallReturnsTheFirstErrorInIndexOrder) {
+  // Rank 0's waitall holds two requests that fail differently: index 0 is
+  // an irecv that rank 1's longer message truncates, and the wait fault
+  // fires on the plan's nth wait. Waiting in index order, the first error
+  // is index 0's whichever wait the fault hits. The buffers outlive the
+  // session: a faulted wait leaves its request posted. Thread ranks, so the
+  // rank body can hand waitall's result back.
+  const mpisim::ScopedBackend thread_backend(mpisim::Backend::kThread);
+  std::array<double, 8> big{};
+  std::array<double, 4> small{};
+  std::array<double, 4> out{};
+  std::array<double, 4> in{};
+  for (const char* plan : {"wait@rank0#1=fail", "wait@rank0#2=fail"}) {
+    Injector::instance().load(parse_ok(plan));
+    mpisim::MpiError got = mpisim::MpiError::kSuccess;
+    (void)capi::run_flavored(capi::Flavor::kMust, 2, [&](capi::RankEnv& env) {
+      const auto type = mpisim::Datatype::float64();
+      if (env.rank() == 0) {
+        std::array<mpisim::Request*, 2> reqs{};
+        ASSERT_EQ(capi::mpi::irecv(env.comm, small.data(), small.size(), type, 1, 1, &reqs[0]),
+                  mpisim::MpiError::kSuccess);
+        ASSERT_EQ(capi::mpi::isend(env.comm, out.data(), out.size(), type, 1, 2, &reqs[1]),
+                  mpisim::MpiError::kSuccess);
+        got = capi::mpi::waitall(env.comm, reqs);
+      } else {
+        EXPECT_EQ(capi::mpi::send(env.comm, big.data(), big.size(), type, 0, 1),
+                  mpisim::MpiError::kSuccess);
+        EXPECT_EQ(capi::mpi::recv(env.comm, in.data(), in.size(), type, 0, 2),
+                  mpisim::MpiError::kSuccess);
+      }
+    });
+    // #1 faults index 0's wait; #2 faults index 1's after index 0 truncated.
+    EXPECT_EQ(got, std::string_view(plan).ends_with("#1=fail") ? mpisim::MpiError::kOther
+                                                               : mpisim::MpiError::kTruncate)
+        << plan;
+    EXPECT_EQ(Injector::instance().fired_count(), 1u) << plan;
+    Injector::instance().clear();
+  }
+}
+
 // -- Differential sweep smoke -----------------------------------------------------
 
 TEST_F(FaultsimTest, MiniSweepHoldsRobustnessInvariants) {
@@ -526,6 +567,27 @@ TEST_F(FaultsimTest, MiniSweepHoldsRobustnessInvariants) {
       EXPECT_EQ(obs::value_of(parallel.metrics, name), value) << name;
     }
   }
+}
+
+// A stall the sweep draws fires: corpus ranks post one MPI operation each,
+// so stall specs aim at #1, and the watchdog turns the stall into a
+// declared deadlock that the sweep's accounting sees.
+TEST_F(FaultsimTest, SweepStallFiresAndIsDeclaredADeadlock) {
+  testsuite::SweepOptions options;
+  options.seed = 41;  // its plan holds send@rank0#1%2=stall
+  options.plans = 1;
+  options.faults_per_plan = 3;
+  options.watchdog = std::chrono::milliseconds(150);
+  options.filter = "device__default_stream__no_sync";
+  const std::string plan = testsuite::make_random_plan(options.seed, 3, 0).to_string();
+  ASSERT_NE(plan.find("=stall"), std::string::npos) << plan;
+  const auto stats = testsuite::run_fault_sweep(options);
+  ASSERT_GT(stats.runs, 0u);
+  for (const auto& failure : stats.failures) {
+    ADD_FAILURE() << failure;
+  }
+  EXPECT_TRUE(stats.ok());
+  EXPECT_GE(obs::value_of(stats.metrics, "mpisim.deadlocks_declared"), 1u) << plan;
 }
 
 // A sweep whose plans fire nothing holds every invariant vacuously. The

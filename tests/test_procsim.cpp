@@ -1,8 +1,9 @@
 // Process-backend test suite: the shared-memory transport's building blocks
 // (SPSC rings, segment GC), end-to-end proc worlds (pingpong, allreduce,
-// result publication), crash containment (rank_kill x {sigkill, sigabrt,
-// hang} must yield exactly one RankFailureReport, poisoned survivors and a
-// prompt return), supervisor-side deadlock detection, the RankPayload serde,
+// result publication, no rank re-emitting the parent's buffered stdout),
+// crash containment (rank_kill x {sigkill, sigabrt, hang} must yield exactly
+// one RankFailureReport, poisoned survivors and a prompt return),
+// supervisor-side deadlock detection, the RankPayload serde,
 // and thread/proc equality on a scenario subset: verdicts, and the DPOR
 // exploration that the shipped execution-graph nodes drive.
 //
@@ -20,6 +21,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <random>
 #include <string>
@@ -43,9 +45,11 @@
 #include "schedsim/explorer.hpp"
 #include "testsuite/fault_sweep.hpp"
 #include "testsuite/scenarios.hpp"
-#include "waitall_program.hpp"
+#include "waitany_program.hpp"
 
+#include <pthread.h>
 #include <sys/types.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 namespace {
@@ -403,6 +407,63 @@ TEST(ProcWorldTest, SupervisorDeclaresDeadlockAcrossProcesses) {
   expect_no_stale_segments("after proc deadlock");
 }
 
+TEST(ProcWorldTest, RanksDoNotReemitTheParentsBufferedStdout) {
+  // A line the parent still buffers when a rank forks is the parent's to
+  // write: the rank drops its inherited copy instead of flushing it again
+  // at exit. A forked helper makes stdout a fully buffered file and prints
+  // a numbered line from a fork prepare handler, which runs after the
+  // supervisor's pre-fork flush, so every rank forks with lines buffered.
+  const std::string path =
+      ::testing::TempDir() + "proc_stdout_" + std::to_string(::getpid()) + ".txt";
+  std::fflush(nullptr);
+  const pid_t helper = ::fork();
+  ASSERT_GE(helper, 0);
+  if (helper == 0) {
+    if (std::freopen(path.c_str(), "w", stdout) == nullptr) {
+      ::_exit(3);
+    }
+    static int written = 0;
+    ::pthread_atfork([] { std::printf("line %d\n", written++); }, nullptr, nullptr);
+    for (int w = 0; w < 4; ++w) {
+      World world(2, Backend::kProc);
+      world.run([](Comm comm) { (void)comm.barrier(); });
+    }
+    std::printf("total %d\n", written);
+    std::fflush(stdout);
+    ::_exit(0);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(helper, &status, 0), helper);
+  ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0) << "helper status " << status;
+
+  std::ifstream file(path);
+  std::vector<int> seen;
+  int total = -1;
+  std::size_t lines = 0;
+  for (std::string line; std::getline(file, line);) {
+    ++lines;
+    int n = -1;
+    if (std::sscanf(line.c_str(), "line %d", &n) == 1 && n >= 0) {
+      seen.resize(std::max(seen.size(), static_cast<std::size_t>(n) + 1));
+      ++seen[static_cast<std::size_t>(n)];
+    } else if (std::sscanf(line.c_str(), "total %d", &n) == 1) {
+      total = n;
+    }
+  }
+  std::remove(path.c_str());
+  ASSERT_GT(total, 0);
+  EXPECT_EQ(lines, static_cast<std::size_t>(total) + 1);
+  ASSERT_EQ(seen.size(), static_cast<std::size_t>(total));
+  std::size_t wrong = 0;
+  for (std::size_t n = 0; n < seen.size(); ++n) {
+    if (seen[n] != 1 && ++wrong <= 3) {
+      ADD_FAILURE() << "line " << n << " appears " << seen[n] << " times";
+    }
+  }
+  EXPECT_EQ(wrong, 0u);
+  expect_no_stale_segments("after proc worlds under a buffered stdout");
+}
+
 // ---------------------------------------------------------------------------
 // RankPayload serde
 // ---------------------------------------------------------------------------
@@ -676,9 +737,9 @@ TEST(ProcScenarioTest, DporExploresProcRanksLikeThreadRanks) {
   // Forked ranks ship the decisions they record back to the parent, so
   // DPOR on the proc backend sees the same decisions as on the thread
   // backend: the same executions, each one classified correctly. The corpus
-  // makes no decision; the waitall program's waitall_order decisions are
-  // made inside the forked ranks, so its exploration must record them and
-  // branch there too.
+  // makes no decision; the waitany program's waitany decisions are made
+  // inside the forked ranks, so its exploration must record them and
+  // branch there too: one two-way decision per rank, 2 x 2 executions.
   int compared = 0;
   for (const testsuite::Scenario& scenario : testsuite::build_scenarios()) {
     if (!in_backend_subset(scenario)) {
@@ -692,11 +753,11 @@ TEST(ProcScenarioTest, DporExploresProcRanksLikeThreadRanks) {
   }
   EXPECT_EQ(compared, 2);
   for (const bool racy : {true, false}) {
-    const char* name = waitall_program::name(racy);
+    const char* name = waitany_program::name(racy);
     const auto [thread, proc] =
-        explore_on_both_backends(name, racy, [racy] { return waitall_program::run(racy); });
+        explore_on_both_backends(name, racy, [racy] { return waitany_program::run(racy); });
     EXPECT_GT(proc.graph_nodes, 0u) << name;
-    EXPECT_GT(proc.executions, 1u) << name;
+    EXPECT_EQ(thread.executions, 4u) << name;
     EXPECT_EQ(proc.executions, thread.executions) << name;
   }
   expect_no_stale_segments("after proc DPOR subset");

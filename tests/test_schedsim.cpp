@@ -5,17 +5,15 @@
 // properties the engine promises:
 //
 //   1. Differential replay oracle — replay the logs of DPOR-flipped
-//      executions over the scenario corpus and the waitall program
-//      (waitall_program.hpp) and get bit-identical verdicts and diagnostics
+//      executions over the scenario corpus and the waitany program
+//      (waitany_program.hpp) and get bit-identical verdicts and diagnostics
 //      with zero divergences; a tampered log is detected and reported,
 //      never silently skipped.
 //   2. Exploration soundness — known-racy programs report their race under
 //      every DPOR-explored schedule; race-free programs stay clean across
 //      the whole exploration (verdicts are schedule-independent).
-//   3. Waitall processing order is a controlled decision: a wakeup-heavy
-//      waitall workload records waitall_order decisions, runs with them
-//      pinned away from the default, and replays that run
-//      verdict-identically.
+//   3. A `record:` config writes each session's decision log to its path at
+//      the session's end, and that file replays the run.
 #include <algorithm>
 #include <array>
 #include <cstddef>
@@ -32,15 +30,13 @@
 
 #include <gtest/gtest.h>
 
-#include "capi/mpi.hpp"
 #include "capi/session.hpp"
-#include "mpisim/request.hpp"
 #include "obs/diagnostics.hpp"
 #include "schedsim/controller.hpp"
 #include "schedsim/decision_log.hpp"
 #include "schedsim/explorer.hpp"
 #include "testsuite/scenarios.hpp"
-#include "waitall_program.hpp"
+#include "waitany_program.hpp"
 
 namespace {
 
@@ -181,10 +177,10 @@ TEST_F(SchedsimTest, MutatedSchedulesAreRejectedOrParseExactly) {
   DecisionLog log;
   log.strategy = "dpor execution 3";
   log.decisions = {{0, 0, Site::kMatchRecv, 3, 1},
-                   {1, 0, Site::kWaitallOrder, 2, 1},
-                   {0, 0, Site::kWaitallOrder, 3, 2},
+                   {1, 0, Site::kWaitany, 2, 1},
+                   {0, 0, Site::kWaitany, 3, 2},
                    {0, 1, Site::kMatchRecv, 2, 0},
-                   {1, 1, Site::kWaitallOrder, 2, 0}};
+                   {1, 1, Site::kWaitany, 2, 0}};
   return log;
 }
 
@@ -225,11 +221,13 @@ TEST_F(SchedsimTest, DecisionLogParseRejectsMalformedDocuments) {
 
   EXPECT_FALSE(schedsim::parse_log(header + "0 nonsense 0 2 0\n", &parsed, &error));
   EXPECT_TRUE(error.find("unknown site") != std::string::npos) << error;
-  // The retired timing-only sites are no longer decision streams.
-  for (const char* retired : {"pre_park_yield 0 9 4", "stream_op 0 2 1", "wake_order 0 3 1"}) {
-    EXPECT_FALSE(schedsim::parse_log(header + "0 " + retired + "\n", &parsed, &error))
+  // The retired sites, which only reordered commuting work, are no longer
+  // decision streams; the error names the site.
+  for (const char* retired : {"pre_park_yield", "stream_op", "wake_order", "waitall_order"}) {
+    EXPECT_FALSE(schedsim::parse_log(header + "0 " + retired + " 0 2 1\n", &parsed, &error))
         << retired;
-    EXPECT_TRUE(error.find("unknown site") != std::string::npos) << error;
+    EXPECT_TRUE(error.find(std::string("unknown site '") + retired + "'") != std::string::npos)
+        << error;
   }
   // A rank is -1 (unattributed) or an int rank below INT_MAX, in plain
   // digits; the old `<rank>:h` actor spelling is gone with the lanes.
@@ -260,7 +258,7 @@ TEST_F(SchedsimTest, DecisionLogParseRejectsMalformedDocuments) {
   // seq 0.
   EXPECT_TRUE(schedsim::parse_log(header +
                                       "0 waitany 0 2 0\n"
-                                      "0 waitall_order 0 2 1\n"
+                                      "0 match_recv 0 2 1\n"
                                       "-1 waitany 0 3 2\n"
                                       "0 waitany 1 2 1\n",
                                   &parsed, &error))
@@ -282,8 +280,8 @@ struct Query {
   std::vector<Query> queries;
   for (int round = 0; round < 50; ++round) {
     queries.push_back({Site::kMatchRecv, 0, 3, 1});
-    queries.push_back({Site::kWaitallOrder, 0, 2, 0});
-    queries.push_back({Site::kWaitallOrder, 1, 4, 0});
+    queries.push_back({Site::kWaitany, 1, 2, 0});
+    queries.push_back({Site::kWaitany, 2, 4, 0});
     queries.push_back({Site::kMatchRecv, 1, 3, 0});
     queries.push_back({Site::kWaitany, 0, 5, 0});
   }
@@ -447,11 +445,11 @@ TEST_F(SchedsimTest, TamperedLogIsReportedAsDivergence) {
   (void)run_queries(queries);
   std::string trace = recording();
 
-  // Tamper: the waitall_order stream recorded 4-candidate decisions; claim 3
+  // Tamper: rank 2's waitany stream recorded 4-candidate decisions; claim 3
   // (still a well-formed document — only replay can catch the mismatch).
-  const std::size_t pos = trace.find("waitall_order 0 4 ");
+  const std::size_t pos = trace.find("2 waitany 0 4 ");
   ASSERT_NE(pos, std::string::npos);
-  trace.replace(pos, std::strlen("waitall_order 0 4 "), "waitall_order 0 3 ");
+  trace.replace(pos, std::strlen("2 waitany 0 4 "), "2 waitany 0 3 ");
 
   obs::clear_diagnostics();
   std::string error;
@@ -460,7 +458,7 @@ TEST_F(SchedsimTest, TamperedLogIsReportedAsDivergence) {
 
   const auto divergence = Controller::instance().divergence();
   ASSERT_TRUE(divergence.has_value());
-  EXPECT_EQ(divergence->site, Site::kWaitallOrder);
+  EXPECT_EQ(divergence->site, Site::kWaitany);
   EXPECT_EQ(divergence->expected_candidates, 3);
   EXPECT_EQ(divergence->got_candidates, 4);
   EXPECT_GT(Controller::instance().stats().divergences, 0u);
@@ -470,7 +468,7 @@ TEST_F(SchedsimTest, TamperedLogIsReportedAsDivergence) {
     if (d.id == "sched.divergence") {
       reported = true;
       EXPECT_EQ(d.severity, obs::Severity::kError);
-      EXPECT_TRUE(d.message.find("waitall_order") != std::string::npos) << d.message;
+      EXPECT_TRUE(d.message.find("waitany") != std::string::npos) << d.message;
     }
   }
   EXPECT_TRUE(reported);
@@ -542,12 +540,12 @@ TEST_F(SchedsimTest, DifferentialReplayOracleOverScenarioCorpus) {
       return testsuite::run_scenario_outcome(scenario, /*use_shadow_fast_path=*/true);
     });
   }
-  // The corpus makes no branchable decision; the waitall program's
-  // waitall_order decisions give the oracle non-default schedules to replay.
+  // The corpus makes no branchable decision; the waitany program's
+  // waitany decisions give the oracle non-default schedules to replay.
   for (const bool racy : {true, false}) {
-    explore_and_replay(waitall_program::name(racy), [racy] {
+    explore_and_replay(waitany_program::name(racy), [racy] {
       testsuite::ScenarioOutcome outcome;
-      outcome.races = waitall_program::run(racy);
+      outcome.races = waitany_program::run(racy);
       return outcome;
     });
   }
@@ -583,94 +581,48 @@ TEST_F(SchedsimTest, DporExecutionsKeepVerdictsScheduleIndependent) {
     });
   }
   for (const bool racy : {true, false}) {
-    explore(waitall_program::name(racy), racy, [racy] { return waitall_program::run(racy); });
+    explore(waitany_program::name(racy), racy, [racy] { return waitany_program::run(racy); });
   }
   EXPECT_TRUE(racy_branched);
   EXPECT_TRUE(clean_branched);
 }
 
-// ------------------------------- satellite 3: waitall order replay -------
+// ------------------------------------ satellite 3: record to a file --
 
-TEST_F(SchedsimTest, WakeupHeavyWaitallRecordsAndReplaysWaitallOrder) {
+TEST_F(SchedsimTest, RecordConfigWritesTheSessionLogAndItReplays) {
   // A `record:` config records each capi session's decisions and writes
   // the log to the record path at the session's end.
   auto& controller = Controller::instance();
-  const std::string record_path = ::testing::TempDir() + "waitall_record.graph";
+  const std::string record_path = ::testing::TempDir() + "waitany_record.graph";
   std::remove(record_path.c_str());
   Config config;
   config.record = true;
   config.record_path = record_path;
   controller.configure(config);
+  const auto program = [](capi::RankEnv& env) { waitany_program::rank_main(env, /*racy=*/true); };
 
-  // Wakeup-heavy all-to-all: every rank irecvs from and isends to every
-  // peer, then waitalls the whole batch — rank 0 staggers behind a blocking
-  // barrier-ish recv chain so peers park on their slots and wakeups fan out.
-  const auto all_to_all = [](capi::RankEnv& env) {
-    const int ranks = env.comm.size();
-    const int rank = env.rank();
-    std::vector<std::array<double, 8>> recv_bufs(static_cast<std::size_t>(ranks));
-    std::array<double, 8> send_buf{};
-    std::vector<mpisim::Request*> reqs;
-    for (int peer = 0; peer < ranks; ++peer) {
-      if (peer == rank) {
-        continue;
-      }
-      mpisim::Request* req = nullptr;
-      ASSERT_EQ(capi::mpi::irecv(env.comm, recv_bufs[static_cast<std::size_t>(peer)].data(), 8,
-                                 mpisim::Datatype::float64(), peer, 5, &req),
-                mpisim::MpiError::kSuccess);
-      reqs.push_back(req);
-    }
-    for (int peer = 0; peer < ranks; ++peer) {
-      if (peer == rank) {
-        continue;
-      }
-      mpisim::Request* req = nullptr;
-      ASSERT_EQ(capi::mpi::isend(env.comm, send_buf.data(), 8, mpisim::Datatype::float64(), peer,
-                                 5, &req),
-                mpisim::MpiError::kSuccess);
-      reqs.push_back(req);
-    }
-    ASSERT_EQ(capi::mpi::waitall(env.comm, reqs), mpisim::MpiError::kSuccess);
-  };
-
-  EXPECT_EQ(capi::total_races(capi::run_flavored(capi::Flavor::kMust, 4, all_to_all)), 0u);
+  const auto recorded = capi::run_flavored(capi::Flavor::kMustCusan, 2, program);
   const DecisionLog recorded_log = controller.log();
   std::ifstream file(record_path);
   std::stringstream file_text;
   file_text << file.rdbuf();
   EXPECT_EQ(file_text.str(), schedsim::serialize_log(recorded_log)) << record_path;
-
-  // The regression this guards: waitall's processing order routes through
-  // the controller, so the log of a wakeup-heavy run records it. Pin every
-  // waitall_order decision away from the default (a selection step's
-  // candidate count does not depend on earlier picks, so the whole stream
-  // stays pinned) and record the perturbed run.
-  std::vector<TraceEntry> prefix;
-  for (TraceEntry entry : recorded_log.decisions) {
-    if (entry.site == Site::kWaitallOrder) {
-      entry.chosen = entry.candidates - 1;
-      prefix.push_back(entry);
-    }
+  // Each rank's waitany picks between its two completed requests.
+  ASSERT_EQ(recorded_log.decisions.size(), 2u) << file_text.str();
+  for (const TraceEntry& entry : recorded_log.decisions) {
+    EXPECT_EQ(entry.site, Site::kWaitany);
+    EXPECT_EQ(entry.candidates, 2);
   }
-  EXPECT_FALSE(prefix.empty());
-  controller.configure_prefix(prefix);
-  const auto recorded = capi::run_flavored(capi::Flavor::kMust, 4, all_to_all);
-  EXPECT_EQ(capi::total_races(recorded), 0u);
-  EXPECT_FALSE(controller.divergence().has_value()) << controller.divergence()->to_string();
-  const std::string trace = recording();
-  EXPECT_TRUE(trace.find("waitall_order") != std::string::npos) << trace;
 
+  // The written file is the reproducer: replaying it takes every answer
+  // from the recording and reports the same races.
   std::string error;
-  ASSERT_TRUE(controller.configure_replay_text(trace, &error)) << error;
-  const auto replayed = capi::run_flavored(capi::Flavor::kMust, 4, all_to_all);
-  EXPECT_EQ(capi::total_races(replayed), 0u);
-  EXPECT_FALSE(controller.divergence().has_value())
-      << controller.divergence()->to_string();
-  EXPECT_GT(controller.stats().replayed, 0u);
-  for (const auto& result : replayed) {
-    EXPECT_TRUE(result.must_reports.empty());
-  }
+  ASSERT_TRUE(controller.configure_replay_text(file_text.str(), &error)) << error;
+  const auto replayed = capi::run_flavored(capi::Flavor::kMustCusan, 2, program);
+  EXPECT_FALSE(controller.divergence().has_value()) << controller.divergence()->to_string();
+  EXPECT_EQ(controller.stats().replayed, 2u);
+  EXPECT_EQ(capi::total_races(replayed), capi::total_races(recorded));
+  EXPECT_GT(capi::total_races(replayed), 0u);
 }
 
 }  // namespace

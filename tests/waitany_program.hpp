@@ -5,16 +5,18 @@
 // testsuite::build_scenarios() so check_cutests and the benchmark keep
 // running exactly the paper's matrix.
 //
-// Each of the two ranks posts an irecv from and an isend to its peer and
-// completes both with one MPI_Waitall: one waitall_order decision with two
-// candidates per rank, so DPOR explores 2 x 2 executions. The racy variant
-// writes the send buffer with an unsynchronized kernel, which races with
-// the isend's read in every execution; the clean variant fills it with a
-// cudaMemsetAsync and synchronizes the device first, and is race-free in
-// every execution. Like the corpus's racy kernels, the racy kernel's body
-// stays clear of the exchanged elements: CuSan finds the race from the
-// kernel's access summary (a write of the whole buffer), and the host
-// threads that simulate the device and the rank never race on memory.
+// Each of the two ranks posts an irecv from and an isend to its peer, enters
+// a barrier, and then calls MPI_Waitany and waits on the remaining request.
+// Both requests are complete by the time waitany looks, so each rank makes
+// one waitany decision with two candidates and DPOR explores 2 x 2
+// executions. The racy variant writes the send buffer with an
+// unsynchronized kernel, which races with the isend's read in every
+// execution; the clean variant fills it with a cudaMemsetAsync and
+// synchronizes the device first, and is race-free in every execution. Like
+// the corpus's racy kernels, the racy kernel's body stays clear of the
+// exchanged elements: CuSan finds the race from the kernel's access summary
+// (a write of the whole buffer), and the host threads that simulate the
+// device and the rank never race on memory.
 #pragma once
 
 #include <array>
@@ -29,7 +31,7 @@
 #include "mpisim/datatype.hpp"
 #include "mpisim/request.hpp"
 
-namespace waitall_program {
+namespace waitany_program {
 
 constexpr std::size_t kCount = 64;  ///< doubles exchanged; the send buffer holds one more
 
@@ -40,7 +42,7 @@ inline const kir::KernelInfo& whole_buffer_writer() {
     std::unique_ptr<kir::KernelRegistry> registry;
     const kir::KernelInfo* info{};
     Kernel() {
-      kir::Function* w = module.create_function("waitall_writer", {true, false});
+      kir::Function* w = module.create_function("waitany_writer", {true, false});
       w->store(w->gep(w->param(0), w->constant()), w->constant());
       w->ret();
       registry = std::make_unique<kir::KernelRegistry>(module);
@@ -68,14 +70,17 @@ inline void rank_main(capi::RankEnv& env, bool racy) {
   std::array<mpisim::Request*, 2> reqs{};
   (void)capi::mpi::irecv(env.comm, recv_buf, kCount, type, peer, 3, &reqs[0]);
   (void)capi::mpi::isend(env.comm, send_buf, kCount, type, peer, 3, &reqs[1]);
-  (void)capi::mpi::waitall(env.comm, reqs);
+  (void)capi::mpi::barrier(env.comm);
+  int first = -1;
+  (void)capi::mpi::waitany(env.comm, reqs, &first);
+  (void)capi::mpi::wait(env.comm, &reqs[first == 0 ? 1 : 0]);
   (void)capi::cuda::device_synchronize();
   (void)capi::cuda::free(send_buf);
   (void)capi::cuda::free(recv_buf);
 }
 
 [[nodiscard]] inline const char* name(bool racy) {
-  return racy ? "waitall_program racy" : "waitall_program clean";
+  return racy ? "waitany_program racy" : "waitany_program clean";
 }
 
 /// Run the program on two ranks under MUST & CuSan; returns the race count.
@@ -84,4 +89,4 @@ inline void rank_main(capi::RankEnv& env, bool racy) {
       capi::Flavor::kMustCusan, 2, [racy](capi::RankEnv& env) { rank_main(env, racy); }));
 }
 
-}  // namespace waitall_program
+}  // namespace waitany_program

@@ -63,6 +63,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parse.hpp"
 #include "faultsim/injector.hpp"
 #include "faultsim/plan.hpp"
 #include "obs/metrics.hpp"
@@ -74,6 +75,9 @@
 #include "testsuite/scenarios.hpp"
 
 namespace {
+
+/// Most executor workers --jobs may ask for.
+constexpr std::uint64_t kMaxJobs = 256;
 
 /// One DPOR-explored execution of a scenario.
 struct ScheduleRun {
@@ -431,17 +435,19 @@ int main(int argc, char** argv) {
       }
     } else if (std::strncmp(arg, "--schedule-dir=", 15) == 0) {
       config.schedule_dir = arg + 15;
-    } else if (std::strncmp(arg, "--jobs=", 7) == 0) {
-      jobs = std::atoi(arg + 7);
-    } else if (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc) {
-      jobs = std::atoi(argv[++i]);
+    } else if (std::strncmp(arg, "--jobs=", 7) == 0 ||
+               (std::strcmp(arg, "--jobs") == 0 && i + 1 < argc)) {
+      const char* value = arg[6] == '=' ? arg + 7 : argv[++i];
+      std::uint64_t parsed = 0;
+      if (!common::parse_uint(value, parsed, kMaxJobs) || parsed < 1) {
+        std::fprintf(stderr, "--jobs: expected an integer in [1, %llu], got '%s'\n",
+                     static_cast<unsigned long long>(kMaxJobs), value);
+        return 2;
+      }
+      jobs = static_cast<int>(parsed);
     } else {
       filter = arg;
     }
-  }
-  if (jobs < 1) {
-    std::fprintf(stderr, "--jobs must be >= 1\n");
-    return 2;
   }
 
   // The environment is read once, here, and handed to every session.

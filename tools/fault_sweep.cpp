@@ -29,11 +29,14 @@
 //                    [--watchdog MS] [--metrics PATH]
 //                    [--schedules dpor[;bound:K]] [--rank-kills N]
 //                    [--jobs N] [--verbose]
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 
+#include "common/parse.hpp"
 #include "mpisim/world.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perfetto.hpp"
@@ -56,15 +59,24 @@ constexpr int kExitVacuous = 3;
   std::exit(2);
 }
 
-long parse_long(const char* argv0, const char* flag, const char* value) {
+/// Most executor workers --jobs may ask for.
+constexpr std::uint64_t kMaxJobs = 256;
+constexpr std::uint64_t kMaxInt = std::numeric_limits<int>::max();
+constexpr std::uint64_t kMaxSeed = std::numeric_limits<std::uint64_t>::max();
+
+/// `value` of `flag` as plain decimal digits in [min, max]; anything else
+/// (a sign, trailing junk, a value past max) is a usage error.
+std::uint64_t parse_flag(const char* argv0, const char* flag, const char* value,
+                         std::uint64_t min, std::uint64_t max) {
   if (value == nullptr) {
     std::fprintf(stderr, "%s requires a value\n", flag);
     usage(argv0);
   }
-  char* end = nullptr;
-  const long parsed = std::strtol(value, &end, 10);
-  if (end == value || *end != '\0') {
-    std::fprintf(stderr, "%s: not a number: '%s'\n", flag, value);
+  std::uint64_t parsed = 0;
+  if (!common::parse_uint(value, parsed, max) || parsed < min) {
+    std::fprintf(stderr, "%s: expected an integer in [%llu, %llu], got '%s'\n", flag,
+                 static_cast<unsigned long long>(min), static_cast<unsigned long long>(max),
+                 value);
     usage(argv0);
   }
   return parsed;
@@ -79,13 +91,13 @@ int main(int argc, char** argv) {
     const char* arg = argv[i];
     const char* value = i + 1 < argc ? argv[i + 1] : nullptr;
     if (std::strcmp(arg, "--plans") == 0) {
-      options.plans = static_cast<int>(parse_long(argv[0], arg, value));
+      options.plans = static_cast<int>(parse_flag(argv[0], arg, value, 1, kMaxInt));
       ++i;
     } else if (std::strcmp(arg, "--faults") == 0) {
-      options.faults_per_plan = static_cast<int>(parse_long(argv[0], arg, value));
+      options.faults_per_plan = static_cast<int>(parse_flag(argv[0], arg, value, 1, kMaxInt));
       ++i;
     } else if (std::strcmp(arg, "--seed") == 0) {
-      options.seed = static_cast<std::uint64_t>(parse_long(argv[0], arg, value));
+      options.seed = parse_flag(argv[0], arg, value, 0, kMaxSeed);
       ++i;
     } else if (std::strcmp(arg, "--filter") == 0) {
       if (value == nullptr) {
@@ -94,7 +106,7 @@ int main(int argc, char** argv) {
       options.filter = value;
       ++i;
     } else if (std::strcmp(arg, "--watchdog") == 0) {
-      options.watchdog = std::chrono::milliseconds(parse_long(argv[0], arg, value));
+      options.watchdog = std::chrono::milliseconds(parse_flag(argv[0], arg, value, 1, kMaxInt));
       ++i;
     } else if (std::strcmp(arg, "--metrics") == 0) {
       if (value == nullptr) {
@@ -118,10 +130,10 @@ int main(int argc, char** argv) {
       options.dpor_bound = sched.bound;
       ++i;
     } else if (std::strcmp(arg, "--rank-kills") == 0) {
-      options.rank_kills = static_cast<int>(parse_long(argv[0], arg, value));
+      options.rank_kills = static_cast<int>(parse_flag(argv[0], arg, value, 0, kMaxInt));
       ++i;
     } else if (std::strcmp(arg, "--jobs") == 0) {
-      options.jobs = static_cast<int>(parse_long(argv[0], arg, value));
+      options.jobs = static_cast<int>(parse_flag(argv[0], arg, value, 1, kMaxJobs));
       ++i;
     } else if (std::strcmp(arg, "--verbose") == 0) {
       options.verbose = true;
@@ -130,14 +142,6 @@ int main(int argc, char** argv) {
       usage(argv[0]);
     }
   }
-  if (options.plans < 1 || options.faults_per_plan < 1 || options.watchdog.count() <= 0 ||
-      options.rank_kills < 0 || options.jobs < 1) {
-    std::fprintf(stderr,
-                 "--plans/--faults/--jobs must be >= 1, --watchdog must be > 0, "
-                 "--rank-kills >= 0\n");
-    return 2;
-  }
-
   const std::uint32_t bound =
       options.dpor_bound != 0 ? options.dpor_bound : schedsim::ExplorerOptions::kDefaultBound;
   const std::string schedule = options.dpor
